@@ -14,7 +14,7 @@
 //! both default to the values the checked-in JSON was generated with.
 
 use criterion::{BenchmarkId, Criterion};
-use csb_core::experiments::runner::run_bandwidth_panels;
+use csb_core::experiments::runner::{run_bandwidth_panels_observed, ObsConfig};
 use csb_core::experiments::{fig3, throughput};
 
 fn bench_runner(c: &mut Criterion) {
@@ -30,7 +30,10 @@ fn bench_runner(c: &mut Criterion) {
 
     for jobs in [1usize, 2, 4] {
         group.bench_function(BenchmarkId::new("fig3e", format!("jobs{jobs}")), |b| {
-            b.iter(|| run_bandwidth_panels(specs, jobs).expect("panel simulates"))
+            b.iter(|| {
+                run_bandwidth_panels_observed(specs, jobs, ObsConfig::default())
+                    .expect("panel simulates")
+            })
         });
     }
     group.finish();

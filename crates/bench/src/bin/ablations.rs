@@ -20,15 +20,13 @@ const USAGE: &str = "ablations [--jobs N] [--json out.json] [--trace-out trace.j
 
 fn main() {
     csb_bench::validate_standard_args(USAGE);
-    csb_bench::apply_fast_forward_flag();
-    csb_bench::apply_cache_flags();
-    let jobs = csb_bench::jobs_from_args();
     let bo = csb_bench::obs_from_args();
+    let jobs = csb_bench::jobs_from_args();
     let mut all_artifacts = Vec::new();
 
     // --- Superscalar width vs. lock overhead --------------------------
-    let (widths, arts, mut report) = ablations::superscalar_widths_jobs_observed(4, jobs, bo.obs)
-        .expect("width ablation simulates");
+    let (widths, arts, mut report) =
+        ablations::superscalar_widths(4, jobs, bo.obs()).expect("width ablation simulates");
     all_artifacts.extend(arts);
     let headers = vec![
         "width".to_string(),
@@ -65,22 +63,22 @@ fn main() {
             })
             .collect()
     };
-    let (double, arts, r) = ablations::double_buffered_jobs_observed(jobs, bo.obs)
-        .expect("double-buffer ablation simulates");
+    let (double, arts, r) =
+        ablations::double_buffered(jobs, bo.obs()).expect("double-buffer ablation simulates");
     all_artifacts.extend(arts);
     report.merge(&r);
     println!("Double-buffered CSB (second line buffer, §3.2)");
     println!("{}", format_table(&headers, &render(&double)));
-    let (variable, arts, r) = ablations::variable_burst_jobs_observed(jobs, bo.obs)
-        .expect("variable-burst ablation simulates");
+    let (variable, arts, r) =
+        ablations::variable_burst(jobs, bo.obs()).expect("variable-burst ablation simulates");
     all_artifacts.extend(arts);
     report.merge(&r);
     println!("Variable-burst CSB (multiple burst sizes, §3.2)");
     println!("{}", format_table(&headers, &render(&variable)));
 
     // --- Related-work baselines under store-order pressure --------------
-    let (rows, arts, r) = ablations::related_work_jobs_observed(jobs, bo.obs)
-        .expect("related-work ablation simulates");
+    let (rows, arts, r) =
+        ablations::related_work(jobs, bo.obs()).expect("related-work ablation simulates");
     all_artifacts.extend(arts);
     report.merge(&r);
     let headers = vec![
@@ -104,8 +102,8 @@ fn main() {
     println!("{}", format_table(&headers, &table));
 
     // --- Buffer depth and uncached issue rate ---------------------------
-    let (rows, arts, r) = ablations::buffer_capacity_jobs_observed(jobs, bo.obs)
-        .expect("capacity ablation simulates");
+    let (rows, arts, r) =
+        ablations::buffer_capacity(jobs, bo.obs()).expect("capacity ablation simulates");
     all_artifacts.extend(arts);
     report.merge(&r);
     let headers = vec![
@@ -126,8 +124,8 @@ fn main() {
     println!("Uncached buffer depth vs. bandwidth (1 KiB)");
     println!("{}", format_table(&headers, &table));
 
-    let (rows, arts, r) = ablations::uncached_issue_rate_jobs_observed(jobs, bo.obs)
-        .expect("issue-rate ablation simulates");
+    let (rows, arts, r) =
+        ablations::uncached_issue_rate(jobs, bo.obs()).expect("issue-rate ablation simulates");
     all_artifacts.extend(arts);
     report.merge(&r);
     let headers = vec![
@@ -143,7 +141,7 @@ fn main() {
 
     // --- Loaded bus: turnaround approximation vs. real contention -------
     let (rows, arts, r) =
-        ablations::loaded_bus_jobs_observed(jobs, bo.obs).expect("loaded-bus ablation simulates");
+        ablations::loaded_bus(jobs, bo.obs()).expect("loaded-bus ablation simulates");
     all_artifacts.extend(arts);
     report.merge(&r);
     let headers = vec![
@@ -176,7 +174,7 @@ fn main() {
         (PioMethod::Csb, "CSB PIO"),
     ] {
         let (rows, crossover) = model
-            .break_even(&cfg, method, &MESSAGE_SIZES)
+            .break_even(&cfg, method, &MESSAGE_SIZES, bo.obs())
             .expect("break-even simulates");
         let headers = vec![
             "bytes".to_string(),

@@ -24,14 +24,12 @@ const USAGE: &str = "contend [--jobs N] [--json out.json] [--trace-out trace.jso
 
 fn main() {
     csb_bench::validate_standard_args(USAGE);
-    csb_bench::apply_fast_forward_flag();
-    csb_bench::apply_cache_flags();
+    let bo = csb_bench::obs_from_args();
     let jobs = csb_bench::jobs_from_args();
     let max_cores = contend::CORES.iter().copied().max().unwrap_or(1);
     csb_bench::warn_if_oversubscribed(jobs, max_cores);
-    let bo = csb_bench::obs_from_args();
     let (sweep, artifacts, report) =
-        contend::run_jobs_observed(jobs, bo.obs).expect("contention sweep simulates");
+        contend::run_jobs_observed(jobs, bo.obs()).expect("contention sweep simulates");
     let mut out = BufWriter::new(std::io::stdout().lock());
     writeln!(out, "{}", sweep.to_table()).expect("stdout writable");
     out.flush().expect("stdout flushes");

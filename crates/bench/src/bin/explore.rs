@@ -44,7 +44,6 @@ struct Args {
     jobs: usize,
     timeline: u64,
     asm: Option<String>,
-    ledger: Option<String>,
 }
 
 impl Default for Args {
@@ -61,7 +60,6 @@ impl Default for Args {
             jobs: 0,
             timeline: 40,
             asm: None,
-            ledger: None,
         }
     }
 }
@@ -110,14 +108,12 @@ fn parse_args() -> Args {
             }
             "--timeline" => args.timeline = num("--timeline", val("--timeline")),
             "--asm" => args.asm = Some(val("--asm")),
-            "--ledger" => args.ledger = Some(val("--ledger")),
-            "--no-fast-forward" => csb_core::set_default_fast_forward(false),
-            // Consumed by apply_cache_flags (which re-reads the raw
-            // command line); only the values must be skipped here.
-            "--cache-dir" | "--snapshot-every" => {
+            // Consumed by obs_from_args (which re-reads the raw command
+            // line); only the values must be skipped here.
+            "--ledger" | "--cache-dir" | "--snapshot-every" => {
                 val(&flag);
             }
-            "--no-cache" => {}
+            "--no-cache" | "--no-fast-forward" => {}
             other => csb_bench::usage_error(USAGE, format!("unknown flag {other}")),
         }
     }
@@ -144,7 +140,7 @@ fn scheme_from_flag(flag: &str, line: usize) -> Scheme {
 
 fn main() {
     let args = parse_args();
-    csb_bench::apply_cache_flags();
+    let bo = csb_bench::obs_from_args();
     let bus = match args.bus.as_str() {
         "mux" => BusConfig::multiplexed(args.width),
         "split" => BusConfig::split(args.width),
@@ -183,14 +179,8 @@ fn main() {
                 },
             })
             .collect();
-        // Ledger records need the flush histograms, so --ledger turns on
-        // metrics capture for the sweep.
-        let obs = ObsConfig {
-            trace: false,
-            metrics: args.ledger.is_some(),
-        };
         let (_, labeled, report) =
-            run_values_observed(&specs, args.jobs, obs).unwrap_or_else(|e| csb_bench::die(e));
+            run_values_observed(&specs, args.jobs, bo.obs()).unwrap_or_else(|e| csb_bench::die(e));
         // Lock stdout once and buffer the sweep output.
         let mut out = BufWriter::new(std::io::stdout().lock());
         writeln!(
@@ -233,45 +223,12 @@ fn main() {
         writeln!(out, "{}", format_table(&headers, &rows)).unwrap();
         out.flush().expect("stdout flushes");
         eprintln!("{}", report.render());
-        if let Some(ledger) = &args.ledger {
-            csb_bench::append_ledger(std::path::Path::new(ledger), "explore", &labeled);
-        }
+        bo.emit("explore", &labeled);
         return;
     }
     let bytes = args.bytes[0];
 
-    let (path, ucfg) = match args.scheme.as_str() {
-        "csb" => (workloads::StorePath::Csb, None),
-        "none" => (
-            workloads::StorePath::Uncached,
-            Some(csb_uncached::UncachedConfig::with_block(8)),
-        ),
-        "r10k" => (
-            workloads::StorePath::Uncached,
-            Some(csb_uncached::UncachedConfig::r10000(args.line)),
-        ),
-        "ppc620" => (
-            workloads::StorePath::Uncached,
-            Some(csb_uncached::UncachedConfig::ppc620()),
-        ),
-        n => {
-            let block: usize = n.parse().unwrap_or_else(|_| {
-                csb_bench::usage_error(
-                    USAGE,
-                    format!("--scheme none|16|32|64|128|r10k|ppc620|csb, got {n}"),
-                )
-            });
-            (
-                workloads::StorePath::Uncached,
-                Some(csb_uncached::UncachedConfig::with_block(block)),
-            )
-        }
-    };
-    let mut cfg = cfg;
-    if let Some(u) = ucfg {
-        cfg.uncached = u;
-    }
-
+    let (cfg, path) = scheme_from_flag(&args.scheme, args.line).machine(&cfg);
     let program = match &args.asm {
         Some(file) => {
             let source = std::fs::read_to_string(file)
@@ -282,12 +239,12 @@ fn main() {
             .unwrap_or_else(|e| csb_bench::die(format!("--bytes {bytes}: {e}"))),
     };
     let mut sim = Simulator::new(cfg.clone(), program).expect("valid machine");
-    sim.enable_tracing();
-    if args.ledger.is_some() {
-        sim.enable_metrics();
-    }
+    let obs = ObsConfig {
+        trace: true,
+        ..bo.obs()
+    };
     let t0 = std::time::Instant::now();
-    let s = sim.run(100_000_000).expect("run completes");
+    let s = obs.simulate(&mut sim, 100_000_000).expect("run completes");
     let wall = t0.elapsed();
 
     // Lock stdout once and buffer the report + timeline.
@@ -319,7 +276,7 @@ fn main() {
     let t = trace::timeline_from_events(&sim.trace_events(), 0, args.timeline, cfg.ratio);
     writeln!(out, "\n{}", t.render()).unwrap();
     out.flush().expect("stdout flushes");
-    if let Some(ledger) = &args.ledger {
+    if bo.ledger.is_some() {
         let label = match &args.asm {
             Some(f) => format!("explore/asm/{f}"),
             None => format!("explore/{bytes}B/{}", args.scheme),
@@ -336,6 +293,6 @@ fn main() {
                 metrics: Some(sim.metrics_report()),
             },
         };
-        csb_bench::append_ledger(std::path::Path::new(ledger), "explore", &[la]);
+        bo.emit("explore", &[la]);
     }
 }

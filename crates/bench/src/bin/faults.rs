@@ -24,12 +24,10 @@ const USAGE: &str = "faults [--jobs N] [--json out.json] [--trace-out trace.json
 
 fn main() {
     csb_bench::validate_standard_args(USAGE);
-    csb_bench::apply_fast_forward_flag();
-    csb_bench::apply_cache_flags();
-    let jobs = csb_bench::jobs_from_args();
     let bo = csb_bench::obs_from_args();
+    let jobs = csb_bench::jobs_from_args();
     let (sweep, artifacts, report) =
-        faults::run_jobs_observed(jobs, bo.obs).expect("fault sweep simulates");
+        faults::run_jobs_observed(jobs, bo.obs()).expect("fault sweep simulates");
     let mut out = BufWriter::new(std::io::stdout().lock());
     writeln!(out, "{}", sweep.to_table()).expect("stdout writable");
     out.flush().expect("stdout flushes");

@@ -15,12 +15,10 @@ const USAGE: &str = "fig4 [--jobs N] [--json out.json] [--trace-out trace.json] 
 
 fn main() {
     csb_bench::validate_standard_args(USAGE);
-    csb_bench::apply_fast_forward_flag();
-    csb_bench::apply_cache_flags();
-    let jobs = csb_bench::jobs_from_args();
     let bo = csb_bench::obs_from_args();
+    let jobs = csb_bench::jobs_from_args();
     let (panels, artifacts, report) =
-        fig4::run_jobs_observed(jobs, bo.obs).expect("Figure 4 panels simulate");
+        fig4::run_jobs_observed(jobs, bo.obs()).expect("Figure 4 panels simulate");
     // Lock stdout once and buffer: the tables are thousands of short
     // lines, and a per-line lock/flush dominates the print path.
     let mut out = BufWriter::new(std::io::stdout().lock());

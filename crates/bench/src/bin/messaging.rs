@@ -25,12 +25,10 @@ const USAGE: &str = "messaging [--jobs N] [--json out.json] [--trace-out trace.j
 
 fn main() {
     csb_bench::validate_standard_args(USAGE);
-    csb_bench::apply_fast_forward_flag();
-    csb_bench::apply_cache_flags();
-    let jobs = csb_bench::jobs_from_args();
     let bo = csb_bench::obs_from_args();
+    let jobs = csb_bench::jobs_from_args();
     let (sweep, artifacts, report) =
-        messaging::run_jobs_observed(jobs, bo.obs).expect("messaging sweep simulates");
+        messaging::run_jobs_observed(jobs, bo.obs()).expect("messaging sweep simulates");
     let mut out = BufWriter::new(std::io::stdout().lock());
     writeln!(out, "{}", sweep.to_table()).expect("stdout writable");
     writeln!(

@@ -35,10 +35,8 @@ fn main() {
         csb_bench::STANDARD_BARE_FLAGS,
         0,
     );
-    csb_bench::apply_fast_forward_flag();
-    csb_bench::apply_cache_flags();
-    let jobs = csb_bench::jobs_from_args();
     let bo = csb_bench::obs_from_args();
+    let jobs = csb_bench::jobs_from_args();
     // One stdout lock + buffer for the whole reproduction; per-line
     // println! costs a lock and flush each.
     let mut out = BufWriter::new(std::io::stdout().lock());
@@ -59,7 +57,7 @@ fn main() {
     )
     .unwrap();
     let (panels, artifacts, mut report) =
-        fig3::run_jobs_observed(jobs, bo.obs).expect("Figure 3 simulates");
+        fig3::run_jobs_observed(jobs, bo.obs()).expect("Figure 3 simulates");
     for p in panels {
         writeln!(out, "{}", p.to_table()).unwrap();
     }
@@ -81,7 +79,7 @@ fn main() {
     )
     .unwrap();
     let (panels, artifacts, r4) =
-        fig4::run_jobs_observed(jobs, bo.obs).expect("Figure 4 simulates");
+        fig4::run_jobs_observed(jobs, bo.obs()).expect("Figure 4 simulates");
     report.merge(&r4);
     for p in panels {
         writeln!(out, "{}", p.to_table()).unwrap();
@@ -104,7 +102,7 @@ fn main() {
     )
     .unwrap();
     let (panels, artifacts, r5) =
-        fig5::run_jobs_observed(jobs, bo.obs).expect("Figure 5 simulates");
+        fig5::run_jobs_observed(jobs, bo.obs()).expect("Figure 5 simulates");
     report.merge(&r5);
     for p in panels {
         writeln!(out, "{}", p.to_table()).unwrap();

@@ -15,9 +15,7 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use csb_core::experiments::runner::{
-    execute_point_observed, LabeledArtifacts, ObsConfig, PointSpec, PointValue,
-};
+use csb_core::experiments::runner::{run_values_observed, ObsConfig, PointSpec, PointValue};
 use csb_core::experiments::{fig3, fig4, fig5};
 
 /// Every point the figure harnesses enumerate, in figure order.
@@ -52,10 +50,7 @@ fn main() -> ExitCode {
         &["--no-fast-forward", "--list", "--no-cache"],
         1,
     );
-    // Trace replays always capture artifacts, so the point itself is
-    // never served from cache — but --snapshot-every still dumps
-    // restorable mid-run snapshots under <cache-dir>/autosnap/.
-    csb_bench::apply_cache_flags();
+    let bo = csb_bench::obs_from_args();
     let positional: Vec<String> = {
         let mut args = std::env::args().skip(1);
         let mut pos = Vec::new();
@@ -65,10 +60,7 @@ fn main() -> ExitCode {
                 | "--snapshot-every" => {
                     args.next();
                 }
-                "--no-cache" => {}
-                // Tracing composes with fast-forward (the walk synthesizes
-                // the per-cycle events), so this genuinely switches loops.
-                "--no-fast-forward" => csb_core::set_default_fast_forward(false),
+                "--no-cache" | "--no-fast-forward" => {}
                 _ if a.starts_with("--trace-out=")
                     || a.starts_with("--metrics-out=")
                     || a.starts_with("--ledger=")
@@ -97,17 +89,25 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     };
 
+    // Trace replays always capture artifacts, so the point itself is
+    // never served from cache — but --snapshot-every still dumps
+    // restorable mid-run snapshots under <cache-dir>/autosnap/. Tracing
+    // composes with fast-forward (the walk synthesizes the per-cycle
+    // events), so --no-fast-forward genuinely switches loops.
     let obs = ObsConfig {
         trace: true,
         metrics: true,
+        ..bo.obs()
     };
-    let outcome = execute_point_observed(spec, obs).expect("figure point simulates");
+    let (_, labeled, _) =
+        run_values_observed(std::slice::from_ref(spec), 1, obs).expect("figure point simulates");
+    let point = &labeled[0];
 
-    match outcome.value {
+    match point.value {
         PointValue::Bandwidth(bw) => println!("{}: {bw:.2} payload bytes/bus cycle", spec.label),
         PointValue::Latency(cycles) => println!("{}: {cycles} CPU cycles", spec.label),
     }
-    let report = outcome
+    let report = point
         .artifacts
         .metrics
         .as_ref()
@@ -120,9 +120,11 @@ fn main() -> ExitCode {
         );
     }
 
-    let trace_out = csb_bench::flag_path_from_args("--trace-out")
+    let trace_out = bo
+        .trace_out
+        .clone()
         .unwrap_or_else(|| PathBuf::from("trace.json"));
-    let trace = outcome
+    let trace = point
         .artifacts
         .trace_json
         .as_deref()
@@ -134,20 +136,11 @@ fn main() -> ExitCode {
         trace_out.display(),
         trace.matches("\"ph\":").count()
     );
-    if let Some(metrics_out) = csb_bench::flag_path_from_args("--metrics-out") {
-        csb_bench::dump_json(&metrics_out, report);
+    if let Some(metrics_out) = &bo.metrics_out {
+        csb_bench::dump_json(metrics_out, report);
     }
-    if let Some(ledger) = csb_bench::flag_path_from_args("--ledger") {
-        let la = LabeledArtifacts {
-            label: spec.label.clone(),
-            value: outcome.value,
-            sim_cycles: outcome.sim_cycles,
-            wall: outcome.wall,
-            seed: 0,
-            config_hash: csb_obs::hash_config(&format!("{:?} {:?}", spec.cfg, spec.work)),
-            artifacts: outcome.artifacts.clone(),
-        };
-        csb_bench::append_ledger(&ledger, "trace", &[la]);
+    if let Some(ledger) = &bo.ledger {
+        csb_bench::append_ledger(ledger, "trace", &labeled);
     }
     ExitCode::SUCCESS
 }

@@ -34,12 +34,18 @@
 //! disables the store even when a script passes `--cache-dir`, and
 //! `--snapshot-every N` additionally dumps a restorable machine snapshot
 //! every N CPU cycles of every point into `<dir>/autosnap/`.
+//!
+//! [`obs_from_args`] parses all of these into one owned [`BenchObs`]; its
+//! [`BenchObs::obs`] is the [`ObsConfig`] a binary hands to each sweep.
+//! Nothing is installed process-wide.
 
 use std::fs;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
+use csb_core::cache::PointCache;
 use csb_core::experiments::runner::{LabeledArtifacts, ObsConfig, PointValue};
+use csb_core::snapshot::AutosnapConfig;
 use csb_obs::LedgerRecord;
 
 /// The value-taking flags every figure binary accepts.
@@ -143,22 +149,44 @@ pub fn flag_path_from_args(flag: &str) -> Option<PathBuf> {
     None
 }
 
-/// The observability and ledger flags a bench binary parsed from its
-/// command line, bundled with the capture switches they imply.
-#[derive(Debug, Clone, Default)]
+/// The run settings a bench binary parsed from its command line: the
+/// observability and ledger outputs, the point cache, the autosnap
+/// cadence, and the fast-forward switch. It owns what the
+/// [`ObsConfig`] from [`BenchObs::obs`] borrows.
+#[derive(Debug)]
 pub struct BenchObs {
-    /// Capture switches for the runner (`--ledger` forces metrics on:
-    /// ledger records need the flush-latency histograms).
-    pub obs: ObsConfig,
     /// `--trace-out` base path for per-point Chrome traces.
     pub trace_out: Option<PathBuf>,
     /// `--metrics-out` base path for per-point metrics reports.
     pub metrics_out: Option<PathBuf>,
     /// `--ledger` JSONL path records are appended to.
     pub ledger: Option<PathBuf>,
+    /// The `--cache-dir` store (absent under `--no-cache`).
+    cache: Option<PointCache>,
+    /// `--snapshot-every` cadence and the `<cache-dir>/autosnap/`
+    /// directory the frames go to.
+    autosnap: Option<(u64, PathBuf)>,
+    /// `false` under `--no-fast-forward`.
+    fast_forward: bool,
 }
 
 impl BenchObs {
+    /// The settings every sweep of the binary runs with. `--ledger`
+    /// forces metrics capture on: ledger records need the flush-latency
+    /// histograms.
+    pub fn obs(&self) -> ObsConfig<'_> {
+        ObsConfig {
+            trace: self.trace_out.is_some(),
+            metrics: self.metrics_out.is_some() || self.ledger.is_some(),
+            fast_forward: self.fast_forward,
+            cache: self.cache.as_ref(),
+            autosnap: self
+                .autosnap
+                .as_ref()
+                .map(|(every, dir)| AutosnapConfig { every: *every, dir }),
+        }
+    }
+
     /// Writes every requested artifact for one sweep: per-point trace and
     /// metrics files, plus one appended ledger record per point under the
     /// given bench name.
@@ -174,25 +202,63 @@ impl BenchObs {
     }
 }
 
-/// Parses the observability flags: `--trace-out <file>`,
-/// `--metrics-out <file>`, and `--ledger <file>`. Returns the capture
-/// switches for the runner plus the paths the artifacts go to.
+/// Parses the run-setting flags into a [`BenchObs`]:
 ///
-/// # Panics
+/// * `--trace-out <file>`, `--metrics-out <file>` and `--ledger <file>`
+///   name the artifact outputs.
+/// * `--cache-dir <dir>` opens (creating if needed) the content-addressed
+///   point cache at `dir`: sweeps serve unchanged points from it instead
+///   of simulating them, so a warm re-run is pure replay and an edited
+///   configuration re-runs only its own points. `--no-cache` wins over
+///   `--cache-dir` (useful for scripts that pass a standard flag set).
+/// * `--snapshot-every <cycles>` additionally dumps a restorable
+///   full-machine snapshot every N CPU cycles of every simulated point
+///   into `<dir>/autosnap/`, for post-mortem dissection of long or
+///   misbehaving points. It requires `--cache-dir` (the snapshots need a
+///   store to land in).
+/// * `--no-fast-forward` forces the naive cycle-by-cycle loop. Results
+///   are identical either way (differential tests enforce that); the flag
+///   is an escape hatch and serves before/after throughput measurements.
 ///
-/// Panics if a flag is given without a path.
+/// Exits with status 2 on an unusable directory or count, or a flag given
+/// without its value.
 pub fn obs_from_args() -> BenchObs {
-    let trace_out = flag_path_from_args("--trace-out");
-    let metrics_out = flag_path_from_args("--metrics-out");
-    let ledger = flag_path_from_args("--ledger");
+    let fast_forward = !std::env::args().skip(1).any(|a| a == "--no-fast-forward");
+    let no_cache = std::env::args().skip(1).any(|a| a == "--no-cache");
+    let cache_dir = flag_path_from_args("--cache-dir");
+    let every = flag_path_from_args("--snapshot-every");
+    let (cache, autosnap) = match cache_dir {
+        _ if no_cache => (None, None),
+        None => {
+            if every.is_some() {
+                die("--snapshot-every requires --cache-dir (snapshots are written under it)");
+            }
+            (None, None)
+        }
+        Some(dir) => {
+            let cache = PointCache::open(&dir)
+                .unwrap_or_else(|e| die(format!("cannot open cache dir {}: {e}", dir.display())));
+            let autosnap = every.map(|every| {
+                let every: u64 = every
+                    .to_str()
+                    .and_then(|v| v.parse().ok())
+                    .filter(|&n| n > 0)
+                    .unwrap_or_else(|| die("--snapshot-every requires a positive cycle count"));
+                let snap_dir = dir.join("autosnap");
+                fs::create_dir_all(&snap_dir)
+                    .unwrap_or_else(|e| die(format!("cannot create {}: {e}", snap_dir.display())));
+                (every, snap_dir)
+            });
+            (Some(cache), autosnap)
+        }
+    };
     BenchObs {
-        obs: ObsConfig {
-            trace: trace_out.is_some(),
-            metrics: metrics_out.is_some() || ledger.is_some(),
-        },
-        trace_out,
-        metrics_out,
-        ledger,
+        trace_out: flag_path_from_args("--trace-out"),
+        metrics_out: flag_path_from_args("--metrics-out"),
+        ledger: flag_path_from_args("--ledger"),
+        cache,
+        autosnap,
+        fast_forward,
     }
 }
 
@@ -303,64 +369,6 @@ pub fn write_artifacts(
             let path = artifact_path(base, &la.label);
             dump_json(&path, metrics);
         }
-    }
-}
-
-/// Applies the caching and snapshot flags:
-///
-/// * `--cache-dir <dir>` opens (creating if needed) the content-addressed
-///   point cache at `dir` and installs it process-wide — subsequent
-///   sweeps serve unchanged points from the cache instead of simulating
-///   them, so a warm re-run is pure replay and an edited configuration
-///   re-runs only its own points. `--no-cache` wins over `--cache-dir`
-///   (useful for scripts that pass a standard flag set).
-/// * `--snapshot-every <cycles>` additionally dumps a restorable
-///   full-machine snapshot every N CPU cycles of every simulated point
-///   into `<dir>/autosnap/`, for post-mortem dissection of long or
-///   misbehaving points. It requires `--cache-dir` (the snapshots need a
-///   store to land in).
-///
-/// Exits with status 2 on an unusable directory or count.
-pub fn apply_cache_flags() {
-    let no_cache = std::env::args().skip(1).any(|a| a == "--no-cache");
-    let cache_dir = flag_path_from_args("--cache-dir");
-    let every = flag_path_from_args("--snapshot-every");
-    if no_cache {
-        return;
-    }
-    let Some(dir) = cache_dir else {
-        if every.is_some() {
-            die("--snapshot-every requires --cache-dir (snapshots are written under it)");
-        }
-        return;
-    };
-    let cache = csb_core::cache::PointCache::open(&dir)
-        .unwrap_or_else(|e| die(format!("cannot open cache dir {}: {e}", dir.display())));
-    csb_core::cache::set_active(Some(std::sync::Arc::new(cache)));
-    if let Some(every) = every {
-        let every: u64 = every
-            .to_str()
-            .and_then(|v| v.parse().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or_else(|| die("--snapshot-every requires a positive cycle count"));
-        let snap_dir = dir.join("autosnap");
-        fs::create_dir_all(&snap_dir)
-            .unwrap_or_else(|e| die(format!("cannot create {}: {e}", snap_dir.display())));
-        csb_core::snapshot::set_autosnap(Some(csb_core::snapshot::AutosnapConfig {
-            every,
-            dir: snap_dir,
-        }));
-    }
-}
-
-/// Applies the `--no-fast-forward` flag: when present, disables the
-/// event-driven idle-cycle fast-forward for every simulator the process
-/// creates, forcing the naive cycle-by-cycle loop. Results are identical
-/// either way (that is enforced by differential tests); the flag exists
-/// as an escape hatch and for before/after throughput measurements.
-pub fn apply_fast_forward_flag() {
-    if std::env::args().skip(1).any(|a| a == "--no-fast-forward") {
-        csb_core::set_default_fast_forward(false);
     }
 }
 

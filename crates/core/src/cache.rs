@@ -25,17 +25,17 @@
 //!   workers (or concurrent processes sharing one dir) never expose a
 //!   half-written entry.
 //!
-//! The cache is process-global ([`set_active`]) so the experiment
-//! harnesses deep inside the sweep engines can consult it without
-//! threading a handle through every signature; the bench binaries
-//! activate it from `--cache-dir`.
+//! A sweep consults the store it is handed in its
+//! [`ObsConfig`](crate::experiments::runner::ObsConfig): the sweep engine
+//! alone looks points up and stores them, and two sweeps with two stores
+//! never see each other's entries or counters. The bench binaries open
+//! one from `--cache-dir`.
 
 use std::fmt::{self, Write as _};
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
 
 use csb_snap::{SnapshotReader, SnapshotWriter};
 
@@ -251,24 +251,6 @@ impl PointCache {
             bytes_written: self.bytes_written.load(Ordering::Relaxed),
         }
     }
-}
-
-static ACTIVE: Mutex<Option<Arc<PointCache>>> = Mutex::new(None);
-
-/// Installs (or with `None` removes) the process-global cache the sweep
-/// engines consult. The bench binaries call this from `--cache-dir`.
-pub fn set_active(cache: Option<Arc<PointCache>>) {
-    *ACTIVE.lock().expect("cache registry poisoned") = cache;
-}
-
-/// The installed cache, if any.
-pub fn active() -> Option<Arc<PointCache>> {
-    ACTIVE.lock().expect("cache registry poisoned").clone()
-}
-
-/// Lifetime counters of the installed cache, if any.
-pub fn active_stats() -> Option<CacheStats> {
-    active().map(|c| c.stats())
 }
 
 #[cfg(test)]

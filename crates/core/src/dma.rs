@@ -17,6 +17,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::config::SimConfig;
+use crate::experiments::runner::ObsConfig;
 use crate::experiments::ExpError;
 use crate::sim::Simulator;
 use crate::workloads::{self, StorePath, MARK_END, MARK_START};
@@ -66,8 +67,8 @@ pub struct BreakEvenRow {
 
 impl DmaModel {
     /// Latency of a DMA send of `bytes`: simulated descriptor post (via the
-    /// given PIO method), start delay, line bursts on the bus, completion
-    /// overhead.
+    /// given PIO method, under `obs`'s run settings), start delay, line
+    /// bursts on the bus, completion overhead.
     ///
     /// # Errors
     ///
@@ -77,8 +78,9 @@ impl DmaModel {
         cfg: &SimConfig,
         method: PioMethod,
         bytes: usize,
+        obs: ObsConfig<'_>,
     ) -> Result<u64, ExpError> {
-        let setup = pio_latency(cfg, method, self.setup_dwords * 8)?;
+        let setup = pio_latency(cfg, method, self.setup_dwords * 8, obs)?;
         let line = cfg.line();
         let lines = bytes.div_ceil(line) as u64;
         let burst = cfg.bus.transaction_cycles(line);
@@ -97,7 +99,8 @@ impl DmaModel {
 
     /// Sweeps message sizes and returns `(rows, break_even)`: the smallest
     /// swept size at which DMA is at least as fast as PIO (`None` if PIO
-    /// wins everywhere swept).
+    /// wins everywhere swept). The PIO runs take `obs`'s run settings (see
+    /// [`pio_latency`]).
     ///
     /// # Errors
     ///
@@ -107,12 +110,13 @@ impl DmaModel {
         cfg: &SimConfig,
         method: PioMethod,
         sizes: &[usize],
+        obs: ObsConfig<'_>,
     ) -> Result<(Vec<BreakEvenRow>, Option<usize>), ExpError> {
         let mut rows = Vec::new();
         let mut crossover = None;
         for &bytes in sizes {
-            let pio_cycles = pio_latency(cfg, method, bytes)?;
-            let dma_cycles = self.dma_latency(cfg, method, bytes)?;
+            let pio_cycles = pio_latency(cfg, method, bytes, obs)?;
+            let dma_cycles = self.dma_latency(cfg, method, bytes, obs)?;
             if crossover.is_none() && dma_cycles <= pio_cycles {
                 crossover = Some(bytes);
             }
@@ -127,19 +131,30 @@ impl DmaModel {
 }
 
 /// Simulated latency of a PIO send of `bytes` using the given method,
-/// measured between the workload's timing marks.
+/// measured between the workload's timing marks. The run takes `obs`'s
+/// fast-forward and autosnap settings and captures no artifacts.
 ///
 /// # Errors
 ///
 /// Returns [`ExpError`] for invalid sizes or failed simulations.
-pub fn pio_latency(cfg: &SimConfig, method: PioMethod, bytes: usize) -> Result<u64, ExpError> {
+pub fn pio_latency(
+    cfg: &SimConfig,
+    method: PioMethod,
+    bytes: usize,
+    obs: ObsConfig<'_>,
+) -> Result<u64, ExpError> {
     let program = match method {
         PioMethod::Locked => workloads::lock_sequence(bytes / 8)?,
         PioMethod::Csb => workloads::store_bandwidth(bytes, cfg, StorePath::Csb)?,
     };
     let mut sim = Simulator::new(cfg.clone(), program)?;
     sim.warm_line(csb_isa::Addr::new(crate::config::LOCK_ADDR));
-    let summary = sim.run(100_000_000)?;
+    let run = ObsConfig {
+        trace: false,
+        metrics: false,
+        ..obs
+    };
+    let summary = run.simulate(&mut sim, 100_000_000)?;
     summary
         .cpu
         .mark_interval(MARK_START, MARK_END)
@@ -156,8 +171,8 @@ mod tests {
     #[test]
     fn pio_csb_beats_pio_locked_for_small_messages() {
         let cfg = SimConfig::default();
-        let locked = pio_latency(&cfg, PioMethod::Locked, 64).unwrap();
-        let csb = pio_latency(&cfg, PioMethod::Csb, 64).unwrap();
+        let locked = pio_latency(&cfg, PioMethod::Locked, 64, ObsConfig::default()).unwrap();
+        let csb = pio_latency(&cfg, PioMethod::Csb, 64, ObsConfig::default()).unwrap();
         assert!(csb < locked, "CSB PIO {csb} vs locked PIO {locked}");
     }
 
@@ -165,8 +180,12 @@ mod tests {
     fn dma_latency_grows_with_size() {
         let cfg = SimConfig::default();
         let m = DmaModel::default();
-        let small = m.dma_latency(&cfg, PioMethod::Csb, 64).unwrap();
-        let large = m.dma_latency(&cfg, PioMethod::Csb, 4096).unwrap();
+        let small = m
+            .dma_latency(&cfg, PioMethod::Csb, 64, ObsConfig::default())
+            .unwrap();
+        let large = m
+            .dma_latency(&cfg, PioMethod::Csb, 4096, ObsConfig::default())
+            .unwrap();
         assert!(large > small);
     }
 
@@ -176,9 +195,16 @@ mod tests {
         let cfg = SimConfig::default();
         let m = DmaModel::default();
         let (_, be_locked) = m
-            .break_even(&cfg, PioMethod::Locked, &MESSAGE_SIZES)
+            .break_even(
+                &cfg,
+                PioMethod::Locked,
+                &MESSAGE_SIZES,
+                ObsConfig::default(),
+            )
             .unwrap();
-        let (_, be_csb) = m.break_even(&cfg, PioMethod::Csb, &MESSAGE_SIZES).unwrap();
+        let (_, be_csb) = m
+            .break_even(&cfg, PioMethod::Csb, &MESSAGE_SIZES, ObsConfig::default())
+            .unwrap();
         let locked = be_locked.expect("DMA must eventually beat locked PIO");
         // None means CSB PIO wins across the whole sweep: even stronger.
         if let Some(csb) = be_csb {
@@ -194,7 +220,7 @@ mod tests {
         let cfg = SimConfig::default();
         let m = DmaModel::default();
         let (rows, _) = m
-            .break_even(&cfg, PioMethod::Csb, &[64, 256, 1024])
+            .break_even(&cfg, PioMethod::Csb, &[64, 256, 1024], ObsConfig::default())
             .unwrap();
         assert!(rows.windows(2).all(|w| w[0].pio_cycles <= w[1].pio_cycles));
         assert!(rows.windows(2).all(|w| w[0].dma_cycles <= w[1].dma_cycles));

@@ -77,38 +77,17 @@ pub struct WidthRow {
     pub csb_cycles: u64,
 }
 
-/// Runs the superscalar-width ablation at `dwords` doublewords.
+/// Runs the superscalar-width ablation at `dwords` doublewords on `jobs`
+/// workers (`0` = all cores): the rows, one [`LabeledArtifacts`] per
+/// point in enumeration order, and the sweep's [`RunReport`].
 ///
 /// # Errors
 ///
 /// Propagates simulation failures.
-pub fn superscalar_widths(dwords: usize) -> Result<Vec<WidthRow>, ExpError> {
-    Ok(superscalar_widths_jobs(dwords, 1)?.0)
-}
-
-/// [`superscalar_widths`] on `jobs` workers, with the sweep's [`RunReport`].
-///
-/// # Errors
-///
-/// Propagates simulation failures.
-pub fn superscalar_widths_jobs(
+pub fn superscalar_widths(
     dwords: usize,
     jobs: usize,
-) -> Result<(Vec<WidthRow>, RunReport), ExpError> {
-    let (rows, _, report) = superscalar_widths_jobs_observed(dwords, jobs, ObsConfig::default())?;
-    Ok((rows, report))
-}
-
-/// [`superscalar_widths_jobs`] with artifact capture: also returns one
-/// [`LabeledArtifacts`] per enumerated point, in enumeration order.
-///
-/// # Errors
-///
-/// Propagates simulation failures.
-pub fn superscalar_widths_jobs_observed(
-    dwords: usize,
-    jobs: usize,
-    obs: ObsConfig,
+    obs: ObsConfig<'_>,
 ) -> Result<(Vec<WidthRow>, Vec<LabeledArtifacts>, RunReport), ExpError> {
     let widths = [2usize, 4, 8];
     let specs: Vec<PointSpec> = widths
@@ -152,33 +131,18 @@ pub struct CsbVariantRow {
 
 /// Compares the baseline CSB against the double-buffered extension.
 ///
-/// # Errors
-///
-/// Propagates simulation failures.
-pub fn double_buffered() -> Result<Vec<CsbVariantRow>, ExpError> {
-    Ok(double_buffered_jobs(1)?.0)
-}
-
-/// [`double_buffered`] on `jobs` workers, with the sweep's [`RunReport`].
+/// Runs on `jobs` workers (`0` = all cores) and returns the rows, one
+/// [`LabeledArtifacts`] per point in enumeration order, and the sweep's
+/// [`RunReport`].
 ///
 /// # Errors
 ///
 /// Propagates simulation failures.
-pub fn double_buffered_jobs(jobs: usize) -> Result<(Vec<CsbVariantRow>, RunReport), ExpError> {
-    let (rows, _, report) = double_buffered_jobs_observed(jobs, ObsConfig::default())?;
-    Ok((rows, report))
-}
-
-/// [`double_buffered_jobs`] with artifact capture.
-///
-/// # Errors
-///
-/// Propagates simulation failures.
-pub fn double_buffered_jobs_observed(
+pub fn double_buffered(
     jobs: usize,
-    obs: ObsConfig,
+    obs: ObsConfig<'_>,
 ) -> Result<(Vec<CsbVariantRow>, Vec<LabeledArtifacts>, RunReport), ExpError> {
-    csb_variant_jobs(
+    csb_variant(
         SimConfig::default().csb_double_buffered(),
         "double",
         jobs,
@@ -188,33 +152,18 @@ pub fn double_buffered_jobs_observed(
 
 /// Compares the baseline CSB against the variable-burst extension.
 ///
-/// # Errors
-///
-/// Propagates simulation failures.
-pub fn variable_burst() -> Result<Vec<CsbVariantRow>, ExpError> {
-    Ok(variable_burst_jobs(1)?.0)
-}
-
-/// [`variable_burst`] on `jobs` workers, with the sweep's [`RunReport`].
+/// Runs on `jobs` workers (`0` = all cores) and returns the rows, one
+/// [`LabeledArtifacts`] per point in enumeration order, and the sweep's
+/// [`RunReport`].
 ///
 /// # Errors
 ///
 /// Propagates simulation failures.
-pub fn variable_burst_jobs(jobs: usize) -> Result<(Vec<CsbVariantRow>, RunReport), ExpError> {
-    let (rows, _, report) = variable_burst_jobs_observed(jobs, ObsConfig::default())?;
-    Ok((rows, report))
-}
-
-/// [`variable_burst_jobs`] with artifact capture.
-///
-/// # Errors
-///
-/// Propagates simulation failures.
-pub fn variable_burst_jobs_observed(
+pub fn variable_burst(
     jobs: usize,
-    obs: ObsConfig,
+    obs: ObsConfig<'_>,
 ) -> Result<(Vec<CsbVariantRow>, Vec<LabeledArtifacts>, RunReport), ExpError> {
-    csb_variant_jobs(
+    csb_variant(
         SimConfig::default().csb_variable_burst(),
         "varburst",
         jobs,
@@ -224,11 +173,11 @@ pub fn variable_burst_jobs_observed(
 
 /// Shared sweep for the CSB extensions: baseline vs. variant over
 /// [`TRANSFERS`], through the engine.
-fn csb_variant_jobs(
+fn csb_variant(
     var_cfg: SimConfig,
     tag: &str,
     jobs: usize,
-    obs: ObsConfig,
+    obs: ObsConfig<'_>,
 ) -> Result<(Vec<CsbVariantRow>, Vec<LabeledArtifacts>, RunReport), ExpError> {
     let base_cfg = SimConfig::default();
     let specs: Vec<PointSpec> = TRANSFERS
@@ -272,31 +221,16 @@ pub struct LoadedBusRow {
 /// 3(g)) against an explicit multi-master contention model at one-third
 /// foreign utilization, for a 1 KiB transfer on the default machine.
 ///
-/// # Errors
-///
-/// Propagates simulation failures.
-pub fn loaded_bus() -> Result<Vec<LoadedBusRow>, ExpError> {
-    Ok(loaded_bus_jobs(1)?.0)
-}
-
-/// [`loaded_bus`] on `jobs` workers, with the sweep's [`RunReport`].
+/// Runs on `jobs` workers (`0` = all cores) and returns the rows, one
+/// [`LabeledArtifacts`] per point in enumeration order, and the sweep's
+/// [`RunReport`].
 ///
 /// # Errors
 ///
 /// Propagates simulation failures.
-pub fn loaded_bus_jobs(jobs: usize) -> Result<(Vec<LoadedBusRow>, RunReport), ExpError> {
-    let (rows, _, report) = loaded_bus_jobs_observed(jobs, ObsConfig::default())?;
-    Ok((rows, report))
-}
-
-/// [`loaded_bus_jobs`] with artifact capture.
-///
-/// # Errors
-///
-/// Propagates simulation failures.
-pub fn loaded_bus_jobs_observed(
+pub fn loaded_bus(
     jobs: usize,
-    obs: ObsConfig,
+    obs: ObsConfig<'_>,
 ) -> Result<(Vec<LoadedBusRow>, Vec<LabeledArtifacts>, RunReport), ExpError> {
     let idle_cfg = SimConfig::default();
     let approx_cfg = SimConfig::default().bus(
@@ -358,31 +292,16 @@ pub struct CapacityRow {
 /// time that an entry spends waiting in the buffer"), and a deeper buffer
 /// absorbs a longer burst of retired stores before stalling the core.
 ///
-/// # Errors
-///
-/// Propagates simulation failures.
-pub fn buffer_capacity() -> Result<Vec<CapacityRow>, ExpError> {
-    Ok(buffer_capacity_jobs(1)?.0)
-}
-
-/// [`buffer_capacity`] on `jobs` workers, with the sweep's [`RunReport`].
+/// Runs on `jobs` workers (`0` = all cores) and returns the rows, one
+/// [`LabeledArtifacts`] per point in enumeration order, and the sweep's
+/// [`RunReport`].
 ///
 /// # Errors
 ///
 /// Propagates simulation failures.
-pub fn buffer_capacity_jobs(jobs: usize) -> Result<(Vec<CapacityRow>, RunReport), ExpError> {
-    let (rows, _, report) = buffer_capacity_jobs_observed(jobs, ObsConfig::default())?;
-    Ok((rows, report))
-}
-
-/// [`buffer_capacity_jobs`] with artifact capture.
-///
-/// # Errors
-///
-/// Propagates simulation failures.
-pub fn buffer_capacity_jobs_observed(
+pub fn buffer_capacity(
     jobs: usize,
-    obs: ObsConfig,
+    obs: ObsConfig<'_>,
 ) -> Result<(Vec<CapacityRow>, Vec<LabeledArtifacts>, RunReport), ExpError> {
     let capacities = [2usize, 4, 8, 16];
     let specs: Vec<PointSpec> = capacities
@@ -435,31 +354,16 @@ pub struct IssueRateRow {
 /// CSB's latency slope at 1 cycle per doubleword; a dual-issue uncached
 /// path halves the slope.
 ///
-/// # Errors
-///
-/// Propagates simulation failures.
-pub fn uncached_issue_rate() -> Result<Vec<IssueRateRow>, ExpError> {
-    Ok(uncached_issue_rate_jobs(1)?.0)
-}
-
-/// [`uncached_issue_rate`] on `jobs` workers, with the sweep's [`RunReport`].
+/// Runs on `jobs` workers (`0` = all cores) and returns the rows, one
+/// [`LabeledArtifacts`] per point in enumeration order, and the sweep's
+/// [`RunReport`].
 ///
 /// # Errors
 ///
 /// Propagates simulation failures.
-pub fn uncached_issue_rate_jobs(jobs: usize) -> Result<(Vec<IssueRateRow>, RunReport), ExpError> {
-    let (rows, _, report) = uncached_issue_rate_jobs_observed(jobs, ObsConfig::default())?;
-    Ok((rows, report))
-}
-
-/// [`uncached_issue_rate_jobs`] with artifact capture.
-///
-/// # Errors
-///
-/// Propagates simulation failures.
-pub fn uncached_issue_rate_jobs_observed(
+pub fn uncached_issue_rate(
     jobs: usize,
-    obs: ObsConfig,
+    obs: ObsConfig<'_>,
 ) -> Result<(Vec<IssueRateRow>, Vec<LabeledArtifacts>, RunReport), ExpError> {
     let rates = [1usize, 2, 4];
     let specs: Vec<PointSpec> = rates
@@ -501,31 +405,16 @@ pub struct OrderSensitivityRow {
 /// idealized block combining and the CSB under ascending vs. shuffled
 /// per-line store order, on the default machine.
 ///
-/// # Errors
-///
-/// Propagates simulation failures.
-pub fn related_work() -> Result<Vec<OrderSensitivityRow>, ExpError> {
-    Ok(related_work_jobs(1)?.0)
-}
-
-/// [`related_work`] on `jobs` workers, with the sweep's [`RunReport`].
+/// Runs on `jobs` workers (`0` = all cores) and returns the rows, one
+/// [`LabeledArtifacts`] per point in enumeration order, and the sweep's
+/// [`RunReport`].
 ///
 /// # Errors
 ///
 /// Propagates simulation failures.
-pub fn related_work_jobs(jobs: usize) -> Result<(Vec<OrderSensitivityRow>, RunReport), ExpError> {
-    let (rows, _, report) = related_work_jobs_observed(jobs, ObsConfig::default())?;
-    Ok((rows, report))
-}
-
-/// [`related_work_jobs`] with artifact capture.
-///
-/// # Errors
-///
-/// Propagates simulation failures.
-pub fn related_work_jobs_observed(
+pub fn related_work(
     jobs: usize,
-    obs: ObsConfig,
+    obs: ObsConfig<'_>,
 ) -> Result<(Vec<OrderSensitivityRow>, Vec<LabeledArtifacts>, RunReport), ExpError> {
     let cfg = SimConfig::default();
     let schemes = [
@@ -637,7 +526,7 @@ mod tests {
 
     #[test]
     fn deeper_buffers_help_combining_not_singles() {
-        let rows = buffer_capacity().unwrap();
+        let (rows, _, _) = buffer_capacity(1, ObsConfig::default()).unwrap();
         let shallow = rows.iter().find(|r| r.capacity == 2).unwrap();
         let deep = rows.iter().find(|r| r.capacity == 16).unwrap();
         // Non-combining is bus-bound: 4 B/c regardless of depth.
@@ -649,7 +538,7 @@ mod tests {
 
     #[test]
     fn dual_issue_uncached_path_cuts_csb_latency() {
-        let rows = uncached_issue_rate().unwrap();
+        let (rows, _, _) = uncached_issue_rate(1, ObsConfig::default()).unwrap();
         let single = rows.iter().find(|r| r.per_cycle == 1).unwrap().csb_cycles;
         let dual = rows.iter().find(|r| r.per_cycle == 2).unwrap().csb_cycles;
         assert!(dual < single, "dual issue {dual} must beat single {single}");
@@ -659,7 +548,7 @@ mod tests {
 
     #[test]
     fn loaded_bus_degrades_everyone_but_csb_least() {
-        let rows = loaded_bus().unwrap();
+        let (rows, _, _) = loaded_bus(1, ObsConfig::default()).unwrap();
         for r in &rows {
             assert!(
                 r.turnaround_approx < r.idle,
@@ -688,7 +577,7 @@ mod tests {
 
     #[test]
     fn related_work_table_is_complete() {
-        let rows = related_work().unwrap();
+        let (rows, _, _) = related_work(1, ObsConfig::default()).unwrap();
         assert_eq!(rows.len(), 15); // 3 transfers x 5 schemes
         assert!(rows.iter().any(|r| r.scheme == "R10000"));
     }
@@ -698,7 +587,7 @@ mod tests {
         // The paper's claim: short dependence chains make the lock overhead
         // identical on 2-way and 8-way machines. Allow a small tolerance
         // for front-end width effects.
-        let rows = superscalar_widths(4).unwrap();
+        let (rows, _, _) = superscalar_widths(4, 1, ObsConfig::default()).unwrap();
         let base = rows.iter().find(|r| r.width == 4).unwrap().lock_cycles;
         for r in &rows {
             let diff = r.lock_cycles.abs_diff(base);
@@ -714,7 +603,7 @@ mod tests {
 
     #[test]
     fn variable_burst_removes_small_transfer_penalty() {
-        let rows = variable_burst().unwrap();
+        let (rows, _, _) = variable_burst(1, ObsConfig::default()).unwrap();
         let t16 = rows.iter().find(|r| r.transfer == 16).unwrap();
         // 16 bytes: full line costs 9 bus cycles; a 16B transaction costs 3.
         assert!(
@@ -730,7 +619,7 @@ mod tests {
 
     #[test]
     fn double_buffering_never_hurts() {
-        for row in double_buffered().unwrap() {
+        for row in double_buffered(1, ObsConfig::default()).unwrap().0 {
             assert!(
                 row.variant >= row.baseline - 0.2,
                 "double buffering regressed at {}B: {} vs {}",

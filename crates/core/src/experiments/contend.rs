@@ -25,16 +25,18 @@
 //!
 //! [`CsbStats::cross_pid_resets`]: csb_uncached::CsbStats::cross_pid_resets
 
-use std::time::Duration;
-
 use serde::{Deserialize, Serialize};
 
-use super::runner::{LabeledArtifacts, ObsConfig, PointArtifacts, PointValue, RunReport};
-use super::{format_table, ExpError};
+use super::runner::{
+    run_sweep, seeded_cache_key, LabeledArtifacts, ObsConfig, PointArtifacts, PointValue,
+    RunReport, SweepPoint,
+};
+use super::{format_table, merge_histograms, put_histogram, take_histogram, ExpError};
 use crate::config::SimConfig;
 use crate::multiproc::{MultiSim, SwitchPolicy};
+use crate::sim::Simulator;
 use crate::workloads;
-use csb_obs::{BucketCount, HistogramSummary};
+use csb_obs::HistogramSummary;
 
 /// Processor counts swept.
 pub const CORES: [usize; 3] = [16, 32, 64];
@@ -213,8 +215,6 @@ struct PointResult {
     cross_pid_resets: u64,
     flush: Option<HistogramSummary>,
     sim_cycles: u64,
-    wall: Duration,
-    artifacts: PointArtifacts,
 }
 
 impl PointResult {
@@ -225,121 +225,6 @@ impl PointResult {
             self.payload_bytes as f64 / self.cycles as f64
         }
     }
-}
-
-/// A summary with re-derived quantiles from raw bucket counts: merging
-/// into an empty summary runs the exact ranked-walk estimator, so a
-/// decoded cache payload is indistinguishable from a live capture.
-fn summary_from_buckets(
-    count: u64,
-    sum: u64,
-    min: u64,
-    max: u64,
-    buckets: Vec<BucketCount>,
-) -> HistogramSummary {
-    let mut s = HistogramSummary {
-        count: 0,
-        sum: 0,
-        min: 0,
-        max: 0,
-        p50: 0,
-        p95: 0,
-        p99: 0,
-        p999: 0,
-        buckets: Vec::new(),
-    };
-    s.merge(&HistogramSummary {
-        count,
-        sum,
-        min,
-        max,
-        p50: 0,
-        p95: 0,
-        p99: 0,
-        p999: 0,
-        buckets,
-    });
-    s
-}
-
-/// Content-address of one seeded contention point: machine configuration,
-/// workload shape, scheduling, arrival span, and seed.
-fn contend_point_key(scheme: ContendScheme, cores: usize, seed: u64) -> u64 {
-    let cfg = format!("{:?}", scheme.config());
-    let work = format!(
-        "contend {} c{cores} {ITERATIONS}it {DWORDS}dw slice{SLICE} span{ARRIVAL_SPAN}",
-        scheme.label()
-    );
-    crate::cache::PointCache::key(&[cfg.as_bytes(), work.as_bytes(), &seed.to_le_bytes()])
-}
-
-fn encode_contend_payload(r: &PointResult) -> Vec<u8> {
-    let mut w = csb_snap::SnapshotWriter::new();
-    w.put_tag("cnt");
-    w.put_u64(r.payload_bytes);
-    w.put_u64(r.cycles);
-    w.put_u64(r.switches);
-    w.put_u64(r.flush_failures);
-    w.put_u64(r.cross_pid_resets);
-    w.put_u64(r.sim_cycles);
-    // Raw histogram bucket counts, so a cached cell merges across seeds
-    // exactly like a live one (quantiles are re-derived on decode).
-    match &r.flush {
-        Some(h) => {
-            w.put_bool(true);
-            w.put_u64(h.count);
-            w.put_u64(h.sum);
-            w.put_u64(h.min);
-            w.put_u64(h.max);
-            w.put_usize(h.buckets.len());
-            for b in &h.buckets {
-                w.put_u64(b.le);
-                w.put_u64(b.n);
-            }
-        }
-        None => w.put_bool(false),
-    }
-    w.finish()
-}
-
-fn decode_contend_payload(bytes: &[u8]) -> Option<PointResult> {
-    let mut r = csb_snap::SnapshotReader::new(bytes);
-    r.take_tag("cnt").ok()?;
-    let payload_bytes = r.take_u64().ok()?;
-    let cycles = r.take_u64().ok()?;
-    let switches = r.take_u64().ok()?;
-    let flush_failures = r.take_u64().ok()?;
-    let cross_pid_resets = r.take_u64().ok()?;
-    let sim_cycles = r.take_u64().ok()?;
-    let flush = if r.take_bool().ok()? {
-        let count = r.take_u64().ok()?;
-        let sum = r.take_u64().ok()?;
-        let min = r.take_u64().ok()?;
-        let max = r.take_u64().ok()?;
-        let len = r.take_usize().ok()?;
-        let mut buckets = Vec::with_capacity(len);
-        for _ in 0..len {
-            let le = r.take_u64().ok()?;
-            let n = r.take_u64().ok()?;
-            buckets.push(BucketCount { le, n });
-        }
-        Some(summary_from_buckets(count, sum, min, max, buckets))
-    } else {
-        None
-    };
-    let _checksum = r.take_u64().ok()?;
-    r.expect_end("cached contention point payload").ok()?;
-    Some(PointResult {
-        payload_bytes,
-        cycles,
-        switches,
-        flush_failures,
-        cross_pid_resets,
-        flush,
-        sim_cycles,
-        wall: Duration::ZERO,
-        artifacts: PointArtifacts::default(),
-    })
 }
 
 /// Per-process programs for one point.
@@ -358,95 +243,131 @@ fn programs(
         .collect()
 }
 
-/// Runs one (scheme, cores, seed) point.
-fn run_point(
+/// One seeded (cores, scheme) point of the sweep.
+struct ContendPoint {
     scheme: ContendScheme,
     cores: usize,
     seed: u64,
-    obs: ObsConfig,
-) -> Result<PointResult, ExpError> {
-    let t0 = std::time::Instant::now();
-    // Artifact-capturing points bypass the cache (see the runner module).
-    let cache = if obs.any() {
-        None
-    } else {
-        crate::cache::active()
-    };
-    let key = contend_point_key(scheme, cores, seed);
-    if let Some(cache) = &cache {
-        if let Some(payload) = cache.load(key) {
-            if let Some(mut cached) = decode_contend_payload(&payload) {
-                cache.note_hit();
-                cached.wall = t0.elapsed();
-                return Ok(cached);
-            }
-            cache.invalidate(key);
+}
+
+impl SweepPoint for ContendPoint {
+    type Output = PointResult;
+
+    fn label(&self) -> String {
+        format!("contend/c{}/{}", self.cores, self.scheme.label())
+    }
+
+    fn seed(&self) -> u64 {
+        self.seed
+    }
+
+    fn config_hash(&self) -> u64 {
+        csb_obs::hash_config(&format!(
+            "{:?} contend {} c{}",
+            self.scheme.config(),
+            self.scheme.label(),
+            self.cores
+        ))
+    }
+
+    /// Machine configuration, workload shape, scheduling, arrival span,
+    /// and seed.
+    fn cache_key(&self) -> u64 {
+        let work = format!(
+            "contend {} c{} {ITERATIONS}it {DWORDS}dw slice{SLICE} span{ARRIVAL_SPAN}",
+            self.scheme.label(),
+            self.cores
+        );
+        seeded_cache_key(&self.scheme.config(), &work, self.seed)
+    }
+
+    /// Builds its own [`MultiSim`]; the worker's single-process slot goes
+    /// unused.
+    fn simulate(
+        &self,
+        _slot: &mut Option<Simulator>,
+        obs: ObsConfig<'_>,
+    ) -> Result<(PointResult, PointArtifacts), ExpError> {
+        let cfg = self.scheme.config();
+        let programs = programs(self.scheme, self.cores, &cfg)?;
+        let mut ms = MultiSim::new(cfg, programs, SwitchPolicy::Fixed(SLICE))?;
+        ms.set_arrivals(&arrival_schedule(self.cores, ARRIVAL_SPAN, self.seed));
+        ms.set_fast_forward(obs.fast_forward);
+        // The latency quantiles *are* the result, so metrics always record.
+        ms.enable_metrics();
+        if obs.trace {
+            ms.enable_tracing();
         }
-    }
-    let cfg = scheme.config();
-    let programs = programs(scheme, cores, &cfg)?;
-    let mut ms = MultiSim::new(cfg, programs, SwitchPolicy::Fixed(SLICE))?;
-    ms.set_arrivals(&arrival_schedule(cores, ARRIVAL_SPAN, seed));
-    // The latency quantiles *are* the result, so metrics always record.
-    ms.enable_metrics();
-    if obs.trace {
-        ms.enable_tracing();
-    }
-    let summary = ms.run(POINT_LIMIT)?;
-    let report = ms.simulator().metrics_report();
-    let result = PointResult {
-        payload_bytes: ms.simulator().device().payload_bytes(),
-        cycles: summary.cycles,
-        switches: summary.switches,
-        flush_failures: summary.flush_failures,
-        cross_pid_resets: report.csb.cross_pid_resets,
-        flush: report.metrics.histograms.get(FLUSH_HISTOGRAM).cloned(),
-        sim_cycles: summary.cycles,
-        wall: t0.elapsed(),
-        artifacts: PointArtifacts {
+        let summary = ms.run(POINT_LIMIT)?;
+        let report = ms.simulator().metrics_report();
+        let result = PointResult {
+            payload_bytes: ms.simulator().device().payload_bytes(),
+            cycles: summary.cycles,
+            switches: summary.switches,
+            flush_failures: summary.flush_failures,
+            cross_pid_resets: report.csb.cross_pid_resets,
+            flush: report.metrics.histograms.get(FLUSH_HISTOGRAM).cloned(),
+            sim_cycles: summary.cycles,
+        };
+        let artifacts = PointArtifacts {
             trace_json: obs.trace.then(|| ms.simulator().chrome_trace()),
             metrics: obs.metrics.then_some(report),
-        },
-    };
-    if let Some(cache) = &cache {
-        cache.note_miss();
-        cache.store(key, &encode_contend_payload(&result));
+        };
+        Ok((result, artifacts))
     }
-    Ok(result)
+
+    fn encode(r: &PointResult) -> Vec<u8> {
+        let mut w = csb_snap::SnapshotWriter::new();
+        w.put_tag("cnt");
+        w.put_u64(r.payload_bytes);
+        w.put_u64(r.cycles);
+        w.put_u64(r.switches);
+        w.put_u64(r.flush_failures);
+        w.put_u64(r.cross_pid_resets);
+        w.put_u64(r.sim_cycles);
+        put_histogram(&mut w, r.flush.as_ref());
+        w.finish()
+    }
+
+    fn decode(&self, payload: &[u8]) -> Option<PointResult> {
+        let mut r = csb_snap::SnapshotReader::new(payload);
+        r.take_tag("cnt").ok()?;
+        let result = PointResult {
+            payload_bytes: r.take_u64().ok()?,
+            cycles: r.take_u64().ok()?,
+            switches: r.take_u64().ok()?,
+            flush_failures: r.take_u64().ok()?,
+            cross_pid_resets: r.take_u64().ok()?,
+            sim_cycles: r.take_u64().ok()?,
+            flush: take_histogram(&mut r)?,
+        };
+        let _checksum = r.take_u64().ok()?;
+        r.expect_end("cached contention point payload").ok()?;
+        Some(result)
+    }
+
+    fn value(r: &PointResult) -> PointValue {
+        PointValue::Bandwidth(r.throughput())
+    }
+
+    fn sim_cycles(r: &PointResult) -> u64 {
+        r.sim_cycles
+    }
 }
 
-/// Runs the full sweep serially.
+/// Runs the full sweep on `jobs` workers (`0` = all cores). Every seeded
+/// point runs with tracing and/or metrics per `obs` and yields one
+/// [`LabeledArtifacts`] (label `contend/c<cores>/<scheme>`, distinguished
+/// per seed by [`LabeledArtifacts::seed`]), in sweep-enumeration order.
 ///
 /// # Errors
 ///
-/// Propagates the first failing point (livelock here is an error — the
-/// swept schemes are all progress-safe by construction).
-pub fn run() -> Result<ContendSweep, ExpError> {
-    Ok(run_jobs(1)?.0)
-}
-
-/// Runs the full sweep on `jobs` workers (`0` = all cores), with the
-/// engine's [`RunReport`].
-///
-/// # Errors
-///
-/// As for [`run`]; the lowest-indexed failing point wins.
-pub fn run_jobs(jobs: usize) -> Result<(ContendSweep, RunReport), ExpError> {
-    let (sweep, _, report) = run_jobs_observed(jobs, ObsConfig::default())?;
-    Ok((sweep, report))
-}
-
-/// [`run_jobs`] with artifact capture: every seeded point runs with
-/// tracing and/or metrics per `obs` and returns one [`LabeledArtifacts`]
-/// per point (label `contend/c<cores>/<scheme>`, distinguished per seed
-/// by [`LabeledArtifacts::seed`]), in sweep-enumeration order.
-///
-/// # Errors
-///
-/// As for [`run_jobs`]; the lowest-indexed failing point wins.
+/// Propagates the first failing point, lowest index first (livelock here
+/// is an error — the swept schemes are all progress-safe by
+/// construction).
 pub fn run_jobs_observed(
     jobs: usize,
-    obs: ObsConfig,
+    obs: ObsConfig<'_>,
 ) -> Result<(ContendSweep, Vec<LabeledArtifacts>, RunReport), ExpError> {
     let schemes = schemes();
     let mut points = Vec::new();
@@ -455,89 +376,29 @@ pub fn run_jobs_observed(
             for seed in 0..SEEDS_PER_CELL {
                 // Seeds differ per cell so no two cells share arrivals.
                 let seed = 0xc0de_0000 + (ci as u64) * 1_000 + (si as u64) * 100 + seed;
-                points.push((ci, si, scheme, cores, seed));
+                points.push(ContendPoint {
+                    scheme,
+                    cores,
+                    seed,
+                });
             }
         }
     }
-    let cache_before = crate::cache::active_stats();
-    let t0 = std::time::Instant::now();
-    let results = super::runner::parallel_map_with(
-        &points,
-        jobs,
-        || (),
-        |_, &(_, _, scheme, cores, seed)| run_point(scheme, cores, seed, obs),
-    );
-    let wall = t0.elapsed();
+    let (results, artifacts, report) = run_sweep(&points, jobs, obs)?;
 
-    let mut cells: Vec<Vec<Vec<PointResult>>> = vec![vec![Vec::new(); schemes.len()]; CORES.len()];
-    let mut report = RunReport {
-        jobs: if jobs == 0 {
-            super::runner::default_jobs()
-        } else {
-            jobs
-        },
-        points: points.len(),
-        wall,
-        capacity: wall * jobs.max(1) as u32,
-        ..RunReport::default()
-    };
-    let mut artifacts = Vec::with_capacity(points.len());
-    for (&(ci, si, scheme, cores, seed), result) in points.iter().zip(results) {
-        let r = result?;
-        report.busy += r.wall;
-        report.sim_cycles += r.sim_cycles;
-        if let Some(point_metrics) = &r.artifacts.metrics {
-            report
-                .metrics
-                .get_or_insert_with(Default::default)
-                .merge(&point_metrics.metrics);
-        }
-        artifacts.push(LabeledArtifacts {
-            label: format!("contend/c{cores}/{}", scheme.label()),
-            value: PointValue::Bandwidth(r.throughput()),
-            sim_cycles: r.sim_cycles,
-            wall: r.wall,
-            seed,
-            config_hash: csb_obs::hash_config(&format!(
-                "{:?} contend {} c{cores}",
-                scheme.config(),
-                scheme.label()
-            )),
-            artifacts: r.artifacts.clone(),
-        });
-        cells[ci][si].push(r);
-    }
-    if let (Some(before), Some(after)) = (cache_before, crate::cache::active_stats()) {
-        let delta = after.delta(&before);
-        if delta.any() {
-            report.cache = Some(delta);
-            let m = report.metrics.get_or_insert_with(Default::default);
-            m.counters.insert("cache.hit".to_string(), delta.hits);
-            m.counters.insert("cache.miss".to_string(), delta.misses);
-        }
-    }
-
+    // Points enumerate cores, then scheme, then seed: each run of
+    // SEEDS_PER_CELL results is one cell, in row-major order.
+    let mut cells = results.chunks(SEEDS_PER_CELL as usize);
     let rows = CORES
         .iter()
-        .enumerate()
-        .map(|(ci, &cores)| ContendRow {
+        .map(|&cores| ContendRow {
             cores,
             cells: schemes
                 .iter()
-                .enumerate()
-                .map(|(si, &scheme)| {
-                    let rs = &cells[ci][si];
+                .map(|&scheme| {
+                    let rs = cells.next().expect("one chunk per (cores, scheme) cell");
                     let runs = rs.len().max(1) as f64;
-                    let flush = rs.iter().filter_map(|r| r.flush.as_ref()).fold(
-                        None::<HistogramSummary>,
-                        |acc, h| match acc {
-                            Some(mut s) => {
-                                s.merge(h);
-                                Some(s)
-                            }
-                            None => Some(h.clone()),
-                        },
-                    );
+                    let flush = merge_histograms(rs.iter().filter_map(|r| r.flush.as_ref()));
                     ContendCell {
                         scheme: scheme.label().to_string(),
                         throughput: rs.iter().map(|r| r.throughput()).sum::<f64>() / runs,
@@ -572,6 +433,17 @@ pub fn run_jobs_observed(
 mod tests {
     use super::*;
 
+    fn run_point(scheme: ContendScheme, cores: usize, seed: u64) -> PointResult {
+        ContendPoint {
+            scheme,
+            cores,
+            seed,
+        }
+        .simulate(&mut None, ObsConfig::default())
+        .expect("contention point simulates")
+        .0
+    }
+
     #[test]
     fn arrival_schedules_are_seeded_and_bounded() {
         let a = arrival_schedule(64, ARRIVAL_SPAN, 7);
@@ -585,7 +457,7 @@ mod tests {
 
     #[test]
     fn csb_point_delivers_full_payload_and_tracks_interference() {
-        let r = run_point(ContendScheme::Csb, 4, 0xc0de_0000, ObsConfig::default()).unwrap();
+        let r = run_point(ContendScheme::Csb, 4, 0xc0de_0000);
         assert_eq!(
             r.payload_bytes,
             (4 * ITERATIONS * DWORDS * 8) as u64,
@@ -599,7 +471,7 @@ mod tests {
 
     #[test]
     fn lock_point_delivers_without_touching_the_csb() {
-        let r = run_point(ContendScheme::Lock, 4, 0xc0de_0000, ObsConfig::default()).unwrap();
+        let r = run_point(ContendScheme::Lock, 4, 0xc0de_0000);
         assert_eq!(r.payload_bytes, (4 * ITERATIONS * DWORDS * 8) as u64);
         assert!(r.flush.is_none(), "lock path never flushes the CSB");
         assert_eq!(r.cross_pid_resets, 0);
@@ -607,9 +479,15 @@ mod tests {
 
     #[test]
     fn cached_point_round_trips_histogram_buckets() {
-        let live = run_point(ContendScheme::Csb, 4, 0xc0de_0001, ObsConfig::default()).unwrap();
-        let decoded =
-            decode_contend_payload(&encode_contend_payload(&live)).expect("payload decodes");
+        let live = run_point(ContendScheme::Csb, 4, 0xc0de_0001);
+        let point = ContendPoint {
+            scheme: ContendScheme::Csb,
+            cores: 4,
+            seed: 0xc0de_0001,
+        };
+        let decoded = point
+            .decode(&ContendPoint::encode(&live))
+            .expect("payload decodes");
         assert_eq!(decoded.payload_bytes, live.payload_bytes);
         assert_eq!(decoded.cycles, live.cycles);
         assert_eq!(

@@ -19,7 +19,10 @@
 
 use serde::{Deserialize, Serialize};
 
-use super::runner::{LabeledArtifacts, ObsConfig, PointArtifacts, PointValue, RunReport};
+use super::runner::{
+    run_sweep, seeded_cache_key, LabeledArtifacts, ObsConfig, PointArtifacts, PointValue,
+    RunReport, SweepPoint,
+};
 use super::{format_table, ExpError, DWORD_BYTES};
 use crate::config::SimConfig;
 use crate::sim::{SimError, Simulator};
@@ -53,7 +56,7 @@ pub fn policies() -> Vec<RetryPolicy> {
 }
 
 /// Column label for one policy, including its budget.
-fn policy_label(p: RetryPolicy) -> String {
+pub(crate) fn policy_label(p: RetryPolicy) -> String {
     match p {
         RetryPolicy::NaiveSpin => "naive-spin".to_string(),
         RetryPolicy::Bounded { attempts } => format!("bounded-{attempts}"),
@@ -166,12 +169,10 @@ struct PointResult {
     attempts: u64,
     latency: u64,
     sim_cycles: u64,
-    wall: std::time::Duration,
-    artifacts: PointArtifacts,
 }
 
 /// The backoff policy carries the point seed so jitter differs per seed.
-fn policy_for_seed(policy: RetryPolicy, seed: u64) -> RetryPolicy {
+pub(crate) fn policy_for_seed(policy: RetryPolicy, seed: u64) -> RetryPolicy {
     match policy {
         RetryPolicy::Backoff {
             attempts,
@@ -188,79 +189,10 @@ fn policy_for_seed(policy: RetryPolicy, seed: u64) -> RetryPolicy {
     }
 }
 
-/// Runs one (policy, rate, seed) point through a reusable simulator slot.
-/// Content-address of one seeded fault point: machine configuration,
-/// workload parameters (dwords + per-seed policy), fault rate, and seed.
-fn fault_point_key(policy: RetryPolicy, rate: f64, seed: u64) -> u64 {
-    let cfg = format!("{:?}", SimConfig::default());
-    let work = format!(
-        "faults {DWORDS}dw {:?} rate {:016x}",
-        policy_for_seed(policy, seed),
-        rate.to_bits()
-    );
-    crate::cache::PointCache::key(&[cfg.as_bytes(), work.as_bytes(), &seed.to_le_bytes()])
-}
-
-fn encode_fault_payload(r: &PointResult) -> Vec<u8> {
-    let mut w = csb_snap::SnapshotWriter::new();
-    w.put_tag("fpt");
-    w.put_bool(r.success);
-    w.put_bool(r.livelock);
-    w.put_u64(r.attempts);
-    w.put_u64(r.latency);
-    w.put_u64(r.sim_cycles);
-    w.finish()
-}
-
-fn decode_fault_payload(bytes: &[u8]) -> Option<PointResult> {
-    let mut r = csb_snap::SnapshotReader::new(bytes);
-    r.take_tag("fpt").ok()?;
-    let success = r.take_bool().ok()?;
-    let livelock = r.take_bool().ok()?;
-    let attempts = r.take_u64().ok()?;
-    let latency = r.take_u64().ok()?;
-    let sim_cycles = r.take_u64().ok()?;
-    let _checksum = r.take_u64().ok()?;
-    r.expect_end("cached fault point payload").ok()?;
-    Some(PointResult {
-        success,
-        livelock,
-        attempts,
-        latency,
-        sim_cycles,
-        wall: std::time::Duration::ZERO,
-        artifacts: PointArtifacts::default(),
-    })
-}
-
-fn run_point(
-    slot: &mut Option<Simulator>,
-    policy: RetryPolicy,
-    rate: f64,
-    seed: u64,
-    obs: ObsConfig,
-) -> Result<PointResult, ExpError> {
-    let t0 = std::time::Instant::now();
-    // Artifact-capturing points bypass the cache (see the runner module).
-    let cache = if obs.any() {
-        None
-    } else {
-        crate::cache::active()
-    };
-    let key = fault_point_key(policy, rate, seed);
-    if let Some(cache) = &cache {
-        if let Some(payload) = cache.load(key) {
-            if let Some(mut cached) = decode_fault_payload(&payload) {
-                cache.note_hit();
-                cached.wall = t0.elapsed();
-                return Ok(cached);
-            }
-            cache.invalidate(key);
-        }
-    }
-    let cfg = SimConfig::default();
-    let program = workloads::csb_sequence_with_policy(DWORDS, policy_for_seed(policy, seed), &cfg)?;
-    let sim = super::install_sim(slot, cfg, program)?;
+/// Installs the seeded fault schedule a sweep point runs under: forced
+/// flush disturbances at `rate`, bus errors and device NACKs at a quarter
+/// of it. Rate 0 installs nothing.
+pub(crate) fn inject_faults(sim: &mut Simulator, rate: f64, seed: u64) {
     if rate > 0.0 {
         sim.set_faults(Some(
             FaultConfig::new(seed)
@@ -269,73 +201,127 @@ fn run_point(
                 .device_nack_rate(rate * 0.25),
         ));
     }
-    if obs.trace {
-        sim.enable_tracing();
-    }
-    if obs.metrics {
-        sim.enable_metrics();
-    }
-    let (summary, livelock) = match sim.run(POINT_LIMIT) {
-        Ok(summary) => (summary, false),
-        Err(SimError::Livelock(_)) => (sim.summary(), true),
-        Err(e) => return Err(e.into()),
-    };
-    let delivered = sim.device().payload_bytes() == (DWORDS * DWORD_BYTES) as u64;
-    let latency = summary.cpu.mark_interval(MARK_START, MARK_END);
-    let result = PointResult {
-        success: !livelock && delivered && latency.is_some(),
-        livelock,
-        attempts: summary.csb.flush_successes + summary.csb.flush_failures,
-        latency: latency.unwrap_or(0),
-        sim_cycles: summary.cycles,
-        wall: t0.elapsed(),
-        artifacts: PointArtifacts {
-            trace_json: obs.trace.then(|| sim.chrome_trace()),
-            metrics: obs.metrics.then(|| sim.metrics_report()),
-        },
-    };
-    if let Some(cache) = &cache {
-        cache.note_miss();
-        cache.store(key, &encode_fault_payload(&result));
-    }
-    Ok(result)
 }
 
-/// Runs the full sweep serially.
+/// One seeded (rate, policy) point of the sweep.
+struct FaultPoint {
+    /// The ladder policy (unseeded; [`policy_for_seed`] seeds it).
+    policy: RetryPolicy,
+    rate: f64,
+    seed: u64,
+}
+
+impl SweepPoint for FaultPoint {
+    type Output = PointResult;
+
+    fn label(&self) -> String {
+        format!(
+            "faults/r{:02}/{}",
+            (self.rate * 100.0).round() as u32,
+            policy_label(self.policy)
+        )
+    }
+
+    fn seed(&self) -> u64 {
+        self.seed
+    }
+
+    fn config_hash(&self) -> u64 {
+        csb_obs::hash_config(&format!(
+            "{:?} {:?} rate {}",
+            SimConfig::default(),
+            self.policy,
+            self.rate
+        ))
+    }
+
+    /// Machine configuration, workload parameters (dwords + per-seed
+    /// policy), fault rate, and seed.
+    fn cache_key(&self) -> u64 {
+        let work = format!(
+            "faults {DWORDS}dw {:?} rate {:016x}",
+            policy_for_seed(self.policy, self.seed),
+            self.rate.to_bits()
+        );
+        seeded_cache_key(&SimConfig::default(), &work, self.seed)
+    }
+
+    fn simulate(
+        &self,
+        slot: &mut Option<Simulator>,
+        obs: ObsConfig<'_>,
+    ) -> Result<(PointResult, PointArtifacts), ExpError> {
+        let cfg = SimConfig::default();
+        let policy = policy_for_seed(self.policy, self.seed);
+        let program = workloads::csb_sequence_with_policy(DWORDS, policy, &cfg)?;
+        let sim = super::install_sim(slot, cfg, program)?;
+        inject_faults(sim, self.rate, self.seed);
+        let (summary, livelock) = match obs.simulate(sim, POINT_LIMIT) {
+            Ok(summary) => (summary, false),
+            Err(SimError::Livelock(_)) => (sim.summary(), true),
+            Err(e) => return Err(e.into()),
+        };
+        let delivered = sim.device().payload_bytes() == (DWORDS * DWORD_BYTES) as u64;
+        let latency = summary.cpu.mark_interval(MARK_START, MARK_END);
+        let result = PointResult {
+            success: !livelock && delivered && latency.is_some(),
+            livelock,
+            attempts: summary.csb.flush_successes + summary.csb.flush_failures,
+            latency: latency.unwrap_or(0),
+            sim_cycles: summary.cycles,
+        };
+        Ok((result, PointArtifacts::capture(sim, obs)))
+    }
+
+    fn encode(r: &PointResult) -> Vec<u8> {
+        let mut w = csb_snap::SnapshotWriter::new();
+        w.put_tag("fpt");
+        w.put_bool(r.success);
+        w.put_bool(r.livelock);
+        w.put_u64(r.attempts);
+        w.put_u64(r.latency);
+        w.put_u64(r.sim_cycles);
+        w.finish()
+    }
+
+    fn decode(&self, payload: &[u8]) -> Option<PointResult> {
+        let mut r = csb_snap::SnapshotReader::new(payload);
+        r.take_tag("fpt").ok()?;
+        let result = PointResult {
+            success: r.take_bool().ok()?,
+            livelock: r.take_bool().ok()?,
+            attempts: r.take_u64().ok()?,
+            latency: r.take_u64().ok()?,
+            sim_cycles: r.take_u64().ok()?,
+        };
+        let _checksum = r.take_u64().ok()?;
+        r.expect_end("cached fault point payload").ok()?;
+        Some(result)
+    }
+
+    fn value(r: &PointResult) -> PointValue {
+        PointValue::Latency(r.latency)
+    }
+
+    fn sim_cycles(r: &PointResult) -> u64 {
+        r.sim_cycles
+    }
+}
+
+/// Runs the full sweep on `jobs` workers (`0` = all cores). Every seeded
+/// point runs with tracing and/or metrics per `obs` and yields one
+/// [`LabeledArtifacts`] (label `faults/r<rate%>/<policy>`, distinguished
+/// per seed by [`LabeledArtifacts::seed`]), in sweep-enumeration order —
+/// the same per-point artifact contract as the figure harnesses.
 ///
 /// # Errors
 ///
 /// Propagates the first point that fails for a reason other than the
 /// expected fault outcomes (livelock and give-up are *results*, not
-/// errors).
-pub fn run() -> Result<FaultSweep, ExpError> {
-    Ok(run_jobs(1)?.0)
-}
-
-/// Runs the full sweep on `jobs` workers (`0` = all cores), with the
-/// engine's [`RunReport`].
-///
-/// # Errors
-///
-/// As for [`run`]; the lowest-indexed failing point wins.
-pub fn run_jobs(jobs: usize) -> Result<(FaultSweep, RunReport), ExpError> {
-    let (sweep, _, report) = run_jobs_observed(jobs, ObsConfig::default())?;
-    Ok((sweep, report))
-}
-
-/// [`run_jobs`] with artifact capture: every seeded point runs with
-/// tracing and/or metrics enabled per `obs` and returns one
-/// [`LabeledArtifacts`] per point (label `faults/r<rate%>/<policy>`,
-/// distinguished per seed by [`LabeledArtifacts::seed`]), in
-/// sweep-enumeration order —
-/// the same per-point artifact contract as the figure harnesses.
-///
-/// # Errors
-///
-/// As for [`run_jobs`]; the lowest-indexed failing point wins.
+/// errors); the lowest-indexed failing point wins.
 pub fn run_jobs_observed(
     jobs: usize,
-    obs: ObsConfig,
+    obs: ObsConfig<'_>,
 ) -> Result<(FaultSweep, Vec<LabeledArtifacts>, RunReport), ExpError> {
     let policies = policies();
     let mut points = Vec::new();
@@ -344,81 +330,23 @@ pub fn run_jobs_observed(
             for seed in 0..SEEDS_PER_CELL {
                 // Seeds differ per cell so no two cells share a schedule.
                 let seed = 0x5eed_0000 + (ri as u64) * 1_000 + (pi as u64) * 100 + seed;
-                points.push((ri, pi, policy, rate, seed));
+                points.push(FaultPoint { policy, rate, seed });
             }
         }
     }
-    let cache_before = crate::cache::active_stats();
-    let t0 = std::time::Instant::now();
-    let results = super::runner::parallel_map_with(
-        &points,
-        jobs,
-        || None,
-        |slot, &(_, _, policy, rate, seed)| run_point(slot, policy, rate, seed, obs),
-    );
-    let wall = t0.elapsed();
+    let (results, artifacts, report) = run_sweep(&points, jobs, obs)?;
 
-    let mut cells: Vec<Vec<Vec<PointResult>>> = vec![vec![Vec::new(); policies.len()]; RATES.len()];
-    let mut report = RunReport {
-        jobs: if jobs == 0 {
-            super::runner::default_jobs()
-        } else {
-            jobs
-        },
-        points: points.len(),
-        wall,
-        capacity: wall * jobs.max(1) as u32,
-        ..RunReport::default()
-    };
-    let mut artifacts = Vec::with_capacity(points.len());
-    for (&(ri, pi, policy, rate, seed), result) in points.iter().zip(results) {
-        let r = result?;
-        report.busy += r.wall;
-        report.sim_cycles += r.sim_cycles;
-        if let Some(point_metrics) = &r.artifacts.metrics {
-            report
-                .metrics
-                .get_or_insert_with(Default::default)
-                .merge(&point_metrics.metrics);
-        }
-        artifacts.push(LabeledArtifacts {
-            label: format!(
-                "faults/r{:02}/{}",
-                (rate * 100.0).round() as u32,
-                policy_label(policy)
-            ),
-            value: PointValue::Latency(r.latency),
-            sim_cycles: r.sim_cycles,
-            wall: r.wall,
-            seed,
-            config_hash: csb_obs::hash_config(&format!(
-                "{:?} {policy:?} rate {rate}",
-                SimConfig::default()
-            )),
-            artifacts: r.artifacts.clone(),
-        });
-        cells[ri][pi].push(r);
-    }
-    if let (Some(before), Some(after)) = (cache_before, crate::cache::active_stats()) {
-        let delta = after.delta(&before);
-        if delta.any() {
-            report.cache = Some(delta);
-            let m = report.metrics.get_or_insert_with(Default::default);
-            m.counters.insert("cache.hit".to_string(), delta.hits);
-            m.counters.insert("cache.miss".to_string(), delta.misses);
-        }
-    }
-
+    // Points enumerate rate, then policy, then seed: each run of
+    // SEEDS_PER_CELL results is one cell, in row-major order.
+    let mut cells = results.chunks(SEEDS_PER_CELL as usize);
     let rows = RATES
         .iter()
-        .enumerate()
-        .map(|(ri, &rate)| FaultRow {
+        .map(|&rate| FaultRow {
             rate,
             cells: policies
                 .iter()
-                .enumerate()
-                .map(|(pi, &policy)| {
-                    let rs = &cells[ri][pi];
+                .map(|&policy| {
+                    let rs = cells.next().expect("one chunk per (rate, policy) cell");
                     let successes = rs.iter().filter(|r| r.success).count() as u64;
                     let latencies: Vec<u64> =
                         rs.iter().filter(|r| r.success).map(|r| r.latency).collect();
@@ -460,11 +388,23 @@ pub fn run_jobs_observed(
 mod tests {
     use super::*;
 
+    fn run_point(
+        slot: &mut Option<Simulator>,
+        policy: RetryPolicy,
+        rate: f64,
+        seed: u64,
+    ) -> PointResult {
+        FaultPoint { policy, rate, seed }
+            .simulate(slot, ObsConfig::default())
+            .expect("fault point simulates")
+            .0
+    }
+
     #[test]
     fn zero_rate_always_succeeds() {
         let mut slot = None;
         for (i, &policy) in policies().iter().enumerate() {
-            let r = run_point(&mut slot, policy, 0.0, 7 + i as u64, ObsConfig::default()).unwrap();
+            let r = run_point(&mut slot, policy, 0.0, 7 + i as u64);
             assert!(r.success, "{}: zero-fault run must succeed", i);
             assert!(!r.livelock);
             assert_eq!(r.attempts, 1, "no retries without faults");
@@ -474,14 +414,7 @@ mod tests {
     #[test]
     fn bounded_policy_gives_up_under_total_disturbance() {
         let mut slot = None;
-        let r = run_point(
-            &mut slot,
-            RetryPolicy::Bounded { attempts: 4 },
-            0.9,
-            3,
-            ObsConfig::default(),
-        )
-        .unwrap();
+        let r = run_point(&mut slot, RetryPolicy::Bounded { attempts: 4 }, 0.9, 3);
         // Seed 3 at rate 0.9: not guaranteed to fault 4 times in a row,
         // so assert only the structural invariant — a failed bounded run
         // halts cleanly instead of livelocking.
@@ -502,10 +435,7 @@ mod tests {
             for &rate in &[0.0, 0.5, 0.9] {
                 let mut successes = 0;
                 for seed in 0..8 {
-                    if run_point(&mut slot, policy, rate, 100 + seed, ObsConfig::default())
-                        .unwrap()
-                        .success
-                    {
+                    if run_point(&mut slot, policy, rate, 100 + seed).success {
                         successes += 1;
                     }
                 }

@@ -14,8 +14,7 @@
 use csb_bus::BusConfig;
 
 use super::runner::{
-    run_bandwidth_panels, run_bandwidth_panels_observed, BandwidthPanelSpec, LabeledArtifacts,
-    ObsConfig, RunReport,
+    run_bandwidth_panels_observed, BandwidthPanelSpec, LabeledArtifacts, ObsConfig, RunReport,
 };
 use super::{BandwidthPanel, ExpError};
 use crate::config::SimConfig;
@@ -109,34 +108,16 @@ pub fn panel_specs() -> Vec<BandwidthPanelSpec> {
     PANELS.iter().map(PanelDef::spec).collect()
 }
 
-/// Runs all five panels serially.
-///
-/// # Errors
-///
-/// Propagates the first failing simulation point.
-pub fn run() -> Result<Vec<BandwidthPanel>, ExpError> {
-    Ok(run_jobs(1)?.0)
-}
-
-/// Runs all five panels on `jobs` workers (`0` = all cores), with the
-/// sweep's [`RunReport`].
-///
-/// # Errors
-///
-/// Propagates the first failing point, lowest point index first.
-pub fn run_jobs(jobs: usize) -> Result<(Vec<BandwidthPanel>, RunReport), ExpError> {
-    run_bandwidth_panels(&panel_specs(), jobs)
-}
-
-/// [`run_jobs`] with artifact capture: also returns one
-/// [`LabeledArtifacts`] per simulation point, in enumeration order.
+/// Runs all five panels on `jobs` workers (`0` = all cores): the panels,
+/// one [`LabeledArtifacts`] per simulation point in enumeration order, and
+/// the sweep's [`RunReport`].
 ///
 /// # Errors
 ///
 /// Propagates the first failing point, lowest point index first.
 pub fn run_jobs_observed(
     jobs: usize,
-    obs: ObsConfig,
+    obs: ObsConfig<'_>,
 ) -> Result<(Vec<BandwidthPanel>, Vec<LabeledArtifacts>, RunReport), ExpError> {
     run_bandwidth_panels_observed(&panel_specs(), jobs, obs)
 }

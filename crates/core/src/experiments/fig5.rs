@@ -14,13 +14,13 @@
 use csb_isa::Addr;
 
 use super::runner::{
-    run_latency_panels, run_latency_panels_observed, LabeledArtifacts, LatencyPanelSpec, ObsConfig,
-    PointArtifacts, RunReport,
+    run_latency_panels_observed, LabeledArtifacts, LatencyPanelSpec, ObsConfig, PointWork,
+    RunReport,
 };
 use super::{ExpError, LatencyPanel, Scheme};
 use crate::config::{SimConfig, LOCK_ADDR};
 use crate::sim::Simulator;
-use crate::workloads::{self, MARK_END, MARK_START};
+use crate::workloads::{self, StorePath};
 
 /// Doubleword counts swept (2–8, i.e. 16–64 bytes).
 pub const DWORDS: [usize; 7] = [2, 3, 4, 5, 6, 7, 8];
@@ -47,97 +47,29 @@ pub fn latency_point(
     scheme: Scheme,
     residency: LockResidency,
 ) -> Result<u64, ExpError> {
-    latency_point_instrumented(cfg, dwords, scheme, residency).map(|(lat, _)| lat)
-}
-
-/// [`latency_point`] plus the simulated cycle count, for the runner's
-/// `RunReport` instrumentation.
-pub(crate) fn latency_point_instrumented(
-    cfg: &SimConfig,
-    dwords: usize,
-    scheme: Scheme,
-    residency: LockResidency,
-) -> Result<(u64, u64), ExpError> {
-    latency_point_observed(cfg, dwords, scheme, residency, ObsConfig::default())
-        .map(|(lat, cycles, _)| (lat, cycles))
-}
-
-/// [`latency_point`] with observability: returns the latency, the simulated
-/// cycle count, and whatever artifacts [`ObsConfig`] asked for.
-///
-/// # Errors
-///
-/// As for [`latency_point`].
-pub fn latency_point_observed(
-    cfg: &SimConfig,
-    dwords: usize,
-    scheme: Scheme,
-    residency: LockResidency,
-    obs: ObsConfig,
-) -> Result<(u64, u64, PointArtifacts), ExpError> {
-    latency_point_reusing(&mut None, cfg, dwords, scheme, residency, obs)
-}
-
-/// [`latency_point_observed`] through a reusable simulator slot: an empty
-/// slot is filled by cold construction, a filled one is warm-reset via
-/// [`Simulator::reset_with`] — either way the measurement is identical.
-/// The sweep engine hands each worker one slot for its whole point queue.
-pub(crate) fn latency_point_reusing(
-    slot: &mut Option<Simulator>,
-    cfg: &SimConfig,
-    dwords: usize,
-    scheme: Scheme,
-    residency: LockResidency,
-    obs: ObsConfig,
-) -> Result<(u64, u64, PointArtifacts), ExpError> {
-    let sim = latency_sim_into(slot, cfg, dwords, scheme, residency)?;
-    if obs.trace {
-        sim.enable_tracing();
-    }
-    if obs.metrics {
-        sim.enable_metrics();
-    }
-    let summary = sim.run(50_000_000)?;
-    let latency = summary
-        .cpu
-        .mark_interval(MARK_START, MARK_END)
-        .ok_or(ExpError::MissingMark)?;
-    let artifacts = PointArtifacts {
-        trace_json: obs.trace.then(|| sim.chrome_trace()),
-        metrics: obs.metrics.then(|| sim.metrics_report()),
+    let work = PointWork::Latency {
+        dwords,
+        scheme,
+        residency,
     };
-    Ok((latency, summary.cycles, artifacts))
+    let (value, _, _) = work.measure(&mut None, cfg, ObsConfig::default())?;
+    Ok(value.latency().expect("a latency point measures latency"))
 }
 
 /// The scheme-specialized machine configuration and lock/CSB sequence for
-/// one latency point.
+/// one latency point. The latency kernel has no bandwidth-style retry
+/// unrolling to outline, so both CSB flavors measure the same sequence.
 fn latency_parts(
     cfg: &SimConfig,
     dwords: usize,
     scheme: Scheme,
 ) -> Result<(SimConfig, csb_isa::Program), ExpError> {
-    Ok(match scheme {
-        Scheme::Uncached { block } => {
-            let c = cfg.clone().combining_block(block);
-            let p = workloads::lock_sequence(dwords)?;
-            (c, p)
-        }
-        Scheme::R10k => {
-            let mut c = cfg.clone();
-            c.uncached = csb_uncached::UncachedConfig::r10000(c.line());
-            let p = workloads::lock_sequence(dwords)?;
-            (c, p)
-        }
-        Scheme::Ppc620 => {
-            let mut c = cfg.clone();
-            c.uncached = csb_uncached::UncachedConfig::ppc620();
-            let p = workloads::lock_sequence(dwords)?;
-            (c, p)
-        }
-        // The latency kernel has no bandwidth-style retry unrolling to
-        // outline; both CSB flavors measure the same sequence.
-        Scheme::Csb | Scheme::CsbOutlined => (cfg.clone(), workloads::csb_sequence(dwords, cfg)?),
-    })
+    let (cfg, path) = scheme.machine(cfg);
+    let program = match path {
+        StorePath::Uncached => workloads::lock_sequence(dwords)?,
+        StorePath::Csb | StorePath::CsbOutlined => workloads::csb_sequence(dwords, &cfg)?,
+    };
+    Ok((cfg, program))
 }
 
 /// Builds the ready-to-run simulator for one latency point: the
@@ -200,48 +132,16 @@ pub fn panel_specs() -> Vec<LatencyPanelSpec> {
     ]
 }
 
-/// Runs one panel across [`DWORDS`] and the scheme ladder, serially.
-///
-/// # Errors
-///
-/// Propagates the first failing point.
-pub fn panel(cfg: &SimConfig, residency: LockResidency) -> Result<LatencyPanel, ExpError> {
-    let spec = panel_spec(cfg, residency);
-    let (panels, _) = run_latency_panels(std::slice::from_ref(&spec), 1)?;
-    Ok(panels
-        .into_iter()
-        .next()
-        .expect("one spec yields one panel"))
-}
-
-/// Runs both panels on the paper's default machine, serially.
-///
-/// # Errors
-///
-/// Propagates the first failing point.
-pub fn run() -> Result<Vec<LatencyPanel>, ExpError> {
-    Ok(run_jobs(1)?.0)
-}
-
-/// Runs both panels on `jobs` workers (`0` = all cores), with the sweep's
-/// [`RunReport`].
-///
-/// # Errors
-///
-/// Propagates the first failing point, lowest point index first.
-pub fn run_jobs(jobs: usize) -> Result<(Vec<LatencyPanel>, RunReport), ExpError> {
-    run_latency_panels(&panel_specs(), jobs)
-}
-
-/// [`run_jobs`] with artifact capture: also returns one
-/// [`LabeledArtifacts`] per simulation point, in enumeration order.
+/// Runs both panels on `jobs` workers (`0` = all cores): the panels, one
+/// [`LabeledArtifacts`] per simulation point in enumeration order, and the
+/// sweep's [`RunReport`].
 ///
 /// # Errors
 ///
 /// Propagates the first failing point, lowest point index first.
 pub fn run_jobs_observed(
     jobs: usize,
-    obs: ObsConfig,
+    obs: ObsConfig<'_>,
 ) -> Result<(Vec<LatencyPanel>, Vec<LabeledArtifacts>, RunReport), ExpError> {
     run_latency_panels_observed(&panel_specs(), jobs, obs)
 }

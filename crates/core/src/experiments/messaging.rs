@@ -34,18 +34,19 @@
 //!   ordinals to the same schedule — per seed, the delivered count can
 //!   only fall as the rate rises.
 
-use std::time::Duration;
-
 use serde::Serialize;
 
-use super::runner::{LabeledArtifacts, ObsConfig, PointArtifacts, PointValue, RunReport};
-use super::{format_table, ExpError};
+use super::faults::{inject_faults, policy_for_seed, policy_label};
+use super::runner::{
+    run_sweep, seeded_cache_key, LabeledArtifacts, ObsConfig, PointArtifacts, PointValue,
+    RunReport, SweepPoint,
+};
+use super::{format_table, merge_histograms, put_histogram, take_histogram, ExpError};
 use crate::config::{SimConfig, COMBINING_BASE, UNCACHED_BASE};
 use crate::sim::{SimError, Simulator};
 use crate::workloads::{self, MessagingSpec, RetryPolicy};
-use csb_faults::FaultConfig;
 use csb_isa::Addr;
-use csb_obs::{BucketCount, HistogramSummary};
+use csb_obs::HistogramSummary;
 
 /// Fault rates swept (flush-disturb fraction; bus errors and device NACKs
 /// run at a quarter of it). Seeds are shared across this axis so each
@@ -115,16 +116,6 @@ impl SendPath {
             SendPath::Lock => UNCACHED_BASE,
             SendPath::Csb | SendPath::CsbDouble => COMBINING_BASE,
         }
-    }
-}
-
-/// Column label for one policy, including its budget (mirrors the fault
-/// sweep's labels).
-fn policy_label(p: RetryPolicy) -> String {
-    match p {
-        RetryPolicy::NaiveSpin => "naive-spin".to_string(),
-        RetryPolicy::Bounded { attempts } => format!("bounded-{attempts}"),
-        RetryPolicy::Backoff { attempts, .. } => format!("backoff-{attempts}"),
     }
 }
 
@@ -269,60 +260,6 @@ struct PointResult {
     livelock: bool,
     e2e: Option<HistogramSummary>,
     sim_cycles: u64,
-    wall: Duration,
-    artifacts: PointArtifacts,
-}
-
-/// A summary with re-derived quantiles from raw bucket counts (see the
-/// contention sweep: merging into an empty summary runs the estimator).
-fn summary_from_buckets(
-    count: u64,
-    sum: u64,
-    min: u64,
-    max: u64,
-    buckets: Vec<BucketCount>,
-) -> HistogramSummary {
-    let mut s = HistogramSummary {
-        count: 0,
-        sum: 0,
-        min: 0,
-        max: 0,
-        p50: 0,
-        p95: 0,
-        p99: 0,
-        p999: 0,
-        buckets: Vec::new(),
-    };
-    s.merge(&HistogramSummary {
-        count,
-        sum,
-        min,
-        max,
-        p50: 0,
-        p95: 0,
-        p99: 0,
-        p999: 0,
-        buckets,
-    });
-    s
-}
-
-/// The backoff policy carries the point seed so jitter differs per seed.
-fn policy_for_seed(policy: RetryPolicy, seed: u64) -> RetryPolicy {
-    match policy {
-        RetryPolicy::Backoff {
-            attempts,
-            base,
-            max,
-            ..
-        } => RetryPolicy::Backoff {
-            attempts,
-            base,
-            max,
-            seed,
-        },
-        other => other,
-    }
 }
 
 /// The message stream every point sends.
@@ -335,252 +272,216 @@ fn spec(size: usize) -> MessagingSpec {
     }
 }
 
-/// Content-address of one seeded messaging point: machine configuration,
-/// send path, message shape, per-seed policy, fault rate, and seed.
-fn messaging_point_key(
+/// One seeded (path, size, rate, policy) point of the sweep.
+struct MessagingPoint {
     path: SendPath,
+    /// Payload doublewords per message.
     size: usize,
+    /// The ladder policy (unseeded; [`policy_for_seed`] seeds it).
     policy: RetryPolicy,
     rate: f64,
     seed: u64,
-) -> u64 {
-    let cfg = format!("{:?}", path.config());
-    let work = format!(
-        "messaging {} {MESSAGES}x{size}dw s{SLOTS} {:?} rate {:016x}",
-        path.label(),
-        policy_for_seed(policy, seed),
-        rate.to_bits()
-    );
-    crate::cache::PointCache::key(&[cfg.as_bytes(), work.as_bytes(), &seed.to_le_bytes()])
 }
 
-fn encode_messaging_payload(r: &PointResult) -> Vec<u8> {
-    let mut w = csb_snap::SnapshotWriter::new();
-    w.put_tag("msg");
-    w.put_u64(r.delivered);
-    w.put_u64(r.torn);
-    w.put_u64(r.duplicates);
-    w.put_u64(r.dropped);
-    w.put_u64(r.corrupt);
-    w.put_bool(r.livelock);
-    w.put_u64(r.sim_cycles);
-    // Raw histogram bucket counts, so a cached cell merges across seeds
-    // exactly like a live one (quantiles are re-derived on decode).
-    match &r.e2e {
-        Some(h) => {
-            w.put_bool(true);
-            w.put_u64(h.count);
-            w.put_u64(h.sum);
-            w.put_u64(h.min);
-            w.put_u64(h.max);
-            w.put_usize(h.buckets.len());
-            for b in &h.buckets {
-                w.put_u64(b.le);
-                w.put_u64(b.n);
+impl SweepPoint for MessagingPoint {
+    type Output = PointResult;
+
+    fn label(&self) -> String {
+        format!(
+            "messaging/{}/{}B/r{:02}/{}",
+            self.path.label(),
+            self.size * 8,
+            (self.rate * 100.0).round() as u32,
+            policy_label(self.policy)
+        )
+    }
+
+    fn seed(&self) -> u64 {
+        self.seed
+    }
+
+    fn config_hash(&self) -> u64 {
+        csb_obs::hash_config(&format!(
+            "{:?} messaging {} {}B {:?} rate {}",
+            self.path.config(),
+            self.path.label(),
+            self.size * 8,
+            self.policy,
+            self.rate
+        ))
+    }
+
+    /// Machine configuration, send path, message shape, per-seed policy,
+    /// fault rate, and seed.
+    fn cache_key(&self) -> u64 {
+        let work = format!(
+            "messaging {} {MESSAGES}x{}dw s{SLOTS} {:?} rate {:016x}",
+            self.path.label(),
+            self.size,
+            policy_for_seed(self.policy, self.seed),
+            self.rate.to_bits()
+        );
+        seeded_cache_key(&self.path.config(), &work, self.seed)
+    }
+
+    fn simulate(
+        &self,
+        slot: &mut Option<Simulator>,
+        obs: ObsConfig<'_>,
+    ) -> Result<(PointResult, PointArtifacts), ExpError> {
+        let size = self.size;
+        let cfg = self.path.config();
+        let seeded = policy_for_seed(self.policy, self.seed);
+        let program = match self.path {
+            SendPath::Lock => workloads::lock_messages(spec(size), seeded, &cfg)?,
+            SendPath::Csb | SendPath::CsbDouble => {
+                workloads::csb_messages(spec(size), seeded, &cfg)?
+            }
+        };
+        let nic_cfg = csb_nic::NicConfig {
+            slot_size: cfg.line(),
+            slots: SLOTS,
+            ..csb_nic::NicConfig::default()
+        };
+        let sim = super::install_sim(slot, cfg, program)?;
+        sim.attach_nic(nic_cfg, Addr::new(self.path.window_base()))?;
+        inject_faults(sim, self.rate, self.seed);
+        // The end-to-end quantiles *are* the result, so metrics always
+        // record.
+        let recording = ObsConfig {
+            metrics: true,
+            ..obs
+        };
+        let livelock = match recording.simulate(sim, POINT_LIMIT) {
+            Ok(_) => false,
+            Err(SimError::Livelock(_)) => true,
+            Err(e) => return Err(e.into()),
+        };
+        let sim_cycles = sim.summary().cycles;
+        let report = sim.metrics_report();
+        let nic = sim.nic().expect("NIC attached above");
+        // Receive-side seq accounting: first intact copy of each expected
+        // seq is a delivery, repeats are duplicates, the rest of the
+        // expected window is dropped.
+        let mut seen = [false; MESSAGES];
+        let mut delivered = 0u64;
+        let mut duplicates = 0u64;
+        let mut corrupt = 0u64;
+        for m in nic.messages() {
+            let sq = m.seq as usize;
+            if m.sender != SENDER || sq >= MESSAGES {
+                corrupt += 1;
+                continue;
+            }
+            if seen[sq] {
+                duplicates += 1;
+                continue;
+            }
+            seen[sq] = true;
+            let pat = MessagingSpec::payload_pattern(m.seq).to_le_bytes();
+            let intact =
+                m.payload.len() == size * 8 && m.payload.chunks(8).all(|c| c == &pat[..c.len()]);
+            if intact {
+                delivered += 1;
+            } else {
+                corrupt += 1;
             }
         }
-        None => w.put_bool(false),
-    }
-    w.finish()
-}
-
-fn decode_messaging_payload(bytes: &[u8]) -> Option<PointResult> {
-    let mut r = csb_snap::SnapshotReader::new(bytes);
-    r.take_tag("msg").ok()?;
-    let delivered = r.take_u64().ok()?;
-    let torn = r.take_u64().ok()?;
-    let duplicates = r.take_u64().ok()?;
-    let dropped = r.take_u64().ok()?;
-    let corrupt = r.take_u64().ok()?;
-    let livelock = r.take_bool().ok()?;
-    let sim_cycles = r.take_u64().ok()?;
-    let e2e = if r.take_bool().ok()? {
-        let count = r.take_u64().ok()?;
-        let sum = r.take_u64().ok()?;
-        let min = r.take_u64().ok()?;
-        let max = r.take_u64().ok()?;
-        let len = r.take_usize().ok()?;
-        let mut buckets = Vec::with_capacity(len);
-        for _ in 0..len {
-            let le = r.take_u64().ok()?;
-            let n = r.take_u64().ok()?;
-            buckets.push(BucketCount { le, n });
-        }
-        Some(summary_from_buckets(count, sum, min, max, buckets))
-    } else {
-        None
-    };
-    let _checksum = r.take_u64().ok()?;
-    r.expect_end("cached messaging point payload").ok()?;
-    Some(PointResult {
-        delivered,
-        torn,
-        duplicates,
-        dropped,
-        corrupt,
-        livelock,
-        e2e,
-        sim_cycles,
-        wall: Duration::ZERO,
-        artifacts: PointArtifacts::default(),
-    })
-}
-
-/// Runs one (path, size, policy, rate, seed) point through a reusable
-/// simulator slot.
-fn run_point(
-    slot: &mut Option<Simulator>,
-    path: SendPath,
-    size: usize,
-    policy: RetryPolicy,
-    rate: f64,
-    seed: u64,
-    obs: ObsConfig,
-) -> Result<PointResult, ExpError> {
-    let t0 = std::time::Instant::now();
-    // Artifact-capturing points bypass the cache (see the runner module).
-    let cache = if obs.any() {
-        None
-    } else {
-        crate::cache::active()
-    };
-    let key = messaging_point_key(path, size, policy, rate, seed);
-    if let Some(cache) = &cache {
-        if let Some(payload) = cache.load(key) {
-            if let Some(mut cached) = decode_messaging_payload(&payload) {
-                cache.note_hit();
-                cached.wall = t0.elapsed();
-                return Ok(cached);
-            }
-            cache.invalidate(key);
-        }
-    }
-    let cfg = path.config();
-    let seeded = policy_for_seed(policy, seed);
-    let program = match path {
-        SendPath::Lock => workloads::lock_messages(spec(size), seeded, &cfg)?,
-        SendPath::Csb | SendPath::CsbDouble => workloads::csb_messages(spec(size), seeded, &cfg)?,
-    };
-    let nic_cfg = csb_nic::NicConfig {
-        slot_size: cfg.line(),
-        slots: SLOTS,
-        ..csb_nic::NicConfig::default()
-    };
-    let base = path.window_base();
-    let sim = super::install_sim(slot, cfg, program)?;
-    sim.attach_nic(nic_cfg, Addr::new(base))?;
-    if rate > 0.0 {
-        sim.set_faults(Some(
-            FaultConfig::new(seed)
-                .flush_disturb_rate(rate)
-                .bus_error_rate(rate * 0.25)
-                .device_nack_rate(rate * 0.25),
-        ));
-    }
-    if obs.trace {
-        sim.enable_tracing();
-    }
-    // The end-to-end quantiles *are* the result, so metrics always record.
-    sim.enable_metrics();
-    let livelock = match sim.run(POINT_LIMIT) {
-        Ok(_) => false,
-        Err(SimError::Livelock(_)) => true,
-        Err(e) => return Err(e.into()),
-    };
-    let sim_cycles = sim.summary().cycles;
-    let report = sim.metrics_report();
-    let nic = sim.nic().expect("NIC attached above");
-    // Receive-side seq accounting: first intact copy of each expected seq
-    // is a delivery, repeats are duplicates, the rest of the expected
-    // window is dropped.
-    let mut seen = [false; MESSAGES];
-    let mut delivered = 0u64;
-    let mut duplicates = 0u64;
-    let mut corrupt = 0u64;
-    for m in nic.messages() {
-        let sq = m.seq as usize;
-        if m.sender != SENDER || sq >= MESSAGES {
-            corrupt += 1;
-            continue;
-        }
-        if seen[sq] {
-            duplicates += 1;
-            continue;
-        }
-        seen[sq] = true;
-        let pat = MessagingSpec::payload_pattern(m.seq).to_le_bytes();
-        let intact =
-            m.payload.len() == size * 8 && m.payload.chunks(8).all(|c| c == &pat[..c.len()]);
-        if intact {
-            delivered += 1;
-        } else {
-            corrupt += 1;
-        }
-    }
-    let distinct = seen.iter().filter(|&&s| s).count() as u64;
-    let result = PointResult {
-        delivered,
-        torn: nic.stats().torn_frames,
-        duplicates,
-        dropped: MESSAGES as u64 - distinct,
-        corrupt,
-        livelock,
-        e2e: report.metrics.histograms.get(E2E_HISTOGRAM).cloned(),
-        sim_cycles,
-        wall: t0.elapsed(),
-        artifacts: PointArtifacts {
+        let distinct = seen.iter().filter(|&&s| s).count() as u64;
+        let result = PointResult {
+            delivered,
+            torn: nic.stats().torn_frames,
+            duplicates,
+            dropped: MESSAGES as u64 - distinct,
+            corrupt,
+            livelock,
+            e2e: report.metrics.histograms.get(E2E_HISTOGRAM).cloned(),
+            sim_cycles,
+        };
+        let artifacts = PointArtifacts {
             trace_json: obs.trace.then(|| sim.chrome_trace()),
             metrics: obs.metrics.then_some(report),
-        },
-    };
-    if let Some(cache) = &cache {
-        cache.note_miss();
-        cache.store(key, &encode_messaging_payload(&result));
+        };
+        Ok((result, artifacts))
     }
-    Ok(result)
+
+    fn encode(r: &PointResult) -> Vec<u8> {
+        let mut w = csb_snap::SnapshotWriter::new();
+        w.put_tag("msg");
+        w.put_u64(r.delivered);
+        w.put_u64(r.torn);
+        w.put_u64(r.duplicates);
+        w.put_u64(r.dropped);
+        w.put_u64(r.corrupt);
+        w.put_bool(r.livelock);
+        w.put_u64(r.sim_cycles);
+        put_histogram(&mut w, r.e2e.as_ref());
+        w.finish()
+    }
+
+    fn decode(&self, payload: &[u8]) -> Option<PointResult> {
+        let mut r = csb_snap::SnapshotReader::new(payload);
+        r.take_tag("msg").ok()?;
+        let result = PointResult {
+            delivered: r.take_u64().ok()?,
+            torn: r.take_u64().ok()?,
+            duplicates: r.take_u64().ok()?,
+            dropped: r.take_u64().ok()?,
+            corrupt: r.take_u64().ok()?,
+            livelock: r.take_bool().ok()?,
+            sim_cycles: r.take_u64().ok()?,
+            e2e: take_histogram(&mut r)?,
+        };
+        let _checksum = r.take_u64().ok()?;
+        r.expect_end("cached messaging point payload").ok()?;
+        Some(result)
+    }
+
+    fn value(r: &PointResult) -> PointValue {
+        PointValue::Bandwidth(r.delivered as f64 / MESSAGES as f64)
+    }
+
+    fn sim_cycles(r: &PointResult) -> u64 {
+        r.sim_cycles
+    }
 }
 
-/// Runs the full sweep serially.
-///
-/// # Errors
-///
-/// Propagates the first point that fails for a reason other than the
-/// expected fault outcomes (livelock and give-up are *results*, not
-/// errors).
-pub fn run() -> Result<MessagingSweep, ExpError> {
-    Ok(run_jobs(1)?.0)
+/// Aggregates one cell's seeded runs.
+fn cell(policy: RetryPolicy, rs: &[PointResult]) -> MessagingCell {
+    MessagingCell {
+        policy: policy_label(policy),
+        delivered: rs.iter().map(|r| r.delivered).sum(),
+        torn: rs.iter().map(|r| r.torn).sum(),
+        duplicates: rs.iter().map(|r| r.duplicates).sum(),
+        dropped: rs.iter().map(|r| r.dropped).sum(),
+        corrupt: rs.iter().map(|r| r.corrupt).sum(),
+        livelocks: rs.iter().filter(|r| r.livelock).count() as u64,
+        runs: rs.len() as u64,
+        e2e: merge_histograms(rs.iter().filter_map(|r| r.e2e.as_ref())),
+    }
 }
 
-/// Runs the full sweep on `jobs` workers (`0` = all cores), with the
-/// engine's [`RunReport`].
-///
-/// # Errors
-///
-/// As for [`run`]; the lowest-indexed failing point wins.
-pub fn run_jobs(jobs: usize) -> Result<(MessagingSweep, RunReport), ExpError> {
-    let (sweep, _, report) = run_jobs_observed(jobs, ObsConfig::default())?;
-    Ok((sweep, report))
-}
-
-/// [`run_jobs`] with artifact capture: every seeded point runs with
-/// tracing and/or metrics per `obs` and returns one [`LabeledArtifacts`]
-/// per point (label `messaging/<path>/<bytes>B/r<rate%>/<policy>`,
+/// Runs the full sweep on `jobs` workers (`0` = all cores). Every seeded
+/// point runs with tracing and/or metrics per `obs` and yields one
+/// [`LabeledArtifacts`] (label `messaging/<path>/<bytes>B/r<rate%>/<policy>`,
 /// distinguished per seed by [`LabeledArtifacts::seed`]), in
 /// sweep-enumeration order.
 ///
 /// # Errors
 ///
-/// As for [`run_jobs`]; the lowest-indexed failing point wins.
+/// Propagates the first point that fails for a reason other than the
+/// expected fault outcomes (livelock and give-up are *results*, not
+/// errors); the lowest-indexed failing point wins.
 pub fn run_jobs_observed(
     jobs: usize,
-    obs: ObsConfig,
+    obs: ObsConfig<'_>,
 ) -> Result<(MessagingSweep, Vec<LabeledArtifacts>, RunReport), ExpError> {
     let paths = paths();
     let policies = super::faults::policies();
     let mut points = Vec::new();
     for (pa, &path) in paths.iter().enumerate() {
         for (si, &size) in SIZES.iter().enumerate() {
-            for (ri, &rate) in RATES.iter().enumerate() {
+            for &rate in &RATES {
                 for (pi, &policy) in policies.iter().enumerate() {
                     for s in 0..SEEDS_PER_CELL {
                         // Seeds differ per (path, size, policy) group but
@@ -592,132 +493,47 @@ pub fn run_jobs_observed(
                             + (si as u64) * 10_000
                             + (pi as u64) * 1_000
                             + s;
-                        points.push((pa, si, ri, pi, path, size, policy, rate, seed));
+                        points.push(MessagingPoint {
+                            path,
+                            size,
+                            policy,
+                            rate,
+                            seed,
+                        });
                     }
                 }
             }
         }
     }
-    let cache_before = crate::cache::active_stats();
-    let t0 = std::time::Instant::now();
-    let results = super::runner::parallel_map_with(
-        &points,
-        jobs,
-        || None,
-        |slot, &(_, _, _, _, path, size, policy, rate, seed)| {
-            run_point(slot, path, size, policy, rate, seed, obs)
-        },
-    );
-    let wall = t0.elapsed();
+    let (results, artifacts, report) = run_sweep(&points, jobs, obs)?;
 
-    // cells[path][size][rate][policy]; per_seed[path][size][policy][seed]
-    // keeps each seed's delivered counts along the rate axis.
-    let mut cells: Vec<Vec<Vec<Vec<Vec<PointResult>>>>> =
-        vec![vec![vec![vec![Vec::new(); policies.len()]; RATES.len()]; SIZES.len()]; paths.len()];
-    let mut per_seed: Vec<Vec<Vec<Vec<Vec<u64>>>>> =
-        vec![
-            vec![vec![vec![Vec::new(); SEEDS_PER_CELL as usize]; policies.len()]; SIZES.len()];
-            paths.len()
-        ];
-    let mut report = RunReport {
-        jobs: if jobs == 0 {
-            super::runner::default_jobs()
-        } else {
-            jobs
-        },
-        points: points.len(),
-        wall,
-        capacity: wall * jobs.max(1) as u32,
-        ..RunReport::default()
-    };
-    let mut artifacts = Vec::with_capacity(points.len());
-    for (&(pa, si, ri, pi, path, size, policy, rate, seed), result) in points.iter().zip(results) {
-        let r = result?;
-        report.busy += r.wall;
-        report.sim_cycles += r.sim_cycles;
-        if let Some(point_metrics) = &r.artifacts.metrics {
-            report
-                .metrics
-                .get_or_insert_with(Default::default)
-                .merge(&point_metrics.metrics);
-        }
-        artifacts.push(LabeledArtifacts {
-            label: format!(
-                "messaging/{}/{}B/r{:02}/{}",
-                path.label(),
-                size * 8,
-                (rate * 100.0).round() as u32,
-                policy_label(policy)
-            ),
-            value: PointValue::Bandwidth(r.delivered as f64 / MESSAGES as f64),
-            sim_cycles: r.sim_cycles,
-            wall: r.wall,
-            seed,
-            config_hash: csb_obs::hash_config(&format!(
-                "{:?} messaging {} {}B {policy:?} rate {rate}",
-                path.config(),
-                path.label(),
-                size * 8
-            )),
-            artifacts: r.artifacts.clone(),
-        });
-        per_seed[pa][si][pi][(seed - 0x0e2e_0000) as usize % 1_000].push(r.delivered);
-        cells[pa][si][ri][pi].push(r);
-    }
-    if let (Some(before), Some(after)) = (cache_before, crate::cache::active_stats()) {
-        let delta = after.delta(&before);
-        if delta.any() {
-            report.cache = Some(delta);
-            let m = report.metrics.get_or_insert_with(Default::default);
-            m.counters.insert("cache.hit".to_string(), delta.hits);
-            m.counters.insert("cache.miss".to_string(), delta.misses);
-        }
-    }
+    // Points enumerate path, size, rate, policy, then seed: each run of
+    // SEEDS_PER_CELL results is one cell, and each run of `row` results is
+    // one rate's row of cells. Within a (path, size) group, index `k` of
+    // every row is the same (policy, seed) pair, so the rows' `k`th
+    // entries are that seed's delivered curve along the rate axis.
+    let row = policies.len() * SEEDS_PER_CELL as usize;
+    let per_seed_monotone = results.chunks(row * RATES.len()).all(|group| {
+        (0..row).all(|k| {
+            group
+                .chunks(row)
+                .zip(group.chunks(row).skip(1))
+                .all(|(lo, hi)| hi[k].delivered <= lo[k].delivered)
+        })
+    });
 
-    // Points enumerate rates in ascending order, so each per-seed vector
-    // is the seed's delivered curve along the rate axis.
-    let per_seed_monotone = per_seed
-        .iter()
-        .flatten()
-        .flatten()
-        .flatten()
-        .all(|curve| curve.windows(2).all(|w| w[1] <= w[0]));
-
+    let mut cells = results.chunks(SEEDS_PER_CELL as usize);
     let mut rows = Vec::new();
-    for (pa, &path) in paths.iter().enumerate() {
-        for (si, &size) in SIZES.iter().enumerate() {
-            for (ri, &rate) in RATES.iter().enumerate() {
+    for &path in &paths {
+        for &size in &SIZES {
+            for &rate in &RATES {
                 rows.push(MessagingRow {
                     path: path.label().to_string(),
                     bytes: size * 8,
                     rate,
                     cells: policies
                         .iter()
-                        .enumerate()
-                        .map(|(pi, &policy)| {
-                            let rs = &cells[pa][si][ri][pi];
-                            let e2e = rs.iter().filter_map(|r| r.e2e.as_ref()).fold(
-                                None::<HistogramSummary>,
-                                |acc, h| match acc {
-                                    Some(mut s) => {
-                                        s.merge(h);
-                                        Some(s)
-                                    }
-                                    None => Some(h.clone()),
-                                },
-                            );
-                            MessagingCell {
-                                policy: policy_label(policy),
-                                delivered: rs.iter().map(|r| r.delivered).sum(),
-                                torn: rs.iter().map(|r| r.torn).sum(),
-                                duplicates: rs.iter().map(|r| r.duplicates).sum(),
-                                dropped: rs.iter().map(|r| r.dropped).sum(),
-                                corrupt: rs.iter().map(|r| r.corrupt).sum(),
-                                livelocks: rs.iter().filter(|r| r.livelock).count() as u64,
-                                runs: rs.len() as u64,
-                                e2e,
-                            }
-                        })
+                        .map(|&policy| cell(policy, cells.next().expect("one chunk per cell")))
                         .collect(),
                 });
             }
@@ -745,13 +561,42 @@ pub fn run_jobs_observed(
 mod tests {
     use super::*;
 
+    fn point(
+        path: SendPath,
+        size: usize,
+        policy: RetryPolicy,
+        rate: f64,
+        seed: u64,
+    ) -> MessagingPoint {
+        MessagingPoint {
+            path,
+            size,
+            policy,
+            rate,
+            seed,
+        }
+    }
+
+    fn run_point(
+        slot: &mut Option<Simulator>,
+        path: SendPath,
+        size: usize,
+        policy: RetryPolicy,
+        rate: f64,
+        seed: u64,
+    ) -> PointResult {
+        point(path, size, policy, rate, seed)
+            .simulate(slot, ObsConfig::default())
+            .expect("messaging point simulates")
+            .0
+    }
+
     #[test]
     fn zero_rate_is_exactly_once_on_every_path() {
         let mut slot = None;
         for &path in &paths() {
             for &policy in &super::super::faults::policies() {
-                let r =
-                    run_point(&mut slot, path, 1, policy, 0.0, 42, ObsConfig::default()).unwrap();
+                let r = run_point(&mut slot, path, 1, policy, 0.0, 42);
                 let label = format!("{}/{}", path.label(), policy_label(policy));
                 assert_eq!(r.delivered, MESSAGES as u64, "{label}: all delivered");
                 assert_eq!(r.torn, 0, "{label}: no torn frames");
@@ -772,26 +617,8 @@ mod tests {
         // arrives as one atomic line burst finishes assembly in one bus
         // transaction, while the locked path dribbles it a beat at a time.
         let mut slot = None;
-        let lock = run_point(
-            &mut slot,
-            SendPath::Lock,
-            7,
-            RetryPolicy::NaiveSpin,
-            0.0,
-            1,
-            ObsConfig::default(),
-        )
-        .unwrap();
-        let csb = run_point(
-            &mut slot,
-            SendPath::Csb,
-            7,
-            RetryPolicy::NaiveSpin,
-            0.0,
-            1,
-            ObsConfig::default(),
-        )
-        .unwrap();
+        let lock = run_point(&mut slot, SendPath::Lock, 7, RetryPolicy::NaiveSpin, 0.0, 1);
+        let csb = run_point(&mut slot, SendPath::Csb, 7, RetryPolicy::NaiveSpin, 0.0, 1);
         let (l, c) = (lock.e2e.unwrap(), csb.e2e.unwrap());
         assert!(
             c.p50 < l.p50,
@@ -818,9 +645,7 @@ mod tests {
                         RetryPolicy::Bounded { attempts: 4 },
                         rate,
                         seed,
-                        ObsConfig::default(),
-                    )
-                    .unwrap();
+                    );
                     assert!(
                         r.delivered <= prev,
                         "{} seed {seed:#x}: delivered rose from {prev} to {} at rate {rate}",
@@ -843,11 +668,10 @@ mod tests {
             RetryPolicy::NaiveSpin,
             0.25,
             0x0e2e_0100,
-            ObsConfig::default(),
-        )
-        .unwrap();
-        let decoded =
-            decode_messaging_payload(&encode_messaging_payload(&live)).expect("payload decodes");
+        );
+        let decoded = point(SendPath::Csb, 7, RetryPolicy::NaiveSpin, 0.25, 0x0e2e_0100)
+            .decode(&MessagingPoint::encode(&live))
+            .expect("payload decodes");
         assert_eq!(decoded.delivered, live.delivered);
         assert_eq!(decoded.dropped, live.dropped);
         assert_eq!(decoded.torn, live.torn);

@@ -17,8 +17,10 @@
 //!   through the attached NI, send path × size × fault rate × retry
 //!   policy (robustness study, not a paper figure).
 //!
-//! Each harness returns serializable panel structures with a plain-text
-//! table renderer, so the `csb-bench` binaries can print the same rows and
+//! Each sweep has exactly one entry point taking a worker count and an
+//! [`runner::ObsConfig`], runs its points through the [`runner`] engine,
+//! and returns serializable panel structures with a plain-text table
+//! renderer, so the `csb-bench` binaries can print the same rows and
 //! series the paper plots. The metric conventions match the paper: payload
 //! bytes per bus cycle for Figures 3 and 4, CPU cycles per sequence for
 //! Figure 5.
@@ -38,6 +40,8 @@ use std::fmt;
 use serde::{Deserialize, Serialize};
 
 use csb_isa::Program;
+use csb_obs::{BucketCount, HistogramSummary};
+use csb_snap::{SnapshotReader, SnapshotWriter};
 
 use crate::config::SimConfig;
 use crate::sim::{SimError, Simulator};
@@ -123,6 +127,29 @@ impl Scheme {
         }
         v.push(Scheme::Csb);
         v
+    }
+
+    /// The machine this scheme runs on — `cfg` with the scheme's
+    /// uncached-buffer overrides — and the store path its kernels take.
+    pub fn machine(self, cfg: &SimConfig) -> (SimConfig, StorePath) {
+        let mut cfg = cfg.clone();
+        let path = match self {
+            Scheme::Uncached { block } => {
+                cfg = cfg.combining_block(block);
+                StorePath::Uncached
+            }
+            Scheme::R10k => {
+                cfg.uncached = csb_uncached::UncachedConfig::r10000(cfg.line());
+                StorePath::Uncached
+            }
+            Scheme::Ppc620 => {
+                cfg.uncached = csb_uncached::UncachedConfig::ppc620();
+                StorePath::Uncached
+            }
+            Scheme::Csb => StorePath::Csb,
+            Scheme::CsbOutlined => StorePath::CsbOutlined,
+        };
+        (cfg, path)
     }
 }
 
@@ -254,64 +281,15 @@ pub fn bandwidth_point_ordered(
     scheme: Scheme,
     order: workloads::StoreOrder,
 ) -> Result<f64, ExpError> {
-    bandwidth_point_instrumented(cfg, transfer, scheme, order).map(|(bw, _)| bw)
-}
-
-/// [`bandwidth_point_ordered`] plus the simulated cycle count, for the
-/// runner's [`runner::RunReport`] instrumentation.
-pub(crate) fn bandwidth_point_instrumented(
-    cfg: &SimConfig,
-    transfer: usize,
-    scheme: Scheme,
-    order: workloads::StoreOrder,
-) -> Result<(f64, u64), ExpError> {
-    bandwidth_point_observed(cfg, transfer, scheme, order, runner::ObsConfig::default())
-        .map(|(bw, cycles, _)| (bw, cycles))
-}
-
-/// [`bandwidth_point_ordered`] with observability: returns the bandwidth,
-/// the simulated cycle count, and whatever artifacts
-/// [`runner::ObsConfig`] asked for (Chrome trace JSON and/or a
-/// [`crate::MetricsReport`]).
-///
-/// # Errors
-///
-/// As for [`bandwidth_point`].
-pub fn bandwidth_point_observed(
-    cfg: &SimConfig,
-    transfer: usize,
-    scheme: Scheme,
-    order: workloads::StoreOrder,
-    obs: runner::ObsConfig,
-) -> Result<(f64, u64, runner::PointArtifacts), ExpError> {
-    bandwidth_point_reusing(&mut None, cfg, transfer, scheme, order, obs)
-}
-
-/// [`bandwidth_point_observed`] through a reusable simulator slot: an empty
-/// slot is filled by cold construction, a filled one is warm-reset via
-/// [`Simulator::reset_with`] — either way the measurement is identical.
-/// The sweep engine hands each worker one slot for its whole point queue.
-pub(crate) fn bandwidth_point_reusing(
-    slot: &mut Option<Simulator>,
-    cfg: &SimConfig,
-    transfer: usize,
-    scheme: Scheme,
-    order: workloads::StoreOrder,
-    obs: runner::ObsConfig,
-) -> Result<(f64, u64, runner::PointArtifacts), ExpError> {
-    let sim = bandwidth_sim_into(slot, cfg, transfer, scheme, order)?;
-    if obs.trace {
-        sim.enable_tracing();
-    }
-    if obs.metrics {
-        sim.enable_metrics();
-    }
-    let summary = sim.run(POINT_LIMIT)?;
-    let artifacts = runner::PointArtifacts {
-        trace_json: obs.trace.then(|| sim.chrome_trace()),
-        metrics: obs.metrics.then(|| sim.metrics_report()),
+    let work = runner::PointWork::Bandwidth {
+        transfer,
+        scheme,
+        order,
     };
-    Ok((summary.bus.effective_bandwidth(), summary.cycles, artifacts))
+    let (value, _, _) = work.measure(&mut None, cfg, runner::ObsConfig::default())?;
+    Ok(value
+        .bandwidth()
+        .expect("a bandwidth point measures bandwidth"))
 }
 
 /// The scheme-specialized machine configuration and store workload for one
@@ -322,23 +300,7 @@ fn bandwidth_parts(
     scheme: Scheme,
     order: workloads::StoreOrder,
 ) -> Result<(SimConfig, Program), ExpError> {
-    let mut cfg = cfg.clone();
-    let path = match scheme {
-        Scheme::Uncached { block } => {
-            cfg = cfg.combining_block(block);
-            StorePath::Uncached
-        }
-        Scheme::R10k => {
-            cfg.uncached = csb_uncached::UncachedConfig::r10000(cfg.line());
-            StorePath::Uncached
-        }
-        Scheme::Ppc620 => {
-            cfg.uncached = csb_uncached::UncachedConfig::ppc620();
-            StorePath::Uncached
-        }
-        Scheme::Csb => StorePath::Csb,
-        Scheme::CsbOutlined => StorePath::CsbOutlined,
-    };
+    let (cfg, path) = scheme.machine(cfg);
     let program = workloads::store_bandwidth_ordered(transfer, &cfg, path, order)?;
     Ok((cfg, program))
 }
@@ -386,20 +348,73 @@ pub(crate) fn install_sim(
     Ok(slot.as_mut().expect("slot was just filled"))
 }
 
-/// Runs a full bandwidth panel over [`TRANSFERS`] and the scheme ladder of
-/// the machine's line size, serially. Thin wrapper over the engine — see
-/// [`runner::run_bandwidth_panels`] for the parallel path.
-///
-/// # Errors
-///
-/// Propagates the first failing point.
-pub fn bandwidth_panel(id: &str, title: &str, cfg: &SimConfig) -> Result<BandwidthPanel, ExpError> {
-    let spec = runner::BandwidthPanelSpec::new(id, title, cfg.clone());
-    let (panels, _) = runner::run_bandwidth_panels(std::slice::from_ref(&spec), 1)?;
-    Ok(panels
-        .into_iter()
-        .next()
-        .expect("one spec yields one panel"))
+/// Writes an optional latency histogram into a cache payload as raw
+/// bucket counts, so a cached point merges across seeds exactly like a
+/// live one ([`take_histogram`] re-derives the quantiles).
+pub(crate) fn put_histogram(w: &mut SnapshotWriter, h: Option<&HistogramSummary>) {
+    match h {
+        Some(h) => {
+            w.put_bool(true);
+            w.put_u64(h.count);
+            w.put_u64(h.sum);
+            w.put_u64(h.min);
+            w.put_u64(h.max);
+            w.put_usize(h.buckets.len());
+            for b in &h.buckets {
+                w.put_u64(b.le);
+                w.put_u64(b.n);
+            }
+        }
+        None => w.put_bool(false),
+    }
+}
+
+/// Reads what [`put_histogram`] wrote; the outer `None` means the payload
+/// is malformed. Merging the raw buckets into an empty summary runs the
+/// exact ranked-walk estimator, so a decoded histogram is
+/// indistinguishable from a live capture.
+pub(crate) fn take_histogram(r: &mut SnapshotReader<'_>) -> Option<Option<HistogramSummary>> {
+    if !r.take_bool().ok()? {
+        return Some(None);
+    }
+    let empty = || HistogramSummary {
+        count: 0,
+        sum: 0,
+        min: 0,
+        max: 0,
+        p50: 0,
+        p95: 0,
+        p99: 0,
+        p999: 0,
+        buckets: Vec::new(),
+    };
+    let mut raw = empty();
+    raw.count = r.take_u64().ok()?;
+    raw.sum = r.take_u64().ok()?;
+    raw.min = r.take_u64().ok()?;
+    raw.max = r.take_u64().ok()?;
+    for _ in 0..r.take_usize().ok()? {
+        let le = r.take_u64().ok()?;
+        let n = r.take_u64().ok()?;
+        raw.buckets.push(BucketCount { le, n });
+    }
+    let mut summary = empty();
+    summary.merge(&raw);
+    Some(Some(summary))
+}
+
+/// Merges per-seed latency histograms into one cell's; `None` when no
+/// seed recorded one.
+pub(crate) fn merge_histograms<'a>(
+    hs: impl Iterator<Item = &'a HistogramSummary>,
+) -> Option<HistogramSummary> {
+    hs.fold(None, |acc, h| match acc {
+        Some(mut s) => {
+            s.merge(h);
+            Some(s)
+        }
+        None => Some(h.clone()),
+    })
 }
 
 /// Renders a fixed-width text table.

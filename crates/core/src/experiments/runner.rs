@@ -1,15 +1,21 @@
 //! Parallel experiment engine: enumerate simulation points, fan them out
 //! across cores, reassemble deterministically.
 //!
-//! Every figure in the paper's evaluation is a grid of *independent*
+//! Every sweep in the paper's evaluation is a grid of *independent*
 //! execution-driven simulation points — (panel × transfer × scheme) for the
-//! bandwidth figures, (panel × doublewords × scheme) for Figure 5, plus the
-//! ablation sweeps. This module splits each harness into:
+//! bandwidth figures, (panel × doublewords × scheme) for Figure 5, the
+//! ablation sweeps, and the seeded fault, messaging and contention points.
+//! Every one of them runs through this engine:
 //!
-//! 1. **Enumeration** — a pure step producing a `Vec<`[`PointSpec`]`>`
-//!    (machine configuration + workload parameters + a human label),
-//! 2. **Execution** — [`run_points`] drives the specs through
-//!    [`execute_point`] on a scoped worker pool ([`parallel_map`]), and
+//! 1. **Enumeration** — a sweep lists its points: [`PointSpec`]s
+//!    (machine configuration + workload parameters + a human label) for
+//!    the figures and ablations, its own seeded point type for the fault,
+//!    messaging and contention sweeps.
+//! 2. **Execution** — the engine drives the points on a scoped worker
+//!    pool ([`parallel_map_with`]). It alone owns the point-cache round
+//!    trip (key → load → decode → invalidate → simulate → store), the
+//!    [`RunReport`] and the [`LabeledArtifacts`] list; a sweep supplies
+//!    only its point function and payload codec.
 //! 3. **Reassembly** — results come back *keyed by point index*, so the
 //!    tables built from them are byte-identical no matter how many workers
 //!    ran (`jobs = 1` takes the exact serial path: same closure, same
@@ -26,6 +32,10 @@
 //! utilization, aggregate throughput, and the slowest point. The bench
 //! binaries print the report to **stderr**, keeping stdout (the tables)
 //! byte-identical across `--jobs` settings.
+//!
+//! Nothing here is process-global: the cache, the fast-forward switch and
+//! the autosnap setting travel in the [`ObsConfig`] each sweep is given,
+//! so two sweeps on two threads never see each other's settings.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -35,31 +45,77 @@ use csb_obs::MetricsSnapshot;
 
 use super::fig5::{self, LockResidency};
 use super::{
-    bandwidth_point_reusing, BandwidthPanel, BandwidthRow, ExpError, LatencyPanel, LatencyRow,
-    Scheme, DWORD_BYTES, TRANSFERS,
+    BandwidthPanel, BandwidthRow, ExpError, LatencyPanel, LatencyRow, Scheme, DWORD_BYTES,
+    POINT_LIMIT, TRANSFERS,
 };
+use crate::cache::{CacheStats, PointCache};
 use crate::config::SimConfig;
-use crate::sim::{MetricsReport, Simulator};
-use crate::workloads::StoreOrder;
+use crate::sim::{MetricsReport, RunSummary, SimError, Simulator};
+use crate::snapshot::AutosnapConfig;
+use crate::workloads::{StoreOrder, MARK_END, MARK_START};
 
-/// Which observability artifacts to capture for every executed point.
+/// How every point of a sweep runs and what it records.
 ///
-/// The default captures nothing — points run exactly as before, and the
-/// figure tables stay byte-identical. Turning either switch on makes each
-/// simulation record into a per-point [`PointArtifacts`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ObsConfig {
+/// The default captures nothing, consults no cache, writes no snapshots,
+/// and simulates with event-driven fast-forward on. No setting changes a
+/// table: fast-forward is cycle-exact, cached points replay their stored
+/// values, and captures only add artifacts.
+#[derive(Debug, Clone, Copy)]
+pub struct ObsConfig<'a> {
     /// Capture a Chrome trace-event JSON document per point.
     pub trace: bool,
     /// Capture a [`MetricsReport`] (counters + latency histograms) per
     /// point.
     pub metrics: bool,
+    /// Jump provably idle cycles ([`Simulator::set_fast_forward`]). Off
+    /// forces the naive cycle-by-cycle loop, with identical results.
+    pub fast_forward: bool,
+    /// Store that serves unchanged points and keeps newly simulated ones.
+    /// Points that capture artifacts bypass it: traces and metrics are not
+    /// stored, so a cached result could not carry them.
+    pub cache: Option<&'a PointCache>,
+    /// Periodic restorable snapshots of every simulated point.
+    pub autosnap: Option<AutosnapConfig<'a>>,
 }
 
-impl ObsConfig {
+impl Default for ObsConfig<'_> {
+    fn default() -> Self {
+        ObsConfig {
+            trace: false,
+            metrics: false,
+            fast_forward: true,
+            cache: None,
+            autosnap: None,
+        }
+    }
+}
+
+impl ObsConfig<'_> {
     /// Whether any artifact capture is enabled.
     pub fn any(self) -> bool {
         self.trace || self.metrics
+    }
+
+    /// Runs `sim` until it completes or reaches `limit` CPU cycles under
+    /// these settings: the fast-forward switch, the trace and metrics
+    /// capture, and autosnap dumps. Every simulated sweep point runs
+    /// through here.
+    ///
+    /// # Errors
+    ///
+    /// As for [`Simulator::run`].
+    pub fn simulate(self, sim: &mut Simulator, limit: u64) -> Result<RunSummary, SimError> {
+        sim.set_fast_forward(self.fast_forward);
+        if self.trace {
+            sim.enable_tracing();
+        }
+        if self.metrics {
+            sim.enable_metrics();
+        }
+        match self.autosnap {
+            Some(auto) => sim.run_autosnap(limit, auto),
+            None => sim.run(limit),
+        }
     }
 }
 
@@ -77,6 +133,14 @@ impl PointArtifacts {
     /// Whether this point captured anything.
     pub fn is_empty(&self) -> bool {
         self.trace_json.is_none() && self.metrics.is_none()
+    }
+
+    /// What `obs` asked to capture from a finished run of `sim`.
+    pub(crate) fn capture(sim: &Simulator, obs: ObsConfig<'_>) -> Self {
+        PointArtifacts {
+            trace_json: obs.trace.then(|| sim.chrome_trace()),
+            metrics: obs.metrics.then(|| sim.metrics_report()),
+        }
     }
 }
 
@@ -128,6 +192,58 @@ pub enum PointWork {
     },
 }
 
+impl PointWork {
+    /// Readies `slot` to measure this work on `cfg`: cold construction
+    /// into an empty slot, a warm reset of a filled one, with the same
+    /// results either way. Not yet run.
+    pub(crate) fn install<'s>(
+        &self,
+        slot: &'s mut Option<Simulator>,
+        cfg: &SimConfig,
+    ) -> Result<&'s mut Simulator, ExpError> {
+        match *self {
+            PointWork::Bandwidth {
+                transfer,
+                scheme,
+                order,
+            } => super::bandwidth_sim_into(slot, cfg, transfer, scheme, order),
+            PointWork::Latency {
+                dwords,
+                scheme,
+                residency,
+            } => fig5::latency_sim_into(slot, cfg, dwords, scheme, residency),
+        }
+    }
+
+    /// The figure value a completed run of this work measured.
+    pub(crate) fn value(&self, summary: &RunSummary) -> Result<PointValue, ExpError> {
+        match self {
+            PointWork::Bandwidth { .. } => {
+                Ok(PointValue::Bandwidth(summary.bus.effective_bandwidth()))
+            }
+            PointWork::Latency { .. } => summary
+                .cpu
+                .mark_interval(MARK_START, MARK_END)
+                .map(PointValue::Latency)
+                .ok_or(ExpError::MissingMark),
+        }
+    }
+
+    /// Measures this work on `cfg` through `slot` under `obs`: the value,
+    /// the simulated cycle count, and the captured artifacts.
+    pub(crate) fn measure(
+        &self,
+        slot: &mut Option<Simulator>,
+        cfg: &SimConfig,
+        obs: ObsConfig<'_>,
+    ) -> Result<(PointValue, u64, PointArtifacts), ExpError> {
+        let sim = self.install(slot, cfg)?;
+        let summary = obs.simulate(sim, POINT_LIMIT)?;
+        let value = self.value(&summary)?;
+        Ok((value, summary.cycles, PointArtifacts::capture(sim, obs)))
+    }
+}
+
 /// One fully-described simulation point: a machine plus the measurement to
 /// take on it. Specs are pure data — enumerating them runs no simulation.
 #[derive(Debug, Clone)]
@@ -169,160 +285,237 @@ impl PointValue {
     }
 }
 
-/// One executed point: its value plus per-point instrumentation.
-#[derive(Debug, Clone)]
-pub struct PointOutcome {
-    /// The measured value.
-    pub value: PointValue,
-    /// CPU cycles the simulation ran for.
-    pub sim_cycles: u64,
-    /// Wall-clock time the point took on its worker.
-    pub wall: Duration,
-    /// Observability artifacts (empty unless an [`ObsConfig`] asked for
-    /// them).
-    pub artifacts: PointArtifacts,
+/// One point of a sweep as the engine sees it: how to name, address,
+/// simulate and cache it. The engine supplies everything else.
+pub(crate) trait SweepPoint: Sync {
+    /// What one execution yields: the value the sweep's tables are built
+    /// from, including the simulated cycle count. It is also what the
+    /// point cache stores.
+    type Output: Send;
+
+    /// Display label; ledger records and the slowest-point line use it.
+    fn label(&self) -> String;
+
+    /// Fault-schedule or arrival seed (0 for deterministic points).
+    fn seed(&self) -> u64 {
+        0
+    }
+
+    /// FNV-1a hash of the point's configuration rendering, for ledger
+    /// records.
+    fn config_hash(&self) -> u64;
+
+    /// Content address in a [`PointCache`].
+    fn cache_key(&self) -> u64;
+
+    /// Simulates the point through the worker's reusable simulator slot,
+    /// under `obs`'s fast-forward, capture and autosnap settings.
+    fn simulate(
+        &self,
+        slot: &mut Option<Simulator>,
+        obs: ObsConfig<'_>,
+    ) -> Result<(Self::Output, PointArtifacts), ExpError>;
+
+    /// The cache payload for `output`.
+    fn encode(output: &Self::Output) -> Vec<u8>;
+
+    /// Decodes a cache payload; `None` when it is malformed or is not this
+    /// point's kind of result, and the entry is then invalidated.
+    fn decode(&self, payload: &[u8]) -> Option<Self::Output>;
+
+    /// The output as the single value a ledger record carries.
+    fn value(output: &Self::Output) -> PointValue;
+
+    /// CPU cycles the point's simulation ran for.
+    fn sim_cycles(output: &Self::Output) -> u64;
 }
 
-/// Executes a single spec on the calling thread.
-///
-/// # Errors
-///
-/// Returns [`ExpError`] if the workload is invalid or the simulation does
-/// not complete.
-pub fn execute_point(spec: &PointSpec) -> Result<PointOutcome, ExpError> {
-    execute_point_observed(spec, ObsConfig::default())
+/// The cache key of a seeded point (the fault, messaging and contention
+/// sweeps): its machine configuration, a rendering of its workload, and
+/// its seed.
+pub(crate) fn seeded_cache_key(cfg: &SimConfig, work: &str, seed: u64) -> u64 {
+    let cfg = format!("{cfg:?}");
+    PointCache::key(&[cfg.as_bytes(), work.as_bytes(), &seed.to_le_bytes()])
 }
 
-/// [`execute_point`] with artifact capture: the simulation runs with
-/// tracing and/or metrics enabled per `obs`, and the outcome carries the
-/// captured [`PointArtifacts`].
-///
-/// # Errors
-///
-/// As for [`execute_point`].
-pub fn execute_point_observed(spec: &PointSpec, obs: ObsConfig) -> Result<PointOutcome, ExpError> {
-    execute_point_reusing(&mut None, spec, obs)
-}
-
-/// [`execute_point_observed`] through a reusable simulator slot. A worker
-/// passes the same slot for every spec in its queue: the first point
-/// cold-constructs the simulator, every later point warm-resets it
-/// ([`Simulator::reset_with`]) instead of rebuilding its arenas. Results
-/// are identical either way; `&mut None` recovers the cold path exactly.
-pub(crate) fn execute_point_reusing(
+/// Runs one point, serving it from `cache` when a valid entry exists and
+/// storing it after a simulation otherwise. Returns the output, the
+/// point's wall-clock time, and its artifacts.
+fn execute<P: SweepPoint>(
     slot: &mut Option<Simulator>,
-    spec: &PointSpec,
-    obs: ObsConfig,
-) -> Result<PointOutcome, ExpError> {
-    // Points that capture artifacts never touch the cache: traces and
-    // metrics are not stored, so a cached result could not carry them.
-    let cache = if obs.any() {
-        None
-    } else {
-        crate::cache::active()
-    };
+    point: &P,
+    obs: ObsConfig<'_>,
+    cache: Option<&PointCache>,
+) -> Result<(P::Output, Duration, PointArtifacts), ExpError> {
     let t0 = Instant::now();
-    let key = point_cache_key(spec, 0);
-    if let Some(cache) = &cache {
-        if let Some(payload) = cache.load(key) {
-            let decoded =
-                decode_point_payload(&payload).filter(|&(value, _)| kind_matches(spec, value));
-            if let Some((value, sim_cycles)) = decoded {
-                cache.note_hit();
-                return Ok(PointOutcome {
-                    value,
-                    sim_cycles,
-                    wall: t0.elapsed(),
-                    artifacts: PointArtifacts::default(),
-                });
-            }
-            cache.invalidate(key);
-        }
-    }
-    let (value, sim_cycles, artifacts) = match spec.work {
-        PointWork::Bandwidth {
-            transfer,
-            scheme,
-            order,
-        } => {
-            let (bw, cycles, artifacts) =
-                bandwidth_point_reusing(slot, &spec.cfg, transfer, scheme, order, obs)?;
-            (PointValue::Bandwidth(bw), cycles, artifacts)
-        }
-        PointWork::Latency {
-            dwords,
-            scheme,
-            residency,
-        } => {
-            let (lat, cycles, artifacts) =
-                fig5::latency_point_reusing(slot, &spec.cfg, dwords, scheme, residency, obs)?;
-            (PointValue::Latency(lat), cycles, artifacts)
-        }
+    let Some(cache) = cache else {
+        let (output, artifacts) = point.simulate(slot, obs)?;
+        return Ok((output, t0.elapsed(), artifacts));
     };
-    if let Some(cache) = &cache {
-        cache.note_miss();
-        cache.store(key, &encode_point_payload(value, sim_cycles));
+    let key = point.cache_key();
+    if let Some(payload) = cache.load(key) {
+        if let Some(output) = point.decode(&payload) {
+            cache.note_hit();
+            return Ok((output, t0.elapsed(), PointArtifacts::default()));
+        }
+        cache.invalidate(key);
     }
-    Ok(PointOutcome {
-        value,
-        sim_cycles,
-        wall: t0.elapsed(),
-        artifacts,
-    })
+    let (output, artifacts) = point.simulate(slot, obs)?;
+    cache.note_miss();
+    cache.store(key, &P::encode(&output));
+    Ok((output, t0.elapsed(), artifacts))
 }
 
-/// Content-address of one sweep point: snapshot format version (inside
-/// [`PointCache::key_debug`]) + machine configuration + workload + fault
-/// seed.
-/// The display label is deliberately excluded — the same point reached
-/// from different sweeps shares one entry.
+/// A sweep's outputs in point order, one [`LabeledArtifacts`] per point,
+/// and its [`RunReport`].
+pub(crate) type Swept<O> = (Vec<O>, Vec<LabeledArtifacts>, RunReport);
+
+/// Runs every point on `jobs` workers (`0` = all cores). Returns the
+/// outputs in point order, one [`LabeledArtifacts`] per point, and the
+/// sweep's [`RunReport`]. Each worker threads one simulator slot through
+/// its whole queue, so every point after a worker's first runs on a
+/// warm-reset simulator.
 ///
-/// [`PointCache`]: crate::cache::PointCache
-fn point_cache_key(spec: &PointSpec, seed: u64) -> u64 {
-    crate::cache::PointCache::key_debug(&[&spec.cfg, &spec.work], seed)
-}
-
-/// Whether a cached value's kind matches what the spec would measure (a
-/// key collision guard; mismatches invalidate and re-simulate).
-fn kind_matches(spec: &PointSpec, value: PointValue) -> bool {
-    matches!(
-        (&spec.work, value),
-        (PointWork::Bandwidth { .. }, PointValue::Bandwidth(_))
-            | (PointWork::Latency { .. }, PointValue::Latency(_))
-    )
-}
-
-fn encode_point_payload(value: PointValue, sim_cycles: u64) -> Vec<u8> {
-    let mut w = csb_snap::SnapshotWriter::new();
-    w.put_tag("pt");
-    match value {
-        PointValue::Bandwidth(b) => {
-            w.put_u8(0);
-            w.put_f64(b);
+/// # Errors
+///
+/// The failure of the lowest-indexed failing point — exactly what a
+/// serial `?`-loop would report.
+pub(crate) fn run_sweep<P: SweepPoint>(
+    points: &[P],
+    jobs: usize,
+    obs: ObsConfig<'_>,
+) -> Result<Swept<P::Output>, ExpError> {
+    let jobs = if jobs == 0 { default_jobs() } else { jobs };
+    let cache = obs.cache.filter(|_| !obs.any());
+    let cache_before = cache.map(PointCache::stats);
+    let t0 = Instant::now();
+    let results = parallel_map_with(
+        points,
+        jobs,
+        || None,
+        |slot, point| execute(slot, point, obs, cache),
+    );
+    let wall = t0.elapsed();
+    let workers = jobs.min(points.len()).max(1);
+    let mut report = RunReport {
+        jobs: workers,
+        points: points.len(),
+        wall,
+        capacity: wall * workers as u32,
+        ..RunReport::default()
+    };
+    let mut outputs = Vec::with_capacity(points.len());
+    let mut labeled = Vec::with_capacity(points.len());
+    for (point, result) in points.iter().zip(results) {
+        let (output, wall, artifacts) = result?;
+        let sim_cycles = P::sim_cycles(&output);
+        let label = point.label();
+        report.busy += wall;
+        report.sim_cycles += sim_cycles;
+        if report.slowest.as_ref().is_none_or(|(_, d)| wall > *d) {
+            report.slowest = Some((label.clone(), wall));
         }
-        PointValue::Latency(c) => {
-            w.put_u8(1);
-            w.put_u64(c);
+        if let Some(point_metrics) = &artifacts.metrics {
+            report
+                .metrics
+                .get_or_insert_with(MetricsSnapshot::default)
+                .merge(&point_metrics.metrics);
+        }
+        labeled.push(LabeledArtifacts {
+            label,
+            value: P::value(&output),
+            sim_cycles,
+            wall,
+            seed: point.seed(),
+            config_hash: point.config_hash(),
+            artifacts,
+        });
+        outputs.push(output);
+    }
+    if let (Some(cache), Some(before)) = (cache, cache_before) {
+        let delta = cache.stats().delta(&before);
+        if delta.any() {
+            report.cache = Some(delta);
+            // Surface the pair in the metrics aggregate too, so a metrics
+            // consumer sees cache effectiveness alongside the counters.
+            let m = report.metrics.get_or_insert_with(MetricsSnapshot::default);
+            m.counters.insert("cache.hit".to_string(), delta.hits);
+            m.counters.insert("cache.miss".to_string(), delta.misses);
         }
     }
-    w.put_u64(sim_cycles);
-    w.finish()
+    Ok((outputs, labeled, report))
 }
 
-fn decode_point_payload(bytes: &[u8]) -> Option<(PointValue, u64)> {
-    let mut r = csb_snap::SnapshotReader::new(bytes);
-    r.take_tag("pt").ok()?;
-    let value = match r.take_u8().ok()? {
-        0 => PointValue::Bandwidth(r.take_f64().ok()?),
-        1 => PointValue::Latency(r.take_u64().ok()?),
-        _ => return None,
-    };
-    let sim_cycles = r.take_u64().ok()?;
-    // `SnapshotWriter::finish` appends a checksum; the framed cache entry
-    // already verified integrity, so just consume it.
-    let _checksum = r.take_u64().ok()?;
-    r.expect_end("cached point payload").ok()?;
-    Some((value, sim_cycles))
+impl SweepPoint for PointSpec {
+    type Output = (PointValue, u64);
+
+    fn label(&self) -> String {
+        self.label.clone()
+    }
+
+    fn config_hash(&self) -> u64 {
+        csb_obs::hash_config(&format!("{:?} {:?}", self.cfg, self.work))
+    }
+
+    /// Snapshot format version (inside [`PointCache::key_debug`]) +
+    /// machine configuration + workload. The display label is deliberately
+    /// excluded — the same point reached from different sweeps shares one
+    /// entry.
+    fn cache_key(&self) -> u64 {
+        PointCache::key_debug(&[&self.cfg, &self.work], 0)
+    }
+
+    fn simulate(
+        &self,
+        slot: &mut Option<Simulator>,
+        obs: ObsConfig<'_>,
+    ) -> Result<(Self::Output, PointArtifacts), ExpError> {
+        let (value, sim_cycles, artifacts) = self.work.measure(slot, &self.cfg, obs)?;
+        Ok(((value, sim_cycles), artifacts))
+    }
+
+    fn encode(&(value, sim_cycles): &Self::Output) -> Vec<u8> {
+        let mut w = csb_snap::SnapshotWriter::new();
+        w.put_tag("pt");
+        match value {
+            PointValue::Bandwidth(b) => {
+                w.put_u8(0);
+                w.put_f64(b);
+            }
+            PointValue::Latency(c) => {
+                w.put_u8(1);
+                w.put_u64(c);
+            }
+        }
+        w.put_u64(sim_cycles);
+        w.finish()
+    }
+
+    /// Besides the byte layout, checks that the cached value's kind is
+    /// what the spec measures (a key-collision guard).
+    fn decode(&self, payload: &[u8]) -> Option<Self::Output> {
+        let mut r = csb_snap::SnapshotReader::new(payload);
+        r.take_tag("pt").ok()?;
+        let value = match (r.take_u8().ok()?, &self.work) {
+            (0, PointWork::Bandwidth { .. }) => PointValue::Bandwidth(r.take_f64().ok()?),
+            (1, PointWork::Latency { .. }) => PointValue::Latency(r.take_u64().ok()?),
+            _ => return None,
+        };
+        let sim_cycles = r.take_u64().ok()?;
+        // `SnapshotWriter::finish` appends a checksum; the framed cache
+        // entry already verified integrity, so just consume it.
+        let _checksum = r.take_u64().ok()?;
+        r.expect_end("cached point payload").ok()?;
+        Some((value, sim_cycles))
+    }
+
+    fn value(&(value, _): &Self::Output) -> PointValue {
+        value
+    }
+
+    fn sim_cycles(&(_, sim_cycles): &Self::Output) -> u64 {
+        sim_cycles
+    }
 }
 
 /// The number of workers `jobs = 0` ("all cores") resolves to.
@@ -398,10 +591,8 @@ where
 pub struct RunReport {
     /// Worker count the sweep ran with.
     pub jobs: usize,
-    /// Points executed (including failed ones).
+    /// Points executed.
     pub points: usize,
-    /// Points that returned an error.
-    pub errors: usize,
     /// Wall-clock for the whole sweep (enumeration to reassembly).
     pub wall: Duration,
     /// Sum of per-point wall-clock across all workers.
@@ -419,9 +610,9 @@ pub struct RunReport {
     /// Aggregate metrics across every observed point (present only when a
     /// sweep ran with [`ObsConfig::metrics`]).
     pub metrics: Option<MetricsSnapshot>,
-    /// Point-cache effectiveness over this sweep (present only when a
-    /// cache was active — see [`crate::cache::set_active`]).
-    pub cache: Option<crate::cache::CacheStats>,
+    /// Point-cache effectiveness over this sweep (present only when the
+    /// sweep consulted an [`ObsConfig::cache`]).
+    pub cache: Option<CacheStats>,
 }
 
 impl RunReport {
@@ -457,7 +648,6 @@ impl RunReport {
         self.capacity = self.pool_capacity() + other.pool_capacity();
         self.jobs = self.jobs.max(other.jobs);
         self.points += other.points;
-        self.errors += other.errors;
         self.wall += other.wall;
         self.busy += other.busy;
         self.sim_cycles += other.sim_cycles;
@@ -494,9 +684,6 @@ impl RunReport {
             self.jobs.max(1),
             self.wall.as_secs_f64()
         ));
-        if self.errors > 0 {
-            out.push_str(&format!(" ({} failed)", self.errors));
-        }
         out.push('\n');
         let wall = self.wall.as_secs_f64();
         let per_point = if self.points > 0 {
@@ -544,100 +731,9 @@ impl RunReport {
     }
 }
 
-/// Executes every spec on `jobs` workers, returning per-point results in
-/// spec order plus the sweep's [`RunReport`].
-pub fn run_points(
-    specs: &[PointSpec],
-    jobs: usize,
-) -> (Vec<Result<PointOutcome, ExpError>>, RunReport) {
-    run_points_observed(specs, jobs, ObsConfig::default())
-}
-
-/// [`run_points`] with artifact capture: every point runs with tracing
-/// and/or metrics enabled per `obs`, outcomes carry their
-/// [`PointArtifacts`], and (when metrics are on) the report aggregates a
-/// merged [`MetricsSnapshot`] across all points.
-pub fn run_points_observed(
-    specs: &[PointSpec],
-    jobs: usize,
-    obs: ObsConfig,
-) -> (Vec<Result<PointOutcome, ExpError>>, RunReport) {
-    let jobs = if jobs == 0 { default_jobs() } else { jobs };
-    let cache_before = crate::cache::active_stats();
-    let t0 = Instant::now();
-    // Each worker threads one simulator slot through its whole queue, so
-    // every point after a worker's first runs on a warm-reset simulator.
-    let results = parallel_map_with(
-        specs,
-        jobs,
-        || None,
-        |slot, spec| execute_point_reusing(slot, spec, obs),
-    );
-    let wall = t0.elapsed();
-    let workers = jobs.min(specs.len()).max(1);
-    let mut report = RunReport {
-        jobs: workers,
-        points: specs.len(),
-        wall,
-        capacity: wall * workers as u32,
-        ..RunReport::default()
-    };
-    for (spec, result) in specs.iter().zip(&results) {
-        match result {
-            Ok(outcome) => {
-                report.busy += outcome.wall;
-                report.sim_cycles += outcome.sim_cycles;
-                let slower = report
-                    .slowest
-                    .as_ref()
-                    .is_none_or(|(_, d)| outcome.wall > *d);
-                if slower {
-                    report.slowest = Some((spec.label.clone(), outcome.wall));
-                }
-                if let Some(point_metrics) = &outcome.artifacts.metrics {
-                    report
-                        .metrics
-                        .get_or_insert_with(MetricsSnapshot::default)
-                        .merge(&point_metrics.metrics);
-                }
-            }
-            Err(_) => report.errors += 1,
-        }
-    }
-    if let (Some(before), Some(after)) = (cache_before, crate::cache::active_stats()) {
-        // A cache was installed but no point consulted it (e.g. every
-        // point captured artifacts): nothing to report.
-        let delta = after.delta(&before);
-        if delta.any() {
-            report.cache = Some(delta);
-            // Surface the pair in the metrics aggregate too, so a metrics
-            // consumer sees cache effectiveness alongside the counters.
-            let m = report.metrics.get_or_insert_with(MetricsSnapshot::default);
-            m.counters.insert("cache.hit".to_string(), delta.hits);
-            m.counters.insert("cache.miss".to_string(), delta.misses);
-        }
-    }
-    (results, report)
-}
-
-/// Executes every spec and unwraps the values, failing with the error of
-/// the *lowest-indexed* failing point — exactly what a serial `?`-loop
-/// would report.
-///
-/// # Errors
-///
-/// The first (in spec order) point failure.
-pub fn run_values(
-    specs: &[PointSpec],
-    jobs: usize,
-) -> Result<(Vec<PointValue>, RunReport), ExpError> {
-    let (values, _, report) = run_values_observed(specs, jobs, ObsConfig::default())?;
-    Ok((values, report))
-}
-
-/// [`run_values`] with artifact capture: also returns one
-/// [`LabeledArtifacts`] per spec, in spec order (empty artifacts when
-/// `obs` captures nothing).
+/// Executes every spec on `jobs` workers (`0` = all cores): the values in
+/// spec order, one [`LabeledArtifacts`] per spec (empty artifacts when
+/// `obs` captures nothing), and the sweep's [`RunReport`].
 ///
 /// # Errors
 ///
@@ -645,24 +741,10 @@ pub fn run_values(
 pub fn run_values_observed(
     specs: &[PointSpec],
     jobs: usize,
-    obs: ObsConfig,
+    obs: ObsConfig<'_>,
 ) -> Result<(Vec<PointValue>, Vec<LabeledArtifacts>, RunReport), ExpError> {
-    let (results, report) = run_points_observed(specs, jobs, obs);
-    let mut values = Vec::with_capacity(results.len());
-    let mut artifacts = Vec::with_capacity(results.len());
-    for (spec, r) in specs.iter().zip(results) {
-        let outcome = r?;
-        values.push(outcome.value);
-        artifacts.push(LabeledArtifacts {
-            label: spec.label.clone(),
-            value: outcome.value,
-            sim_cycles: outcome.sim_cycles,
-            wall: outcome.wall,
-            seed: 0,
-            config_hash: csb_obs::hash_config(&format!("{:?} {:?}", spec.cfg, spec.work)),
-            artifacts: outcome.artifacts,
-        });
-    }
+    let (outputs, artifacts, report) = run_sweep(specs, jobs, obs)?;
+    let values = outputs.into_iter().map(|(value, _)| value).collect();
     Ok((values, artifacts, report))
 }
 
@@ -710,21 +792,9 @@ impl BandwidthPanelSpec {
     }
 }
 
-/// Runs a set of bandwidth panels through the engine.
-///
-/// # Errors
-///
-/// The first (in enumeration order) point failure.
-pub fn run_bandwidth_panels(
-    panels: &[BandwidthPanelSpec],
-    jobs: usize,
-) -> Result<(Vec<BandwidthPanel>, RunReport), ExpError> {
-    let (assembled, _, report) = run_bandwidth_panels_observed(panels, jobs, ObsConfig::default())?;
-    Ok((assembled, report))
-}
-
-/// [`run_bandwidth_panels`] with artifact capture: also returns one
-/// [`LabeledArtifacts`] per enumerated point, in enumeration order.
+/// Runs a set of bandwidth panels through the engine on `jobs` workers
+/// (`0` = all cores): the assembled panels, one [`LabeledArtifacts`] per
+/// enumerated point in enumeration order, and the sweep's [`RunReport`].
 ///
 /// # Errors
 ///
@@ -732,7 +802,7 @@ pub fn run_bandwidth_panels(
 pub fn run_bandwidth_panels_observed(
     panels: &[BandwidthPanelSpec],
     jobs: usize,
-    obs: ObsConfig,
+    obs: ObsConfig<'_>,
 ) -> Result<(Vec<BandwidthPanel>, Vec<LabeledArtifacts>, RunReport), ExpError> {
     let specs: Vec<PointSpec> = panels
         .iter()
@@ -822,21 +892,9 @@ impl LatencyPanelSpec {
     }
 }
 
-/// Runs a set of latency panels through the engine.
-///
-/// # Errors
-///
-/// The first (in enumeration order) point failure.
-pub fn run_latency_panels(
-    panels: &[LatencyPanelSpec],
-    jobs: usize,
-) -> Result<(Vec<LatencyPanel>, RunReport), ExpError> {
-    let (assembled, _, report) = run_latency_panels_observed(panels, jobs, ObsConfig::default())?;
-    Ok((assembled, report))
-}
-
-/// [`run_latency_panels`] with artifact capture: also returns one
-/// [`LabeledArtifacts`] per enumerated point, in enumeration order.
+/// Runs a set of latency panels through the engine on `jobs` workers
+/// (`0` = all cores): the assembled panels, one [`LabeledArtifacts`] per
+/// enumerated point in enumeration order, and the sweep's [`RunReport`].
 ///
 /// # Errors
 ///
@@ -844,7 +902,7 @@ pub fn run_latency_panels(
 pub fn run_latency_panels_observed(
     panels: &[LatencyPanelSpec],
     jobs: usize,
-    obs: ObsConfig,
+    obs: ObsConfig<'_>,
 ) -> Result<(Vec<LatencyPanel>, Vec<LabeledArtifacts>, RunReport), ExpError> {
     let specs: Vec<PointSpec> = panels
         .iter()
@@ -974,7 +1032,7 @@ mod tests {
 
     #[test]
     fn run_points_first_error_wins() {
-        // Two invalid transfers among valid points: run_values must report
+        // Two invalid transfers among valid points: the engine must report
         // the lowest-indexed failure regardless of worker count.
         let cfg = SimConfig::default();
         let point = |transfer: usize| PointSpec {
@@ -989,7 +1047,7 @@ mod tests {
         // transfer=7 is not a multiple of 8 → workload error.
         let specs = vec![point(16), point(7), point(32), point(3)];
         for jobs in [1, 4] {
-            let err = run_values(&specs, jobs).unwrap_err();
+            let err = run_values_observed(&specs, jobs, ObsConfig::default()).unwrap_err();
             match err {
                 ExpError::Workload(crate::workloads::WorkloadError::BadTransfer { bytes }) => {
                     assert_eq!(bytes, 7, "jobs={jobs} must surface the first failure");
@@ -1010,8 +1068,11 @@ mod tests {
                 .expect("static test bus config is valid"),
         );
         let spec = BandwidthPanelSpec::new("t", "serial/parallel equivalence", cfg);
-        let (serial, r1) = run_bandwidth_panels(std::slice::from_ref(&spec), 1).unwrap();
-        let (parallel, r4) = run_bandwidth_panels(std::slice::from_ref(&spec), 4).unwrap();
+        let obs = ObsConfig::default();
+        let (serial, _, r1) =
+            run_bandwidth_panels_observed(std::slice::from_ref(&spec), 1, obs).unwrap();
+        let (parallel, _, r4) =
+            run_bandwidth_panels_observed(std::slice::from_ref(&spec), 4, obs).unwrap();
         assert_eq!(
             serde_json::to_string(&serial).unwrap(),
             serde_json::to_string(&parallel).unwrap()
@@ -1026,8 +1087,11 @@ mod tests {
     #[test]
     fn latency_panel_parallel_matches_serial() {
         let spec = fig5::panel_spec(&SimConfig::default(), LockResidency::Hit);
-        let (serial, _) = run_latency_panels(std::slice::from_ref(&spec), 1).unwrap();
-        let (parallel, _) = run_latency_panels(std::slice::from_ref(&spec), 3).unwrap();
+        let obs = ObsConfig::default();
+        let (serial, _, _) =
+            run_latency_panels_observed(std::slice::from_ref(&spec), 1, obs).unwrap();
+        let (parallel, _, _) =
+            run_latency_panels_observed(std::slice::from_ref(&spec), 3, obs).unwrap();
         assert_eq!(
             serde_json::to_string(&serial).unwrap(),
             serde_json::to_string(&parallel).unwrap()
@@ -1049,7 +1113,6 @@ mod tests {
         let b = RunReport {
             jobs: 1,
             points: 1,
-            errors: 1,
             wall: Duration::from_secs(1),
             busy: Duration::from_secs(1),
             sim_cycles: 50,
@@ -1059,7 +1122,6 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.jobs, 2);
         assert_eq!(a.points, 5);
-        assert_eq!(a.errors, 1);
         assert_eq!(a.sim_cycles, 150);
         assert_eq!(a.slowest.as_ref().unwrap().0, "b");
         // Capacity is per-sweep wall × jobs: 2s × 2 + 1s × 1 = 5s — NOT
@@ -1119,6 +1181,7 @@ mod tests {
         let obs = ObsConfig {
             trace: true,
             metrics: true,
+            ..ObsConfig::default()
         };
         let (values, artifacts, report) = run_values_observed(&specs, 2, obs).unwrap();
         assert_eq!(values.len(), 2);
@@ -1155,10 +1218,32 @@ mod tests {
                 order: StoreOrder::Ascending,
             },
         }];
-        let (results, report) = run_points(&specs, 1);
-        let outcome = results[0].as_ref().unwrap();
-        assert!(outcome.artifacts.is_empty());
+        let (_, artifacts, report) = run_values_observed(&specs, 1, ObsConfig::default()).unwrap();
+        assert!(artifacts[0].artifacts.is_empty());
         assert!(report.metrics.is_none());
+    }
+
+    #[test]
+    fn default_jobs_report_fills_the_pool() {
+        // `jobs = 0` resolves to every core, capped at the point count, and
+        // the capacity, utilization and slowest point follow from it.
+        let specs: Vec<PointSpec> = [16usize, 32, 64]
+            .iter()
+            .map(|&transfer| PointSpec {
+                label: format!("pool/{transfer}B"),
+                cfg: SimConfig::default(),
+                work: PointWork::Bandwidth {
+                    transfer,
+                    scheme: Scheme::Csb,
+                    order: StoreOrder::Ascending,
+                },
+            })
+            .collect();
+        let (_, _, report) = run_values_observed(&specs, 0, ObsConfig::default()).unwrap();
+        assert_eq!(report.jobs, default_jobs().min(specs.len()));
+        assert_eq!(report.pool_capacity(), report.wall * report.jobs as u32);
+        assert!(report.slowest.is_some(), "{}", report.render());
+        assert!(report.render().contains("slowest point"));
     }
 
     #[test]
@@ -1170,6 +1255,7 @@ mod tests {
         let obs = ObsConfig {
             trace: true,
             metrics: true,
+            ..ObsConfig::default()
         };
         let specs = spec.enumerate();
         let short: Vec<PointSpec> = specs.into_iter().take(6).collect();

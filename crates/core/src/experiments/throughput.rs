@@ -7,8 +7,8 @@
 //! the measured region, then `reps` executions run back to back through
 //! it, each a warm reset ([`Simulator::reset_with`], including the lock
 //! line warm/evict replay) followed by the simulation loop — exactly the
-//! per-worker reuse path [`super::runner::run_points`] takes after its
-//! first point. Fast-forward is toggled per leg, and the measured values
+//! per-worker reuse path the sweep engine takes after a worker's first
+//! point. Fast-forward is toggled per leg, and the measured values
 //! of both legs are asserted identical, so the throughput bench doubles
 //! as one more differential check. `runner_bench` serializes the
 //! resulting [`ThroughputReport`] to `BENCH_sim_throughput.json`.
@@ -21,8 +21,8 @@ use super::runner::{PointSpec, PointValue, PointWork};
 use super::{contend, fig4, fig5, ExpError, Scheme, POINT_LIMIT};
 use crate::config::SimConfig;
 use crate::multiproc::{MultiSim, SchedulerMode, SwitchPolicy};
-use crate::sim::{RunSummary, Simulator};
-use crate::workloads::{self, StoreOrder, MARK_END, MARK_START};
+use crate::sim::Simulator;
+use crate::workloads::{self, StoreOrder};
 
 /// Before/after throughput for one figure point.
 #[derive(Debug, Clone, Serialize)]
@@ -183,18 +183,7 @@ fn prepare_into<'a>(
     spec: &PointSpec,
     fast_forward: bool,
 ) -> Result<&'a mut Simulator, ExpError> {
-    let sim = match spec.work {
-        PointWork::Bandwidth {
-            transfer,
-            scheme,
-            order,
-        } => super::bandwidth_sim_into(slot, &spec.cfg, transfer, scheme, order)?,
-        PointWork::Latency {
-            dwords,
-            scheme,
-            residency,
-        } => fig5::latency_sim_into(slot, &spec.cfg, dwords, scheme, residency)?,
-    };
+    let sim = spec.work.install(slot, &spec.cfg)?;
     sim.set_fast_forward(fast_forward);
     Ok(sim)
 }
@@ -205,18 +194,6 @@ fn prepare(spec: &PointSpec, fast_forward: bool) -> Result<Simulator, ExpError> 
     let mut slot = None;
     prepare_into(&mut slot, spec, fast_forward)?;
     Ok(slot.expect("slot was just filled"))
-}
-
-/// Extracts the figure value a completed run measured.
-fn point_value(work: &PointWork, summary: &RunSummary) -> Result<PointValue, ExpError> {
-    match work {
-        PointWork::Bandwidth { .. } => Ok(PointValue::Bandwidth(summary.bus.effective_bandwidth())),
-        PointWork::Latency { .. } => summary
-            .cpu
-            .mark_interval(MARK_START, MARK_END)
-            .map(PointValue::Latency)
-            .ok_or(ExpError::MissingMark),
-    }
 }
 
 /// One timed sample: `reps` executions back to back through one reused
@@ -244,7 +221,7 @@ fn sample(
     }
     let wall = t0.elapsed().as_secs_f64();
     let last = last.expect("at least one rep ran");
-    let value = point_value(&spec.work, &last)?;
+    let value = spec.work.value(&last)?;
     Ok((wall / reps as f64, total as f64 / wall, value, last.cycles))
 }
 

@@ -68,7 +68,7 @@ pub use config::{SimConfig, SimConfigError, COMBINING_BASE, LOCK_ADDR, UNCACHED_
 pub use csb_faults::{FaultConfig, FaultInjector, FaultKind, FaultStats, FaultWindow};
 pub use device::{DeliveredWrite, IoDevice};
 pub use sim::{
-    default_fast_forward, set_default_fast_forward, ActorState, LivelockReport, LivelockTrigger,
-    MetricsReport, RunSummary, SimError, Simulator, WatchdogConfig,
+    ActorState, LivelockReport, LivelockTrigger, MetricsReport, RunSummary, SimError, Simulator,
+    WatchdogConfig,
 };
 pub use snapshot::{RestoreError, SNAPSHOT_FORMAT_VERSION, SNAPSHOT_MAGIC};

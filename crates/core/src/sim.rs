@@ -2,7 +2,6 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
 
 use csb_bus::{BusStats, SystemBus, TxnKind};
 use csb_cpu::{Cpu, CpuHorizon, CpuStats, MemPort, Pid, StallCause};
@@ -856,22 +855,6 @@ pub struct MetricsReport {
     pub metrics: MetricsSnapshot,
 }
 
-/// Default for [`Simulator`]'s fast-forward switch (process-wide).
-static DEFAULT_FAST_FORWARD: AtomicBool = AtomicBool::new(true);
-
-/// Sets the process-wide default for event-driven fast-forward in newly
-/// built [`Simulator`]s (the `--no-fast-forward` escape hatch on the
-/// bench binaries). Existing simulators are unaffected; use
-/// [`Simulator::set_fast_forward`] for those.
-pub fn set_default_fast_forward(on: bool) {
-    DEFAULT_FAST_FORWARD.store(on, Ordering::Relaxed);
-}
-
-/// The current process-wide default for event-driven fast-forward.
-pub fn default_fast_forward() -> bool {
-    DEFAULT_FAST_FORWARD.load(Ordering::Relaxed)
-}
-
 /// Aggregated results of a simulation run.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct RunSummary {
@@ -986,7 +969,7 @@ impl Simulator {
             cfg,
             cpu,
             machine,
-            fast_forward: default_fast_forward(),
+            fast_forward: true,
             bus_countdown: 0,
             ticks: 0,
             watchdog: WatchdogConfig::default(),
@@ -1047,7 +1030,7 @@ impl Simulator {
         self.cpu
             .reset_with(cfg.cpu, program, csb_cpu::CpuContext::new(0));
         self.cfg = cfg;
-        self.fast_forward = default_fast_forward();
+        self.fast_forward = true;
         self.bus_countdown = 0;
         self.ticks = 0;
         self.watchdog = WatchdogConfig::default();
@@ -1412,8 +1395,7 @@ impl Simulator {
 
     /// Enables or disables event-driven fast-forward for this simulator.
     ///
-    /// When enabled (the default, unless overridden process-wide with
-    /// [`set_default_fast_forward`]), [`Simulator::advance`] jumps the
+    /// When enabled (the default), [`Simulator::advance`] jumps the
     /// clock over cycles in which provably nothing can happen — the CPU
     /// pipeline is stalled or drained and no bus slot or uncached
     /// completion falls in the gap — bulk-updating cycle counters and
@@ -1645,9 +1627,6 @@ impl Simulator {
     /// NACKing every delivery, or conditional-flush retries that can
     /// never succeed).
     pub fn run(&mut self, limit: u64) -> Result<RunSummary, SimError> {
-        if let Some(auto) = crate::snapshot::autosnap() {
-            return self.run_autosnap(limit, &auto);
-        }
         while !self.complete() {
             if self.cpu.now() >= limit {
                 return Err(SimError::CycleLimit { limit });

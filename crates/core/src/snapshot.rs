@@ -48,11 +48,10 @@
 //! # }
 //! ```
 
-use std::fmt;
-use std::path::PathBuf;
-use std::sync::Mutex;
+use std::fmt::{self, Write as _};
+use std::path::Path;
 
-use csb_isa::Program;
+use csb_isa::{Inst, Program};
 use csb_snap::{fnv1a, SnapshotError, SnapshotReader, SnapshotWriter};
 
 use crate::config::SimConfig;
@@ -72,9 +71,20 @@ pub fn config_fingerprint(cfg: &SimConfig) -> u64 {
     fnv1a(format!("{cfg:?}").as_bytes())
 }
 
-/// FNV-1a fingerprint of a program, as embedded in snapshot frames.
+/// FNV-1a fingerprint of a program, as embedded in snapshot frames: each
+/// instruction plus, for a branch, its resolved target. `Program`'s
+/// `Debug` is not used: it renders the branch-target map in hash order,
+/// which differs between two builds of the same program, so a frame
+/// would not restore against a regenerated program.
 pub fn program_fingerprint(program: &Program) -> u64 {
-    fnv1a(format!("{program:?}").as_bytes())
+    let mut text = String::new();
+    for inst in program.iter() {
+        let _ = write!(text, "{inst:?};");
+        if let Inst::Branch { .. } = inst {
+            let _ = write!(text, "->{};", program.branch_target(inst));
+        }
+    }
+    fnv1a(text.as_bytes())
 }
 
 /// Why [`Simulator::restore`] refused a snapshot.
@@ -187,16 +197,15 @@ impl Simulator {
         Ok(())
     }
 
-    /// The [`Simulator::run`] loop with periodic snapshot dumps, used
-    /// when an [`AutosnapConfig`] is installed: every `every` CPU cycles
-    /// the full machine state is written to
-    /// `dir/snap-<cfg fp><program fp>-<cycle>.bin`. Write failures are
-    /// swallowed — autosnap is a forensic aid, never a correctness
+    /// The [`Simulator::run`] loop with periodic snapshot dumps: every
+    /// `auto.every` CPU cycles the full machine state is written to
+    /// `auto.dir/snap-<cfg fp><program fp>-<cycle>.bin`. Write failures
+    /// are swallowed — autosnap is a forensic aid, never a correctness
     /// dependency — and results are byte-identical to a plain run.
     pub(crate) fn run_autosnap(
         &mut self,
         limit: u64,
-        auto: &AutosnapConfig,
+        auto: AutosnapConfig<'_>,
     ) -> Result<crate::RunSummary, SimError> {
         let cfg_fp = config_fingerprint(self.config());
         let prog_fp = program_fingerprint(self.cpu().program());
@@ -221,30 +230,18 @@ impl Simulator {
     }
 }
 
-/// Periodic snapshot dumping for every [`Simulator::run`] in the
-/// process (see [`set_autosnap`]).
-#[derive(Debug, Clone)]
-pub struct AutosnapConfig {
+/// Periodic snapshot dumping for the points of a sweep, carried in the
+/// sweep's [`ObsConfig`](crate::experiments::runner::ObsConfig): every
+/// `every` CPU cycles of each simulated point, a restorable snapshot goes
+/// into `dir`, named by the machine's configuration and program
+/// fingerprints plus the cycle. The bench binaries wire this to
+/// `--snapshot-every` so a long or misbehaving point can be resumed and
+/// dissected from the nearest dump instead of re-simulated from cycle
+/// zero.
+#[derive(Debug, Clone, Copy)]
+pub struct AutosnapConfig<'a> {
     /// CPU cycles between dumps.
     pub every: u64,
     /// Directory the `snap-*.bin` files go to.
-    pub dir: PathBuf,
-}
-
-static AUTOSNAP: Mutex<Option<AutosnapConfig>> = Mutex::new(None);
-
-/// Installs (or with `None` removes) process-wide periodic snapshotting:
-/// every subsequent [`Simulator::run`] dumps a restorable snapshot every
-/// `every` CPU cycles into `dir`, named by the machine's configuration
-/// and program fingerprints plus the cycle. The bench binaries wire this
-/// to `--snapshot-every` so a long or misbehaving point can be resumed
-/// and dissected from the nearest dump instead of re-simulated from
-/// cycle zero.
-pub fn set_autosnap(cfg: Option<AutosnapConfig>) {
-    *AUTOSNAP.lock().expect("autosnap registry poisoned") = cfg;
-}
-
-/// The installed autosnap configuration, if any.
-pub fn autosnap() -> Option<AutosnapConfig> {
-    AUTOSNAP.lock().expect("autosnap registry poisoned").clone()
+    pub dir: &'a Path,
 }

@@ -11,6 +11,7 @@
 //! Run with: `cargo run --example pio_vs_dma`
 
 use csb_core::dma::{DmaModel, PioMethod, MESSAGE_SIZES};
+use csb_core::experiments::runner::ObsConfig;
 use csb_core::SimConfig;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -27,7 +28,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             PioMethod::Csb => "PIO = conditional store buffer",
         };
         println!("=== {name} ===");
-        let (rows, crossover) = model.break_even(&cfg, method, &MESSAGE_SIZES)?;
+        let (rows, crossover) =
+            model.break_even(&cfg, method, &MESSAGE_SIZES, ObsConfig::default())?;
         println!(
             "{:>8} {:>12} {:>12} {:>8}",
             "bytes", "PIO cycles", "DMA cycles", "winner"

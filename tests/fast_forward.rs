@@ -7,8 +7,9 @@
 //! difference is wall clock: a fully idle gap must cost O(1) real ticks.
 
 use csb_bus::BusConfig;
-use csb_core::experiments::fig5::{self, LockResidency};
-use csb_core::experiments::{bandwidth_point, Scheme};
+use csb_core::experiments::fig5::LockResidency;
+use csb_core::experiments::runner::{run_values_observed, ObsConfig, PointSpec, PointWork};
+use csb_core::experiments::Scheme;
 use csb_core::multiproc::{MultiSim, SwitchPolicy};
 use csb_core::{workloads, FaultConfig, SimConfig, SimError, Simulator, WatchdogConfig};
 use csb_isa::Program;
@@ -151,20 +152,52 @@ fn differential_lock_latency_hit_and_miss() {
     }
 }
 
-/// The figure entry points themselves produce identical values either way
-/// (they build their own simulators, so this exercises the process-wide
-/// default toggle).
+/// The sweep engine takes its fast-forward switch from the `ObsConfig` it
+/// is given: with the switch off, figure points run the naive loop (one
+/// real tick per cycle) and yield identical values and cycle counts.
 #[test]
-fn figure_points_identical_via_default_toggle() {
+fn figure_points_identical_via_obs_toggle() {
     let cfg = SimConfig::default();
-    let on_bw = bandwidth_point(&cfg, 256, Scheme::Csb).unwrap();
-    let on_lat = fig5::latency_point(&cfg, 4, Scheme::Csb, LockResidency::Miss).unwrap();
-    csb_core::set_default_fast_forward(false);
-    let off_bw = bandwidth_point(&cfg, 256, Scheme::Csb).unwrap();
-    let off_lat = fig5::latency_point(&cfg, 4, Scheme::Csb, LockResidency::Miss).unwrap();
-    csb_core::set_default_fast_forward(true);
-    assert_eq!(on_bw.to_bits(), off_bw.to_bits());
-    assert_eq!(on_lat, off_lat);
+    let specs = [
+        PointSpec {
+            label: "3e/256B/CSB".into(),
+            cfg: cfg.clone(),
+            work: PointWork::Bandwidth {
+                transfer: 256,
+                scheme: Scheme::Csb,
+                order: workloads::StoreOrder::Ascending,
+            },
+        },
+        PointSpec {
+            label: "5b/4dw/CSB".into(),
+            cfg: cfg.clone(),
+            work: PointWork::Latency {
+                dwords: 4,
+                scheme: Scheme::Csb,
+                residency: LockResidency::Miss,
+            },
+        },
+    ];
+    let on = ObsConfig::default();
+    let off = ObsConfig {
+        fast_forward: false,
+        ..ObsConfig::default()
+    };
+    let (on_values, on_points, _) = run_values_observed(&specs, 2, on).unwrap();
+    let (off_values, off_points, _) = run_values_observed(&specs, 2, off).unwrap();
+    assert_eq!(on_values, off_values);
+    for (a, b) in on_points.iter().zip(&off_points) {
+        assert_eq!(a.sim_cycles, b.sim_cycles, "{}", a.label);
+    }
+
+    // The switch really selects the loop.
+    let program = workloads::store_bandwidth(256, &cfg, workloads::StorePath::Csb).unwrap();
+    for (obs, naive) in [(on, false), (off, true)] {
+        let mut sim = Simulator::new(cfg.clone(), program.clone()).unwrap();
+        let summary = obs.simulate(&mut sim, 50_000_000).unwrap();
+        assert_eq!(sim.fast_forward_enabled(), !naive);
+        assert_eq!(sim.ticks() == summary.cycles, naive);
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -271,8 +304,6 @@ fn idle_gap_advances_in_constant_ticks() {
     let cfg = SimConfig::default();
     let program = workloads::lock_sequence(8).unwrap();
     let mut sim = Simulator::new(cfg, program).unwrap();
-    // Explicit (not via the process-wide default: a parallel test toggles
-    // that global).
     sim.set_fast_forward(true);
     sim.evict_line(csb_isa::Addr::new(csb_core::LOCK_ADDR));
     let s = sim.run(50_000_000).unwrap();

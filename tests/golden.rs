@@ -8,7 +8,8 @@
 use std::fs;
 use std::path::PathBuf;
 
-use csb_core::experiments::{bandwidth_panel, fig5};
+use csb_core::experiments::runner::{run_bandwidth_panels_observed, BandwidthPanelSpec, ObsConfig};
+use csb_core::experiments::{fig5, BandwidthPanel};
 use csb_core::SimConfig;
 
 fn golden_path(name: &str) -> PathBuf {
@@ -39,9 +40,18 @@ fn check_or_update<T: serde::Serialize>(name: &str, value: &T) {
     );
 }
 
+/// One bandwidth panel, run serially through the engine.
+fn bandwidth_panel(id: &str, title: &str, cfg: SimConfig) -> BandwidthPanel {
+    let spec = BandwidthPanelSpec::new(id, title, cfg);
+    let (mut panels, _, _) =
+        run_bandwidth_panels_observed(&[spec], 1, ObsConfig::default()).expect("panel simulates");
+    panels.remove(0)
+}
+
 #[test]
 fn fig5_panels_match_golden() {
-    let panels = fig5::run().expect("Figure 5 simulates");
+    let (panels, _, _) =
+        fig5::run_jobs_observed(1, ObsConfig::default()).expect("Figure 5 simulates");
     check_or_update("fig5.json", &panels);
 }
 
@@ -49,7 +59,7 @@ fn fig5_panels_match_golden() {
 fn fig3e_panel_matches_golden() {
     // The central Figure 3 panel: ratio 6, 64-byte line, idle bus.
     let cfg = SimConfig::default();
-    let panel = bandwidth_panel("3e", "ratio 6, 64B line", &cfg).expect("panel simulates");
+    let panel = bandwidth_panel("3e", "ratio 6, 64B line", cfg);
     check_or_update("fig3e.json", &panel);
 }
 
@@ -61,6 +71,6 @@ fn fig4a_panel_matches_golden() {
             .build()
             .expect("valid bus"),
     );
-    let panel = bandwidth_panel("4a", "16B split bus", &cfg).expect("panel simulates");
+    let panel = bandwidth_panel("4a", "16B split bus", cfg);
     check_or_update("fig4a.json", &panel);
 }

@@ -10,7 +10,7 @@ use std::path::PathBuf;
 
 use csb_core::experiments::fig5::{self, LockResidency};
 use csb_core::experiments::runner::{
-    execute_point_observed, run_values_observed, ObsConfig, PointSpec, PointWork,
+    run_values_observed, LabeledArtifacts, ObsConfig, PointSpec, PointWork,
 };
 use csb_core::experiments::{throughput, Scheme};
 use csb_core::{workloads, FaultConfig, SimConfig, Simulator};
@@ -18,10 +18,14 @@ use csb_isa::Program;
 use csb_obs::Track;
 use serde_json::Value;
 
-const FULL_OBS: ObsConfig = ObsConfig {
-    trace: true,
-    metrics: true,
-};
+/// Trace and metrics capture on, everything else at its default.
+fn full_obs() -> ObsConfig<'static> {
+    ObsConfig {
+        trace: true,
+        metrics: true,
+        ..ObsConfig::default()
+    }
+}
 
 /// A tiny fig5-style point: the CSB path of the 4-doubleword lock
 /// sequence on the paper's default machine.
@@ -35,6 +39,13 @@ fn csb_point() -> PointSpec {
             residency: LockResidency::Hit,
         },
     }
+}
+
+/// [`csb_point`] run through the engine with both captures on.
+fn observed_csb_point() -> LabeledArtifacts {
+    let (_, mut artifacts, _) =
+        run_values_observed(&[csb_point()], 1, full_obs()).expect("point simulates");
+    artifacts.remove(0)
 }
 
 /// Looks up a key in a JSON object value.
@@ -71,7 +82,7 @@ fn num_field(event: &Value, key: &str) -> Option<f64> {
 
 #[test]
 fn chrome_trace_is_schema_valid_with_distinct_tracks() {
-    let outcome = execute_point_observed(&csb_point(), FULL_OBS).expect("point simulates");
+    let outcome = observed_csb_point();
     let trace = outcome.artifacts.trace_json.expect("trace captured");
     let doc = serde_json::parse_value(&trace).expect("trace is valid JSON");
     let events = trace_events(&doc);
@@ -117,7 +128,7 @@ fn chrome_trace_is_schema_valid_with_distinct_tracks() {
 
 #[test]
 fn metrics_artifact_matches_simulator_stats() {
-    let outcome = execute_point_observed(&csb_point(), FULL_OBS).expect("point simulates");
+    let outcome = observed_csb_point();
     let report = outcome.artifacts.metrics.expect("metrics captured");
     // The acceptance invariant: one flush-retry-latency observation per
     // successful conditional flush.
@@ -167,8 +178,8 @@ fn artifacts_stable_across_worker_counts() {
             },
         })
         .collect();
-    let (v1, a1, _) = run_values_observed(&specs, 1, FULL_OBS).expect("serial sweep");
-    let (v4, a4, _) = run_values_observed(&specs, 4, FULL_OBS).expect("parallel sweep");
+    let (v1, a1, _) = run_values_observed(&specs, 1, full_obs()).expect("serial sweep");
+    let (v4, a4, _) = run_values_observed(&specs, 4, full_obs()).expect("parallel sweep");
     assert_eq!(v1, v4);
     assert_eq!(a1.len(), a4.len());
     for (x, y) in a1.iter().zip(&a4) {
@@ -187,11 +198,10 @@ fn artifacts_stable_across_worker_counts() {
 #[test]
 fn disabled_observability_keeps_tables_identical() {
     // The zero-cost-when-disabled claim, end to end: a run with capture
-    // off must produce the same panel bytes as one that never heard of
-    // observability.
-    let (plain, _) = fig5::run_jobs(2).expect("Figure 5 simulates");
-    let (observed, artifacts, _) =
+    // off captures nothing, and capture never changes the panel bytes.
+    let (plain, artifacts, _) =
         fig5::run_jobs_observed(2, ObsConfig::default()).expect("Figure 5 simulates");
+    let (observed, _, _) = fig5::run_jobs_observed(2, full_obs()).expect("Figure 5 simulates");
     assert_eq!(
         serde_json::to_string(&plain).unwrap(),
         serde_json::to_string(&observed).unwrap()
@@ -319,7 +329,7 @@ fn timeline_window_sums_match_run_totals() {
 
 #[test]
 fn golden_trace_snapshot() {
-    let outcome = execute_point_observed(&csb_point(), FULL_OBS).expect("point simulates");
+    let outcome = observed_csb_point();
     let trace = outcome.artifacts.trace_json.expect("trace captured");
     let path =
         PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden/trace_5a_4dw_csb.json");

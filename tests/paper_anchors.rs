@@ -176,7 +176,8 @@ fn anchor_latency_slopes() {
 /// dependencies."
 #[test]
 fn anchor_lock_overhead_width_insensitive() {
-    let rows = csb_core::experiments::ablations::superscalar_widths(4).unwrap();
+    let obs = csb_core::experiments::runner::ObsConfig::default();
+    let (rows, _, _) = csb_core::experiments::ablations::superscalar_widths(4, 1, obs).unwrap();
     let four = rows.iter().find(|r| r.width == 4).unwrap().lock_cycles;
     for r in &rows {
         assert!(

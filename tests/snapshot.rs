@@ -9,11 +9,15 @@
 //! entry is detected and transparently re-simulated, and changing one
 //! point's configuration invalidates exactly that point.
 
-use std::sync::{Arc, Mutex};
+use std::path::PathBuf;
+use std::sync::Barrier;
 
-use csb_core::experiments::runner::{run_values, PointSpec, PointWork};
-use csb_core::experiments::Scheme;
+use csb_core::experiments::runner::{
+    run_values_observed, ObsConfig, PointSpec, PointValue, PointWork, RunReport,
+};
+use csb_core::experiments::{ExpError, Scheme};
 use csb_core::multiproc::{MultiSim, SwitchPolicy};
+use csb_core::snapshot::{config_fingerprint, program_fingerprint, AutosnapConfig};
 use csb_core::workloads::{self, RetryPolicy, StoreOrder};
 use csb_core::{cache, FaultConfig, RestoreError, SimConfig, SimError, Simulator, WatchdogConfig};
 use csb_isa::Program;
@@ -411,22 +415,38 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Point-cache contract. The cache is process-global, so these tests
-// serialize on one lock and install/remove their own stores.
+// Point-cache contract. Each test opens its own store and hands it to the
+// sweep in its `ObsConfig`; nothing is shared between tests.
 // ---------------------------------------------------------------------------
 
-static CACHE_LOCK: Mutex<()> = Mutex::new(());
-
-fn with_cache<T>(name: &str, f: impl FnOnce(&cache::PointCache) -> T) -> T {
-    let _guard = CACHE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+/// A fresh, empty directory under the system temp dir, unique to `name`
+/// and this process.
+fn scratch_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("csb-snapshot-test-{name}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let store = Arc::new(cache::PointCache::open(&dir).expect("cache dir"));
-    cache::set_active(Some(store.clone()));
+    dir
+}
+
+fn with_cache<T>(name: &str, f: impl FnOnce(&cache::PointCache) -> T) -> T {
+    let dir = scratch_dir(name);
+    let store = cache::PointCache::open(&dir).expect("cache dir");
     let out = f(&store);
-    cache::set_active(None);
     let _ = std::fs::remove_dir_all(&dir);
     out
+}
+
+/// Runs `specs` through the engine with `store` as the sweep's cache.
+fn run_cached(
+    specs: &[PointSpec],
+    jobs: usize,
+    store: &cache::PointCache,
+) -> Result<(Vec<PointValue>, RunReport), ExpError> {
+    let obs = ObsConfig {
+        cache: Some(store),
+        ..ObsConfig::default()
+    };
+    let (values, _, report) = run_values_observed(specs, jobs, obs)?;
+    Ok((values, report))
 }
 
 fn small_specs() -> Vec<PointSpec> {
@@ -449,13 +469,13 @@ fn small_specs() -> Vec<PointSpec> {
 fn warm_sweep_is_all_hits_with_identical_values() {
     with_cache("warm", |store| {
         let specs = small_specs();
-        let (cold_values, cold_report) = run_values(&specs, 1).unwrap();
+        let (cold_values, cold_report) = run_cached(&specs, 1, store).unwrap();
         let cold = cold_report.cache.expect("cache stats recorded");
         assert_eq!(cold.misses, specs.len() as u64);
         assert_eq!(cold.hits, 0);
         assert!(cold.bytes_written > 0);
 
-        let (warm_values, warm_report) = run_values(&specs, 2).unwrap();
+        let (warm_values, warm_report) = run_cached(&specs, 2, store).unwrap();
         let warm = warm_report.cache.expect("cache stats recorded");
         assert_eq!(
             warm.hits,
@@ -479,7 +499,7 @@ fn warm_sweep_is_all_hits_with_identical_values() {
 fn corrupted_entry_is_detected_and_resimulated() {
     with_cache("corrupt", |store| {
         let specs = small_specs();
-        let (cold_values, _) = run_values(&specs, 1).unwrap();
+        let (cold_values, _) = run_cached(&specs, 1, store).unwrap();
 
         // Flip one byte in one entry.
         let entry = std::fs::read_dir(store.dir())
@@ -493,7 +513,7 @@ fn corrupted_entry_is_detected_and_resimulated() {
         bytes[mid] ^= 0xff;
         std::fs::write(&entry, &bytes).unwrap();
 
-        let (warm_values, report) = run_values(&specs, 1).unwrap();
+        let (warm_values, report) = run_cached(&specs, 1, store).unwrap();
         let stats = report.cache.expect("cache stats recorded");
         assert_eq!(stats.invalidations, 1, "corruption must be detected");
         assert_eq!(stats.misses, 1, "the corrupted point re-simulates");
@@ -501,21 +521,21 @@ fn corrupted_entry_is_detected_and_resimulated() {
         assert_eq!(warm_values, cold_values, "values must survive corruption");
 
         // The re-simulated entry was rewritten: a third sweep is all hits.
-        let (_, report) = run_values(&specs, 1).unwrap();
+        let (_, report) = run_cached(&specs, 1, store).unwrap();
         assert_eq!(report.cache.unwrap().hits, specs.len() as u64);
     });
 }
 
 #[test]
 fn config_change_invalidates_only_that_point() {
-    with_cache("invalidate", |_| {
+    with_cache("invalidate", |store| {
         let mut specs = small_specs();
-        let (_, cold_report) = run_values(&specs, 1).unwrap();
+        let (_, cold_report) = run_cached(&specs, 1, store).unwrap();
         assert_eq!(cold_report.cache.unwrap().misses, specs.len() as u64);
 
         // Change ONE point's machine configuration.
         specs[1].cfg = SimConfig::default().line_size(32);
-        let (_, report) = run_values(&specs, 1).unwrap();
+        let (_, report) = run_cached(&specs, 1, store).unwrap();
         let stats = report.cache.expect("cache stats recorded");
         assert_eq!(
             stats.hits,
@@ -529,11 +549,11 @@ fn config_change_invalidates_only_that_point() {
 #[test]
 fn observed_points_bypass_the_cache() {
     with_cache("observed", |store| {
-        use csb_core::experiments::runner::{run_values_observed, ObsConfig};
         let specs = small_specs();
         let obs = ObsConfig {
-            trace: false,
             metrics: true,
+            cache: Some(store),
+            ..ObsConfig::default()
         };
         let (_, artifacts, report) = run_values_observed(&specs, 1, obs).unwrap();
         assert!(
@@ -543,4 +563,163 @@ fn observed_points_bypass_the_cache() {
         assert_eq!(store.stats(), cache::CacheStats::default());
         assert!(artifacts.iter().all(|a| a.artifacts.metrics.is_some()));
     });
+}
+
+#[test]
+fn concurrent_sweeps_keep_their_own_caches() {
+    // Two sweeps on two threads, each with its own store, released into
+    // the engine together: each store counts exactly its own points, and
+    // both sweeps' values match an uncached run.
+    let bandwidth = small_specs();
+    let latency: Vec<PointSpec> = [2usize, 8]
+        .iter()
+        .map(|&dwords| PointSpec {
+            label: format!("cache-test/{dwords}dw"),
+            cfg: SimConfig::default(),
+            work: PointWork::Latency {
+                dwords,
+                scheme: Scheme::Csb,
+                residency: csb_core::experiments::fig5::LockResidency::Hit,
+            },
+        })
+        .collect();
+    let uncached = |specs: &[PointSpec]| {
+        run_values_observed(specs, 1, ObsConfig::default())
+            .expect("uncached sweep")
+            .0
+    };
+    let expected = [uncached(&bandwidth), uncached(&latency)];
+
+    let dirs = [scratch_dir("concurrent-a"), scratch_dir("concurrent-b")];
+    let stores = dirs
+        .each_ref()
+        .map(|d| cache::PointCache::open(d).expect("cache dir"));
+    let sweeps = [&bandwidth, &latency];
+    let start = Barrier::new(2);
+    for round in 0..2 {
+        let values: Vec<Vec<PointValue>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = sweeps
+                .iter()
+                .zip(&stores)
+                .map(|(specs, store)| {
+                    let start = &start;
+                    scope.spawn(move || {
+                        start.wait();
+                        run_cached(specs, 2, store).expect("cached sweep").0
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("sweep thread"))
+                .collect()
+        });
+        for ((got, want), (specs, store)) in
+            values.iter().zip(&expected).zip(sweeps.iter().zip(&stores))
+        {
+            assert_eq!(got, want, "round {round}: cached values must match");
+            let n = specs.len() as u64;
+            let stats = store.stats();
+            assert_eq!(
+                stats.misses, n,
+                "round {round}: only this sweep's points missed"
+            );
+            assert_eq!(
+                stats.hits,
+                round * n,
+                "round {round}: only this sweep's points hit"
+            );
+            assert_eq!(stats.invalidations, 0);
+        }
+    }
+    for d in dirs {
+        let _ = std::fs::remove_dir_all(d);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Autosnap: periodic frames written during a sweep.
+// ---------------------------------------------------------------------------
+
+#[test]
+fn autosnap_frames_restore_and_finish_identically() {
+    let specs = small_specs();
+    let dir = scratch_dir("autosnap");
+    std::fs::create_dir_all(&dir).expect("autosnap dir");
+    let snapping = ObsConfig {
+        autosnap: Some(AutosnapConfig {
+            every: 40,
+            dir: &dir,
+        }),
+        ..ObsConfig::default()
+    };
+    let (plain_values, plain, _) =
+        run_values_observed(&specs, 1, ObsConfig::default()).expect("plain sweep");
+    let (snap_values, snapped, _) =
+        run_values_observed(&specs, 1, snapping).expect("autosnap sweep");
+    assert_eq!(snap_values, plain_values, "autosnap must not change values");
+    for (a, b) in snapped.iter().zip(&plain) {
+        assert_eq!(a.sim_cycles, b.sim_cycles, "{}", a.label);
+    }
+
+    // Frames are named snap-<cfg fp><program fp>-<cycle>.bin.
+    let mut frames: Vec<(u64, String)> = std::fs::read_dir(&dir)
+        .expect("autosnap dir readable")
+        .map(|e| {
+            e.expect("dir entry")
+                .file_name()
+                .into_string()
+                .expect("utf-8 name")
+        })
+        .map(|name| {
+            let cycle = name
+                .trim_end_matches(".bin")
+                .rsplit('-')
+                .next()
+                .and_then(|c| c.parse().ok())
+                .expect("frame name ends in its cycle");
+            (cycle, name)
+        })
+        .collect();
+    assert!(!frames.is_empty(), "autosnap must write frames");
+    frames.sort();
+    let (_, newest) = frames.last().expect("at least one frame");
+
+    // Rebuild the point's machine and program, restore the newest frame,
+    // and finish: the summary must match an uninterrupted run.
+    let (cfg, program) = specs
+        .iter()
+        .map(|spec| {
+            let PointWork::Bandwidth {
+                transfer,
+                scheme,
+                order,
+            } = spec.work
+            else {
+                unreachable!("small_specs are bandwidth points")
+            };
+            let (cfg, path) = scheme.machine(&spec.cfg);
+            let program = workloads::store_bandwidth_ordered(transfer, &cfg, path, order)
+                .expect("workload builds");
+            (cfg, program)
+        })
+        .find(|(cfg, program)| {
+            let prefix = format!(
+                "snap-{:016x}{:016x}-",
+                config_fingerprint(cfg),
+                program_fingerprint(program)
+            );
+            newest.starts_with(&prefix)
+        })
+        .expect("the newest frame belongs to one of the specs");
+    let bytes = std::fs::read(dir.join(newest)).expect("frame readable");
+    let mut resumed = Simulator::restore(cfg.clone(), program.clone(), &bytes).expect("restores");
+    let got = resumed.run(LIMIT).expect("resumed run completes");
+    let mut whole = Simulator::new(cfg, program).expect("config valid");
+    let expected = whole.run(LIMIT).expect("uninterrupted run completes");
+    assert_eq!(
+        serde_json::to_string(&got).unwrap(),
+        serde_json::to_string(&expected).unwrap()
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }
