@@ -1,13 +1,11 @@
 //! One-off configuration explorer: simulate a single bandwidth point and
 //! show its bus timeline.
 //!
-//! ```text
-//! cargo run -p csb-bench --bin explore -- \
-//!     [--bus mux|split] [--width N] [--line N] [--ratio N] \
-//!     [--turnaround N] [--delay N] [--scheme none|16|32|64|128|r10k|ppc620|csb] \
-//!     [--bytes N[,N...]] [--jobs N] [--timeline N] [--asm FILE] \
-//!     [--ledger ledger.jsonl] [--no-fast-forward]
-//! ```
+//! Usage: `cargo run -p csb-bench --bin explore -- [flags]`; a bad flag
+//! prints the usage line with every flag. The machine flags (`--bus`,
+//! `--width`, `--line`, `--ratio`, `--turnaround`, `--delay`, `--scheme`)
+//! default to the paper's baseline machine with the CSB at one cache
+//! line.
 //!
 //! `--bytes` accepts a comma-separated list, turning the explorer into a
 //! transfer-size sweep executed on the parallel experiment runner
@@ -17,11 +15,13 @@
 //! With `--asm FILE` the workload is assembled from a SPARC-flavored
 //! source file (see `csb_isa::parse_asm`) instead of generated.
 //!
-//! Defaults reproduce the paper's baseline machine with the CSB at one
-//! cache line.
+//! `--ledger`, `--no-fast-forward` and the cache flags work as in the
+//! sweep binaries (see the `csb_bench` crate docs).
 
 use std::io::{BufWriter, Write};
+use std::str::FromStr;
 
+use csb_bench::cli::{Args, Cli};
 use csb_bus::BusConfig;
 use csb_core::experiments::runner::{
     run_values_observed, LabeledArtifacts, ObsConfig, PointArtifacts, PointSpec, PointValue,
@@ -31,141 +31,114 @@ use csb_core::experiments::{format_table, Scheme};
 use csb_core::workloads::StoreOrder;
 use csb_core::{trace, workloads, SimConfig, Simulator};
 
-#[derive(Debug)]
-struct Args {
-    bus: String,
-    width: usize,
-    line: usize,
-    ratio: u64,
-    turnaround: u64,
-    delay: u64,
-    scheme: String,
+const CLI: Cli = Cli {
+    synopsis: "explore",
+    flags: &[&[
+        "--bus mux|split",
+        "--width N",
+        "--line N",
+        "--ratio N",
+        "--turnaround N",
+        "--delay N",
+        "--scheme none|16|32|64|128|r10k|ppc620|csb",
+        "--bytes N[,N...]",
+        "--jobs N",
+        "--timeline N",
+        "--asm FILE",
+        "--ledger FILE",
+        "--no-fast-forward",
+        "--cache-dir DIR",
+        "--no-cache",
+        "--snapshot-every N",
+    ]],
+};
+
+/// The explorer's run, read from the command line.
+struct Settings {
+    cfg: SimConfig,
+    /// The `--scheme` flag as given, for the report and ledger label.
+    scheme_flag: String,
+    scheme: Scheme,
     bytes: Vec<usize>,
     jobs: usize,
     timeline: u64,
     asm: Option<String>,
 }
 
-impl Default for Args {
-    fn default() -> Self {
-        Args {
-            bus: "mux".into(),
-            width: 8,
-            line: 64,
-            ratio: 6,
-            turnaround: 0,
-            delay: 0,
-            scheme: "csb".into(),
-            bytes: vec![64],
-            jobs: 0,
-            timeline: 40,
-            asm: None,
-        }
-    }
+/// Numeric flags share one error shape: the flag plus a value that must
+/// parse as an integer.
+fn int<T: FromStr>(flag: &str, value: &str) -> Result<T, String> {
+    value
+        .parse()
+        .map_err(|_| format!("{flag} requires an integer, got {value:?}"))
 }
 
-const USAGE: &str = "explore [--bus mux|split] [--width N] [--line N] [--ratio N] \
-[--turnaround N] [--delay N] [--scheme none|16|32|64|128|r10k|ppc620|csb] \
-[--bytes N[,N...]] [--jobs N] [--timeline N] [--asm FILE] [--ledger FILE] \
-[--no-fast-forward] [--cache-dir DIR] [--no-cache] [--snapshot-every N]";
-
-fn parse_args() -> Args {
-    let mut args = Args::default();
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut val = |name: &str| {
-            it.next().unwrap_or_else(|| {
-                csb_bench::usage_error(USAGE, format!("{name} requires a value"))
-            })
-        };
-        // Numeric flags share one error shape: `--flag` plus a value that
-        // must parse as an integer.
-        fn num<T: std::str::FromStr>(name: &str, v: String) -> T {
-            v.parse().unwrap_or_else(|_| {
-                csb_bench::usage_error(USAGE, format!("{name} requires an integer, got {v:?}"))
-            })
-        }
-        match flag.as_str() {
-            "--bus" => args.bus = val("--bus"),
-            "--width" => args.width = num("--width", val("--width")),
-            "--line" => args.line = num("--line", val("--line")),
-            "--ratio" => args.ratio = num("--ratio", val("--ratio")),
-            "--turnaround" => args.turnaround = num("--turnaround", val("--turnaround")),
-            "--delay" => args.delay = num("--delay", val("--delay")),
-            "--scheme" => args.scheme = val("--scheme"),
-            "--bytes" => {
-                let list = val("--bytes");
-                args.bytes = list.split(',').map(|b| num("--bytes", b.into())).collect();
-                if args.bytes.is_empty() {
-                    csb_bench::usage_error(USAGE, "--bytes requires at least one size");
-                }
-            }
-            "--jobs" => {
-                args.jobs = num("--jobs", val("--jobs"));
-                if args.jobs == 0 {
-                    csb_bench::usage_error(USAGE, "--jobs requires a positive integer");
-                }
-            }
-            "--timeline" => args.timeline = num("--timeline", val("--timeline")),
-            "--asm" => args.asm = Some(val("--asm")),
-            // Consumed by obs_from_args (which re-reads the raw command
-            // line); only the values must be skipped here.
-            "--ledger" | "--cache-dir" | "--snapshot-every" => {
-                val(&flag);
-            }
-            "--no-cache" | "--no-fast-forward" => {}
-            other => csb_bench::usage_error(USAGE, format!("unknown flag {other}")),
-        }
-    }
-    args
+/// The integer value of `flag`, or `default` where it is absent.
+fn num<T: FromStr>(args: &Args, flag: &str, default: T) -> Result<T, String> {
+    args.value(flag).map_or(Ok(default), |v| int(flag, v))
 }
 
-/// Maps the `--scheme` flag to the experiment layer's scheme enum.
-fn scheme_from_flag(flag: &str, line: usize) -> Scheme {
-    match flag {
+/// The explorer's settings, each flag's default where it is absent.
+fn settings(args: &Args) -> Result<Settings, String> {
+    let width = num(args, "--width", 8)?;
+    let line = num(args, "--line", 64)?;
+    let bus = match args.value("--bus").unwrap_or("mux") {
+        "mux" => BusConfig::multiplexed(width),
+        "split" => BusConfig::split(width),
+        other => return Err(format!("--bus must be mux or split, got {other}")),
+    }
+    .max_burst(line)
+    .turnaround(num(args, "--turnaround", 0)?)
+    .min_addr_delay(num(args, "--delay", 0)?)
+    .build()
+    .map_err(|e| e.to_string())?;
+    let cfg = SimConfig::default()
+        .line_size(line)
+        .bus(bus)
+        .frequency_ratio(num(args, "--ratio", 6)?);
+    cfg.validate().map_err(|e| e.to_string())?;
+    let scheme_flag = args.value("--scheme").unwrap_or("csb");
+    let scheme = match scheme_flag {
         "csb" => Scheme::Csb,
         "none" => Scheme::Uncached { block: 8 },
         "r10k" => Scheme::R10k,
         "ppc620" => Scheme::Ppc620,
         n => Scheme::Uncached {
-            block: n.parse().unwrap_or_else(|_| {
-                csb_bench::usage_error(
-                    USAGE,
-                    format!("--scheme none|16|32|64|128|r10k|ppc620|csb, got {n} (line {line}B)"),
-                )
-            }),
+            block: n.parse().map_err(|_| {
+                format!("--scheme none|16|32|64|128|r10k|ppc620|csb, got {n} (line {line}B)")
+            })?,
         },
-    }
+    };
+    Ok(Settings {
+        cfg,
+        scheme_flag: scheme_flag.into(),
+        scheme,
+        bytes: match args.value("--bytes") {
+            Some(list) => list
+                .split(',')
+                .map(|b| int("--bytes", b))
+                .collect::<Result<_, _>>()?,
+            None => vec![64],
+        },
+        jobs: args.jobs()?,
+        timeline: num(args, "--timeline", 40)?,
+        asm: args.value("--asm").map(str::to_string),
+    })
 }
 
 fn main() {
-    let args = parse_args();
-    let bo = csb_bench::obs_from_args();
-    let bus = match args.bus.as_str() {
-        "mux" => BusConfig::multiplexed(args.width),
-        "split" => BusConfig::split(args.width),
-        other => csb_bench::usage_error(USAGE, format!("--bus must be mux or split, got {other}")),
-    }
-    .max_burst(args.line)
-    .turnaround(args.turnaround)
-    .min_addr_delay(args.delay)
-    .build()
-    .unwrap_or_else(|e| csb_bench::die(e));
-    let cfg = SimConfig::default()
-        .line_size(args.line)
-        .bus(bus)
-        .frequency_ratio(args.ratio);
-    if let Err(e) = cfg.validate() {
-        csb_bench::die(e);
-    }
+    let parsed = CLI.from_env();
+    let args = settings(&parsed).unwrap_or_else(|e| CLI.fail(e));
+    let bo = parsed.obs().unwrap_or_else(|e| CLI.fail(e));
+    let cfg = args.cfg;
 
     // A comma list of transfer sizes runs as a sweep on the parallel
     // experiment runner instead of the single-point timeline path.
     if args.bytes.len() > 1 {
         if args.asm.is_some() {
-            csb_bench::usage_error(USAGE, "--asm is a single-point mode; drop the --bytes list");
+            CLI.fail("--asm is a single-point mode; drop the --bytes list");
         }
-        let scheme = scheme_from_flag(&args.scheme, args.line);
+        let scheme = args.scheme;
         let specs: Vec<PointSpec> = args
             .bytes
             .iter()
@@ -228,7 +201,7 @@ fn main() {
     }
     let bytes = args.bytes[0];
 
-    let (cfg, path) = scheme_from_flag(&args.scheme, args.line).machine(&cfg);
+    let (cfg, path) = args.scheme.machine(&cfg);
     let program = match &args.asm {
         Some(file) => {
             let source = std::fs::read_to_string(file)
@@ -262,7 +235,7 @@ fn main() {
     .unwrap();
     match &args.asm {
         Some(f) => writeln!(out, "workload: assembled from {f}").unwrap(),
-        None => writeln!(out, "workload: {} bytes via {}", bytes, args.scheme).unwrap(),
+        None => writeln!(out, "workload: {} bytes via {}", bytes, args.scheme_flag).unwrap(),
     }
     writeln!(
         out,
@@ -279,7 +252,7 @@ fn main() {
     if bo.ledger.is_some() {
         let label = match &args.asm {
             Some(f) => format!("explore/asm/{f}"),
-            None => format!("explore/{bytes}B/{}", args.scheme),
+            None => format!("explore/{bytes}B/{}", args.scheme_flag),
         };
         let la = LabeledArtifacts {
             label,

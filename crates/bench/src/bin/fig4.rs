@@ -1,34 +1,10 @@
 //! Regenerates Figure 4: uncached store bandwidth on a split address/data
 //! bus, panels (a)-(e).
 //!
-//! Usage: `cargo run -p csb-bench --bin fig4 [--jobs N] [--json out.json]
-//! [--trace-out trace.json] [--metrics-out metrics.json]
-//! [--ledger ledger.jsonl] [--no-fast-forward]`
+//! Usage: `cargo run -p csb-bench --bin fig4 -- [flags]`, with the sweep
+//! flags described in the `csb_bench` crate docs; a bad flag prints the
+//! usage line.
 
-use std::io::{BufWriter, Write};
-
-use csb_core::experiments::fig4;
-
-const USAGE: &str = "fig4 [--jobs N] [--json out.json] [--trace-out trace.json] \
-[--metrics-out metrics.json] [--ledger ledger.jsonl] [--no-fast-forward] \
-[--cache-dir DIR] [--no-cache] [--snapshot-every N]";
-
-fn main() {
-    csb_bench::validate_standard_args(USAGE);
-    let bo = csb_bench::obs_from_args();
-    let jobs = csb_bench::jobs_from_args();
-    let (panels, artifacts, report) =
-        fig4::run_jobs_observed(jobs, bo.obs()).expect("Figure 4 panels simulate");
-    // Lock stdout once and buffer: the tables are thousands of short
-    // lines, and a per-line lock/flush dominates the print path.
-    let mut out = BufWriter::new(std::io::stdout().lock());
-    for p in &panels {
-        writeln!(out, "{}", p.to_table()).expect("stdout writable");
-    }
-    out.flush().expect("stdout flushes");
-    eprintln!("{}", report.render());
-    bo.emit("fig4", &artifacts);
-    if let Some(path) = csb_bench::json_path_from_args() {
-        csb_bench::dump_json(&path, &panels);
-    }
+fn main() -> std::process::ExitCode {
+    csb_bench::sweeps::FIG4.main()
 }

@@ -2,7 +2,8 @@
 //! counterpart of the per-run `RunReport`.
 //!
 //! Usage: `cargo run -p csb-bench --bin ledger -- <baseline.jsonl>
-//! <current.jsonl> [--threshold 0.10] [--json out.json]`
+//! <current.jsonl> [flags]`; a bad or missing argument prints the usage
+//! line.
 //!
 //! Both inputs are JSONL ledgers written by the bench binaries' `--ledger`
 //! flag. Every point in the baseline must reappear in the current ledger
@@ -16,39 +17,26 @@
 
 use std::process::ExitCode;
 
-const USAGE: &str = "ledger <baseline.jsonl> <current.jsonl> [--threshold 0.10] [--json out.json]";
+use csb_bench::cli::Cli;
+
+const CLI: Cli = Cli {
+    synopsis: "ledger <baseline.jsonl> <current.jsonl>",
+    flags: &[&["--threshold 0.10", "--json out.json"]],
+};
 
 fn main() -> ExitCode {
-    csb_bench::validate_args(USAGE, &["--threshold", "--json"], &[], 2);
-    let positional: Vec<String> = {
-        let mut args = std::env::args().skip(1);
-        let mut pos = Vec::new();
-        while let Some(a) = args.next() {
-            match a.as_str() {
-                "--threshold" | "--json" => {
-                    args.next();
-                }
-                _ if a.starts_with("--threshold=") || a.starts_with("--json=") => {}
-                _ => pos.push(a),
-            }
-        }
-        pos
+    let args = CLI.from_env();
+    let [baseline_path, current_path] = args.positionals() else {
+        CLI.fail("expected exactly two ledger paths");
     };
-    let [baseline_path, current_path] = positional.as_slice() else {
-        csb_bench::usage_error(USAGE, "expected exactly two ledger paths");
-    };
-    let threshold = match csb_bench::flag_path_from_args("--threshold") {
+    let threshold = match args.value("--threshold") {
         None => 0.10,
-        Some(raw) => {
-            let raw = raw.to_string_lossy();
-            match raw.parse::<f64>() {
-                Ok(t) if t.is_finite() && t >= 0.0 => t,
-                _ => csb_bench::usage_error(
-                    USAGE,
-                    format!("--threshold requires a non-negative number, got {raw:?}"),
-                ),
-            }
-        }
+        Some(raw) => match raw.parse::<f64>() {
+            Ok(t) if t.is_finite() && t >= 0.0 => t,
+            _ => CLI.fail(format!(
+                "--threshold requires a non-negative number, got {raw:?}"
+            )),
+        },
     };
 
     let read_ledger = |path: &str| {
@@ -61,7 +49,7 @@ fn main() -> ExitCode {
 
     let diff = csb_obs::diff_ledgers(&baseline, &current, threshold);
     eprint!("{}", diff.render());
-    if let Some(path) = csb_bench::json_path_from_args() {
+    if let Some(path) = args.path("--json") {
         csb_bench::dump_json(&path, &diff);
     }
     if diff.is_regression() {

@@ -1,9 +1,9 @@
 //! Replays one named figure point with tracing and metrics enabled —
 //! the quickest way from "that bar looks wrong" to a Perfetto timeline.
 //!
-//! Usage: `cargo run -p csb-bench --bin trace -- <point> [--trace-out
-//! trace.json] [--metrics-out metrics.json] [--ledger ledger.jsonl]
-//! [--no-fast-forward]`
+//! Usage: `cargo run -p csb-bench --bin trace -- <point> [flags]`, with
+//! the run-setting flags of the sweep binaries (see the `csb_bench` crate
+//! docs) and `--list`; a bad or missing argument prints the usage line.
 //!
 //! `<point>` is a runner label like `3e/256B/CSB` (figure 3/4 bandwidth
 //! points) or `5a/4dw/CSB` (figure 5 latency points); run with `--list`
@@ -15,6 +15,7 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
+use csb_bench::cli::{Cli, RUN_FLAGS};
 use csb_core::experiments::runner::{run_values_observed, ObsConfig, PointSpec, PointValue};
 use csb_core::experiments::{fig3, fig4, fig5};
 
@@ -33,54 +34,22 @@ fn all_points() -> Vec<PointSpec> {
     specs
 }
 
-const USAGE: &str = "trace <point> [--trace-out trace.json] [--metrics-out metrics.json] \
-[--ledger ledger.jsonl] [--no-fast-forward] [--cache-dir DIR] [--no-cache] \
-[--snapshot-every N] | trace --list";
+const CLI: Cli = Cli {
+    synopsis: "trace <point>",
+    flags: &[RUN_FLAGS, &["--list"]],
+};
 
 fn main() -> ExitCode {
-    csb_bench::validate_args(
-        USAGE,
-        &[
-            "--trace-out",
-            "--metrics-out",
-            "--ledger",
-            "--cache-dir",
-            "--snapshot-every",
-        ],
-        &["--no-fast-forward", "--list", "--no-cache"],
-        1,
-    );
-    let bo = csb_bench::obs_from_args();
-    let positional: Vec<String> = {
-        let mut args = std::env::args().skip(1);
-        let mut pos = Vec::new();
-        while let Some(a) = args.next() {
-            match a.as_str() {
-                "--trace-out" | "--metrics-out" | "--ledger" | "--cache-dir"
-                | "--snapshot-every" => {
-                    args.next();
-                }
-                "--no-cache" | "--no-fast-forward" => {}
-                _ if a.starts_with("--trace-out=")
-                    || a.starts_with("--metrics-out=")
-                    || a.starts_with("--ledger=")
-                    || a.starts_with("--cache-dir=")
-                    || a.starts_with("--snapshot-every=") => {}
-                "--list" => {
-                    for spec in all_points() {
-                        println!("{}", spec.label);
-                    }
-                    return ExitCode::SUCCESS;
-                }
-                _ => pos.push(a),
-            }
+    let args = CLI.from_env();
+    let bo = args.obs().unwrap_or_else(|e| CLI.fail(e));
+    if args.has("--list") {
+        for spec in all_points() {
+            println!("{}", spec.label);
         }
-        pos
-    };
-    let Some(label) = positional.first() else {
-        eprintln!("usage: trace <point> [--trace-out trace.json] [--metrics-out metrics.json]");
-        eprintln!("       trace --list");
-        return ExitCode::FAILURE;
+        return ExitCode::SUCCESS;
+    }
+    let Some(label) = args.positionals().first() else {
+        CLI.fail("missing the <point> to replay (--list prints every label)");
     };
 
     let specs = all_points();

@@ -1,8 +1,25 @@
-//! Shared plumbing for the figure-reproduction binaries.
+//! The bench binaries of the CSB reproduction and the code they share.
 //!
-//! Each binary (`fig3`, `fig4`, `fig5`, `ablations`, `repro_all`) regenerates
-//! the corresponding table/figure of the paper and prints it as fixed-width
-//! text; pass `--json <path>` to also dump the raw panel data for further
+//! The sweep binaries regenerate the paper's evaluation and the extended
+//! sweeps, one row each in the [`sweeps`] table:
+//!
+//! * `fig3`, `fig4`, `fig5` — Figures 3–5;
+//! * `ablations` — the in-text ablations (§4.3.2 superscalar width, §3.2
+//!   CSB extensions, §5 PIO/DMA break-even) and the related-work,
+//!   buffer-depth, issue-rate and loaded-bus studies;
+//! * `repro_all` — Figures 3–5 back to back;
+//! * `faults`, `contend`, `messaging` — the fault-injection, many-core
+//!   contention and reliable NIC messaging sweeps.
+//!
+//! Three tools keep their own `main`: `explore` simulates one machine
+//! configuration and shows its bus timeline (or sweeps transfer sizes),
+//! `trace` replays one figure point with tracing and metrics on, and
+//! `ledger` diffs two perf ledgers. Every binary reads its command line
+//! through one parser, [`cli::Cli`], which builds the usage line a bad
+//! invocation prints (with exit status 2).
+//!
+//! A sweep binary prints fixed-width tables on stdout; pass `--json
+//! <path>` (not `repro_all`) to also dump the raw results for further
 //! processing (EXPERIMENTS.md is generated from these dumps). Pass
 //! `--jobs N` to fan the simulation points out over `N` worker threads
 //! (default: all cores; `--jobs 1` is the serial path) — the tables on
@@ -15,8 +32,7 @@
 //! document per simulation point and `--metrics-out <file>` a metrics
 //! report (counters + latency histograms). Both expand the given path per
 //! point — `trace.json` becomes `trace-3e_256B_CSB.json` — so a sweep
-//! leaves one artifact per point. The `trace` binary replays a single
-//! named figure point with both captures on.
+//! leaves one artifact per point.
 //!
 //! Ledger: `--ledger <file>` appends one [`LedgerRecord`] JSON line per
 //! executed point (config hash, seed, scheme, cycles, wall time, value,
@@ -35,9 +51,12 @@
 //! `--snapshot-every N` additionally dumps a restorable machine snapshot
 //! every N CPU cycles of every point into `<dir>/autosnap/`.
 //!
-//! [`obs_from_args`] parses all of these into one owned [`BenchObs`]; its
-//! [`BenchObs::obs`] is the [`ObsConfig`] a binary hands to each sweep.
-//! Nothing is installed process-wide.
+//! [`cli::Args::obs`] parses all of these into one owned [`BenchObs`];
+//! its [`BenchObs::obs`] is the [`ObsConfig`] a binary hands to each
+//! sweep. Nothing is installed process-wide.
+
+pub mod cli;
+pub mod sweeps;
 
 use std::fs;
 use std::io::Write;
@@ -48,105 +67,12 @@ use csb_core::experiments::runner::{LabeledArtifacts, ObsConfig, PointValue};
 use csb_core::snapshot::AutosnapConfig;
 use csb_obs::LedgerRecord;
 
-/// The value-taking flags every figure binary accepts.
-pub const STANDARD_VALUE_FLAGS: &[&str] = &[
-    "--jobs",
-    "--json",
-    "--trace-out",
-    "--metrics-out",
-    "--ledger",
-    "--cache-dir",
-    "--snapshot-every",
-];
-
-/// The bare flags every figure binary accepts.
-pub const STANDARD_BARE_FLAGS: &[&str] = &["--no-fast-forward", "--no-cache"];
-
-/// Prints a one-line error and exits with status 2 (bad invocation).
-/// These binaries are user-facing harnesses: a mistyped flag or an
-/// inconsistent machine configuration is an input error, not a bug, and
-/// must not produce a panic backtrace.
+/// Prints a one-line error and exits with status 2: an input the binary
+/// cannot use, such as an unreadable file or an inconsistent machine
+/// configuration, must not produce a panic backtrace.
 pub fn die(msg: impl std::fmt::Display) -> ! {
     eprintln!("error: {msg}");
     std::process::exit(2);
-}
-
-/// [`die`] plus a usage line.
-pub fn usage_error(usage: &str, msg: impl std::fmt::Display) -> ! {
-    eprintln!("error: {msg}");
-    eprintln!("usage: {usage}");
-    std::process::exit(2);
-}
-
-/// Validates the raw command line against the binary's flag vocabulary:
-/// every `--flag` must be a known value-taking flag (followed by a value,
-/// or written `--flag=value`) or a known bare flag, and at most
-/// `max_positional` non-flag arguments may appear. Anything else prints
-/// the usage line and exits 2. Call this first in `main`, before the
-/// flag-extraction helpers.
-pub fn validate_args(
-    usage: &str,
-    value_flags: &[&str],
-    bare_flags: &[&str],
-    max_positional: usize,
-) {
-    let mut positional = 0usize;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if !a.starts_with("--") {
-            positional += 1;
-            if positional > max_positional {
-                usage_error(usage, format!("unexpected argument {a:?}"));
-            }
-            continue;
-        }
-        let name = a.split_once('=').map_or(a.as_str(), |(n, _)| n);
-        if value_flags.contains(&name) {
-            if !a.contains('=') && args.next().is_none() {
-                usage_error(usage, format!("{name} requires a value"));
-            }
-        } else if bare_flags.contains(&name) {
-            if a.contains('=') {
-                usage_error(usage, format!("{name} does not take a value"));
-            }
-        } else {
-            usage_error(usage, format!("unknown flag {name}"));
-        }
-    }
-}
-
-/// [`validate_args`] with the standard figure-binary vocabulary
-/// (`--jobs`, `--json`, `--trace-out`, `--metrics-out`, `--ledger`,
-/// `--no-fast-forward`) and no positional arguments.
-pub fn validate_standard_args(usage: &str) {
-    validate_args(usage, STANDARD_VALUE_FLAGS, STANDARD_BARE_FLAGS, 0);
-}
-
-/// Parses an optional `--json <path>` argument from the command line.
-///
-/// Exits with status 2 if `--json` is given without a path.
-pub fn json_path_from_args() -> Option<PathBuf> {
-    flag_path_from_args("--json")
-}
-
-/// Parses an optional `<flag> <path>` (or `<flag>=<path>`) argument from
-/// the command line.
-///
-/// Exits with status 2 if the flag is given without a path.
-pub fn flag_path_from_args(flag: &str) -> Option<PathBuf> {
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == flag {
-            let Some(p) = args.next() else {
-                die(format!("{flag} requires a path"));
-            };
-            return Some(PathBuf::from(p));
-        }
-        if let Some(p) = a.strip_prefix(&format!("{flag}=")) {
-            return Some(PathBuf::from(p));
-        }
-    }
-    None
 }
 
 /// The run settings a bench binary parsed from its command line: the
@@ -199,66 +125,6 @@ impl BenchObs {
         if let Some(path) = &self.ledger {
             append_ledger(path, bench, artifacts);
         }
-    }
-}
-
-/// Parses the run-setting flags into a [`BenchObs`]:
-///
-/// * `--trace-out <file>`, `--metrics-out <file>` and `--ledger <file>`
-///   name the artifact outputs.
-/// * `--cache-dir <dir>` opens (creating if needed) the content-addressed
-///   point cache at `dir`: sweeps serve unchanged points from it instead
-///   of simulating them, so a warm re-run is pure replay and an edited
-///   configuration re-runs only its own points. `--no-cache` wins over
-///   `--cache-dir` (useful for scripts that pass a standard flag set).
-/// * `--snapshot-every <cycles>` additionally dumps a restorable
-///   full-machine snapshot every N CPU cycles of every simulated point
-///   into `<dir>/autosnap/`, for post-mortem dissection of long or
-///   misbehaving points. It requires `--cache-dir` (the snapshots need a
-///   store to land in).
-/// * `--no-fast-forward` forces the naive cycle-by-cycle loop. Results
-///   are identical either way (differential tests enforce that); the flag
-///   is an escape hatch and serves before/after throughput measurements.
-///
-/// Exits with status 2 on an unusable directory or count, or a flag given
-/// without its value.
-pub fn obs_from_args() -> BenchObs {
-    let fast_forward = !std::env::args().skip(1).any(|a| a == "--no-fast-forward");
-    let no_cache = std::env::args().skip(1).any(|a| a == "--no-cache");
-    let cache_dir = flag_path_from_args("--cache-dir");
-    let every = flag_path_from_args("--snapshot-every");
-    let (cache, autosnap) = match cache_dir {
-        _ if no_cache => (None, None),
-        None => {
-            if every.is_some() {
-                die("--snapshot-every requires --cache-dir (snapshots are written under it)");
-            }
-            (None, None)
-        }
-        Some(dir) => {
-            let cache = PointCache::open(&dir)
-                .unwrap_or_else(|e| die(format!("cannot open cache dir {}: {e}", dir.display())));
-            let autosnap = every.map(|every| {
-                let every: u64 = every
-                    .to_str()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n| n > 0)
-                    .unwrap_or_else(|| die("--snapshot-every requires a positive cycle count"));
-                let snap_dir = dir.join("autosnap");
-                fs::create_dir_all(&snap_dir)
-                    .unwrap_or_else(|e| die(format!("cannot create {}: {e}", snap_dir.display())));
-                (every, snap_dir)
-            });
-            (Some(cache), autosnap)
-        }
-    };
-    BenchObs {
-        trace_out: flag_path_from_args("--trace-out"),
-        metrics_out: flag_path_from_args("--metrics-out"),
-        ledger: flag_path_from_args("--ledger"),
-        cache,
-        autosnap,
-        fast_forward,
     }
 }
 
@@ -372,93 +238,11 @@ pub fn write_artifacts(
     }
 }
 
-/// Parses an optional `--jobs <N>` (or `--jobs=N`) argument: the worker
-/// count for the parallel experiment runner. Returns `0` ("all cores",
-/// which the runner resolves via `available_parallelism`) when absent. A
-/// request beyond the host's available parallelism is capped to it, with
-/// a warning on stderr — oversubscribed simulator workers only fight each
-/// other for cycles and skew per-point wall-clock numbers.
-///
-/// Exits with status 2 if `--jobs` is given without a positive integer.
-pub fn jobs_from_args() -> usize {
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        let value = if a == "--jobs" {
-            match args.next() {
-                Some(v) => Some(v),
-                None => die("--jobs requires a worker count"),
-            }
-        } else {
-            a.strip_prefix("--jobs=").map(str::to_string)
-        };
-        if let Some(v) = value {
-            match v.parse::<usize>() {
-                Ok(n) if n > 0 => {
-                    let avail = host_parallelism();
-                    if n > avail {
-                        eprintln!(
-                            "warning: --jobs {n} exceeds the {avail} available host \
-                             core(s); capping at {avail}"
-                        );
-                        return avail;
-                    }
-                    return n;
-                }
-                _ => die(format!("--jobs requires a positive integer, got {v:?}")),
-            }
-        }
-    }
-    0
-}
-
 /// The host's available parallelism (1 when it cannot be determined).
 pub fn host_parallelism() -> usize {
     std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1)
-}
-
-/// Warns (stderr) when `jobs` workers × `simulated_cores` time-sliced
-/// processes per worker outstrips the host: each worker single-threads its
-/// whole MultiSim, so the product is memory pressure, not parallelism —
-/// worth a note before a 64-process sweep fans out. `jobs == 0` means
-/// "all cores" (the runner's convention) and is resolved before the check.
-pub fn warn_if_oversubscribed(jobs: usize, simulated_cores: usize) {
-    let avail = host_parallelism();
-    let jobs = if jobs == 0 { avail } else { jobs };
-    if jobs.saturating_mul(simulated_cores) > avail {
-        eprintln!(
-            "note: {jobs} worker(s) x {simulated_cores} simulated processor(s) \
-             share {avail} host core(s); each worker time-slices its processes \
-             on one thread"
-        );
-    }
-}
-
-/// Parses an optional `<flag> <N>` (or `<flag>=N`) argument holding a
-/// positive count, e.g. the throughput bench's `--reps`/`--samples`.
-/// Returns `default` when the flag is absent.
-///
-/// Exits with status 2 if the flag is given without a positive integer.
-pub fn count_from_args(flag: &str, default: usize) -> usize {
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        let value = if a == flag {
-            match args.next() {
-                Some(v) => Some(v),
-                None => die(format!("{flag} requires a positive integer")),
-            }
-        } else {
-            a.strip_prefix(&format!("{flag}=")).map(str::to_string)
-        };
-        if let Some(v) = value {
-            match v.parse::<usize>() {
-                Ok(n) if n > 0 => return n,
-                _ => die(format!("{flag} requires a positive integer, got {v:?}")),
-            }
-        }
-    }
-    default
 }
 
 /// Serializes `value` to `path` as pretty-printed JSON.
@@ -467,8 +251,19 @@ pub fn count_from_args(flag: &str, default: usize) -> usize {
 ///
 /// Panics on serialization or I/O failure — these binaries are harnesses,
 /// not library code, and a failed dump should abort loudly.
-pub fn dump_json<T: serde::Serialize>(path: &PathBuf, value: &T) {
-    let text = serde_json::to_string_pretty(value).expect("panel data serializes");
+pub fn dump_json<T: serde::Serialize>(path: &Path, value: &T) {
+    write_file(
+        path,
+        &serde_json::to_string_pretty(value).expect("panel data serializes"),
+    );
+}
+
+/// Writes `text` to `path` and notes it on stderr.
+///
+/// # Panics
+///
+/// Panics on I/O failure, as [`dump_json`] does.
+fn write_file(path: &Path, text: &str) {
     fs::write(path, text).unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
     eprintln!("wrote {}", path.display());
 }
