@@ -4,8 +4,8 @@
 //! Run with `cargo bench -p csb-bench --bench runner_bench`; the sweep is
 //! written to `BENCH_sim_throughput.json` in the workspace root (the
 //! checked-in copy at the repo root is regenerated this way; CI's
-//! perf-smoke job gates on the Figure 5(b) and long-CSB-point speedups in
-//! it).
+//! perf-smoke job fails when a point needs more real ticks or jumps than
+//! the checked-in copy records, and gates the scheduler point's speedup).
 //!
 //! `-- --samples N` overrides the wall-clock samples taken per sweep leg
 //! and `-- --reps N` the executions batched inside each timed sample;

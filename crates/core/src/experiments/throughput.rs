@@ -10,8 +10,11 @@
 //! per-worker reuse path the sweep engine takes after a worker's first
 //! point. Fast-forward is toggled per leg, and the measured values
 //! of both legs are asserted identical, so the throughput bench doubles
-//! as one more differential check. `runner_bench` serializes the
-//! resulting [`ThroughputReport`] to `BENCH_sim_throughput.json`.
+//! as one more differential check. Each point also records the real
+//! ticks and fast-forward jumps one execution takes: unlike the wall
+//! times these counts are deterministic, so they gate fast-forward
+//! coverage exactly. `runner_bench` serializes the resulting
+//! [`ThroughputReport`] to `BENCH_sim_throughput.json`.
 
 use std::time::Instant;
 
@@ -42,6 +45,11 @@ pub struct ThroughputPoint {
     pub ff_cycles_per_sec: f64,
     /// `ff_cycles_per_sec / naive_cycles_per_sec`.
     pub speedup: f64,
+    /// Real ticks one execution takes with fast-forward on.
+    pub ff_ticks: u64,
+    /// Fast-forward jumps one execution takes (`None` for the many-core
+    /// scheduler point, whose jumps happen inside [`MultiSim::run`]).
+    pub ff_jumps: Option<u64>,
 }
 
 /// The full before/after sweep `runner_bench` writes to
@@ -65,16 +73,21 @@ impl ThroughputReport {
     /// Plain-text rendering for the bench's stderr output.
     pub fn render(&self) -> String {
         let mut out = String::from(
-            "point                    sim cycles   naive Mc/s      ff Mc/s   speedup\n",
+            "point                    sim cycles   naive Mc/s      ff Mc/s   speedup  ff ticks  ff jumps\n",
         );
         for p in &self.points {
+            let jumps = p
+                .ff_jumps
+                .map_or_else(|| "-".to_string(), |j| j.to_string());
             out.push_str(&format!(
-                "{:<24} {:>10} {:>12.2} {:>12.2} {:>8.2}x\n",
+                "{:<24} {:>10} {:>12.2} {:>12.2} {:>8.2}x {:>9} {:>9}\n",
                 p.label,
                 p.sim_cycles,
                 p.naive_cycles_per_sec / 1e6,
                 p.ff_cycles_per_sec / 1e6,
-                p.speedup
+                p.speedup,
+                p.ff_ticks,
+                jumps
             ));
         }
         out
@@ -225,6 +238,23 @@ fn sample(
     Ok((wall / reps as f64, total as f64 / wall, value, last.cycles))
 }
 
+/// Real ticks and fast-forward jumps one execution of `spec` takes with
+/// fast-forward on, counted by driving the loop [`Simulator::run`] runs.
+fn ff_counts(spec: &PointSpec) -> Result<(u64, u64), ExpError> {
+    let mut slot = None;
+    let sim = prepare_into(&mut slot, spec, true)?;
+    let mut jumps = 0;
+    while !sim.complete() {
+        if sim.cpu().now() >= POINT_LIMIT {
+            return Err(crate::sim::SimError::CycleLimit { limit: POINT_LIMIT }.into());
+        }
+        let ticks = sim.ticks();
+        sim.advance_checked(POINT_LIMIT)?;
+        jumps += u64::from(sim.ticks() == ticks);
+    }
+    Ok((sim.ticks(), jumps))
+}
+
 /// Measures one point both ways: naive loop first, then fast-forward.
 /// Takes `samples` timed samples of `reps` executions per leg (plus one
 /// warmup each) and reports the best.
@@ -264,6 +294,7 @@ pub fn measure_point(
         "{}: fast-forward changed the cycle count",
         spec.label
     );
+    let (ff_ticks, ff_jumps) = ff_counts(spec)?;
     Ok(ThroughputPoint {
         label: spec.label.clone(),
         sim_cycles: ff_cycles,
@@ -272,6 +303,8 @@ pub fn measure_point(
         ff_wall_s,
         ff_cycles_per_sec: ff_cps,
         speedup: ff_cps / naive_cps,
+        ff_ticks,
+        ff_jumps: Some(ff_jumps),
     })
 }
 
@@ -384,6 +417,8 @@ pub fn sched_point(samples: usize, reps: usize) -> Result<ThroughputPoint, ExpEr
         "{SCHED_POINT_LABEL}: the scheduler traversal changed the simulation"
     );
     assert_eq!(rr_cycles, heap_cycles);
+    let mut ms = sched_multisim(&programs, SchedulerMode::HorizonHeap)?;
+    ms.run(POINT_LIMIT)?;
     Ok(ThroughputPoint {
         label: SCHED_POINT_LABEL.to_string(),
         sim_cycles: heap_cycles,
@@ -392,6 +427,8 @@ pub fn sched_point(samples: usize, reps: usize) -> Result<ThroughputPoint, ExpEr
         ff_wall_s: heap_wall_s,
         ff_cycles_per_sec: heap_cps,
         speedup: heap_cps / rr_cps,
+        ff_ticks: ms.simulator().ticks(),
+        ff_jumps: None,
     })
 }
 
@@ -441,6 +478,10 @@ mod tests {
         let p = measure_point(spec, 1, 4).expect("point simulates");
         assert_eq!(p.label, "5b/8dw/64B");
         assert!(p.sim_cycles > 0);
+        // Fast-forward covers the point: it jumps, so it takes fewer
+        // real ticks than cycles.
+        let jumps = p.ff_jumps.expect("single-core points count jumps");
+        assert!(p.ff_ticks < p.sim_cycles && jumps > 0);
         assert!(p.naive_cycles_per_sec > 0.0 && p.ff_cycles_per_sec > 0.0);
     }
 

@@ -304,6 +304,195 @@ impl Rob {
     fn iter(&self) -> impl Iterator<Item = &RobEntry> {
         (0..self.len).map(move |i| &self.slots[self.wrap(i)])
     }
+
+    /// The ROB index of a ring slot.
+    #[inline]
+    fn index_of(&self, slot: usize) -> usize {
+        if slot >= self.head {
+            slot - self.head
+        } else {
+            slot + self.slots.len() - self.head
+        }
+    }
+
+    /// The index of the oldest member of `set` at index `idx` or younger.
+    #[inline]
+    fn next_in(&self, set: &SlotSet, idx: usize) -> Option<usize> {
+        if idx >= self.len {
+            return None;
+        }
+        let p = self.wrap(idx);
+        let slot = if p >= self.head {
+            set.first_in(p, self.slots.len())
+                .or_else(|| set.first_in(0, self.head))
+        } else {
+            set.first_in(p, self.head)
+        }?;
+        let i = self.index_of(slot);
+        debug_assert!(i < self.len, "scheduling set names an empty ROB slot");
+        Some(i)
+    }
+}
+
+/// A set of ROB ring slots, one bit per slot.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct SlotSet {
+    words: Box<[u64]>,
+}
+
+impl SlotSet {
+    fn new(cap: usize) -> Self {
+        SlotSet {
+            words: vec![0; cap.div_ceil(64)].into_boxed_slice(),
+        }
+    }
+
+    #[inline]
+    fn insert(&mut self, slot: usize) {
+        self.words[slot / 64] |= 1 << (slot % 64);
+    }
+
+    #[inline]
+    fn remove(&mut self, slot: usize) {
+        self.words[slot / 64] &= !(1 << (slot % 64));
+    }
+
+    fn clear(&mut self) {
+        self.words.fill(0);
+    }
+
+    /// The lowest member in `from..to`.
+    #[inline]
+    fn first_in(&self, from: usize, to: usize) -> Option<usize> {
+        if from >= to {
+            return None;
+        }
+        let mut w = from / 64;
+        let mut bits = self.words[w] & (!0 << (from % 64));
+        while bits == 0 {
+            w += 1;
+            if w * 64 >= to {
+                return None;
+            }
+            bits = self.words[w];
+        }
+        let slot = w * 64 + bits.trailing_zeros() as usize;
+        (slot < to).then_some(slot)
+    }
+
+    /// Every member, lowest first.
+    fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        self.words.iter().enumerate().flat_map(|(w, &word)| {
+            let mut bits = word;
+            std::iter::from_fn(move || {
+                (bits != 0).then(|| {
+                    let b = bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    w * 64 + b
+                })
+            })
+        })
+    }
+}
+
+/// Scheduling state derived from the ROB, so writeback, issue and the
+/// horizon scan visit only the entries that can move instead of the whole
+/// ring. Never serialized: [`Sched::rebuild`] recomputes it from the ROB
+/// wherever the ROB is replaced wholesale (reset, restore, context switch,
+/// squash), and the pipeline stages update it incrementally in between.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Sched {
+    /// Slots with an operation in flight: `Agen`, `Exec`, `MemAccess` or
+    /// `UncachedWait`.
+    inflight: SlotSet,
+    /// Issue candidates: `AddrReady` cached loads and stores, and `Waiting`
+    /// entries whose operands are all ready or that hold an operand whose
+    /// producer has completed (the issue scan rewrites it, as
+    /// [`Cpu::ops_ready`] always has). A `Waiting` entry outside this set
+    /// waits only on producers that have not completed.
+    ready: SlotSet,
+    /// One row per producer slot, each laid out like a [`SlotSet`]: the
+    /// `Waiting` slots with an operand still waiting on that producer,
+    /// moved into `ready` when it turns `Done`.
+    consumers: Box<[u64]>,
+}
+
+impl Sched {
+    fn new(cap: usize) -> Self {
+        let ready = SlotSet::new(cap);
+        Sched {
+            inflight: SlotSet::new(cap),
+            consumers: vec![0; cap * ready.words.len()].into_boxed_slice(),
+            ready,
+        }
+    }
+
+    /// `consumer` has an operand waiting on `producer`.
+    #[inline]
+    fn add_consumer(&mut self, producer: usize, consumer: usize) {
+        let row = producer * self.ready.words.len();
+        self.consumers[row + consumer / 64] |= 1 << (consumer % 64);
+    }
+
+    /// The state `rob` implies, computed from scratch.
+    fn rebuild(&mut self, rob: &Rob, front_seq: u64) {
+        self.inflight.clear();
+        self.ready.clear();
+        self.consumers.fill(0);
+        for idx in 0..rob.len() {
+            let slot = rob.wrap(idx);
+            let e = &rob[idx];
+            match e.st {
+                St::Agen { .. } | St::Exec { .. } | St::MemAccess { .. } | St::UncachedWait => {
+                    self.inflight.insert(slot);
+                }
+                St::AddrReady if is_cached_load_or_store(e) => self.ready.insert(slot),
+                St::Waiting => {
+                    let (mut waits, mut resolvable) = (false, false);
+                    for op in e.ops.iter() {
+                        if let Src::Wait(seq) = op.src {
+                            if seq < front_seq || rob[(seq - front_seq) as usize].st == St::Done {
+                                resolvable = true;
+                            } else {
+                                waits = true;
+                                self.add_consumer(rob.wrap((seq - front_seq) as usize), slot);
+                            }
+                        }
+                    }
+                    if resolvable || !waits {
+                        self.ready.insert(slot);
+                    }
+                }
+                St::AddrReady | St::Done => {}
+            }
+        }
+    }
+
+    /// `slot`'s operation left flight with its result: its consumers
+    /// become issue candidates.
+    #[inline]
+    fn complete(&mut self, slot: usize) {
+        self.inflight.remove(slot);
+        let stride = self.ready.words.len();
+        let row = &mut self.consumers[slot * stride..(slot + 1) * stride];
+        for (r, c) in self.ready.words.iter_mut().zip(row) {
+            *r |= std::mem::take(c);
+        }
+    }
+
+    /// `slot`'s entry started an operation.
+    #[inline]
+    fn start(&mut self, slot: usize) {
+        self.ready.remove(slot);
+        self.inflight.insert(slot);
+    }
+}
+
+/// `true` for an `AddrReady` entry the issue stage advances (cached loads
+/// and stores); uncached operations and atomics wait for the ROB head.
+fn is_cached_load_or_store(e: &RobEntry) -> bool {
+    e.space == Some(AddressSpace::Cached)
+        && matches!(e.inst.kind(), InstKind::Load | InstKind::Store)
 }
 
 impl Index<usize> for Rob {
@@ -498,6 +687,8 @@ pub struct Cpu {
     fetch_stopped: bool,
     fetch_q: VecDeque<Fetched>,
     rob: Rob,
+    /// Derived from `rob` (see [`Sched`]).
+    sched: Sched,
     front_seq: u64,
     next_seq: u64,
     rename: RenameTable,
@@ -515,7 +706,9 @@ pub struct Cpu {
     /// First cycle of the membar-stall run currently in progress.
     membar_stall_start: Option<u64>,
     /// `true` if the most recent tick moved any instruction through the
-    /// pipeline (see [`Cpu::last_tick_worked`]).
+    /// pipeline: fetched, dispatched, issued, completed, redirected, or
+    /// retired something, or started a memory action. Carried in
+    /// snapshot frames.
     worked: bool,
 }
 
@@ -530,6 +723,7 @@ impl Cpu {
         let fetch_pc = ctx.pc();
         let fetch_q = VecDeque::with_capacity(cfg.fetch_queue.max(1));
         let rob = Rob::with_capacity(cfg.rob_size);
+        let sched = Sched::new(rob.slots.len());
         Cpu {
             cfg,
             program,
@@ -538,6 +732,7 @@ impl Cpu {
             fetch_stopped: false,
             fetch_q,
             rob,
+            sched,
             front_seq: 0,
             next_seq: 0,
             rename: RenameTable::new(),
@@ -560,10 +755,12 @@ impl Cpu {
     pub fn reset_with(&mut self, cfg: CpuConfig, program: Program, ctx: CpuContext) {
         if cfg.rob_size != self.cfg.rob_size {
             self.rob = Rob::with_capacity(cfg.rob_size);
+            self.sched = Sched::new(self.rob.slots.len());
         } else {
             self.rob.clear();
             self.rob.head = 0;
         }
+        self.sched.rebuild(&self.rob, 0);
         self.fetch_q.clear();
         self.fetch_q.reserve(cfg.fetch_queue.max(1));
         self.cfg = cfg;
@@ -773,6 +970,23 @@ impl Cpu {
         }
         self.front_seq = r.take_u64()?;
         self.next_seq = r.take_u64()?;
+        for (i, e) in self.rob.iter().enumerate() {
+            if e.seq != self.front_seq.wrapping_add(i as u64) {
+                return Err(csb_snap::SnapshotError::Corrupt(format!(
+                    "ROB entry {i} has sequence number {}, not front {} + {i}",
+                    e.seq, self.front_seq
+                )));
+            }
+            if e.ops
+                .iter()
+                .any(|op| matches!(op.src, Src::Wait(p) if p >= e.seq))
+            {
+                return Err(csb_snap::SnapshotError::Corrupt(format!(
+                    "ROB entry {i} waits on a producer that is not older"
+                )));
+            }
+        }
+        self.sched.rebuild(&self.rob, self.front_seq);
         for slot in 0..RENAME_SLOTS {
             self.rename.slots[slot] = r.take_opt_u64()?;
         }
@@ -795,7 +1009,9 @@ impl Cpu {
         for _ in 0..nmarks {
             let id = r.take_u32()?;
             let len = r.take_usize()?;
-            let mut cycles = Vec::with_capacity(len);
+            // Bounded by the bytes left, so a corrupt length cannot
+            // demand a huge allocation.
+            let mut cycles = Vec::with_capacity(len.min(r.remaining() / 8));
             for _ in 0..len {
                 cycles.push(r.take_u64()?);
             }
@@ -932,6 +1148,7 @@ impl Cpu {
         }
         self.rob.clear();
         self.front_seq = self.next_seq;
+        self.sched.rebuild(&self.rob, self.front_seq);
         self.rename.clear();
         self.fetch_q.clear();
         let old = std::mem::replace(&mut self.ctx, new);
@@ -983,19 +1200,6 @@ impl Cpu {
         }
         self.now += 1;
         self.stats.cycles = self.now;
-    }
-
-    /// `true` if the most recent [`Cpu::tick`] moved any instruction
-    /// through the pipeline — fetched, dispatched, issued, completed,
-    /// redirected, or retired something, or started a memory action. A
-    /// quiet tick means the core only spun on a stall (or is drained),
-    /// which is the precondition for the much costlier [`Cpu::next_event`]
-    /// ROB scan to have any chance of reporting an idle horizon; drivers
-    /// use this to skip the scan while the pipeline is demonstrably busy.
-    /// Conservative in the safe direction: stall-counter increments alone
-    /// do not count as work.
-    pub fn last_tick_worked(&self) -> bool {
-        self.worked
     }
 
     /// Opens/extends/closes stall-run bookkeeping by comparing the stall
@@ -1081,12 +1285,9 @@ impl Cpu {
         }
         // Head first: during busy phases the head is almost always about
         // to commit, complete, or have its memory op accepted, so the
-        // common `Active` verdicts resolve in O(1) and the O(rob) tail
-        // scan below only runs once the head is provably stalled. This is
-        // what lets `advance` afford a horizon scan after *every* tick:
-        // short (sub-2-transaction) bus-idle gaps used to hide behind the
-        // quiet-tick gate and tick cycle-by-cycle; now the walk engages on
-        // the first stalled cycle.
+        // common `Active` verdicts resolve in O(1). Only a stalled head
+        // reaches the scan below, which visits the in-flight slots and the
+        // issue candidates, not every ROB entry.
         let mut wake: Option<u64> = None;
         let stall = match self.rob.front() {
             None => {
@@ -1182,7 +1383,13 @@ impl Cpu {
                 }
             },
         };
-        for (idx, e) in self.rob.iter().enumerate().skip(1) {
+        // Every other entry is inert until the in-order head reaches it:
+        // `Done` entries, uncached ops and atomics in `AddrReady`, and
+        // `Waiting` entries whose producers are all still in flight. The
+        // head is visited again here; every verdict it can add is one the
+        // checks above already reached.
+        for slot in self.sched.inflight.iter() {
+            let e = &self.rob.slots[slot];
             match e.st {
                 St::Agen { done_at } | St::Exec { done_at } | St::MemAccess { done_at } => {
                     if done_at <= self.now {
@@ -1200,27 +1407,24 @@ impl Cpu {
                         return CpuHorizon::Active;
                     }
                 }
-                St::Waiting => {
-                    if self.ops_would_be_ready(idx) {
-                        return CpuHorizon::Active;
-                    }
+                St::Waiting | St::AddrReady | St::Done => {
+                    unreachable!("in-flight set names a {:?} entry", e.st)
                 }
-                St::AddrReady => match (e.inst.kind(), e.space) {
-                    // A blocked load (older store in the way) stays
-                    // blocked until the head retires, which the head
-                    // checks cover.
-                    (InstKind::Load, Some(AddressSpace::Cached)) if self.load_may_proceed(idx) => {
-                        return CpuHorizon::Active;
-                    }
-                    (InstKind::Store, Some(AddressSpace::Cached)) => {
-                        return CpuHorizon::Active;
-                    }
-                    // Uncached ops and atomics wait for the head.
-                    _ => {}
-                },
-                // Done entries are inert until the in-order head reaches
-                // them.
-                St::Done => {}
+            }
+        }
+        for slot in self.sched.ready.iter() {
+            let idx = self.rob.index_of(slot);
+            let active = match self.rob[idx].st {
+                St::Waiting => self.ops_would_be_ready(idx),
+                // A blocked load (older store in the way) stays blocked
+                // until the head retires, which the head checks cover.
+                St::AddrReady => {
+                    self.rob[idx].inst.kind() == InstKind::Store || self.load_may_proceed(idx)
+                }
+                st => unreachable!("issue candidate set names a {st:?} entry"),
+            };
+            if active {
+                return CpuHorizon::Active;
             }
         }
         CpuHorizon::Idle { wake, stall }
@@ -1332,17 +1536,25 @@ impl Cpu {
     fn writeback<P: MemPort>(&mut self, port: &mut P) {
         let now = self.now;
         let mut redirect: Option<(usize, usize)> = None; // (rob idx, next pc)
-        for idx in 0..self.rob.len() {
+        let mut cursor = self.rob.next_in(&self.sched.inflight, 0);
+        while let Some(idx) = cursor {
+            cursor = self.rob.next_in(&self.sched.inflight, idx + 1);
+            let slot = self.rob.wrap(idx);
             let e = &mut self.rob[idx];
             match e.st {
                 St::Agen { done_at } if done_at <= now => {
                     e.st = St::AddrReady;
                     self.worked = true;
+                    self.sched.inflight.remove(slot);
+                    if is_cached_load_or_store(e) {
+                        self.sched.ready.insert(slot);
+                    }
                 }
                 St::Exec { done_at } if done_at <= now => {
                     e.st = St::Done;
                     e.t_complete = Some(now);
                     self.worked = true;
+                    self.sched.complete(slot);
                     if e.inst.kind() == InstKind::Branch && e.value as usize != e.predicted_next {
                         redirect = Some((idx, e.value as usize));
                         break;
@@ -1352,6 +1564,7 @@ impl Cpu {
                     e.st = St::Done;
                     e.t_complete = Some(now);
                     self.worked = true;
+                    self.sched.complete(slot);
                 }
                 St::UncachedWait => {
                     let seq = e.seq;
@@ -1367,6 +1580,7 @@ impl Cpu {
                         e.st = St::Done;
                         e.t_complete = Some(now);
                         self.worked = true;
+                        self.sched.complete(slot);
                     }
                 }
                 _ => {}
@@ -1416,6 +1630,7 @@ impl Cpu {
         // Squashed entries never issued uncached transactions (only the ROB
         // head does), so their tags cannot be in flight.
         self.next_seq = self.front_seq + self.rob.len() as u64;
+        self.sched.rebuild(&self.rob, self.front_seq);
         self.rename.clear();
         for e in self.rob.iter() {
             if let Some(d) = e.inst.def() {
@@ -1484,6 +1699,7 @@ impl Cpu {
                 e.mem_started = true;
                 e.st = St::MemAccess { done_at };
                 self.worked = true;
+                self.sched.inflight.insert(self.rob.head);
                 false
             }
             (Inst::Swap { .. }, AddressSpace::UncachedCombining) => {
@@ -1512,6 +1728,7 @@ impl Cpu {
                 e.mem_started = true;
                 e.st = St::Exec { done_at };
                 self.worked = true;
+                self.sched.inflight.insert(self.rob.head);
                 false
             }
             (Inst::Swap { .. }, AddressSpace::Uncached) => {
@@ -1531,6 +1748,7 @@ impl Cpu {
                 e.mem_started = true;
                 e.st = St::UncachedWait;
                 self.worked = true;
+                self.sched.inflight.insert(self.rob.head);
                 false
             }
             (Inst::Store { .. } | Inst::StoreF { .. }, AddressSpace::Uncached) => {
@@ -1589,6 +1807,7 @@ impl Cpu {
                 e.mem_started = true;
                 e.st = St::UncachedWait;
                 self.worked = true;
+                self.sched.inflight.insert(self.rob.head);
                 false
             }
             // Cached loads/stores never reach here in AddrReady at the
@@ -1678,99 +1897,93 @@ impl Cpu {
         let mut fp_avail = self.cfg.fp_units;
         let mut agen_avail = self.cfg.agen_units;
 
-        for idx in 0..self.rob.len() {
+        let mut cursor = self.rob.next_in(&self.sched.ready, 0);
+        while let Some(idx) = cursor {
             if int_avail == 0 && fp_avail == 0 && agen_avail == 0 {
                 break;
             }
+            cursor = self.rob.next_in(&self.sched.ready, idx + 1);
+            let slot = self.rob.wrap(idx);
             match self.rob[idx].st {
                 St::Waiting => {
                     let kind = self.rob[idx].inst.kind();
-                    match kind {
-                        InstKind::IntAlu | InstKind::Branch
-                            if int_avail > 0 && self.ops_ready(idx) =>
-                        {
-                            int_avail -= 1;
-                            let e = &self.rob[idx];
-                            let value = self.compute(e);
-                            let e = &mut self.rob[idx];
-                            e.value = value;
-                            e.t_issue = Some(now);
-                            e.st = St::Exec {
-                                done_at: now + self.cfg.int_latency,
-                            };
-                            self.worked = true;
+                    let (avail, latency) = match kind {
+                        InstKind::IntAlu | InstKind::Branch => {
+                            (&mut int_avail, self.cfg.int_latency)
                         }
-                        InstKind::FpAlu if fp_avail > 0 && self.ops_ready(idx) => {
-                            fp_avail -= 1;
-                            let e = &self.rob[idx];
-                            let value = self.compute(e);
-                            let e = &mut self.rob[idx];
-                            e.value = value;
-                            e.t_issue = Some(now);
-                            e.st = St::Exec {
-                                done_at: now + self.cfg.fp_latency,
-                            };
-                            self.worked = true;
-                        }
-                        InstKind::Load | InstKind::Store | InstKind::Swap
-                            if agen_avail > 0 && self.ops_ready(idx) =>
-                        {
-                            agen_avail -= 1;
-                            let e = &self.rob[idx];
-                            let base_idx = match e.inst {
-                                Inst::Load { .. } => 0,
-                                _ => 1, // Store/StoreF/Swap: [data, base]
-                            };
-                            let offset = match e.inst {
-                                Inst::Load { offset, .. }
-                                | Inst::Store { offset, .. }
-                                | Inst::StoreF { offset, .. }
-                                | Inst::Swap { offset, .. } => offset,
-                                _ => unreachable!(),
-                            };
-                            let addr = Addr::new(e.op_val(base_idx)).offset(offset);
-                            let space = port.space_of(addr);
-                            let e = &mut self.rob[idx];
-                            e.addr = Some(addr);
-                            e.space = Some(space);
-                            e.t_issue = Some(now);
-                            e.st = St::Agen {
-                                done_at: now + self.cfg.agen_latency,
-                            };
-                            self.worked = true;
+                        InstKind::FpAlu => (&mut fp_avail, self.cfg.fp_latency),
+                        InstKind::Load | InstKind::Store | InstKind::Swap => {
+                            (&mut agen_avail, self.cfg.agen_latency)
                         }
                         // Nop/Mark/Halt/Membar were Done at dispatch.
-                        _ => {}
+                        _ => continue,
+                    };
+                    if *avail == 0 {
+                        continue;
+                    }
+                    if !self.ops_ready(idx) {
+                        // The completed producers' operands are rewritten;
+                        // the others' completion brings it back.
+                        self.sched.ready.remove(slot);
+                        continue;
+                    }
+                    *avail -= 1;
+                    self.sched.start(slot);
+                    self.worked = true;
+                    let e = &self.rob[idx];
+                    if e.inst.is_mem() {
+                        let base_idx = match e.inst {
+                            Inst::Load { .. } => 0,
+                            _ => 1, // Store/StoreF/Swap: [data, base]
+                        };
+                        let offset = match e.inst {
+                            Inst::Load { offset, .. }
+                            | Inst::Store { offset, .. }
+                            | Inst::StoreF { offset, .. }
+                            | Inst::Swap { offset, .. } => offset,
+                            _ => unreachable!(),
+                        };
+                        let addr = Addr::new(e.op_val(base_idx)).offset(offset);
+                        let space = port.space_of(addr);
+                        let e = &mut self.rob[idx];
+                        e.addr = Some(addr);
+                        e.space = Some(space);
+                        e.t_issue = Some(now);
+                        e.st = St::Agen {
+                            done_at: now + latency,
+                        };
+                    } else {
+                        let value = self.compute(e);
+                        let e = &mut self.rob[idx];
+                        e.value = value;
+                        e.t_issue = Some(now);
+                        e.st = St::Exec {
+                            done_at: now + latency,
+                        };
                     }
                 }
                 St::AddrReady => {
-                    let e = &self.rob[idx];
-                    match (e.inst.kind(), e.space) {
-                        (InstKind::Load, Some(AddressSpace::Cached))
-                            if agen_avail > 0 && self.load_may_proceed(idx) =>
-                        {
-                            agen_avail -= 1;
-                            let e = &self.rob[idx];
-                            let (addr, width) = (e.addr.unwrap(), mem_width(&e.inst));
-                            let done_at = port.cached_access(addr, AccessKind::Read, now);
-                            let value = port.read(addr, width);
-                            let e = &mut self.rob[idx];
-                            e.value = value;
-                            e.st = St::MemAccess { done_at };
-                            self.worked = true;
-                        }
-                        (InstKind::Store, Some(AddressSpace::Cached)) => {
-                            // Completes now; memory written at commit.
-                            let e = &mut self.rob[idx];
-                            e.st = St::Done;
-                            e.t_complete = Some(now);
-                            self.worked = true;
-                        }
-                        // Uncached ops and atomics wait for the head.
-                        _ => {}
+                    if self.rob[idx].inst.kind() == InstKind::Store {
+                        // Completes now; memory written at commit.
+                        let e = &mut self.rob[idx];
+                        e.st = St::Done;
+                        e.t_complete = Some(now);
+                        self.worked = true;
+                        self.sched.ready.remove(slot);
+                    } else if agen_avail > 0 && self.load_may_proceed(idx) {
+                        agen_avail -= 1;
+                        let e = &self.rob[idx];
+                        let (addr, width) = (e.addr.unwrap(), mem_width(&e.inst));
+                        let done_at = port.cached_access(addr, AccessKind::Read, now);
+                        let value = port.read(addr, width);
+                        let e = &mut self.rob[idx];
+                        e.value = value;
+                        e.st = St::MemAccess { done_at };
+                        self.worked = true;
+                        self.sched.start(slot);
                     }
                 }
-                _ => {}
+                st => unreachable!("issue candidate set names a {st:?} entry"),
             }
         }
     }
@@ -1853,6 +2066,8 @@ impl Cpu {
             let seq = self.next_seq;
             self.next_seq += 1;
 
+            let slot = self.rob.wrap(self.rob.len());
+            let mut waits = false;
             let mut ops = Ops::EMPTY;
             let mut regs = [RegRef::Cc; 3];
             let nregs = f.inst.uses_into(&mut regs);
@@ -1864,6 +2079,8 @@ impl Cpu {
                         if p.st == St::Done {
                             Src::Ready(p.value)
                         } else {
+                            waits = true;
+                            self.sched.add_consumer(self.rob.wrap(idx), slot);
                             Src::Wait(pseq)
                         }
                     }
@@ -1879,6 +2096,9 @@ impl Cpu {
                 InstKind::Nop | InstKind::Mark | InstKind::Halt | InstKind::Membar => St::Done,
                 _ => St::Waiting,
             };
+            if st == St::Waiting && !waits {
+                self.sched.ready.insert(slot);
+            }
             self.rob.push_back(RobEntry {
                 seq,
                 pc: f.pc,

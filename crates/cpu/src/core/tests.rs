@@ -7,6 +7,8 @@ use super::*;
 use crate::port::SimpleMemPort;
 use crate::{CpuConfig, Pid};
 
+mod random;
+
 const UNCACHED_BASE: u64 = 0x1000_0000;
 const COMBINING_BASE: u64 = 0x2000_0000;
 

@@ -134,16 +134,6 @@ impl CacheStats {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Line {
-    tag: u64,
-    /// A line is valid iff its epoch matches the cache's current epoch
-    /// (see [`Cache::clear`]); epoch 0 never matches a live cache.
-    epoch: u64,
-    dirty: bool,
-    lru: u64,
-}
-
 /// One level of set-associative, write-allocate, write-back cache
 /// (tags and timing only; data lives in [`crate::FlatMemory`]).
 ///
@@ -164,7 +154,15 @@ struct Line {
 #[derive(Debug, Clone)]
 pub struct Cache {
     cfg: CacheConfig,
-    sets: Vec<Vec<Line>>,
+    /// Line state, set-major: way `w` of set `s` is index `s * assoc + w`.
+    /// Zero-initialised storage is an all-invalid cache that the OS maps
+    /// in lazily, page by page, as sets are first touched.
+    tags: Vec<u64>,
+    /// A line is valid iff its epoch matches the cache's current epoch
+    /// (see [`Cache::clear`]); epoch 0 never matches a live cache.
+    epochs: Vec<u64>,
+    lrus: Vec<u64>,
+    dirty: Vec<bool>,
     epoch: u64,
     tick: u64,
     stats: CacheStats,
@@ -178,21 +176,13 @@ impl Cache {
     /// Returns [`CacheConfigError`] for invalid geometry.
     pub fn new(cfg: CacheConfig) -> Result<Self, CacheConfigError> {
         cfg.validate()?;
-        let sets = vec![
-            vec![
-                Line {
-                    tag: 0,
-                    epoch: 0,
-                    dirty: false,
-                    lru: 0
-                };
-                cfg.assoc
-            ];
-            cfg.sets()
-        ];
+        let lines = cfg.sets() * cfg.assoc;
         Ok(Cache {
             cfg,
-            sets,
+            tags: vec![0; lines],
+            epochs: vec![0; lines],
+            lrus: vec![0; lines],
+            dirty: vec![false; lines],
             epoch: 1,
             tick: 0,
             stats: CacheStats::default(),
@@ -230,18 +220,27 @@ impl Cache {
         (set, tag)
     }
 
+    /// The storage indices of `set`'s ways, in way order.
+    fn ways(&self, set: usize) -> std::ops::Range<usize> {
+        set * self.cfg.assoc..(set + 1) * self.cfg.assoc
+    }
+
+    /// The storage index of the valid line holding `tag` in `set`.
+    fn find(&self, set: usize, tag: u64) -> Option<usize> {
+        self.ways(set)
+            .find(|&i| self.epochs[i] == self.epoch && self.tags[i] == tag)
+    }
+
     /// Looks up `addr`; on a hit updates LRU (and the dirty bit if `write`)
     /// and returns `true`. On a miss returns `false` without allocating.
     pub fn lookup(&mut self, addr: Addr, write: bool) -> bool {
         self.tick += 1;
         let (set, tag) = self.index(addr);
-        for line in &mut self.sets[set] {
-            if line.epoch == self.epoch && line.tag == tag {
-                line.lru = self.tick;
-                line.dirty |= write;
-                self.stats.hits += 1;
-                return true;
-            }
+        if let Some(i) = self.find(set, tag) {
+            self.lrus[i] = self.tick;
+            self.dirty[i] |= write;
+            self.stats.hits += 1;
+            return true;
         }
         self.stats.misses += 1;
         false
@@ -254,20 +253,24 @@ impl Cache {
         let tick = self.tick;
         let (set, tag) = self.index(addr);
         let epoch = self.epoch;
-        let victim = self.sets[set]
-            .iter_mut()
-            .min_by_key(|l| if l.epoch == epoch { l.lru } else { 0 })
+        let victim = self
+            .ways(set)
+            .min_by_key(|&i| {
+                if self.epochs[i] == epoch {
+                    self.lrus[i]
+                } else {
+                    0
+                }
+            })
             .expect("associativity is nonzero");
-        let wb = victim.epoch == epoch && victim.dirty;
+        let wb = self.epochs[victim] == epoch && self.dirty[victim];
         if wb {
             self.stats.writebacks += 1;
         }
-        *victim = Line {
-            tag,
-            epoch,
-            dirty: write,
-            lru: tick,
-        };
+        self.tags[victim] = tag;
+        self.epochs[victim] = epoch;
+        self.dirty[victim] = write;
+        self.lrus[victim] = tick;
         wb
     }
 
@@ -282,22 +285,15 @@ impl Cache {
         w.put_u64(self.stats.hits);
         w.put_u64(self.stats.misses);
         w.put_u64(self.stats.writebacks);
-        let valid = self
-            .sets
-            .iter()
-            .flatten()
-            .filter(|l| l.epoch == self.epoch)
-            .count();
+        let valid = self.epochs.iter().filter(|&&e| e == self.epoch).count();
         w.put_usize(valid);
-        for (si, set) in self.sets.iter().enumerate() {
-            for (wi, line) in set.iter().enumerate() {
-                if line.epoch == self.epoch {
-                    w.put_u32(si as u32);
-                    w.put_u32(wi as u32);
-                    w.put_u64(line.tag);
-                    w.put_bool(line.dirty);
-                    w.put_u64(line.lru);
-                }
+        for (i, &epoch) in self.epochs.iter().enumerate() {
+            if epoch == self.epoch {
+                w.put_u32((i / self.cfg.assoc) as u32);
+                w.put_u32((i % self.cfg.assoc) as u32);
+                w.put_u64(self.tags[i]);
+                w.put_bool(self.dirty[i]);
+                w.put_u64(self.lrus[i]);
             }
         }
     }
@@ -331,17 +327,16 @@ impl Cache {
             let tag = r.take_u64()?;
             let dirty = r.take_bool()?;
             let lru = r.take_u64()?;
-            if set >= self.sets.len() || way >= self.cfg.assoc {
+            if set >= self.cfg.sets() || way >= self.cfg.assoc {
                 return Err(csb_snap::SnapshotError::Corrupt(format!(
                     "cache line at set {set} way {way} outside geometry"
                 )));
             }
-            self.sets[set][way] = Line {
-                tag,
-                epoch: self.epoch,
-                dirty,
-                lru,
-            };
+            let i = set * self.cfg.assoc + way;
+            self.tags[i] = tag;
+            self.epochs[i] = self.epoch;
+            self.dirty[i] = dirty;
+            self.lrus[i] = lru;
         }
         Ok(())
     }
@@ -350,17 +345,15 @@ impl Cache {
     /// stats side effects).
     pub fn probe(&self, addr: Addr) -> bool {
         let (set, tag) = self.index(addr);
-        self.sets[set]
-            .iter()
-            .any(|l| l.epoch == self.epoch && l.tag == tag)
+        self.find(set, tag).is_some()
     }
 
     /// Invalidates the line containing `addr`, if present.
     pub fn invalidate(&mut self, addr: Addr) {
         let (set, tag) = self.index(addr);
-        for line in &mut self.sets[set] {
-            if line.epoch == self.epoch && line.tag == tag {
-                line.epoch = 0;
+        for i in self.ways(set) {
+            if self.epochs[i] == self.epoch && self.tags[i] == tag {
+                self.epochs[i] = 0;
             }
         }
     }
