@@ -109,7 +109,7 @@ impl BenchObs {
             autosnap: self
                 .autosnap
                 .as_ref()
-                .map(|(every, dir)| AutosnapConfig { every: *every, dir }),
+                .map(|(every, dir)| AutosnapConfig::new(*every, dir)),
         }
     }
 

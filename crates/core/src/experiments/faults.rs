@@ -203,12 +203,50 @@ pub(crate) fn inject_faults(sim: &mut Simulator, rate: f64, seed: u64) {
     }
 }
 
+/// Readies `slot` for one point of the sweep: `policy` at disturb rate
+/// `rate` under the fault schedule of `seed`, not yet run.
+pub(crate) fn install_point(
+    slot: &mut Option<Simulator>,
+    policy: RetryPolicy,
+    rate: f64,
+    seed: u64,
+) -> Result<&mut Simulator, ExpError> {
+    FaultPoint { policy, rate, seed }.install(slot)
+}
+
 /// One seeded (rate, policy) point of the sweep.
 struct FaultPoint {
     /// The ladder policy (unseeded; [`policy_for_seed`] seeds it).
     policy: RetryPolicy,
     rate: f64,
     seed: u64,
+}
+
+impl FaultPoint {
+    /// Every point of the sweep: rate, then policy, then seed.
+    fn all() -> Vec<FaultPoint> {
+        let mut points = Vec::new();
+        for (ri, &rate) in RATES.iter().enumerate() {
+            for (pi, &policy) in policies().iter().enumerate() {
+                for seed in 0..SEEDS_PER_CELL {
+                    // Seeds differ per cell so no two cells share a schedule.
+                    let seed = 0x5eed_0000 + (ri as u64) * 1_000 + (pi as u64) * 100 + seed;
+                    points.push(FaultPoint { policy, rate, seed });
+                }
+            }
+        }
+        points
+    }
+
+    /// Readies `slot` to run this point: its program and fault schedule.
+    fn install<'s>(&self, slot: &'s mut Option<Simulator>) -> Result<&'s mut Simulator, ExpError> {
+        let cfg = SimConfig::default();
+        let policy = policy_for_seed(self.policy, self.seed);
+        let program = workloads::csb_sequence_with_policy(DWORDS, policy, &cfg)?;
+        let sim = super::install_sim(slot, cfg, program)?;
+        inject_faults(sim, self.rate, self.seed);
+        Ok(sim)
+    }
 }
 
 impl SweepPoint for FaultPoint {
@@ -251,11 +289,7 @@ impl SweepPoint for FaultPoint {
         slot: &mut Option<Simulator>,
         obs: ObsConfig<'_>,
     ) -> Result<(PointResult, PointArtifacts), ExpError> {
-        let cfg = SimConfig::default();
-        let policy = policy_for_seed(self.policy, self.seed);
-        let program = workloads::csb_sequence_with_policy(DWORDS, policy, &cfg)?;
-        let sim = super::install_sim(slot, cfg, program)?;
-        inject_faults(sim, self.rate, self.seed);
+        let sim = self.install(slot)?;
         let (summary, livelock) = match obs.simulate(sim, POINT_LIMIT) {
             Ok(summary) => (summary, false),
             Err(SimError::Livelock(_)) => (sim.summary(), true),
@@ -324,17 +358,7 @@ pub fn run_jobs_observed(
     obs: ObsConfig<'_>,
 ) -> Result<(FaultSweep, Vec<LabeledArtifacts>, RunReport), ExpError> {
     let policies = policies();
-    let mut points = Vec::new();
-    for (ri, &rate) in RATES.iter().enumerate() {
-        for (pi, &policy) in policies.iter().enumerate() {
-            for seed in 0..SEEDS_PER_CELL {
-                // Seeds differ per cell so no two cells share a schedule.
-                let seed = 0x5eed_0000 + (ri as u64) * 1_000 + (pi as u64) * 100 + seed;
-                points.push(FaultPoint { policy, rate, seed });
-            }
-        }
-    }
-    let (results, artifacts, report) = run_sweep(&points, jobs, obs)?;
+    let (results, artifacts, report) = run_sweep(&FaultPoint::all(), jobs, obs)?;
 
     // Points enumerate rate, then policy, then seed: each run of
     // SEEDS_PER_CELL results is one cell, in row-major order.
@@ -398,6 +422,28 @@ mod tests {
             .simulate(slot, ObsConfig::default())
             .expect("fault point simulates")
             .0
+    }
+
+    #[test]
+    fn loop_skip_matches_naive_on_every_backoff_point() {
+        let (mut ff, mut naive) = (0, 0);
+        for p in FaultPoint::all() {
+            if !matches!(p.policy, RetryPolicy::Backoff { .. }) {
+                continue;
+            }
+            let label = format!("{} seed {:#x}", p.label(), p.seed);
+            let install = |slot: &mut Option<Simulator>| p.install(slot).map(|_| ());
+            let (f, n) = super::super::assert_loops_agree(&label, install, POINT_LIMIT);
+            assert!(f <= n, "{label}: {f} fast-forward ticks, {n} naive");
+            ff += f;
+            naive += n;
+        }
+        // Points that never retry run no delay loop, so the halving holds
+        // over the sweep's backoff points, not at each of them.
+        assert!(
+            2 * ff <= naive,
+            "faults backoff points: {ff} fast-forward ticks, {naive} naive"
+        );
     }
 
     #[test]

@@ -283,6 +283,63 @@ struct MessagingPoint {
     seed: u64,
 }
 
+impl MessagingPoint {
+    /// Every point of the sweep: path, size, rate, policy, then seed.
+    fn all() -> Vec<MessagingPoint> {
+        let policies = super::faults::policies();
+        let mut points = Vec::new();
+        for (pa, &path) in paths().iter().enumerate() {
+            for (si, &size) in SIZES.iter().enumerate() {
+                for &rate in &RATES {
+                    for (pi, &policy) in policies.iter().enumerate() {
+                        for s in 0..SEEDS_PER_CELL {
+                            // Seeds differ per (path, size, policy) group but
+                            // are *shared across rates*, so each seed's
+                            // degradation curve rides one fault schedule (the
+                            // monotonicity argument in the module docs).
+                            let seed = 0x0e2e_0000
+                                + (pa as u64) * 100_000
+                                + (si as u64) * 10_000
+                                + (pi as u64) * 1_000
+                                + s;
+                            points.push(MessagingPoint {
+                                path,
+                                size,
+                                policy,
+                                rate,
+                                seed,
+                            });
+                        }
+                    }
+                }
+            }
+        }
+        points
+    }
+
+    /// Readies `slot` to run this point: its program, the attached NI
+    /// and the fault schedule.
+    fn install<'s>(&self, slot: &'s mut Option<Simulator>) -> Result<&'s mut Simulator, ExpError> {
+        let cfg = self.path.config();
+        let seeded = policy_for_seed(self.policy, self.seed);
+        let program = match self.path {
+            SendPath::Lock => workloads::lock_messages(spec(self.size), seeded, &cfg)?,
+            SendPath::Csb | SendPath::CsbDouble => {
+                workloads::csb_messages(spec(self.size), seeded, &cfg)?
+            }
+        };
+        let nic_cfg = csb_nic::NicConfig {
+            slot_size: cfg.line(),
+            slots: SLOTS,
+            ..csb_nic::NicConfig::default()
+        };
+        let sim = super::install_sim(slot, cfg, program)?;
+        sim.attach_nic(nic_cfg, Addr::new(self.path.window_base()))?;
+        inject_faults(sim, self.rate, self.seed);
+        Ok(sim)
+    }
+}
+
 impl SweepPoint for MessagingPoint {
     type Output = PointResult;
 
@@ -330,22 +387,7 @@ impl SweepPoint for MessagingPoint {
         obs: ObsConfig<'_>,
     ) -> Result<(PointResult, PointArtifacts), ExpError> {
         let size = self.size;
-        let cfg = self.path.config();
-        let seeded = policy_for_seed(self.policy, self.seed);
-        let program = match self.path {
-            SendPath::Lock => workloads::lock_messages(spec(size), seeded, &cfg)?,
-            SendPath::Csb | SendPath::CsbDouble => {
-                workloads::csb_messages(spec(size), seeded, &cfg)?
-            }
-        };
-        let nic_cfg = csb_nic::NicConfig {
-            slot_size: cfg.line(),
-            slots: SLOTS,
-            ..csb_nic::NicConfig::default()
-        };
-        let sim = super::install_sim(slot, cfg, program)?;
-        sim.attach_nic(nic_cfg, Addr::new(self.path.window_base()))?;
-        inject_faults(sim, self.rate, self.seed);
+        let sim = self.install(slot)?;
         // The end-to-end quantiles *are* the result, so metrics always
         // record.
         let recording = ObsConfig {
@@ -478,34 +520,7 @@ pub fn run_jobs_observed(
 ) -> Result<(MessagingSweep, Vec<LabeledArtifacts>, RunReport), ExpError> {
     let paths = paths();
     let policies = super::faults::policies();
-    let mut points = Vec::new();
-    for (pa, &path) in paths.iter().enumerate() {
-        for (si, &size) in SIZES.iter().enumerate() {
-            for &rate in &RATES {
-                for (pi, &policy) in policies.iter().enumerate() {
-                    for s in 0..SEEDS_PER_CELL {
-                        // Seeds differ per (path, size, policy) group but
-                        // are *shared across rates*, so each seed's
-                        // degradation curve rides one fault schedule (the
-                        // monotonicity argument in the module docs).
-                        let seed = 0x0e2e_0000
-                            + (pa as u64) * 100_000
-                            + (si as u64) * 10_000
-                            + (pi as u64) * 1_000
-                            + s;
-                        points.push(MessagingPoint {
-                            path,
-                            size,
-                            policy,
-                            rate,
-                            seed,
-                        });
-                    }
-                }
-            }
-        }
-    }
-    let (results, artifacts, report) = run_sweep(&points, jobs, obs)?;
+    let (results, artifacts, report) = run_sweep(&MessagingPoint::all(), jobs, obs)?;
 
     // Points enumerate path, size, rate, policy, then seed: each run of
     // SEEDS_PER_CELL results is one cell, and each run of `row` results is
@@ -589,6 +604,62 @@ mod tests {
             .simulate(slot, ObsConfig::default())
             .expect("messaging point simulates")
             .0
+    }
+
+    #[test]
+    fn loop_skip_matches_naive_on_every_backoff_point() {
+        let (mut ff, mut naive) = (0, 0);
+        for p in MessagingPoint::all() {
+            if !matches!(p.policy, RetryPolicy::Backoff { .. }) {
+                continue;
+            }
+            let label = format!("{} seed {:#x}", p.label(), p.seed);
+            let install = |slot: &mut Option<Simulator>| p.install(slot).map(|_| ());
+            let (f, n) = super::super::assert_loops_agree(&label, install, POINT_LIMIT);
+            assert!(f <= n, "{label}: {f} fast-forward ticks, {n} naive");
+            ff += f;
+            naive += n;
+        }
+        // Points that never retry run no delay loop, so the halving holds
+        // over the sweep's backoff points, not at each of them.
+        assert!(
+            2 * ff <= naive,
+            "messaging backoff points: {ff} fast-forward ticks, {naive} naive"
+        );
+    }
+
+    #[test]
+    fn autosnap_frames_of_two_seeds_are_distinct() {
+        // One program under two fault schedules: the frames carry each
+        // point's cache key, so neither seed overwrites the other's.
+        let dir = std::env::temp_dir().join(format!("csb-autosnap-seeds-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("autosnap dir");
+        let policy = RetryPolicy::Bounded { attempts: 4 };
+        let points =
+            [0x0e2e_0001, 0x0e2e_0002].map(|seed| point(SendPath::Csb, 1, policy, 0.5, seed));
+        let obs = ObsConfig {
+            autosnap: Some(crate::snapshot::AutosnapConfig::new(97, &dir)),
+            ..ObsConfig::default()
+        };
+        run_sweep(&points, 1, obs).expect("points simulate");
+        let names: Vec<String> = std::fs::read_dir(&dir)
+            .expect("autosnap dir readable")
+            .map(|e| {
+                e.expect("dir entry")
+                    .file_name()
+                    .into_string()
+                    .expect("utf-8")
+            })
+            .collect();
+        let written = |p: &MessagingPoint| {
+            let key = format!("-{:016x}-", p.cache_key());
+            names.iter().filter(|n| n.contains(&key)).count()
+        };
+        let (a, b) = (written(&points[0]), written(&points[1]));
+        assert!(a > 0 && b > 0, "both seeds write frames: {a} and {b}");
+        assert_eq!(a + b, names.len(), "every frame names its point");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

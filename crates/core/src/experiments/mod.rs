@@ -348,6 +348,46 @@ pub(crate) fn install_sim(
     Ok(slot.as_mut().expect("slot was just filled"))
 }
 
+/// Runs the simulator `install` readies on both loops, metrics on, and
+/// asserts that every observable the periodic skip could disturb is
+/// byte-identical: the outcome (summary or livelock report), the final
+/// summary, `CsbStats`, the metrics snapshot with its timeline, and the
+/// NI's message log. Returns the real ticks of (fast-forward, naive).
+#[cfg(test)]
+pub(crate) fn assert_loops_agree(
+    label: &str,
+    install: impl Fn(&mut Option<Simulator>) -> Result<(), ExpError>,
+    limit: u64,
+) -> (u64, u64) {
+    let mut runs = Vec::new();
+    for fast_forward in [true, false] {
+        let mut slot = None;
+        install(&mut slot).expect("point installs");
+        let sim = slot.as_mut().expect("install fills the slot");
+        sim.set_fast_forward(fast_forward);
+        sim.enable_metrics();
+        let outcome = match sim.run(limit) {
+            Ok(summary) => serde_json::to_string(&summary).expect("summary serializes"),
+            Err(e) => format!("{e:?}"),
+        };
+        runs.push((
+            outcome,
+            serde_json::to_string(&sim.summary()).expect("summary serializes"),
+            sim.csb_stats(),
+            sim.metrics_snapshot(),
+            format!("{:?}", sim.nic().map(|nic| (nic.messages(), nic.stats()))),
+            sim.ticks(),
+        ));
+    }
+    let (ff, naive) = (&runs[0], &runs[1]);
+    assert_eq!(ff.0, naive.0, "{label}: outcome");
+    assert_eq!(ff.1, naive.1, "{label}: summary");
+    assert_eq!(ff.2, naive.2, "{label}: CsbStats");
+    assert_eq!(ff.3, naive.3, "{label}: metrics snapshot");
+    assert_eq!(ff.4, naive.4, "{label}: NI message log");
+    (ff.5, naive.5)
+}
+
 /// Writes an optional latency histogram into a cache payload as raw
 /// bucket counts, so a cached point merges across seeds exactly like a
 /// live one ([`take_histogram`] re-derives the quantiles).

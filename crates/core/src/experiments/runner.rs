@@ -348,6 +348,10 @@ fn execute<P: SweepPoint>(
     cache: Option<&PointCache>,
 ) -> Result<(P::Output, Duration, PointArtifacts), ExpError> {
     let t0 = Instant::now();
+    let obs = ObsConfig {
+        autosnap: obs.autosnap.map(|auto| auto.for_point(point.cache_key())),
+        ..obs
+    };
     let Some(cache) = cache else {
         let (output, artifacts) = point.simulate(slot, obs)?;
         return Ok((output, t0.elapsed(), artifacts));

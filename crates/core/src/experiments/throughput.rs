@@ -1,6 +1,6 @@
 //! Simulated-cycles-per-second throughput measurement: the naive
-//! cycle-by-cycle loop vs. the event-driven idle-cycle fast-forward, on
-//! representative figure points.
+//! cycle-by-cycle loop vs. event-driven fast-forward, on representative
+//! figure points and one delay-loop point of the fault sweep.
 //!
 //! What is timed is the sweep engine's steady-state per-point cost: one
 //! simulator is cold-constructed (and its caches faulted in) *outside*
@@ -8,9 +8,9 @@
 //! it, each a warm reset ([`Simulator::reset_with`], including the lock
 //! line warm/evict replay) followed by the simulation loop — exactly the
 //! per-worker reuse path the sweep engine takes after a worker's first
-//! point. Fast-forward is toggled per leg, and the measured values
-//! of both legs are asserted identical, so the throughput bench doubles
-//! as one more differential check. Each point also records the real
+//! point. Fast-forward is toggled per leg, and the run summaries of
+//! both legs are asserted identical, so the throughput bench doubles as
+//! one more differential check. Each point also records the real
 //! ticks and fast-forward jumps one execution takes: unlike the wall
 //! times these counts are deterministic, so they gate fast-forward
 //! coverage exactly. `runner_bench` serializes the resulting
@@ -20,12 +20,12 @@ use std::time::Instant;
 
 use serde::Serialize;
 
-use super::runner::{PointSpec, PointValue, PointWork};
-use super::{contend, fig4, fig5, ExpError, Scheme, POINT_LIMIT};
+use super::runner::{PointSpec, PointWork};
+use super::{contend, faults, fig4, fig5, ExpError, Scheme, POINT_LIMIT};
 use crate::config::SimConfig;
 use crate::multiproc::{MultiSim, SchedulerMode, SwitchPolicy};
-use crate::sim::Simulator;
-use crate::workloads::{self, StoreOrder};
+use crate::sim::{RunSummary, Simulator};
+use crate::workloads::{self, RetryPolicy, StoreOrder};
 
 /// Before/after throughput for one figure point.
 #[derive(Debug, Clone, Serialize)]
@@ -187,16 +187,60 @@ pub fn csb_active_point() -> PointSpec {
     }
 }
 
-/// Readies the simulator in `slot` for one execution of `spec` with the
-/// requested loop flavor — shared machinery with the figure harnesses
-/// themselves (cold construction into an empty slot, warm reset into a
-/// filled one).
+/// The bench's delay-loop point: the fault sweep's `backoff-12` policy
+/// at disturb rate 0.9 under one seed whose flushes keep failing, so the
+/// run spends most of its cycles in the countdown delay loops between
+/// retries. Periodic fast-forward skips those loops; without it every
+/// loop cycle is a real tick.
+pub const BACKOFF_POINT_LABEL: &str = "faults/r90/backoff-12";
+
+/// The fault-schedule seed of [`BACKOFF_POINT_LABEL`]: the fourth seed of
+/// that cell of the fault sweep.
+const BACKOFF_POINT_SEED: u64 = 0x5eed_1453;
+
+/// A point the bench times: its label and how to ready a simulator for
+/// one execution of it — cold construction into an empty slot, a warm
+/// reset of a filled one, as the sweeps do.
+trait Timed {
+    fn label(&self) -> String;
+    fn install<'s>(&self, slot: &'s mut Option<Simulator>) -> Result<&'s mut Simulator, ExpError>;
+}
+
+impl Timed for PointSpec {
+    fn label(&self) -> String {
+        self.label.clone()
+    }
+
+    fn install<'s>(&self, slot: &'s mut Option<Simulator>) -> Result<&'s mut Simulator, ExpError> {
+        self.work.install(slot, &self.cfg)
+    }
+}
+
+/// The point [`BACKOFF_POINT_LABEL`] names.
+struct BackoffPoint;
+
+impl Timed for BackoffPoint {
+    fn label(&self) -> String {
+        BACKOFF_POINT_LABEL.to_string()
+    }
+
+    fn install<'s>(&self, slot: &'s mut Option<Simulator>) -> Result<&'s mut Simulator, ExpError> {
+        let backoff = faults::policies()
+            .into_iter()
+            .find(|p| matches!(p, RetryPolicy::Backoff { .. }))
+            .expect("the fault sweep has a backoff policy");
+        faults::install_point(slot, backoff, 0.9, BACKOFF_POINT_SEED)
+    }
+}
+
+/// Readies the simulator in `slot` for one execution of `point` with the
+/// requested loop flavor.
 fn prepare_into<'a>(
     slot: &'a mut Option<Simulator>,
-    spec: &PointSpec,
+    point: &impl Timed,
     fast_forward: bool,
 ) -> Result<&'a mut Simulator, ExpError> {
-    let sim = spec.work.install(slot, &spec.cfg)?;
+    let sim = point.install(slot)?;
     sim.set_fast_forward(fast_forward);
     Ok(sim)
 }
@@ -212,37 +256,36 @@ fn prepare(spec: &PointSpec, fast_forward: bool) -> Result<Simulator, ExpError> 
 /// One timed sample: `reps` executions back to back through one reused
 /// simulator — each a warm reset plus a full run, the sweep engine's
 /// steady-state per-point cost. Returns (wall seconds per execution,
-/// cycles per second, the measured value, cycles per execution).
+/// cycles per second, the last execution's summary).
 fn sample(
-    spec: &PointSpec,
+    point: &impl Timed,
     fast_forward: bool,
     reps: usize,
-) -> Result<(f64, f64, PointValue, u64), ExpError> {
+) -> Result<(f64, f64, RunSummary), ExpError> {
     let reps = reps.max(1);
     let mut slot = None;
     // Cold construction (and cache/allocator faulting) stays untimed, as
     // it does in a sweep: every worker pays it once, not per point.
-    prepare_into(&mut slot, spec, fast_forward)?;
+    prepare_into(&mut slot, point, fast_forward)?;
     let mut total = 0u64;
     let mut last = None;
     let t0 = Instant::now();
     for _ in 0..reps {
-        let sim = prepare_into(&mut slot, spec, fast_forward)?;
+        let sim = prepare_into(&mut slot, point, fast_forward)?;
         let summary = sim.run(POINT_LIMIT)?;
         total += summary.cycles;
         last = Some(summary);
     }
     let wall = t0.elapsed().as_secs_f64();
     let last = last.expect("at least one rep ran");
-    let value = spec.work.value(&last)?;
-    Ok((wall / reps as f64, total as f64 / wall, value, last.cycles))
+    Ok((wall / reps as f64, total as f64 / wall, last))
 }
 
-/// Real ticks and fast-forward jumps one execution of `spec` takes with
+/// Real ticks and fast-forward jumps one execution of `point` takes with
 /// fast-forward on, counted by driving the loop [`Simulator::run`] runs.
-fn ff_counts(spec: &PointSpec) -> Result<(u64, u64), ExpError> {
+fn ff_counts(point: &impl Timed) -> Result<(u64, u64), ExpError> {
     let mut slot = None;
-    let sim = prepare_into(&mut slot, spec, true)?;
+    let sim = prepare_into(&mut slot, point, true)?;
     let mut jumps = 0;
     while !sim.complete() {
         if sim.cpu().now() >= POINT_LIMIT {
@@ -265,39 +308,43 @@ fn ff_counts(spec: &PointSpec) -> Result<(u64, u64), ExpError> {
 ///
 /// # Panics
 ///
-/// Panics if the two legs disagree on the measured value or cycle count —
-/// that would be a cycle-exactness bug, not a throughput result.
+/// Panics if the two legs' runs disagree on any summary field — that
+/// would be a cycle-exactness bug, not a throughput result.
 pub fn measure_point(
     spec: &PointSpec,
     samples: usize,
     reps: usize,
 ) -> Result<ThroughputPoint, ExpError> {
-    let mut best: [Option<(f64, f64, PointValue, u64)>; 2] = [None, None];
+    measure_timed(spec, samples, reps)
+}
+
+/// [`measure_point`] for any [`Timed`] point.
+fn measure_timed(
+    point: &impl Timed,
+    samples: usize,
+    reps: usize,
+) -> Result<ThroughputPoint, ExpError> {
+    let label = point.label();
+    let mut best: [Option<(f64, f64, RunSummary)>; 2] = [None, None];
     for (leg, slot) in [false, true].into_iter().zip(best.iter_mut()) {
-        sample(spec, leg, reps)?; // warmup: page in code + allocator state
+        sample(point, leg, reps)?; // warmup: page in code + allocator state
         for _ in 0..samples.max(1) {
-            let s = sample(spec, leg, reps)?;
+            let s = sample(point, leg, reps)?;
             if slot.as_ref().is_none_or(|b| s.0 < b.0) {
                 *slot = Some(s);
             }
         }
     }
-    let (naive_wall_s, naive_cps, naive_value, naive_cycles) = best[0].expect("naive leg sampled");
-    let (ff_wall_s, ff_cps, ff_value, ff_cycles) = best[1].expect("ff leg sampled");
+    let (naive_wall_s, naive_cps, naive_summary) = best[0].take().expect("naive leg sampled");
+    let (ff_wall_s, ff_cps, ff_summary) = best[1].take().expect("ff leg sampled");
     assert_eq!(
-        naive_value, ff_value,
-        "{}: fast-forward changed the measured value",
-        spec.label
+        naive_summary, ff_summary,
+        "{label}: fast-forward changed the run"
     );
-    assert_eq!(
-        naive_cycles, ff_cycles,
-        "{}: fast-forward changed the cycle count",
-        spec.label
-    );
-    let (ff_ticks, ff_jumps) = ff_counts(spec)?;
+    let (ff_ticks, ff_jumps) = ff_counts(point)?;
     Ok(ThroughputPoint {
-        label: spec.label.clone(),
-        sim_cycles: ff_cycles,
+        label,
+        sim_cycles: ff_summary.cycles,
         naive_wall_s,
         naive_cycles_per_sec: naive_cps,
         ff_wall_s,
@@ -432,9 +479,10 @@ pub fn sched_point(samples: usize, reps: usize) -> Result<ThroughputPoint, ExpEr
     })
 }
 
-/// Measures every [`default_points`] spec, plus the many-core scheduler
-/// point ([`sched_point`] — heap vs. round-robin rather than fast-forward
-/// vs. naive, reported through the same before/after row).
+/// Measures every [`default_points`] spec, the delay-loop point
+/// ([`BACKOFF_POINT_LABEL`]), and the many-core scheduler point
+/// ([`sched_point`] — heap vs. round-robin rather than fast-forward vs.
+/// naive, reported through the same before/after row).
 ///
 /// # Errors
 ///
@@ -444,6 +492,7 @@ pub fn measure(samples: usize, reps: usize) -> Result<ThroughputReport, ExpError
         .iter()
         .map(|spec| measure_point(spec, samples, reps))
         .collect::<Result<Vec<_>, _>>()?;
+    points.push(measure_timed(&BackoffPoint, samples, reps)?);
     points.push(sched_point(samples, reps)?);
     Ok(ThroughputReport {
         samples,
@@ -522,6 +571,19 @@ mod tests {
                 naive * 1e6,
             );
         }
+    }
+
+    #[test]
+    fn backoff_point_spends_its_cycles_in_skipped_delay_loops() {
+        let p = measure_timed(&BackoffPoint, 1, 1).expect("backoff point simulates");
+        assert_eq!(p.label, BACKOFF_POINT_LABEL);
+        let jumps = p.ff_jumps.expect("single-core points count jumps");
+        assert!(
+            p.ff_ticks * 10 < p.sim_cycles && jumps > 0,
+            "{} ticks and {jumps} jumps over {} cycles",
+            p.ff_ticks,
+            p.sim_cycles
+        );
     }
 
     #[test]

@@ -1400,10 +1400,16 @@ impl Simulator {
     /// pipeline is stalled or drained and no bus slot or uncached
     /// completion falls in the gap — bulk-updating cycle counters and
     /// stall statistics so every observable result (summary, stats,
-    /// metrics) is identical to ticking cycle by cycle. Structured
-    /// tracing composes with fast-forward: the walk synthesizes the
-    /// per-cycle refusal events a naive loop would have emitted inside
-    /// each jump, so the exported trace is byte-identical either way.
+    /// metrics) is identical to ticking cycle by cycle. It also skips
+    /// whole periods of a countdown delay loop the core is busy in
+    /// ([`Cpu::skip_loop_periods`]), shifting the pipeline by the loop's
+    /// period while the machine walks the same cycles on its own.
+    /// Structured tracing composes with fast-forward: the walk
+    /// synthesizes the per-cycle refusal events a naive loop would have
+    /// emitted inside each jump, so the exported trace is byte-identical
+    /// either way; loop periods are ticked while tracing, since their
+    /// per-instruction events are not synthesized. Disabled, the
+    /// simulator ticks every cycle and takes no skip of either kind.
     pub fn set_fast_forward(&mut self, on: bool) {
         self.fast_forward = on;
     }
@@ -1413,8 +1419,9 @@ impl Simulator {
         self.fast_forward
     }
 
-    /// Real ticks executed so far (skipped idle cycles are not counted;
-    /// without fast-forward this equals [`Cpu::now`]).
+    /// Real ticks executed so far. Cycles that fast-forward skipped, idle
+    /// gaps and delay-loop periods alike, are not counted; without
+    /// fast-forward this equals [`Cpu::now`].
     pub fn ticks(&self) -> u64 {
         self.ticks
     }
@@ -1444,7 +1451,7 @@ impl Simulator {
         // their first stalled cycle instead of ticking through for real
         // (the old quiet-tick gate burned one real tick per stall entry).
         let CpuHorizon::Idle { wake, stall } = self.cpu.next_event(&self.machine) else {
-            return false;
+            return self.try_loop_skip(cap);
         };
         let mut target = cap;
         if let Some(w) = wake {
@@ -1506,10 +1513,49 @@ impl Simulator {
             Some(StallCause::CsbFlushWait | StallCause::Membar) | None => {}
         }
         self.cpu.fast_forward(resume, stall);
-        self.machine.now = resume;
-        let ratio = self.machine.ratio;
-        self.bus_countdown = (ratio - resume % ratio) % ratio;
+        self.resume_at(resume);
         true
+    }
+
+    /// Periodic fast-forward for an `Active` core: lets the core observe
+    /// its countdown delay loop and jump whole periods of it
+    /// ([`Cpu::skip_loop_periods`]), never past `cap`, then walks the
+    /// machine over the same cycles. The loop touches no memory, so the
+    /// machine runs on its own in the meantime, and the walk applies its
+    /// bus grants, faults and deliveries exactly as the naive loop would.
+    /// No uncached read or swap can complete inside the span: one in
+    /// flight would sit in the ROB, which holds only the loop.
+    fn try_loop_skip(&mut self, cap: u64) -> bool {
+        let m = &self.machine;
+        let quiet = m.pending_reads.is_empty() && m.pending_swaps.is_empty();
+        let now = self.cpu.now();
+        // A period longer than the hard-stall threshold could hide a gap
+        // between retirements the watchdog would have fired in.
+        let max_period = match self.watchdog.stall_cycles {
+            0 => u64::MAX,
+            n => n,
+        };
+        let max_cycles = if quiet { cap - now } else { 0 };
+        let skipped = self.cpu.skip_loop_periods(max_cycles, max_period);
+        if skipped == 0 {
+            return false;
+        }
+        let target = now + skipped;
+        let resume = self.machine.fast_forward(target, DrainWake::None, None);
+        assert_eq!(
+            resume, target,
+            "a completion stopped the machine inside a skipped loop span"
+        );
+        self.resume_at(target);
+        true
+    }
+
+    /// Re-aligns the machine's clock and the bus countdown with the core
+    /// after a jump to `cycle`.
+    fn resume_at(&mut self, cycle: u64) {
+        self.machine.now = cycle;
+        let ratio = self.machine.ratio;
+        self.bus_countdown = (ratio - cycle % ratio) % ratio;
     }
 
     /// Advances simulated time: one fast-forward jump over a provably

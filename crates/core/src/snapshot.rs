@@ -197,11 +197,14 @@ impl Simulator {
         Ok(())
     }
 
-    /// The [`Simulator::run`] loop with periodic snapshot dumps: every
-    /// `auto.every` CPU cycles the full machine state is written to
-    /// `auto.dir/snap-<cfg fp><program fp>-<cycle>.bin`. Write failures
-    /// are swallowed — autosnap is a forensic aid, never a correctness
-    /// dependency — and results are byte-identical to a plain run.
+    /// The [`Simulator::run`] loop with periodic snapshot dumps: at every
+    /// multiple of `auto.every` CPU cycles the full machine state is
+    /// written to `auto.dir/snap-<cfg fp><program fp>-<point key>-<cycle>.bin`.
+    /// Each boundary caps the advance toward it, as in
+    /// [`Simulator::run_to`], so fast-forward and the naive loop write
+    /// frames at the same cycles. Write failures are swallowed — autosnap
+    /// is a forensic aid, never a correctness dependency — and results
+    /// are byte-identical to a plain run.
     pub(crate) fn run_autosnap(
         &mut self,
         limit: u64,
@@ -214,13 +217,16 @@ impl Simulator {
             if self.cpu().now() >= limit {
                 return Err(SimError::CycleLimit { limit });
             }
-            let next = self.cpu().now().saturating_add(every).min(limit);
+            let next = (self.cpu().now() / every + 1)
+                .saturating_mul(every)
+                .min(limit);
             while !self.complete() && self.cpu().now() < next {
-                self.advance_checked(limit)?;
+                self.advance_checked(next)?;
             }
-            if !self.complete() {
+            if !self.complete() && self.cpu().now().is_multiple_of(every) {
                 let path = auto.dir.join(format!(
-                    "snap-{cfg_fp:016x}{prog_fp:016x}-{:012}.bin",
+                    "snap-{cfg_fp:016x}{prog_fp:016x}-{:016x}-{:012}.bin",
+                    auto.point,
                     self.cpu().now()
                 ));
                 let _ = std::fs::write(path, self.snapshot());
@@ -231,17 +237,38 @@ impl Simulator {
 }
 
 /// Periodic snapshot dumping for the points of a sweep, carried in the
-/// sweep's [`ObsConfig`](crate::experiments::runner::ObsConfig): every
-/// `every` CPU cycles of each simulated point, a restorable snapshot goes
-/// into `dir`, named by the machine's configuration and program
-/// fingerprints plus the cycle. The bench binaries wire this to
-/// `--snapshot-every` so a long or misbehaving point can be resumed and
-/// dissected from the nearest dump instead of re-simulated from cycle
-/// zero.
+/// sweep's [`ObsConfig`](crate::experiments::runner::ObsConfig): at every
+/// multiple of `every` CPU cycles of each simulated point, a restorable
+/// snapshot goes into `dir`, named by the machine's configuration and
+/// program fingerprints, the point's cache key and the cycle. The bench
+/// binaries wire this to `--snapshot-every` so a long or misbehaving point
+/// can be resumed and dissected from the nearest dump instead of
+/// re-simulated from cycle zero.
 #[derive(Debug, Clone, Copy)]
 pub struct AutosnapConfig<'a> {
     /// CPU cycles between dumps.
     pub every: u64,
     /// Directory the `snap-*.bin` files go to.
     pub dir: &'a Path,
+    /// Cache key of the point being simulated: points that share a
+    /// configuration and a program (one program under several fault
+    /// schedules) still write distinct frames. The sweep engine sets it
+    /// for each point.
+    point: u64,
+}
+
+impl<'a> AutosnapConfig<'a> {
+    /// Dumps every `every` CPU cycles into `dir`.
+    pub fn new(every: u64, dir: &'a Path) -> Self {
+        AutosnapConfig {
+            every,
+            dir,
+            point: 0,
+        }
+    }
+
+    /// The same dumps, named for the point with cache key `key`.
+    pub(crate) fn for_point(self, key: u64) -> Self {
+        AutosnapConfig { point: key, ..self }
+    }
 }

@@ -29,6 +29,10 @@ use crate::port::MemPort;
 use crate::stats::CpuStats;
 use crate::trace::InstTrace;
 
+mod countdown;
+
+use countdown::LoopDetector;
+
 /// Condition-code flag: operands compared equal.
 const FLAG_EQ: u64 = 1;
 /// Condition-code flag: first operand signed-less-than the second.
@@ -710,6 +714,9 @@ pub struct Cpu {
     /// retired something, or started a memory action. Carried in
     /// snapshot frames.
     worked: bool,
+    /// Observations of the countdown loop at the ROB head, for periodic
+    /// fast-forward (see [`Cpu::skip_loop_periods`]). Never serialized.
+    detector: LoopDetector,
 }
 
 impl Cpu {
@@ -745,6 +752,7 @@ impl Cpu {
             uncached_stall_start: None,
             membar_stall_start: None,
             worked: false,
+            detector: LoopDetector::default(),
         }
     }
 
@@ -780,6 +788,7 @@ impl Cpu {
         self.uncached_stall_start = None;
         self.membar_stall_start = None;
         self.worked = false;
+        self.detector.reset();
     }
 
     /// Serializes the core's complete microarchitectural state: committed
@@ -1025,6 +1034,7 @@ impl Cpu {
         self.uncached_stall_start = r.take_opt_u64()?;
         self.membar_stall_start = r.take_opt_u64()?;
         self.worked = r.take_bool()?;
+        self.detector.reset();
         Ok(())
     }
 
@@ -1090,6 +1100,7 @@ impl Cpu {
     /// Mutable access to the committed context (test setup; mutating
     /// registers with instructions in flight is not meaningful).
     pub fn context_mut(&mut self) -> &mut CpuContext {
+        self.detector.reset();
         &mut self.ctx
     }
 
@@ -1149,6 +1160,7 @@ impl Cpu {
         self.rob.clear();
         self.front_seq = self.next_seq;
         self.sched.rebuild(&self.rob, self.front_seq);
+        self.detector.reset();
         self.rename.clear();
         self.fetch_q.clear();
         let old = std::mem::replace(&mut self.ctx, new);
@@ -1631,6 +1643,7 @@ impl Cpu {
         // head does), so their tags cannot be in flight.
         self.next_seq = self.front_seq + self.rob.len() as u64;
         self.sched.rebuild(&self.rob, self.front_seq);
+        self.detector.reset();
         self.rename.clear();
         for e in self.rob.iter() {
             if let Some(d) = e.inst.def() {

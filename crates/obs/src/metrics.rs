@@ -330,6 +330,18 @@ impl MetricsRegistry {
         }
     }
 
+    /// Records `count` retirements at each of the `times` cycles `first`,
+    /// `first + period`, … into the timeline in one call (see
+    /// [`Timeline::record_retired_every`]) — how a periodic skip accounts
+    /// for the retirements of the loop periods it jumps.
+    pub fn timeline_retired_every(&self, first: u64, period: u64, times: u64, count: u64) {
+        if let Some(i) = &self.inner {
+            i.borrow_mut()
+                .timeline
+                .record_retired_every(first, period, times, count);
+        }
+    }
+
     /// The named counter's current value (0 if absent or disabled).
     pub fn counter(&self, name: &str) -> u64 {
         self.inner

@@ -128,6 +128,36 @@ impl Timeline {
         }
     }
 
+    /// Accumulates `count` retirements at each of the `times` cycles
+    /// `first`, `first + period`, … — the windows `times × count` single
+    /// [`TimelineEvent::Retired`] records would fill, added per window
+    /// rather than per record. The window layout depends only on the
+    /// latest cycle recorded, so coarsening for the last cycle up front
+    /// leaves the same timeline as recording in cycle order.
+    pub fn record_retired_every(&mut self, first: u64, period: u64, times: u64, count: u64) {
+        if times == 0 || count == 0 {
+            return;
+        }
+        let period = period.max(1);
+        let last = first + (times - 1) * period;
+        while last / self.window_cycles >= TIMELINE_WINDOWS as u64 {
+            self.coarsen();
+        }
+        let last_idx = (last / self.window_cycles) as usize;
+        if self.windows.len() <= last_idx {
+            self.windows.resize(last_idx + 1, WindowStats::default());
+        }
+        let mut done = 0;
+        while done < times {
+            let idx = (first + done * period) / self.window_cycles;
+            // Records before the next window's first cycle land here.
+            let end = (idx + 1) * self.window_cycles;
+            let upto = (end - first).div_ceil(period).min(times);
+            self.windows[idx as usize].retired += (upto - done) * count;
+            done = upto;
+        }
+    }
+
     /// Doubles the window width, folding adjacent window pairs together.
     /// Sums across windows are preserved exactly.
     fn coarsen(&mut self) {
@@ -269,6 +299,40 @@ mod tests {
         assert_eq!(totals.bus_payload_bytes, 64_000);
         assert_eq!(totals.retired, 1000);
         assert_eq!(totals.faults, 1);
+    }
+
+    #[test]
+    fn bulk_retire_equals_single_records_at_every_resolution() {
+        let span = TIMELINE_BASE_WINDOW * TIMELINE_WINDOWS as u64;
+        // Starts at, inside and past the base capacity, so the bulk call
+        // meets every resolution and crosses coarsenings of its own.
+        for (first, period, times, count) in [
+            (0, 1, 5000, 1),
+            (17, 3, 2000, 2),
+            (TIMELINE_BASE_WINDOW - 1, 7, 3, 4),
+            (span - 5, 2, 10, 1),
+            (span - 100, 13, 20_000, 3),
+            (3 * span + 11, 4096, 300, 1),
+            (9, 5, 0, 1),
+        ] {
+            let mut single = Timeline::default();
+            let mut bulk = Timeline::default();
+            for t in [&mut single, &mut bulk] {
+                t.record(5, TimelineEvent::Retired);
+                t.record(span / 2, TimelineEvent::Fault);
+            }
+            for j in 0..times {
+                for _ in 0..count {
+                    single.record(first + j * period, TimelineEvent::Retired);
+                }
+            }
+            bulk.record_retired_every(first, period, times, count);
+            assert_eq!(
+                bulk.snapshot(),
+                single.snapshot(),
+                "first {first} period {period} times {times} count {count}"
+            );
+        }
     }
 
     #[test]

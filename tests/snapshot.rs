@@ -9,7 +9,7 @@
 //! entry is detected and transparently re-simulated, and changing one
 //! point's configuration invalidates exactly that point.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Barrier;
 
 use csb_core::experiments::runner::{
@@ -641,16 +641,72 @@ fn concurrent_sweeps_keep_their_own_caches() {
 // Autosnap: periodic frames written during a sweep.
 // ---------------------------------------------------------------------------
 
+/// The frame files in an autosnap directory.
+fn frame_names(dir: &Path) -> Vec<String> {
+    std::fs::read_dir(dir)
+        .expect("autosnap dir readable")
+        .map(|e| {
+            e.expect("dir entry")
+                .file_name()
+                .into_string()
+                .expect("utf-8 name")
+        })
+        .collect()
+}
+
+/// Splits a frame name `snap-<cfg fp><program fp>-<point key>-<cycle>.bin`
+/// into its fingerprints, point key and cycle.
+fn parse_frame_name(name: &str) -> (String, u64, u64) {
+    let fields: Vec<&str> = name
+        .strip_prefix("snap-")
+        .and_then(|n| n.strip_suffix(".bin"))
+        .expect("snap-*.bin")
+        .split('-')
+        .collect();
+    let [fingerprints, key, cycle] = fields[..] else {
+        panic!("{name}: not fingerprints-key-cycle");
+    };
+    assert_eq!(fingerprints.len(), 32, "{name}: two 16-digit fingerprints");
+    let key = u64::from_str_radix(key, 16).expect("hex point key");
+    let cycle = cycle.parse().expect("decimal cycle");
+    (fingerprints.to_string(), key, cycle)
+}
+
+#[test]
+fn autosnap_writes_the_same_frames_on_both_loops() {
+    // Every frame lands on a multiple of the cadence, whether the run
+    // jumps or ticks there.
+    let specs = small_specs();
+    let every = 23;
+    let mut names = Vec::new();
+    for fast_forward in [true, false] {
+        let dir = scratch_dir(&format!("autosnap-ff-{fast_forward}"));
+        std::fs::create_dir_all(&dir).expect("autosnap dir");
+        let obs = ObsConfig {
+            fast_forward,
+            autosnap: Some(AutosnapConfig::new(every, &dir)),
+            ..ObsConfig::default()
+        };
+        run_values_observed(&specs, 1, obs).expect("autosnap sweep");
+        let mut frames = frame_names(&dir);
+        frames.sort();
+        assert!(frames
+            .iter()
+            .all(|name| parse_frame_name(name).2.is_multiple_of(every)));
+        names.push(frames);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+    assert!(!names[0].is_empty());
+    assert_eq!(names[0], names[1], "frame names differ between the loops");
+}
+
 #[test]
 fn autosnap_frames_restore_and_finish_identically() {
     let specs = small_specs();
     let dir = scratch_dir("autosnap");
     std::fs::create_dir_all(&dir).expect("autosnap dir");
     let snapping = ObsConfig {
-        autosnap: Some(AutosnapConfig {
-            every: 40,
-            dir: &dir,
-        }),
+        autosnap: Some(AutosnapConfig::new(40, &dir)),
         ..ObsConfig::default()
     };
     let (plain_values, plain, _) =
@@ -662,24 +718,9 @@ fn autosnap_frames_restore_and_finish_identically() {
         assert_eq!(a.sim_cycles, b.sim_cycles, "{}", a.label);
     }
 
-    // Frames are named snap-<cfg fp><program fp>-<cycle>.bin.
-    let mut frames: Vec<(u64, String)> = std::fs::read_dir(&dir)
-        .expect("autosnap dir readable")
-        .map(|e| {
-            e.expect("dir entry")
-                .file_name()
-                .into_string()
-                .expect("utf-8 name")
-        })
-        .map(|name| {
-            let cycle = name
-                .trim_end_matches(".bin")
-                .rsplit('-')
-                .next()
-                .and_then(|c| c.parse().ok())
-                .expect("frame name ends in its cycle");
-            (cycle, name)
-        })
+    let mut frames: Vec<(u64, String)> = frame_names(&dir)
+        .into_iter()
+        .map(|name| (parse_frame_name(&name).2, name))
         .collect();
     assert!(!frames.is_empty(), "autosnap must write frames");
     frames.sort();
