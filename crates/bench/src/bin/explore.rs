@@ -260,7 +260,7 @@ fn main() {
             sim_cycles: s.cycles,
             wall,
             seed: 0,
-            config_hash: csb_obs::hash_config(&format!("{cfg:?} {:?}", args.asm)),
+            config_hash: Some(csb_obs::hash_config(&format!("{cfg:?} {:?}", args.asm))),
             artifacts: PointArtifacts {
                 trace_json: None,
                 metrics: Some(sim.metrics_report()),

@@ -43,10 +43,10 @@
 //! given.
 //!
 //! Caching: `--cache-dir <dir>` makes every sweep incremental — each
-//! completed point is stored content-addressed by (configuration,
-//! workload, seed, snapshot-format version), and a later run serves
-//! unchanged points from the store instead of simulating them (the
-//! `RunReport` on stderr counts hits/misses/invalidations). `--no-cache`
+//! completed point is appended to the dir's one pack file, content-addressed
+//! by (configuration, workload, seed, snapshot-format version), and a later
+//! run serves unchanged points from the pack instead of simulating them
+//! (the `RunReport` on stderr counts hits/misses/invalidations). `--no-cache`
 //! disables the store even when a script passes `--cache-dir`, and
 //! `--snapshot-every N` additionally dumps a restorable machine snapshot
 //! every N CPU cycles of every point into `<dir>/autosnap/`.
@@ -132,6 +132,12 @@ impl BenchObs {
 /// label/seed/config hash, gauges from the point's value, cycle count,
 /// wall time, and (when metrics were captured) the flush-retry latency
 /// histogram.
+///
+/// # Panics
+///
+/// Panics if the point carries no config hash: the engine computes it for
+/// every sweep that captures artifacts, and `--ledger` forces metrics
+/// capture on.
 pub fn ledger_record(bench: &str, la: &LabeledArtifacts) -> LedgerRecord {
     let metrics = la.artifacts.metrics.as_ref();
     let flush = metrics.and_then(|m| m.metrics.histograms.get("csb_flush_retry_latency"));
@@ -139,7 +145,9 @@ pub fn ledger_record(bench: &str, la: &LabeledArtifacts) -> LedgerRecord {
         bench: bench.to_string(),
         label: la.label.clone(),
         scheme: la.label.rsplit('/').next().unwrap_or("").to_string(),
-        config_hash: la.config_hash,
+        config_hash: la
+            .config_hash
+            .expect("ledger runs capture artifacts, so every point carries its config hash"),
         seed: la.seed,
         cycles: la.sim_cycles,
         wall_us: u64::try_from(la.wall.as_micros()).unwrap_or(u64::MAX),
@@ -297,7 +305,7 @@ mod tests {
             sim_cycles: cycles,
             wall: std::time::Duration::from_micros(250),
             seed: 0,
-            config_hash: csb_obs::hash_config("cfg"),
+            config_hash: Some(csb_obs::hash_config("cfg")),
             artifacts: PointArtifacts::default(),
         };
         let rec = super::ledger_record("fig4", &la("4a/256B/CSB", 900));

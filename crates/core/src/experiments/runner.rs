@@ -160,8 +160,10 @@ pub struct LabeledArtifacts {
     pub wall: Duration,
     /// Fault-schedule seed (0 for deterministic points).
     pub seed: u64,
-    /// FNV-1a hash of the point's machine-configuration rendering.
-    pub config_hash: u64,
+    /// FNV-1a hash of the point's machine-configuration rendering, for
+    /// ledger records. Computed only when the sweep captured artifacts,
+    /// which every ledger run does.
+    pub config_hash: Option<u64>,
     /// The captured artifacts.
     pub artifacts: PointArtifacts,
 }
@@ -302,7 +304,8 @@ pub(crate) trait SweepPoint: Sync {
     }
 
     /// FNV-1a hash of the point's configuration rendering, for ledger
-    /// records.
+    /// records. The engine asks for it only when the sweep captures
+    /// artifacts.
     fn config_hash(&self) -> u64;
 
     /// Content address in a [`PointCache`].
@@ -399,15 +402,7 @@ pub(crate) fn run_sweep<P: SweepPoint>(
         || None,
         |slot, point| execute(slot, point, obs, cache),
     );
-    let wall = t0.elapsed();
-    let workers = jobs.min(points.len()).max(1);
-    let mut report = RunReport {
-        jobs: workers,
-        points: points.len(),
-        wall,
-        capacity: wall * workers as u32,
-        ..RunReport::default()
-    };
+    let mut report = RunReport::default();
     let mut outputs = Vec::with_capacity(points.len());
     let mut labeled = Vec::with_capacity(points.len());
     for (point, result) in points.iter().zip(results) {
@@ -431,11 +426,17 @@ pub(crate) fn run_sweep<P: SweepPoint>(
             sim_cycles,
             wall,
             seed: point.seed(),
-            config_hash: point.config_hash(),
+            config_hash: obs.any().then(|| point.config_hash()),
             artifacts,
         });
         outputs.push(output);
     }
+    let wall = t0.elapsed();
+    let workers = jobs.min(points.len()).max(1);
+    report.jobs = workers;
+    report.points = points.len();
+    report.wall = wall;
+    report.capacity = wall * workers as u32;
     if let (Some(cache), Some(before)) = (cache, cache_before) {
         let delta = cache.stats().delta(&before);
         if delta.any() {
@@ -597,7 +598,8 @@ pub struct RunReport {
     pub jobs: usize,
     /// Points executed.
     pub points: usize,
-    /// Wall-clock for the whole sweep (enumeration to reassembly).
+    /// Wall-clock for the whole sweep, from the first point's dispatch to
+    /// the end of reassembly.
     pub wall: Duration,
     /// Sum of per-point wall-clock across all workers.
     pub busy: Duration,
@@ -1274,5 +1276,67 @@ mod tests {
                 serde_json::to_string(y.artifacts.metrics.as_ref().unwrap()).unwrap()
             );
         }
+    }
+
+    /// A point that simulates nothing and counts how often the engine
+    /// asks for its config hash.
+    struct CountingPoint<'a>(&'a AtomicUsize);
+
+    impl SweepPoint for CountingPoint<'_> {
+        type Output = u64;
+
+        fn label(&self) -> String {
+            "counting".into()
+        }
+
+        fn config_hash(&self) -> u64 {
+            self.0.fetch_add(1, Ordering::Relaxed);
+            7
+        }
+
+        fn cache_key(&self) -> u64 {
+            7
+        }
+
+        fn simulate(
+            &self,
+            _slot: &mut Option<Simulator>,
+            _obs: ObsConfig<'_>,
+        ) -> Result<(u64, PointArtifacts), ExpError> {
+            Ok((1, PointArtifacts::default()))
+        }
+
+        fn encode(output: &u64) -> Vec<u8> {
+            output.to_le_bytes().to_vec()
+        }
+
+        fn decode(&self, payload: &[u8]) -> Option<u64> {
+            Some(u64::from_le_bytes(payload.try_into().ok()?))
+        }
+
+        fn value(output: &u64) -> PointValue {
+            PointValue::Latency(*output)
+        }
+
+        fn sim_cycles(output: &u64) -> u64 {
+            *output
+        }
+    }
+
+    #[test]
+    fn config_hashes_are_computed_only_when_artifacts_are_captured() {
+        let calls = AtomicUsize::new(0);
+        let points: Vec<CountingPoint> = (0..5).map(|_| CountingPoint(&calls)).collect();
+        let (_, labeled, _) = run_sweep(&points, 2, ObsConfig::default()).unwrap();
+        assert_eq!(calls.load(Ordering::Relaxed), 0, "no ledger, no hashing");
+        assert!(labeled.iter().all(|la| la.config_hash.is_none()));
+
+        let observed = ObsConfig {
+            metrics: true,
+            ..ObsConfig::default()
+        };
+        let (_, labeled, _) = run_sweep(&points, 2, observed).unwrap();
+        assert_eq!(calls.load(Ordering::Relaxed), points.len());
+        assert!(labeled.iter().all(|la| la.config_hash == Some(7)));
     }
 }

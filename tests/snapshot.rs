@@ -6,8 +6,9 @@
 //! **byte-identically** to one that never stopped, on both the naive and
 //! fast-forward loops. The cache tests check the content-addressing
 //! contract: a warm sweep is all hits with identical values, a corrupted
-//! entry is detected and transparently re-simulated, and changing one
-//! point's configuration invalidates exactly that point.
+//! or stale-format record is detected and transparently re-simulated,
+//! changing one point's configuration invalidates exactly that point, and
+//! the pack survives a reopen, a torn tail and a merge by concatenation.
 
 use std::path::{Path, PathBuf};
 use std::sync::Barrier;
@@ -495,23 +496,39 @@ fn warm_sweep_is_all_hits_with_identical_values() {
     });
 }
 
+/// Bytes of a pack record before its payload: magic[8] | version u32 |
+/// key u64 | len u32.
+const RECORD_HEADER: usize = 24;
+
+fn pack_path(store: &cache::PointCache) -> PathBuf {
+    store.dir().join(cache::PACK_FILE)
+}
+
+/// The byte ranges of the records in an undamaged pack, walked through
+/// each record's length field (a checksum u64 follows every payload).
+fn pack_records(pack: &[u8]) -> Vec<std::ops::Range<usize>> {
+    let mut records = Vec::new();
+    let mut pos = 0;
+    while pos < pack.len() {
+        let len = u32::from_le_bytes(pack[pos + 20..pos + 24].try_into().unwrap()) as usize;
+        let end = pos + RECORD_HEADER + len + 8;
+        records.push(pos..end);
+        pos = end;
+    }
+    records
+}
+
 #[test]
 fn corrupted_entry_is_detected_and_resimulated() {
     with_cache("corrupt", |store| {
         let specs = small_specs();
         let (cold_values, _) = run_cached(&specs, 1, store).unwrap();
 
-        // Flip one byte in one entry.
-        let entry = std::fs::read_dir(store.dir())
-            .unwrap()
-            .next()
-            .expect("at least one entry")
-            .unwrap()
-            .path();
-        let mut bytes = std::fs::read(&entry).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0xff;
-        std::fs::write(&entry, &bytes).unwrap();
+        // Flip one byte inside the second record's payload.
+        let mut bytes = std::fs::read(pack_path(store)).unwrap();
+        let record = pack_records(&bytes)[1].clone();
+        bytes[record.start + RECORD_HEADER + 3] ^= 0xff;
+        std::fs::write(pack_path(store), &bytes).unwrap();
 
         let (warm_values, report) = run_cached(&specs, 1, store).unwrap();
         let stats = report.cache.expect("cache stats recorded");
@@ -524,6 +541,113 @@ fn corrupted_entry_is_detected_and_resimulated() {
         let (_, report) = run_cached(&specs, 1, store).unwrap();
         assert_eq!(report.cache.unwrap().hits, specs.len() as u64);
     });
+}
+
+#[test]
+fn fresh_open_serves_a_filled_dir_as_hits() {
+    with_cache("reopen", |store| {
+        let specs = small_specs();
+        let (cold_values, _) = run_cached(&specs, 1, store).unwrap();
+        // A second handle on the same dir indexes the pack as a new
+        // process would.
+        let reopened = cache::PointCache::open(store.dir()).unwrap();
+        let (warm_values, report) = run_cached(&specs, 2, &reopened).unwrap();
+        let stats = report.cache.expect("cache stats recorded");
+        assert_eq!(stats.hits, specs.len() as u64);
+        assert_eq!((stats.misses, stats.invalidations), (0, 0));
+        assert_eq!(warm_values, cold_values);
+    });
+}
+
+#[test]
+fn truncated_pack_resimulates_only_the_cut_records() {
+    with_cache("truncated", |store| {
+        let specs = small_specs();
+        let (cold_values, _) = run_cached(&specs, 1, store).unwrap();
+
+        // Cut the pack in the middle of its second record: the second and
+        // third points lose their records, the first keeps its own.
+        let bytes = std::fs::read(pack_path(store)).unwrap();
+        let records = pack_records(&bytes);
+        assert_eq!(records.len(), specs.len());
+        let cut = records[1].start + records[1].len() / 2;
+        std::fs::write(pack_path(store), &bytes[..cut]).unwrap();
+
+        let torn = cache::PointCache::open(store.dir()).unwrap();
+        let (values, report) = run_cached(&specs, 1, &torn).unwrap();
+        let stats = report.cache.expect("cache stats recorded");
+        assert_eq!(stats.hits, 1, "the uncut record still serves");
+        assert_eq!(stats.misses, 2, "exactly the cut records re-simulate");
+        assert_eq!(values, cold_values);
+
+        // That open dropped the torn tail, so the re-simulated records it
+        // appended are reachable: the next run is all hits.
+        let healed = cache::PointCache::open(store.dir()).unwrap();
+        let (values, report) = run_cached(&specs, 1, &healed).unwrap();
+        let stats = report.cache.expect("cache stats recorded");
+        assert_eq!(stats.hits, specs.len() as u64);
+        assert_eq!((stats.misses, stats.invalidations), (0, 0));
+        assert_eq!(values, cold_values);
+    });
+}
+
+#[test]
+fn stale_format_record_is_rejected_and_resimulated() {
+    with_cache("stale-format", |store| {
+        let specs = small_specs();
+        let (cold_values, _) = run_cached(&specs, 1, store).unwrap();
+
+        // Rewrite the first record as another format version would have
+        // written it, with a checksum that matches.
+        let mut bytes = std::fs::read(pack_path(store)).unwrap();
+        let record = pack_records(&bytes)[0].clone();
+        let stale = csb_core::SNAPSHOT_FORMAT_VERSION + 1;
+        bytes[record.start + 8..record.start + 12].copy_from_slice(&stale.to_le_bytes());
+        let sum_at = record.end - 8;
+        let sum = csb_snap::fnv1a(&bytes[record.start..sum_at]);
+        bytes[sum_at..record.end].copy_from_slice(&sum.to_le_bytes());
+        std::fs::write(pack_path(store), &bytes).unwrap();
+
+        let reopened = cache::PointCache::open(store.dir()).unwrap();
+        let (values, report) = run_cached(&specs, 1, &reopened).unwrap();
+        let stats = report.cache.expect("cache stats recorded");
+        assert_eq!(stats.invalidations, 1, "the stale record is rejected");
+        assert_eq!(stats.misses, 1, "and its point re-simulates");
+        assert_eq!(stats.hits, specs.len() as u64 - 1);
+        assert_eq!(values, cold_values);
+    });
+}
+
+#[test]
+fn concatenated_packs_merge_disjoint_halves() {
+    let specs = small_specs();
+    let (first, second) = specs.split_at(1);
+    let halves = [scratch_dir("merge-a"), scratch_dir("merge-b")];
+    for (dir, half) in halves.iter().zip([first, second]) {
+        let store = cache::PointCache::open(dir).unwrap();
+        run_cached(half, 1, &store).unwrap();
+    }
+    // Merging two machines' caches is concatenating their packs.
+    let merged = scratch_dir("merge-ab");
+    std::fs::create_dir_all(&merged).unwrap();
+    let mut pack = Vec::new();
+    for dir in &halves {
+        pack.extend(std::fs::read(dir.join(cache::PACK_FILE)).unwrap());
+    }
+    std::fs::write(merged.join(cache::PACK_FILE), pack).unwrap();
+
+    let store = cache::PointCache::open(&merged).unwrap();
+    let (values, report) = run_cached(&specs, 2, &store).unwrap();
+    let stats = report.cache.expect("cache stats recorded");
+    assert_eq!(stats.hits, specs.len() as u64, "the merged pack serves all");
+    assert_eq!((stats.misses, stats.invalidations), (0, 0));
+    let uncached = run_values_observed(&specs, 1, ObsConfig::default())
+        .unwrap()
+        .0;
+    assert_eq!(values, uncached);
+    for dir in halves.iter().chain([&merged]) {
+        let _ = std::fs::remove_dir_all(dir);
+    }
 }
 
 #[test]
