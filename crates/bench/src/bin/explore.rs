@@ -246,7 +246,7 @@ fn main() {
         s.cycles
     )
     .unwrap();
-    let t = trace::timeline_from_events(&sim.trace_events(), 0, args.timeline, cfg.ratio);
+    let t = trace::timeline(&sim.trace_events(), 0, args.timeline, cfg.ratio);
     writeln!(out, "\n{}", t.render()).unwrap();
     out.flush().expect("stdout flushes");
     if bo.ledger.is_some() {

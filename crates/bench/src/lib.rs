@@ -284,8 +284,8 @@ mod tests {
     fn dump_json_round_trips() {
         let dir = std::env::temp_dir().join("csb-bench-test.json");
         super::dump_json(&dir, &vec![1, 2, 3]);
-        let back: Vec<i32> = serde_json::from_str(&std::fs::read_to_string(&dir).unwrap()).unwrap();
-        assert_eq!(back, vec![1, 2, 3]);
+        let back = serde_json::parse_value(&std::fs::read_to_string(&dir).unwrap()).unwrap();
+        assert_eq!(back, serde::Serialize::to_value(&vec![1, 2, 3]));
         let _ = std::fs::remove_file(dir);
     }
 

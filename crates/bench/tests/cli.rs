@@ -186,6 +186,24 @@ fn explore_takes_inline_values_and_caps_jobs() {
 }
 
 #[test]
+fn explore_prints_the_default_point_and_its_bus_lane() {
+    // The paper's baseline machine sending one line through the CSB: the
+    // stores park in the CSB, then the flush puts one 9-cycle line burst
+    // on the bus.
+    let out = run(env!("CARGO_BIN_EXE_explore"), &[]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    assert_eq!(
+        stdout(&out),
+        "machine : multiplexed bus, 8B wide, 64B line, ratio 6, turnaround 0, delay 0\n\
+         workload: 64 bytes via csb\n\
+         result  : 7.11 bytes/bus-cycle over 9 bus cycles, 1 transactions, 19 CPU cycles\n\
+         \n\
+         bus cycle 0         10        20        30        40\n\
+         \x20         ...ADDDDDDDD.............................\n"
+    );
+}
+
+#[test]
 fn trace_without_a_point_prints_its_one_usage_line() {
     let out = run(env!("CARGO_BIN_EXE_trace"), &[]);
     assert_eq!(out.status.code(), Some(2));

@@ -2,10 +2,10 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Bus organization.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum BusKind {
     /// Address and data share the wires; every transaction pays one address
     /// cycle before its data beats (paper §4.3.1, Figure 3).
@@ -32,7 +32,7 @@ impl fmt::Display for BusKind {
 /// whole transactions of `burst` bytes interleaved with the local master's.
 /// The schedule is deterministic (a debt accumulator, not a random draw) so
 /// simulations stay reproducible.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct BackgroundTraffic {
     /// Long-run fraction of bus cycles held by foreign masters, `0.0..1.0`.
     pub utilization: f64,
@@ -78,7 +78,7 @@ impl std::error::Error for BusConfigError {}
 ///
 /// Construct with [`BusConfig::multiplexed`] or [`BusConfig::split`], which
 /// return a [`BusConfigBuilder`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct BusConfig {
     kind: BusKind,
     width: usize,

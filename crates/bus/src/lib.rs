@@ -62,5 +62,5 @@ mod transaction;
 
 pub use config::{BackgroundTraffic, BusConfig, BusConfigBuilder, BusConfigError, BusKind};
 pub use stats::{BusStats, SizeHistogram};
-pub use system::{BusLogEntry, Issued, SystemBus};
+pub use system::{Issued, SystemBus};
 pub use transaction::{Transaction, TxnError, TxnKind};

@@ -1,6 +1,6 @@
 //! Bus statistics and the effective-bandwidth metric.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Number of power-of-two size buckets: transfers are 1..=128 bytes.
 const SIZE_BUCKETS: usize = 8;
@@ -73,25 +73,6 @@ impl Serialize for SizeHistogram {
     }
 }
 
-impl Deserialize for SizeHistogram {
-    fn from_value(v: &serde::value::Value) -> Result<Self, serde::de::Error> {
-        let serde::value::Value::Object(entries) = v else {
-            return Err(serde::de::Error::mismatch("SizeHistogram", v));
-        };
-        let mut h = SizeHistogram::default();
-        for (k, count) in entries {
-            let size: usize = k
-                .parse()
-                .map_err(|_| serde::de::Error::mismatch("SizeHistogram key", v))?;
-            if !size.is_power_of_two() || size > 1 << (SIZE_BUCKETS - 1) {
-                return Err(serde::de::Error::mismatch("SizeHistogram key", v));
-            }
-            h.counts[size.trailing_zeros() as usize] = u64::from_value(count)?;
-        }
-        Ok(h)
-    }
-}
-
 /// Counters accumulated by [`crate::SystemBus`].
 ///
 /// The effective-bandwidth metric matches the paper's definition: payload
@@ -100,7 +81,7 @@ impl Deserialize for SizeHistogram {
 /// turnaround cycle following the final transaction is *not* counted ("the
 /// transfer is considered complete at the end of the last transaction",
 /// §4.3.1).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct BusStats {
     /// Transactions issued.
     pub transactions: u64,

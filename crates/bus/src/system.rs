@@ -2,51 +2,20 @@
 
 use csb_faults::{FaultInjector, FaultKind};
 use csb_obs::{EventKind, TraceSink, Track};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::config::BusConfig;
 use crate::stats::BusStats;
 use crate::transaction::{Transaction, TxnError};
 
 /// Issue receipt returned by [`SystemBus::try_issue`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct Issued {
     /// The transaction's address cycle (= the issue cycle).
     pub addr_cycle: u64,
     /// The transaction's final data cycle (inclusive).
     pub completes_at: u64,
     /// Tag copied from the transaction.
-    pub tag: u64,
-}
-
-impl Issued {
-    /// The bus cycle the destination observes the transfer: the cycle
-    /// after the final data cycle. For reads this is when the returned
-    /// value is available to the master; for writes, when the device has
-    /// the payload. Together with [`Issued::addr_cycle`] and
-    /// [`Issued::completes_at`] this is the transaction's complete
-    /// timeline, frozen at [`SystemBus::try_issue`] time.
-    pub fn delivery_cycle(&self) -> u64 {
-        self.completes_at + 1
-    }
-}
-
-/// One entry of the optional per-transaction log (see
-/// [`SystemBus::enable_log`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct BusLogEntry {
-    /// Address cycle.
-    pub addr_cycle: u64,
-    /// Final data cycle (inclusive).
-    pub completes_at: u64,
-    /// Transfer size in bytes.
-    pub size: usize,
-    /// Read or write (always write for foreign traffic).
-    pub kind: crate::transaction::TxnKind,
-    /// `true` for a foreign-master occupancy from the background-traffic
-    /// model.
-    pub foreign: bool,
-    /// The transaction's tag (0 for foreign traffic).
     pub tag: u64,
 }
 
@@ -87,25 +56,16 @@ pub struct SystemBus {
     next_free: u64,
     /// Address cycle of the most recent transaction.
     last_addr: Option<u64>,
-    /// Final data cycle of the most recent occupancy (faulted issues
-    /// included — their occupancy is real), for
-    /// [`SystemBus::next_completion`].
-    last_completes: Option<u64>,
     /// Fair-share accumulator for the background-traffic model: bus cycles
     /// owed to foreign masters.
     foreign_debt: f64,
     stats: BusStats,
-    /// Per-transaction log, populated when enabled.
-    log: Option<Vec<BusLogEntry>>,
     /// Structured trace sink (disabled by default; see
     /// [`SystemBus::set_trace_sink`]).
     sink: TraceSink,
     /// Fault-injection hook (disabled by default; see
     /// [`SystemBus::set_fault_hook`]).
     faults: FaultInjector,
-    /// Bus transactions errored by the fault hook since construction or
-    /// the last [`SystemBus::reset`].
-    fault_errors: u64,
 }
 
 impl SystemBus {
@@ -115,13 +75,10 @@ impl SystemBus {
             cfg,
             next_free: 0,
             last_addr: None,
-            last_completes: None,
             foreign_debt: 0.0,
             stats: BusStats::default(),
-            log: None,
             sink: TraceSink::disabled(),
             faults: FaultInjector::disabled(),
-            fault_errors: 0,
         }
     }
 
@@ -138,11 +95,6 @@ impl SystemBus {
         self.faults = faults;
     }
 
-    /// Transactions errored by the fault hook (0 when no hook is set).
-    pub fn fault_errors(&self) -> u64 {
-        self.fault_errors
-    }
-
     /// Installs a structured trace sink; every local transaction emits a
     /// [`EventKind::BusTxn`] span and every foreign occupancy a
     /// [`EventKind::ForeignTxn`] span. Timestamps passed to the bus are in
@@ -150,19 +102,6 @@ impl SystemBus {
     /// CPU:bus frequency ratio (see [`TraceSink::scaled`]).
     pub fn set_trace_sink(&mut self, sink: TraceSink) {
         self.sink = sink;
-    }
-
-    /// Starts recording every transaction (including foreign occupancies)
-    /// into a log readable with [`SystemBus::log`]. Costs memory per
-    /// transaction; intended for traces and visualization, not for long
-    /// sweeps.
-    pub fn enable_log(&mut self) {
-        self.log.get_or_insert_with(Vec::new);
-    }
-
-    /// The recorded transaction log (empty slice when logging is off).
-    pub fn log(&self) -> &[BusLogEntry] {
-        self.log.as_deref().unwrap_or(&[])
     }
 
     /// The bus configuration.
@@ -189,32 +128,6 @@ impl SystemBus {
     /// immediately.
     pub fn can_accept(&self, now: u64) -> bool {
         self.earliest_start(now) == now
-    }
-
-    /// The next transaction-granular event on the frozen timeline, strictly
-    /// after `now`: the earlier of the in-flight occupancy's delivery cycle
-    /// (final data cycle + 1 — when the destination observes the transfer)
-    /// and the next possible grant ([`SystemBus::earliest_start`], which
-    /// folds in turnaround, the address-delay window, and foreign-master
-    /// debt). `None` when both are already behind `now` — the bus is
-    /// quiescent and only a new issue can create an event.
-    ///
-    /// The whole timeline of every accepted transaction (grant, occupancy
-    /// end, delivery) is fixed at [`SystemBus::try_issue`] time — nothing
-    /// else mutates bus state — so between issues this horizon is exact,
-    /// not an estimate: callers may jump the clock straight to it.
-    pub fn next_completion(&self, now: u64) -> Option<u64> {
-        let mut horizon: Option<u64> = None;
-        let mut note = |t: u64| {
-            if t > now {
-                horizon = Some(horizon.map_or(t, |h: u64| h.min(t)));
-            }
-        };
-        if let Some(c) = self.last_completes {
-            note(c + 1);
-        }
-        note(self.earliest_start(now));
-        horizon
     }
 
     /// Validates a transaction against the bus's architectural rules without
@@ -266,13 +179,11 @@ impl SystemBus {
         let completes_at = now + duration - 1;
         self.next_free = completes_at + 1 + self.cfg.turnaround();
         self.last_addr = Some(now);
-        self.last_completes = Some(completes_at);
         // An injected bus error consumes the occupancy just computed but
         // delivers nothing: the caller sees `Ok(None)` (the same signal as
         // a busy bus), keeps the transaction queued, and re-arbitrates.
         let faulted = self.faults.inject(FaultKind::BusError);
         if faulted {
-            self.fault_errors += 1;
             self.sink.emit_span(
                 now,
                 duration,
@@ -296,16 +207,6 @@ impl SystemBus {
                     tag: txn.tag,
                 },
             );
-            if let Some(log) = &mut self.log {
-                log.push(BusLogEntry {
-                    addr_cycle: now,
-                    completes_at,
-                    size: txn.size,
-                    kind: txn.kind,
-                    foreign: false,
-                    tag: txn.tag,
-                });
-            }
         }
         // Fair arbitration against foreign masters: every local transaction
         // accrues a proportional debt of foreign bus time, paid off as whole
@@ -324,16 +225,6 @@ impl SystemBus {
                     Track::Foreign,
                     EventKind::ForeignTxn { size: bg.burst },
                 );
-                if let Some(log) = &mut self.log {
-                    log.push(BusLogEntry {
-                        addr_cycle: start,
-                        completes_at: start + foreign - 1,
-                        size: bg.burst,
-                        kind: crate::transaction::TxnKind::Write,
-                        foreign: true,
-                        tag: 0,
-                    });
-                }
             }
         }
         if faulted {
@@ -346,56 +237,23 @@ impl SystemBus {
         }))
     }
 
-    /// Returns `true` if no transaction is occupying the bus at `now`
-    /// (turnaround and address-delay windows count as not occupied).
-    pub fn is_idle(&self, now: u64) -> bool {
-        // next_free includes turnaround; occupancy ends turnaround cycles
-        // earlier.
-        now + self.cfg.turnaround() >= self.next_free
-    }
-
     /// Resets occupancy and statistics (configuration retained).
     pub fn reset(&mut self) {
         self.next_free = 0;
         self.last_addr = None;
-        self.last_completes = None;
         self.foreign_debt = 0.0;
         self.stats = BusStats::default();
-        self.fault_errors = 0;
-        if let Some(log) = &mut self.log {
-            log.clear();
-        }
     }
 
-    /// Serializes the bus timing state, statistics, fault counter, and
-    /// (when enabled) the transaction log. The trace sink and fault hook
-    /// are wiring, not state — the restoring side re-installs them.
+    /// Serializes the bus timing state and statistics. The trace sink and
+    /// fault hook are wiring, not state — the restoring side re-installs
+    /// them.
     pub fn save_state(&self, w: &mut csb_snap::SnapshotWriter) {
         w.put_tag("bus");
         w.put_u64(self.next_free);
         w.put_opt_u64(self.last_addr);
-        w.put_opt_u64(self.last_completes);
         w.put_f64(self.foreign_debt);
         self.stats.save_state(w);
-        w.put_u64(self.fault_errors);
-        match &self.log {
-            None => w.put_bool(false),
-            Some(log) => {
-                w.put_bool(true);
-                w.put_usize(log.len());
-                for e in log {
-                    w.put_u64(e.addr_cycle);
-                    w.put_u64(e.completes_at);
-                    w.put_usize(e.size);
-                    w.put_u8(match e.kind {
-                        crate::transaction::TxnKind::Write => 0,
-                        crate::transaction::TxnKind::Read => 1,
-                    });
-                    w.put_bool(e.foreign);
-                    w.put_u64(e.tag);
-                }
-            }
-        }
     }
 
     /// Restores state written by [`SystemBus::save_state`] into a bus
@@ -412,43 +270,8 @@ impl SystemBus {
         r.take_tag("bus")?;
         self.next_free = r.take_u64()?;
         self.last_addr = r.take_opt_u64()?;
-        self.last_completes = r.take_opt_u64()?;
         self.foreign_debt = r.take_f64()?;
-        self.stats.restore_state(r)?;
-        self.fault_errors = r.take_u64()?;
-        if r.take_bool()? {
-            let n = r.take_usize()?;
-            let log = self.log.get_or_insert_with(Vec::new);
-            log.clear();
-            log.reserve(n);
-            for _ in 0..n {
-                let addr_cycle = r.take_u64()?;
-                let completes_at = r.take_u64()?;
-                let size = r.take_usize()?;
-                let kind = match r.take_u8()? {
-                    0 => crate::transaction::TxnKind::Write,
-                    1 => crate::transaction::TxnKind::Read,
-                    b => {
-                        return Err(csb_snap::SnapshotError::Corrupt(format!(
-                            "bus log kind byte {b}"
-                        )))
-                    }
-                };
-                let foreign = r.take_bool()?;
-                let tag = r.take_u64()?;
-                log.push(BusLogEntry {
-                    addr_cycle,
-                    completes_at,
-                    size,
-                    kind,
-                    foreign,
-                    tag,
-                });
-            }
-        } else {
-            self.log = None;
-        }
-        Ok(())
+        self.stats.restore_state(r)
     }
 }
 
@@ -579,9 +402,18 @@ mod tests {
         now = bus.earliest_start(now);
         let issued = bus.try_issue(now, txn).unwrap();
         assert!(issued.is_some(), "third attempt must be forced clean");
-        assert_eq!(bus.fault_errors(), 2);
+        assert_eq!(bus.faults.stats().injected(FaultKind::BusError), 2);
         // Errored transactions never enter the architectural statistics.
         assert_eq!(bus.stats().transactions, 1);
+        // An errored issue's address cycle still opens the address-delay
+        // window, which governs the retry grant.
+        let cfg = BusConfig::multiplexed(8).min_addr_delay(8).build().unwrap();
+        let mut bus = SystemBus::new(cfg);
+        bus.set_fault_hook(FaultInjector::enabled(
+            FaultConfig::new(1).bus_error_rate(1.0).max_consecutive(1),
+        ));
+        assert_eq!(bus.try_issue(0, txn).unwrap(), None);
+        assert_eq!(bus.earliest_start(2), 8);
     }
 
     #[test]
@@ -630,12 +462,12 @@ mod tests {
     #[test]
     fn idle_and_reset() {
         let mut bus = mux8();
-        assert!(bus.is_idle(0));
+        assert!(bus.can_accept(0));
         bus.try_issue(0, Transaction::write(Addr::new(0), 64))
             .unwrap()
             .unwrap();
-        assert!(!bus.is_idle(5));
-        assert!(bus.is_idle(9));
+        assert!(!bus.can_accept(5));
+        assert!(bus.can_accept(9));
         bus.reset();
         assert_eq!(bus.stats().transactions, 0);
         assert!(bus.can_accept(0));
@@ -650,57 +482,6 @@ mod tests {
             .unwrap();
         assert_eq!(issued.tag, 42);
         assert_eq!(issued.addr_cycle, 0);
-    }
-
-    #[test]
-    fn next_completion_tracks_the_frozen_timeline() {
-        let mut bus = mux8();
-        // Quiescent bus: a grant is possible right now, so there is no
-        // future event to jump to.
-        assert_eq!(bus.next_completion(0), None);
-        let issued = bus
-            .try_issue(0, Transaction::write(Addr::new(0), 64))
-            .unwrap()
-            .unwrap();
-        assert_eq!(issued.completes_at, 8);
-        assert_eq!(issued.delivery_cycle(), 9);
-        // Mid-occupancy the next event is the grant/delivery cycle.
-        assert_eq!(bus.next_completion(3), Some(9));
-        // At the delivery cycle itself, nothing is left in the future.
-        assert_eq!(bus.next_completion(9), None);
-        // With turnaround, the next grant trails the delivery.
-        let cfg = BusConfig::multiplexed(8).turnaround(2).build().unwrap();
-        let mut bus = SystemBus::new(cfg);
-        let issued = bus
-            .try_issue(0, Transaction::write(Addr::new(0), 8))
-            .unwrap()
-            .unwrap();
-        assert_eq!(bus.next_completion(0), Some(issued.delivery_cycle()));
-        assert_eq!(bus.next_completion(issued.delivery_cycle()), Some(4));
-        assert!(bus.can_accept(4));
-    }
-
-    #[test]
-    fn next_completion_covers_faulted_occupancy_and_addr_delay() {
-        use csb_faults::FaultConfig;
-        let cfg = BusConfig::multiplexed(8).min_addr_delay(8).build().unwrap();
-        let mut bus = SystemBus::new(cfg);
-        bus.set_fault_hook(FaultInjector::enabled(
-            FaultConfig::new(1).bus_error_rate(1.0).max_consecutive(1),
-        ));
-        // The errored issue delivers nothing but its occupancy is real:
-        // the timeline still reports the delivery cycle, and the
-        // address-delay window governs the retry grant.
-        assert_eq!(
-            bus.try_issue(0, Transaction::write(Addr::new(0), 8))
-                .unwrap(),
-            None
-        );
-        assert_eq!(bus.next_completion(0), Some(2));
-        assert_eq!(bus.next_completion(2), Some(8));
-        assert!(bus.can_accept(8));
-        bus.reset();
-        assert_eq!(bus.next_completion(0), None);
     }
 
     #[test]

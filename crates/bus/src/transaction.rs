@@ -3,10 +3,10 @@
 use std::fmt;
 
 use csb_isa::Addr;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Direction/origin of a transaction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum TxnKind {
     /// Uncached write (single-beat or burst) from the uncached buffer or CSB.
     Write,
@@ -44,7 +44,7 @@ impl fmt::Display for TxnKind {
 /// assert_eq!(txn.size, 64);
 /// assert_eq!(txn.payload, 16);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct Transaction {
     /// Start address (must be aligned to `size`).
     pub addr: Addr,

@@ -7,7 +7,7 @@ use csb_cpu::CpuConfig;
 use csb_isa::{Addr, AddressMap, AddressSpace};
 use csb_mem::MemoryConfig;
 use csb_uncached::{CsbConfig, UncachedConfig};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Base of the plain uncached I/O window (64 KiB).
 pub const UNCACHED_BASE: u64 = 0x1000_0000;
@@ -41,7 +41,7 @@ pub const IO_WINDOW: u64 = 0x1_0000;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct SimConfig {
     /// Core microarchitecture.
     pub cpu: CpuConfig,

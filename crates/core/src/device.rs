@@ -2,10 +2,10 @@
 
 use csb_isa::Addr;
 use csb_uncached::PayloadBuf;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One write transaction as delivered to the device.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct DeliveredWrite {
     /// Start address of the transfer.
     pub addr: Addr,
@@ -28,7 +28,7 @@ pub struct DeliveredWrite {
 ///
 /// The device also answers uncached reads from the simulator's functional
 /// memory, so device "registers" can be pre-loaded by tests.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
 pub struct IoDevice {
     writes: Vec<DeliveredWrite>,
 }
@@ -137,43 +137,6 @@ impl IoDevice {
         (0..len)
             .map(|i| self.byte_at(addr.offset(i as i64)).unwrap_or(0))
             .collect()
-    }
-
-    /// Replays every write landing at or above `window_base` into a
-    /// [`csb_nic::Nic`], translating bus addresses to window offsets.
-    /// Writes below the base are ignored (they belong to other devices).
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use csb_core::{workloads, SimConfig, Simulator, COMBINING_BASE};
-    /// use csb_isa::Addr;
-    /// use csb_nic::{Nic, NicConfig};
-    ///
-    /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-    /// let cfg = SimConfig::default();
-    /// let program = workloads::store_bandwidth(64, &cfg, workloads::StorePath::Csb)?;
-    /// let mut sim = Simulator::new(cfg, program)?;
-    /// sim.run(1_000_000)?;
-    ///
-    /// let mut nic = Nic::new(NicConfig::default())?;
-    /// sim.device().feed_nic(&mut nic, Addr::new(COMBINING_BASE));
-    /// // The bandwidth kernel's fill pattern is not a valid message header.
-    /// assert_eq!(nic.stats().invalid_headers, 1);
-    /// # Ok(())
-    /// # }
-    /// ```
-    pub fn feed_nic(&self, nic: &mut csb_nic::Nic, window_base: Addr) {
-        for w in &self.writes {
-            if w.addr.raw() < window_base.raw() {
-                continue;
-            }
-            nic.ingest(&csb_nic::WindowWrite {
-                offset: w.addr.raw() - window_base.raw(),
-                data: w.data.to_vec(),
-                bus_cycle: w.bus_cycle,
-            });
-        }
     }
 }
 

@@ -14,7 +14,7 @@
 //! stores, a start delay, cache-line bursts on the same bus, and a
 //! completion overhead.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::config::SimConfig;
 use crate::experiments::runner::ObsConfig;
@@ -23,7 +23,7 @@ use crate::sim::Simulator;
 use crate::workloads::{self, StorePath, MARK_END, MARK_START};
 
 /// DMA engine cost model (CPU cycles unless noted).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct DmaModel {
     /// Descriptor doublewords posted to the device to start a transfer
     /// (source address, length, flags, doorbell — 4 is typical).
@@ -46,7 +46,7 @@ impl Default for DmaModel {
 }
 
 /// How the processor performs programmed I/O.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum PioMethod {
     /// Lock, uncached stores, membar, unlock (the conventional path).
     Locked,
@@ -55,7 +55,7 @@ pub enum PioMethod {
 }
 
 /// One message size's send latencies in CPU cycles.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct BreakEvenRow {
     /// Message size in bytes.
     pub bytes: usize,

@@ -10,7 +10,7 @@
 //!   transfer padding penalty.
 
 use csb_cpu::CpuConfig;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use super::fig5::LockResidency;
 use super::runner::{
@@ -67,7 +67,7 @@ fn expect_lat(v: PointValue) -> u64 {
 }
 
 /// Lock/CSB latency at a fixed transfer size for one machine width.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct WidthRow {
     /// Superscalar width (dispatch/retire per cycle).
     pub width: usize,
@@ -119,7 +119,7 @@ pub fn superscalar_widths(
 }
 
 /// Bandwidth comparison between two CSB configurations over [`TRANSFERS`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct CsbVariantRow {
     /// Transfer size in bytes.
     pub transfer: usize,
@@ -203,7 +203,7 @@ fn csb_variant(
 }
 
 /// One scheme's bandwidth under three bus-load models.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct LoadedBusRow {
     /// Scheme label.
     pub scheme: String,
@@ -277,7 +277,7 @@ pub fn loaded_bus(
 }
 
 /// Bandwidth as a function of uncached-buffer capacity for one scheme.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct CapacityRow {
     /// Buffer entries.
     pub capacity: usize,
@@ -341,7 +341,7 @@ pub fn buffer_capacity(
 }
 
 /// CSB sequence latency as a function of the core's uncached issue rate.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct IssueRateRow {
     /// Non-speculative uncached operations issued per cycle at retirement.
     pub per_cycle: usize,
@@ -387,7 +387,7 @@ pub fn uncached_issue_rate(
 }
 
 /// Store-order sensitivity of one scheme at one transfer size.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct OrderSensitivityRow {
     /// Transfer size in bytes.
     pub transfer: usize,

@@ -25,7 +25,7 @@
 //!
 //! [`CsbStats::cross_pid_resets`]: csb_uncached::CsbStats::cross_pid_resets
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use super::runner::{
     run_sweep, seeded_cache_key, LabeledArtifacts, ObsConfig, PointArtifacts, PointValue,
@@ -66,7 +66,7 @@ const POINT_LIMIT: u64 = 50_000_000;
 const FLUSH_HISTOGRAM: &str = "csb_flush_retry_latency";
 
 /// One contention scheme (column group).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum ContendScheme {
     /// Global spin lock around uncached stores (conventional baseline).
     Lock,
@@ -110,14 +110,11 @@ impl ContendScheme {
 /// measure the same workload.
 pub fn arrival_schedule(n: usize, span: u64, seed: u64) -> Vec<u64> {
     let mut arrivals = vec![0u64; n];
-    let mut z = seed;
-    for a in arrivals.iter_mut().skip(1) {
-        z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut x = z;
-        x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        x ^= x >> 31;
-        *a = if span == 0 { 0 } else { x % span };
+    if span > 0 {
+        for (k, a) in (0u64..).zip(arrivals.iter_mut()).skip(1) {
+            let draw = seed.wrapping_add((k - 1).wrapping_mul(0x9e37_79b9_7f4a_7c15));
+            *a = csb_faults::splitmix64(draw) % span;
+        }
     }
     arrivals
 }

@@ -17,7 +17,7 @@
 //! construction — the sweep's acceptance check, not a statistical
 //! accident.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use super::runner::{
     run_sweep, seeded_cache_key, LabeledArtifacts, ObsConfig, PointArtifacts, PointValue,
@@ -65,7 +65,7 @@ pub(crate) fn policy_label(p: RetryPolicy) -> String {
 }
 
 /// Aggregated outcomes of one (rate, policy) cell across its seeds.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct FaultCell {
     /// Policy label (column header).
     pub policy: String,
@@ -94,7 +94,7 @@ impl FaultCell {
 }
 
 /// One fault rate's cells across the policy ladder.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct FaultRow {
     /// Injection rate for flush disturbances (bus errors and NACKs run at
     /// a quarter of it).
@@ -104,7 +104,7 @@ pub struct FaultRow {
 }
 
 /// The whole sweep: rate × policy, aggregated over seeds.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct FaultSweep {
     /// Sweep id (`"faults"`).
     pub id: String,

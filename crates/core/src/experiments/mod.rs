@@ -37,7 +37,7 @@ pub mod throughput;
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use csb_isa::Program;
 use csb_obs::{BucketCount, HistogramSummary};
@@ -93,7 +93,7 @@ impl From<SimError> for ExpError {
 
 /// A store-handling scheme compared in the figures: hardware combining with
 /// a given block size (8 = non-combining), or the CSB.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum Scheme {
     /// Uncached buffer with the given combining block in bytes.
     Uncached {
@@ -168,7 +168,7 @@ impl fmt::Display for Scheme {
 
 /// One bandwidth panel: a machine configuration swept over transfer sizes
 /// and schemes.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct BandwidthPanel {
     /// Panel id, e.g. `"3a"`.
     pub id: String,
@@ -181,7 +181,7 @@ pub struct BandwidthPanel {
 }
 
 /// One transfer size's measurements across all schemes.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct BandwidthRow {
     /// Transfer size in bytes.
     pub transfer: usize,
@@ -213,7 +213,7 @@ impl BandwidthPanel {
 }
 
 /// One latency panel (Figure 5): CPU cycles per sequence.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct LatencyPanel {
     /// Panel id, e.g. `"5a"`.
     pub id: String,
@@ -226,7 +226,7 @@ pub struct LatencyPanel {
 }
 
 /// One transfer size's latency across all schemes.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct LatencyRow {
     /// Transfer size in bytes (doublewords × 8).
     pub transfer: usize,

@@ -25,14 +25,14 @@ use std::collections::BinaryHeap;
 
 use csb_cpu::CpuContext;
 use csb_isa::Program;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::config::SimConfig;
 use crate::sim::{ActorState, SimError, Simulator, WatchdogConfig};
 use csb_faults::{FaultConfig, FaultStats};
 
 /// Scheduling policy for the time-sliced core.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum SwitchPolicy {
     /// Round-robin with a fixed slice length in CPU cycles.
     Fixed(u64),
@@ -63,7 +63,7 @@ pub enum SwitchPolicy {
 ///   — and jumps the clock straight to the heap minimum, so a fully idle
 ///   machine crosses an arrival gap in O(1) advances no matter how many
 ///   processors are parked.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub enum SchedulerMode {
     /// Legacy O(n) scan + slice-quantum clock stepping.
     RoundRobin,
@@ -73,7 +73,7 @@ pub enum SchedulerMode {
 }
 
 /// Result of a multi-process run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct MultiSummary {
     /// Total CPU cycles.
     pub cycles: u64,

@@ -273,8 +273,7 @@ enum IssueOutcome {
     /// The device NACKed the write delivery: slot spent, transaction
     /// stays queued and reissues.
     Nacked,
-    /// Neither buffer had a transaction to offer (popping leading
-    /// uncached barriers is the only possible state change).
+    /// Neither buffer had a transaction to offer.
     NoWork,
 }
 
@@ -504,7 +503,7 @@ impl Machine {
     }
 
     fn io_drained(&self) -> bool {
-        self.ubuf.is_drained() && self.csb.is_drained()
+        self.ubuf.is_empty() && self.csb.is_drained()
     }
 
     /// Transaction-granular drain walk: bulk-applies every machine-side
@@ -580,8 +579,7 @@ impl Machine {
             }
             // First bus tick at or after `t` is bus cycle ceil(t/ratio);
             // the bus accepts at `earliest_start` of that cycle (idempotent
-            // at its own result, so that really is the issue cycle). A
-            // barrier-only uncached buffer also drains exactly there.
+            // at its own result, so that really is the issue cycle).
             let issue = (!self.ubuf.is_empty() || !self.csb.is_drained())
                 .then(|| self.bus.earliest_start(t.div_ceil(self.ratio)) * self.ratio);
             let (at, is_issue) = match (ready, issue) {
@@ -620,7 +618,7 @@ impl Machine {
                         }
                     }
                     DrainWake::UncachedDrained => {
-                        if self.ubuf.is_drained() {
+                        if self.ubuf.is_empty() {
                             return at;
                         }
                     }
@@ -640,18 +638,7 @@ impl Machine {
                 // candidate is strictly later, keep walking (this is what
                 // makes NACK/bus-error retry storms O(1) per carry).
                 IssueOutcome::Faulted | IssueOutcome::Nacked => {}
-                IssueOutcome::NoWork => {
-                    // `peek_transaction` popped leading barriers; a
-                    // barrier-only uncached buffer just drained here. No
-                    // bus event was produced and the loop may revisit this
-                    // cycle, so leave the cursor for the range emissions.
-                    match wake {
-                        DrainWake::Drained if self.io_drained() => return at + 1,
-                        DrainWake::UncachedDrained if self.ubuf.is_drained() => return at,
-                        _ => {}
-                    }
-                    continue;
-                }
+                IssueOutcome::NoWork => unreachable!("the walk issues only with work queued"),
             }
             // The walk continues past the grant cycle: the naive loop's
             // CPU tick at `at` would still have been refused, after the
@@ -740,7 +727,7 @@ impl MemPort for Machine {
     }
 
     fn uncached_drained(&self) -> bool {
-        self.ubuf.is_drained()
+        self.ubuf.is_empty()
     }
 
     fn csb_store(&mut self, pid: Pid, addr: Addr, width: usize, value: u64) -> bool {
@@ -1092,12 +1079,6 @@ impl Simulator {
         self.machine.nic.as_ref().map(|att| &att.nic)
     }
 
-    /// Detaches the network interface (subsequent deliveries are no
-    /// longer ingested).
-    pub fn detach_nic(&mut self) {
-        self.machine.nic = None;
-    }
-
     /// Functional memory (test setup and inspection).
     pub fn memory_mut(&mut self) -> &mut FlatMemory {
         &mut self.machine.flat
@@ -1300,6 +1281,16 @@ impl Simulator {
                     cycles_per_dword: r.take_u64()?,
                 },
             };
+            // Every slot serializes at least one byte, so a slot count
+            // the rest of the frame cannot hold is corrupt — reject it
+            // before `Nic::new` allocates per slot.
+            if cfg.slots > r.remaining() {
+                return Err(csb_snap::SnapshotError::Corrupt(format!(
+                    "NIC attachment claims {} slots, {} bytes remain",
+                    cfg.slots,
+                    r.remaining()
+                )));
+            }
             let mut nic = csb_nic::Nic::new(cfg).map_err(|e| {
                 csb_snap::SnapshotError::Corrupt(format!("NIC attachment invalid: {e}"))
             })?;
@@ -1680,18 +1671,6 @@ impl Simulator {
             self.advance_checked(limit)?;
         }
         Ok(self.summary())
-    }
-
-    /// Starts recording every bus transaction for
-    /// [`Simulator::bus_log`] / [`crate::trace`] rendering.
-    pub fn enable_bus_log(&mut self) {
-        self.machine.bus.enable_log();
-    }
-
-    /// The recorded bus-transaction log (empty unless
-    /// [`Simulator::enable_bus_log`] was called before running).
-    pub fn bus_log(&self) -> &[csb_bus::BusLogEntry] {
-        self.machine.bus.log()
     }
 
     /// Conditional store buffer counters (cheap accessor for schedulers).

@@ -63,7 +63,7 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"CSBSNAP\0";
 /// Version of the snapshot byte layout. Bump on **any** layout change in
 /// any component's `save_state` (see the module docs); the sweep cache
 /// keys on it, so stale cached points self-invalidate.
-pub const SNAPSHOT_FORMAT_VERSION: u32 = 3;
+pub const SNAPSHOT_FORMAT_VERSION: u32 = 4;
 
 /// FNV-1a fingerprint of a machine configuration, as embedded in
 /// snapshot frames and sweep-cache keys.

@@ -1,6 +1,6 @@
-//! Bus-activity tracing and ASCII timeline rendering.
+//! ASCII bus timelines drawn from the structured trace stream.
 //!
-//! Enable logging with [`crate::Simulator::enable_bus_log`], run a
+//! Enable tracing with [`crate::Simulator::enable_tracing`], run a
 //! workload, and render what the bus actually did cycle by cycle — the
 //! fastest way to *see* why combining schemes differ:
 //!
@@ -13,11 +13,11 @@
 //! Legend: `A` address cycle, `D` data cycle, `a`/`d` the same for a read,
 //! `F` foreign-master occupancy, `.` idle.
 
-use csb_bus::{BusLogEntry, TxnKind};
-use serde::{Deserialize, Serialize};
+use csb_obs::{EventKind, TraceEvent};
+use serde::Serialize;
 
 /// A rendered timeline plus its bounds.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct Timeline {
     /// First bus cycle rendered.
     pub from: u64,
@@ -58,10 +58,17 @@ impl Timeline {
     }
 }
 
-/// Builds a bus-occupancy [`Timeline`] from a transaction log over
-/// `[from, to]` bus cycles.
+/// Builds a bus-occupancy [`Timeline`] over `[from, to]` bus cycles from
+/// a [`csb_obs`] trace stream.
 ///
-/// Overlapping entries (impossible on a correct single bus) are rendered
+/// Trace events are stamped in *CPU* cycles (the bus sink is pre-scaled by
+/// the CPU:bus frequency ratio), so `ratio` converts them back to the bus
+/// cycles the lane is drawn in. Only bus-master and foreign-traffic spans
+/// contribute; everything else in the stream is ignored. Each span's
+/// first cycle is drawn as its address cycle, also on a split bus, where
+/// that is the cycle the arbitration decision lands.
+///
+/// Overlapping spans (impossible on a correct single bus) are rendered
 /// with `X` so model bugs become visible rather than silently masked.
 ///
 /// # Examples
@@ -70,19 +77,26 @@ impl Timeline {
 /// use csb_bus::{BusConfig, SystemBus, Transaction};
 /// use csb_core::trace;
 /// use csb_isa::Addr;
+/// use csb_obs::TraceSink;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let mut bus = SystemBus::new(BusConfig::multiplexed(8).build()?);
-/// bus.enable_log();
+/// let sink = TraceSink::enabled();
+/// bus.set_trace_sink(sink.clone());
 /// bus.try_issue(0, Transaction::write(Addr::new(0), 8))?;
 /// bus.try_issue(2, Transaction::write(Addr::new(64), 64))?;
-/// let t = trace::timeline(bus.log(), 0, 10);
+/// let t = trace::timeline(&sink.snapshot(), 0, 10, 1);
 /// assert_eq!(t.lane, "ADADDDDDDDD");
 /// # Ok(())
 /// # }
 /// ```
-pub fn timeline(log: &[BusLogEntry], from: u64, to: u64) -> Timeline {
+///
+/// # Panics
+///
+/// Panics if `from > to` or `ratio == 0`.
+pub fn timeline(events: &[TraceEvent], from: u64, to: u64, ratio: u64) -> Timeline {
     assert!(from <= to, "empty timeline range");
+    assert!(ratio > 0, "CPU:bus ratio must be positive");
     let mut lane: Vec<char> = vec!['.'; (to - from + 1) as usize];
     let mut put = |cycle: u64, ch: char| {
         if cycle < from || cycle > to {
@@ -91,24 +105,17 @@ pub fn timeline(log: &[BusLogEntry], from: u64, to: u64) -> Timeline {
         let slot = &mut lane[(cycle - from) as usize];
         *slot = if *slot == '.' { ch } else { 'X' };
     };
-    for e in log {
-        let (addr_ch, data_ch) = if e.foreign {
-            ('F', 'F')
-        } else {
-            match e.kind {
-                TxnKind::Write => ('A', 'D'),
-                TxnKind::Read => ('a', 'd'),
-            }
+    for e in events {
+        let (addr_ch, data_ch) = match e.kind {
+            EventKind::BusTxn { write: true, .. } => ('A', 'D'),
+            EventKind::BusTxn { write: false, .. } => ('a', 'd'),
+            EventKind::ForeignTxn { .. } => ('F', 'F'),
+            _ => continue,
         };
-        // On a multiplexed bus the first occupied cycle is the address; on
-        // a split bus the address rides its own path, so every cycle here
-        // is data. The log does not carry the bus kind, so we follow the
-        // multiplexed convention: first cycle = address when the entry
-        // spans more than its data beats is not derivable — mark the first
-        // cycle as the address cycle regardless, which is also where the
-        // arbitration decision lands on a split bus.
-        put(e.addr_cycle, addr_ch);
-        for c in e.addr_cycle + 1..=e.completes_at {
+        let addr_cycle = e.cycle / ratio;
+        let beats = (e.dur / ratio).max(1);
+        put(addr_cycle, addr_ch);
+        for c in addr_cycle + 1..addr_cycle + beats {
             put(c, data_ch);
         }
     }
@@ -119,78 +126,30 @@ pub fn timeline(log: &[BusLogEntry], from: u64, to: u64) -> Timeline {
     }
 }
 
-/// Occupancy fraction of `[from, to]`: cycles carrying any transaction
-/// divided by the window length.
-pub fn occupancy(log: &[BusLogEntry], from: u64, to: u64) -> f64 {
-    let t = timeline(log, from, to);
-    let busy = t.lane.chars().filter(|&c| c != '.').count();
-    busy as f64 / t.lane.len() as f64
-}
-
-/// Builds a bus-occupancy [`Timeline`] from a [`csb_obs`] trace stream —
-/// the [`crate::Simulator::enable_tracing`] successor to the
-/// [`timeline`]/`enable_bus_log` path.
-///
-/// Trace events are stamped in *CPU* cycles (the bus sink is pre-scaled by
-/// the CPU:bus frequency ratio), so `ratio` converts them back to the bus
-/// cycles the lane is drawn in. Only bus-master and foreign-traffic spans
-/// contribute; everything else in the stream is ignored.
-///
-/// # Panics
-///
-/// Panics if `from > to` or `ratio == 0`.
-pub fn timeline_from_events(
-    events: &[csb_obs::TraceEvent],
-    from: u64,
-    to: u64,
-    ratio: u64,
-) -> Timeline {
-    assert!(ratio > 0, "CPU:bus ratio must be positive");
-    let log: Vec<BusLogEntry> = events
-        .iter()
-        .filter_map(|e| {
-            let addr_cycle = e.cycle / ratio;
-            let beats = (e.dur / ratio).max(1);
-            match e.kind {
-                csb_obs::EventKind::BusTxn {
-                    size, write, tag, ..
-                } => Some(BusLogEntry {
-                    addr_cycle,
-                    completes_at: addr_cycle + beats - 1,
-                    size,
-                    kind: if write { TxnKind::Write } else { TxnKind::Read },
-                    foreign: false,
-                    tag,
-                }),
-                csb_obs::EventKind::ForeignTxn { size } => Some(BusLogEntry {
-                    addr_cycle,
-                    completes_at: addr_cycle + beats - 1,
-                    size,
-                    kind: TxnKind::Write,
-                    foreign: true,
-                    tag: 0,
-                }),
-                _ => None,
-            }
-        })
-        .collect();
-    timeline(&log, from, to)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use csb_bus::{BusConfig, SystemBus, Transaction};
     use csb_isa::Addr;
+    use csb_obs::TraceSink;
 
-    fn log_of(turnaround: u64) -> Vec<BusLogEntry> {
+    /// A bare bus recording into an enabled sink at ratio 1, so event
+    /// cycles are bus cycles.
+    fn traced_bus(cfg: BusConfig) -> (SystemBus, TraceSink) {
+        let mut bus = SystemBus::new(cfg);
+        let sink = TraceSink::enabled();
+        bus.set_trace_sink(sink.clone());
+        (bus, sink)
+    }
+
+    /// Three back-to-back doubleword writes.
+    fn events_of(turnaround: u64) -> Vec<TraceEvent> {
         let cfg = BusConfig::multiplexed(8)
             .turnaround(turnaround)
             .max_burst(64)
             .build()
             .unwrap();
-        let mut bus = SystemBus::new(cfg);
-        bus.enable_log();
+        let (mut bus, sink) = traced_bus(cfg);
         let mut now = 0;
         for i in 0..3u64 {
             now = bus.earliest_start(now);
@@ -200,30 +159,28 @@ mod tests {
                 .unwrap();
             now = issued.completes_at + 1;
         }
-        bus.log().to_vec()
+        sink.snapshot()
     }
 
     #[test]
     fn back_to_back_lane() {
-        let t = timeline(&log_of(0), 0, 5);
+        let t = timeline(&events_of(0), 0, 5, 1);
         assert_eq!(t.lane, "ADADAD");
     }
 
     #[test]
     fn turnaround_leaves_idle_cycles() {
-        let t = timeline(&log_of(1), 0, 7);
+        let t = timeline(&events_of(1), 0, 7, 1);
         assert_eq!(t.lane, "AD.AD.AD");
     }
 
     #[test]
     fn reads_render_lowercase() {
-        let cfg = BusConfig::multiplexed(8).build().unwrap();
-        let mut bus = SystemBus::new(cfg);
-        bus.enable_log();
+        let (mut bus, sink) = traced_bus(BusConfig::multiplexed(8).build().unwrap());
         bus.try_issue(0, Transaction::read(Addr::new(0), 8))
             .unwrap()
             .unwrap();
-        let t = timeline(bus.log(), 0, 2);
+        let t = timeline(&sink.snapshot(), 0, 2, 1);
         assert_eq!(t.lane, "ad.");
     }
 
@@ -233,24 +190,17 @@ mod tests {
             .background(0.5, 8)
             .build()
             .unwrap();
-        let mut bus = SystemBus::new(cfg);
-        bus.enable_log();
+        let (mut bus, sink) = traced_bus(cfg);
         bus.try_issue(0, Transaction::write(Addr::new(0), 8))
             .unwrap()
             .unwrap();
-        let t = timeline(bus.log(), 0, 3);
+        let t = timeline(&sink.snapshot(), 0, 3, 1);
         assert_eq!(t.lane, "ADFF");
     }
 
     #[test]
-    fn occupancy_fraction() {
-        let occ = occupancy(&log_of(1), 0, 7);
-        assert!((occ - 6.0 / 8.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn ruler_renders() {
-        let t = timeline(&log_of(0), 0, 15);
+        let t = timeline(&events_of(0), 0, 15, 1);
         let s = t.render();
         assert!(s.contains("bus cycle"));
         assert!(s.contains("0"));
@@ -300,9 +250,10 @@ mod tests {
     }
 
     #[test]
-    fn timeline_from_trace_events_matches_bus_log() {
-        // Drive the same machine through both observability paths: the
-        // legacy bus log and the TraceSink stream must draw the same lane.
+    fn timeline_from_trace_events_pins_a_csb_burst() {
+        // A whole simulated CSB line: eight combining stores, then the
+        // conditional flush commits one 9-cycle burst. The stream is
+        // stamped in CPU cycles; `ratio` draws it in bus cycles.
         use crate::config::COMBINING_BASE;
         use crate::{SimConfig, Simulator};
         use csb_isa::{Assembler, Reg};
@@ -319,32 +270,23 @@ mod tests {
         let program = a.assemble().unwrap();
         let cfg = SimConfig::default();
         let ratio = cfg.ratio;
-        let mut logged = Simulator::new(cfg.clone(), program.clone()).unwrap();
-        logged.enable_bus_log();
-        logged.run(100_000).unwrap();
-        let mut traced = Simulator::new(cfg, program).unwrap();
-        traced.enable_tracing();
-        traced.run(100_000).unwrap();
+        let mut sim = Simulator::new(cfg, program).unwrap();
+        sim.enable_tracing();
+        sim.run(100_000).unwrap();
 
-        let from_log = timeline(logged.bus_log(), 0, 40);
-        let from_events = timeline_from_events(&traced.trace_events(), 0, 40, ratio);
-        assert_eq!(from_log, from_events);
-        assert!(
-            from_log.lane.contains('A'),
-            "burst rendered: {}",
-            from_log.lane
-        );
+        let t = timeline(&sim.trace_events(), 0, 40, ratio);
+        assert_eq!(t.lane, "...ADDDDDDDD.............................");
     }
 
     #[test]
     fn window_clips() {
-        let t = timeline(&log_of(0), 2, 3);
+        let t = timeline(&events_of(0), 2, 3, 1);
         assert_eq!(t.lane, "AD");
     }
 
     #[test]
     #[should_panic(expected = "empty timeline")]
     fn bad_range_panics() {
-        timeline(&[], 5, 4);
+        timeline(&[], 5, 4, 1);
     }
 }

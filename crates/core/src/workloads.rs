@@ -463,18 +463,13 @@ impl RetryPolicy {
     }
 }
 
-/// Assembly-time jitter for [`RetryPolicy::Backoff`] (SplitMix64, same
-/// generator family as the fault schedule, different constants path).
+/// Assembly-time jitter for [`RetryPolicy::Backoff`]: the `attempt`-th
+/// SplitMix64 draw of `seed`, reduced into `[0, span)`.
 fn backoff_jitter(seed: u64, attempt: u64, span: u64) -> u64 {
     if span == 0 {
         return 0;
     }
-    let mut z = seed
-        .wrapping_add(0x9e37_79b9_7f4a_7c15)
-        .wrapping_add(attempt.wrapping_mul(0x9e37_79b9_7f4a_7c15));
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    (z ^ (z >> 31)) % span
+    csb_faults::splitmix64(seed.wrapping_add(attempt.wrapping_mul(0x9e37_79b9_7f4a_7c15))) % span
 }
 
 /// Builds the CSB atomic-access kernel under a configurable software

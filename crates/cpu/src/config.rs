@@ -1,6 +1,6 @@
 //! Processor configuration.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Microarchitectural parameters of the out-of-order core.
 ///
@@ -23,7 +23,7 @@ use serde::{Deserialize, Serialize};
 /// let eight = CpuConfig::superscalar(8);
 /// assert_eq!(eight.retire_width, 8);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct CpuConfig {
     /// Instructions fetched (and dispatched) per cycle.
     pub fetch_width: usize,

@@ -1097,13 +1097,6 @@ impl Cpu {
         &self.ctx
     }
 
-    /// Mutable access to the committed context (test setup; mutating
-    /// registers with instructions in flight is not meaningful).
-    pub fn context_mut(&mut self) -> &mut CpuContext {
-        self.detector.reset();
-        &mut self.ctx
-    }
-
     /// The program being executed.
     pub fn program(&self) -> &Program {
         &self.program
@@ -2186,15 +2179,6 @@ impl Cpu {
     /// needs to synthesize those events inside a jump.
     pub fn head_addr(&self) -> Option<Addr> {
         self.rob.front().and_then(|e| e.addr)
-    }
-
-    /// `true` when retirement is currently stalled on a membar waiting for
-    /// the uncached buffer (diagnostic; used by the scheduler to avoid
-    /// switching at unhelpful points in some experiments).
-    pub fn head_is_membar(&self) -> bool {
-        self.rob
-            .front()
-            .is_some_and(|e| e.inst.kind() == InstKind::Membar)
     }
 }
 

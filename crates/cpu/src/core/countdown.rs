@@ -59,11 +59,10 @@ struct Observation {
 
 /// Recent observations of the countdown loop at the ROB head. Never
 /// serialized; [`LoopDetector::reset`] runs wherever the pipeline is
-/// replaced, redirected or edited from outside (reset, restore, context
-/// switch, squash, `context_mut`), and the observations start over
-/// whenever one does not follow the previous by exactly one real tick.
-/// The buffers are kept across resets, so a warm core observes without
-/// allocating.
+/// replaced or redirected (reset, restore, context switch, squash), and
+/// the observations start over whenever one does not follow the previous
+/// by exactly one real tick. The buffers are kept across resets, so a
+/// warm core observes without allocating.
 #[derive(Debug, Default)]
 pub(super) struct LoopDetector {
     lp: Option<CountdownLoop>,

@@ -15,14 +15,14 @@
 //! Legend: `F` fetched, `D` dispatched, `I` issued, `C` completed,
 //! `R` retired, `x` squashed (at its last known cycle), `-` in flight.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Lifetime record of one instruction's trip through the pipeline.
 ///
 /// All times are CPU cycles. `issued`/`completed` are `None` for
 /// instructions with no execution stage (`nop`, `mark`, `membar`, `halt`)
 /// or ones squashed before issuing.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct InstTrace {
     /// Pipeline sequence number (unique per dispatch).
     pub seq: u64,

@@ -367,9 +367,10 @@ fn threshold(rate: f64) -> u64 {
 }
 
 /// SplitMix64: the standard 64-bit finalizer-style mixer (public domain,
-/// Vigna). Pure function of its input; also used by the vendored `rand`
-/// shim for seeding.
-fn splitmix64(x: u64) -> u64 {
+/// Vigna). Pure function of its input; besides the fault schedule it
+/// draws the backoff jitter and the contention arrival schedule in
+/// `csb-core`. The vendored `rand` shim keeps its own copy for seeding.
+pub fn splitmix64(x: u64) -> u64 {
     let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);

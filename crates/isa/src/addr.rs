@@ -7,7 +7,7 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Page granularity of [`AddressMap`] regions (4 KiB, a typical 1998 page).
 pub const PAGE_SIZE: u64 = 4096;
@@ -28,9 +28,7 @@ pub const PAGE_SIZE: u64 = 4096;
 /// assert!(a.is_aligned(8));
 /// assert!(!a.is_aligned(16));
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize)]
 pub struct Addr(u64);
 
 impl Addr {
@@ -104,7 +102,7 @@ impl From<Addr> for u64 {
 }
 
 /// Memory attribute of a page, per the paper's TLB-extension scheme (§3.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum AddressSpace {
     /// Ordinary cacheable memory: speculative loads allowed, handled by the
     /// cache hierarchy.
@@ -170,7 +168,7 @@ impl fmt::Display for MapError {
 
 impl std::error::Error for MapError {}
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 struct Region {
     start: u64,
     end: u64, // exclusive
@@ -202,7 +200,7 @@ struct Region {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
 pub struct AddressMap {
     regions: Vec<Region>,
 }

@@ -8,12 +8,12 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::reg::{FReg, Reg};
 
 /// Width of a memory access in bytes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum MemWidth {
     /// 1 byte.
     B1,
@@ -44,7 +44,7 @@ impl fmt::Display for MemWidth {
 }
 
 /// Integer ALU operation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum AluOp {
     /// Addition (wrapping).
     Add,
@@ -78,7 +78,7 @@ impl AluOp {
 }
 
 /// Floating-point operation (operands interpreted as `f64` bit patterns).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum FpuOp {
     /// Addition.
     FAdd,
@@ -102,7 +102,7 @@ impl FpuOp {
 }
 
 /// Branch condition, evaluated against the condition codes set by `cmp`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum Cond {
     /// Branch if equal (`bz`).
     Eq,
@@ -130,7 +130,7 @@ impl Cond {
 }
 
 /// Second ALU operand: a register or a sign-extended immediate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum Operand {
     /// Register operand.
     Reg(Reg),
@@ -148,12 +148,12 @@ impl fmt::Display for Operand {
 }
 
 /// A label identifier produced by [`crate::Assembler::new_label`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub struct LabelId(pub(crate) u32);
 
 /// A reference to an architectural register for dependence tracking,
 /// including the condition-code pseudo-register written by `cmp`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum RegRef {
     /// Integer register.
     Int(Reg),
@@ -164,7 +164,7 @@ pub enum RegRef {
 }
 
 /// Coarse instruction class used by the pipeline to pick a functional unit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum InstKind {
     /// Integer ALU (including `cmp` and immediate moves).
     IntAlu,
@@ -205,7 +205,7 @@ pub enum InstKind {
 /// assert_eq!(add.kind(), InstKind::IntAlu);
 /// assert!(add.to_string().contains("%o1"));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum Inst {
     /// Integer ALU operation `dst = a op b`.
     Alu {

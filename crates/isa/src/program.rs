@@ -3,7 +3,7 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::inst::{AluOp, Cond, FpuOp, Inst, LabelId, MemWidth, Operand};
 use crate::reg::{FReg, Reg};
@@ -54,7 +54,7 @@ impl std::error::Error for ProgramError {}
 ///
 /// Branch targets are resolved to instruction indices at assembly time; the
 /// CPU asks for them with [`Program::branch_target`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct Program {
     insts: Vec<Inst>,
     targets: HashMap<u32, usize>,

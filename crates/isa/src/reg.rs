@@ -6,7 +6,7 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Number of integer registers.
 pub const NUM_INT_REGS: usize = 32;
@@ -27,7 +27,7 @@ pub const NUM_FP_REGS: usize = 32;
 /// assert!(Reg::G0.is_zero());
 /// assert!(!Reg::L4.is_zero());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub struct Reg(u8);
 
 macro_rules! reg_consts {
@@ -89,7 +89,7 @@ impl fmt::Display for Reg {
 ///
 /// The paper's bandwidth microbenchmark uses `std %f`, doubleword stores
 /// from FP registers, mirroring the SPARC assembly listing in §3.2.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub struct FReg(u8);
 
 impl FReg {

@@ -3,10 +3,10 @@
 use std::fmt;
 
 use csb_isa::Addr;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Configuration of one cache level.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct CacheConfig {
     /// Total capacity in bytes.
     pub size: usize,
@@ -112,7 +112,7 @@ impl fmt::Display for CacheConfigError {
 impl std::error::Error for CacheConfigError {}
 
 /// Per-cache hit/miss counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct CacheStats {
     /// Lookups that hit.
     pub hits: u64,

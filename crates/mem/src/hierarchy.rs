@@ -3,12 +3,12 @@
 use std::fmt;
 
 use csb_isa::Addr;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::cache::{Cache, CacheConfig, CacheConfigError, CacheStats};
 
 /// Kind of cached access.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum AccessKind {
     /// Load.
     Read,
@@ -25,7 +25,7 @@ impl AccessKind {
 }
 
 /// Which level serviced an access.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum HitLevel {
     /// Serviced by the L1.
     L1,
@@ -51,7 +51,7 @@ impl fmt::Display for HitLevel {
 /// misses both caches completes `mem_latency = 100` CPU cycles after it
 /// starts — "the cache miss latency is 100 cycles, which corresponds to
 /// 166 ns on a 600 MHz processor" (§4.3.2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct MemoryConfig {
     /// L1 geometry and hit latency.
     pub l1: CacheConfig,
@@ -79,7 +79,7 @@ impl Default for MemoryConfig {
 }
 
 /// Aggregate statistics for the hierarchy.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
 pub struct MemoryStats {
     /// L1 counters.
     pub l1: CacheStats,

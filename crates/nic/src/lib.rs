@@ -12,23 +12,24 @@
 //! * the TX window is an array of cache-line-sized **slots**;
 //! * a message is a [`Header`] doubleword (magic, sender, sequence number,
 //!   payload length) followed by its payload bytes, all within one slot;
-//! * the NI watches the bus writes landing in its window ([`Nic::ingest`]),
-//!   assembles messages from whatever transaction granularity the sender's
-//!   store path produced (one CSB line burst, or a dribble of single
-//!   beats), timestamps them, and models wire transmission ([`WireModel`]);
+//! * the NI watches the bus writes landing in its window
+//!   ([`Nic::ingest_bytes`]), assembles messages from whatever transaction
+//!   granularity the sender's store path produced (one CSB line burst, or
+//!   a dribble of single beats), timestamps them, and models wire
+//!   transmission ([`WireModel`]);
 //! * a header arriving while the slot's previous message is still
 //!   incomplete marks a **torn frame** — the failure the CSB's atomic
 //!   commit rules out by construction, and the reason lock-free NI access
 //!   is unsafe with plain store buffers.
 //!
 //! The model is a pure consumer of bus write events, so it composes with
-//! the simulator (adapt `csb-core`'s delivered writes into
-//! [`WindowWrite`]s) and is unit-testable in isolation.
+//! the simulator (`csb-core` ingests each delivered write in its window)
+//! and is unit-testable in isolation.
 //!
 //! # Examples
 //!
 //! ```
-//! use csb_nic::{encode_header, Nic, NicConfig, WindowWrite};
+//! use csb_nic::{encode_header, Nic, NicConfig};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let mut nic = Nic::new(NicConfig::default())?;
@@ -37,7 +38,7 @@
 //! let mut line = vec![0u8; 64];
 //! line[..8].copy_from_slice(&encode_header(16, 1, 7).to_le_bytes());
 //! line[8..24].copy_from_slice(&[0xab; 16]);
-//! nic.ingest(&WindowWrite { offset: 0, data: line, bus_cycle: 100 });
+//! nic.ingest_bytes(0, &line, 100);
 //!
 //! let m = &nic.messages()[0];
 //! assert_eq!(m.sender, 7);
@@ -52,7 +53,7 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Magic tag in the top 16 bits of a valid header doubleword.
 pub const HEADER_MAGIC: u16 = 0xCAFE;
@@ -63,7 +64,7 @@ pub const fn max_payload(slot_size: usize) -> usize {
 }
 
 /// Parsed message header.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct Header {
     /// Payload length in bytes.
     pub len: u16,
@@ -94,7 +95,7 @@ pub fn decode_header(dword: u64) -> Option<Header> {
 }
 
 /// Wire-transmission timing, in bus cycles.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct WireModel {
     /// Fixed propagation + switching latency.
     pub latency: u64,
@@ -120,7 +121,7 @@ impl WireModel {
 }
 
 /// NI configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct NicConfig {
     /// Slot size in bytes (one cache line).
     pub slot_size: usize,
@@ -165,19 +166,8 @@ impl fmt::Display for NicConfigError {
 
 impl std::error::Error for NicConfigError {}
 
-/// One bus write landing in the NI window.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct WindowWrite {
-    /// Byte offset within the window (window-relative, not a bus address).
-    pub offset: u64,
-    /// Written bytes.
-    pub data: Vec<u8>,
-    /// Bus cycle of the transaction's address phase.
-    pub bus_cycle: u64,
-}
-
 /// A fully assembled, wire-delivered message.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct ReceivedMessage {
     /// Sender id from the header.
     pub sender: u16,
@@ -204,7 +194,7 @@ impl ReceivedMessage {
 }
 
 /// NI counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct NicStats {
     /// Messages assembled and launched.
     pub messages: u64,
@@ -281,14 +271,10 @@ impl Nic {
         &self.messages
     }
 
-    /// Consumes one bus write into the window. Writes crossing a slot
-    /// boundary are split internally; bytes past the window are ignored.
-    pub fn ingest(&mut self, w: &WindowWrite) {
-        self.ingest_bytes(w.offset, &w.data, w.bus_cycle);
-    }
-
-    /// [`Nic::ingest`] without the owned buffer — the simulator's
-    /// per-delivery hot path, which already holds the bytes.
+    /// Consumes one bus write of `data` at window offset `offset` (not a
+    /// bus address), whose address phase was bus cycle `bus_cycle`.
+    /// Writes crossing a slot boundary are split internally; bytes past
+    /// the window are ignored.
     pub fn ingest_bytes(&mut self, offset: u64, data: &[u8], bus_cycle: u64) {
         let slot_size = self.cfg.slot_size as u64;
         let mut offset = offset;
@@ -545,11 +531,7 @@ mod tests {
     #[test]
     fn burst_message_completes_immediately() {
         let mut nic = Nic::new(NicConfig::default()).unwrap();
-        nic.ingest(&WindowWrite {
-            offset: 64,
-            data: line_with(24, 5, 2, 0x77),
-            bus_cycle: 40,
-        });
+        nic.ingest_bytes(64, &line_with(24, 5, 2, 0x77), 40);
         assert_eq!(nic.messages().len(), 1);
         let m = &nic.messages()[0];
         assert_eq!((m.sender, m.seq, m.slot), (2, 5, 1));
@@ -566,23 +548,11 @@ mod tests {
         let mut nic = Nic::new(NicConfig::default()).unwrap();
         let line = line_with(16, 1, 1, 0x55);
         // Header first (single beat), then payload dwords out of order.
-        nic.ingest(&WindowWrite {
-            offset: 0,
-            data: line[..8].to_vec(),
-            bus_cycle: 10,
-        });
+        nic.ingest_bytes(0, &line[..8], 10);
         assert!(nic.messages().is_empty());
-        nic.ingest(&WindowWrite {
-            offset: 16,
-            data: line[16..24].to_vec(),
-            bus_cycle: 12,
-        });
+        nic.ingest_bytes(16, &line[16..24], 12);
         assert!(nic.messages().is_empty());
-        nic.ingest(&WindowWrite {
-            offset: 8,
-            data: line[8..16].to_vec(),
-            bus_cycle: 14,
-        });
+        nic.ingest_bytes(8, &line[8..16], 14);
         assert_eq!(nic.messages().len(), 1);
         let m = &nic.messages()[0];
         assert_eq!(m.payload, vec![0x55; 16]);
@@ -595,28 +565,12 @@ mod tests {
         let mut nic = Nic::new(NicConfig::default()).unwrap();
         // Message A: header + half its payload...
         let a = line_with(16, 1, 1, 0xaa);
-        nic.ingest(&WindowWrite {
-            offset: 0,
-            data: a[..8].to_vec(),
-            bus_cycle: 10,
-        });
-        nic.ingest(&WindowWrite {
-            offset: 8,
-            data: a[8..16].to_vec(),
-            bus_cycle: 11,
-        });
+        nic.ingest_bytes(0, &a[..8], 10);
+        nic.ingest_bytes(8, &a[8..16], 11);
         // ...then message B's header lands in the same slot.
         let b = line_with(8, 2, 2, 0xbb);
-        nic.ingest(&WindowWrite {
-            offset: 0,
-            data: b[..8].to_vec(),
-            bus_cycle: 20,
-        });
-        nic.ingest(&WindowWrite {
-            offset: 8,
-            data: b[8..16].to_vec(),
-            bus_cycle: 21,
-        });
+        nic.ingest_bytes(0, &b[..8], 20);
+        nic.ingest_bytes(8, &b[8..16], 21);
         assert_eq!(nic.stats().torn_frames, 1);
         assert_eq!(nic.messages().len(), 1);
         assert_eq!(nic.messages()[0].sender, 2);
@@ -626,27 +580,15 @@ mod tests {
     fn stray_and_invalid_writes_counted() {
         let mut nic = Nic::new(NicConfig::default()).unwrap();
         // Payload with no header in progress.
-        nic.ingest(&WindowWrite {
-            offset: 8,
-            data: vec![1; 8],
-            bus_cycle: 0,
-        });
+        nic.ingest_bytes(8, &[1; 8], 0);
         assert_eq!(nic.stats().stray_writes, 1);
         // Slot-start write without the magic.
-        nic.ingest(&WindowWrite {
-            offset: 0,
-            data: vec![0; 64],
-            bus_cycle: 1,
-        });
+        nic.ingest_bytes(0, &[0; 64], 1);
         assert_eq!(nic.stats().invalid_headers, 1);
         // Oversized declared length is rejected as invalid.
         let mut big = vec![0u8; 64];
         big[..8].copy_from_slice(&encode_header(60, 0, 0).to_le_bytes());
-        nic.ingest(&WindowWrite {
-            offset: 0,
-            data: big,
-            bus_cycle: 2,
-        });
+        nic.ingest_bytes(0, &big, 2);
         assert_eq!(nic.stats().invalid_headers, 2);
         assert!(nic.messages().is_empty());
     }
@@ -657,11 +599,7 @@ mod tests {
         // Two back-to-back slot bursts delivered as one 128-byte write.
         let mut data = line_with(8, 1, 1, 0x11);
         data.extend(line_with(8, 2, 1, 0x22));
-        nic.ingest(&WindowWrite {
-            offset: 0,
-            data,
-            bus_cycle: 5,
-        });
+        nic.ingest_bytes(0, &data, 5);
         assert_eq!(nic.messages().len(), 2);
         assert_eq!(nic.messages()[0].payload, vec![0x11; 8]);
         assert_eq!(nic.messages()[1].payload, vec![0x22; 8]);
@@ -674,11 +612,7 @@ mod tests {
             ..NicConfig::default()
         })
         .unwrap();
-        nic.ingest(&WindowWrite {
-            offset: 64,
-            data: line_with(8, 1, 1, 0x33),
-            bus_cycle: 0,
-        });
+        nic.ingest_bytes(64, &line_with(8, 1, 1, 0x33), 0);
         assert!(nic.messages().is_empty());
         assert_eq!(nic.stats().stray_writes, 0);
     }
@@ -688,11 +622,7 @@ mod tests {
         // A single 8-byte store as a doorbell, like Atoll's single-word DMA
         // launch: len = 0 completes instantly.
         let mut nic = Nic::new(NicConfig::default()).unwrap();
-        nic.ingest(&WindowWrite {
-            offset: 0,
-            data: encode_header(0, 9, 4).to_le_bytes().to_vec(),
-            bus_cycle: 33,
-        });
+        nic.ingest_bytes(0, &encode_header(0, 9, 4).to_le_bytes(), 33);
         assert_eq!(nic.messages().len(), 1);
         assert!(nic.messages()[0].payload.is_empty());
         assert_eq!(nic.messages()[0].seq, 9);
@@ -716,17 +646,9 @@ mod tests {
         // incomplete frame is torn, the complete one delivers.
         let mut nic = Nic::new(NicConfig::default()).unwrap();
         let a = line_with(32, 1, 1, 0xaa);
-        nic.ingest(&WindowWrite {
-            offset: 0,
-            data: a[..24].to_vec(), // header + 16 of 32 payload bytes
-            bus_cycle: 10,
-        });
+        nic.ingest_bytes(0, &a[..24], 10); // header + 16 of 32 payload bytes
         assert!(nic.messages().is_empty());
-        nic.ingest(&WindowWrite {
-            offset: 0,
-            data: line_with(8, 2, 1, 0xbb),
-            bus_cycle: 20,
-        });
+        nic.ingest_bytes(0, &line_with(8, 2, 1, 0xbb), 20);
         assert_eq!(nic.stats().torn_frames, 1);
         assert_eq!(nic.messages().len(), 1);
         assert_eq!(nic.messages()[0].seq, 2);
@@ -739,26 +661,10 @@ mod tests {
         let mut nic = Nic::new(NicConfig::default()).unwrap();
         let a = line_with(8, 1, 1, 0x11);
         let b = line_with(8, 7, 2, 0x22);
-        nic.ingest(&WindowWrite {
-            offset: 0,
-            data: a[..8].to_vec(),
-            bus_cycle: 10,
-        });
-        nic.ingest(&WindowWrite {
-            offset: 64,
-            data: b[..8].to_vec(),
-            bus_cycle: 11,
-        });
-        nic.ingest(&WindowWrite {
-            offset: 64 + 8,
-            data: b[8..16].to_vec(),
-            bus_cycle: 12,
-        });
-        nic.ingest(&WindowWrite {
-            offset: 8,
-            data: a[8..16].to_vec(),
-            bus_cycle: 13,
-        });
+        nic.ingest_bytes(0, &a[..8], 10);
+        nic.ingest_bytes(64, &b[..8], 11);
+        nic.ingest_bytes(64 + 8, &b[8..16], 12);
+        nic.ingest_bytes(8, &a[8..16], 13);
         assert_eq!(nic.stats().torn_frames, 0);
         assert_eq!(nic.messages().len(), 2);
         assert_eq!(nic.messages()[0].sender, 2);
@@ -772,17 +678,9 @@ mod tests {
         let cfg = NicConfig::default();
         let mut nic = Nic::new(cfg).unwrap();
         // One delivered message, one in-flight half-assembled frame.
-        nic.ingest(&WindowWrite {
-            offset: 0,
-            data: line_with(16, 1, 3, 0x44),
-            bus_cycle: 5,
-        });
+        nic.ingest_bytes(0, &line_with(16, 1, 3, 0x44), 5);
         let partial = line_with(24, 2, 3, 0x55);
-        nic.ingest(&WindowWrite {
-            offset: 64,
-            data: partial[..16].to_vec(),
-            bus_cycle: 9,
-        });
+        nic.ingest_bytes(64, &partial[..16], 9);
         let mut w = csb_snap::SnapshotWriter::new();
         nic.save_state(&mut w);
         let bytes = w.finish();
@@ -794,11 +692,7 @@ mod tests {
         assert_eq!(restored.messages(), nic.messages());
         // Completing the in-flight frame behaves identically on both sides.
         for n in [&mut nic, &mut restored] {
-            n.ingest(&WindowWrite {
-                offset: 64 + 16,
-                data: partial[16..32].to_vec(),
-                bus_cycle: 30,
-            });
+            n.ingest_bytes(64 + 16, &partial[16..32], 30);
         }
         assert_eq!(restored.messages(), nic.messages());
         assert_eq!(nic.messages().len(), 2);
@@ -827,26 +721,14 @@ mod tests {
     #[test]
     fn clear_resets_everything_but_config() {
         let mut nic = Nic::new(NicConfig::default()).unwrap();
-        nic.ingest(&WindowWrite {
-            offset: 0,
-            data: line_with(8, 1, 1, 0x66),
-            bus_cycle: 1,
-        });
+        nic.ingest_bytes(0, &line_with(8, 1, 1, 0x66), 1);
         let partial = line_with(24, 2, 1, 0x77);
-        nic.ingest(&WindowWrite {
-            offset: 64,
-            data: partial[..16].to_vec(),
-            bus_cycle: 2,
-        });
+        nic.ingest_bytes(64, &partial[..16], 2);
         nic.clear();
         assert_eq!(nic.stats(), &NicStats::default());
         assert!(nic.messages().is_empty());
         // The half-built frame in slot 1 is gone: its payload is now stray.
-        nic.ingest(&WindowWrite {
-            offset: 64 + 16,
-            data: partial[16..24].to_vec(),
-            bus_cycle: 3,
-        });
+        nic.ingest_bytes(64 + 16, &partial[16..24], 3);
         assert_eq!(nic.stats().stray_writes, 1);
     }
 
@@ -897,11 +779,7 @@ mod tests {
                 let cfg = NicConfig::default();
                 let mut nic = Nic::new(cfg).unwrap();
                 for (offset, data, bus_cycle) in &writes {
-                    nic.ingest(&WindowWrite {
-                        offset: *offset,
-                        data: data.clone(),
-                        bus_cycle: *bus_cycle,
-                    });
+                    nic.ingest_bytes(*offset, data, *bus_cycle);
                 }
                 let mut w = csb_snap::SnapshotWriter::new();
                 nic.save_state(&mut w);

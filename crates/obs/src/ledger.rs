@@ -13,9 +13,8 @@
 //! build when the checked-in baseline regresses.
 //!
 //! Parsing is hand-rolled over the vendored [`serde_json::parse_value`]
-//! tree (the vendored `Deserialize` derive is a compile-compatibility
-//! stub), which also keeps the ledger tolerant of unknown extra fields
-//! from newer writers.
+//! tree (the vendored serde serializes only), which also keeps the ledger
+//! tolerant of unknown extra fields from newer writers.
 
 use serde::value::{Number, Value};
 use serde::Serialize;

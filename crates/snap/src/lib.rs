@@ -1,10 +1,10 @@
 //! Versioned binary snapshot format for the CSB simulator.
 //!
-//! The workspace's vendored `serde` shim serializes but cannot
-//! deserialize derived types, so simulator snapshots and cache entries
-//! use this hand-rolled format instead: a fixed-width little-endian
-//! byte stream framed by an 8-byte magic, a format version, and a
-//! trailing FNV-1a checksum over everything before it.
+//! The workspace's vendored `serde` shim serializes only, so simulator
+//! snapshots and cache entries use this hand-rolled format instead: a
+//! fixed-width little-endian byte stream framed by an 8-byte magic, a
+//! format version, and a trailing FNV-1a checksum over everything before
+//! it.
 //!
 //! Layout of a framed document:
 //!
@@ -190,11 +190,6 @@ impl SnapshotWriter {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    /// Appends an `i64`, little-endian.
-    pub fn put_i64(&mut self, v: i64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
     /// Appends a `usize` as a `u64`.
     pub fn put_usize(&mut self, v: usize) {
         self.put_u64(v as u64);
@@ -226,11 +221,6 @@ impl SnapshotWriter {
     /// whose length both sides know).
     pub fn put_raw(&mut self, bytes: &[u8]) {
         self.buf.extend_from_slice(bytes);
-    }
-
-    /// Appends a length-prefixed UTF-8 string.
-    pub fn put_str(&mut self, s: &str) {
-        self.put_bytes(s.as_bytes());
     }
 }
 
@@ -371,17 +361,6 @@ impl<'a> SnapshotReader<'a> {
         ))
     }
 
-    /// Reads a little-endian `i64`.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotError::Truncated`] at end of document.
-    pub fn take_i64(&mut self) -> Result<i64, SnapshotError> {
-        Ok(i64::from_le_bytes(
-            self.take(8)?.try_into().expect("8-byte take"),
-        ))
-    }
-
     /// Reads a `usize` written by [`SnapshotWriter::put_usize`].
     ///
     /// # Errors
@@ -433,17 +412,6 @@ impl<'a> SnapshotReader<'a> {
     pub fn take_raw(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
         self.take(n)
     }
-
-    /// Reads a length-prefixed UTF-8 string.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotError::Truncated`] / [`SnapshotError::Corrupt`] on
-    /// invalid UTF-8.
-    pub fn take_str(&mut self) -> Result<&'a str, SnapshotError> {
-        std::str::from_utf8(self.take_bytes()?)
-            .map_err(|_| SnapshotError::Corrupt("invalid UTF-8".to_string()))
-    }
 }
 
 #[cfg(test)]
@@ -469,14 +437,12 @@ mod tests {
         w.put_bool(false);
         w.put_u32(0xdead_beef);
         w.put_u64(u64::MAX - 1);
-        w.put_i64(-42);
         w.put_usize(123_456);
         w.put_f64(3.875);
         w.put_opt_u64(None);
         w.put_opt_u64(Some(7));
         w.put_bytes(b"payload");
         w.put_raw(&[1, 2, 3]);
-        w.put_str("snap");
         let doc = w.finish();
 
         let mut r = SnapshotReader::framed(&doc, MAGIC, 3).unwrap();
@@ -486,14 +452,12 @@ mod tests {
         assert!(!r.take_bool().unwrap());
         assert_eq!(r.take_u32().unwrap(), 0xdead_beef);
         assert_eq!(r.take_u64().unwrap(), u64::MAX - 1);
-        assert_eq!(r.take_i64().unwrap(), -42);
         assert_eq!(r.take_usize().unwrap(), 123_456);
         assert_eq!(r.take_f64().unwrap(), 3.875);
         assert_eq!(r.take_opt_u64().unwrap(), None);
         assert_eq!(r.take_opt_u64().unwrap(), Some(7));
         assert_eq!(r.take_bytes().unwrap(), b"payload");
         assert_eq!(r.take_raw(3).unwrap(), &[1, 2, 3]);
-        assert_eq!(r.take_str().unwrap(), "snap");
         r.expect_end("test doc").unwrap();
     }
 

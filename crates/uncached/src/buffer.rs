@@ -6,7 +6,7 @@ use std::fmt;
 use csb_bus::Transaction;
 use csb_isa::Addr;
 use csb_obs::{EventKind, TraceSink, Track};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::mask::{decompose_into, ByteMask, Chunk, MAX_BLOCK};
 use crate::{PayloadBuf, PreparedTxn};
@@ -15,7 +15,7 @@ use crate::{PayloadBuf, PreparedTxn};
 ///
 /// The paper's figures sweep [`CombineRule::Block`] sizes; the other two
 /// rules model the specific processors named in its related-work section.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize)]
 pub enum CombineRule {
     /// Combine any store falling in the same block-aligned window
     /// (idealized combining; what the figures call "16B"/"32B"/…). Entries
@@ -45,7 +45,7 @@ impl fmt::Display for CombineRule {
 }
 
 /// Uncached buffer configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct UncachedConfig {
     /// Combining block size in bytes: the width of one buffer entry and the
     /// largest transaction the buffer can emit. 8 = non-combining (every
@@ -130,7 +130,7 @@ pub enum PushOutcome {
 }
 
 /// Counters accumulated by [`UncachedBuffer`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct UncachedStats {
     /// Stores accepted.
     pub stores: u64,
@@ -172,7 +172,6 @@ struct StoreEntry {
 enum Entry {
     Store(StoreEntry),
     Load { addr: Addr, width: usize, tag: u64 },
-    Barrier,
 }
 
 /// The FIFO buffer between the processor's memory queue and the system
@@ -180,7 +179,7 @@ enum Entry {
 ///
 /// Combining model (paper §4.1): a store coalesces into an existing entry
 /// iff its address falls in the same `block`-aligned window and it would not
-/// bypass an earlier load or barrier (or an entry already draining).
+/// bypass an earlier load (or an entry already draining).
 /// Entries drain in FIFO order as the minimal sequence of naturally aligned
 /// power-of-two transactions covering their present bytes — so partial
 /// blocks degrade into multiple single-beat transfers, which is exactly the
@@ -202,7 +201,7 @@ enum Entry {
 /// let txn = buf.peek_transaction().expect("entry ready");
 /// assert_eq!(txn.txn.size, 16);
 /// buf.transaction_accepted();
-/// assert!(buf.is_drained());
+/// assert!(buf.is_empty());
 /// # Ok(())
 /// # }
 /// ```
@@ -288,48 +287,11 @@ impl UncachedBuffer {
         self.entries.len()
     }
 
-    /// Returns `true` if the buffer holds no entries.
+    /// Returns `true` if the buffer holds no entries: every entry has been
+    /// handed to the bus — the condition a `membar` waits for before
+    /// letting retirement proceed.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
-    }
-
-    /// Returns `true` when every entry has been handed to the bus — the
-    /// condition a `membar` waits for before letting retirement proceed.
-    pub fn is_drained(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// The exact number of bus grants still required to drain the buffer
-    /// as it stands — the buffer-side half of a transaction-granular
-    /// drain horizon (the bus timeline supplies *when* each grant can
-    /// happen; this supplies *how many* are left). The locked head
-    /// contributes its remaining drain chunks, every other store entry
-    /// the chunk count its decomposition will produce, loads one grant
-    /// each, barriers none (they are popped, not granted). Later
-    /// coalescing into a still-open entry can change the figure; it is
-    /// exact whenever the CPU side is stalled (the fast-forward case).
-    pub fn pending_grants(&self) -> usize {
-        let mut grants = 0usize;
-        for (i, entry) in self.entries.iter().enumerate() {
-            match entry {
-                Entry::Store(se) if i == 0 && se.locked => grants += self.drain.len(),
-                Entry::Store(se) => {
-                    grants += match self.cfg.rule {
-                        CombineRule::Block => {
-                            let mut n = 0;
-                            decompose_into(se.mask, self.cfg.block, |_| n += 1);
-                            n
-                        }
-                        CombineRule::Sequential if se.mask.covers(0, self.cfg.block) => 1,
-                        CombineRule::Sequential => se.stores,
-                        CombineRule::Pair => 1,
-                    }
-                }
-                Entry::Load { .. } => grants += 1,
-                Entry::Barrier => {}
-            }
-        }
-        grants
     }
 
     /// Serializes the buffer's architectural state: counters, queued
@@ -364,7 +326,6 @@ impl UncachedBuffer {
                     w.put_usize(*width);
                     w.put_u64(*tag);
                 }
-                Entry::Barrier => w.put_u8(2),
             }
         }
         w.put_usize(self.drain.len());
@@ -424,7 +385,6 @@ impl UncachedBuffer {
                     width: r.take_usize()?,
                     tag: r.take_u64()?,
                 },
-                2 => Entry::Barrier,
                 k => {
                     return Err(csb_snap::SnapshotError::Corrupt(format!(
                         "unknown uncached entry kind {k}"
@@ -528,8 +488,8 @@ impl UncachedBuffer {
     ) -> bool {
         match self.cfg.rule {
             CombineRule::Block => {
-                // Scan from the tail; stop at the first load, barrier, or
-                // draining store — coalescing past those would reorder.
+                // Scan from the tail; stop at the first load or draining
+                // store — coalescing past those would reorder.
                 for entry in self.entries.iter_mut().rev() {
                     match entry {
                         Entry::Store(se) if !se.locked => {
@@ -699,24 +659,11 @@ impl UncachedBuffer {
         true
     }
 
-    /// Inserts an explicit ordering barrier entry.
-    ///
-    /// The simulated `membar` does not need this (it stalls retirement, so
-    /// no later ops reach the buffer), but device drivers composed from raw
-    /// operations can use it to fence combining without stalling.
-    pub fn push_barrier(&mut self) {
-        self.entries.push_back(Entry::Barrier);
-    }
-
     /// Returns the next transaction to present to the bus, locking the head
     /// entry against further coalescing. Returns `None` when nothing is
     /// ready. Call [`UncachedBuffer::transaction_accepted`] once the bus
     /// takes it.
     pub fn peek_transaction(&mut self) -> Option<PreparedTxn> {
-        // Discard leading barriers: they are ordering markers, not traffic.
-        while matches!(self.entries.front(), Some(Entry::Barrier)) {
-            self.entries.pop_front();
-        }
         match self.entries.front_mut()? {
             Entry::Store(se) => {
                 if !se.locked {
@@ -763,7 +710,6 @@ impl UncachedBuffer {
                 txn: Transaction::read(*addr, *width).tag(*tag),
                 data: PayloadBuf::empty(),
             }),
-            Entry::Barrier => unreachable!("leading barriers were discarded"),
         }
     }
 
@@ -782,7 +728,6 @@ impl UncachedBuffer {
                 self.drain.is_empty()
             }
             Entry::Load { .. } => true,
-            Entry::Barrier => unreachable!("barriers are skipped by peek_transaction"),
         };
         if done {
             self.entries.pop_front();
@@ -850,7 +795,7 @@ mod tests {
         assert_eq!(t.txn.addr, base);
         assert_eq!(&t.data[8..16], &dword(1));
         b.transaction_accepted();
-        assert!(b.is_drained());
+        assert!(b.is_empty());
         assert_eq!(b.stats().coalesced, 7);
     }
 
@@ -869,6 +814,16 @@ mod tests {
         }
         assert_eq!(sizes, vec![8, 16, 32]);
         assert_eq!(b.stats().transactions, 3);
+        // Bytes 0..8 and 16..24 of one block: two aligned transactions,
+        // never one.
+        b.push_store(base, &dword(1));
+        b.push_store(base.offset(16), &dword(2));
+        sizes.clear();
+        while let Some(t) = b.peek_transaction() {
+            sizes.push(t.txn.size);
+            b.transaction_accepted();
+        }
+        assert_eq!(sizes, vec![8, 8]);
     }
 
     #[test]
@@ -896,26 +851,6 @@ mod tests {
             PushOutcome::NewEntry
         );
         assert_eq!(b.len(), 3);
-    }
-
-    #[test]
-    fn barrier_fences_and_is_skipped() {
-        let mut b = buf(64);
-        let base = Addr::new(0x2000);
-        b.push_store(base, &dword(1));
-        b.push_barrier();
-        assert_eq!(
-            b.push_store(base.offset(8), &dword(2)),
-            PushOutcome::NewEntry
-        );
-        // Drain: store, (skip barrier), store.
-        let t = b.peek_transaction().unwrap();
-        assert_eq!(t.txn.addr, base);
-        b.transaction_accepted();
-        let t = b.peek_transaction().unwrap();
-        assert_eq!(t.txn.addr, base.offset(8));
-        b.transaction_accepted();
-        assert!(b.is_drained());
     }
 
     #[test]
@@ -955,7 +890,7 @@ mod tests {
         assert_eq!(t.txn.size, 4);
         assert_eq!(t.txn.tag, 99);
         b.transaction_accepted();
-        assert!(b.is_drained());
+        assert!(b.is_empty());
     }
 
     #[test]
@@ -1134,40 +1069,5 @@ mod tests {
         assert!(CombineRule::Pair.to_string().contains("620"));
         assert_eq!(UncachedConfig::r10000(64).rule, CombineRule::Sequential);
         assert_eq!(UncachedConfig::ppc620().block, 16);
-    }
-
-    #[test]
-    fn pending_grants_counts_remaining_bus_transactions() {
-        let mut b = buf(64);
-        assert_eq!(b.pending_grants(), 0);
-        // A full aligned block drains as one transaction; a lone dword at
-        // an odd slot of a second block adds another.
-        for i in 0..8 {
-            b.push_store(Addr::new(0x1000 + 8 * i), &dword(i));
-        }
-        b.push_store(Addr::new(0x1048), &dword(9));
-        b.push_barrier();
-        assert!(b.push_load(Addr::new(0x1080), 8, 7));
-        assert_eq!(b.pending_grants(), 3);
-        // Locking the head must not change the count, only its source.
-        assert!(b.peek_transaction().is_some());
-        assert_eq!(b.pending_grants(), 3);
-        // Drain to empty: one grant at a time, monotonically.
-        for left in (0..3usize).rev() {
-            assert!(b.peek_transaction().is_some());
-            b.transaction_accepted();
-            assert_eq!(b.pending_grants(), left);
-        }
-        assert!(b.is_drained());
-    }
-
-    #[test]
-    fn pending_grants_matches_partial_block_decomposition() {
-        // Bytes at offsets 0..8 and 16..24 of one block: two naturally
-        // aligned transactions, never one.
-        let mut b = buf(64);
-        b.push_store(Addr::new(0x1000), &dword(1));
-        b.push_store(Addr::new(0x1010), &dword(2));
-        assert_eq!(b.pending_grants(), 2);
     }
 }

@@ -7,7 +7,7 @@ use csb_bus::Transaction;
 use csb_faults::{FaultInjector, FaultKind};
 use csb_isa::Addr;
 use csb_obs::{EventKind, TraceSink, Track};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::mask::{decompose_into, ByteMask, MAX_BLOCK};
 use crate::{PayloadBuf, PreparedTxn};
@@ -19,7 +19,7 @@ use crate::{PayloadBuf, PreparedTxn};
 pub type Pid = u32;
 
 /// CSB configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct CsbConfig {
     /// Line size in bytes — the data register is exactly one cache line.
     pub line: usize,
@@ -139,7 +139,7 @@ impl FlushOutcome {
 }
 
 /// Counters accumulated by the CSB.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct CsbStats {
     /// Combining stores accepted.
     pub stores: u64,
@@ -620,17 +620,6 @@ impl ConditionalStoreBuffer {
     pub fn is_drained(&self) -> bool {
         self.pending.is_empty()
     }
-
-    /// Committed bursts still queued for the bus — the CSB-side half of a
-    /// transaction-granular drain horizon. Each pending burst costs
-    /// exactly one bus grant, so `pending_bursts()` grants from now the
-    /// CSB is drained and ([`ConditionalStoreBuffer::can_accept_flush`])
-    /// flush capacity is free again; `0` is [`is_drained`].
-    ///
-    /// [`is_drained`]: ConditionalStoreBuffer::is_drained
-    pub fn pending_bursts(&self) -> usize {
-        self.pending.len()
-    }
 }
 
 #[cfg(test)]
@@ -782,7 +771,9 @@ mod tests {
             c.conditional_flush(1, line.offset(128), 1),
             FlushOutcome::Fail
         );
+        // Each accepted burst frees a line buffer for the next flush.
         c.transaction_accepted();
+        assert!(c.can_accept_flush());
         c.transaction_accepted();
         assert!(c.is_drained());
         assert_eq!(c.stats().flush_successes, 2);
@@ -985,28 +976,5 @@ mod tests {
             width: 3,
         };
         assert!(e.to_string().contains("3B"));
-    }
-
-    #[test]
-    fn pending_bursts_is_the_drain_horizon() {
-        let mut c = ConditionalStoreBuffer::new(CsbConfig::new(64).double_buffered()).unwrap();
-        let line = Addr::new(0x1000);
-        assert_eq!(c.pending_bursts(), 0);
-        c.store(1, line, &dword(1)).unwrap();
-        assert_eq!(c.conditional_flush(1, line, 1), FlushOutcome::Success);
-        c.store(1, line.offset(64), &dword(2)).unwrap();
-        assert_eq!(
-            c.conditional_flush(1, line.offset(64), 1),
-            FlushOutcome::Success
-        );
-        // Double-buffered: two committed bursts queued, capacity now gone.
-        assert_eq!(c.pending_bursts(), 2);
-        assert!(!c.can_accept_flush());
-        c.transaction_accepted();
-        assert_eq!(c.pending_bursts(), 1);
-        assert!(c.can_accept_flush());
-        c.transaction_accepted();
-        assert_eq!(c.pending_bursts(), 0);
-        assert!(c.is_drained());
     }
 }

@@ -186,16 +186,6 @@ impl serde::Serialize for PayloadBuf {
     }
 }
 
-impl serde::Deserialize for PayloadBuf {
-    fn from_value(v: &serde::value::Value) -> Result<Self, serde::de::Error> {
-        let bytes = Vec::<u8>::from_value(v)?;
-        if bytes.len() > MAX_BLOCK {
-            return Err(serde::de::Error::mismatch("PayloadBuf", v));
-        }
-        Ok(PayloadBuf::from_slice(&bytes))
-    }
-}
-
 /// A bus transaction paired with the data bytes it carries.
 ///
 /// [`csb_bus::Transaction`] is timing-only; I/O devices in the simulator

@@ -9,13 +9,13 @@
 //! offset 0 are a single 64-byte burst. This is the effect behind the
 //! paper's observation that going from 7 to 8 doublewords *reduces* latency.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Maximum supported combining block (the largest cache line studied).
 pub const MAX_BLOCK: usize = 128;
 
 /// One naturally aligned power-of-two chunk produced by [`decompose`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct Chunk {
     /// Byte offset within the block.
     pub offset: usize,
@@ -38,7 +38,7 @@ pub struct Chunk {
 /// assert!(m.covers(8, 8));
 /// assert!(!m.covers(0, 16));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
 pub struct ByteMask(u128);
 
 impl ByteMask {

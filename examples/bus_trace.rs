@@ -1,14 +1,13 @@
 //! Visualize what each combining scheme actually puts on the bus.
 //!
 //! Renders cycle-by-cycle bus timelines for a 64-byte store burst under
-//! the non-combining buffer, full-line hardware combining, the R10000
-//! sequential detector, and the CSB. Legend: `A` address cycle, `D` data
-//! cycle, `.` idle.
+//! the non-combining buffer, 16-byte and full-line hardware combining,
+//! the R10000 sequential detector, and the CSB. Legend: `A` address
+//! cycle, `D` data cycle, `.` idle.
 //!
-//! The timelines come from the unified trace layer
-//! (`Simulator::enable_tracing` + `trace::timeline_from_events`), the
-//! same stream the `--trace-out` Perfetto export reads — the legacy
-//! `enable_bus_log` path draws identical lanes but sees only the bus.
+//! The timelines come from the structured trace stream
+//! (`Simulator::enable_tracing` + `trace::timeline`), the same stream the
+//! `--trace-out` Perfetto export reads.
 //!
 //! Run with: `cargo run --example bus_trace`
 
@@ -35,9 +34,9 @@ fn show(label: &str, events: &[TraceEvent], ratio: u64, txns: u64) {
         .map(|e| ((e.cycle + e.dur) / ratio).saturating_sub(1))
         .max()
         .unwrap_or(0);
-    let window = trace::timeline_from_events(events, 0, last, ratio);
+    let window = trace::timeline(events, 0, last, ratio);
     let busy = window.lane.chars().filter(|&c| c != '.').count();
-    let t = trace::timeline_from_events(events, 0, last.max(20), ratio);
+    let t = trace::timeline(events, 0, last.max(20), ratio);
     println!(
         "{label}  ({txns} transactions, {:.0}% occupied)",
         busy as f64 / window.lane.len() as f64 * 100.0

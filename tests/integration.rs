@@ -374,7 +374,11 @@ fn nic_frames_torn_without_csb_but_never_with_it() {
         } else {
             UNCACHED_BASE
         };
-        ms.simulator().device().feed_nic(&mut nic, Addr::new(base));
+        for w in ms.simulator().device().writes() {
+            if let Some(offset) = w.addr.raw().checked_sub(base) {
+                nic.ingest_bytes(offset, &w.data, w.bus_cycle);
+            }
+        }
         nic
     };
 
