@@ -217,7 +217,9 @@ fn main() {
         ..bo.obs()
     };
     let t0 = std::time::Instant::now();
-    let s = obs.simulate(&mut sim, 100_000_000).expect("run completes");
+    let s = obs
+        .simulate(&mut sim, 100_000_000)
+        .unwrap_or_else(|e| csb_bench::die(e));
     let wall = t0.elapsed();
 
     // Lock stdout once and buffer the report + timeline.

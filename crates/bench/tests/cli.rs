@@ -204,6 +204,25 @@ fn explore_prints_the_default_point_and_its_bus_lane() {
 }
 
 #[test]
+fn explore_reports_bad_assembly_and_misaligned_accesses_without_panicking() {
+    let dir = scratch("explore-bad-asm");
+    for (name, source, error) in [
+        ("bare.s", "set 1, %\nhalt\n", "invalid integer register `%`"),
+        (
+            "misaligned.s",
+            "set 0x20000004, %o1\nstd %f0, [%o1]\nhalt\n",
+            "misaligned 8-byte uncached access at 0x20000004",
+        ),
+    ] {
+        std::fs::write(dir.join(name), source).unwrap();
+        let out = run_in(&dir, env!("CARGO_BIN_EXE_explore"), &["--asm", name]);
+        assert_eq!(out.status.code(), Some(2), "{name}: {}", stderr(&out));
+        assert!(stderr(&out).contains(error), "{name}: {}", stderr(&out));
+    }
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
 fn trace_without_a_point_prints_its_one_usage_line() {
     let out = run(env!("CARGO_BIN_EXE_trace"), &[]);
     assert_eq!(out.status.code(), Some(2));

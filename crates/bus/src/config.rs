@@ -32,13 +32,22 @@ impl fmt::Display for BusKind {
 /// whole transactions of `burst` bytes interleaved with the local master's.
 /// The schedule is deterministic (a debt accumulator, not a random draw) so
 /// simulations stay reproducible.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, Serialize)]
 pub struct BackgroundTraffic {
     /// Long-run fraction of bus cycles held by foreign masters, `0.0..1.0`.
     pub utilization: f64,
     /// Foreign transaction size in bytes (power of two within the burst
     /// limit).
     pub burst: usize,
+}
+
+/// Bit-for-bit: IEEE equality would call a utilization of `0.0` equal to
+/// `-0.0`, which renders differently, and configurations that compare
+/// equal must render identically (cache keys hash the rendering).
+impl PartialEq for BackgroundTraffic {
+    fn eq(&self, other: &Self) -> bool {
+        self.utilization.to_bits() == other.utilization.to_bits() && self.burst == other.burst
+    }
 }
 
 /// Invalid [`BusConfig`] parameter.

@@ -257,7 +257,9 @@ impl SystemBus {
     }
 
     /// Restores state written by [`SystemBus::save_state`] into a bus
-    /// with the same configuration.
+    /// with the same configuration. The stream does not say which cycle
+    /// the bus resumes at, so the caller checks the restored state against
+    /// it with [`SystemBus::check_restored`].
     ///
     /// # Errors
     ///
@@ -272,6 +274,65 @@ impl SystemBus {
         self.last_addr = r.take_opt_u64()?;
         self.foreign_debt = r.take_f64()?;
         self.stats.restore_state(r)
+    }
+
+    /// Rejects restored timing state that no run reaches by bus cycle
+    /// `now`: an address cycle after `now`, a next free cycle later than
+    /// the last transaction can occupy the bus, or foreign debt outside
+    /// what one local transaction leaves behind. Callers that jump to
+    /// [`SystemBus::earliest_start`] trust it to lie a bounded distance
+    /// ahead.
+    ///
+    /// # Errors
+    ///
+    /// [`csb_snap::SnapshotError::Corrupt`] naming the first bad field.
+    pub fn check_restored(&self, now: u64) -> Result<(), csb_snap::SnapshotError> {
+        let corrupt = |what: String| Err(csb_snap::SnapshotError::Corrupt(what));
+        let foreign = self
+            .cfg
+            .background()
+            .map(|bg| self.cfg.transaction_cycles(bg.burst));
+        let debt_ok = match foreign {
+            Some(cycles) => (0.0..cycles as f64).contains(&self.foreign_debt),
+            None => self.foreign_debt == 0.0,
+        };
+        if !debt_ok {
+            return corrupt(format!("bus foreign debt {}", self.foreign_debt));
+        }
+        let Some(last) = self.last_addr else {
+            return match self.next_free {
+                0 => Ok(()),
+                free => corrupt(format!("idle bus free from cycle {free}")),
+            };
+        };
+        if last > now {
+            return corrupt(format!("bus address cycle {last} after cycle {now}"));
+        }
+        if self.next_free <= last || self.next_free - last > self.occupancy_bound() {
+            return corrupt(format!(
+                "bus free from cycle {} after an address cycle at {last}",
+                self.next_free
+            ));
+        }
+        Ok(())
+    }
+
+    /// The most bus cycles one issue can push `next_free` past its address
+    /// cycle: the longest transaction and its turnaround, then the foreign
+    /// transactions its debt can buy. The debt left before the issue is
+    /// under one foreign transaction, and the issue adds its duration
+    /// times `u / (1 - u)`.
+    fn occupancy_bound(&self) -> u64 {
+        let turnaround = self.cfg.turnaround();
+        let longest = self.cfg.transaction_cycles(self.cfg.max_burst());
+        let foreign = self.cfg.background().map_or(0, |bg| {
+            let cycles = self.cfg.transaction_cycles(bg.burst);
+            let owed = longest as f64 * bg.utilization / (1.0 - bg.utilization);
+            // One more for the debt carried in, one for rounding.
+            let count = (owed / cycles as f64).ceil() as u64 + 2;
+            count.saturating_mul(cycles + turnaround)
+        });
+        (longest + turnaround).saturating_add(foreign)
     }
 }
 
@@ -617,5 +678,68 @@ mod tests {
             .unwrap();
         assert_eq!(bus.stats().foreign_transactions, 0);
         assert!(bus.can_accept(2));
+    }
+
+    #[test]
+    fn every_state_a_run_reaches_passes_the_restore_check() {
+        for (utilization, burst, turnaround, delay) in [
+            (0.0, 8, 0, 0),
+            (1.0 / 3.0, 64, 0, 0),
+            (0.5, 8, 1, 4),
+            (0.9, 64, 1, 0),
+            (0.99, 8, 0, 8),
+        ] {
+            let cfg = BusConfig::multiplexed(8)
+                .max_burst(64)
+                .turnaround(turnaround)
+                .min_addr_delay(delay)
+                .background(utilization, burst)
+                .build()
+                .unwrap();
+            let mut bus = SystemBus::new(cfg);
+            assert!(bus.check_restored(0).is_ok());
+            let mut now = 0;
+            for i in 0..200u64 {
+                let size = 8 << (i % 4);
+                now = bus.earliest_start(now);
+                let txn = Transaction::write(Addr::new(i * 64), size);
+                let issued = bus.try_issue(now, txn).unwrap().unwrap();
+                for at in [now, now + 1, bus.earliest_start(now)] {
+                    assert!(bus.check_restored(at).is_ok(), "u {utilization}, issue {i}");
+                }
+                now = issued.completes_at + 1;
+            }
+        }
+    }
+
+    #[test]
+    fn restored_timing_no_run_reaches_is_rejected() {
+        let mut bus = mux8();
+        bus.try_issue(30, Transaction::write(Addr::new(0), 64))
+            .unwrap()
+            .unwrap();
+        assert!(bus.check_restored(30).is_ok());
+        assert!(
+            bus.check_restored(29).is_err(),
+            "address cycle in the future"
+        );
+        let mut far = bus.clone();
+        far.next_free += 1 << 63;
+        assert!(
+            far.check_restored(1 << 40).is_err(),
+            "horizon past the transaction"
+        );
+        let mut idle = mux8();
+        idle.next_free = 5;
+        assert!(
+            idle.check_restored(10).is_err(),
+            "horizon without a transaction"
+        );
+        let mut owed = bus.clone();
+        owed.foreign_debt = 1.0;
+        assert!(
+            owed.check_restored(30).is_err(),
+            "debt without foreign traffic"
+        );
     }
 }

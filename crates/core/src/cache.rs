@@ -14,6 +14,13 @@
 //! One pack instead of one file per point is the burst-buffer shape: many
 //! small writes absorbed into one sequential log.
 //!
+//! Key derivation has two layouts, [`PointCache::key`]'s and
+//! [`PointCache::key_debug`]'s, and each is also built part by part
+//! (`PartsKey`, `DebugKey`). The sweep engine hashes a machine
+//! configuration once and forks the hash state for every point on it, so
+//! a hit renders and hashes only its workload and seed; the values are
+//! the ones the two functions give for all parts at once.
+//!
 //! * [`PointCache::open`] indexes the pack with one sequential read. When
 //!   a key appears twice, the newest record wins.
 //! * A hit is one positioned read from the handle `open` left open, plus
@@ -67,7 +74,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
-use csb_snap::{SnapshotReader, SnapshotWriter};
+use csb_snap::{Fnv1a, SnapshotReader, SnapshotWriter};
 
 use crate::snapshot::SNAPSHOT_FORMAT_VERSION;
 
@@ -204,46 +211,23 @@ impl PointCache {
     /// configuration/workload renderings and seed; the version term makes
     /// every entry self-invalidate across format bumps.
     pub fn key(parts: &[&[u8]]) -> u64 {
-        let mut buf = Vec::with_capacity(64);
-        buf.extend_from_slice(&SNAPSHOT_FORMAT_VERSION.to_le_bytes());
+        let mut key = PartsKey::new();
         for p in parts {
-            // Length-prefix each part so part boundaries can't alias.
-            buf.extend_from_slice(&(p.len() as u64).to_le_bytes());
-            buf.extend_from_slice(p);
+            key.part(p);
         }
-        csb_snap::fnv1a(&buf)
+        key.finish()
     }
 
     /// [`PointCache::key`] for `Debug`-renderable parts plus a seed: each
-    /// rendering is streamed straight into the hash (no allocation — the
-    /// hot path of a warm sweep is key computation). Each part's byte
-    /// length is folded after its content, the streaming analogue of
-    /// `key`'s length prefixes, so part boundaries can't alias.
+    /// rendering is streamed straight into the hash, with no allocation.
+    /// Each part's byte length is folded after its content, the streaming
+    /// analogue of `key`'s length prefixes, so part boundaries can't alias.
     pub fn key_debug(parts: &[&dyn fmt::Debug], seed: u64) -> u64 {
-        struct Counted {
-            h: csb_snap::Fnv1a,
-            len: u64,
-        }
-        impl fmt::Write for Counted {
-            fn write_str(&mut self, s: &str) -> fmt::Result {
-                self.h.update(s.as_bytes());
-                self.len += s.len() as u64;
-                Ok(())
-            }
-        }
-        let mut w = Counted {
-            h: csb_snap::Fnv1a::new(),
-            len: 0,
-        };
-        w.h.update(&SNAPSHOT_FORMAT_VERSION.to_le_bytes());
+        let mut key = DebugKey::new();
         for p in parts {
-            w.len = 0;
-            let _ = write!(w, "{p:?}");
-            let len = w.len;
-            w.h.update(&len.to_le_bytes());
+            key.part(*p);
         }
-        w.h.update(&seed.to_le_bytes());
-        w.h.finish()
+        key.finish(seed)
     }
 
     fn index(&self) -> MutexGuard<'_, HashMap<u64, Slot>> {
@@ -368,6 +352,80 @@ impl PointCache {
             bytes_written: self.bytes_written.load(Ordering::Relaxed),
         }
     }
+}
+
+/// [`PointCache::key`]'s layout fed one part at a time: the snapshot
+/// format version, then each part with its length before it. A clone
+/// taken after some leading parts forks that prefix, so keys that share
+/// their leading parts hash them once.
+#[derive(Debug, Clone)]
+pub(crate) struct PartsKey(Fnv1a);
+
+impl PartsKey {
+    /// A key with no parts yet.
+    pub(crate) fn new() -> Self {
+        PartsKey(versioned())
+    }
+
+    /// Folds one part, length first so part boundaries can't alias.
+    pub(crate) fn part(&mut self, bytes: &[u8]) {
+        self.0.update(&(bytes.len() as u64).to_le_bytes());
+        self.0.update(bytes);
+    }
+
+    /// The key of the parts folded so far.
+    pub(crate) fn finish(&self) -> u64 {
+        self.0.finish()
+    }
+}
+
+/// [`PointCache::key_debug`]'s layout fed one part at a time: the
+/// snapshot format version, then each part's `Debug` rendering with its
+/// byte length after it, then the seed. Clones fork a prefix as
+/// [`PartsKey`]'s do.
+#[derive(Debug, Clone)]
+pub(crate) struct DebugKey(Fnv1a);
+
+impl DebugKey {
+    /// A key with no parts yet.
+    pub(crate) fn new() -> Self {
+        DebugKey(versioned())
+    }
+
+    /// Streams `part`'s rendering into the hash, then its byte length.
+    pub(crate) fn part(&mut self, part: &dyn fmt::Debug) {
+        struct Counted<'a> {
+            h: &'a mut Fnv1a,
+            len: u64,
+        }
+        impl fmt::Write for Counted<'_> {
+            fn write_str(&mut self, s: &str) -> fmt::Result {
+                self.h.update(s.as_bytes());
+                self.len += s.len() as u64;
+                Ok(())
+            }
+        }
+        let mut w = Counted {
+            h: &mut self.0,
+            len: 0,
+        };
+        let _ = write!(w, "{part:?}");
+        let len = w.len;
+        self.0.update(&len.to_le_bytes());
+    }
+
+    /// The key of the parts folded so far, closed by `seed`.
+    pub(crate) fn finish(mut self, seed: u64) -> u64 {
+        self.0.update(&seed.to_le_bytes());
+        self.0.finish()
+    }
+}
+
+/// The hash state every key starts from: the snapshot format version.
+fn versioned() -> Fnv1a {
+    let mut h = Fnv1a::new();
+    h.update(&SNAPSHOT_FORMAT_VERSION.to_le_bytes());
+    h
 }
 
 /// Opens `path` for positioned reads and appends.
@@ -733,6 +791,39 @@ mod tests {
             }
             check_damaged_pack("fuzz-pack", &bytes, &stored);
         }
+    }
+
+    #[test]
+    fn key_layouts_are_pinned_and_fork_at_any_part() {
+        // Values an earlier build derived: every store a user filled
+        // holds records under these byte streams.
+        let cfg = crate::SimConfig::default();
+        let seed = 7u64.to_le_bytes();
+        assert_eq!(
+            PointCache::key(&[b"cfg", b"work", &seed]),
+            0x4816_ec1d_c960_3296
+        );
+        assert_eq!(PointCache::key(&[]), 0xcd3a_c65e_44f7_21b1);
+        assert_eq!(
+            PointCache::key_debug(&[&cfg, &"work"], 7),
+            0x1e63_8b6c_a8cc_9008
+        );
+        assert_eq!(PointCache::key_debug(&[], 0), 0x7f59_a258_b1d7_81d1);
+
+        let mut parts = PartsKey::new();
+        parts.part(b"cfg");
+        let mut fork = parts.clone();
+        fork.part(b"work");
+        fork.part(&seed);
+        assert_eq!(fork.finish(), PointCache::key(&[b"cfg", b"work", &seed]));
+        assert_eq!(parts.finish(), PointCache::key(&[b"cfg"]));
+
+        let mut debug = DebugKey::new();
+        debug.part(&cfg);
+        let mut fork = debug.clone();
+        fork.part(&"work");
+        assert_eq!(fork.finish(7), PointCache::key_debug(&[&cfg, &"work"], 7));
+        assert_eq!(debug.finish(0), PointCache::key_debug(&[&cfg], 0));
     }
 
     #[test]

@@ -89,8 +89,25 @@ pub fn superscalar_widths(
     jobs: usize,
     obs: ObsConfig<'_>,
 ) -> Result<(Vec<WidthRow>, Vec<LabeledArtifacts>, RunReport), ExpError> {
-    let widths = [2usize, 4, 8];
-    let specs: Vec<PointSpec> = widths
+    let (values, artifacts, report) = runner::run_values_observed(&width_specs(dwords), jobs, obs)?;
+    let rows = WIDTHS
+        .iter()
+        .zip(values.chunks(2))
+        .map(|(&width, pair)| WidthRow {
+            width,
+            lock_cycles: expect_lat(pair[0]),
+            csb_cycles: expect_lat(pair[1]),
+        })
+        .collect();
+    Ok((rows, artifacts, report))
+}
+
+/// The superscalar widths [`superscalar_widths`] sweeps.
+const WIDTHS: [usize; 3] = [2, 4, 8];
+
+/// [`superscalar_widths`]'s points: lock, then CSB, per width.
+fn width_specs(dwords: usize) -> Vec<PointSpec> {
+    WIDTHS
         .iter()
         .flat_map(|&width| {
             let cfg = SimConfig::default().cpu(CpuConfig::superscalar(width));
@@ -104,18 +121,7 @@ pub fn superscalar_widths(
                 lat_spec(format!("width/{width}/csb"), &cfg, dwords, Scheme::Csb),
             ]
         })
-        .collect();
-    let (values, artifacts, report) = runner::run_values_observed(&specs, jobs, obs)?;
-    let rows = widths
-        .iter()
-        .zip(values.chunks(2))
-        .map(|(&width, pair)| WidthRow {
-            width,
-            lock_cycles: expect_lat(pair[0]),
-            csb_cycles: expect_lat(pair[1]),
-        })
-        .collect();
-    Ok((rows, artifacts, report))
+        .collect()
 }
 
 /// Bandwidth comparison between two CSB configurations over [`TRANSFERS`].
@@ -142,12 +148,12 @@ pub fn double_buffered(
     jobs: usize,
     obs: ObsConfig<'_>,
 ) -> Result<(Vec<CsbVariantRow>, Vec<LabeledArtifacts>, RunReport), ExpError> {
-    csb_variant(
-        SimConfig::default().csb_double_buffered(),
-        "double",
-        jobs,
-        obs,
-    )
+    csb_variant(double_buffered_specs(), jobs, obs)
+}
+
+/// [`double_buffered`]'s points.
+fn double_buffered_specs() -> Vec<PointSpec> {
+    csb_variant_specs("double", &SimConfig::default().csb_double_buffered())
 }
 
 /// Compares the baseline CSB against the variable-burst extension.
@@ -163,32 +169,36 @@ pub fn variable_burst(
     jobs: usize,
     obs: ObsConfig<'_>,
 ) -> Result<(Vec<CsbVariantRow>, Vec<LabeledArtifacts>, RunReport), ExpError> {
-    csb_variant(
-        SimConfig::default().csb_variable_burst(),
-        "varburst",
-        jobs,
-        obs,
-    )
+    csb_variant(variable_burst_specs(), jobs, obs)
+}
+
+/// [`variable_burst`]'s points.
+fn variable_burst_specs() -> Vec<PointSpec> {
+    csb_variant_specs("varburst", &SimConfig::default().csb_variable_burst())
+}
+
+/// A CSB extension's points, labelled by `tag`: baseline, then the
+/// extension on `var_cfg`, per transfer.
+fn csb_variant_specs(tag: &str, var_cfg: &SimConfig) -> Vec<PointSpec> {
+    let base_cfg = SimConfig::default();
+    TRANSFERS
+        .iter()
+        .flat_map(|&t| {
+            [
+                bw_spec(format!("{tag}/{t}B/base"), &base_cfg, t, Scheme::Csb),
+                bw_spec(format!("{tag}/{t}B/variant"), var_cfg, t, Scheme::Csb),
+            ]
+        })
+        .collect()
 }
 
 /// Shared sweep for the CSB extensions: baseline vs. variant over
 /// [`TRANSFERS`], through the engine.
 fn csb_variant(
-    var_cfg: SimConfig,
-    tag: &str,
+    specs: Vec<PointSpec>,
     jobs: usize,
     obs: ObsConfig<'_>,
 ) -> Result<(Vec<CsbVariantRow>, Vec<LabeledArtifacts>, RunReport), ExpError> {
-    let base_cfg = SimConfig::default();
-    let specs: Vec<PointSpec> = TRANSFERS
-        .iter()
-        .flat_map(|&t| {
-            [
-                bw_spec(format!("{tag}/{t}B/base"), &base_cfg, t, Scheme::Csb),
-                bw_spec(format!("{tag}/{t}B/variant"), &var_cfg, t, Scheme::Csb),
-            ]
-        })
-        .collect();
     let (values, artifacts, report) = runner::run_values_observed(&specs, jobs, obs)?;
     let rows = TRANSFERS
         .iter()
@@ -232,6 +242,30 @@ pub fn loaded_bus(
     jobs: usize,
     obs: ObsConfig<'_>,
 ) -> Result<(Vec<LoadedBusRow>, Vec<LabeledArtifacts>, RunReport), ExpError> {
+    let (values, artifacts, report) = runner::run_values_observed(&loaded_bus_specs(), jobs, obs)?;
+    let rows = LOADED_SCHEMES
+        .iter()
+        .zip(values.chunks(3))
+        .map(|(&s, triple)| LoadedBusRow {
+            scheme: s.to_string(),
+            idle: expect_bw(triple[0]),
+            turnaround_approx: expect_bw(triple[1]),
+            contention: expect_bw(triple[2]),
+        })
+        .collect();
+    Ok((rows, artifacts, report))
+}
+
+/// The schemes [`loaded_bus`] compares.
+const LOADED_SCHEMES: [Scheme; 3] = [
+    Scheme::Uncached { block: 8 },
+    Scheme::Uncached { block: 64 },
+    Scheme::Csb,
+];
+
+/// [`loaded_bus`]'s points: idle, approximated and contended bus, per
+/// scheme.
+fn loaded_bus_specs() -> Vec<PointSpec> {
     let idle_cfg = SimConfig::default();
     let approx_cfg = SimConfig::default().bus(
         csb_bus::BusConfig::multiplexed(8)
@@ -247,12 +281,7 @@ pub fn loaded_bus(
             .build()
             .expect("static config is valid"),
     );
-    let schemes = [
-        Scheme::Uncached { block: 8 },
-        Scheme::Uncached { block: 64 },
-        Scheme::Csb,
-    ];
-    let specs: Vec<PointSpec> = schemes
+    LOADED_SCHEMES
         .iter()
         .flat_map(|&s| {
             [
@@ -261,19 +290,7 @@ pub fn loaded_bus(
                 bw_spec(format!("load/{s}/contention"), &loaded_cfg, 1024, s),
             ]
         })
-        .collect();
-    let (values, artifacts, report) = runner::run_values_observed(&specs, jobs, obs)?;
-    let rows = schemes
-        .iter()
-        .zip(values.chunks(3))
-        .map(|(&s, triple)| LoadedBusRow {
-            scheme: s.to_string(),
-            idle: expect_bw(triple[0]),
-            turnaround_approx: expect_bw(triple[1]),
-            contention: expect_bw(triple[2]),
-        })
-        .collect();
-    Ok((rows, artifacts, report))
+        .collect()
 }
 
 /// Bandwidth as a function of uncached-buffer capacity for one scheme.
@@ -303,8 +320,26 @@ pub fn buffer_capacity(
     jobs: usize,
     obs: ObsConfig<'_>,
 ) -> Result<(Vec<CapacityRow>, Vec<LabeledArtifacts>, RunReport), ExpError> {
-    let capacities = [2usize, 4, 8, 16];
-    let specs: Vec<PointSpec> = capacities
+    let (values, artifacts, report) = runner::run_values_observed(&capacity_specs(), jobs, obs)?;
+    let rows = CAPACITIES
+        .iter()
+        .zip(values.chunks(2))
+        .map(|(&capacity, pair)| CapacityRow {
+            capacity,
+            none: expect_bw(pair[0]),
+            full_line: expect_bw(pair[1]),
+        })
+        .collect();
+    Ok((rows, artifacts, report))
+}
+
+/// The uncached-buffer entry counts [`buffer_capacity`] sweeps.
+const CAPACITIES: [usize; 4] = [2, 4, 8, 16];
+
+/// [`buffer_capacity`]'s points: non-combining, then full-line
+/// combining, per capacity.
+fn capacity_specs() -> Vec<PointSpec> {
+    CAPACITIES
         .iter()
         .flat_map(|&capacity| {
             let mut none_cfg = SimConfig::default();
@@ -326,18 +361,7 @@ pub fn buffer_capacity(
                 ),
             ]
         })
-        .collect();
-    let (values, artifacts, report) = runner::run_values_observed(&specs, jobs, obs)?;
-    let rows = capacities
-        .iter()
-        .zip(values.chunks(2))
-        .map(|(&capacity, pair)| CapacityRow {
-            capacity,
-            none: expect_bw(pair[0]),
-            full_line: expect_bw(pair[1]),
-        })
-        .collect();
-    Ok((rows, artifacts, report))
+        .collect()
 }
 
 /// CSB sequence latency as a function of the core's uncached issue rate.
@@ -365,17 +389,8 @@ pub fn uncached_issue_rate(
     jobs: usize,
     obs: ObsConfig<'_>,
 ) -> Result<(Vec<IssueRateRow>, Vec<LabeledArtifacts>, RunReport), ExpError> {
-    let rates = [1usize, 2, 4];
-    let specs: Vec<PointSpec> = rates
-        .iter()
-        .map(|&per_cycle| {
-            let mut cfg = SimConfig::default();
-            cfg.cpu.uncached_per_cycle = per_cycle;
-            lat_spec(format!("issue/{per_cycle}/csb"), &cfg, 8, Scheme::Csb)
-        })
-        .collect();
-    let (values, artifacts, report) = runner::run_values_observed(&specs, jobs, obs)?;
-    let rows = rates
+    let (values, artifacts, report) = runner::run_values_observed(&issue_rate_specs(), jobs, obs)?;
+    let rows = ISSUE_RATES
         .iter()
         .zip(values)
         .map(|(&per_cycle, v)| IssueRateRow {
@@ -384,6 +399,21 @@ pub fn uncached_issue_rate(
         })
         .collect();
     Ok((rows, artifacts, report))
+}
+
+/// The uncached issue rates [`uncached_issue_rate`] sweeps.
+const ISSUE_RATES: [usize; 3] = [1, 2, 4];
+
+/// [`uncached_issue_rate`]'s points, one per rate.
+fn issue_rate_specs() -> Vec<PointSpec> {
+    ISSUE_RATES
+        .iter()
+        .map(|&per_cycle| {
+            let mut cfg = SimConfig::default();
+            cfg.cpu.uncached_per_cycle = per_cycle;
+            lat_spec(format!("issue/{per_cycle}/csb"), &cfg, 8, Scheme::Csb)
+        })
+        .collect()
 }
 
 /// Store-order sensitivity of one scheme at one transfer size.
@@ -416,7 +446,23 @@ pub fn related_work(
     jobs: usize,
     obs: ObsConfig<'_>,
 ) -> Result<(Vec<OrderSensitivityRow>, Vec<LabeledArtifacts>, RunReport), ExpError> {
-    let cfg = SimConfig::default();
+    let (values, artifacts, report) =
+        runner::run_values_observed(&related_work_specs(), jobs, obs)?;
+    let rows = order_grid()
+        .into_iter()
+        .zip(values.chunks(2))
+        .map(|((transfer, s), pair)| OrderSensitivityRow {
+            transfer,
+            scheme: s.to_string(),
+            ascending: expect_bw(pair[0]),
+            shuffled: expect_bw(pair[1]),
+        })
+        .collect();
+    Ok((rows, artifacts, report))
+}
+
+/// [`related_work`]'s (transfer, scheme) grid, row-major.
+fn order_grid() -> Vec<(usize, Scheme)> {
     let schemes = [
         Scheme::Uncached { block: 8 },
         Scheme::Ppc620,
@@ -424,13 +470,18 @@ pub fn related_work(
         Scheme::Uncached { block: 64 },
         Scheme::Csb,
     ];
-    let grid: Vec<(usize, Scheme)> = [64usize, 256, 1024]
+    [64usize, 256, 1024]
         .iter()
         .flat_map(|&t| schemes.iter().map(move |&s| (t, s)))
-        .collect();
-    let specs: Vec<PointSpec> = grid
-        .iter()
-        .flat_map(|&(t, s)| {
+        .collect()
+}
+
+/// [`related_work`]'s points: ascending, then shuffled, per grid cell.
+fn related_work_specs() -> Vec<PointSpec> {
+    let cfg = SimConfig::default();
+    order_grid()
+        .into_iter()
+        .flat_map(|(t, s)| {
             [
                 bw_spec_ordered(
                     format!("order/{t}B/{s}/asc"),
@@ -448,19 +499,22 @@ pub fn related_work(
                 ),
             ]
         })
-        .collect();
-    let (values, artifacts, report) = runner::run_values_observed(&specs, jobs, obs)?;
-    let rows = grid
-        .iter()
-        .zip(values.chunks(2))
-        .map(|(&(transfer, s), pair)| OrderSensitivityRow {
-            transfer,
-            scheme: s.to_string(),
-            ascending: expect_bw(pair[0]),
-            shuffled: expect_bw(pair[1]),
-        })
-        .collect();
-    Ok((rows, artifacts, report))
+        .collect()
+}
+
+/// Every point of the `ablations` binary's sweeps, in its order.
+#[cfg(test)]
+pub(super) fn all_specs() -> Vec<PointSpec> {
+    [
+        width_specs(4),
+        double_buffered_specs(),
+        variable_burst_specs(),
+        related_work_specs(),
+        capacity_specs(),
+        issue_rate_specs(),
+        loaded_bus_specs(),
+    ]
+    .concat()
 }
 
 #[cfg(test)]

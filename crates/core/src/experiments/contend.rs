@@ -28,8 +28,8 @@
 use serde::Serialize;
 
 use super::runner::{
-    run_sweep, seeded_cache_key, LabeledArtifacts, ObsConfig, PointArtifacts, PointValue,
-    RunReport, SweepPoint,
+    run_sweep, KeyMemo, LabeledArtifacts, ObsConfig, PointArtifacts, PointValue, RunReport,
+    SweepPoint,
 };
 use super::{format_table, merge_histograms, put_histogram, take_histogram, ExpError};
 use crate::config::SimConfig;
@@ -45,19 +45,19 @@ pub const CORES: [usize; 3] = [16, 32, 64];
 pub const SEEDS_PER_CELL: u64 = 2;
 
 /// CSB sequences (or locked accesses) per process.
-const ITERATIONS: usize = 8;
+pub(super) const ITERATIONS: usize = 8;
 
 /// Doublewords per access (one full line on the default machine).
-const DWORDS: usize = 8;
+pub(super) const DWORDS: usize = 8;
 
 /// Cycle span the open-loop arrivals are scattered over — short enough
 /// that the later processors pile onto an already-busy core (the point of
 /// the sweep is the contention regime, not isolated runs).
-const ARRIVAL_SPAN: u64 = 4_000;
+pub(super) const ARRIVAL_SPAN: u64 = 4_000;
 
 /// Fixed scheduler slice in CPU cycles: a few sequences long, so slice
 /// boundaries regularly land mid-sequence (the §3.2 interference window).
-const SLICE: u64 = 60;
+pub(super) const SLICE: u64 = 60;
 
 /// Cycle budget per point (the lock convoy at 64 cores stays far under).
 const POINT_LIMIT: u64 = 50_000_000;
@@ -96,7 +96,7 @@ impl ContendScheme {
     }
 
     /// Machine configuration for this scheme.
-    fn config(self) -> SimConfig {
+    pub(super) fn config(self) -> SimConfig {
         match self {
             ContendScheme::Lock | ContendScheme::Csb => SimConfig::default(),
             ContendScheme::CsbDouble => SimConfig::default().csb_double_buffered(),
@@ -204,7 +204,7 @@ impl ContendSweep {
 
 /// Raw outcome of a single seeded run.
 #[derive(Debug, Clone)]
-struct PointResult {
+pub(super) struct PointResult {
     payload_bytes: u64,
     cycles: u64,
     switches: u64,
@@ -241,10 +241,31 @@ fn programs(
 }
 
 /// One seeded (cores, scheme) point of the sweep.
-struct ContendPoint {
-    scheme: ContendScheme,
-    cores: usize,
-    seed: u64,
+pub(super) struct ContendPoint {
+    pub(super) scheme: ContendScheme,
+    pub(super) cores: usize,
+    pub(super) seed: u64,
+}
+
+impl ContendPoint {
+    /// Every point of the sweep: cores, then scheme, then seed.
+    pub(super) fn all() -> Vec<ContendPoint> {
+        let mut points = Vec::new();
+        for (ci, &cores) in CORES.iter().enumerate() {
+            for (si, &scheme) in schemes().iter().enumerate() {
+                for seed in 0..SEEDS_PER_CELL {
+                    // Seeds differ per cell so no two cells share arrivals.
+                    let seed = 0xc0de_0000 + (ci as u64) * 1_000 + (si as u64) * 100 + seed;
+                    points.push(ContendPoint {
+                        scheme,
+                        cores,
+                        seed,
+                    });
+                }
+            }
+        }
+        points
+    }
 }
 
 impl SweepPoint for ContendPoint {
@@ -269,13 +290,13 @@ impl SweepPoint for ContendPoint {
 
     /// Machine configuration, workload shape, scheduling, arrival span,
     /// and seed.
-    fn cache_key(&self) -> u64 {
+    fn cache_key(&self, keys: &mut KeyMemo) -> u64 {
         let work = format!(
             "contend {} c{} {ITERATIONS}it {DWORDS}dw slice{SLICE} span{ARRIVAL_SPAN}",
             self.scheme.label(),
             self.cores
         );
-        seeded_cache_key(&self.scheme.config(), &work, self.seed)
+        keys.seeded(&self.scheme.config(), &work, self.seed)
     }
 
     /// Builds its own [`MultiSim`]; the worker's single-process slot goes
@@ -367,21 +388,7 @@ pub fn run_jobs_observed(
     obs: ObsConfig<'_>,
 ) -> Result<(ContendSweep, Vec<LabeledArtifacts>, RunReport), ExpError> {
     let schemes = schemes();
-    let mut points = Vec::new();
-    for (ci, &cores) in CORES.iter().enumerate() {
-        for (si, &scheme) in schemes.iter().enumerate() {
-            for seed in 0..SEEDS_PER_CELL {
-                // Seeds differ per cell so no two cells share arrivals.
-                let seed = 0xc0de_0000 + (ci as u64) * 1_000 + (si as u64) * 100 + seed;
-                points.push(ContendPoint {
-                    scheme,
-                    cores,
-                    seed,
-                });
-            }
-        }
-    }
-    let (results, artifacts, report) = run_sweep(&points, jobs, obs)?;
+    let (results, artifacts, report) = run_sweep(&ContendPoint::all(), jobs, obs)?;
 
     // Points enumerate cores, then scheme, then seed: each run of
     // SEEDS_PER_CELL results is one cell, in row-major order.

@@ -20,8 +20,8 @@
 use serde::Serialize;
 
 use super::runner::{
-    run_sweep, seeded_cache_key, LabeledArtifacts, ObsConfig, PointArtifacts, PointValue,
-    RunReport, SweepPoint,
+    run_sweep, KeyMemo, LabeledArtifacts, ObsConfig, PointArtifacts, PointValue, RunReport,
+    SweepPoint,
 };
 use super::{format_table, ExpError, DWORD_BYTES};
 use crate::config::SimConfig;
@@ -36,7 +36,7 @@ pub const RATES: [f64; 6] = [0.0, 0.1, 0.25, 0.5, 0.75, 0.9];
 pub const SEEDS_PER_CELL: u64 = 16;
 
 /// Doublewords per access (one full line on the default machine).
-const DWORDS: usize = 8;
+pub(super) const DWORDS: usize = 8;
 
 /// Cycle budget per point (the watchdog fires far earlier on livelock).
 const POINT_LIMIT: u64 = 2_000_000;
@@ -163,7 +163,7 @@ impl FaultSweep {
 
 /// Raw outcome of a single seeded run.
 #[derive(Debug, Clone)]
-struct PointResult {
+pub(super) struct PointResult {
     success: bool,
     livelock: bool,
     attempts: u64,
@@ -215,16 +215,16 @@ pub(crate) fn install_point(
 }
 
 /// One seeded (rate, policy) point of the sweep.
-struct FaultPoint {
+pub(super) struct FaultPoint {
     /// The ladder policy (unseeded; [`policy_for_seed`] seeds it).
-    policy: RetryPolicy,
-    rate: f64,
-    seed: u64,
+    pub(super) policy: RetryPolicy,
+    pub(super) rate: f64,
+    pub(super) seed: u64,
 }
 
 impl FaultPoint {
     /// Every point of the sweep: rate, then policy, then seed.
-    fn all() -> Vec<FaultPoint> {
+    pub(super) fn all() -> Vec<FaultPoint> {
         let mut points = Vec::new();
         for (ri, &rate) in RATES.iter().enumerate() {
             for (pi, &policy) in policies().iter().enumerate() {
@@ -275,13 +275,13 @@ impl SweepPoint for FaultPoint {
 
     /// Machine configuration, workload parameters (dwords + per-seed
     /// policy), fault rate, and seed.
-    fn cache_key(&self) -> u64 {
+    fn cache_key(&self, keys: &mut KeyMemo) -> u64 {
         let work = format!(
             "faults {DWORDS}dw {:?} rate {:016x}",
             policy_for_seed(self.policy, self.seed),
             self.rate.to_bits()
         );
-        seeded_cache_key(&SimConfig::default(), &work, self.seed)
+        keys.seeded(&SimConfig::default(), &work, self.seed)
     }
 
     fn simulate(

@@ -38,8 +38,8 @@ use serde::Serialize;
 
 use super::faults::{inject_faults, policy_for_seed, policy_label};
 use super::runner::{
-    run_sweep, seeded_cache_key, LabeledArtifacts, ObsConfig, PointArtifacts, PointValue,
-    RunReport, SweepPoint,
+    run_sweep, KeyMemo, LabeledArtifacts, ObsConfig, PointArtifacts, PointValue, RunReport,
+    SweepPoint,
 };
 use super::{format_table, merge_histograms, put_histogram, take_histogram, ExpError};
 use crate::config::{SimConfig, COMBINING_BASE, UNCACHED_BASE};
@@ -64,7 +64,7 @@ pub const SEEDS_PER_CELL: u64 = 4;
 pub const MESSAGES: usize = 16;
 
 /// NI window slots the sender cycles through.
-const SLOTS: usize = 4;
+pub(super) const SLOTS: usize = 4;
 
 /// Sender id stamped into every header.
 const SENDER: u16 = 1;
@@ -103,7 +103,7 @@ impl SendPath {
     }
 
     /// Machine configuration for this path.
-    fn config(self) -> SimConfig {
+    pub(super) fn config(self) -> SimConfig {
         match self {
             SendPath::Lock | SendPath::Csb => SimConfig::default(),
             SendPath::CsbDouble => SimConfig::default().csb_double_buffered(),
@@ -251,7 +251,7 @@ impl MessagingSweep {
 
 /// Raw outcome of a single seeded run.
 #[derive(Debug, Clone)]
-struct PointResult {
+pub(super) struct PointResult {
     delivered: u64,
     torn: u64,
     duplicates: u64,
@@ -273,19 +273,19 @@ fn spec(size: usize) -> MessagingSpec {
 }
 
 /// One seeded (path, size, rate, policy) point of the sweep.
-struct MessagingPoint {
-    path: SendPath,
+pub(super) struct MessagingPoint {
+    pub(super) path: SendPath,
     /// Payload doublewords per message.
-    size: usize,
+    pub(super) size: usize,
     /// The ladder policy (unseeded; [`policy_for_seed`] seeds it).
-    policy: RetryPolicy,
-    rate: f64,
-    seed: u64,
+    pub(super) policy: RetryPolicy,
+    pub(super) rate: f64,
+    pub(super) seed: u64,
 }
 
 impl MessagingPoint {
     /// Every point of the sweep: path, size, rate, policy, then seed.
-    fn all() -> Vec<MessagingPoint> {
+    pub(super) fn all() -> Vec<MessagingPoint> {
         let policies = super::faults::policies();
         let mut points = Vec::new();
         for (pa, &path) in paths().iter().enumerate() {
@@ -370,7 +370,7 @@ impl SweepPoint for MessagingPoint {
 
     /// Machine configuration, send path, message shape, per-seed policy,
     /// fault rate, and seed.
-    fn cache_key(&self) -> u64 {
+    fn cache_key(&self, keys: &mut KeyMemo) -> u64 {
         let work = format!(
             "messaging {} {MESSAGES}x{}dw s{SLOTS} {:?} rate {:016x}",
             self.path.label(),
@@ -378,7 +378,7 @@ impl SweepPoint for MessagingPoint {
             policy_for_seed(self.policy, self.seed),
             self.rate.to_bits()
         );
-        seeded_cache_key(&self.path.config(), &work, self.seed)
+        keys.seeded(&self.path.config(), &work, self.seed)
     }
 
     fn simulate(
@@ -653,7 +653,7 @@ mod tests {
             })
             .collect();
         let written = |p: &MessagingPoint| {
-            let key = format!("-{:016x}-", p.cache_key());
+            let key = format!("-{:016x}-", p.cache_key(&mut KeyMemo::default()));
             names.iter().filter(|n| n.contains(&key)).count()
         };
         let (a, b) = (written(&points[0]), written(&points[1]));

@@ -488,7 +488,9 @@ pub fn format_table(headers: &[String], rows: &[Vec<String>]) -> String {
 
 #[cfg(test)]
 mod tests {
+    use super::runner::{KeyMemo, PointSpec, SweepPoint};
     use super::*;
+    use crate::cache::PointCache;
 
     #[test]
     fn scheme_ladder_and_labels() {
@@ -509,6 +511,106 @@ mod tests {
         let lines: Vec<&str> = t.lines().collect();
         assert_eq!(lines.len(), 4);
         assert!(lines[0].contains("bbb"));
+    }
+
+    /// A seeded point's key as its sweep derived it before the key memo:
+    /// the configuration's rendering, the workload rendering and the seed,
+    /// through [`PointCache::key`] at once.
+    fn one_shot_seeded(cfg: &SimConfig, work: &str, seed: u64) -> u64 {
+        let cfg = format!("{cfg:?}");
+        PointCache::key(&[cfg.as_bytes(), work.as_bytes(), &seed.to_le_bytes()])
+    }
+
+    /// Keys `points` the way `run_sweep` does — every worker forks its
+    /// own memo's configuration state — at one and at four workers, and
+    /// with one memo over the points in reverse, so runs break at other
+    /// places; each key must be `one_shot`'s.
+    fn assert_engine_keys<P: SweepPoint>(sweep: &str, points: &[P], one_shot: impl Fn(&P) -> u64) {
+        let expected: Vec<u64> = points.iter().map(one_shot).collect();
+        for jobs in [1, 4] {
+            let keys = runner::parallel_map_with(points, jobs, KeyMemo::default, |memo, p| {
+                p.cache_key(memo)
+            });
+            assert_eq!(keys, expected, "{sweep} at {jobs} worker(s)");
+        }
+        let mut memo = KeyMemo::default();
+        for (p, want) in points.iter().zip(&expected).rev() {
+            assert_eq!(p.cache_key(&mut memo), *want, "{sweep} reversed");
+        }
+    }
+
+    #[test]
+    fn engine_keys_equal_the_one_shot_derivation() {
+        let figures: Vec<PointSpec> = [fig3::panel_specs(), fig4::panel_specs()]
+            .iter()
+            .flatten()
+            .flat_map(runner::BandwidthPanelSpec::enumerate)
+            .chain(
+                fig5::panel_specs()
+                    .iter()
+                    .flat_map(runner::LatencyPanelSpec::enumerate),
+            )
+            .collect();
+        let specs = |p: &PointSpec| PointCache::key_debug(&[&p.cfg, &p.work], 0);
+        assert_engine_keys("figures", &figures, specs);
+        assert_engine_keys("ablations", &ablations::all_specs(), specs);
+
+        assert_engine_keys("faults", &faults::FaultPoint::all(), |p| {
+            let work = format!(
+                "faults {}dw {:?} rate {:016x}",
+                faults::DWORDS,
+                faults::policy_for_seed(p.policy, p.seed),
+                p.rate.to_bits()
+            );
+            one_shot_seeded(&SimConfig::default(), &work, p.seed)
+        });
+        assert_engine_keys("messaging", &messaging::MessagingPoint::all(), |p| {
+            let work = format!(
+                "messaging {} {}x{}dw s{} {:?} rate {:016x}",
+                p.path.label(),
+                messaging::MESSAGES,
+                p.size,
+                messaging::SLOTS,
+                faults::policy_for_seed(p.policy, p.seed),
+                p.rate.to_bits()
+            );
+            one_shot_seeded(&p.path.config(), &work, p.seed)
+        });
+        assert_engine_keys("contend", &contend::ContendPoint::all(), |p| {
+            let work = format!(
+                "contend {} c{} {}it {}dw slice{} span{}",
+                p.scheme.label(),
+                p.cores,
+                contend::ITERATIONS,
+                contend::DWORDS,
+                contend::SLICE,
+                contend::ARRIVAL_SPAN
+            );
+            one_shot_seeded(&p.scheme.config(), &work, p.seed)
+        });
+    }
+
+    #[test]
+    fn configurations_that_render_apart_key_apart() {
+        // A utilization of -0.0 equals 0.0 under IEEE comparison but
+        // renders differently, so a memo that trusted it would hand one
+        // configuration the other's key.
+        let bus = |utilization: f64| {
+            csb_bus::BusConfig::multiplexed(8)
+                .max_burst(64)
+                .background(utilization, 64)
+                .build()
+                .unwrap()
+        };
+        let (zero, negative) = (
+            SimConfig::default().bus(bus(0.0)),
+            SimConfig::default().bus(bus(-0.0)),
+        );
+        assert_ne!(format!("{zero:?}"), format!("{negative:?}"));
+        let mut memo = KeyMemo::default();
+        for cfg in [&zero, &negative, &zero] {
+            assert_eq!(memo.seeded(cfg, "work", 1), one_shot_seeded(cfg, "work", 1));
+        }
     }
 
     #[test]

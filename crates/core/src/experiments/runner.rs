@@ -37,6 +37,7 @@
 //! the autosnap setting travel in the [`ObsConfig`] each sweep is given,
 //! so two sweeps on two threads never see each other's settings.
 
+use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -48,7 +49,7 @@ use super::{
     BandwidthPanel, BandwidthRow, ExpError, LatencyPanel, LatencyRow, Scheme, DWORD_BYTES,
     POINT_LIMIT, TRANSFERS,
 };
-use crate::cache::{CacheStats, PointCache};
+use crate::cache::{CacheStats, DebugKey, PartsKey, PointCache};
 use crate::config::SimConfig;
 use crate::sim::{MetricsReport, RunSummary, SimError, Simulator};
 use crate::snapshot::AutosnapConfig;
@@ -308,8 +309,9 @@ pub(crate) trait SweepPoint: Sync {
     /// artifacts.
     fn config_hash(&self) -> u64;
 
-    /// Content address in a [`PointCache`].
-    fn cache_key(&self) -> u64;
+    /// Content address in a [`PointCache`], derived through the worker's
+    /// key memo.
+    fn cache_key(&self, keys: &mut KeyMemo) -> u64;
 
     /// Simulates the point through the worker's reusable simulator slot,
     /// under `obs`'s fast-forward, capture and autosnap settings.
@@ -333,33 +335,87 @@ pub(crate) trait SweepPoint: Sync {
     fn sim_cycles(output: &Self::Output) -> u64;
 }
 
-/// The cache key of a seeded point (the fault, messaging and contention
-/// sweeps): its machine configuration, a rendering of its workload, and
-/// its seed.
-pub(crate) fn seeded_cache_key(cfg: &SimConfig, work: &str, seed: u64) -> u64 {
-    let cfg = format!("{cfg:?}");
-    PointCache::key(&[cfg.as_bytes(), work.as_bytes(), &seed.to_le_bytes()])
+/// The key states of the last machine configuration a worker keyed. A
+/// sweep lists its points in runs on one configuration (a panel, a send
+/// path), so a run renders and hashes its configuration once and each
+/// point forks the state after it: a hit then hashes only its workload
+/// and seed. Every key equals the one [`PointCache::key_debug`] or
+/// [`PointCache::key`] derives from all its parts at once.
+#[derive(Default)]
+pub(crate) struct KeyMemo {
+    /// The configuration the states below were derived from.
+    cfg: Option<SimConfig>,
+    /// [`PointCache::key_debug`]'s state after `cfg`.
+    debug: Option<DebugKey>,
+    /// [`PointCache::key`]'s state after `cfg`'s rendering.
+    parts: Option<PartsKey>,
+}
+
+impl KeyMemo {
+    /// Forgets the states unless they were derived from `cfg`. Equal
+    /// configurations render identically, so a kept state is exact.
+    fn on(&mut self, cfg: &SimConfig) {
+        if self.cfg.as_ref() != Some(cfg) {
+            self.cfg = Some(cfg.clone());
+            self.debug = None;
+            self.parts = None;
+        }
+    }
+
+    /// `PointCache::key_debug(&[cfg, work], 0)`: the key of a figure or
+    /// ablation point.
+    pub(crate) fn debug(&mut self, cfg: &SimConfig, work: &dyn fmt::Debug) -> u64 {
+        self.on(cfg);
+        let mut key = self
+            .debug
+            .get_or_insert_with(|| {
+                let mut key = DebugKey::new();
+                key.part(cfg);
+                key
+            })
+            .clone();
+        key.part(work);
+        key.finish(0)
+    }
+
+    /// `PointCache::key(&[cfg rendering, work, seed])`: the key of a
+    /// seeded point (the fault, messaging and contention sweeps).
+    pub(crate) fn seeded(&mut self, cfg: &SimConfig, work: &str, seed: u64) -> u64 {
+        self.on(cfg);
+        let mut key = self
+            .parts
+            .get_or_insert_with(|| {
+                let mut key = PartsKey::new();
+                key.part(format!("{cfg:?}").as_bytes());
+                key
+            })
+            .clone();
+        key.part(work.as_bytes());
+        key.part(&seed.to_le_bytes());
+        key.finish()
+    }
 }
 
 /// Runs one point, serving it from `cache` when a valid entry exists and
 /// storing it after a simulation otherwise. Returns the output, the
 /// point's wall-clock time, and its artifacts.
 fn execute<P: SweepPoint>(
-    slot: &mut Option<Simulator>,
+    (slot, keys): &mut (Option<Simulator>, KeyMemo),
     point: &P,
     obs: ObsConfig<'_>,
     cache: Option<&PointCache>,
 ) -> Result<(P::Output, Duration, PointArtifacts), ExpError> {
     let t0 = Instant::now();
+    // One key names the autosnap frames and addresses the cache.
+    let key = (cache.is_some() || obs.autosnap.is_some()).then(|| point.cache_key(keys));
     let obs = ObsConfig {
-        autosnap: obs.autosnap.map(|auto| auto.for_point(point.cache_key())),
+        autosnap: obs.autosnap.zip(key).map(|(auto, key)| auto.for_point(key)),
         ..obs
     };
-    let Some(cache) = cache else {
+    let (Some(cache), Some(key)) = (cache, key) else {
         let (output, artifacts) = point.simulate(slot, obs)?;
         return Ok((output, t0.elapsed(), artifacts));
     };
-    let key = point.cache_key();
     if let Some(payload) = cache.load(key) {
         if let Some(output) = point.decode(&payload) {
             cache.note_hit();
@@ -379,9 +435,10 @@ pub(crate) type Swept<O> = (Vec<O>, Vec<LabeledArtifacts>, RunReport);
 
 /// Runs every point on `jobs` workers (`0` = all cores). Returns the
 /// outputs in point order, one [`LabeledArtifacts`] per point, and the
-/// sweep's [`RunReport`]. Each worker threads one simulator slot through
-/// its whole queue, so every point after a worker's first runs on a
-/// warm-reset simulator.
+/// sweep's [`RunReport`]. Each worker threads one simulator slot and one
+/// [`KeyMemo`] through its whole queue, so every point after a worker's
+/// first runs on a warm-reset simulator, and keys a configuration it
+/// keyed last without rendering it again.
 ///
 /// # Errors
 ///
@@ -396,12 +453,9 @@ pub(crate) fn run_sweep<P: SweepPoint>(
     let cache = obs.cache.filter(|_| !obs.any());
     let cache_before = cache.map(PointCache::stats);
     let t0 = Instant::now();
-    let results = parallel_map_with(
-        points,
-        jobs,
-        || None,
-        |slot, point| execute(slot, point, obs, cache),
-    );
+    let results = parallel_map_with(points, jobs, Default::default, |worker, point| {
+        execute(worker, point, obs, cache)
+    });
     let mut report = RunReport::default();
     let mut outputs = Vec::with_capacity(points.len());
     let mut labeled = Vec::with_capacity(points.len());
@@ -466,8 +520,8 @@ impl SweepPoint for PointSpec {
     /// machine configuration + workload. The display label is deliberately
     /// excluded — the same point reached from different sweeps shares one
     /// entry.
-    fn cache_key(&self) -> u64 {
-        PointCache::key_debug(&[&self.cfg, &self.work], 0)
+    fn cache_key(&self, keys: &mut KeyMemo) -> u64 {
+        keys.debug(&self.cfg, &self.work)
     }
 
     fn simulate(
@@ -1294,7 +1348,7 @@ mod tests {
             7
         }
 
-        fn cache_key(&self) -> u64 {
+        fn cache_key(&self, _keys: &mut KeyMemo) -> u64 {
             7
         }
 

@@ -584,6 +584,15 @@ impl MultiSim {
             }
             p.done = r.take_bool()?;
         }
+        // Only a process waiting for the core holds a saved context: the
+        // running one's is in the CPU, and a finished one's is gone.
+        for (i, p) in ms.procs.iter().enumerate() {
+            if p.ctx.is_some() != (i != current && !p.done) {
+                return Err(RestoreError::Snapshot(csb_snap::SnapshotError::Corrupt(
+                    format!("process {i} saved context does not match its state"),
+                )));
+            }
+        }
         for s in &mut ms.slices {
             *s = r.take_u64()?;
         }

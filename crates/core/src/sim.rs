@@ -36,6 +36,17 @@ pub enum SimError {
     /// ticking but provably going nowhere (see [`WatchdogConfig`]). The
     /// boxed report carries the trigger and a per-actor state snapshot.
     Livelock(Box<LivelockReport>),
+    /// The program issued an uncached or combining access that is not
+    /// naturally aligned. The machine models no trap for it, so the
+    /// access is dropped and the run stops.
+    Misaligned {
+        /// CPU cycle the access issued at.
+        cycle: u64,
+        /// The access's address.
+        addr: u64,
+        /// Its width in bytes.
+        width: usize,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -47,6 +58,10 @@ impl fmt::Display for SimError {
                 write!(f, "simulation did not complete within {limit} CPU cycles")
             }
             SimError::Livelock(r) => write!(f, "{r}"),
+            SimError::Misaligned { cycle, addr, width } => write!(
+                f,
+                "cycle {cycle}: misaligned {width}-byte uncached access at {addr:#x}"
+            ),
         }
     }
 }
@@ -246,6 +261,9 @@ pub(crate) struct Machine {
     /// Consecutive failed conditional flushes with no success and no
     /// device delivery in between (the watchdog's futility signal).
     futile_flushes: u64,
+    /// The first misaligned uncached or combining access — cycle, address,
+    /// width — which the run reports as [`SimError::Misaligned`].
+    misaligned: Option<(u64, Addr, usize)>,
     /// Optional NI attached as the receive side of the I/O window
     /// (`None` by default: detached simulations pay nothing).
     nic: Option<NicAttachment>,
@@ -303,6 +321,16 @@ enum DrainWake {
 }
 
 impl Machine {
+    /// Records `addr` as the run's first misaligned uncached access when
+    /// it is not aligned to `width`; the caller then drops the access.
+    fn drop_misaligned(&mut self, addr: Addr, width: usize) -> bool {
+        if addr.is_aligned(width as u64) {
+            return false;
+        }
+        self.misaligned.get_or_insert((self.now, addr, width));
+        true
+    }
+
     fn bus_now(&self) -> u64 {
         self.now / self.ratio
     }
@@ -689,12 +717,15 @@ impl MemPort for Machine {
     }
 
     fn uncached_store(&mut self, addr: Addr, width: usize, value: u64) -> bool {
+        if self.drop_misaligned(addr, width) {
+            return true;
+        }
         let bytes = value.to_le_bytes();
         self.ubuf.push_store(addr, &bytes[..width]) != PushOutcome::Full
     }
 
     fn uncached_load(&mut self, addr: Addr, width: usize, tag: u64) -> bool {
-        self.ubuf.push_load(addr, width, tag)
+        self.drop_misaligned(addr, width) || self.ubuf.push_load(addr, width, tag)
     }
 
     fn uncached_load_poll(&mut self, tag: u64) -> Option<u64> {
@@ -708,6 +739,9 @@ impl MemPort for Machine {
     }
 
     fn uncached_swap(&mut self, addr: Addr, width: usize, value: u64, tag: u64) -> bool {
+        if self.drop_misaligned(addr, width) {
+            return true;
+        }
         if self.ubuf.push_load(addr, width, tag) {
             self.swap_writes.insert(tag, (width, value));
             true
@@ -731,6 +765,9 @@ impl MemPort for Machine {
     }
 
     fn csb_store(&mut self, pid: Pid, addr: Addr, width: usize, value: u64) -> bool {
+        if self.drop_misaligned(addr, width) {
+            return true;
+        }
         let bytes = value.to_le_bytes();
         match self.csb.store(pid, addr, &bytes[..width]) {
             Ok(outcome) => {
@@ -741,7 +778,7 @@ impl MemPort for Machine {
             }
             Err(CsbError::Busy) => false,
             Err(e @ CsbError::BadStore { .. }) => {
-                panic!("program issued an illegal combining store: {e}")
+                unreachable!("aligned instruction-width stores are legal: {e}")
             }
         }
     }
@@ -949,6 +986,7 @@ impl Simulator {
             progress: 0,
             progress_at: 0,
             futile_flushes: 0,
+            misaligned: None,
             nic: None,
         };
         let cpu = Cpu::new(cfg.cpu, program);
@@ -1013,6 +1051,7 @@ impl Simulator {
         m.progress = 0;
         m.progress_at = 0;
         m.futile_flushes = 0;
+        m.misaligned = None;
         m.nic = None;
         self.cpu
             .reset_with(cfg.cpu, program, csb_cpu::CpuContext::new(0));
@@ -1269,6 +1308,7 @@ impl Simulator {
         m.csb.restore_state(r)?;
         m.bus.restore_state(r)?;
         m.now = r.take_u64()?;
+        m.bus.check_restored(m.now / m.ratio)?;
         m.device.restore_state(r)?;
         m.nic = if r.take_bool()? {
             let base = r.take_u64()?;
@@ -1578,6 +1618,13 @@ impl Simulator {
     }
 
     fn check_watchdog(&mut self) -> Result<(), SimError> {
+        if let Some((cycle, addr, width)) = self.machine.misaligned {
+            return Err(SimError::Misaligned {
+                cycle,
+                addr: addr.raw(),
+                width,
+            });
+        }
         let retired = self.cpu.stats().retired;
         let progress = self.machine.progress;
         if retired != self.wd_seen_retired || progress != self.wd_seen_progress {
@@ -1753,6 +1800,34 @@ mod tests {
         let d = sim.device();
         assert_eq!(d.len(), 1);
         assert_eq!(&d.writes()[0].data[..2], &[0xcd, 0xab]);
+    }
+
+    #[test]
+    fn misaligned_uncached_accesses_stop_the_run_with_an_error() {
+        for (base, swap) in [
+            (UNCACHED_BASE, false),
+            (COMBINING_BASE, false),
+            (UNCACHED_BASE, true),
+        ] {
+            let program = assemble(|a| {
+                a.movi(Reg::O1, base as i64 + 4);
+                if swap {
+                    a.swap(Reg::L4, Reg::O1, 0);
+                } else {
+                    a.std(Reg::L0, Reg::O1, 0);
+                }
+                a.halt();
+            });
+            for ff in [false, true] {
+                let mut sim = Simulator::new(SimConfig::default(), program.clone()).unwrap();
+                sim.set_fast_forward(ff);
+                let err = sim.run(100_000).unwrap_err();
+                assert!(
+                    matches!(err, SimError::Misaligned { addr, width: 8, .. } if addr == base + 4),
+                    "{err}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -999,6 +999,28 @@ impl Cpu {
         for slot in 0..RENAME_SLOTS {
             self.rename.slots[slot] = r.take_opt_u64()?;
         }
+        // Dispatch numbers the ROB without gaps, and the rename map names
+        // only producers still in it.
+        let in_flight = self.front_seq..self.next_seq;
+        if self.front_seq.checked_add(self.rob.len() as u64) != Some(self.next_seq) {
+            return Err(csb_snap::SnapshotError::Corrupt(format!(
+                "next sequence number {} after {} ROB entries from {}",
+                self.next_seq,
+                self.rob.len(),
+                self.front_seq
+            )));
+        }
+        if let Some(seq) = self
+            .rename
+            .slots
+            .iter()
+            .flatten()
+            .find(|s| !in_flight.contains(s))
+        {
+            return Err(csb_snap::SnapshotError::Corrupt(format!(
+                "rename map names producer {seq} outside the ROB's {in_flight:?}"
+            )));
+        }
         self.halted = r.take_bool()?;
         self.now = r.take_u64()?;
         self.stats.cycles = r.take_u64()?;

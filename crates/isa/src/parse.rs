@@ -76,15 +76,15 @@ fn parse_int(s: &str, line: usize) -> Result<i64, ParseError> {
 
 fn parse_reg(s: &str, line: usize) -> Result<Reg, ParseError> {
     let err = || ParseError::new(line, format!("invalid integer register `{s}`"));
-    let body = s.strip_prefix('%').ok_or_else(err)?;
-    let (group, num) = body.split_at(1);
-    let n: u8 = num.parse().map_err(|_| err())?;
+    let mut body = s.strip_prefix('%').ok_or_else(err)?.chars();
+    let group = body.next().ok_or_else(err)?;
+    let n: u8 = body.as_str().parse().map_err(|_| err())?;
     let idx = match group {
-        "g" if n < 8 => n,
-        "o" if n < 8 => 8 + n,
-        "l" if n < 8 => 16 + n,
-        "i" if n < 8 => 24 + n,
-        "r" if (n as usize) < 32 => n,
+        'g' if n < 8 => n,
+        'o' if n < 8 => 8 + n,
+        'l' if n < 8 => 16 + n,
+        'i' if n < 8 => 24 + n,
+        'r' if (n as usize) < 32 => n,
         _ => return Err(err()),
     };
     Ok(Reg::new(idx))
@@ -421,6 +421,22 @@ pub fn parse_asm(source: &str) -> Result<Program, ParseError> {
 mod tests {
     use super::*;
     use crate::inst::Inst;
+
+    #[test]
+    fn malformed_registers_are_errors_not_panics() {
+        for source in [
+            "set 1, %",
+            "ldx [%], %l0",
+            "set 1, %é1",
+            "add %é, %l0, %l1",
+            "std %f1, [%é+8]",
+            "cmp %, 1",
+        ] {
+            let err = parse_asm(source).expect_err(source);
+            assert_eq!(err.line, 1, "{source}: {err}");
+            assert!(err.message.contains("register"), "{source}: {err}");
+        }
+    }
 
     #[test]
     fn parses_the_papers_kernel() {

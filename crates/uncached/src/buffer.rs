@@ -395,14 +395,69 @@ impl UncachedBuffer {
         }
         let chunks = r.take_usize()?;
         for _ in 0..chunks {
-            let offset = r.take_usize()?;
-            let size = r.take_usize()?;
-            if offset + size > MAX_BLOCK {
+            let chunk = Chunk {
+                offset: r.take_usize()?,
+                size: r.take_usize()?,
+            };
+            if !legal_chunk(chunk, self.cfg.block) {
                 return Err(csb_snap::SnapshotError::Corrupt(format!(
-                    "drain chunk {offset}+{size} exceeds {MAX_BLOCK}"
+                    "drain chunk {}+{} is not a transfer of a {}-byte block",
+                    chunk.offset, chunk.size, self.cfg.block
                 )));
             }
-            self.drain.push_back(Chunk { offset, size });
+            self.drain.push_back(chunk);
+        }
+        self.check_entries()
+    }
+
+    /// Rejects restored entries no sequence of pushes and drains builds:
+    /// a load that is not naturally aligned; a store entry off its block,
+    /// empty, or masked past it, with a beat no store has, or with more
+    /// sequential stores than fit; a lock anywhere but on a front store
+    /// entry that still has chunks to drain; or an unlocked entry that
+    /// would drain into transfers the bus rejects.
+    fn check_entries(&self) -> Result<(), csb_snap::SnapshotError> {
+        let block = self.cfg.block;
+        let corrupt = |what: String| Err(csb_snap::SnapshotError::Corrupt(what));
+        for (i, entry) in self.entries.iter().enumerate() {
+            let se = match entry {
+                Entry::Load { addr, width, .. } => {
+                    if !(width.is_power_of_two() && *width <= 8 && addr.is_aligned(*width as u64)) {
+                        return corrupt(format!("uncached load of {width} bytes at {addr}"));
+                    }
+                    continue;
+                }
+                Entry::Store(se) => se,
+            };
+            let bits = se.mask.bits();
+            let shape = se.base.is_aligned(block as u64)
+                && bits != 0
+                && (block == MAX_BLOCK || bits >> block == 0)
+                && se.beat.is_power_of_two()
+                && se.beat <= 8
+                && (matches!(self.cfg.rule, CombineRule::Block) || se.stores <= block / se.beat);
+            if !shape {
+                return corrupt(format!(
+                    "uncached store entry at {} with mask {bits:#x}, {} store(s) of {} bytes",
+                    se.base, se.stores, se.beat
+                ));
+            }
+            if se.locked != (i == 0 && !self.drain.is_empty()) {
+                return corrupt(format!("uncached entry {i} lock does not match the drain"));
+            }
+            if !se.locked {
+                let (mut chunks, mut legal) = (0, true);
+                chunks_of(&self.cfg, se, |c| {
+                    chunks += 1;
+                    legal &= legal_chunk(c, block);
+                });
+                if chunks == 0 || !legal {
+                    return corrupt(format!("uncached entry {i} drains into illegal transfers"));
+                }
+            }
+        }
+        if !self.drain.is_empty() && !matches!(self.entries.front(), Some(Entry::Store(_))) {
+            return corrupt("drain chunks without a store entry to drain".to_string());
         }
         Ok(())
     }
@@ -669,36 +724,7 @@ impl UncachedBuffer {
                 if !se.locked {
                     se.locked = true;
                     debug_assert!(self.drain.is_empty());
-                    match self.cfg.rule {
-                        CombineRule::Block => {
-                            decompose_into(se.mask, self.cfg.block, |c| self.drain.push_back(c));
-                        }
-                        CombineRule::Sequential => {
-                            if se.mask.covers(0, self.cfg.block) {
-                                // Complete line: one burst (R10000).
-                                self.drain.push_back(Chunk {
-                                    offset: 0,
-                                    size: self.cfg.block,
-                                });
-                            } else {
-                                // Pattern incomplete: single-beat transfers.
-                                let first = se.mask.bits().trailing_zeros() as usize;
-                                for i in 0..se.stores {
-                                    self.drain.push_back(Chunk {
-                                        offset: first + i * se.beat,
-                                        size: se.beat,
-                                    });
-                                }
-                            }
-                        }
-                        CombineRule::Pair => {
-                            let first = se.mask.bits().trailing_zeros() as usize;
-                            self.drain.push_back(Chunk {
-                                offset: first,
-                                size: se.beat * se.stores,
-                            });
-                        }
-                    }
+                    chunks_of(&self.cfg, se, |c| self.drain.push_back(c));
                 }
                 let chunk = *self.drain.front().expect("locked store entry has chunks");
                 Some(PreparedTxn {
@@ -731,6 +757,47 @@ impl UncachedBuffer {
         };
         if done {
             self.entries.pop_front();
+        }
+    }
+}
+
+/// Whether `c` is a transfer the bus takes from a `block`-byte entry: a
+/// naturally aligned power of two inside the block.
+fn legal_chunk(c: Chunk, block: usize) -> bool {
+    c.size.is_power_of_two()
+        && c.offset.is_multiple_of(c.size)
+        && c.offset.checked_add(c.size).is_some_and(|end| end <= block)
+}
+
+/// The bus transfers `se` drains as under `cfg`'s combining rule, in
+/// order.
+fn chunks_of(cfg: &UncachedConfig, se: &StoreEntry, mut emit: impl FnMut(Chunk)) {
+    match cfg.rule {
+        CombineRule::Block => decompose_into(se.mask, cfg.block, emit),
+        CombineRule::Sequential => {
+            if se.mask.covers(0, cfg.block) {
+                // Complete line: one burst (R10000).
+                emit(Chunk {
+                    offset: 0,
+                    size: cfg.block,
+                });
+            } else {
+                // Pattern incomplete: single-beat transfers.
+                let first = se.mask.bits().trailing_zeros() as usize;
+                for i in 0..se.stores {
+                    emit(Chunk {
+                        offset: first + i * se.beat,
+                        size: se.beat,
+                    });
+                }
+            }
+        }
+        CombineRule::Pair => {
+            let first = se.mask.bits().trailing_zeros() as usize;
+            emit(Chunk {
+                offset: first,
+                size: se.beat * se.stores,
+            });
         }
     }
 }

@@ -403,12 +403,19 @@ impl ConditionalStoreBuffer {
             let pid = r.take_u32()?;
             let lo = r.take_u64()? as u128;
             let hi = r.take_u64()? as u128;
+            let bits = hi << 64 | lo;
+            let line = self.cfg.line;
+            if !base.is_aligned(line as u64) || (line < MAX_BLOCK && bits >> line != 0) {
+                return Err(csb_snap::SnapshotError::Corrupt(format!(
+                    "CSB line at {base} with mask {bits:#x} does not fit a {line}-byte line"
+                )));
+            }
             let mut data = [0u8; MAX_BLOCK];
             data.copy_from_slice(r.take_raw(MAX_BLOCK)?);
             self.current = Some(LineBuf {
                 base,
                 pid,
-                mask: ByteMask::from_bits(hi << 64 | lo),
+                mask: ByteMask::from_bits(bits),
                 data,
                 count: r.take_u64()?,
             });
@@ -421,9 +428,16 @@ impl ConditionalStoreBuffer {
             let payload = r.take_usize()?;
             let tag = r.take_u64()?;
             let bytes = r.take_bytes()?;
-            if bytes.len() > MAX_BLOCK {
+            // What a flush emits: a naturally aligned power-of-two burst
+            // within one line, carrying at most its size.
+            let legal = size.is_power_of_two()
+                && size <= self.cfg.line
+                && addr.is_aligned(size as u64)
+                && payload <= size
+                && bytes.len() <= size;
+            if !legal {
                 return Err(csb_snap::SnapshotError::Corrupt(format!(
-                    "CSB burst payload of {} bytes exceeds {MAX_BLOCK}",
+                    "CSB burst of {size} bytes at {addr} carrying {payload} ({} staged)",
                     bytes.len()
                 )));
             }

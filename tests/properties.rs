@@ -312,3 +312,84 @@ proptest! {
         );
     }
 }
+
+// ---------------------------------------------------------------------
+// Text decoders: hostile input is an error, never a panic.
+// ---------------------------------------------------------------------
+
+/// Characters that steer the ledger and assembler parsers into their edge
+/// cases: brackets, quotes, escapes, signs, exponents, register sigils, and
+/// multi-byte characters where the parsers slice text by bytes.
+const HOSTILE: &[char] = &[
+    '[', ']', '{', '}', '"', '\\', ',', ':', '-', '+', '%', '!', '.', 'e', 'E', '0', '1', '9', 'x',
+    'u', 'g', 'l', 'o', 'r', 'f', ' ', '\n', 'é', '€', '𝄞',
+];
+
+/// Characters to draw: a hostile one by index, or any code point.
+type Picks = Vec<(bool, u32)>;
+
+/// A span of up to `len % 8` characters at `at`, replaced by `repeat %
+/// 64` copies of the drawn text.
+type Edit = (u64, u8, u8, Picks);
+
+/// A string drawn from `picks`: a hostile character, or any code point.
+fn text_of(picks: &[(bool, u32)]) -> String {
+    picks
+        .iter()
+        .map(|&(hostile, c)| {
+            if hostile {
+                HOSTILE[c as usize % HOSTILE.len()]
+            } else {
+                char::from_u32(c % 0x11_0000).unwrap_or('\u{fffd}')
+            }
+        })
+        .collect()
+}
+
+/// `base` with each edit applied in turn (`at` taken modulo the current
+/// length), so edits cut, insert, and nest.
+fn mutate(base: &str, edits: &[Edit]) -> String {
+    let mut chars: Vec<char> = base.chars().collect();
+    for (at, len, repeat, picks) in edits {
+        let start = (*at % (chars.len() as u64 + 1)) as usize;
+        let end = (start + usize::from(*len % 8)).min(chars.len());
+        let insert: Vec<char> = text_of(picks)
+            .repeat(usize::from(*repeat % 64))
+            .chars()
+            .collect();
+        chars.splice(start..end, insert);
+    }
+    chars.into_iter().collect()
+}
+
+fn picks() -> impl Strategy<Value = Picks> {
+    proptest::collection::vec((any::<bool>(), any::<u32>()), 0..24)
+}
+
+fn edits() -> impl Strategy<Value = Vec<Edit>> {
+    proptest::collection::vec((any::<u64>(), any::<u8>(), any::<u8>(), picks()), 1..6)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Arbitrary text and mutated ledger lines parse to `Ok` or `Err`.
+    #[test]
+    fn ledger_lines_never_panic(line in 0usize..4096, edits in edits(), free in picks()) {
+        let baseline = include_str!("../results/ledger_baseline.jsonl");
+        let lines: Vec<&str> = baseline.lines().collect();
+        let mutated = mutate(lines[line % lines.len()], &edits);
+        let _ = csb_obs::parse_ledger(&mutated);
+        let _ = serde_json::parse_value(&mutated);
+        let _ = csb_obs::parse_ledger(&text_of(&free));
+    }
+
+    /// Arbitrary text and mutated lines of the paper's kernel assemble to
+    /// `Ok` or `Err`.
+    #[test]
+    fn assembly_text_never_panics(edits in edits(), free in picks()) {
+        let kernel = include_str!("../asm/csb_kernel.s");
+        let _ = csb_isa::parse_asm(&mutate(kernel, &edits));
+        let _ = csb_isa::parse_asm(&text_of(&free));
+    }
+}

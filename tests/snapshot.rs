@@ -17,7 +17,7 @@ use csb_core::experiments::runner::{
     run_values_observed, ObsConfig, PointSpec, PointValue, PointWork, RunReport,
 };
 use csb_core::experiments::{ExpError, Scheme};
-use csb_core::multiproc::{MultiSim, SwitchPolicy};
+use csb_core::multiproc::{MultiSim, SchedulerMode, SwitchPolicy};
 use csb_core::snapshot::{config_fingerprint, program_fingerprint, AutosnapConfig};
 use csb_core::workloads::{self, RetryPolicy, StoreOrder};
 use csb_core::{cache, FaultConfig, RestoreError, SimConfig, SimError, Simulator, WatchdogConfig};
@@ -227,13 +227,26 @@ fn restore_rejects_mismatch_and_corruption() {
     ));
 }
 
+/// `frame` with bit `bit` of byte `i` flipped and the trailing checksum
+/// recomputed, so the flip reaches the section decoders.
+fn flipped(frame: &[u8], i: usize, bit: u8) -> Vec<u8> {
+    let body = frame.len() - 8;
+    let mut bytes = frame.to_vec();
+    bytes[i] ^= bit;
+    let checksum = csb_snap::fnv1a(&bytes[..body]);
+    bytes[body..].copy_from_slice(&checksum.to_le_bytes());
+    bytes
+}
+
 #[test]
 fn byte_flipped_frames_with_valid_checksums_restore_or_fail_cleanly() {
-    // A mid-run frame with every section live: CSB traffic, an attached
-    // NIC and a fault schedule. Each byte is flipped in its low and its
-    // high bit and the trailing checksum recomputed, so every flip reaches
-    // the section decoders. Restore must answer `Ok` or `Err` — never
-    // panic, and never abort on an allocation sized by a corrupt count.
+    // Mid-run frames with every section live: CSB traffic, an attached
+    // NIC and a fault schedule in the first; uncached-buffer entries
+    // mid-drain in the second. Each byte is flipped in its low and its
+    // high bit. Restore must answer `Ok` or `Err` — never panic, and never
+    // abort on an allocation sized by a corrupt count — and a restored
+    // machine must run: a field no run produces is rejected on restore,
+    // not trusted by the loop that reads it.
     let cfg = SimConfig::default();
     let program = workloads::store_bandwidth(256, &cfg, workloads::StorePath::Csb).unwrap();
     let mut sim = Simulator::new(cfg.clone(), program.clone()).unwrap();
@@ -249,21 +262,93 @@ fn byte_flipped_frames_with_valid_checksums_restore_or_fail_cleanly() {
             .flush_disturb_rate(0.3),
     ));
     sim.run_to(40).unwrap();
-    let frame = sim.snapshot();
-    let body = frame.len() - 8;
-    let mut target = Simulator::new(cfg, program).unwrap();
+    let csb = (cfg, program, sim.snapshot());
+
+    let cfg = SimConfig::default().combining_block(64);
+    let program = workloads::store_bandwidth(256, &cfg, workloads::StorePath::Uncached).unwrap();
+    let mut sim = Simulator::new(cfg.clone(), program.clone()).unwrap();
+    sim.run_to(90).unwrap();
+    let uncached = (cfg, program, sim.snapshot());
+
+    for (cfg, program, frame) in [csb, uncached] {
+        let mut target = Simulator::new(cfg, program).unwrap();
+        let mut restored = 0;
+        for i in 0..frame.len() - 8 {
+            for bit in [0x01u8, 0x80] {
+                if target.restore_from(&flipped(&frame, i, bit)).is_ok() {
+                    restored += 1;
+                    let _ = target.run(target.cpu().now().saturating_add(40));
+                }
+            }
+        }
+        // Flips in plain counters and cycle stamps still decode.
+        assert!(restored > 0, "no flipped frame restored");
+    }
+}
+
+#[test]
+fn byte_flipped_multiprocess_frames_restore_and_run_or_fail_cleanly() {
+    // A two-process frame mid-slice, flipped byte by byte as above. Every
+    // frame that restores must then run: a decoded field that no run
+    // could have produced — a bus horizon far past the restored cycle,
+    // say — must be rejected on restore, not hang or overflow the loop
+    // that trusts it. Each flip runs under the other scheduler mode too.
+    let cfg = SimConfig::default();
+    let programs: Vec<Program> = [0, 1]
+        .map(|line| workloads::csb_worker(4, 8, line, &cfg).unwrap())
+        .to_vec();
+    let policy = SwitchPolicy::Fixed(60);
+    let mut ms = MultiSim::new(cfg.clone(), programs.clone(), policy).unwrap();
+    assert!(matches!(ms.run(150), Err(SimError::CycleLimit { .. })));
+    let frame = ms.snapshot();
     let mut restored = 0;
-    for i in 0..body {
-        for bit in [0x01u8, 0x80] {
-            let mut bytes = frame.clone();
-            bytes[i] ^= bit;
-            let checksum = csb_snap::fnv1a(&bytes[..body]);
-            bytes[body..].copy_from_slice(&checksum.to_le_bytes());
-            restored += usize::from(target.restore_from(&bytes).is_ok());
+    for i in 0..frame.len() - 8 {
+        for (bit, mode) in [
+            (0x01u8, SchedulerMode::HorizonHeap),
+            (0x80, SchedulerMode::RoundRobin),
+        ] {
+            let bytes = flipped(&frame, i, bit);
+            let Ok(mut ms) = MultiSim::restore(cfg.clone(), programs.clone(), policy, &bytes)
+            else {
+                continue;
+            };
+            restored += 1;
+            ms.set_scheduler(mode);
+            ms.set_fast_forward(true);
+            for limit in [200, 210] {
+                let _ = ms.run(limit);
+            }
         }
     }
-    // Flips in plain counters and cycle stamps still decode.
     assert!(restored > 0, "no flipped frame restored");
+}
+
+#[test]
+fn a_bus_horizon_no_run_reaches_is_rejected_on_restore() {
+    // At cycle 150 of this two-process run the bus is free from bus cycle
+    // 30. The same frame with 2^63 added to that horizon used to restore,
+    // and fast-forward then jumped toward it: an overflow in a debug
+    // build, a walk that never returned in a release build.
+    let cfg = SimConfig::default();
+    let programs: Vec<Program> = [0, 1]
+        .map(|line| workloads::csb_worker(4, 8, line, &cfg).unwrap())
+        .to_vec();
+    let policy = SwitchPolicy::Fixed(60);
+    let mut ms = MultiSim::new(cfg.clone(), programs.clone(), policy).unwrap();
+    assert!(matches!(ms.run(150), Err(SimError::CycleLimit { .. })));
+    let frame = ms.snapshot();
+    let tag = (csb_snap::fnv1a_str("bus") as u32).to_le_bytes();
+    let at = frame.windows(4).position(|w| w == tag).unwrap() + 4;
+    let next_free = u64::from_le_bytes(frame[at..at + 8].try_into().unwrap());
+    assert_eq!(next_free, 30, "the bus section's first field");
+
+    let far = flipped(&frame, at + 7, 0x80);
+    assert!(matches!(
+        MultiSim::restore(cfg.clone(), programs.clone(), policy, &far),
+        Err(RestoreError::Snapshot(csb_snap::SnapshotError::Corrupt(_)))
+    ));
+    let mut resumed = MultiSim::restore(cfg, programs, policy, &frame).unwrap();
+    assert!(resumed.run(2_000_000).is_ok());
 }
 
 #[test]
