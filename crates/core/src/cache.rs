@@ -42,7 +42,7 @@
 //! Correctness guards:
 //!
 //! * A record that fails its checksum, or carries another
-//!   [`SNAPSHOT_FORMAT_VERSION`](crate::SNAPSHOT_FORMAT_VERSION), is
+//!   [`SNAPSHOT_FORMAT_VERSION`], is
 //!   counted as an *invalidation* when its key is loaded, and the point
 //!   transparently re-simulates. Every hit re-checks its record, so
 //!   corruption after `open` is caught too.

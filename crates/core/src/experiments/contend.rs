@@ -225,7 +225,7 @@ impl PointResult {
 }
 
 /// Per-process programs for one point.
-fn programs(
+pub(super) fn programs(
     scheme: ContendScheme,
     cores: usize,
     cfg: &SimConfig,
@@ -316,7 +316,10 @@ impl SweepPoint for ContendPoint {
         if obs.trace {
             ms.enable_tracing();
         }
-        let summary = ms.run(POINT_LIMIT)?;
+        let summary = match obs.autosnap {
+            Some(auto) => ms.run_autosnap(POINT_LIMIT, auto),
+            None => ms.run(POINT_LIMIT),
+        }?;
         let report = ms.simulator().metrics_report();
         let result = PointResult {
             payload_bytes: ms.simulator().device().payload_bytes(),
@@ -479,6 +482,52 @@ mod tests {
         assert_eq!(r.payload_bytes, (4 * ITERATIONS * DWORDS * 8) as u64);
         assert!(r.flush.is_none(), "lock path never flushes the CSB");
         assert_eq!(r.cross_pid_resets, 0);
+    }
+
+    #[test]
+    fn autosnap_frames_restore_and_leave_the_result_unchanged() {
+        let point = ContendPoint {
+            scheme: ContendScheme::Csb,
+            cores: 16,
+            seed: 0xc0de_0000,
+        };
+        let dir = std::env::temp_dir().join(format!("csb-autosnap-contend-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("autosnap dir");
+        let key = point.cache_key(&mut KeyMemo::default());
+        let obs = ObsConfig {
+            autosnap: Some(crate::snapshot::AutosnapConfig::new(997, &dir).for_point(key)),
+            ..ObsConfig::default()
+        };
+        let snapped = point.simulate(&mut None, obs).expect("point simulates").0;
+        let plain = run_point(point.scheme, point.cores, point.seed);
+        assert_eq!(format!("{snapped:?}"), format!("{plain:?}"));
+
+        let mut frames: Vec<(u64, std::path::PathBuf)> = std::fs::read_dir(&dir)
+            .expect("autosnap dir readable")
+            .map(|e| {
+                let path = e.expect("dir entry").path();
+                let name = path.file_stem().and_then(|s| s.to_str()).expect("utf-8");
+                assert!(name.contains(&format!("-{key:016x}-")), "{name}");
+                let cycle = name.rsplit('-').next().and_then(|c| c.parse().ok());
+                (cycle.expect("frame names its cycle"), path)
+            })
+            .collect();
+        frames.sort();
+        assert!(frames.len() > 2, "{} frame(s)", frames.len());
+        assert!(frames.iter().all(|(cycle, _)| cycle % 997 == 0));
+
+        let cfg = point.scheme.config();
+        let programs = programs(point.scheme, point.cores, &cfg).expect("programs build");
+        let policy = SwitchPolicy::Fixed(SLICE);
+        let mut whole = MultiSim::new(cfg.clone(), programs.clone(), policy).expect("builds");
+        whole.set_arrivals(&arrival_schedule(point.cores, ARRIVAL_SPAN, point.seed));
+        let expected = whole.run(POINT_LIMIT).expect("run completes");
+        let bytes = std::fs::read(&frames[frames.len() / 2].1).expect("frame readable");
+        let mut resumed = MultiSim::restore(cfg, programs, policy, &bytes).expect("frame restores");
+        let got = resumed.run(POINT_LIMIT).expect("resumed run completes");
+        assert_eq!(format!("{got:?}"), format!("{expected:?}"));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

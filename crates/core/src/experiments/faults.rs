@@ -239,7 +239,10 @@ impl FaultPoint {
     }
 
     /// Readies `slot` to run this point: its program and fault schedule.
-    fn install<'s>(&self, slot: &'s mut Option<Simulator>) -> Result<&'s mut Simulator, ExpError> {
+    pub(super) fn install<'s>(
+        &self,
+        slot: &'s mut Option<Simulator>,
+    ) -> Result<&'s mut Simulator, ExpError> {
         let cfg = SimConfig::default();
         let policy = policy_for_seed(self.policy, self.seed);
         let program = workloads::csb_sequence_with_policy(DWORDS, policy, &cfg)?;

@@ -11,16 +11,12 @@
 //! the whole hierarchy (100-cycle miss latency), modeling a lock recently
 //! taken by another processor.
 
-use csb_isa::Addr;
-
 use super::runner::{
     run_latency_panels_observed, LabeledArtifacts, LatencyPanelSpec, ObsConfig, PointWork,
     RunReport,
 };
 use super::{ExpError, LatencyPanel, Scheme};
-use crate::config::{SimConfig, LOCK_ADDR};
-use crate::sim::Simulator;
-use crate::workloads::{self, StorePath};
+use crate::config::SimConfig;
 
 /// Doubleword counts swept (2–8, i.e. 16–64 bytes).
 pub const DWORDS: [usize; 7] = [2, 3, 4, 5, 6, 7, 8];
@@ -54,58 +50,6 @@ pub fn latency_point(
     };
     let (value, _, _) = work.measure(&mut None, cfg, ObsConfig::default())?;
     Ok(value.latency().expect("a latency point measures latency"))
-}
-
-/// The scheme-specialized machine configuration and lock/CSB sequence for
-/// one latency point. The latency kernel has no bandwidth-style retry
-/// unrolling to outline, so both CSB flavors measure the same sequence.
-fn latency_parts(
-    cfg: &SimConfig,
-    dwords: usize,
-    scheme: Scheme,
-) -> Result<(SimConfig, csb_isa::Program), ExpError> {
-    let (cfg, path) = scheme.machine(cfg);
-    let program = match path {
-        StorePath::Uncached => workloads::lock_sequence(dwords)?,
-        StorePath::Csb | StorePath::CsbOutlined => workloads::csb_sequence(dwords, &cfg)?,
-    };
-    Ok((cfg, program))
-}
-
-/// Builds the ready-to-run simulator for one latency point: the
-/// scheme-specialized machine, the lock/CSB sequence, and the lock line
-/// warmed or evicted per `residency` — not yet run. The cold half of the
-/// warm-vs-cold differential tests; production paths go through
-/// [`latency_sim_into`].
-#[cfg(test)]
-pub(crate) fn latency_sim(
-    cfg: &SimConfig,
-    dwords: usize,
-    scheme: Scheme,
-    residency: LockResidency,
-) -> Result<Simulator, ExpError> {
-    let mut slot = None;
-    latency_sim_into(&mut slot, cfg, dwords, scheme, residency)?;
-    Ok(slot.expect("slot was just filled"))
-}
-
-/// [`latency_sim`] into a reusable slot (see [`super::install_sim`]). The
-/// residency preparation (line warm/evict) runs after the reset, exactly
-/// as it runs after a cold construction.
-pub(crate) fn latency_sim_into<'a>(
-    slot: &'a mut Option<Simulator>,
-    cfg: &SimConfig,
-    dwords: usize,
-    scheme: Scheme,
-    residency: LockResidency,
-) -> Result<&'a mut Simulator, ExpError> {
-    let (cfg, program) = latency_parts(cfg, dwords, scheme)?;
-    let sim = super::install_sim(slot, cfg, program)?;
-    match residency {
-        LockResidency::Hit => sim.warm_line(Addr::new(LOCK_ADDR)),
-        LockResidency::Miss => sim.evict_line(Addr::new(LOCK_ADDR)),
-    }
-    Ok(sim)
 }
 
 /// The declarative panel spec for one residency on the given machine.

@@ -319,7 +319,10 @@ impl MessagingPoint {
 
     /// Readies `slot` to run this point: its program, the attached NI
     /// and the fault schedule.
-    fn install<'s>(&self, slot: &'s mut Option<Simulator>) -> Result<&'s mut Simulator, ExpError> {
+    pub(super) fn install<'s>(
+        &self,
+        slot: &'s mut Option<Simulator>,
+    ) -> Result<&'s mut Simulator, ExpError> {
         let cfg = self.path.config();
         let seeded = policy_for_seed(self.policy, self.seed);
         let program = match self.path {

@@ -292,46 +292,6 @@ pub fn bandwidth_point_ordered(
         .expect("a bandwidth point measures bandwidth"))
 }
 
-/// The scheme-specialized machine configuration and store workload for one
-/// bandwidth point.
-fn bandwidth_parts(
-    cfg: &SimConfig,
-    transfer: usize,
-    scheme: Scheme,
-    order: workloads::StoreOrder,
-) -> Result<(SimConfig, Program), ExpError> {
-    let (cfg, path) = scheme.machine(cfg);
-    let program = workloads::store_bandwidth_ordered(transfer, &cfg, path, order)?;
-    Ok((cfg, program))
-}
-
-/// Builds the ready-to-run simulator for one bandwidth point: the
-/// scheme-specialized machine plus the generated store workload, not yet
-/// run. The cold half of the warm-vs-cold differential tests; production
-/// paths go through [`bandwidth_sim_into`].
-#[cfg(test)]
-pub(crate) fn bandwidth_sim(
-    cfg: &SimConfig,
-    transfer: usize,
-    scheme: Scheme,
-    order: workloads::StoreOrder,
-) -> Result<Simulator, ExpError> {
-    let (cfg, program) = bandwidth_parts(cfg, transfer, scheme, order)?;
-    Ok(Simulator::new(cfg, program)?)
-}
-
-/// [`bandwidth_sim`] into a reusable slot (see [`install_sim`]).
-pub(crate) fn bandwidth_sim_into<'a>(
-    slot: &'a mut Option<Simulator>,
-    cfg: &SimConfig,
-    transfer: usize,
-    scheme: Scheme,
-    order: workloads::StoreOrder,
-) -> Result<&'a mut Simulator, ExpError> {
-    let (cfg, program) = bandwidth_parts(cfg, transfer, scheme, order)?;
-    install_sim(slot, cfg, program)
-}
-
 /// Readies `slot` to simulate `(cfg, program)`: warm-resets the simulator
 /// already in the slot, or cold-constructs one into an empty slot. Both
 /// paths yield identical simulation results; the warm path skips the
@@ -488,6 +448,8 @@ pub fn format_table(headers: &[String], rows: &[Vec<String>]) -> String {
 
 #[cfg(test)]
 mod tests {
+    use std::fmt::Write as _;
+
     use super::runner::{KeyMemo, PointSpec, SweepPoint};
     use super::*;
     use crate::cache::PointCache;
@@ -539,9 +501,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn engine_keys_equal_the_one_shot_derivation() {
-        let figures: Vec<PointSpec> = [fig3::panel_specs(), fig4::panel_specs()]
+    /// Every point of the three figures, in sweep order.
+    fn figure_specs() -> Vec<PointSpec> {
+        [fig3::panel_specs(), fig4::panel_specs()]
             .iter()
             .flatten()
             .flat_map(runner::BandwidthPanelSpec::enumerate)
@@ -550,9 +512,13 @@ mod tests {
                     .iter()
                     .flat_map(runner::LatencyPanelSpec::enumerate),
             )
-            .collect();
+            .collect()
+    }
+
+    #[test]
+    fn engine_keys_equal_the_one_shot_derivation() {
         let specs = |p: &PointSpec| PointCache::key_debug(&[&p.cfg, &p.work], 0);
-        assert_engine_keys("figures", &figures, specs);
+        assert_engine_keys("figures", &figure_specs(), specs);
         assert_engine_keys("ablations", &ablations::all_specs(), specs);
 
         assert_engine_keys("faults", &faults::FaultPoint::all(), |p| {
@@ -588,6 +554,250 @@ mod tests {
             );
             one_shot_seeded(&p.scheme.config(), &work, p.seed)
         });
+    }
+
+    /// Appends one line per distinct program in `programs`: who built it
+    /// first, its length and its fingerprint.
+    fn pin_distinct(
+        out: &mut String,
+        set: &str,
+        programs: impl IntoIterator<Item = (String, Program)>,
+    ) {
+        let mut seen = std::collections::HashSet::new();
+        for (name, program) in programs {
+            let fp = crate::snapshot::program_fingerprint(&program);
+            if seen.insert(fp) {
+                let _ = writeln!(out, "{set} {name}: {} {fp:016x}", program.len());
+            }
+        }
+    }
+
+    /// The program a sweep point installed into `slot`.
+    fn installed(slot: Result<&mut Simulator, ExpError>) -> Program {
+        slot.expect("point installs").cpu().program().clone()
+    }
+
+    /// Every distinct program the sweeps and the throughput bench build.
+    fn sweep_kernels(out: &mut String) {
+        use throughput::Timed as _;
+        let mut slot = None;
+        let specs = |specs: Vec<PointSpec>, slot: &mut Option<Simulator>| {
+            specs
+                .into_iter()
+                .map(|p| (p.label.clone(), installed(p.work.install(slot, &p.cfg))))
+                .collect::<Vec<_>>()
+        };
+        pin_distinct(out, "figures", specs(figure_specs(), &mut slot));
+        pin_distinct(out, "ablations", specs(ablations::all_specs(), &mut slot));
+        let faults: Vec<_> = faults::FaultPoint::all()
+            .iter()
+            .map(|p| {
+                let name = format!("{} seed {:#x}", p.label(), p.seed);
+                (name, installed(p.install(&mut slot)))
+            })
+            .collect();
+        pin_distinct(out, "faults", faults);
+        let messaging: Vec<_> = messaging::MessagingPoint::all()
+            .iter()
+            .map(|p| {
+                let name = format!("{} seed {:#x}", p.label(), p.seed);
+                (name, installed(p.install(&mut slot)))
+            })
+            .collect();
+        pin_distinct(out, "messaging", messaging);
+        let contend: Vec<_> = contend::ContendPoint::all()
+            .iter()
+            .flat_map(|p| {
+                let programs = contend::programs(p.scheme, p.cores, &p.scheme.config())
+                    .expect("contend programs build");
+                let label = p.label();
+                programs
+                    .into_iter()
+                    .enumerate()
+                    .map(move |(i, program)| (format!("{label} proc {i}"), program))
+            })
+            .collect();
+        pin_distinct(out, "contend", contend);
+        let mut bench = specs(throughput::default_points(), &mut slot);
+        let backoff = throughput::BackoffPoint;
+        bench.push((backoff.label(), installed(backoff.install(&mut slot))));
+        let sched = throughput::sched_programs().expect("scheduler programs build");
+        bench.extend(
+            sched
+                .into_iter()
+                .enumerate()
+                .map(|(i, program)| (format!("sched proc {i}"), program)),
+        );
+        pin_distinct(out, "runner_bench", bench);
+    }
+
+    /// Every public generator over a grid of its inputs: line sizes 32, 64
+    /// and 128, every store path and order, and the fault ladder's
+    /// policies under several seeds.
+    fn generator_kernels(out: &mut String) {
+        use workloads::{MessagingSpec, RandomMix, RetryPolicy, StoreOrder};
+        let mut grid: Vec<(String, Program)> = Vec::new();
+        let mut pin = |name: String, program: Result<Program, WorkloadError>| {
+            grid.push((
+                name.clone(),
+                program.unwrap_or_else(|e| panic!("{name}: {e}")),
+            ));
+        };
+        for dwords in [1, 2, 3, 7, 8, 16, 64, 512] {
+            pin(
+                format!("lock_sequence({dwords})"),
+                workloads::lock_sequence(dwords),
+            );
+        }
+        for iterations in [1, 8] {
+            for dwords in [1, 8, 16] {
+                pin(
+                    format!("lock_worker({iterations}, {dwords})"),
+                    workloads::lock_worker(iterations, dwords),
+                );
+            }
+        }
+        let mut policies = vec![
+            RetryPolicy::Bounded { attempts: 1 },
+            RetryPolicy::Backoff {
+                attempts: 2,
+                base: 1,
+                max: 0,
+                seed: 5,
+            },
+            RetryPolicy::Backoff {
+                attempts: 6,
+                base: 100,
+                max: 10,
+                seed: 3,
+            },
+        ];
+        for seed in [0, 1, 0x5eed_1453, u64::MAX] {
+            policies.extend(
+                faults::policies()
+                    .into_iter()
+                    .map(|p| faults::policy_for_seed(p, seed)),
+            );
+        }
+        for line in [32, 64, 128] {
+            let cfg = SimConfig::default().line_size(line);
+            let max = line / 8;
+            for path in [StorePath::Uncached, StorePath::Csb, StorePath::CsbOutlined] {
+                for order in [StoreOrder::Ascending, StoreOrder::Shuffled] {
+                    for bytes in [8, 16, 24, 32, 40, 64, 80, 128, 200, 256, 512, 1024, 4096] {
+                        pin(
+                            format!("store_bandwidth_ordered({bytes}, line {line}, {path:?}, {order:?})"),
+                            workloads::store_bandwidth_ordered(bytes, &cfg, path, order),
+                        );
+                    }
+                }
+            }
+            for dwords in 1..=max {
+                pin(
+                    format!("csb_sequence({dwords}, line {line})"),
+                    workloads::csb_sequence(dwords, &cfg),
+                );
+            }
+            for dwords in [1, max / 2, max] {
+                for retries in [1, 3, 64] {
+                    pin(
+                        format!("csb_sequence_with_fallback({dwords}, {retries}, line {line})"),
+                        workloads::csb_sequence_with_fallback(dwords, retries, &cfg),
+                    );
+                }
+                for policy in &policies {
+                    pin(
+                        format!("csb_sequence_with_policy({dwords}, {policy:?}, line {line})"),
+                        workloads::csb_sequence_with_policy(dwords, *policy, &cfg),
+                    );
+                }
+                for iterations in [1, 8] {
+                    for line_index in [0, 1, 63] {
+                        pin(
+                            format!(
+                                "csb_worker({iterations}, {dwords}, {line_index}, line {line})"
+                            ),
+                            workloads::csb_worker(iterations, dwords, line_index, &cfg),
+                        );
+                    }
+                }
+            }
+            for payload_dwords in [1, max - 1] {
+                for (count, slots) in [(1, 1), (16, 4), (5, 2)] {
+                    let spec = MessagingSpec {
+                        count,
+                        payload_dwords,
+                        sender: 3,
+                        slots,
+                    };
+                    for policy in &policies {
+                        pin(
+                            format!("csb_messages({spec:?}, {policy:?}, line {line})"),
+                            workloads::csb_messages(spec, *policy, &cfg),
+                        );
+                        pin(
+                            format!("lock_messages({spec:?}, {policy:?}, line {line})"),
+                            workloads::lock_messages(spec, *policy, &cfg),
+                        );
+                    }
+                }
+            }
+            for seed in [0, 1, 7] {
+                for mix in [
+                    RandomMix::default(),
+                    RandomMix {
+                        ops: 50,
+                        mem_percent: 100,
+                    },
+                ] {
+                    pin(
+                        format!("random_mixed({seed}, {mix:?}, line {line})"),
+                        workloads::random_mixed(seed, mix, &cfg),
+                    );
+                }
+            }
+        }
+        for (name, program) in grid {
+            let fp = crate::snapshot::program_fingerprint(&program);
+            let _ = writeln!(out, "grid {name}: {} {fp:016x}", program.len());
+        }
+    }
+
+    /// Pins every kernel: the programs the sweeps build and a grid over
+    /// every public generator keep their length and fingerprint, label
+    /// ids included. Regenerate with `UPDATE_GOLDEN=1 cargo test -p
+    /// csb-core kernels_match_golden` only for an intentional kernel
+    /// change.
+    #[test]
+    fn kernels_match_golden() {
+        let mut actual = String::new();
+        sweep_kernels(&mut actual);
+        generator_kernels(&mut actual);
+        let path =
+            std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden/kernels.txt");
+        if std::env::var("UPDATE_GOLDEN").is_ok() {
+            std::fs::write(&path, &actual).expect("golden file writes");
+            return;
+        }
+        let expected = std::fs::read_to_string(&path).unwrap_or_else(|_| {
+            panic!(
+                "{} missing — run UPDATE_GOLDEN=1 cargo test -p csb-core kernels_match_golden",
+                path.display()
+            )
+        });
+        for (i, (a, e)) in actual.lines().zip(expected.lines()).enumerate() {
+            assert_eq!(
+                a,
+                e,
+                "kernel {} drifted from tests/golden/kernels.txt",
+                i + 1
+            );
+        }
+        assert_eq!(
+            actual.lines().count(),
+            expected.lines().count(),
+            "kernel count"
+        );
     }
 
     #[test]

@@ -42,6 +42,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
+use csb_isa::Addr;
 use csb_obs::MetricsSnapshot;
 
 use super::fig5::{self, LockResidency};
@@ -50,10 +51,10 @@ use super::{
     POINT_LIMIT, TRANSFERS,
 };
 use crate::cache::{CacheStats, DebugKey, PartsKey, PointCache};
-use crate::config::SimConfig;
+use crate::config::{SimConfig, LOCK_ADDR};
 use crate::sim::{MetricsReport, RunSummary, SimError, Simulator};
 use crate::snapshot::AutosnapConfig;
-use crate::workloads::{StoreOrder, MARK_END, MARK_START};
+use crate::workloads::{self, StoreOrder, StorePath, MARK_END, MARK_START};
 
 /// How every point of a sweep runs and what it records.
 ///
@@ -196,26 +197,38 @@ pub enum PointWork {
 }
 
 impl PointWork {
-    /// Readies `slot` to measure this work on `cfg`: cold construction
-    /// into an empty slot, a warm reset of a filled one, with the same
-    /// results either way. Not yet run.
+    /// Readies `slot` to measure this work on `cfg`: the scheme's machine,
+    /// its kernel, and for a latency point the lock line warmed or evicted
+    /// per its residency. Cold construction into an empty slot and a warm
+    /// reset of a filled one give the same results. Not yet run.
     pub(crate) fn install<'s>(
         &self,
         slot: &'s mut Option<Simulator>,
         cfg: &SimConfig,
     ) -> Result<&'s mut Simulator, ExpError> {
-        match *self {
+        let (PointWork::Bandwidth { scheme, .. } | PointWork::Latency { scheme, .. }) = *self;
+        let (cfg, path) = scheme.machine(cfg);
+        let program = match *self {
             PointWork::Bandwidth {
-                transfer,
-                scheme,
-                order,
-            } => super::bandwidth_sim_into(slot, cfg, transfer, scheme, order),
-            PointWork::Latency {
-                dwords,
-                scheme,
-                residency,
-            } => fig5::latency_sim_into(slot, cfg, dwords, scheme, residency),
+                transfer, order, ..
+            } => workloads::store_bandwidth_ordered(transfer, &cfg, path, order)?,
+            PointWork::Latency { dwords, .. } if path == StorePath::Uncached => {
+                workloads::lock_sequence(dwords)?
+            }
+            // The latency kernel has no retry branch worth outlining, so
+            // both CSB flavors measure the same sequence.
+            PointWork::Latency { dwords, .. } => workloads::csb_sequence(dwords, &cfg)?,
+        };
+        let sim = super::install_sim(slot, cfg, program)?;
+        // The lock line is prepared after the reset, exactly as after a
+        // cold construction.
+        if let PointWork::Latency { residency, .. } = *self {
+            match residency {
+                LockResidency::Hit => sim.warm_line(Addr::new(LOCK_ADDR)),
+                LockResidency::Miss => sim.evict_line(Addr::new(LOCK_ADDR)),
+            }
         }
+        Ok(sim)
     }
 
     /// The figure value a completed run of this work measured.
@@ -1020,9 +1033,6 @@ mod tests {
 
     #[test]
     fn warm_reset_reuse_matches_cold_construction() {
-        use super::super::{bandwidth_sim, bandwidth_sim_into, POINT_LIMIT};
-        use fig5::{latency_sim, latency_sim_into};
-
         let small = SimConfig::default().line_size(32).bus(
             csb_bus::BusConfig::multiplexed(8)
                 .max_burst(32)
@@ -1034,47 +1044,36 @@ mod tests {
         // Bandwidth and latency points deliberately alternating machine
         // shapes, schemes, and workloads, all through ONE simulator slot —
         // every warm reset crosses a configuration change.
-        enum P {
-            Bw(SimConfig, usize, Scheme, StoreOrder),
-            Lat(SimConfig, usize, Scheme, LockResidency),
-        }
+        let bw = |transfer, scheme, order| PointWork::Bandwidth {
+            transfer,
+            scheme,
+            order,
+        };
+        let lat = |dwords, scheme, residency| PointWork::Latency {
+            dwords,
+            scheme,
+            residency,
+        };
         let queue = [
-            P::Bw(default.clone(), 256, Scheme::Csb, StoreOrder::Ascending),
-            P::Lat(
-                default.clone(),
-                8,
-                Scheme::Uncached { block: 8 },
-                LockResidency::Miss,
+            (&default, bw(256, Scheme::Csb, StoreOrder::Ascending)),
+            (
+                &default,
+                lat(8, Scheme::Uncached { block: 8 }, LockResidency::Miss),
             ),
-            P::Bw(
-                small.clone(),
-                64,
-                Scheme::Uncached { block: 32 },
-                StoreOrder::Shuffled,
+            (
+                &small,
+                bw(64, Scheme::Uncached { block: 32 }, StoreOrder::Shuffled),
             ),
-            P::Lat(default.clone(), 4, Scheme::Csb, LockResidency::Hit),
-            P::Bw(default.clone(), 128, Scheme::R10k, StoreOrder::Ascending),
-            P::Bw(small, 512, Scheme::Ppc620, StoreOrder::Ascending),
+            (&default, lat(4, Scheme::Csb, LockResidency::Hit)),
+            (&default, bw(128, Scheme::R10k, StoreOrder::Ascending)),
+            (&small, bw(512, Scheme::Ppc620, StoreOrder::Ascending)),
         ];
 
         let mut slot: Option<Simulator> = None;
-        for (i, p) in queue.iter().enumerate() {
-            let (warm, mut cold) = match p {
-                P::Bw(cfg, transfer, scheme, order) => {
-                    let warm = bandwidth_sim_into(&mut slot, cfg, *transfer, *scheme, *order)
-                        .expect("warm bandwidth sim");
-                    let cold =
-                        bandwidth_sim(cfg, *transfer, *scheme, *order).expect("cold bandwidth sim");
-                    (warm, cold)
-                }
-                P::Lat(cfg, dwords, scheme, residency) => {
-                    let warm = latency_sim_into(&mut slot, cfg, *dwords, *scheme, *residency)
-                        .expect("warm latency sim");
-                    let cold =
-                        latency_sim(cfg, *dwords, *scheme, *residency).expect("cold latency sim");
-                    (warm, cold)
-                }
-            };
+        for (i, (cfg, work)) in queue.iter().enumerate() {
+            let warm = work.install(&mut slot, cfg).expect("warm install");
+            let mut fresh = None;
+            let cold = work.install(&mut fresh, cfg).expect("cold install");
             let warm_summary = warm.run(POINT_LIMIT).expect("warm run completes");
             let cold_summary = cold.run(POINT_LIMIT).expect("cold run completes");
             assert_eq!(

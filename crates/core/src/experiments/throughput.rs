@@ -201,7 +201,7 @@ const BACKOFF_POINT_SEED: u64 = 0x5eed_1453;
 /// A point the bench times: its label and how to ready a simulator for
 /// one execution of it — cold construction into an empty slot, a warm
 /// reset of a filled one, as the sweeps do.
-trait Timed {
+pub(super) trait Timed {
     fn label(&self) -> String;
     fn install<'s>(&self, slot: &'s mut Option<Simulator>) -> Result<&'s mut Simulator, ExpError>;
 }
@@ -217,7 +217,7 @@ impl Timed for PointSpec {
 }
 
 /// The point [`BACKOFF_POINT_LABEL`] names.
-struct BackoffPoint;
+pub(super) struct BackoffPoint;
 
 impl Timed for BackoffPoint {
     fn label(&self) -> String {
@@ -375,7 +375,7 @@ const SCHED_SLICE: u64 = 60;
 /// short CSB burst pair on its own line. Assembled once per sample, not
 /// per rep — program assembly is identical on both legs and not what the
 /// point measures.
-fn sched_programs() -> Result<Vec<csb_isa::Program>, ExpError> {
+pub(super) fn sched_programs() -> Result<Vec<csb_isa::Program>, ExpError> {
     let cfg = SimConfig::default();
     Ok((0..SCHED_CORES)
         .map(|i| workloads::csb_worker(2, 8, i, &cfg))

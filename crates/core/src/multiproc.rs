@@ -29,6 +29,7 @@ use serde::Serialize;
 
 use crate::config::SimConfig;
 use crate::sim::{ActorState, SimError, Simulator, WatchdogConfig};
+use crate::snapshot::AutosnapConfig;
 use csb_faults::{FaultConfig, FaultStats};
 
 /// Scheduling policy for the time-sliced core.
@@ -471,6 +472,41 @@ impl MultiSim {
             flush_successes: summary.csb.flush_successes,
             completions: self.completions.iter().map(|c| c.unwrap_or(0)).collect(),
         })
+    }
+
+    /// [`MultiSim::run`] with periodic snapshot dumps: at every multiple of
+    /// `auto.every` CPU cycles a [`MultiSim::snapshot`] frame goes to
+    /// `auto.dir`, named like a single machine's frame, with one
+    /// fingerprint over all the process programs. [`MultiSim::run`]
+    /// returns at each boundary and picks up where it stopped, so results
+    /// are byte-identical to a plain run.
+    pub(crate) fn run_autosnap(
+        &mut self,
+        limit: u64,
+        auto: AutosnapConfig<'_>,
+    ) -> Result<MultiSummary, SimError> {
+        let cfg_fp = crate::snapshot::config_fingerprint(self.sim.config());
+        let programs: Vec<u8> = self
+            .procs
+            .iter()
+            .flat_map(|p| crate::snapshot::program_fingerprint(&p.program).to_le_bytes())
+            .collect();
+        let prog_fp = csb_snap::fnv1a(&programs);
+        loop {
+            let next = auto.next_boundary(self.sim.cpu().now(), limit);
+            match self.run(next) {
+                Err(SimError::CycleLimit { .. }) => {
+                    let now = self.sim.cpu().now();
+                    if auto.is_boundary(now) {
+                        auto.write(cfg_fp, prog_fp, now, &self.snapshot());
+                    }
+                    if next == limit {
+                        return Err(SimError::CycleLimit { limit });
+                    }
+                }
+                result => return result,
+            }
+        }
     }
 
     /// Serializes the whole multi-process state — scheduler (per-process

@@ -212,24 +212,16 @@ impl Simulator {
     ) -> Result<crate::RunSummary, SimError> {
         let cfg_fp = config_fingerprint(self.config());
         let prog_fp = program_fingerprint(self.cpu().program());
-        let every = auto.every.max(1);
         while !self.complete() {
             if self.cpu().now() >= limit {
                 return Err(SimError::CycleLimit { limit });
             }
-            let next = (self.cpu().now() / every + 1)
-                .saturating_mul(every)
-                .min(limit);
+            let next = auto.next_boundary(self.cpu().now(), limit);
             while !self.complete() && self.cpu().now() < next {
                 self.advance_checked(next)?;
             }
-            if !self.complete() && self.cpu().now().is_multiple_of(every) {
-                let path = auto.dir.join(format!(
-                    "snap-{cfg_fp:016x}{prog_fp:016x}-{:016x}-{:012}.bin",
-                    auto.point,
-                    self.cpu().now()
-                ));
-                let _ = std::fs::write(path, self.snapshot());
+            if !self.complete() && auto.is_boundary(self.cpu().now()) {
+                auto.write(cfg_fp, prog_fp, self.cpu().now(), &self.snapshot());
             }
         }
         Ok(self.summary())
@@ -270,5 +262,30 @@ impl<'a> AutosnapConfig<'a> {
     /// The same dumps, named for the point with cache key `key`.
     pub(crate) fn for_point(self, key: u64) -> Self {
         AutosnapConfig { point: key, ..self }
+    }
+
+    /// The cycle a run at `now` stops at next: the following multiple of
+    /// `every`, or `limit` if that comes first.
+    pub(crate) fn next_boundary(self, now: u64, limit: u64) -> u64 {
+        let every = self.every.max(1);
+        (now / every + 1).saturating_mul(every).min(limit)
+    }
+
+    /// Whether a frame is due at `cycle`.
+    pub(crate) fn is_boundary(self, cycle: u64) -> bool {
+        cycle.is_multiple_of(self.every.max(1))
+    }
+
+    /// Writes `frame`, taken at `cycle` of a run whose configuration and
+    /// program fingerprints are `cfg_fp` and `prog_fp`, as
+    /// `dir/snap-<cfg fp><program fp>-<point key>-<cycle>.bin`. A failed
+    /// write is swallowed: autosnap is a forensic aid, never a
+    /// correctness dependency.
+    pub(crate) fn write(self, cfg_fp: u64, prog_fp: u64, cycle: u64, frame: &[u8]) {
+        let name = format!(
+            "snap-{cfg_fp:016x}{prog_fp:016x}-{:016x}-{cycle:012}.bin",
+            self.point
+        );
+        let _ = std::fs::write(self.dir.join(name), frame);
     }
 }

@@ -15,10 +15,22 @@
 //! All generators target the standard address layout of
 //! [`SimConfig::default_map`]: device registers live at [`UNCACHED_BASE`] or
 //! [`COMBINING_BASE`], the lock at [`LOCK_ADDR`].
+//!
+//! Every generator is a composition of one software idiom (§3.2), and each
+//! part of it is written once, by a private emitter: `lock_attempt` (the
+//! `swap` acquire), `locked_access` (barrier, stores, barrier, release),
+//! `csb_attempt` (arm the count, stores, conditional flush, compare), and
+//! `retry`, which repeats an attempt under a [`RetryPolicy`] — the paper's
+//! `retry: …; bnz retry` loop, or one unrolled copy per attempt with its
+//! `bz` and backoff delay. A program's label ids are part of its identity
+//! (they feed [`crate::snapshot::program_fingerprint`], and so snapshot
+//! headers and autosnap frame names), so every generator allocates its
+//! labels in a fixed order: a caller's success label before the labels
+//! `retry` allocates.
 
 use std::fmt;
 
-use csb_isa::{Assembler, MemWidth, Program, ProgramError, Reg};
+use csb_isa::{AluOp, Assembler, Label, MemWidth, Program, ProgramError, Reg};
 
 use crate::config::{SimConfig, COMBINING_BASE, IO_WINDOW, LOCK_ADDR, UNCACHED_BASE};
 
@@ -94,6 +106,13 @@ pub enum WorkloadError {
         /// Maximum supported.
         max: usize,
     },
+    /// A bounded retry policy or a lock fallback with no attempt to spend.
+    ZeroBudget,
+    /// A backoff delay that a `set` immediate cannot hold.
+    DelayOverflow {
+        /// Zero-based index of the failed attempt the delay follows.
+        failure: u64,
+    },
     /// Program assembly failed (generator bug).
     Assemble(ProgramError),
 }
@@ -106,6 +125,15 @@ impl fmt::Display for WorkloadError {
             }
             WorkloadError::BadDwords { dwords, max } => {
                 write!(f, "{dwords} doublewords outside supported range 1..={max}")
+            }
+            WorkloadError::ZeroBudget => {
+                f.write_str("retry budget of 0 attempts; at least 1 is required")
+            }
+            WorkloadError::DelayOverflow { failure } => {
+                write!(
+                    f,
+                    "backoff delay after failure {failure} exceeds i64::MAX iterations"
+                )
             }
             WorkloadError::Assemble(e) => write!(f, "assembly failed: {e}"),
         }
@@ -168,72 +196,37 @@ pub fn store_bandwidth_ordered(
     if total_bytes == 0 || !total_bytes.is_multiple_of(8) || total_bytes as u64 > IO_WINDOW {
         return Err(WorkloadError::BadTransfer { bytes: total_bytes });
     }
-    let dwords = total_bytes / 8;
-    let line = cfg.line();
-    let per_line = line / 8;
+    let (dwords, per_line) = (total_bytes / 8, cfg.line() / 8);
     let mut a = Assembler::new();
     a.movi(Reg::L1, 0x5151_5151_5151_5151u64 as i64);
     a.mark(MARK_START);
+    let base = if path == StorePath::Uncached {
+        UNCACHED_BASE
+    } else {
+        COMBINING_BASE
+    };
+    a.movi(Reg::O1, base as i64);
     // (out-of-line stub, line entry) pairs, emitted after `halt`.
     let mut stubs = Vec::new();
-    match path {
-        StorePath::Uncached => {
-            a.movi(Reg::O1, UNCACHED_BASE as i64);
-            let mut remaining = dwords;
-            let mut line_idx = 0i64;
-            while remaining > 0 {
-                let n = remaining.min(per_line);
-                let base_off = line_idx * line as i64;
-                for i in order.order(n) {
-                    a.std(Reg::L1, Reg::O1, base_off + 8 * i as i64);
-                }
-                remaining -= n;
-                line_idx += 1;
+    for first in (0..dwords).step_by(per_line) {
+        let (n, off) = ((dwords - first).min(per_line), 8 * first as i64);
+        let stores = |a: &mut Assembler| {
+            for i in order.order(n) {
+                a.std(Reg::L1, Reg::O1, off + 8 * i as i64);
             }
-        }
-        StorePath::Csb => {
-            a.movi(Reg::O1, COMBINING_BASE as i64);
-            let mut remaining = dwords;
-            let mut line_idx = 0i64;
-            while remaining > 0 {
-                let n = remaining.min(per_line);
-                let base_off = line_idx * line as i64;
-                let retry = a.new_label();
+        };
+        match path {
+            StorePath::Uncached => stores(&mut a),
+            StorePath::Csb => retry_loop(&mut a, |a| csb_attempt(a, Reg::O1, off, n, stores))?,
+            StorePath::CsbOutlined => {
+                let (retry, stub) = (a.new_label(), a.new_label());
                 a.bind(retry)?;
-                a.movi(Reg::L4, n as i64);
-                for i in order.order(n) {
-                    a.std(Reg::L1, Reg::O1, base_off + 8 * i as i64);
-                }
-                a.swap(Reg::L4, Reg::O1, base_off);
-                a.cmpi(Reg::L4, n as i64);
-                a.bnz(retry);
-                remaining -= n;
-                line_idx += 1;
-            }
-        }
-        StorePath::CsbOutlined => {
-            a.movi(Reg::O1, COMBINING_BASE as i64);
-            let mut remaining = dwords;
-            let mut line_idx = 0i64;
-            while remaining > 0 {
-                let n = remaining.min(per_line);
-                let base_off = line_idx * line as i64;
-                let retry = a.new_label();
-                let stub = a.new_label();
-                a.bind(retry)?;
-                a.movi(Reg::L4, n as i64);
-                for i in order.order(n) {
-                    a.std(Reg::L1, Reg::O1, base_off + 8 * i as i64);
-                }
-                a.swap(Reg::L4, Reg::O1, base_off);
-                a.cmpi(Reg::L4, n as i64);
+                csb_attempt(&mut a, Reg::O1, off, n, stores);
                 // Forward branch: predicted not-taken, i.e. correct on a
                 // successful flush. A failed flush pays one squash to
                 // reach the stub, which re-enters the line's retry loop.
                 a.bnz(stub);
                 stubs.push((stub, retry));
-                remaining -= n;
-                line_idx += 1;
             }
         }
     }
@@ -254,33 +247,12 @@ pub fn store_bandwidth_ordered(
 ///
 /// Returns [`WorkloadError::BadDwords`] unless `1 <= dwords <= 512`.
 pub fn lock_sequence(dwords: usize) -> Result<Program, WorkloadError> {
-    if dwords == 0 || dwords > 512 {
-        return Err(WorkloadError::BadDwords { dwords, max: 512 });
-    }
-    let mut a = Assembler::new();
-    a.movi(Reg::O0, LOCK_ADDR as i64);
-    a.movi(Reg::O1, UNCACHED_BASE as i64);
-    a.movi(Reg::L1, 0x6262_6262_6262_6262u64 as i64);
+    check_dwords(dwords, 512)?;
+    let mut a = lock_prologue();
     a.mark(MARK_START);
-    // Lock acquire: swap 1 into the lock until the old value was 0.
-    let retry = a.new_label();
-    a.bind(retry)?;
-    a.movi(Reg::L0, 1);
-    a.swap(Reg::L0, Reg::O0, 0);
-    a.cmpi(Reg::L0, 0);
-    a.bnz(retry);
-    // Barrier between the lock acquire and the device stores, as in §4.2.
-    a.membar();
-    for i in 0..dwords {
-        a.std(Reg::L1, Reg::O1, 8 * i as i64);
-    }
-    // The lock may be released only after the last uncached store has left
-    // the uncached buffer.
-    a.membar();
-    a.std(Reg::G0, Reg::O0, 0); // release: store 0 (cached)
-    a.mark(MARK_END);
-    a.halt();
-    Ok(a.assemble()?)
+    retry_loop(&mut a, lock_attempt)?;
+    locked_access(&mut a, |a| store_dwords(a, Reg::O1, 0, dwords));
+    finish(a)
 }
 
 /// Builds a worker for the many-core contention sweep's conventional
@@ -293,38 +265,12 @@ pub fn lock_sequence(dwords: usize) -> Result<Program, WorkloadError> {
 ///
 /// Returns [`WorkloadError::BadDwords`] unless `1 <= dwords <= 512`.
 pub fn lock_worker(iterations: usize, dwords: usize) -> Result<Program, WorkloadError> {
-    if dwords == 0 || dwords > 512 {
-        return Err(WorkloadError::BadDwords { dwords, max: 512 });
-    }
-    let mut a = Assembler::new();
-    a.movi(Reg::O0, LOCK_ADDR as i64);
-    a.movi(Reg::O1, UNCACHED_BASE as i64);
-    a.movi(Reg::L1, 0x6262_6262_6262_6262u64 as i64);
-    a.movi(Reg::L5, iterations as i64);
-    a.mark(MARK_START);
-    let outer = a.new_label();
-    a.bind(outer)?;
-    // Lock acquire: swap 1 into the lock until the old value was 0.
-    let retry = a.new_label();
-    a.bind(retry)?;
-    a.movi(Reg::L0, 1);
-    a.swap(Reg::L0, Reg::O0, 0);
-    a.cmpi(Reg::L0, 0);
-    a.bnz(retry);
-    a.membar();
-    for i in 0..dwords {
-        a.std(Reg::L1, Reg::O1, 8 * i as i64);
-    }
-    // The lock may be released only after the last uncached store has left
-    // the uncached buffer.
-    a.membar();
-    a.std(Reg::G0, Reg::O0, 0); // release: store 0 (cached)
-    a.alui(csb_isa::AluOp::Sub, Reg::L5, Reg::L5, 1);
-    a.cmpi(Reg::L5, 0);
-    a.bnz(outer);
-    a.mark(MARK_END);
-    a.halt();
-    Ok(a.assemble()?)
+    check_dwords(dwords, 512)?;
+    worker(lock_prologue(), iterations, |a| {
+        retry_loop(a, lock_attempt)?;
+        locked_access(a, |a| store_dwords(a, Reg::O1, 0, dwords));
+        Ok(())
+    })
 }
 
 /// Builds the CSB atomic-access kernel of §4.2: `dwords` combining stores
@@ -335,26 +281,10 @@ pub fn lock_worker(iterations: usize, dwords: usize) -> Result<Program, Workload
 ///
 /// Returns [`WorkloadError::BadDwords`] unless `1 <= dwords <= line/8`.
 pub fn csb_sequence(dwords: usize, cfg: &SimConfig) -> Result<Program, WorkloadError> {
-    let max = cfg.line() / 8;
-    if dwords == 0 || dwords > max {
-        return Err(WorkloadError::BadDwords { dwords, max });
-    }
-    let mut a = Assembler::new();
-    a.movi(Reg::O1, COMBINING_BASE as i64);
-    a.movi(Reg::L1, 0x6262_6262_6262_6262u64 as i64);
-    a.mark(MARK_START);
-    let retry = a.new_label();
-    a.bind(retry)?;
-    a.movi(Reg::L4, dwords as i64);
-    for i in 0..dwords {
-        a.std(Reg::L1, Reg::O1, 8 * i as i64);
-    }
-    a.swap(Reg::L4, Reg::O1, 0);
-    a.cmpi(Reg::L4, dwords as i64);
-    a.bnz(retry);
-    a.mark(MARK_END);
-    a.halt();
-    Ok(a.assemble()?)
+    check_dwords(dwords, cfg.line() / 8)?;
+    let mut a = csb_prologue();
+    retry_loop(&mut a, line_attempt(dwords))?;
+    finish(a)
 }
 
 /// Builds the CSB sequence with the paper's first livelock remedy (§3.2):
@@ -367,16 +297,16 @@ pub fn csb_sequence(dwords: usize, cfg: &SimConfig) -> Result<Program, WorkloadE
 ///
 /// # Errors
 ///
-/// Returns [`WorkloadError::BadDwords`] for out-of-range sizes or a zero
-/// retry budget.
+/// Returns [`WorkloadError::BadDwords`] for out-of-range sizes and
+/// [`WorkloadError::ZeroBudget`] for a zero retry budget.
 pub fn csb_sequence_with_fallback(
     dwords: usize,
     max_retries: u64,
     cfg: &SimConfig,
 ) -> Result<Program, WorkloadError> {
-    let max = cfg.line() / 8;
-    if dwords == 0 || dwords > max || max_retries == 0 {
-        return Err(WorkloadError::BadDwords { dwords, max });
+    check_dwords(dwords, cfg.line() / 8)?;
+    if max_retries == 0 {
+        return Err(WorkloadError::ZeroBudget);
     }
     let mut a = Assembler::new();
     a.movi(Reg::O0, LOCK_ADDR as i64);
@@ -385,38 +315,21 @@ pub fn csb_sequence_with_fallback(
     a.movi(Reg::L1, 0x6262_6262_6262_6262u64 as i64);
     a.movi(Reg::L6, max_retries as i64);
     a.mark(MARK_START);
-    let retry = a.new_label();
-    let done = a.new_label();
-    let fallback = a.new_label();
+    // `fallback` marks the lock path. It is allocated before the lock
+    // loop's own label, whose id is part of the program's fingerprint.
+    let (retry, done, fallback) = (a.new_label(), a.new_label(), a.new_label());
     a.bind(retry)?;
-    a.movi(Reg::L4, dwords as i64);
-    for i in 0..dwords {
-        a.std(Reg::L1, Reg::O1, 8 * i as i64);
-    }
-    a.swap(Reg::L4, Reg::O1, 0);
-    a.cmpi(Reg::L4, dwords as i64);
+    line_attempt(dwords)(&mut a);
     a.bz(done);
     // Failed flush: burn one retry, fall back once the budget is gone.
-    a.alui(csb_isa::AluOp::Sub, Reg::L6, Reg::L6, 1);
+    a.alui(AluOp::Sub, Reg::L6, Reg::L6, 1);
     a.cmpi(Reg::L6, 0);
     a.bnz(retry);
     a.bind(fallback)?;
-    let spin = a.new_label();
-    a.bind(spin)?;
-    a.movi(Reg::L0, 1);
-    a.swap(Reg::L0, Reg::O0, 0);
-    a.cmpi(Reg::L0, 0);
-    a.bnz(spin);
-    a.membar();
-    for i in 0..dwords {
-        a.std(Reg::L1, Reg::O2, 8 * i as i64);
-    }
-    a.membar();
-    a.std(Reg::G0, Reg::O0, 0);
+    retry_loop(&mut a, lock_attempt)?;
+    locked_access(&mut a, |a| store_dwords(a, Reg::O2, 0, dwords));
     a.bind(done)?;
-    a.mark(MARK_END);
-    a.halt();
-    Ok(a.assemble()?)
+    finish(a)
 }
 
 /// Software retry policy for the conditional-flush loop — the space of
@@ -436,10 +349,10 @@ pub enum RetryPolicy {
     },
     /// Bounded retries with exponential backoff and deterministic jitter:
     /// after the k-th failure the program spins a delay loop of
-    /// `min(base << k, max)` iterations plus a seed-derived jitter of at
-    /// most half that, then retries. Jitter is computed at assembly time,
-    /// so the program — and therefore the whole simulation — stays fully
-    /// deterministic per seed.
+    /// `min(base · 2^k, max(base, max))` iterations plus a seed-derived
+    /// jitter of at most half that, then retries. Jitter is computed at
+    /// assembly time, so the program — and therefore the whole simulation
+    /// — stays fully deterministic per seed.
     Backoff {
         /// Total flush attempts before giving up (>= 1).
         attempts: u64,
@@ -485,69 +398,25 @@ fn backoff_jitter(seed: u64, attempt: u64, span: u64) -> u64 {
 ///
 /// # Errors
 ///
-/// Returns [`WorkloadError::BadDwords`] for out-of-range sizes or a zero
-/// attempt budget.
+/// Returns [`WorkloadError::BadDwords`] for out-of-range sizes,
+/// [`WorkloadError::ZeroBudget`] for a zero attempt budget, and
+/// [`WorkloadError::DelayOverflow`] for a backoff delay past `i64::MAX`.
 pub fn csb_sequence_with_policy(
     dwords: usize,
     policy: RetryPolicy,
     cfg: &SimConfig,
 ) -> Result<Program, WorkloadError> {
-    let max_dw = cfg.line() / 8;
-    if dwords == 0 || dwords > max_dw {
-        return Err(WorkloadError::BadDwords {
-            dwords,
-            max: max_dw,
-        });
+    if policy == RetryPolicy::NaiveSpin {
+        return csb_sequence(dwords, cfg);
     }
-    let attempts = match policy {
-        RetryPolicy::NaiveSpin => return csb_sequence(dwords, cfg),
-        RetryPolicy::Bounded { attempts } | RetryPolicy::Backoff { attempts, .. } => attempts,
-    };
-    if attempts == 0 {
-        return Err(WorkloadError::BadDwords {
-            dwords,
-            max: max_dw,
-        });
-    }
-    let mut a = Assembler::new();
-    a.movi(Reg::O1, COMBINING_BASE as i64);
-    a.movi(Reg::L1, 0x6262_6262_6262_6262u64 as i64);
-    a.mark(MARK_START);
+    check_dwords(dwords, cfg.line() / 8)?;
+    let mut a = csb_prologue();
     let done = a.new_label();
-    for attempt in 0..attempts {
-        a.movi(Reg::L4, dwords as i64);
-        for i in 0..dwords {
-            a.std(Reg::L1, Reg::O1, 8 * i as i64);
-        }
-        a.swap(Reg::L4, Reg::O1, 0);
-        a.cmpi(Reg::L4, dwords as i64);
-        a.bz(done);
-        if attempt + 1 == attempts {
-            // Budget exhausted: give up without delivering.
-            continue;
-        }
-        if let RetryPolicy::Backoff {
-            base, max, seed, ..
-        } = policy
-        {
-            let delay = (base << attempt.min(63)).min(max.max(base));
-            let delay = delay + backoff_jitter(seed, attempt, delay / 2 + 1);
-            if delay > 0 {
-                let spin = a.new_label();
-                a.movi(Reg::L0, delay as i64);
-                a.bind(spin)?;
-                a.alui(csb_isa::AluOp::Sub, Reg::L0, Reg::L0, 1);
-                a.cmpi(Reg::L0, 0);
-                a.bnz(spin);
-            }
-        }
-    }
-    // Budget exhausted: fall through and halt without MARK_END.
+    retry(&mut a, policy, done, line_attempt(dwords))?;
+    // Budget exhausted: halt without MARK_END.
     a.halt();
     a.bind(done)?;
-    a.mark(MARK_END);
-    a.halt();
-    Ok(a.assemble()?)
+    finish(a)
 }
 
 /// Builds a worker for the multi-process conflict experiments: `iterations`
@@ -563,10 +432,7 @@ pub fn csb_worker(
     line_index: usize,
     cfg: &SimConfig,
 ) -> Result<Program, WorkloadError> {
-    let max = cfg.line() / 8;
-    if dwords == 0 || dwords > max {
-        return Err(WorkloadError::BadDwords { dwords, max });
-    }
+    check_dwords(dwords, cfg.line() / 8)?;
     let line_off = (line_index * cfg.line()) as u64;
     if line_off + cfg.line() as u64 > IO_WINDOW {
         return Err(WorkloadError::BadTransfer {
@@ -576,25 +442,7 @@ pub fn csb_worker(
     let mut a = Assembler::new();
     a.movi(Reg::O1, (COMBINING_BASE + line_off) as i64);
     a.movi(Reg::L1, 0x7373_7373_7373_7373u64 as i64);
-    a.movi(Reg::L5, iterations as i64);
-    a.mark(MARK_START);
-    let outer = a.new_label();
-    a.bind(outer)?;
-    let retry = a.new_label();
-    a.bind(retry)?;
-    a.movi(Reg::L4, dwords as i64);
-    for i in 0..dwords {
-        a.std(Reg::L1, Reg::O1, 8 * i as i64);
-    }
-    a.swap(Reg::L4, Reg::O1, 0);
-    a.cmpi(Reg::L4, dwords as i64);
-    a.bnz(retry);
-    a.alui(csb_isa::AluOp::Sub, Reg::L5, Reg::L5, 1);
-    a.cmpi(Reg::L5, 0);
-    a.bnz(outer);
-    a.mark(MARK_END);
-    a.halt();
-    Ok(a.assemble()?)
+    worker(a, iterations, |a| retry_loop(a, line_attempt(dwords)))
 }
 
 /// Parameters for the reliable-messaging senders ([`csb_messages`] /
@@ -622,13 +470,7 @@ impl MessagingSpec {
     }
 
     fn validate(&self, cfg: &SimConfig) -> Result<(), WorkloadError> {
-        let max = cfg.line() / 8 - 1;
-        if self.payload_dwords == 0 || self.payload_dwords > max {
-            return Err(WorkloadError::BadDwords {
-                dwords: self.payload_dwords,
-                max,
-            });
-        }
+        check_dwords(self.payload_dwords, cfg.line() / 8 - 1)?;
         let window_bytes = self.slots * cfg.line();
         if self.count == 0
             || self.count > u16::MAX as usize
@@ -640,6 +482,13 @@ impl MessagingSpec {
             });
         }
         Ok(())
+    }
+
+    /// Stores one message's frame at `off(%o1)`: the header in `%l2`, then
+    /// the payload pattern in `%l1`.
+    fn frame(&self, a: &mut Assembler, off: i64) {
+        a.std(Reg::L2, Reg::O1, off);
+        store_dwords(a, Reg::O1, off + 8, self.payload_dwords);
     }
 }
 
@@ -655,86 +504,18 @@ impl MessagingSpec {
 /// # Errors
 ///
 /// Returns [`WorkloadError`] for out-of-range sizes, slot counts past the
-/// I/O window, or a zero attempt budget.
+/// I/O window, a zero attempt budget, or a backoff delay past `i64::MAX`.
 pub fn csb_messages(
     spec: MessagingSpec,
     policy: RetryPolicy,
     cfg: &SimConfig,
 ) -> Result<Program, WorkloadError> {
-    spec.validate(cfg)?;
-    let attempts = match policy {
-        RetryPolicy::NaiveSpin => u64::MAX,
-        RetryPolicy::Bounded { attempts } | RetryPolicy::Backoff { attempts, .. } => attempts,
-    };
-    if attempts == 0 {
-        return Err(WorkloadError::BadDwords {
-            dwords: spec.payload_dwords,
-            max: cfg.line() / 8 - 1,
-        });
-    }
-    let expected = spec.payload_dwords as i64 + 1;
     let mut a = Assembler::new();
     a.movi(Reg::O1, COMBINING_BASE as i64);
-    a.mark(MARK_START);
-    let give_up = a.new_label();
-    for m in 0..spec.count {
-        let seq = m as u16;
-        let line_off = ((m % spec.slots) * cfg.line()) as i64;
-        let header = csb_nic::encode_header((spec.payload_dwords * 8) as u16, seq, spec.sender);
-        a.movi(Reg::L2, header as i64);
-        a.movi(Reg::L1, MessagingSpec::payload_pattern(seq) as i64);
-        let msg_done = a.new_label();
-        if matches!(policy, RetryPolicy::NaiveSpin) {
-            let retry = a.new_label();
-            a.bind(retry)?;
-            a.movi(Reg::L4, expected);
-            a.std(Reg::L2, Reg::O1, line_off);
-            for i in 0..spec.payload_dwords {
-                a.std(Reg::L1, Reg::O1, line_off + 8 * (i as i64 + 1));
-            }
-            a.swap(Reg::L4, Reg::O1, line_off);
-            a.cmpi(Reg::L4, expected);
-            a.bnz(retry);
-        } else {
-            for attempt in 0..attempts {
-                a.movi(Reg::L4, expected);
-                a.std(Reg::L2, Reg::O1, line_off);
-                for i in 0..spec.payload_dwords {
-                    a.std(Reg::L1, Reg::O1, line_off + 8 * (i as i64 + 1));
-                }
-                a.swap(Reg::L4, Reg::O1, line_off);
-                a.cmpi(Reg::L4, expected);
-                a.bz(msg_done);
-                if attempt + 1 == attempts {
-                    continue;
-                }
-                if let RetryPolicy::Backoff {
-                    base, max, seed, ..
-                } = policy
-                {
-                    let delay = (base << attempt.min(63)).min(max.max(base));
-                    let delay = delay + backoff_jitter(seed, attempt, delay / 2 + 1);
-                    if delay > 0 {
-                        let spin = a.new_label();
-                        a.movi(Reg::L0, delay as i64);
-                        a.bind(spin)?;
-                        a.alui(csb_isa::AluOp::Sub, Reg::L0, Reg::L0, 1);
-                        a.cmpi(Reg::L0, 0);
-                        a.bnz(spin);
-                    }
-                }
-            }
-            // This message's budget is gone: abandon the whole stream
-            // (later messages would arrive out of order otherwise).
-            a.ba(give_up);
-        }
-        a.bind(msg_done)?;
-    }
-    a.mark(MARK_END);
-    a.halt();
-    a.bind(give_up)?;
-    a.halt();
-    Ok(a.assemble()?)
+    let count = spec.payload_dwords + 1;
+    let attempt =
+        |a: &mut Assembler, off| csb_attempt(a, Reg::O1, off, count, |a| spec.frame(a, off));
+    messages(a, spec, policy, cfg, attempt, |_, _| {})
 }
 
 /// Builds the conventional locked messaging sender: for each message, the
@@ -748,79 +529,49 @@ pub fn csb_messages(
 /// # Errors
 ///
 /// Returns [`WorkloadError`] for out-of-range sizes, slot counts past the
-/// I/O window, or a zero attempt budget.
+/// I/O window, a zero attempt budget, or a backoff delay past `i64::MAX`.
 pub fn lock_messages(
     spec: MessagingSpec,
     policy: RetryPolicy,
     cfg: &SimConfig,
 ) -> Result<Program, WorkloadError> {
-    spec.validate(cfg)?;
-    let attempts = match policy {
-        RetryPolicy::NaiveSpin => u64::MAX,
-        RetryPolicy::Bounded { attempts } | RetryPolicy::Backoff { attempts, .. } => attempts,
-    };
-    if attempts == 0 {
-        return Err(WorkloadError::BadDwords {
-            dwords: spec.payload_dwords,
-            max: cfg.line() / 8 - 1,
-        });
-    }
     let mut a = Assembler::new();
     a.movi(Reg::O0, LOCK_ADDR as i64);
     a.movi(Reg::O1, UNCACHED_BASE as i64);
+    let sent = |a: &mut Assembler, off| locked_access(a, |a| spec.frame(a, off));
+    messages(a, spec, policy, cfg, |a, _| lock_attempt(a), sent)
+}
+
+/// The stream both messaging senders share. Each message loads its header
+/// into `%l2` and its payload pattern into `%l1`, retries `attempt` under
+/// `policy`, then runs `sent`; both get the message's slot offset. A
+/// message whose budget runs out abandons the rest of the stream (later
+/// messages would arrive out of order otherwise).
+fn messages(
+    mut a: Assembler,
+    spec: MessagingSpec,
+    policy: RetryPolicy,
+    cfg: &SimConfig,
+    attempt: impl Fn(&mut Assembler, i64),
+    sent: impl Fn(&mut Assembler, i64),
+) -> Result<Program, WorkloadError> {
+    spec.validate(cfg)?;
     a.mark(MARK_START);
     let give_up = a.new_label();
     for m in 0..spec.count {
         let seq = m as u16;
-        let line_off = ((m % spec.slots) * cfg.line()) as i64;
+        let off = ((m % spec.slots) * cfg.line()) as i64;
         let header = csb_nic::encode_header((spec.payload_dwords * 8) as u16, seq, spec.sender);
         a.movi(Reg::L2, header as i64);
         a.movi(Reg::L1, MessagingSpec::payload_pattern(seq) as i64);
-        let acquired = a.new_label();
-        if matches!(policy, RetryPolicy::NaiveSpin) {
-            let retry = a.new_label();
-            a.bind(retry)?;
-            a.movi(Reg::L0, 1);
-            a.swap(Reg::L0, Reg::O0, 0);
-            a.cmpi(Reg::L0, 0);
-            a.bnz(retry);
-        } else {
-            for attempt in 0..attempts {
-                a.movi(Reg::L0, 1);
-                a.swap(Reg::L0, Reg::O0, 0);
-                a.cmpi(Reg::L0, 0);
-                a.bz(acquired);
-                if attempt + 1 == attempts {
-                    continue;
-                }
-                if let RetryPolicy::Backoff {
-                    base, max, seed, ..
-                } = policy
-                {
-                    let delay = (base << attempt.min(63)).min(max.max(base));
-                    let delay = delay + backoff_jitter(seed, attempt, delay / 2 + 1);
-                    if delay > 0 {
-                        let spin = a.new_label();
-                        a.movi(Reg::L0, delay as i64);
-                        a.bind(spin)?;
-                        a.alui(csb_isa::AluOp::Sub, Reg::L0, Reg::L0, 1);
-                        a.cmpi(Reg::L0, 0);
-                        a.bnz(spin);
-                    }
-                }
-            }
+        let done = a.new_label();
+        retry(&mut a, policy, done, |a| attempt(a, off))?;
+        if policy != RetryPolicy::NaiveSpin {
+            // This message's budget is gone: abandon the whole stream.
             a.ba(give_up);
         }
-        a.bind(acquired)?;
-        a.membar();
-        a.std(Reg::L2, Reg::O1, line_off);
-        for i in 0..spec.payload_dwords {
-            a.std(Reg::L1, Reg::O1, line_off + 8 * (i as i64 + 1));
-        }
-        // The lock may be released only after the last store has left the
-        // uncached buffer.
-        a.membar();
-        a.std(Reg::G0, Reg::O0, 0); // release: store 0 (cached)
+        a.bind(done)?;
+        sent(&mut a, off);
     }
     a.mark(MARK_END);
     a.halt();
@@ -866,7 +617,6 @@ pub fn random_mixed(seed: u64, mix: RandomMix, cfg: &SimConfig) -> Result<Progra
     use rand::{Rng, SeedableRng};
 
     let mut rng = StdRng::seed_from_u64(seed);
-    let line = cfg.line() as i64;
     let per_line = (cfg.line() / 8) as i64;
     let mut a = Assembler::new();
     a.movi(Reg::O0, 0x4000); // cached scratch
@@ -882,7 +632,7 @@ pub fn random_mixed(seed: u64, mix: RandomMix, cfg: &SimConfig) -> Result<Progra
         if !is_mem {
             // ALU filler over scratch registers L2/L3.
             let dst = if rng.gen_bool(0.5) { Reg::L2 } else { Reg::L3 };
-            a.alui(csb_isa::AluOp::Add, dst, Reg::L1, rng.gen_range(0..64));
+            a.alui(AluOp::Add, dst, Reg::L1, rng.gen_range(0..64));
             emitted += 1;
             continue;
         }
@@ -914,12 +664,9 @@ pub fn random_mixed(seed: u64, mix: RandomMix, cfg: &SimConfig) -> Result<Progra
                 csb_pending += 1;
                 // Commit with some probability, or when the budget is rich.
                 if csb_pending > 0 && (rng.gen_bool(0.3) || csb_pending == per_line) {
-                    let retry = a.new_label();
-                    a.bind(retry)?;
-                    a.movi(Reg::L4, csb_pending);
-                    a.swap(Reg::L4, Reg::O2, 0);
-                    a.cmpi(Reg::L4, csb_pending);
-                    a.bnz(retry);
+                    retry_loop(&mut a, |a| {
+                        csb_attempt(a, Reg::O2, 0, csb_pending as usize, |_| {})
+                    })?;
                     csb_pending = 0;
                 }
             }
@@ -928,20 +675,190 @@ pub fn random_mixed(seed: u64, mix: RandomMix, cfg: &SimConfig) -> Result<Progra
             a.membar();
         }
         emitted += 1;
-        let _ = line; // line retained for clarity in offsets above
     }
     // Close any open combining sequence so the run drains fully.
     if csb_pending > 0 {
-        let retry = a.new_label();
-        a.bind(retry)?;
-        a.movi(Reg::L4, csb_pending);
-        a.swap(Reg::L4, Reg::O2, 0);
-        a.cmpi(Reg::L4, csb_pending);
-        a.bnz(retry);
+        retry_loop(&mut a, |a| {
+            csb_attempt(a, Reg::O2, 0, csb_pending as usize, |_| {})
+        })?;
     }
+    finish(a)
+}
+
+/// `Ok` when `1 <= dwords <= max`.
+fn check_dwords(dwords: usize, max: usize) -> Result<(), WorkloadError> {
+    if dwords == 0 || dwords > max {
+        return Err(WorkloadError::BadDwords { dwords, max });
+    }
+    Ok(())
+}
+
+/// The lock kernels' registers: the lock word in `%o0`, the device in
+/// `%o1`, the store value in `%l1`.
+fn lock_prologue() -> Assembler {
+    let mut a = Assembler::new();
+    a.movi(Reg::O0, LOCK_ADDR as i64);
+    a.movi(Reg::O1, UNCACHED_BASE as i64);
+    a.movi(Reg::L1, 0x6262_6262_6262_6262u64 as i64);
+    a
+}
+
+/// The CSB kernels' registers — the combining line in `%o1`, the store
+/// value in `%l1` — and the start mark.
+fn csb_prologue() -> Assembler {
+    let mut a = Assembler::new();
+    a.movi(Reg::O1, COMBINING_BASE as i64);
+    a.movi(Reg::L1, 0x6262_6262_6262_6262u64 as i64);
+    a.mark(MARK_START);
+    a
+}
+
+/// Retires the end mark, halts, and assembles.
+fn finish(mut a: Assembler) -> Result<Program, WorkloadError> {
     a.mark(MARK_END);
     a.halt();
     Ok(a.assemble()?)
+}
+
+/// `iterations` passes of `body` between the timing marks, counted down in
+/// `%l5`.
+fn worker(
+    mut a: Assembler,
+    iterations: usize,
+    body: impl FnOnce(&mut Assembler) -> Result<(), WorkloadError>,
+) -> Result<Program, WorkloadError> {
+    a.movi(Reg::L5, iterations as i64);
+    a.mark(MARK_START);
+    let outer = a.new_label();
+    a.bind(outer)?;
+    body(&mut a)?;
+    a.alui(AluOp::Sub, Reg::L5, Reg::L5, 1);
+    a.cmpi(Reg::L5, 0);
+    a.bnz(outer);
+    finish(a)
+}
+
+/// Stores `%l1` into `dwords` consecutive doublewords from `off(base)`.
+fn store_dwords(a: &mut Assembler, base: Reg, off: i64, dwords: usize) {
+    for i in 0..dwords {
+        a.std(Reg::L1, base, off + 8 * i as i64);
+    }
+}
+
+/// One lock-acquire attempt (§4.2): swap 1 into the lock word at `%o0`.
+/// The condition codes read "equal" when the old value was 0, i.e. the
+/// lock is now held.
+fn lock_attempt(a: &mut Assembler) {
+    a.movi(Reg::L0, 1);
+    a.swap(Reg::L0, Reg::O0, 0);
+    a.cmpi(Reg::L0, 0);
+}
+
+/// The device access under the held lock at `%o0`: a barrier between the
+/// acquire and the device stores, `stores`, then a barrier so the release
+/// (a cached store of 0) waits until the last uncached store has left the
+/// uncached buffer.
+fn locked_access(a: &mut Assembler, stores: impl FnOnce(&mut Assembler)) {
+    a.membar();
+    stores(a);
+    a.membar();
+    a.std(Reg::G0, Reg::O0, 0);
+}
+
+/// One CSB attempt (§3.2): arm the expected store count in `%l4`, issue
+/// `stores` into the combining line at `off(base)`, conditionally flush
+/// the line, and compare. The condition codes read "equal" when all
+/// `count` stores left as one burst.
+fn csb_attempt(
+    a: &mut Assembler,
+    base: Reg,
+    off: i64,
+    count: usize,
+    stores: impl FnOnce(&mut Assembler),
+) {
+    a.movi(Reg::L4, count as i64);
+    stores(a);
+    a.swap(Reg::L4, base, off);
+    a.cmpi(Reg::L4, count as i64);
+}
+
+/// The CSB attempt of the single-line kernels: `dwords` stores of `%l1`
+/// from the start of the line at `%o1`.
+fn line_attempt(dwords: usize) -> impl Fn(&mut Assembler) {
+    move |a| {
+        csb_attempt(a, Reg::O1, 0, dwords, |a| {
+            store_dwords(a, Reg::O1, 0, dwords)
+        })
+    }
+}
+
+/// The paper's §3.2 retry loop, `retry: attempt; bnz retry`: repeats
+/// `attempt` until it leaves "equal" in the condition codes.
+fn retry_loop(
+    a: &mut Assembler,
+    attempt: impl FnOnce(&mut Assembler),
+) -> Result<(), WorkloadError> {
+    let retry = a.new_label();
+    a.bind(retry)?;
+    attempt(a);
+    a.bnz(retry);
+    Ok(())
+}
+
+/// Repeats `attempt` under `policy` until it leaves "equal" in the
+/// condition codes, then continues at `done`. [`RetryPolicy::NaiveSpin`]
+/// is the [`retry_loop`], which never reaches `done` through a branch.
+/// A bounded policy emits one copy of `attempt` per attempt, each followed
+/// by `bz done` and, under [`RetryPolicy::Backoff`], by the jittered delay
+/// loop before the next copy; it falls through once its budget is spent.
+///
+/// The delay after failure `k` is `min(base · 2^k, max(base, max))`
+/// iterations, saturating rather than wrapping, plus jitter. It counts
+/// down `%l0` in the `sub; cmp #0; bnz` shape that periodic fast-forward
+/// recognises, and this is the one place a delay loop is written.
+fn retry(
+    a: &mut Assembler,
+    policy: RetryPolicy,
+    done: Label,
+    attempt: impl Fn(&mut Assembler),
+) -> Result<(), WorkloadError> {
+    let attempts = match policy {
+        RetryPolicy::NaiveSpin => return retry_loop(a, attempt),
+        RetryPolicy::Bounded { attempts } | RetryPolicy::Backoff { attempts, .. } => attempts,
+    };
+    if attempts == 0 {
+        return Err(WorkloadError::ZeroBudget);
+    }
+    for k in 0..attempts {
+        attempt(a);
+        a.bz(done);
+        // No delay after the last failure: the caller gives up at once.
+        let RetryPolicy::Backoff {
+            base, max, seed, ..
+        } = policy
+        else {
+            continue;
+        };
+        if k + 1 == attempts {
+            break;
+        }
+        let delay = base
+            .saturating_mul(2u64.saturating_pow(k.min(64) as u32))
+            .min(max.max(base));
+        let delay = delay
+            .checked_add(backoff_jitter(seed, k, delay / 2 + 1))
+            .and_then(|d| i64::try_from(d).ok())
+            .ok_or(WorkloadError::DelayOverflow { failure: k })?;
+        if delay > 0 {
+            let spin = a.new_label();
+            a.movi(Reg::L0, delay);
+            a.bind(spin)?;
+            a.alui(AluOp::Sub, Reg::L0, Reg::L0, 1);
+            a.cmpi(Reg::L0, 0);
+            a.bnz(spin);
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -1088,6 +1005,79 @@ mod tests {
         ));
         assert!(csb_messages(msg_spec(), RetryPolicy::Bounded { attempts: 0 }, &cfg).is_err());
         assert!(lock_messages(msg_spec(), RetryPolicy::Bounded { attempts: 0 }, &cfg).is_err());
+    }
+
+    #[test]
+    fn zero_budgets_are_reported_as_budgets() {
+        let cfg = SimConfig::default();
+        let bounded = RetryPolicy::Bounded { attempts: 0 };
+        let backoff = RetryPolicy::Backoff {
+            attempts: 0,
+            base: 32,
+            max: 1024,
+            seed: 1,
+        };
+        for result in [
+            csb_sequence_with_policy(4, bounded, &cfg),
+            csb_sequence_with_fallback(4, 0, &cfg),
+            csb_messages(msg_spec(), bounded, &cfg),
+            lock_messages(msg_spec(), backoff, &cfg),
+        ] {
+            let e = result.unwrap_err();
+            assert_eq!(e, WorkloadError::ZeroBudget);
+            assert!(e.to_string().contains("budget"), "{e}");
+        }
+        // A size outside the line is still reported as the size.
+        assert_eq!(
+            csb_sequence_with_fallback(9, 0, &cfg).unwrap_err(),
+            WorkloadError::BadDwords { dwords: 9, max: 8 }
+        );
+    }
+
+    #[test]
+    fn backoff_delays_saturate_instead_of_wrapping() {
+        let cfg = SimConfig::default();
+        let extremes = [0, 1, 32, 1 << 40, i64::MAX as u64, u64::MAX];
+        for attempts in 1..=70u64 {
+            for base in extremes {
+                for max in extremes {
+                    let policy = RetryPolicy::Backoff {
+                        attempts,
+                        base,
+                        max,
+                        seed: 1,
+                    };
+                    // min(base · 2^k, max(base, max)), without overflow.
+                    let floor =
+                        |k: u64| (u128::from(base) << k.min(64)).min(u128::from(max.max(base)));
+                    match csb_sequence_with_policy(4, policy, &cfg) {
+                        Ok(p) => {
+                            // Only the delay loops load %l0 in a CSB kernel.
+                            let delays: Vec<i64> = p
+                                .iter()
+                                .filter_map(|inst| match *inst {
+                                    csb_isa::Inst::Movi { dst: Reg::L0, imm } => Some(imm),
+                                    _ => None,
+                                })
+                                .collect();
+                            if base >= 1 {
+                                assert_eq!(delays.len() as u64, attempts - 1, "{policy:?}");
+                            }
+                            for (k, &delay) in (0u64..).zip(&delays) {
+                                assert!(delay >= 0, "{policy:?}: delay {k} is {delay}");
+                                assert!(delay as u128 >= floor(k), "{policy:?}: delay {k}");
+                            }
+                        }
+                        Err(WorkloadError::DelayOverflow { failure }) => {
+                            // The jitter adds at most half the delay.
+                            let f = floor(failure);
+                            assert!(f + f / 2 > i64::MAX as u128, "{policy:?}: {failure}");
+                        }
+                        Err(e) => panic!("{policy:?}: {e}"),
+                    }
+                }
+            }
+        }
     }
 
     #[test]

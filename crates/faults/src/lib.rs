@@ -3,7 +3,7 @@
 //! The CSB's conditional flush is an *optimistic* protocol: the paper's
 //! lock-free I/O claim rests on software retrying a flush that a
 //! competing access disturbed. To quantify how that optimism degrades,
-//! this crate provides a [`FaultSchedule`]: a reproducible schedule of
+//! this crate provides a [`FaultConfig`]: a reproducible schedule of
 //! injected faults derived entirely from a `u64` seed plus per-kind rate
 //! and window parameters — no wall clock, no global RNG, no
 //! injection-site state beyond a per-kind ordinal counter.

@@ -129,8 +129,8 @@ pub struct SnapshotWriter {
 }
 
 impl SnapshotWriter {
-    /// An empty, unframed writer (for cache-entry payloads the caller
-    /// frames itself via [`frame`]).
+    /// An empty, unframed writer (for cache-entry payloads, which the
+    /// caller frames itself).
     pub fn new() -> Self {
         SnapshotWriter { buf: Vec::new() }
     }
