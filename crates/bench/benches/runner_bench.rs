@@ -1,5 +1,5 @@
-//! Simulated-cycles-per-second of the naive loop vs. fast-forward on six
-//! figure, fault-sweep and contention points.
+//! Simulated-cycles-per-second of the naive loop vs. fast-forward on seven
+//! figure, fault-sweep, messaging-sweep and contention points.
 //!
 //! Run with `cargo bench -p csb-bench --bench runner_bench`; the sweep is
 //! written to `BENCH_sim_throughput.json` in the workspace root (the

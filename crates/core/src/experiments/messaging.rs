@@ -272,6 +272,28 @@ fn spec(size: usize) -> MessagingSpec {
     }
 }
 
+/// Readies `slot` for one point of the sweep: `policy` on `path` with
+/// `size`-doubleword messages at disturb rate `rate` under the fault
+/// schedule of `seed`, not yet run. The sweep also records metrics on
+/// every point; the caller enables them.
+pub(crate) fn install_point(
+    slot: &mut Option<Simulator>,
+    path: SendPath,
+    size: usize,
+    policy: RetryPolicy,
+    rate: f64,
+    seed: u64,
+) -> Result<&mut Simulator, ExpError> {
+    MessagingPoint {
+        path,
+        size,
+        policy,
+        rate,
+        seed,
+    }
+    .install(slot)
+}
+
 /// One seeded (path, size, rate, policy) point of the sweep.
 pub(super) struct MessagingPoint {
     pub(super) path: SendPath,

@@ -1,6 +1,7 @@
 //! Simulated-cycles-per-second throughput measurement: the naive
 //! cycle-by-cycle loop vs. event-driven fast-forward, on representative
-//! figure points and one delay-loop point of the fault sweep.
+//! figure points and one delay-loop point each of the fault and the
+//! messaging sweep.
 //!
 //! What is timed is the sweep engine's steady-state per-point cost: one
 //! simulator is cold-constructed (and its caches faulted in) *outside*
@@ -20,6 +21,7 @@ use std::time::Instant;
 
 use serde::Serialize;
 
+use super::messaging::{self, SendPath};
 use super::runner::{PointSpec, PointWork};
 use super::{contend, faults, fig4, fig5, ExpError, Scheme, POINT_LIMIT};
 use crate::config::SimConfig;
@@ -73,14 +75,14 @@ impl ThroughputReport {
     /// Plain-text rendering for the bench's stderr output.
     pub fn render(&self) -> String {
         let mut out = String::from(
-            "point                    sim cycles   naive Mc/s      ff Mc/s   speedup  ff ticks  ff jumps\n",
+            "point                            sim cycles   naive Mc/s      ff Mc/s   speedup  ff ticks  ff jumps\n",
         );
         for p in &self.points {
             let jumps = p
                 .ff_jumps
                 .map_or_else(|| "-".to_string(), |j| j.to_string());
             out.push_str(&format!(
-                "{:<24} {:>10} {:>12.2} {:>12.2} {:>8.2}x {:>9} {:>9}\n",
+                "{:<32} {:>10} {:>12.2} {:>12.2} {:>8.2}x {:>9} {:>9}\n",
                 p.label,
                 p.sim_cycles,
                 p.naive_cycles_per_sec / 1e6,
@@ -216,6 +218,14 @@ impl Timed for PointSpec {
     }
 }
 
+/// The `backoff-12` policy the fault and messaging sweeps share.
+fn backoff() -> RetryPolicy {
+    faults::policies()
+        .into_iter()
+        .find(|p| matches!(p, RetryPolicy::Backoff { .. }))
+        .expect("the fault and messaging sweeps have a backoff policy")
+}
+
 /// The point [`BACKOFF_POINT_LABEL`] names.
 pub(super) struct BackoffPoint;
 
@@ -225,11 +235,36 @@ impl Timed for BackoffPoint {
     }
 
     fn install<'s>(&self, slot: &'s mut Option<Simulator>) -> Result<&'s mut Simulator, ExpError> {
-        let backoff = faults::policies()
-            .into_iter()
-            .find(|p| matches!(p, RetryPolicy::Backoff { .. }))
-            .expect("the fault sweep has a backoff policy");
-        faults::install_point(slot, backoff, 0.9, BACKOFF_POINT_SEED)
+        faults::install_point(slot, backoff(), 0.9, BACKOFF_POINT_SEED)
+    }
+}
+
+/// The bench's messaging delay-loop point, the slowest point of the
+/// messaging sweep: the CSB sender's `backoff-12` policy with one-dword
+/// messages at disturb rate 0.9, under a seed whose sender enters the
+/// backoff delay loop many times, from a few distinct pipeline states.
+/// The first loop from each state ticks through its warm-up; the later
+/// ones replay it and jump straight into the periodic skip. Metrics
+/// record, as on every point of the sweep.
+pub const MESSAGING_POINT_LABEL: &str = "messaging/csb/8B/r90/backoff-12";
+
+/// The fault-schedule seed of [`MESSAGING_POINT_LABEL`]: the first seed
+/// of that cell of the messaging sweep.
+const MESSAGING_POINT_SEED: u64 = 0x0e2e_0000 + 102_000;
+
+/// The point [`MESSAGING_POINT_LABEL`] names.
+pub(super) struct MessagingPoint;
+
+impl Timed for MessagingPoint {
+    fn label(&self) -> String {
+        MESSAGING_POINT_LABEL.to_string()
+    }
+
+    fn install<'s>(&self, slot: &'s mut Option<Simulator>) -> Result<&'s mut Simulator, ExpError> {
+        let sim =
+            messaging::install_point(slot, SendPath::Csb, 1, backoff(), 0.9, MESSAGING_POINT_SEED)?;
+        sim.enable_metrics();
+        Ok(sim)
     }
 }
 
@@ -479,8 +514,9 @@ pub fn sched_point(samples: usize, reps: usize) -> Result<ThroughputPoint, ExpEr
     })
 }
 
-/// Measures every [`default_points`] spec, the delay-loop point
-/// ([`BACKOFF_POINT_LABEL`]), and the many-core scheduler point
+/// Measures every [`default_points`] spec, the delay-loop points
+/// ([`BACKOFF_POINT_LABEL`], [`MESSAGING_POINT_LABEL`]), and the many-core
+/// scheduler point
 /// ([`sched_point`] — heap vs. round-robin rather than fast-forward vs.
 /// naive, reported through the same before/after row).
 ///
@@ -493,6 +529,7 @@ pub fn measure(samples: usize, reps: usize) -> Result<ThroughputReport, ExpError
         .map(|spec| measure_point(spec, samples, reps))
         .collect::<Result<Vec<_>, _>>()?;
     points.push(measure_timed(&BackoffPoint, samples, reps)?);
+    points.push(measure_timed(&MessagingPoint, samples, reps)?);
     points.push(sched_point(samples, reps)?);
     Ok(ThroughputReport {
         samples,
@@ -577,6 +614,19 @@ mod tests {
     fn backoff_point_spends_its_cycles_in_skipped_delay_loops() {
         let p = measure_timed(&BackoffPoint, 1, 1).expect("backoff point simulates");
         assert_eq!(p.label, BACKOFF_POINT_LABEL);
+        let jumps = p.ff_jumps.expect("single-core points count jumps");
+        assert!(
+            p.ff_ticks * 10 < p.sim_cycles && jumps > 0,
+            "{} ticks and {jumps} jumps over {} cycles",
+            p.ff_ticks,
+            p.sim_cycles
+        );
+    }
+
+    #[test]
+    fn messaging_point_replays_its_delay_loop_warm_ups() {
+        let p = measure_timed(&MessagingPoint, 1, 1).expect("messaging point simulates");
+        assert_eq!(p.label, MESSAGING_POINT_LABEL);
         let jumps = p.ff_jumps.expect("single-core points count jumps");
         assert!(
             p.ff_ticks * 10 < p.sim_cycles && jumps > 0,

@@ -714,8 +714,9 @@ pub struct Cpu {
     /// retired something, or started a memory action. Carried in
     /// snapshot frames.
     worked: bool,
-    /// Observations of the countdown loop at the ROB head, for periodic
-    /// fast-forward (see [`Cpu::skip_loop_periods`]). Never serialized.
+    /// Observations of the countdown loop at the ROB head and the warm-up
+    /// spans of the run's loops, for periodic fast-forward (see
+    /// [`Cpu::skip_loop_periods`]). Never serialized.
     detector: LoopDetector,
 }
 
@@ -788,7 +789,7 @@ impl Cpu {
         self.uncached_stall_start = None;
         self.membar_stall_start = None;
         self.worked = false;
-        self.detector.reset();
+        self.detector.forget();
     }
 
     /// Serializes the core's complete microarchitectural state: committed
@@ -1056,7 +1057,7 @@ impl Cpu {
         self.uncached_stall_start = r.take_opt_u64()?;
         self.membar_stall_start = r.take_opt_u64()?;
         self.worked = r.take_bool()?;
-        self.detector.reset();
+        self.detector.forget();
         Ok(())
     }
 

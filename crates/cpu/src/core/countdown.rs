@@ -16,10 +16,17 @@
 //! `1..=i64::MAX`. A period's `cmp`s read no counter value smaller than
 //! the smallest one in the current state, so a jump of `k` periods is
 //! exact while that value minus `k × D` is still at least 1.
+//!
+//! The steady state comes only after a warm-up of some dozens of cycles,
+//! which [`memo`] records once per loop-entry state and replays after.
+//! Once no further skip can come before the loop exits, the detector
+//! stops observing until it resets.
 
 use csb_isa::{AluOp, Cond, Inst, Operand, Reg, RegRef};
 
 use super::{Cpu, Src, St};
+
+mod memo;
 
 /// The longest loop period, in cycles, the detector looks for.
 pub(super) const LOOP_HISTORY: usize = 12;
@@ -30,6 +37,8 @@ pub(super) const LOOP_HISTORY: usize = 12;
 struct CountdownLoop {
     start: usize,
     reg: Reg,
+    /// The decrement `c`.
+    step: u64,
 }
 
 impl CountdownLoop {
@@ -69,17 +78,32 @@ pub(super) struct LoopDetector {
     /// `true` once the fetch pc and every fetch-queue and ROB entry were
     /// seen to lie in the loop body (see [`Cpu::in_loop_body`]).
     in_body: bool,
+    /// `true` once no skip can come before the loop exits: nothing is
+    /// observed until the next reset.
+    dormant: bool,
     /// Ring of the last `len` observations, the newest at `newest`.
     ring: Vec<Observation>,
     newest: usize,
     len: usize,
+    /// Warm-up spans recorded in this run. A reset leaves them.
+    memo: memo::Memo,
 }
 
 impl LoopDetector {
+    /// Starts over for the next loop: drops the observations and any span
+    /// being recorded, and keeps the memo.
     pub(super) fn reset(&mut self) {
         self.lp = None;
         self.in_body = false;
+        self.dormant = false;
         self.len = 0;
+        self.memo.abandon();
+    }
+
+    /// [`LoopDetector::reset`] for a new run: empties the memo too.
+    pub(super) fn forget(&mut self) {
+        self.reset();
+        self.memo.clear();
     }
 
     /// The observation `back` cycles before the newest.
@@ -161,11 +185,21 @@ impl Cpu {
     /// skipped while the structured trace or the pipeline trace records,
     /// since the skipped ticks would owe them per-instruction events, or
     /// while a stall run is open.
+    ///
+    /// At the loop's first observation with every fetched instruction in
+    /// its body, the warm-up up to its steady state may be a span the core
+    /// recorded earlier in the run from an equal state: the span's end
+    /// state is installed and its skip taken in the same call, which then
+    /// covers the span too. The recorded spans belong to the run: a warm
+    /// reset or a restore forgets them, a context switch keeps them.
     #[inline]
     pub fn skip_loop_periods(&mut self, max_cycles: u64, max_period: u64) -> u64 {
         // Most cycles end here: the head is no instruction of such a loop.
         if !self.rob.front().is_some_and(|head| loop_shaped(&head.inst)) {
             self.detector.reset();
+            return 0;
+        }
+        if self.detector.dormant {
             return 0;
         }
         self.observe_loop(max_cycles, max_period)
@@ -194,6 +228,9 @@ impl Cpu {
                 return 0;
             }
             self.detector.in_body = true;
+            if let Some(skipped) = self.enter_loop(lp, max_cycles, max_period) {
+                return skipped;
+            }
         }
         let d = &self.detector;
         let fresh = d.len == 0 || d.at(0).cycle != self.now;
@@ -205,6 +242,7 @@ impl Cpu {
             let counter = self.ctx.int_reg(lp.reg);
             self.detector
                 .push(self.now, self.stats.retired, counter, signature);
+            self.detector.memo.note(self.now, self.stats.retired);
         }
         let Some(period) = self.loop_period(lp) else {
             return 0;
@@ -214,24 +252,36 @@ impl Cpu {
         let p = period as u64;
         let per_retired = cur.retired - old.retired;
         let drop = old.counter.wrapping_sub(cur.counter);
+        let (low, high) = (cur.low, cur.high);
         // The period's last tick must retire, so the watchdog's progress
         // stamp after the jump is the post-jump cycle, as it would be.
-        if p > max_period || cur.retired == last.retired || per_retired == 0 {
+        let settled =
+            cur.retired != last.retired && per_retired > 0 && drop != 0 && drop <= i64::MAX as u64;
+        if settled && d.memo.recording() {
+            self.finish_recording(lp, p, per_retired, drop);
+        }
+        if !settled || p > max_period || high > i64::MAX - drop as i64 {
             return 0;
         }
-        if drop == 0 || drop > i64::MAX as u64 || cur.low < 1 || cur.high > i64::MAX - drop as i64 {
+        // The counter only falls: once it is too small for a period, it
+        // stays so until the loop exits.
+        let most = if low < 1 { 0 } else { (low - 1) as u64 / drop };
+        if most == 0 {
+            self.detector.dormant = true;
             return 0;
         }
-        let k = ((cur.low - 1) as u64 / drop).min(max_cycles / p);
+        let k = most.min(max_cycles / p);
         if k == 0 {
             return 0;
         }
+        let d = &self.detector;
         for o in 0..period {
             let n = d.at(period - o - 1).retired - d.at(period - o).retired;
             self.metrics
                 .timeline_retired_every(self.now + o as u64, p, k, n);
         }
         self.shift_loop_state(lp, k * p, k * per_retired, k.wrapping_mul(drop));
+        self.detector.dormant = k == most;
         k * p
     }
 
@@ -247,13 +297,13 @@ impl Cpu {
             Inst::Cmp { .. } => head.pc.checked_sub(1)?,
             _ => head.pc.checked_sub(2)?,
         };
-        let reg = match self.program.fetch(start)? {
+        let (reg, step) = match self.program.fetch(start)? {
             Inst::Alu {
                 op: AluOp::Sub,
                 dst,
                 a,
                 b: Operand::Imm(c),
-            } if dst == a && !dst.is_zero() && c >= 1 => dst,
+            } if dst == a && !dst.is_zero() && c >= 1 => (dst, c as u64),
             _ => return None,
         };
         let cmp = self.program.fetch(start + 1)?;
@@ -264,7 +314,7 @@ impl Cpu {
             a: reg,
             b: Operand::Imm(0),
         } && closes)
-            .then_some(CountdownLoop { start, reg })
+            .then_some(CountdownLoop { start, reg, step })
     }
 
     /// `true` when the fetch pc and every fetch-queue and ROB entry lie in

@@ -57,7 +57,10 @@ impl std::error::Error for ProgramError {}
 #[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct Program {
     insts: Vec<Inst>,
-    targets: HashMap<u32, usize>,
+    /// The instruction index of each label, indexed by label id
+    /// (`usize::MAX` for an id the program never binds, which assembly
+    /// guarantees no branch names).
+    targets: Vec<usize>,
 }
 
 impl Program {
@@ -84,7 +87,7 @@ impl Program {
     /// every branch target resolves).
     pub fn branch_target(&self, inst: &Inst) -> usize {
         match inst {
-            Inst::Branch { target, .. } => self.targets[&target.0],
+            Inst::Branch { target, .. } => self.targets[target.0 as usize],
             other => panic!("branch_target called on non-branch {other}"),
         }
     }
@@ -323,9 +326,14 @@ impl Assembler {
                 }
             }
         }
+        let labels = self.bound.keys().max().map_or(0, |&id| id as usize + 1);
+        let mut targets = vec![usize::MAX; labels];
+        for (&id, &pc) in &self.bound {
+            targets[id as usize] = pc;
+        }
         Ok(Program {
             insts: self.insts,
-            targets: self.bound,
+            targets,
         })
     }
 }

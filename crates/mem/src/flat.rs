@@ -69,23 +69,35 @@ impl FlatMemory {
         old
     }
 
-    /// Copies bytes out of memory into `buf`.
+    /// Copies bytes out of memory into `buf`, one chunk lookup per chunk
+    /// the range touches.
     pub fn read_bytes(&self, addr: csb_isa::Addr, buf: &mut [u8]) {
         let mut a = addr.raw();
-        for b in buf.iter_mut() {
+        let mut rest = buf;
+        while !rest.is_empty() {
             let (base, off) = (a & !(CHUNK - 1), (a & (CHUNK - 1)) as usize);
-            *b = self.chunks.get(&base).map_or(0, |c| c[off]);
-            a = a.wrapping_add(1);
+            let n = rest.len().min(CHUNK as usize - off);
+            let (part, tail) = rest.split_at_mut(n);
+            match self.chunks.get(&base) {
+                Some(c) => part.copy_from_slice(&c[off..off + n]),
+                None => part.fill(0),
+            }
+            rest = tail;
+            a = a.wrapping_add(n as u64);
         }
     }
 
-    /// Copies `buf` into memory.
+    /// Copies `buf` into memory, one chunk lookup per chunk the range
+    /// touches.
     pub fn write_bytes(&mut self, addr: csb_isa::Addr, buf: &[u8]) {
         let mut a = addr.raw();
-        for &b in buf {
+        let mut rest = buf;
+        while !rest.is_empty() {
             let (base, off) = (a & !(CHUNK - 1), (a & (CHUNK - 1)) as usize);
-            self.chunk_mut(base)[off] = b;
-            a = a.wrapping_add(1);
+            let n = rest.len().min(CHUNK as usize - off);
+            self.chunk_mut(base)[off..off + n].copy_from_slice(&rest[..n]);
+            rest = &rest[n..];
+            a = a.wrapping_add(n as u64);
         }
     }
 
@@ -203,6 +215,33 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn zero_width_rejected() {
         FlatMemory::new().read(Addr::new(0), 0);
+    }
+
+    #[test]
+    fn byte_slices_cross_a_chunk_edge_into_an_untouched_chunk() {
+        let mut m = FlatMemory::new();
+        let edge = 3 * CHUNK;
+        m.write(Addr::new(edge - 8), 8, u64::MAX);
+        // Starts in a touched chunk, ends in one nothing has written.
+        let mut buf = [0xaau8; 12];
+        m.read_bytes(Addr::new(edge - 4), &mut buf);
+        assert_eq!(buf, [0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0, 0, 0, 0, 0]);
+        assert_eq!(m.touched_chunks(), 1, "reads allocate nothing");
+        let data: Vec<u8> = (1..=10).collect();
+        m.write_bytes(Addr::new(edge - 3), &data);
+        assert_eq!(m.touched_chunks(), 2);
+        let mut back = [0u8; 14];
+        m.read_bytes(Addr::new(edge - 5), &mut back);
+        assert_eq!(back, [0xff, 0xff, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 0, 0]);
+        // A range wider than a chunk spans three of them.
+        let wide = vec![7u8; CHUNK as usize + 2];
+        m.write_bytes(Addr::new(8 * CHUNK - 1), &wide);
+        assert_eq!(m.touched_chunks(), 5);
+        let mut out = vec![0u8; CHUNK as usize + 4];
+        m.read_bytes(Addr::new(8 * CHUNK - 2), &mut out);
+        assert_eq!(out[0], 0);
+        assert!(out[1..=CHUNK as usize + 2].iter().all(|&b| b == 7));
+        assert_eq!(out[CHUNK as usize + 3], 0);
     }
 
     #[test]

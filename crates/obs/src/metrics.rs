@@ -342,6 +342,16 @@ impl MetricsRegistry {
         }
     }
 
+    /// Records `counts[i]` retirements at cycle `first + i` into the
+    /// timeline in one call (see [`Timeline::record_retired_at`]) — how a
+    /// replayed loop warm-up accounts for the retirements of the cycles
+    /// it installs.
+    pub fn timeline_retired_at(&self, first: u64, counts: &[u8]) {
+        if let Some(i) = &self.inner {
+            i.borrow_mut().timeline.record_retired_at(first, counts);
+        }
+    }
+
     /// The named counter's current value (0 if absent or disabled).
     pub fn counter(&self, name: &str) -> u64 {
         self.inner

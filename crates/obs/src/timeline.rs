@@ -158,6 +158,28 @@ impl Timeline {
         }
     }
 
+    /// Accumulates `counts[i]` retirements at cycle `first + i` for every
+    /// `i` — the windows those single [`TimelineEvent::Retired`] records
+    /// would fill, added in one pass. Like
+    /// [`Timeline::record_retired_every`], it coarsens for the last
+    /// cycle up front.
+    pub fn record_retired_at(&mut self, first: u64, counts: &[u8]) {
+        let Some(last) = counts.iter().rposition(|&n| n > 0) else {
+            return;
+        };
+        let last = first + last as u64;
+        while last / self.window_cycles >= TIMELINE_WINDOWS as u64 {
+            self.coarsen();
+        }
+        let last_idx = (last / self.window_cycles) as usize;
+        if self.windows.len() <= last_idx {
+            self.windows.resize(last_idx + 1, WindowStats::default());
+        }
+        for (cycle, &n) in (first..).zip(counts) {
+            self.windows[(cycle / self.window_cycles) as usize].retired += u64::from(n);
+        }
+    }
+
     /// Doubles the window width, folding adjacent window pairs together.
     /// Sums across windows are preserved exactly.
     fn coarsen(&mut self) {
@@ -331,6 +353,39 @@ mod tests {
                 bulk.snapshot(),
                 single.snapshot(),
                 "first {first} period {period} times {times} count {count}"
+            );
+        }
+    }
+
+    #[test]
+    fn retirement_pattern_equals_single_records_at_every_resolution() {
+        let span = TIMELINE_BASE_WINDOW * TIMELINE_WINDOWS as u64;
+        let pattern: Vec<u8> = (0..300u32).map(|i| (i * 7 % 5) as u8).collect();
+        for (first, counts) in [
+            (0, &pattern[..]),
+            (TIMELINE_BASE_WINDOW - 3, &pattern[..40]),
+            (span - 150, &pattern[..]),
+            (3 * span + 11, &pattern[..]),
+            (9, &[0u8, 0, 0][..]),
+            (9, &[][..]),
+        ] {
+            let mut single = Timeline::default();
+            let mut bulk = Timeline::default();
+            for t in [&mut single, &mut bulk] {
+                t.record(5, TimelineEvent::Retired);
+                t.record(span / 2, TimelineEvent::Fault);
+            }
+            for (cycle, &n) in (first..).zip(counts) {
+                for _ in 0..n {
+                    single.record(cycle, TimelineEvent::Retired);
+                }
+            }
+            bulk.record_retired_at(first, counts);
+            assert_eq!(
+                bulk.snapshot(),
+                single.snapshot(),
+                "first {first}, {} cycles",
+                counts.len()
             );
         }
     }

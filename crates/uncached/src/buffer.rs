@@ -412,10 +412,11 @@ impl UncachedBuffer {
 
     /// Rejects restored entries no sequence of pushes and drains builds:
     /// a load that is not naturally aligned; a store entry off its block,
-    /// empty, or masked past it, with a beat no store has, or with more
-    /// sequential stores than fit; a lock anywhere but on a front store
-    /// entry that still has chunks to drain; or an unlocked entry that
-    /// would drain into transfers the bus rejects.
+    /// empty, or masked past it, with a beat no store has, with more
+    /// sequential stores than fit, or with an `expected_next` its rule's
+    /// pushes cannot leave; a lock anywhere but on a front store entry
+    /// that still has chunks to drain; or an unlocked entry that would
+    /// drain into transfers the bus rejects.
     fn check_entries(&self) -> Result<(), csb_snap::SnapshotError> {
         let block = self.cfg.block;
         let corrupt = |what: String| Err(csb_snap::SnapshotError::Corrupt(what));
@@ -442,6 +443,12 @@ impl UncachedBuffer {
                     se.base, se.stores, se.beat
                 ));
             }
+            if !self.next_is_reachable(se) {
+                return corrupt(format!(
+                    "uncached store entry at {} expects its next store at {:#x}",
+                    se.base, se.expected_next
+                ));
+            }
             if se.locked != (i == 0 && !self.drain.is_empty()) {
                 return corrupt(format!("uncached entry {i} lock does not match the drain"));
             }
@@ -460,6 +467,35 @@ impl UncachedBuffer {
             return corrupt("drain chunks without a store entry to drain".to_string());
         }
         Ok(())
+    }
+
+    /// `true` when `se.expected_next` is a value the configured rule's
+    /// pushes leave in an entry of `se`'s shape: the end of the single
+    /// run a [`CombineRule::Sequential`] entry grows by one beat per
+    /// store; the end of a [`CombineRule::Pair`] entry's first store,
+    /// which its second store does not move; and under
+    /// [`CombineRule::Block`], which never moves it, the end of a
+    /// beat-aligned, beat-wide run inside the mask.
+    fn next_is_reachable(&self, se: &StoreEntry) -> bool {
+        let first = se.mask.bits().trailing_zeros() as usize;
+        let Some(end) = se
+            .expected_next
+            .checked_sub(se.base.raw())
+            .and_then(|e| usize::try_from(e).ok())
+            .filter(|&e| e <= self.cfg.block)
+        else {
+            return false;
+        };
+        match self.cfg.rule {
+            CombineRule::Sequential => {
+                let len = se.stores * se.beat;
+                end == first + len && se.mask.bits() == ByteMask::range(first, len).bits()
+            }
+            CombineRule::Pair => end == first + se.beat,
+            CombineRule::Block => {
+                end >= se.beat && end % se.beat == 0 && se.mask.covers(end - se.beat, se.beat)
+            }
+        }
     }
 
     /// Offers an uncached store of `data.len()` bytes at `addr`.
@@ -1127,6 +1163,79 @@ mod tests {
             }
         ));
         assert_eq!(events[0].cycle, 3);
+    }
+
+    /// The saved bytes of a buffer under `cfg` holding one 8-byte store at
+    /// `0x2000_0000`, with the entry's `expected_next` rewritten to `next`.
+    fn saved_with_expected_next(cfg: UncachedConfig, next: u64) -> Vec<u8> {
+        let mut b = UncachedBuffer::new(cfg).unwrap();
+        assert_eq!(
+            b.push_store(Addr::new(0x2000_0000), &dword(1)),
+            PushOutcome::NewEntry
+        );
+        let mut w = csb_snap::SnapshotWriter::new();
+        b.save_state(&mut w);
+        let mut bytes = w.finish();
+        let saved = 0x2000_0008u64.to_le_bytes();
+        let at = bytes
+            .windows(8)
+            .position(|win| win == saved)
+            .expect("the saved entry holds its expected_next");
+        bytes[at..at + 8].copy_from_slice(&next.to_le_bytes());
+        bytes
+    }
+
+    /// Restores `bytes` into a fresh buffer under `cfg`.
+    fn restore(
+        cfg: UncachedConfig,
+        bytes: &[u8],
+    ) -> Result<UncachedBuffer, csb_snap::SnapshotError> {
+        let mut b = UncachedBuffer::new(cfg).unwrap();
+        b.restore_state(&mut csb_snap::SnapshotReader::new(bytes))?;
+        Ok(b)
+    }
+
+    #[test]
+    fn restore_rejects_a_sequential_entry_expecting_a_store_it_already_holds() {
+        let cfg = UncachedConfig::r10000(64);
+        // The live buffer: a second store to the same address opens a
+        // new entry.
+        let mut live = restore(cfg, &saved_with_expected_next(cfg, 0x2000_0008)).unwrap();
+        assert_eq!(
+            live.push_store(Addr::new(0x2000_0000), &dword(2)),
+            PushOutcome::NewEntry
+        );
+        for next in [0x2000_0000, 0x2000_0010, 0x2000_0004, 0x1fff_fff8, u64::MAX] {
+            assert!(
+                restore(cfg, &saved_with_expected_next(cfg, next)).is_err(),
+                "expected_next {next:#x} accepted"
+            );
+        }
+    }
+
+    #[test]
+    fn restore_rejects_a_pair_entry_expecting_anything_but_its_first_stores_end() {
+        let cfg = UncachedConfig::ppc620();
+        assert!(restore(cfg, &saved_with_expected_next(cfg, 0x2000_0008)).is_ok());
+        for next in [0x2000_0000, 0x2000_0010, 0x2000_0018, 0x2000_0004] {
+            assert!(
+                restore(cfg, &saved_with_expected_next(cfg, next)).is_err(),
+                "expected_next {next:#x} accepted"
+            );
+        }
+    }
+
+    #[test]
+    fn restore_rejects_a_block_entry_expecting_a_store_outside_its_mask() {
+        let cfg = UncachedConfig::with_block(64);
+        assert!(restore(cfg, &saved_with_expected_next(cfg, 0x2000_0008)).is_ok());
+        // Past the mask, unaligned to the beat, before the block, past it.
+        for next in [0x2000_0010, 0x2000_0004, 0x2000_0000, 0x2000_0048] {
+            assert!(
+                restore(cfg, &saved_with_expected_next(cfg, next)).is_err(),
+                "expected_next {next:#x} accepted"
+            );
+        }
     }
 
     #[test]
