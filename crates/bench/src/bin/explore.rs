@@ -48,7 +48,6 @@ const CLI: Cli = Cli {
         "--ledger FILE",
         "--no-fast-forward",
         "--cache-dir DIR",
-        "--no-cache",
         "--snapshot-every N",
     ]],
 };

@@ -23,7 +23,6 @@ pub const RUN_FLAGS: &[&str] = &[
     "--ledger ledger.jsonl",
     "--no-fast-forward",
     "--cache-dir DIR",
-    "--no-cache",
     "--snapshot-every N",
 ];
 
@@ -35,7 +34,7 @@ pub struct Cli {
     pub synopsis: &'static str,
     /// The flags, in groups, as the usage line shows them. A flag written
     /// with a placeholder (`"--jobs N"`) takes a value; one without
-    /// (`"--no-cache"`) takes none.
+    /// (`"--no-fast-forward"`) takes none.
     pub flags: &'static [&'static [&'static str]],
 }
 
@@ -190,8 +189,7 @@ impl Args {
 
     /// The run settings ([`BenchObs`]) from `--trace-out`,
     /// `--metrics-out`, `--ledger`, `--cache-dir` (opened, and created if
-    /// needed), `--no-cache` (which wins over `--cache-dir`),
-    /// `--snapshot-every` (frames go to `<cache-dir>/autosnap/`) and
+    /// needed), `--snapshot-every` (frames go to `<cache-dir>/autosnap/`) and
     /// `--no-fast-forward`; the crate docs describe each.
     ///
     /// # Errors
@@ -200,7 +198,6 @@ impl Args {
     /// without `--cache-dir`.
     pub fn obs(&self) -> Result<BenchObs, String> {
         let (cache, autosnap) = match self.path("--cache-dir") {
-            _ if self.has("--no-cache") => (None, None),
             None if self.has("--snapshot-every") => {
                 return Err(
                     "--snapshot-every requires --cache-dir (snapshots are written under it)".into(),
@@ -257,16 +254,20 @@ mod tests {
             SWEEP.usage(),
             "fig5 [--jobs N] [--json out.json] [--trace-out trace.json] \
              [--metrics-out metrics.json] [--ledger ledger.jsonl] [--no-fast-forward] \
-             [--cache-dir DIR] [--no-cache] [--snapshot-every N]"
+             [--cache-dir DIR] [--snapshot-every N]"
         );
     }
 
     #[test]
     fn flags_take_values_spaced_or_inline() {
-        let args = parse(&SWEEP, &["--jobs=1", "--json", "out.json", "--no-cache"]).unwrap();
+        let args = parse(
+            &SWEEP,
+            &["--jobs=1", "--json", "out.json", "--no-fast-forward"],
+        )
+        .unwrap();
         assert_eq!(args.jobs(), Ok(1));
         assert_eq!(args.value("--json"), Some("out.json"));
-        assert!(args.has("--no-cache") && !args.has("--no-fast-forward"));
+        assert!(args.has("--no-fast-forward") && !args.has("--cache-dir"));
         assert_eq!(args.value("--ledger"), None);
         let args = parse(&SWEEP, &["--json=a.json", "--json", "b.json"]).unwrap();
         assert_eq!(
@@ -279,7 +280,7 @@ mod tests {
     #[test]
     fn a_flag_token_is_not_a_value() {
         assert_eq!(
-            parse(&SWEEP, &["--json", "--no-cache"]).unwrap_err(),
+            parse(&SWEEP, &["--json", "--no-fast-forward"]).unwrap_err(),
             "--json requires a value"
         );
         assert_eq!(
@@ -297,8 +298,8 @@ mod tests {
             "unknown flag --bogus"
         );
         assert_eq!(
-            parse(&SWEEP, &["--no-cache=yes"]).unwrap_err(),
-            "--no-cache does not take a value"
+            parse(&SWEEP, &["--no-fast-forward=yes"]).unwrap_err(),
+            "--no-fast-forward does not take a value"
         );
         assert_eq!(
             parse(&SWEEP, &["extra"]).unwrap_err(),
@@ -332,8 +333,6 @@ mod tests {
     fn snapshot_every_needs_a_cache_dir() {
         let args = parse(&SWEEP, &["--snapshot-every", "500"]).unwrap();
         assert!(args.obs().unwrap_err().contains("requires --cache-dir"));
-        let args = parse(&SWEEP, &["--snapshot-every", "500", "--no-cache"]).unwrap();
-        assert!(args.obs().is_ok(), "--no-cache wins");
         let args = parse(&SWEEP, &["--ledger", "l.jsonl", "--no-fast-forward"]).unwrap();
         let obs = args.obs().unwrap();
         assert!(obs.obs().metrics && !obs.obs().fast_forward && obs.obs().cache.is_none());

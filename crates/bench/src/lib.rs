@@ -46,8 +46,7 @@
 //! completed point is appended to the dir's one pack file, content-addressed
 //! by (configuration, workload, seed, snapshot-format version), and a later
 //! run serves unchanged points from the pack instead of simulating them
-//! (the `RunReport` on stderr counts hits/misses/invalidations). `--no-cache`
-//! disables the store even when a script passes `--cache-dir`, and
+//! (the `RunReport` on stderr counts hits/misses/invalidations), and
 //! `--snapshot-every N` additionally dumps a restorable machine snapshot
 //! every N CPU cycles of every point into `<dir>/autosnap/`.
 //!
@@ -87,7 +86,7 @@ pub struct BenchObs {
     pub metrics_out: Option<PathBuf>,
     /// `--ledger` JSONL path records are appended to.
     pub ledger: Option<PathBuf>,
-    /// The `--cache-dir` store (absent under `--no-cache`).
+    /// The `--cache-dir` store, if given.
     cache: Option<PointCache>,
     /// `--snapshot-every` cadence and the `<cache-dir>/autosnap/`
     /// directory the frames go to.

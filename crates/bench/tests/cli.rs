@@ -159,12 +159,16 @@ fn bad_invocations_exit_2_and_unknown_points_exit_1() {
 
 #[test]
 fn a_value_flag_does_not_take_the_next_flag_as_its_value() {
-    let dir = scratch("json-no-cache");
-    let out = run_in(&dir, env!("CARGO_BIN_EXE_fig5"), &["--json", "--no-cache"]);
+    let dir = scratch("json-no-fast-forward");
+    let out = run_in(
+        &dir,
+        env!("CARGO_BIN_EXE_fig5"),
+        &["--json", "--no-fast-forward"],
+    );
     assert_eq!(out.status.code(), Some(2));
     assert!(stderr(&out).contains("--json requires a value"));
     assert!(
-        !dir.join("--no-cache").exists(),
+        !dir.join("--no-fast-forward").exists(),
         "no file named after a flag"
     );
     let _ = std::fs::remove_dir_all(dir);

@@ -6,10 +6,19 @@
 //! the pipeline repeats itself: P cycles later every fetch-queue and ROB
 //! entry looks as it did, with its times later by P, its sequence numbers
 //! later by the instructions retired, and every copy of the counter lower
-//! by the same drop D. [`Cpu::skip_loop_periods`] finds such a period by
-//! comparing the normalised pipeline state with its state up to
-//! [`LOOP_HISTORY`] cycles earlier, and then jumps whole periods by
-//! shifting those three quantities.
+//! by the same drop D.
+//!
+//! The loop's pipeline state has one form, the packed words of
+//! [`Cpu::pack_loop_state`]: pcs relative to the loop start, sequence
+//! numbers relative to the ROB front, counter values relative to a base
+//! counter, and times relative to the clock. Two cycles of the loop with
+//! equal words differ only by that origin, and
+//! [`Cpu::unpack_loop_state`] installs the words at any origin.
+//! [`Cpu::skip_loop_periods`] finds a period by comparing the newest
+//! observation's words, and the statistics a loop tick leaves alone, with
+//! those of up to [`LOOP_HISTORY`] cycles earlier; it then jumps whole
+//! periods by unpacking the newest words at the origin that many periods
+//! later.
 //!
 //! Every step of the loop is equivariant under that shift except the
 //! `cmp`, whose flags are the same for every counter value in
@@ -24,12 +33,19 @@
 
 use csb_isa::{AluOp, Cond, Inst, Operand, Reg, RegRef};
 
-use super::{Cpu, Src, St};
+use super::{rename_slot, Cpu, Fetched, OperandSlot, Ops, RobEntry, Src, St};
+use crate::config::CpuConfig;
+use crate::stats::CpuStats;
 
 mod memo;
 
 /// The longest loop period, in cycles, the detector looks for.
-pub(super) const LOOP_HISTORY: usize = 12;
+const LOOP_HISTORY: usize = 12;
+/// Width of a packed stage time, which bounds a stage's age.
+const TIME_BITS: u32 = 10;
+const TIME_MASK: u64 = (1 << TIME_BITS) - 1;
+/// Words of a packed state before its entries (see [`Cpu::pack_loop_state`]).
+const HEADER: usize = 11;
 
 /// A recognised countdown loop: `sub r, r, #c` (c ≥ 1, r ≠ `%g0`) at
 /// `start`, `cmp r, #0` after it and `bnz start` after that.
@@ -45,6 +61,35 @@ impl CountdownLoop {
     fn contains(&self, pc: usize) -> bool {
         pc.wrapping_sub(self.start) < 3
     }
+
+    /// The register the body instruction at offset `off` reads: the
+    /// condition codes for the `bnz`, the counter for the others.
+    fn operand(&self, off: u64) -> RegRef {
+        if off == 2 {
+            RegRef::Cc
+        } else {
+            RegRef::Int(self.reg)
+        }
+    }
+}
+
+/// One period of a loop's steady state: its length, the instructions it
+/// retires, and the counter's drop over it.
+#[derive(Debug, Clone, Copy)]
+struct Period {
+    cycles: u64,
+    retired: u64,
+    drop: u64,
+}
+
+/// Where packed words are installed: the loop, the clock, the ROB front
+/// and the counter value they are relative to.
+#[derive(Debug, Clone, Copy)]
+struct Origin {
+    lp: CountdownLoop,
+    now: u64,
+    front: u64,
+    base: u64,
 }
 
 /// The pipeline as observed at one cycle of a countdown loop.
@@ -55,23 +100,25 @@ struct Observation {
     retired: u64,
     /// The architectural counter at `cycle`.
     counter: u64,
-    /// A few normalised fields, compared before the full state is built.
+    /// A few normalised fields, compared before the state is packed.
     signature: [u64; 4],
-    /// `true` once `state`, `low` and `high` describe this cycle.
-    encoded: bool,
-    /// The normalised pipeline state (see [`Cpu::encode_loop_state`]).
-    state: Vec<u64>,
-    /// Smallest and largest counter value in the state, as signed.
-    low: i64,
-    high: i64,
+    /// The statistics a loop tick leaves alone (see [`still_stats`]).
+    stats: [u64; 10],
+    /// The state packed with times, relative to `counter` (see
+    /// [`Cpu::pack_loop_state`]); empty until packed.
+    words: Vec<u64>,
+    /// The lowest and highest counter offset in `words`, or `None` when
+    /// the state does not pack and so is never compared.
+    bounds: Option<(i64, i64)>,
 }
 
 /// Recent observations of the countdown loop at the ROB head. Never
 /// serialized; [`LoopDetector::reset`] runs wherever the pipeline is
 /// replaced or redirected (reset, restore, context switch, squash), and
 /// the observations start over whenever one does not follow the previous
-/// by exactly one real tick. The buffers are kept across resets, so a
-/// warm core observes without allocating.
+/// by exactly one real tick. The buffers are reserved at each loop entry
+/// for the core's largest packed state and kept across resets, so a warm
+/// core observes without allocating.
 #[derive(Debug, Default)]
 pub(super) struct LoopDetector {
     lp: Option<CountdownLoop>,
@@ -106,6 +153,21 @@ impl LoopDetector {
         self.memo.clear();
     }
 
+    /// Sizes the ring and reserves every slot and the memo for the packed
+    /// states of a core under `cfg`, so that no observation, recording or
+    /// replay reallocates them.
+    fn reserve(&mut self, cfg: &CpuConfig) {
+        let words = state_words(cfg);
+        if self.ring.is_empty() {
+            self.ring
+                .resize_with(LOOP_HISTORY + 1, Observation::default);
+        }
+        for o in &mut self.ring {
+            o.words.reserve_exact(words.saturating_sub(o.words.len()));
+        }
+        self.memo.reserve(cfg);
+    }
+
     /// The observation `back` cycles before the newest.
     fn at(&self, back: usize) -> &Observation {
         &self.ring[(self.newest + self.ring.len() - back) % self.ring.len()]
@@ -113,10 +175,6 @@ impl LoopDetector {
 
     /// Starts a new newest observation at `cycle`, dropping the oldest.
     fn push(&mut self, cycle: u64, retired: u64, counter: u64, signature: [u64; 4]) {
-        if self.ring.is_empty() {
-            self.ring
-                .resize_with(LOOP_HISTORY + 1, Observation::default);
-        }
         self.newest = (self.newest + 1) % self.ring.len();
         self.len = (self.len + 1).min(self.ring.len());
         let o = &mut self.ring[self.newest];
@@ -124,8 +182,46 @@ impl LoopDetector {
         o.retired = retired;
         o.counter = counter;
         o.signature = signature;
-        o.encoded = false;
+        o.words.clear();
+        o.bounds = None;
     }
+}
+
+/// The words a packed state of a core under `cfg` can take.
+fn state_words(cfg: &CpuConfig) -> usize {
+    HEADER + cfg.fetch_queue + 2 * cfg.rob_size
+}
+
+/// The `CpuStats` fields a loop tick leaves alone.
+fn still_stats(s: &CpuStats) -> [u64; 10] {
+    [
+        s.squashed,
+        s.mispredicts,
+        s.loads,
+        s.stores,
+        s.uncached_ops,
+        s.combining_stores,
+        s.flush_successes,
+        s.flush_failures,
+        s.uncached_stall_cycles,
+        s.membar_stall_cycles,
+    ]
+}
+
+/// `v` as a 32-bit two's-complement field, if it fits.
+fn i32_field(v: i64) -> Option<u64> {
+    i32::try_from(v).ok().map(|x| u64::from(x as u32))
+}
+
+/// The 32-bit field at `shift` of `w`, sign-extended.
+fn i32_at(w: u64, shift: u32) -> u64 {
+    (w >> shift) as u32 as i32 as i64 as u64
+}
+
+/// Whole periods left before a `cmp` could read a counter value below 1,
+/// when `low` (`None` if out of range) is the lowest one in flight.
+fn periods_left(low: Option<i64>, drop: u64) -> u64 {
+    low.filter(|&v| v >= 1).map_or(0, |v| (v - 1) as u64 / drop)
 }
 
 /// The state word of a ROB entry's status: its kind and, while an
@@ -156,12 +252,6 @@ fn loop_shaped(inst: &Inst) -> bool {
             ..
         } | Inst::Branch { cond: Cond::Ne, .. }
     )
-}
-
-fn shift_st(st: &mut St, dt: u64) {
-    if let St::Agen { done_at } | St::MemAccess { done_at } | St::Exec { done_at } = st {
-        *done_at += dt;
-    }
 }
 
 impl Cpu {
@@ -228,6 +318,7 @@ impl Cpu {
                 return 0;
             }
             self.detector.in_body = true;
+            self.detector.reserve(&self.cfg);
             if let Some(skipped) = self.enter_loop(lp, max_cycles, max_period) {
                 return skipped;
             }
@@ -244,45 +335,102 @@ impl Cpu {
                 .push(self.now, self.stats.retired, counter, signature);
             self.detector.memo.note(self.now, self.stats.retired);
         }
-        let Some(period) = self.loop_period(lp) else {
+        let Some((period, (low, high))) = self.loop_period(lp) else {
             return 0;
         };
         let d = &self.detector;
         let (cur, last, old) = (d.at(0), d.at(1), d.at(period));
-        let p = period as u64;
-        let per_retired = cur.retired - old.retired;
-        let drop = old.counter.wrapping_sub(cur.counter);
-        let (low, high) = (cur.low, cur.high);
+        let at = Origin {
+            lp,
+            now: self.now,
+            front: self.front_seq,
+            base: cur.counter,
+        };
+        let per = Period {
+            cycles: period as u64,
+            retired: cur.retired - old.retired,
+            drop: old.counter.wrapping_sub(cur.counter),
+        };
         // The period's last tick must retire, so the watchdog's progress
         // stamp after the jump is the post-jump cycle, as it would be.
-        let settled =
-            cur.retired != last.retired && per_retired > 0 && drop != 0 && drop <= i64::MAX as u64;
+        let settled = cur.retired != last.retired
+            && per.retired > 0
+            && per.drop != 0
+            && per.drop <= i64::MAX as u64;
         if settled && d.memo.recording() {
-            self.finish_recording(lp, p, per_retired, drop);
+            self.finish_recording(lp, per);
         }
-        if !settled || p > max_period || high > i64::MAX - drop as i64 {
+        let b = at.base as i64;
+        if !settled
+            || per.cycles > max_period
+            || b.checked_add(high)
+                .is_none_or(|h| h > i64::MAX - per.drop as i64)
+        {
             return 0;
         }
         // The counter only falls: once it is too small for a period, it
         // stays so until the loop exits.
-        let most = if low < 1 { 0 } else { (low - 1) as u64 / drop };
+        let most = periods_left(b.checked_add(low), per.drop);
         if most == 0 {
             self.detector.dormant = true;
             return 0;
         }
-        let k = most.min(max_cycles / p);
+        let d = &self.detector;
+        let mut per_cycle = [0; LOOP_HISTORY];
+        for (o, n) in per_cycle[..period].iter_mut().enumerate() {
+            *n = d.at(period - o - 1).retired - d.at(period - o).retired;
+        }
+        let per_cycle = per_cycle[..period].iter().copied();
+        let slot = d.newest;
+        let words = std::mem::take(&mut self.detector.ring[slot].words);
+        let k = self.take_periods(&words, at, per, per_cycle, most, max_cycles);
+        self.detector.ring[slot].words = words;
+        k * per.cycles
+    }
+
+    /// Jumps `k` periods `per` of a loop, as many as fit in `room` cycles
+    /// up to `most`, from the state `words` packed with times at `at`:
+    /// records each period's retirements (`per_cycle`, one count per
+    /// cycle of a period) in the metrics timeline, installs `words` at the
+    /// origin `k` periods after `at`, and shifts the detector's
+    /// observations along so they stay comparable. Returns `k`; 0 leaves
+    /// everything as it was. The periodic skip and the memo's replay both
+    /// jump through here.
+    fn take_periods(
+        &mut self,
+        words: &[u64],
+        at: Origin,
+        per: Period,
+        per_cycle: impl IntoIterator<Item = u64>,
+        most: u64,
+        room: u64,
+    ) -> u64 {
+        let k = most.min(room / per.cycles);
         if k == 0 {
             return 0;
         }
-        let d = &self.detector;
-        for o in 0..period {
-            let n = d.at(period - o - 1).retired - d.at(period - o).retired;
+        for (o, n) in (0..).zip(per_cycle) {
             self.metrics
-                .timeline_retired_every(self.now + o as u64, p, k, n);
+                .timeline_retired_every(at.now + o, per.cycles, k, n);
         }
-        self.shift_loop_state(lp, k * p, k * per_retired, k.wrapping_mul(drop));
-        self.detector.dormant = k == most;
-        k * p
+        let (dt, ds, dv) = (k * per.cycles, k * per.retired, k.wrapping_mul(per.drop));
+        let to = Origin {
+            now: at.now + dt,
+            front: at.front + ds,
+            base: at.base.wrapping_sub(dv),
+            ..at
+        };
+        // Each instruction retired moves the ROB front by one.
+        self.stats.retired += to.front - self.front_seq;
+        self.unpack_loop_state(to, words);
+        let d = &mut self.detector;
+        for o in &mut d.ring {
+            o.cycle += dt;
+            o.retired += ds;
+            o.counter = o.counter.wrapping_sub(dv);
+        }
+        d.dormant = k == most;
+        k
     }
 
     /// The countdown loop the ROB head, an instruction [`loop_shaped`],
@@ -328,7 +476,7 @@ impl Cpu {
     }
 
     /// A few normalised fields of the state, enough to tell the loop's
-    /// start-up from its steady state without building the whole state:
+    /// start-up from its steady state without packing the whole state:
     /// the instructions fetched while the loop started up keep their
     /// own timing until they retire.
     fn loop_signature(&self, lp: CountdownLoop) -> [u64; 4] {
@@ -343,156 +491,349 @@ impl Cpu {
         ]
     }
 
-    /// The shortest lag at which the newest observation's normalised state
-    /// repeats an earlier one, building states only for observations whose
-    /// signatures repeat.
-    fn loop_period(&mut self, lp: CountdownLoop) -> Option<usize> {
+    /// The shortest lag at which the newest observation's packed state and
+    /// statistics repeat an earlier one's, with the lowest and highest
+    /// counter offset in that state, packing states only for observations
+    /// whose signatures repeat.
+    fn loop_period(&mut self, lp: CountdownLoop) -> Option<(usize, (i64, i64))> {
         let d = &self.detector;
         let lags = 1..d.len.min(LOOP_HISTORY + 1);
         let sig = d.at(0).signature;
         if !lags.clone().any(|p| d.at(p).signature == sig) {
             return None;
         }
-        if !d.at(0).encoded {
+        if d.at(0).words.is_empty() {
             let slot = self.detector.newest;
-            let mut state = std::mem::take(&mut self.detector.ring[slot].state);
-            let (low, high) = self.encode_loop_state(lp, &mut state);
+            let mut words = std::mem::take(&mut self.detector.ring[slot].words);
+            let bounds = self.pack_loop_state(lp, self.ctx.int_reg(lp.reg), true, &mut words);
             let o = &mut self.detector.ring[slot];
-            o.state = state;
-            o.low = low;
-            o.high = high;
-            o.encoded = true;
+            o.words = words;
+            o.bounds = bounds;
+            o.stats = still_stats(&self.stats);
         }
         let d = &self.detector;
         let cur = d.at(0);
-        lags.into_iter().find(|&p| {
+        let bounds = cur.bounds?;
+        let period = lags.into_iter().find(|&p| {
             let o = d.at(p);
-            o.encoded && o.signature == sig && o.state == cur.state
-        })
+            o.bounds.is_some() && o.signature == sig && o.stats == cur.stats && o.words == cur.words
+        })?;
+        Some((period, bounds))
     }
 
-    /// Writes the pipeline state into `out` with times relative to `now`,
-    /// sequence numbers relative to `front_seq`, and every value that
-    /// derives from the counter relative to the architectural counter;
-    /// returns the smallest and largest such value (the architectural
-    /// counter included), as signed. Two cycles of the loop with equal
-    /// words differ only by that shift. Fields no loop instruction can
-    /// change (other registers, marks, addresses, memory flags) are left
-    /// out; every `CpuStats` field except `cycles` and `retired` is in.
-    fn encode_loop_state(&self, lp: CountdownLoop, out: &mut Vec<u64>) -> (i64, i64) {
-        let (now, front) = (self.now, self.front_seq);
-        let base = self.ctx.int_reg(lp.reg);
-        let (mut low, mut high) = (base as i64, base as i64);
-        let mut counter = |v: u64| {
-            low = low.min(v as i64);
-            high = high.max(v as i64);
-            v.wrapping_sub(base)
-        };
+    /// Appends the pipeline state to `out` relative to the loop `lp`: pcs
+    /// relative to its start, sequence numbers to the ROB front, counter
+    /// values to `base`, completion times to the clock and, with `times`,
+    /// stage timestamps too (without, they and `worked` are left out).
+    /// Returns the lowest and highest counter offset in the state, or
+    /// `None` when a field does not fit its packing (`out` is then partly
+    /// written). Fields no loop instruction can change (other registers,
+    /// marks, addresses, memory flags) and [`CpuStats`] are left out.
+    ///
+    /// Eleven header words (register, step, fetch pc, committed pc,
+    /// condition codes, flags, the counter's and the condition codes'
+    /// rename slots, the counter, fetch-queue and ROB lengths) come first,
+    /// then one word per fetched instruction (pc, predicted next pc, fetch
+    /// time) and two per ROB entry: pc, predicted next pc, state,
+    /// operand kind, completion time and four stage times in one; the
+    /// operand and the result as 32-bit fields in the other.
+    fn pack_loop_state(
+        &self,
+        lp: CountdownLoop,
+        base: u64,
+        times: bool,
+        out: &mut Vec<u64>,
+    ) -> Option<(i64, i64)> {
+        let (now, front, start) = (self.now, self.front_seq, lp.start);
+        let counter = |v: u64| v.wrapping_sub(base) as i64;
+        let arch = counter(self.ctx.int_reg(lp.reg));
+        let (mut low, mut high) = (arch, arch);
         let rel_seq = |s: Option<u64>| s.map_or(0, |s| s.wrapping_sub(front).wrapping_add(1));
-        let s = &self.stats;
-        out.clear();
         out.extend_from_slice(&[
-            self.fetch_pc as u64,
+            lp.reg.index() as u64,
+            lp.step,
+            self.fetch_pc.wrapping_sub(start) as u64,
+            self.ctx.pc().wrapping_sub(start) as u64,
+            self.ctx.cc(),
             u64::from(self.fetch_stopped)
                 | u64::from(self.halted) << 1
-                | u64::from(self.worked) << 2,
-            self.ctx.pc() as u64,
-            self.ctx.cc(),
-            self.next_seq.wrapping_sub(front),
+                | u64::from(times && self.worked) << 2,
             rel_seq(self.rename.get(RegRef::Int(lp.reg))),
             rel_seq(self.rename.get(RegRef::Cc)),
-            s.squashed,
-            s.mispredicts,
-            s.loads,
-            s.stores,
-            s.uncached_ops,
-            s.combining_stores,
-            s.flush_successes,
-            s.flush_failures,
-            s.uncached_stall_cycles,
-            s.membar_stall_cycles,
+            arch as u64,
             self.fetch_q.len() as u64,
             self.rob.len() as u64,
         ]);
+        debug_assert!(
+            (0..self.rename.slots.len()).all(|i| self.rename.slots[i].is_none()
+                || i == rename_slot(RegRef::Int(lp.reg))
+                || i == rename_slot(RegRef::Cc)),
+            "a loop-only ROB leaves other rename slots empty"
+        );
+        let body = |pc: usize| Some(pc.wrapping_sub(start) as u64).filter(|&o| o < 3);
+        let next = |pc: usize| Some(pc.wrapping_sub(start) as u64).filter(|&o| o < 4);
+        // A stage time packs as its age, an optional one as its age plus
+        // one (0 for none); both leave the top value unused.
+        let time = |t: u64| {
+            if times {
+                Some(now - t).filter(|&dt| dt < TIME_MASK)
+            } else {
+                Some(0)
+            }
+        };
+        let stamp = |t: Option<u64>| match t {
+            Some(t) if times => time(t).map(|dt| dt + 1),
+            _ => Some(0),
+        };
         for f in &self.fetch_q {
-            out.extend_from_slice(&[f.pc as u64, f.predicted_next as u64, now - f.t_fetch]);
+            out.push(body(f.pc)? | next(f.predicted_next)? << 2 | time(f.t_fetch)? << 4);
         }
         for e in self.rob.iter() {
-            out.extend_from_slice(&[e.pc as u64, e.predicted_next as u64]);
-            out.extend_from_slice(&st_words(e.st, now));
-            for op in e.ops.iter() {
-                out.extend_from_slice(&match op.src {
-                    Src::Ready(v) if op.reg == RegRef::Int(lp.reg) => [0, counter(v)],
-                    Src::Ready(v) => [1, v],
-                    Src::Wait(seq) => [2, seq.wrapping_sub(front)],
-                });
+            let off = body(e.pc)?;
+            let [kind, done] = st_words(e.st, now);
+            let loop_entry = matches!(e.st, St::Waiting | St::Exec { .. } | St::Done)
+                && e.ops.len == 1
+                && e.ops.slots[0].reg == lp.operand(off)
+                && e.addr.is_none()
+                && e.space.is_none()
+                && !e.mem_started;
+            if !loop_entry {
+                return None;
             }
+            let (wait, src) = match e.ops.slots[0].src {
+                Src::Ready(v) if off < 2 => {
+                    let o = counter(v);
+                    (low, high) = (low.min(o), high.max(o));
+                    (0, o)
+                }
+                Src::Ready(v) => (0, v as i64),
+                Src::Wait(seq) => (1, seq.wrapping_sub(front) as i64),
+            };
             let computed = matches!(e.st, St::Exec { .. } | St::Done);
-            out.push(if e.pc == lp.start && computed {
-                counter(e.value)
-            } else {
-                e.value
-            });
-            out.extend_from_slice(&[
-                now - e.t_fetch,
-                now - e.t_dispatch,
-                e.t_issue.map_or(0, |t| now - t + 1),
-                e.t_complete.map_or(0, |t| now - t + 1),
-            ]);
+            let value = match off {
+                0 if computed => {
+                    let o = counter(e.value);
+                    (low, high) = (low.min(o), high.max(o));
+                    o
+                }
+                2 if computed => e.value.wrapping_sub(start as u64) as i64,
+                _ => e.value as i64,
+            };
+            let done = u64::from(i16::try_from(done as i64).ok()? as u16);
+            out.push(
+                off | next(e.predicted_next)? << 2
+                    | kind << 4
+                    | wait << 7
+                    | done << 8
+                    | time(e.t_fetch)? << 24
+                    | time(e.t_dispatch)? << 34
+                    | stamp(e.t_issue)? << 44
+                    | stamp(e.t_complete)? << 54,
+            );
+            out.push(i32_field(src)? | i32_field(value)? << 32);
         }
-        (low, high)
+        Some((low, high))
     }
 
-    /// Applies `dt` cycles of the loop's steady state: every time moves
-    /// `dt` later, every sequence number `ds` later, and the counter and
-    /// every value derived from it `dv` lower. The ROB keeps its ring
-    /// positions, so the scheduling sets stay valid; the detector's
-    /// observations shift along and stay comparable.
-    fn shift_loop_state(&mut self, lp: CountdownLoop, dt: u64, ds: u64, dv: u64) {
-        let down = |v: u64| v.wrapping_sub(dv);
-        self.now += dt;
-        self.stats.cycles = self.now;
-        self.stats.retired += ds;
-        self.front_seq += ds;
-        self.next_seq += ds;
-        let counter = self.ctx.int_reg(lp.reg);
-        self.ctx.set_int_reg(lp.reg, down(counter));
-        for f in &mut self.fetch_q {
-            f.t_fetch += dt;
+    /// Installs a state [`Cpu::pack_loop_state`] wrote with `times` at the
+    /// origin `at`: the clock and the ROB front move there, every packed
+    /// field is rebuilt from `words` with counter values relative to
+    /// `at.base`, and the scheduling state is rebuilt from the ROB. The
+    /// ROB keeps its ring positions, since clearing it keeps its head.
+    fn unpack_loop_state(&mut self, at: Origin, words: &[u64]) {
+        let (lp, now, front, base) = (at.lp, at.now, at.front, at.base);
+        let start = lp.start;
+        let pc = |w: u64| start.wrapping_add(w as usize);
+        let h = &words[..HEADER];
+        self.now = now;
+        self.stats.cycles = now;
+        self.fetch_pc = pc(h[2]);
+        self.ctx.set_pc(pc(h[3]));
+        self.ctx.set_cc(h[4]);
+        self.fetch_stopped = h[5] & 1 != 0;
+        self.halted = h[5] & 2 != 0;
+        self.worked = h[5] & 4 != 0;
+        let seq = |w: u64| (w != 0).then(|| front.wrapping_add(w - 1));
+        self.rename.slots[rename_slot(RegRef::Int(lp.reg))] = seq(h[6]);
+        self.rename.slots[rename_slot(RegRef::Cc)] = seq(h[7]);
+        self.ctx.set_int_reg(lp.reg, base.wrapping_add(h[8]));
+        let (nq, nrob) = (h[9] as usize, h[10] as usize);
+        let inst = |o: u64| {
+            self.program
+                .fetch(start + o as usize)
+                .expect("the loop body lies in the program")
+        };
+        let body = [inst(0), inst(1), inst(2)];
+        let time = |w: u64, shift: u32| now - (w >> shift & TIME_MASK);
+        let stamp = |w: u64, shift: u32| {
+            let dt = w >> shift & TIME_MASK;
+            (dt != 0).then(|| now - (dt - 1))
+        };
+        self.fetch_q.clear();
+        for &w in &words[HEADER..HEADER + nq] {
+            self.fetch_q.push_back(Fetched {
+                pc: pc(w & 3),
+                inst: body[(w & 3) as usize],
+                predicted_next: pc(w >> 2 & 3),
+                t_fetch: time(w, 4),
+            });
         }
-        for i in 0..self.rob.len() {
-            let e = &mut self.rob[i];
-            e.seq += ds;
-            shift_st(&mut e.st, dt);
-            for slot in &mut e.ops.slots[..e.ops.len as usize] {
-                match &mut slot.src {
-                    Src::Ready(v) if slot.reg == RegRef::Int(lp.reg) => *v = down(*v),
-                    Src::Ready(_) => {}
-                    Src::Wait(seq) => *seq += ds,
+        self.rob.clear();
+        for (seq, e) in (front..).zip(words[HEADER + nq..].chunks_exact(2)) {
+            let (w, v) = (e[0], e[1]);
+            let off = w & 3;
+            let st = match w >> 4 & 7 {
+                0 => St::Waiting,
+                5 => St::Exec {
+                    done_at: now.wrapping_add((w >> 8) as u16 as i16 as i64 as u64),
+                },
+                6 => St::Done,
+                k => unreachable!("a packed loop entry in state {k}"),
+            };
+            let src = match (off, w >> 7 & 1) {
+                (_, 1) => Src::Wait(front.wrapping_add(i32_at(v, 0))),
+                (2, _) => Src::Ready(i32_at(v, 0)),
+                _ => Src::Ready(base.wrapping_add(i32_at(v, 0))),
+            };
+            let computed = matches!(st, St::Exec { .. } | St::Done);
+            let value = match off {
+                0 if computed => base.wrapping_add(i32_at(v, 32)),
+                2 if computed => (start as u64).wrapping_add(i32_at(v, 32)),
+                _ => i32_at(v, 32),
+            };
+            let mut ops = Ops::EMPTY;
+            let reg = lp.operand(off);
+            ops.push(OperandSlot { reg, src });
+            self.rob.push_back(RobEntry {
+                seq,
+                pc: pc(off),
+                inst: body[off as usize],
+                st,
+                ops,
+                value,
+                addr: None,
+                space: None,
+                predicted_next: pc(w >> 2 & 3),
+                mem_started: false,
+                t_fetch: time(w, 24),
+                t_dispatch: time(w, 34),
+                t_issue: stamp(w, 44),
+                t_complete: stamp(w, 54),
+            });
+        }
+        debug_assert_eq!(self.rob.len(), nrob);
+        self.front_seq = front;
+        self.next_seq = front + nrob as u64;
+        self.sched.rebuild(&self.rob, front);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use csb_isa::{AluOp, Assembler, Reg};
+    use csb_snap::SnapshotWriter;
+
+    use super::{CountdownLoop, Origin, LOOP_HISTORY};
+    use crate::port::SimpleMemPort;
+    use crate::{Cpu, CpuConfig};
+
+    fn frame(cpu: &Cpu) -> Vec<u8> {
+        let mut w = SnapshotWriter::new();
+        cpu.save_state(&mut w);
+        w.finish()
+    }
+
+    /// Checks the codec at every cycle of `start / step` iterations of a
+    /// countdown loop (at most `cycles`) on a `width`-wide core where
+    /// every fetched instruction lies in the loop body: the state packs;
+    /// unpacking it at its own origin leaves the snapshot frame and the
+    /// scheduling state as they were; and unpacking the words of `P`
+    /// cycles earlier, `P` a period the detector found, one period later
+    /// gives the frame the core reached by ticking. The detector's compare
+    /// is exact because packing is injective, and these checks prove that
+    /// state by state. Returns the checked states and periods.
+    fn round_trip(width: usize, step: i64, start: i64, cycles: u64) -> (u64, u64) {
+        let mut a = Assembler::new();
+        let spin = a.new_label();
+        a.movi(Reg::L0, start);
+        a.bind(spin).unwrap();
+        a.alui(AluOp::Sub, Reg::L0, Reg::L0, step);
+        a.cmpi(Reg::L0, 0);
+        a.bnz(spin);
+        a.halt();
+        let mut cpu = Cpu::new(CpuConfig::superscalar(width), a.assemble().unwrap());
+        let mut port = SimpleMemPort::new();
+        let mut history: Vec<Option<(Origin, Vec<u64>)>> = Vec::new();
+        let (mut states, mut periods) = (0, 0);
+        while !cpu.halted() && cpu.now() < cycles {
+            // Observe only: the detector records, and never skips.
+            assert_eq!(cpu.skip_loop_periods(0, LOOP_HISTORY as u64), 0);
+            let lp = cpu.countdown_loop().filter(|&lp| cpu.in_loop_body(lp));
+            history.push(lp.map(|lp| check_state(&mut cpu, lp)));
+            states += u64::from(lp.is_some());
+            let observed = cpu.detector.len > 0 && cpu.detector.at(0).cycle == cpu.now;
+            let found = lp.filter(|_| observed).and_then(|lp| cpu.loop_period(lp));
+            if let Some((p, _)) = found {
+                // The retirements and the counter's drop the skip reads.
+                let d = &cpu.detector;
+                let ds = d.at(0).retired - d.at(p).retired;
+                let dv = d.at(p).counter.wrapping_sub(d.at(0).counter);
+                let (old, words) = history[history.len() - 1 - p].as_ref().unwrap();
+                let to = Origin {
+                    now: old.now + p as u64,
+                    front: old.front + ds,
+                    base: old.base.wrapping_sub(dv),
+                    ..*old
+                };
+                let before = frame(&cpu);
+                cpu.unpack_loop_state(to, words);
+                assert_eq!(frame(&cpu), before, "a period later at cycle {}", cpu.now);
+                periods += 1;
+            }
+            cpu.tick(&mut port);
+        }
+        (states, periods)
+    }
+
+    /// Packs the state of the in-body loop `lp`, checks that it unpacks
+    /// to itself, and returns it with its origin.
+    fn check_state(cpu: &mut Cpu, lp: CountdownLoop) -> (Origin, Vec<u64>) {
+        let at = Origin {
+            lp,
+            now: cpu.now,
+            front: cpu.front_seq,
+            base: cpu.ctx.int_reg(lp.reg),
+        };
+        let mut words = Vec::new();
+        let packed = cpu.pack_loop_state(lp, at.base, true, &mut words);
+        assert!(
+            packed.is_some(),
+            "an in-body state packs at cycle {}",
+            at.now
+        );
+        let (before, sched) = (frame(cpu), cpu.sched.clone());
+        cpu.unpack_loop_state(at, &words);
+        assert_eq!(frame(cpu), before, "the round trip at cycle {}", at.now);
+        assert!(cpu.sched == sched, "the rebuilt Sched at cycle {}", at.now);
+        (at, words)
+    }
+
+    #[test]
+    fn packed_loop_states_unpack_to_themselves_and_to_the_next_period() {
+        let (mut states, mut periods) = (0, 0);
+        for width in [1, 2, 4, 8] {
+            for step in 1..=3 {
+                // Start 0 wraps the counter below zero and never exits.
+                for start in [0, 5, 50, 500] {
+                    let (s, p) = round_trip(width, step, start, 160);
+                    states += s;
+                    periods += p;
                 }
             }
-            if e.pc == lp.start && matches!(e.st, St::Exec { .. } | St::Done) {
-                e.value = down(e.value);
-            }
-            e.t_fetch += dt;
-            e.t_dispatch += dt;
-            e.t_issue = e.t_issue.map(|t| t + dt);
-            e.t_complete = e.t_complete.map(|t| t + dt);
         }
-        for r in [RegRef::Int(lp.reg), RegRef::Cc] {
-            if let Some(seq) = self.rename.get(r) {
-                self.rename.insert(r, seq + ds);
-            }
-        }
-        let d = &mut self.detector;
-        for back in 0..d.len {
-            let i = (d.newest + d.ring.len() - back) % d.ring.len();
-            let o = &mut d.ring[i];
-            o.cycle += dt;
-            o.retired += ds;
-            o.counter = down(o.counter);
-            o.low = o.low.wrapping_sub(dv as i64);
-            o.high = o.high.wrapping_sub(dv as i64);
-        }
+        assert!(
+            states > 1000 && periods > 500,
+            "{states} states, {periods} periods"
+        );
     }
 }

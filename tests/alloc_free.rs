@@ -1,21 +1,24 @@
 //! Steady-state allocation audit: once a simulation is past its warmup
 //! window, the cycle kernel must not touch the heap at all.
 //!
-//! A counting global allocator wraps the system allocator; the test runs
+//! A counting global allocator wraps the system allocator; one test runs
 //! one Figure 3 bandwidth point (CSB store stream) and one Figure 5
 //! latency point (lock sequence through the uncached buffer), ticks each
 //! through its warmup — first-touch functional-memory chunks, the
 //! MARK_START retirement, device-log growth into its reserved capacity —
 //! and then asserts that a long mid-run window of ticks performs zero
-//! allocations. Counting is thread-local so that the libtest harness
-//! thread (which may print or poll concurrently) cannot pollute a
-//! measurement window, and both points live in ONE `#[test]` so no
-//! sibling test thread shares the audited thread.
+//! allocations. Another drives the fault sweep's backoff points through
+//! the fast-forward loop `Simulator::run` uses, so the idle walk, the
+//! delay-loop skip and its warm-up memo are audited too. Counting is
+//! thread-local so that the libtest harness thread (which may print or
+//! poll concurrently) and sibling tests cannot pollute a measurement
+//! window.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use csb_core::{workloads, SimConfig, Simulator};
+use csb_core::workloads::{self, RetryPolicy};
+use csb_core::{FaultConfig, SimConfig, Simulator};
 use csb_isa::Program;
 
 struct CountingAllocator;
@@ -57,17 +60,28 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
+/// The cycle limit of every audited run.
+const LIMIT: u64 = 50_000_000;
+
 /// Audits one point the way the sweep engine runs it in steady state: a
 /// first cold execution pays every one-time cost (functional-memory
 /// chunk first-touch, reserved capacities), then the simulator is
-/// warm-reset onto the same point. The re-run ticks through the first
-/// 30% (warmup: MARK_START retirement, allocator-free by then) and must
-/// perform zero allocations over the next 40% (safely clear of both
-/// MARK retirements and run completion).
-fn audit(label: &str, cfg: &SimConfig, program: &Program, prep: impl Fn(&mut Simulator)) {
+/// warm-reset onto the same point. The re-run steps through the first
+/// 30% of its cycles (warmup: MARK_START retirement, allocator-free by
+/// then) and must perform zero allocations over the next 40% (safely
+/// clear of both MARK retirements and run completion). `step` advances
+/// the machine: one real tick, or one step of the fast-forward loop,
+/// which may jump many cycles.
+fn audit(
+    label: &str,
+    cfg: &SimConfig,
+    program: &Program,
+    prep: impl Fn(&mut Simulator),
+    step: fn(&mut Simulator),
+) {
     let mut sim = Simulator::new(cfg.clone(), program.clone()).expect("point builds");
     prep(&mut sim);
-    let total = sim.run(50_000_000).expect("point completes").cycles;
+    let total = sim.run(LIMIT).expect("point completes").cycles;
     let warmup = total * 3 / 10;
     let window = total * 4 / 10;
     assert!(
@@ -78,13 +92,13 @@ fn audit(label: &str, cfg: &SimConfig, program: &Program, prep: impl Fn(&mut Sim
     sim.reset_with(cfg.clone(), program.clone())
         .expect("warm reset");
     prep(&mut sim);
-    for _ in 0..warmup {
-        sim.tick();
+    while sim.cpu().now() < warmup {
+        step(&mut sim);
     }
     ALLOCS.with(|a| a.set(0));
     COUNTING.with(|c| c.set(true));
-    for _ in 0..window {
-        sim.tick();
+    while sim.cpu().now() < warmup + window {
+        step(&mut sim);
     }
     COUNTING.with(|c| c.set(false));
     assert!(
@@ -103,14 +117,59 @@ fn steady_state_ticks_do_not_allocate() {
     let cfg = SimConfig::default();
     let program =
         workloads::store_bandwidth(1024, &cfg, workloads::StorePath::Csb).expect("fig3 workload");
-    audit("fig3 1KB/CSB", &cfg, &program, |_| {});
+    audit("fig3 1KB/CSB", &cfg, &program, |_| {}, Simulator::tick);
 
     // Figure 5 shape: the lock/store/unlock sequence under 8-byte
     // (uncombined) staging, lock line missing to memory. Exercises the
     // uncached buffer's drain scratch, the swap path, and the caches.
     let cfg = SimConfig::default().combining_block(8);
     let program = workloads::lock_sequence(16).expect("fig5 workload");
-    audit("fig5 16dw/none/miss", &cfg, &program, |sim| {
-        sim.evict_line(csb_isa::Addr::new(csb_core::LOCK_ADDR));
-    });
+    audit(
+        "fig5 16dw/none/miss",
+        &cfg,
+        &program,
+        |sim| {
+            sim.evict_line(csb_isa::Addr::new(csb_core::LOCK_ADDR));
+        },
+        Simulator::tick,
+    );
+}
+
+#[test]
+fn fast_forwarded_delay_loops_do_not_allocate() {
+    // The fault sweep's r90 backoff cell: flush disturbances at 90%, bus
+    // errors and NACKs at a quarter of that. Each failed flush backs off
+    // through a countdown delay loop, which the periodic skip and the
+    // warm-up memo jump, and the audit steps the way `run` does. The
+    // detector's observations and the memo keep their buffers across the
+    // warm reset, so the re-run must not allocate where the cold run did
+    // not, with the metrics timeline on or off.
+    let cfg = SimConfig::default();
+    // Seed 0x5eed1452 finishes in 93 cycles, too few to audit.
+    for seed in (0x5eed_1450..0x5eed_1458).filter(|&s| s != 0x5eed_1452) {
+        let policy = RetryPolicy::Backoff {
+            attempts: 12,
+            base: 32,
+            max: 1024,
+            seed,
+        };
+        let program = workloads::csb_sequence_with_policy(4, policy, &cfg).expect("backoff");
+        for metrics in [false, true] {
+            let prep = |sim: &mut Simulator| {
+                sim.set_faults(Some(
+                    FaultConfig::new(seed)
+                        .flush_disturb_rate(0.9)
+                        .bus_error_rate(0.225)
+                        .device_nack_rate(0.225),
+                ));
+                if metrics {
+                    sim.enable_metrics();
+                }
+            };
+            let label = format!("r90 backoff seed {seed:#x}, metrics {metrics}");
+            audit(&label, &cfg, &program, prep, |sim| {
+                sim.advance_checked(LIMIT).expect("no livelock");
+            });
+        }
+    }
 }
