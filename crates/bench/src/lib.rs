@@ -304,7 +304,7 @@ mod tests {
             sim_cycles: cycles,
             wall: std::time::Duration::from_micros(250),
             seed: 0,
-            config_hash: Some(csb_obs::hash_config("cfg")),
+            config_hash: Some(csb_snap::fnv1a_str("cfg")),
             artifacts: PointArtifacts::default(),
         };
         let rec = super::ledger_record("fig4", &la("4a/256B/CSB", 900));

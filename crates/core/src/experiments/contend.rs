@@ -280,7 +280,7 @@ impl SweepPoint for ContendPoint {
     }
 
     fn config_hash(&self) -> u64 {
-        csb_obs::hash_config(&format!(
+        csb_snap::fnv1a_str(&format!(
             "{:?} contend {} c{}",
             self.scheme.config(),
             self.scheme.label(),

@@ -268,7 +268,7 @@ impl SweepPoint for FaultPoint {
     }
 
     fn config_hash(&self) -> u64 {
-        csb_obs::hash_config(&format!(
+        csb_snap::fnv1a_str(&format!(
             "{:?} {:?} rate {}",
             SimConfig::default(),
             self.policy,

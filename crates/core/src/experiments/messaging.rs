@@ -383,7 +383,7 @@ impl SweepPoint for MessagingPoint {
     }
 
     fn config_hash(&self) -> u64 {
-        csb_obs::hash_config(&format!(
+        csb_snap::fnv1a_str(&format!(
             "{:?} messaging {} {}B {:?} rate {}",
             self.path.config(),
             self.path.label(),

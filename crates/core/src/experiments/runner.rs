@@ -526,7 +526,7 @@ impl SweepPoint for PointSpec {
     }
 
     fn config_hash(&self) -> u64 {
-        csb_obs::hash_config(&format!("{:?} {:?}", self.cfg, self.work))
+        csb_snap::fnv1a_str(&format!("{:?} {:?}", self.cfg, self.work))
     }
 
     /// Snapshot format version (inside [`PointCache::key_debug`]) +
@@ -765,14 +765,14 @@ impl RunReport {
             0.0
         };
         out.push_str(&format!(
-            "runner: {} simulated cycles ({:.1}M cycles/s), {:.1}ms avg/point, utilization {:.0}%",
+            "runner: {} simulated cycles ({:.1}M cycles/s), {:.1}us avg/point, utilization {:.0}%",
             self.sim_cycles,
             if wall > 0.0 {
                 self.sim_cycles as f64 / wall / 1e6
             } else {
                 0.0
             },
-            per_point * 1e3,
+            per_point * 1e6,
             self.utilization() * 100.0
         ));
         if let Some((label, d)) = &self.slowest {

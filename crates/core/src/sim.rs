@@ -228,12 +228,10 @@ pub(crate) struct Machine {
     /// Mirror of the CPU clock, kept by the tick loop for latency math.
     now: u64,
     device: IoDevice,
-    /// Outstanding uncached reads: tag -> (ready CPU cycle, value).
-    pending_reads: HashMap<u64, (u64, u64)>,
-    /// Same, for uncached swaps.
-    pending_swaps: HashMap<u64, (u64, u64)>,
-    /// Uncached swaps in flight: tag -> (width, new value to write).
-    swap_writes: HashMap<u64, (usize, u64)>,
+    /// Uncached reads between the bus and the core's poll, by tag: swaps
+    /// still on the bus and delivered values. A load has no entry until
+    /// its value is delivered.
+    reads: HashMap<u64, Read>,
     /// Structured trace sink shared with every component (disabled unless
     /// [`Simulator::enable_tracing`] ran).
     obs: TraceSink,
@@ -267,6 +265,29 @@ pub(crate) struct Machine {
     /// Optional NI attached as the receive side of the I/O window
     /// (`None` by default: detached simulations pay nothing).
     nic: Option<NicAttachment>,
+}
+
+/// One uncached read of [`Machine::reads`]: issued through the uncached
+/// buffer, it makes one bus round trip before the core polls its value.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Read {
+    /// A swap still on the bus, and what it writes when its read delivers.
+    Swap { width: usize, value: u64 },
+    /// A delivered value, pollable from CPU cycle `ready` on. `swap` tells
+    /// a swap's old value from a load's, which the frame lists apart.
+    Done { ready: u64, value: u64, swap: bool },
+}
+
+impl Read {
+    /// The frame list the read is saved in: delivered loads, delivered
+    /// swaps, then swaps on the bus.
+    fn list(self) -> usize {
+        match self {
+            Read::Done { swap: false, .. } => 0,
+            Read::Done { swap: true, .. } => 1,
+            Read::Swap { .. } => 2,
+        }
+    }
 }
 
 /// A [`csb_nic::Nic`] watching bus writes at and above `base`.
@@ -320,6 +341,29 @@ enum DrainWake {
     None,
 }
 
+/// The buffer refusing a stalled head op. Each cycle the op re-attempts,
+/// the buffer counts one stall and, under tracing, emits one refusal.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Refuser {
+    /// The uncached buffer is full.
+    Uncached,
+    /// The CSB is busy.
+    Csb,
+}
+
+impl Refuser {
+    /// The event a refused re-attempt of the op at `addr` emits.
+    fn event(self, addr: Addr) -> (Track, EventKind) {
+        match self {
+            Refuser::Uncached => (
+                Track::Uncached,
+                EventKind::UncachedFull { addr: addr.raw() },
+            ),
+            Refuser::Csb => (Track::Csb, EventKind::CsbBusy { addr: addr.raw() }),
+        }
+    }
+}
+
 impl Machine {
     /// Records `addr` as the run's first misaligned uncached access when
     /// it is not aligned to `width`; the caller then drops the access.
@@ -352,7 +396,9 @@ impl Machine {
     /// One grant attempt, shared verbatim by the naive loop's [`bus_tick`]
     /// and the fast-forward walk: offers the uncached buffer's head
     /// transaction (program order first), else the CSB's oldest committed
-    /// burst, to the bus at `bus_now`. `cpu_cycle` is the CPU cycle this
+    /// burst, to the bus at `bus_now`. One body serves both sources; the
+    /// source decides only which buffer hears of the accept and which
+    /// payload histogram it feeds. `cpu_cycle` is the CPU cycle this
     /// grant belongs to; an accept stamps `progress_at = cpu_cycle + 1`,
     /// the cycle the naive loop's watchdog would observe it. The caller
     /// must hold `bus.can_accept(bus_now)`; the fault hooks are invoked in
@@ -363,100 +409,73 @@ impl Machine {
     ///
     /// [`bus_tick`]: Machine::bus_tick
     fn issue_step(&mut self, bus_now: u64, cpu_cycle: u64) -> IssueOutcome {
-        if let Some(pt) = self.ubuf.peek_transaction() {
-            // `can_accept` held, so `Ok(None)` can only mean the bus
-            // fault hook errored the transaction: the slot is spent,
-            // nothing was delivered, and the transaction stays queued
-            // for hardware retry on a later bus cycle.
-            let Some(issued) = self
-                .bus
-                .try_issue(bus_now, pt.txn)
-                .expect("uncached buffer emits only legal transactions")
-            else {
-                self.metrics.inc("fault_bus_errors");
-                self.metrics.timeline_mark(cpu_cycle, TimelineEvent::Fault);
-                return IssueOutcome::Faulted;
-            };
-            if matches!(pt.txn.kind, TxnKind::Write) && self.faults.inject(FaultKind::DeviceNack) {
-                // The device NACKed the delivery: the bus slot was
-                // spent carrying it, but the transaction stays queued
-                // and reissues (each carry counts in the bus stats).
-                self.metrics.inc("fault_device_nacks");
-                self.metrics.timeline_mark(cpu_cycle, TimelineEvent::Fault);
-                // Stamped at the explicit grant cycle so the naive loop
-                // (where it equals the shared clock) and the fast-forward
-                // walk (where the shared clock is frozen) emit
-                // byte-identical events.
-                self.obs.emit_at(
-                    cpu_cycle,
-                    Track::Bus,
-                    EventKind::DeviceNack {
-                        addr: pt.txn.addr.raw(),
-                    },
-                );
-                return IssueOutcome::Nacked;
-            }
+        let (pt, from_csb) = if let Some(pt) = self.ubuf.peek_transaction() {
+            (pt, false)
+        } else if let Some(&pt) = self.csb.peek_transaction() {
+            (pt, true)
+        } else {
+            return IssueOutcome::NoWork;
+        };
+        // `can_accept` held, so `Ok(None)` can only mean the bus fault
+        // hook errored the transaction: the slot is spent, nothing was
+        // delivered, and the transaction stays queued for hardware retry
+        // on a later bus cycle.
+        let Some(issued) = self
+            .bus
+            .try_issue(bus_now, pt.txn)
+            .expect("the uncached buffer and the CSB emit only legal transactions")
+        else {
+            self.metrics.inc("fault_bus_errors");
+            self.metrics.timeline_mark(cpu_cycle, TimelineEvent::Fault);
+            return IssueOutcome::Faulted;
+        };
+        if matches!(pt.txn.kind, TxnKind::Write) && self.faults.inject(FaultKind::DeviceNack) {
+            // The device NACKed the delivery: the bus slot was spent
+            // carrying it, but the transaction stays queued and reissues
+            // (each carry counts in the bus stats).
+            self.metrics.inc("fault_device_nacks");
+            self.metrics.timeline_mark(cpu_cycle, TimelineEvent::Fault);
+            // Stamped at the explicit grant cycle so the naive loop (where
+            // it equals the shared clock) and the fast-forward walk (where
+            // the shared clock is frozen) emit byte-identical events.
+            self.obs.emit_at(
+                cpu_cycle,
+                Track::Bus,
+                EventKind::DeviceNack {
+                    addr: pt.txn.addr.raw(),
+                },
+            );
+            return IssueOutcome::Nacked;
+        }
+        let freed_entry = if from_csb {
+            // Every CSB accept pops one pending burst, freeing both flush
+            // capacity and (single-buffered) store capacity.
+            self.csb.transaction_accepted();
+            true
+        } else {
             let entries_before = self.ubuf.len();
             self.ubuf.transaction_accepted();
-            self.progress += 1;
-            self.progress_at = cpu_cycle + 1;
-            self.metrics
-                .observe("uncached_txn_bytes", pt.txn.payload as u64);
-            self.metrics.timeline_mark(
-                cpu_cycle,
-                TimelineEvent::BusTxn {
-                    busy_cycles: (issued.completes_at - issued.addr_cycle) * self.ratio,
-                    payload: pt.txn.payload as u64,
-                },
-            );
-            self.deliver(pt.txn, pt.data, issued.addr_cycle, issued.completes_at);
-            IssueOutcome::Accepted {
-                from_csb: false,
-                freed_entry: self.ubuf.len() < entries_before,
-            }
-        } else if let Some(&pt) = self.csb.peek_transaction() {
-            let Some(issued) = self
-                .bus
-                .try_issue(bus_now, pt.txn)
-                .expect("CSB emits only legal transactions")
-            else {
-                self.metrics.inc("fault_bus_errors");
-                self.metrics.timeline_mark(cpu_cycle, TimelineEvent::Fault);
-                return IssueOutcome::Faulted;
-            };
-            if matches!(pt.txn.kind, TxnKind::Write) && self.faults.inject(FaultKind::DeviceNack) {
-                self.metrics.inc("fault_device_nacks");
-                self.metrics.timeline_mark(cpu_cycle, TimelineEvent::Fault);
-                self.obs.emit_at(
-                    cpu_cycle,
-                    Track::Bus,
-                    EventKind::DeviceNack {
-                        addr: pt.txn.addr.raw(),
-                    },
-                );
-                return IssueOutcome::Nacked;
-            }
-            self.csb.transaction_accepted();
-            self.progress += 1;
-            self.progress_at = cpu_cycle + 1;
-            self.metrics
-                .observe("csb_burst_bytes", pt.txn.payload as u64);
-            self.metrics.timeline_mark(
-                cpu_cycle,
-                TimelineEvent::BusTxn {
-                    busy_cycles: (issued.completes_at - issued.addr_cycle) * self.ratio,
-                    payload: pt.txn.payload as u64,
-                },
-            );
-            self.deliver(pt.txn, pt.data, issued.addr_cycle, issued.completes_at);
-            IssueOutcome::Accepted {
-                from_csb: true,
-                // Every CSB accept pops one pending burst, freeing both
-                // flush capacity and (single-buffered) store capacity.
-                freed_entry: true,
-            }
+            self.ubuf.len() < entries_before
+        };
+        self.progress += 1;
+        self.progress_at = cpu_cycle + 1;
+        let histogram = if from_csb {
+            "csb_burst_bytes"
         } else {
-            IssueOutcome::NoWork
+            "uncached_txn_bytes"
+        };
+        self.metrics.observe(histogram, pt.txn.payload as u64);
+        self.metrics.timeline_mark(
+            cpu_cycle,
+            TimelineEvent::BusTxn {
+                busy_cycles: (issued.completes_at - issued.addr_cycle) * self.ratio,
+                payload: pt.txn.payload as u64,
+            },
+        );
+        self.deliver(pt.txn, pt.data, issued.addr_cycle, issued.completes_at);
+        IssueOutcome::Accepted {
+            from_csb,
+            freed_entry,
         }
     }
 
@@ -518,20 +537,96 @@ impl Machine {
                 // Value travels back with the data phase; the register is
                 // written the CPU cycle after the transaction completes.
                 let ready = (completes_at + 1) * self.ratio;
-                if let Some((width, new)) = self.swap_writes.remove(&txn.tag) {
-                    let old = self.flat.read(txn.addr, width);
-                    self.flat.write(txn.addr, width, new);
-                    self.pending_swaps.insert(txn.tag, (ready, old));
-                } else {
-                    let v = self.flat.read(txn.addr, txn.size.min(8));
-                    self.pending_reads.insert(txn.tag, (ready, v));
-                }
+                let done = match self.reads.get(&txn.tag) {
+                    Some(&Read::Swap { width, value }) => {
+                        let old = self.flat.read(txn.addr, width);
+                        self.flat.write(txn.addr, width, value);
+                        Read::Done {
+                            ready,
+                            value: old,
+                            swap: true,
+                        }
+                    }
+                    _ => Read::Done {
+                        ready,
+                        value: self.flat.read(txn.addr, txn.size.min(8)),
+                        swap: false,
+                    },
+                };
+                self.reads.insert(txn.tag, done);
             }
         }
     }
 
     fn io_drained(&self) -> bool {
         self.ubuf.is_empty() && self.csb.is_drained()
+    }
+
+    /// The value of read `tag`, once delivered and ready at `now`: the
+    /// decision behind both the core's poll and its readiness peek.
+    fn delivered(&self, tag: u64) -> Option<u64> {
+        match self.reads.get(&tag)? {
+            &Read::Done { ready, value, .. } if self.now >= ready => Some(value),
+            _ => None,
+        }
+    }
+
+    /// Writes [`Machine::reads`] as the frame's three lists — delivered
+    /// loads and delivered swaps as `(tag, ready, value)`, then swaps on
+    /// the bus as `(tag, width, value)` — each sorted by tag so the byte
+    /// stream is deterministic.
+    fn save_reads(&self, w: &mut csb_snap::SnapshotWriter) {
+        let mut tags: Vec<u64> = self.reads.keys().copied().collect();
+        tags.sort_unstable();
+        for list in 0..3 {
+            let listed = || tags.iter().filter(|t| self.reads[t].list() == list);
+            w.put_usize(listed().count());
+            for &tag in listed() {
+                w.put_u64(tag);
+                match self.reads[&tag] {
+                    Read::Done { ready, value, .. } => {
+                        w.put_u64(ready);
+                        w.put_u64(value);
+                    }
+                    Read::Swap { width, value } => {
+                        w.put_usize(width);
+                        w.put_u64(value);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Restores the lists written by [`Machine::save_reads`], rejecting a
+    /// tag listed twice: one tag is one read.
+    fn restore_reads(
+        &mut self,
+        r: &mut csb_snap::SnapshotReader<'_>,
+    ) -> Result<(), csb_snap::SnapshotError> {
+        self.reads.clear();
+        for list in 0..3 {
+            for _ in 0..r.take_usize()? {
+                let tag = r.take_u64()?;
+                let read = if list == 2 {
+                    Read::Swap {
+                        width: r.take_usize()?,
+                        value: r.take_u64()?,
+                    }
+                } else {
+                    Read::Done {
+                        ready: r.take_u64()?,
+                        value: r.take_u64()?,
+                        swap: list == 1,
+                    }
+                };
+                if self.reads.insert(tag, read).is_some() {
+                    return Err(csb_snap::SnapshotError::Corrupt(format!(
+                        "uncached read tag {tag} listed twice"
+                    )));
+                }
+            }
+        }
+        Ok(())
     }
 
     /// Transaction-granular drain walk: bulk-applies every machine-side
@@ -597,14 +692,14 @@ impl Machine {
         };
         let mut t = self.now;
         loop {
-            let mut ready: Option<u64> = None;
-            for &(r, _) in self
-                .pending_reads
+            let ready = self
+                .reads
                 .values()
-                .chain(self.pending_swaps.values())
-            {
-                ready = Some(ready.map_or(r, |h: u64| h.min(r)));
-            }
+                .filter_map(|read| match *read {
+                    Read::Done { ready, .. } => Some(ready),
+                    Read::Swap { .. } => None,
+                })
+                .min();
             // First bus tick at or after `t` is bus cycle ceil(t/ratio);
             // the bus accepts at `earliest_start` of that cycle (idempotent
             // at its own result, so that really is the issue cycle).
@@ -724,40 +819,23 @@ impl MemPort for Machine {
         self.ubuf.push_store(addr, &bytes[..width]) != PushOutcome::Full
     }
 
-    fn uncached_load(&mut self, addr: Addr, width: usize, tag: u64) -> bool {
-        self.drop_misaligned(addr, width) || self.ubuf.push_load(addr, width, tag)
-    }
-
-    fn uncached_load_poll(&mut self, tag: u64) -> Option<u64> {
-        let &(ready, v) = self.pending_reads.get(&tag)?;
-        if self.now >= ready {
-            self.pending_reads.remove(&tag);
-            Some(v)
-        } else {
-            None
-        }
-    }
-
-    fn uncached_swap(&mut self, addr: Addr, width: usize, value: u64, tag: u64) -> bool {
+    fn uncached_read(&mut self, addr: Addr, width: usize, swap: Option<u64>, tag: u64) -> bool {
         if self.drop_misaligned(addr, width) {
             return true;
         }
-        if self.ubuf.push_load(addr, width, tag) {
-            self.swap_writes.insert(tag, (width, value));
-            true
-        } else {
-            false
+        if !self.ubuf.push_load(addr, width, tag) {
+            return false;
         }
+        if let Some(value) = swap {
+            self.reads.insert(tag, Read::Swap { width, value });
+        }
+        true
     }
 
-    fn uncached_swap_poll(&mut self, tag: u64) -> Option<u64> {
-        let &(ready, v) = self.pending_swaps.get(&tag)?;
-        if self.now >= ready {
-            self.pending_swaps.remove(&tag);
-            Some(v)
-        } else {
-            None
-        }
+    fn uncached_poll(&mut self, tag: u64) -> Option<u64> {
+        let value = self.delivered(tag)?;
+        self.reads.remove(&tag);
+        Some(value)
     }
 
     fn uncached_drained(&self) -> bool {
@@ -838,7 +916,7 @@ impl MemPort for Machine {
         self.ubuf.would_accept_store(addr, width)
     }
 
-    fn uncached_load_would_accept(&self) -> bool {
+    fn uncached_read_would_accept(&self) -> bool {
         self.ubuf.would_accept_load()
     }
 
@@ -846,16 +924,8 @@ impl MemPort for Machine {
         self.csb.can_accept_store()
     }
 
-    fn uncached_load_ready(&self, tag: u64) -> bool {
-        self.pending_reads
-            .get(&tag)
-            .is_some_and(|&(ready, _)| self.now >= ready)
-    }
-
-    fn uncached_swap_ready(&self, tag: u64) -> bool {
-        self.pending_swaps
-            .get(&tag)
-            .is_some_and(|&(ready, _)| self.now >= ready)
+    fn uncached_ready(&self, tag: u64) -> bool {
+        self.delivered(tag).is_some()
     }
 }
 
@@ -894,36 +964,6 @@ pub struct RunSummary {
     pub csb: CsbStats,
     /// Cache hierarchy statistics.
     pub mem: MemoryStats,
-}
-
-/// Serializes a pending-completion map (`tag -> (ready cycle, value)`)
-/// sorted by tag so the byte stream is deterministic.
-fn save_pending(w: &mut csb_snap::SnapshotWriter, map: &HashMap<u64, (u64, u64)>) {
-    let mut tags: Vec<u64> = map.keys().copied().collect();
-    tags.sort_unstable();
-    w.put_usize(tags.len());
-    for t in tags {
-        let (ready, value) = map[&t];
-        w.put_u64(t);
-        w.put_u64(ready);
-        w.put_u64(value);
-    }
-}
-
-/// Restores a map written by [`save_pending`].
-fn restore_pending(
-    r: &mut csb_snap::SnapshotReader<'_>,
-    map: &mut HashMap<u64, (u64, u64)>,
-) -> Result<(), csb_snap::SnapshotError> {
-    map.clear();
-    let n = r.take_usize()?;
-    for _ in 0..n {
-        let t = r.take_u64()?;
-        let ready = r.take_u64()?;
-        let value = r.take_u64()?;
-        map.insert(t, (ready, value));
-    }
-    Ok(())
 }
 
 /// The complete simulated machine: one out-of-order core, caches, the
@@ -975,9 +1015,7 @@ impl Simulator {
             ratio: cfg.ratio,
             now: 0,
             device: IoDevice::new(),
-            pending_reads: HashMap::with_capacity(16),
-            pending_swaps: HashMap::with_capacity(16),
-            swap_writes: HashMap::with_capacity(16),
+            reads: HashMap::with_capacity(16),
             obs: TraceSink::disabled(),
             metrics: MetricsRegistry::disabled(),
             csb_line_start: None,
@@ -1040,9 +1078,7 @@ impl Simulator {
         m.ratio = cfg.ratio;
         m.now = 0;
         m.device.clear();
-        m.pending_reads.clear();
-        m.pending_swaps.clear();
-        m.swap_writes.clear();
+        m.reads.clear();
         m.obs = TraceSink::disabled();
         m.metrics = MetricsRegistry::disabled();
         m.csb_line_start = None;
@@ -1238,17 +1274,7 @@ impl Simulator {
             }
             None => w.put_bool(false),
         }
-        save_pending(w, &m.pending_reads);
-        save_pending(w, &m.pending_swaps);
-        let mut tags: Vec<u64> = m.swap_writes.keys().copied().collect();
-        tags.sort_unstable();
-        w.put_usize(tags.len());
-        for t in tags {
-            let (width, val) = m.swap_writes[&t];
-            w.put_u64(t);
-            w.put_usize(width);
-            w.put_u64(val);
-        }
+        m.save_reads(w);
         w.put_opt_u64(m.csb_line_start);
         w.put_opt_u64(m.csb_retry_since);
         match m.faults.config() {
@@ -1339,16 +1365,7 @@ impl Simulator {
         } else {
             None
         };
-        restore_pending(r, &mut m.pending_reads)?;
-        restore_pending(r, &mut m.pending_swaps)?;
-        m.swap_writes.clear();
-        let n = r.take_usize()?;
-        for _ in 0..n {
-            let t = r.take_u64()?;
-            let width = r.take_usize()?;
-            let val = r.take_u64()?;
-            m.swap_writes.insert(t, (width, val));
-        }
+        m.restore_reads(r)?;
         m.csb_line_start = r.take_opt_u64()?;
         m.csb_retry_since = r.take_opt_u64()?;
         if r.take_bool()? {
@@ -1491,57 +1508,38 @@ impl Simulator {
         if target <= now {
             return false;
         }
-        let drain_wake = if self.cpu.halted() {
-            DrainWake::Drained
-        } else {
-            match stall {
-                Some(StallCause::UncachedStoreFull | StallCause::UncachedLoadFull) => {
-                    DrainWake::UncachedAccept
-                }
-                Some(StallCause::CsbStoreBusy | StallCause::CsbFlushWait) => DrainWake::CsbAccept,
-                Some(StallCause::Membar) => DrainWake::UncachedDrained,
-                None => DrainWake::None,
+        // What the jump waits for, and which buffer refuses the stalled
+        // head op meanwhile (`CsbFlushWait` and `Membar` stalls bump CPU
+        // counters only; a halted CPU attempts nothing).
+        let (drain_wake, refuser) = match (self.cpu.halted(), stall) {
+            (true, _) => (DrainWake::Drained, None),
+            (_, Some(StallCause::UncachedStoreFull | StallCause::UncachedLoadFull)) => {
+                (DrainWake::UncachedAccept, Some(Refuser::Uncached))
             }
+            (_, Some(StallCause::CsbStoreBusy)) => (DrainWake::CsbAccept, Some(Refuser::Csb)),
+            (_, Some(StallCause::CsbFlushWait)) => (DrainWake::CsbAccept, None),
+            (_, Some(StallCause::Membar)) => (DrainWake::UncachedDrained, None),
+            (_, None) => (DrainWake::None, None),
         };
-        // The per-cycle event the naive loop's refused head-op re-attempt
-        // would emit during each skipped cycle, prebuilt so the walk can
-        // synthesize the identical stream (`CsbFlushWait` and `Membar`
-        // stalls bump counters without emitting; a halted CPU attempts
-        // nothing).
-        let refusal = if self.machine.obs.is_enabled() && !self.cpu.halted() {
-            match stall {
-                Some(StallCause::UncachedStoreFull | StallCause::UncachedLoadFull) => {
-                    self.cpu.head_addr().map(|addr| {
-                        (
-                            Track::Uncached,
-                            EventKind::UncachedFull { addr: addr.raw() },
-                        )
-                    })
-                }
-                Some(StallCause::CsbStoreBusy) => self
-                    .cpu
-                    .head_addr()
-                    .map(|addr| (Track::Csb, EventKind::CsbBusy { addr: addr.raw() })),
-                Some(StallCause::CsbFlushWait | StallCause::Membar) | None => None,
-            }
-        } else {
-            None
-        };
+        // The refusal event the naive loop would emit in each skipped
+        // cycle, prebuilt so the walk can synthesize the identical stream.
+        let refusal = refuser
+            .filter(|_| self.machine.obs.is_enabled())
+            .zip(self.cpu.head_addr())
+            .map(|(buffer, addr)| buffer.event(addr));
         let resume = self
             .machine
             .fast_forward(target, drain_wake, refusal.as_ref());
         if resume <= now {
             return false;
         }
+        // The refusing buffer's stall counter over the skipped cycles (the
+        // CPU-side counters are handled by `Cpu::fast_forward`).
         let skipped = resume - now;
-        // Component-side counters the skipped refusals would have bumped
-        // (the CPU-side counters are handled by `Cpu::fast_forward`).
-        match stall {
-            Some(StallCause::UncachedStoreFull | StallCause::UncachedLoadFull) => {
-                self.machine.ubuf.add_full_stalls(skipped);
-            }
-            Some(StallCause::CsbStoreBusy) => self.machine.csb.add_busy_stalls(skipped),
-            Some(StallCause::CsbFlushWait | StallCause::Membar) | None => {}
+        match refuser {
+            Some(Refuser::Uncached) => self.machine.ubuf.add_full_stalls(skipped),
+            Some(Refuser::Csb) => self.machine.csb.add_busy_stalls(skipped),
+            None => {}
         }
         self.cpu.fast_forward(resume, stall);
         self.resume_at(resume);
@@ -1558,7 +1556,12 @@ impl Simulator {
     /// flight would sit in the ROB, which holds only the loop.
     fn try_loop_skip(&mut self, cap: u64) -> bool {
         let m = &self.machine;
-        let quiet = m.pending_reads.is_empty() && m.pending_swaps.is_empty();
+        // No delivered value waits to be polled. A swap still on the bus
+        // does not count; no run reaches a loop with one in flight.
+        let quiet = !m
+            .reads
+            .values()
+            .any(|read| matches!(read, Read::Done { .. }));
         let now = self.cpu.now();
         // A period longer than the hard-stall threshold could hide a gap
         // between retirements the watchdog would have fired in.

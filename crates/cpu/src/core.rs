@@ -1224,18 +1224,25 @@ impl Cpu {
             self.fetch();
         }
         if watching {
-            self.track_stall_runs(u0, m0);
+            self.stall_runs(
+                self.stats.uncached_stall_cycles > u0,
+                self.stats.membar_stall_cycles > m0,
+            );
         }
         self.now += 1;
         self.stats.cycles = self.now;
     }
 
-    /// Opens/extends/closes stall-run bookkeeping by comparing the stall
-    /// counters against their values at the start of this cycle. A run that
-    /// ends emits one span and one histogram observation.
-    fn track_stall_runs(&mut self, u0: u64, m0: u64) {
+    /// Stall-run bookkeeping for the cycle at `now`: the uncached run is
+    /// open while the cycle stalled on the uncached path (`uncached`), the
+    /// membar run while it stalled on a `membar`; a run that ends emits one
+    /// span and one histogram observation. A real tick passes what its
+    /// stall counters did; [`Cpu::fast_forward`] passes its stall cause for
+    /// the first skipped cycle, and later skipped cycles only extend the
+    /// open run.
+    fn stall_runs(&mut self, uncached: bool, membar: bool) {
         let now = self.now;
-        if self.stats.uncached_stall_cycles > u0 {
+        if uncached {
             self.uncached_stall_start.get_or_insert(now);
         } else if let Some(start) = self.uncached_stall_start.take() {
             let cycles = now - start;
@@ -1247,7 +1254,7 @@ impl Cpu {
             );
             self.metrics.observe("rob_uncached_stall_run", cycles);
         }
-        if self.stats.membar_stall_cycles > m0 {
+        if membar {
             self.membar_stall_start.get_or_insert(now);
         } else if let Some(start) = self.membar_stall_start.take() {
             let cycles = now - start;
@@ -1261,18 +1268,31 @@ impl Cpu {
         }
     }
 
-    /// Pure mirror of [`Cpu::ops_ready`]: `true` when every operand of
-    /// `rob[idx]` is ready or resolvable without waiting. Deferring the
-    /// lazy `Src::Ready` rewrite is invisible: retired producers' values
-    /// are architectural (frozen while retirement is idle) and `Done`
-    /// producers' values no longer change.
-    fn ops_would_be_ready(&self, idx: usize) -> bool {
-        self.rob[idx].ops.iter().all(|op| match op.src {
-            Src::Ready(_) => true,
+    /// The value `op` reads, or `None` while its producer is in flight:
+    /// a retired producer's value is architectural, a `Done` producer's
+    /// sits in its ROB entry. The one operand resolver behind
+    /// [`Cpu::ops_ready`], which latches what it resolves, and the pure
+    /// [`Cpu::ops_would_be_ready`].
+    fn operand(&self, op: &OperandSlot) -> Option<u64> {
+        match op.src {
+            Src::Ready(v) => Some(v),
+            Src::Wait(seq) if seq < self.front_seq => Some(self.arch_value(op.reg)),
             Src::Wait(seq) => {
-                seq < self.front_seq || self.rob[(seq - self.front_seq) as usize].st == St::Done
+                let p = &self.rob[(seq - self.front_seq) as usize];
+                (p.st == St::Done).then_some(p.value)
             }
-        })
+        }
+    }
+
+    /// `true` when every operand of `rob[idx]` resolves. Leaving the lazy
+    /// `Src::Ready` rewrite to [`Cpu::ops_ready`] is invisible: retired
+    /// producers' values are architectural (frozen while retirement is
+    /// idle) and `Done` producers' values no longer change.
+    fn ops_would_be_ready(&self, idx: usize) -> bool {
+        self.rob[idx]
+            .ops
+            .iter()
+            .all(|op| self.operand(op).is_some())
     }
 
     /// Computes the core's activity horizon without mutating anything: if
@@ -1342,12 +1362,7 @@ impl Cpu {
                     None
                 }
                 St::UncachedWait => {
-                    let ready = if matches!(head.inst, Inst::Swap { .. }) {
-                        port.uncached_swap_ready(head.seq)
-                    } else {
-                        port.uncached_load_ready(head.seq)
-                    };
-                    if ready {
+                    if port.uncached_ready(head.seq) {
                         return CpuHorizon::Active;
                     }
                     // The completion cycle lives in the memory system's
@@ -1384,7 +1399,7 @@ impl Cpu {
                             Inst::Load { .. },
                             AddressSpace::Uncached | AddressSpace::UncachedCombining,
                         ) => {
-                            if port.uncached_load_would_accept() {
+                            if port.uncached_read_would_accept() {
                                 return CpuHorizon::Active;
                             }
                             Some(StallCause::UncachedLoadFull)
@@ -1426,12 +1441,7 @@ impl Cpu {
                     wake = Some(wake.map_or(done_at, |w| w.min(done_at)));
                 }
                 St::UncachedWait => {
-                    let ready = if matches!(e.inst, Inst::Swap { .. }) {
-                        port.uncached_swap_ready(e.seq)
-                    } else {
-                        port.uncached_load_ready(e.seq)
-                    };
-                    if ready {
+                    if port.uncached_ready(e.seq) {
                         return CpuHorizon::Active;
                     }
                 }
@@ -1469,44 +1479,8 @@ impl Cpu {
             return;
         }
         if self.obs.is_enabled() || self.metrics.is_enabled() {
-            // Mirror `track_stall_runs` for the first skipped cycle: the
-            // run matching `stall` opens (or stays open) at `now`; any
-            // other open run closes at `now`. Later skipped cycles only
-            // extend the open run, which the next close will account for.
-            let now = self.now;
-            let extends_uncached = matches!(
-                stall,
-                Some(
-                    StallCause::UncachedStoreFull
-                        | StallCause::UncachedLoadFull
-                        | StallCause::CsbStoreBusy
-                        | StallCause::CsbFlushWait
-                )
-            );
-            if extends_uncached {
-                self.uncached_stall_start.get_or_insert(now);
-            } else if let Some(start) = self.uncached_stall_start.take() {
-                let cycles = now - start;
-                self.obs.emit_span(
-                    start,
-                    cycles,
-                    Track::Cpu,
-                    EventKind::UncachedStallRun { cycles },
-                );
-                self.metrics.observe("rob_uncached_stall_run", cycles);
-            }
-            if stall == Some(StallCause::Membar) {
-                self.membar_stall_start.get_or_insert(now);
-            } else if let Some(start) = self.membar_stall_start.take() {
-                let cycles = now - start;
-                self.obs.emit_span(
-                    start,
-                    cycles,
-                    Track::Cpu,
-                    EventKind::MembarStallRun { cycles },
-                );
-                self.metrics.observe("membar_stall_run", cycles);
-            }
+            let membar = stall == Some(StallCause::Membar);
+            self.stall_runs(stall.is_some() && !membar, membar);
         }
         match stall {
             Some(StallCause::Membar) => self.stats.membar_stall_cycles += k,
@@ -1530,24 +1504,17 @@ impl Cpu {
     /// three operands — so the per-tick wakeup scan never allocates.
     #[inline]
     fn ops_ready(&mut self, idx: usize) -> bool {
-        let front = self.front_seq;
         let mut updates = [(0usize, 0u64); 3];
         let mut n = 0;
         let mut all = true;
         for (i, op) in self.rob[idx].ops.iter().enumerate() {
-            if let Src::Wait(seq) = op.src {
-                if seq < front {
-                    // Producer already retired; its value is architectural.
-                    updates[n] = (i, self.arch_value(op.reg));
-                    n += 1;
-                } else {
-                    let p = &self.rob[(seq - front) as usize];
-                    if p.st == St::Done {
-                        updates[n] = (i, p.value);
+            if let Src::Wait(_) = op.src {
+                match self.operand(op) {
+                    Some(v) => {
+                        updates[n] = (i, v);
                         n += 1;
-                    } else {
-                        all = false;
                     }
+                    None => all = false,
                 }
             }
         }
@@ -1595,14 +1562,7 @@ impl Cpu {
                     self.sched.complete(slot);
                 }
                 St::UncachedWait => {
-                    let seq = e.seq;
-                    let is_swap = matches!(e.inst, Inst::Swap { .. });
-                    let polled = if is_swap {
-                        port.uncached_swap_poll(seq)
-                    } else {
-                        port.uncached_load_poll(seq)
-                    };
-                    if let Some(v) = polled {
+                    if let Some(v) = port.uncached_poll(e.seq) {
                         let e = &mut self.rob[idx];
                         e.value = v;
                         e.st = St::Done;
@@ -1760,36 +1720,26 @@ impl Cpu {
                 self.sched.inflight.insert(self.rob.head);
                 false
             }
-            (Inst::Swap { .. }, AddressSpace::Uncached) => {
-                if e.mem_started {
-                    return false;
-                }
-                if *uncached_budget == 0 {
-                    return false;
-                }
-                let (seq, new) = (e.seq, e.op_val(0));
-                if !port.uncached_swap(addr, 8, new, seq) {
-                    self.stats.uncached_stall_cycles += 1;
-                    return false;
-                }
-                *uncached_budget -= 1;
-                let e = &mut self.rob[0];
-                e.mem_started = true;
-                e.st = St::UncachedWait;
-                self.worked = true;
-                self.sched.inflight.insert(self.rob.head);
-                false
-            }
-            (Inst::Store { .. } | Inst::StoreF { .. }, AddressSpace::Uncached) => {
+            (
+                Inst::Store { .. } | Inst::StoreF { .. },
+                AddressSpace::Uncached | AddressSpace::UncachedCombining,
+            ) => {
                 if *uncached_budget == 0 {
                     return false;
                 }
                 let (val, width) = (e.op_val(0), mem_width(&e.inst));
-                if !port.uncached_store(addr, width, val) {
+                let combining = space == AddressSpace::UncachedCombining;
+                let accepted = if combining {
+                    port.csb_store(pid, addr, width, val)
+                } else {
+                    port.uncached_store(addr, width, val)
+                };
+                if !accepted {
                     self.stats.uncached_stall_cycles += 1;
                     return false;
                 }
                 *uncached_budget -= 1;
+                self.stats.combining_stores += u64::from(combining);
                 let e = &mut self.rob[0];
                 e.st = St::Done;
                 e.t_issue = Some(now);
@@ -1798,36 +1748,20 @@ impl Cpu {
                 *budget -= 1;
                 true
             }
-            (Inst::Store { .. } | Inst::StoreF { .. }, AddressSpace::UncachedCombining) => {
-                if *uncached_budget == 0 {
-                    return false;
-                }
-                let (val, width) = (e.op_val(0), mem_width(&e.inst));
-                if !port.csb_store(pid, addr, width, val) {
-                    self.stats.uncached_stall_cycles += 1;
-                    return false;
-                }
-                *uncached_budget -= 1;
-                self.stats.combining_stores += 1;
-                let e = &mut self.rob[0];
-                e.st = St::Done;
-                e.t_issue = Some(now);
-                e.t_complete = Some(now);
-                self.commit_head(port);
-                *budget -= 1;
-                true
-            }
-            (Inst::Load { .. }, AddressSpace::Uncached | AddressSpace::UncachedCombining) => {
-                // Uncached loads bypass combined stores (§3.2): both spaces
-                // route through the uncached buffer.
+            (Inst::Swap { .. }, AddressSpace::Uncached)
+            | (Inst::Load { .. }, AddressSpace::Uncached | AddressSpace::UncachedCombining) => {
+                // One bus round trip through the uncached buffer. Uncached
+                // loads bypass combined stores (§3.2), so both spaces route
+                // here; a swap to plain uncached space writes its new value
+                // on the same trip.
                 if e.mem_started {
                     return false;
                 }
                 if *uncached_budget == 0 {
                     return false;
                 }
-                let (seq, width) = (e.seq, mem_width(&e.inst));
-                if !port.uncached_load(addr, width, seq) {
+                let swap = matches!(e.inst, Inst::Swap { .. }).then(|| e.op_val(0));
+                if !port.uncached_read(addr, mem_width(&e.inst), swap, e.seq) {
                     self.stats.uncached_stall_cycles += 1;
                     return false;
                 }

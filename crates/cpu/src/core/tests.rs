@@ -402,17 +402,11 @@ impl MemPort for DrainPort {
     fn uncached_store(&mut self, a: Addr, w: usize, v: u64) -> bool {
         self.inner.uncached_store(a, w, v)
     }
-    fn uncached_load(&mut self, a: Addr, w: usize, t: u64) -> bool {
-        self.inner.uncached_load(a, w, t)
+    fn uncached_read(&mut self, a: Addr, w: usize, s: Option<u64>, t: u64) -> bool {
+        self.inner.uncached_read(a, w, s, t)
     }
-    fn uncached_load_poll(&mut self, t: u64) -> Option<u64> {
-        self.inner.uncached_load_poll(t)
-    }
-    fn uncached_swap(&mut self, a: Addr, w: usize, v: u64, t: u64) -> bool {
-        self.inner.uncached_swap(a, w, v, t)
-    }
-    fn uncached_swap_poll(&mut self, t: u64) -> Option<u64> {
-        self.inner.uncached_swap_poll(t)
+    fn uncached_poll(&mut self, t: u64) -> Option<u64> {
+        self.inner.uncached_poll(t)
     }
     fn uncached_drained(&self) -> bool {
         let n = self.drain_polls.get() + 1;

@@ -127,32 +127,20 @@ impl MemPort for TimedPort {
         self.mem.uncached_store(addr, width, value)
     }
 
-    fn uncached_load(&mut self, addr: Addr, width: usize, tag: u64) -> bool {
+    fn uncached_read(&mut self, addr: Addr, width: usize, swap: Option<u64>, tag: u64) -> bool {
         if self.occupancy() >= UNCACHED_ENTRIES {
             return false;
         }
         let at = self.enqueue() + ROUND_TRIP;
         let value = self.mem.read(addr, width);
+        if let Some(new) = swap {
+            self.mem.write(addr, width, new);
+        }
         self.pending.push((tag, at, value));
         true
     }
 
-    fn uncached_load_poll(&mut self, tag: u64) -> Option<u64> {
-        self.poll(tag)
-    }
-
-    fn uncached_swap(&mut self, addr: Addr, width: usize, value: u64, tag: u64) -> bool {
-        if self.occupancy() >= UNCACHED_ENTRIES {
-            return false;
-        }
-        let at = self.enqueue() + ROUND_TRIP;
-        let old = self.mem.read(addr, width);
-        self.mem.write(addr, width, value);
-        self.pending.push((tag, at, old));
-        true
-    }
-
-    fn uncached_swap_poll(&mut self, tag: u64) -> Option<u64> {
+    fn uncached_poll(&mut self, tag: u64) -> Option<u64> {
         self.poll(tag)
     }
 
@@ -177,7 +165,7 @@ impl MemPort for TimedPort {
         self.occupancy() < UNCACHED_ENTRIES
     }
 
-    fn uncached_load_would_accept(&self) -> bool {
+    fn uncached_read_would_accept(&self) -> bool {
         self.occupancy() < UNCACHED_ENTRIES
     }
 
@@ -185,11 +173,7 @@ impl MemPort for TimedPort {
         self.now >= self.csb_busy_until
     }
 
-    fn uncached_load_ready(&self, tag: u64) -> bool {
-        self.ready(tag)
-    }
-
-    fn uncached_swap_ready(&self, tag: u64) -> bool {
+    fn uncached_ready(&self, tag: u64) -> bool {
         self.ready(tag)
     }
 }

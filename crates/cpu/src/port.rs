@@ -15,9 +15,9 @@ use crate::Pid;
 /// cycles.
 ///
 /// The `bool`-returning uncached methods implement flow control: `false`
-/// means "stall and retry next cycle" (buffer full, CSB busy). The `_poll`
-/// methods complete split transactions: they return `Some(value)` once the
-/// bus round trip identified by `tag` has finished.
+/// means "stall and retry next cycle" (buffer full, CSB busy).
+/// [`MemPort::uncached_poll`] completes split transactions: it returns
+/// `Some(value)` once the bus round trip identified by `tag` has finished.
 pub trait MemPort {
     /// Page attribute of `addr` (the TLB lookup).
     fn space_of(&self, addr: Addr) -> AddressSpace;
@@ -39,19 +39,15 @@ pub trait MemPort {
     /// Offers an uncached store to the uncached buffer.
     fn uncached_store(&mut self, addr: Addr, width: usize, value: u64) -> bool;
 
-    /// Issues an uncached load; the value arrives via
-    /// [`MemPort::uncached_load_poll`] under `tag`.
-    fn uncached_load(&mut self, addr: Addr, width: usize, tag: u64) -> bool;
+    /// Issues an uncached read of `width` bytes at `addr` — a load, or with
+    /// `swap: Some(new)` an atomic swap to plain uncached space, which
+    /// writes `new` in the same bus round trip. The value read (for a
+    /// swap, the old value) arrives via [`MemPort::uncached_poll`] under
+    /// `tag`.
+    fn uncached_read(&mut self, addr: Addr, width: usize, swap: Option<u64>, tag: u64) -> bool;
 
-    /// Polls for the completion of uncached load `tag`.
-    fn uncached_load_poll(&mut self, tag: u64) -> Option<u64>;
-
-    /// Issues an atomic swap to plain uncached space (a full bus round
-    /// trip); the old value arrives via [`MemPort::uncached_swap_poll`].
-    fn uncached_swap(&mut self, addr: Addr, width: usize, value: u64, tag: u64) -> bool;
-
-    /// Polls for the completion of uncached swap `tag`.
-    fn uncached_swap_poll(&mut self, tag: u64) -> Option<u64>;
+    /// Polls for the completion of uncached read `tag`.
+    fn uncached_poll(&mut self, tag: u64) -> Option<u64>;
 
     /// `true` when the uncached buffer has handed everything to the bus —
     /// the condition `membar` retirement waits for.
@@ -68,10 +64,11 @@ pub trait MemPort {
     fn csb_flush(&mut self, pid: Pid, addr: Addr, expected: u64) -> u64;
 
     // ------------------------------------------------------------------
-    // Pure peeks for the fast-forward path. Each mirrors the acceptance
-    // predicate of the corresponding mutating method without side effects
-    // (no stall counters, no trace events, no state changes), so the
-    // simulator can prove a stalled cycle would repeat and skip it.
+    // Pure peeks for the fast-forward path. Each asks the same decision
+    // its mutating method acts on (the machine calls one function for
+    // both), without the side effects (no stall counters, no trace events,
+    // no state changes), so the simulator can prove a stalled cycle would
+    // repeat and skip it.
     //
     // Defaults return `true` ("would make progress"), which is always
     // safe: over-claiming activity only costs a real tick, never
@@ -83,9 +80,8 @@ pub trait MemPort {
         true
     }
 
-    /// `true` if [`MemPort::uncached_load`] (or an uncached swap issue,
-    /// which shares the buffer-entry path) would currently succeed.
-    fn uncached_load_would_accept(&self) -> bool {
+    /// `true` if [`MemPort::uncached_read`] would currently succeed.
+    fn uncached_read_would_accept(&self) -> bool {
         true
     }
 
@@ -94,15 +90,9 @@ pub trait MemPort {
         true
     }
 
-    /// `true` if [`MemPort::uncached_load_poll`] for `tag` would return a
-    /// value this cycle.
-    fn uncached_load_ready(&self, _tag: u64) -> bool {
-        true
-    }
-
-    /// `true` if [`MemPort::uncached_swap_poll`] for `tag` would return a
-    /// value this cycle.
-    fn uncached_swap_ready(&self, _tag: u64) -> bool {
+    /// `true` if [`MemPort::uncached_poll`] for `tag` would return a value
+    /// this cycle.
+    fn uncached_ready(&self, _tag: u64) -> bool {
         true
     }
 }
@@ -131,8 +121,7 @@ pub struct SimpleMemPort {
     mem: HashMap<u64, u8>,
     map: AddressMap,
     uncached_latency: u64,
-    pending_loads: HashMap<u64, (u64, u64)>, // tag -> (ready_at, value)
-    pending_swaps: HashMap<u64, (u64, u64)>,
+    pending: HashMap<u64, (u64, u64)>, // tag -> (ready_at, value)
     now_hint: u64,
     log: Vec<(Addr, usize, u64)>,
     csb_count: u64,
@@ -209,41 +198,25 @@ impl MemPort for SimpleMemPort {
         true
     }
 
-    fn uncached_load(&mut self, addr: Addr, width: usize, tag: u64) -> bool {
+    fn uncached_read(&mut self, addr: Addr, width: usize, swap: Option<u64>, tag: u64) -> bool {
         let v = self.read_raw(addr, width);
-        self.pending_loads
+        if let Some(new) = swap {
+            self.write_raw(addr, width, new);
+            self.log.push((addr, width, new));
+        }
+        self.pending
             .insert(tag, (self.now_hint + self.uncached_latency, v));
         true
     }
 
-    fn uncached_load_poll(&mut self, tag: u64) -> Option<u64> {
+    fn uncached_poll(&mut self, tag: u64) -> Option<u64> {
         // SimpleMemPort has no clock of its own; completions are immediate
         // unless a latency was configured, in which case they are released
         // on the first poll after `ready_at` (polls happen every cycle).
-        let (ready_at, v) = *self.pending_loads.get(&tag)?;
+        let (ready_at, v) = *self.pending.get(&tag)?;
         self.now_hint += 1;
         if self.now_hint >= ready_at {
-            self.pending_loads.remove(&tag);
-            Some(v)
-        } else {
-            None
-        }
-    }
-
-    fn uncached_swap(&mut self, addr: Addr, width: usize, value: u64, tag: u64) -> bool {
-        let old = self.read_raw(addr, width);
-        self.write_raw(addr, width, value);
-        self.log.push((addr, width, value));
-        self.pending_swaps
-            .insert(tag, (self.now_hint + self.uncached_latency, old));
-        true
-    }
-
-    fn uncached_swap_poll(&mut self, tag: u64) -> Option<u64> {
-        let (ready_at, v) = *self.pending_swaps.get(&tag)?;
-        self.now_hint += 1;
-        if self.now_hint >= ready_at {
-            self.pending_swaps.remove(&tag);
+            self.pending.remove(&tag);
             Some(v)
         } else {
             None
@@ -319,8 +292,8 @@ mod tests {
     fn uncached_round_trip() {
         let mut p = SimpleMemPort::new();
         p.write(Addr::new(0x20), 4, 0x55);
-        assert!(p.uncached_load(Addr::new(0x20), 4, 9));
-        assert_eq!(p.uncached_load_poll(9), Some(0x55));
-        assert_eq!(p.uncached_load_poll(9), None);
+        assert!(p.uncached_read(Addr::new(0x20), 4, None, 9));
+        assert_eq!(p.uncached_poll(9), Some(0x55));
+        assert_eq!(p.uncached_poll(9), None);
     }
 }

@@ -156,11 +156,7 @@ impl Interpreter {
                 let addr = csb_isa::Addr::new(self.ctx.int_reg(base)).offset(offset);
                 let v = match port.space_of(addr) {
                     AddressSpace::Cached => port.read(addr, width.bytes()),
-                    _ => {
-                        let tag = self.fresh_tag();
-                        assert!(port.uncached_load(addr, width.bytes(), tag));
-                        self.spin_poll(|p| p.uncached_load_poll(tag), port)
-                    }
+                    _ => self.uncached_read(port, addr, width.bytes(), None),
                 };
                 self.ctx.set_int_reg(dst, v);
             }
@@ -189,11 +185,7 @@ impl Interpreter {
                         while !port.csb_can_flush() {}
                         port.csb_flush(self.ctx.pid(), addr, v)
                     }
-                    AddressSpace::Uncached => {
-                        let tag = self.fresh_tag();
-                        assert!(port.uncached_swap(addr, 8, v, tag));
-                        self.spin_poll(|p| p.uncached_swap_poll(tag), port)
-                    }
+                    AddressSpace::Uncached => self.uncached_read(port, addr, 8, Some(v)),
                 };
                 self.ctx.set_int_reg(reg, old);
             }
@@ -214,12 +206,6 @@ impl Interpreter {
         }
     }
 
-    fn fresh_tag(&mut self) -> u64 {
-        let t = self.next_tag;
-        self.next_tag += 1;
-        t
-    }
-
     fn store<P: MemPort>(&mut self, port: &mut P, addr: csb_isa::Addr, width: usize, v: u64) {
         match port.space_of(addr) {
             AddressSpace::Cached => port.write(addr, width, v),
@@ -230,13 +216,19 @@ impl Interpreter {
         }
     }
 
-    fn spin_poll<P: MemPort>(
+    /// One uncached round trip under a fresh tag, polled to completion.
+    fn uncached_read<P: MemPort>(
         &mut self,
-        mut poll: impl FnMut(&mut P) -> Option<u64>,
         port: &mut P,
+        addr: csb_isa::Addr,
+        width: usize,
+        swap: Option<u64>,
     ) -> u64 {
+        let tag = self.next_tag;
+        self.next_tag += 1;
+        assert!(port.uncached_read(addr, width, swap, tag));
         loop {
-            if let Some(v) = poll(port) {
+            if let Some(v) = port.uncached_poll(tag) {
                 return v;
             }
         }

@@ -70,17 +70,6 @@ impl LedgerRecord {
     }
 }
 
-/// FNV-1a over an arbitrary configuration rendering — the ledger's
-/// `config_hash`. Stable across runs and platforms for identical input.
-pub fn hash_config(repr: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in repr.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 fn get<'a>(obj: &'a [(String, Value)], key: &str) -> Option<&'a Value> {
     obj.iter().find(|(k, _)| k == key).map(|(_, v)| v)
 }
@@ -298,7 +287,7 @@ mod tests {
             bench: "fig4".into(),
             label: label.into(),
             scheme: "CSB".into(),
-            config_hash: hash_config("cfg"),
+            config_hash: 0xf5e6_1819_0ce6_f5e1,
             seed: 0,
             cycles,
             wall_us: 120,

@@ -64,8 +64,7 @@ mod timeline;
 pub use chrome::chrome_trace_json;
 pub use event::{EventKind, TraceEvent, Track};
 pub use ledger::{
-    diff_ledgers, hash_config, parse_ledger, parse_record, LedgerDiff, LedgerRecord,
-    LedgerRegression,
+    diff_ledgers, parse_ledger, parse_record, LedgerDiff, LedgerRecord, LedgerRegression,
 };
 pub use metrics::{BucketCount, Histogram, HistogramSummary, MetricsRegistry, MetricsSnapshot};
 pub use sink::TraceSink;

@@ -35,12 +35,9 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 /// 64-bit FNV-1a over a byte slice — the checksum and key hash used
 /// throughout the snapshot and cache layers.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
+    let mut h = Fnv1a::new();
+    h.update(bytes);
+    h.finish()
 }
 
 /// [`fnv1a`] over a string's UTF-8 bytes.

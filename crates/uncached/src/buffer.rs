@@ -519,186 +519,131 @@ impl UncachedBuffer {
         let base = addr.align_down(self.cfg.block as u64);
         let off = addr.offset_in(self.cfg.block as u64) as usize;
 
-        if self.try_coalesce(addr, base, off, data, width) {
-            self.stats.stores += 1;
-            self.stats.coalesced += 1;
-            self.sink.emit(
-                Track::Uncached,
-                EventKind::UncachedPush {
-                    addr: addr.raw(),
-                    width,
-                    coalesced: true,
-                },
-            );
-            return PushOutcome::Coalesced;
-        }
-
-        if self.entries.len() >= self.cfg.capacity {
-            self.stats.full_stalls += 1;
-            self.sink.emit(
-                Track::Uncached,
-                EventKind::UncachedFull { addr: addr.raw() },
-            );
-            return PushOutcome::Full;
-        }
-        let mut se = StoreEntry {
-            base,
-            mask: ByteMask::empty(),
-            data: [0u8; MAX_BLOCK],
-            locked: false,
-            closed: false,
-            expected_next: addr.raw() + width as u64,
-            beat: width,
-            stores: 1,
+        let coalesced = match self.merge_target(addr, base, width) {
+            Ok(i) => {
+                let Entry::Store(se) = &mut self.entries[i] else {
+                    unreachable!("stores merge only into store entries")
+                };
+                se.mask.set_range(off, width);
+                se.data[off..off + width].copy_from_slice(data);
+                se.stores += 1;
+                match self.cfg.rule {
+                    CombineRule::Block => {}
+                    CombineRule::Sequential => se.expected_next += width as u64,
+                    CombineRule::Pair => se.closed = true, // a pair is complete
+                }
+                true
+            }
+            Err(close) => {
+                if let Some(Entry::Store(se)) = close.map(|i| &mut self.entries[i]) {
+                    se.closed = true;
+                }
+                if self.entries.len() >= self.cfg.capacity {
+                    self.stats.full_stalls += 1;
+                    self.sink.emit(
+                        Track::Uncached,
+                        EventKind::UncachedFull { addr: addr.raw() },
+                    );
+                    return PushOutcome::Full;
+                }
+                let mut se = StoreEntry {
+                    base,
+                    mask: ByteMask::empty(),
+                    data: [0u8; MAX_BLOCK],
+                    locked: false,
+                    closed: false,
+                    expected_next: addr.raw() + width as u64,
+                    beat: width,
+                    stores: 1,
+                };
+                se.mask.set_range(off, width);
+                se.data[off..off + width].copy_from_slice(data);
+                self.entries.push_back(Entry::Store(se));
+                self.stats.entries += 1;
+                false
+            }
         };
-        se.mask.set_range(off, width);
-        se.data[off..off + width].copy_from_slice(data);
-        self.entries.push_back(Entry::Store(se));
         self.stats.stores += 1;
-        self.stats.entries += 1;
+        self.stats.coalesced += u64::from(coalesced);
         self.sink.emit(
             Track::Uncached,
             EventKind::UncachedPush {
                 addr: addr.raw(),
                 width,
-                coalesced: false,
+                coalesced,
             },
         );
-        PushOutcome::NewEntry
+        if coalesced {
+            PushOutcome::Coalesced
+        } else {
+            PushOutcome::NewEntry
+        }
     }
 
-    /// Attempts to merge the store into an existing entry under the
-    /// configured rule. Returns `true` on success.
-    fn try_coalesce(
-        &mut self,
-        addr: Addr,
-        base: Addr,
-        off: usize,
-        data: &[u8],
-        width: usize,
-    ) -> bool {
+    /// The merge decision for a store of `width` bytes at `addr` (in the
+    /// block at `base`) under the configured rule: `Ok(i)` when it merges
+    /// into entry `i`; otherwise `Err(close)`, where `close` names the
+    /// entry whose Sequential/Pair pattern the store breaks — offering it
+    /// closes that entry for good, accepted or not. [`push_store`] applies
+    /// the decision and [`would_accept_store`] peeks at it, so the
+    /// fast-forward path's verdict is the tick's own.
+    ///
+    /// [`push_store`]: UncachedBuffer::push_store
+    /// [`would_accept_store`]: UncachedBuffer::would_accept_store
+    fn merge_target(&self, addr: Addr, base: Addr, width: usize) -> Result<usize, Option<usize>> {
         match self.cfg.rule {
             CombineRule::Block => {
                 // Scan from the tail; stop at the first load or draining
-                // store — coalescing past those would reorder.
-                for entry in self.entries.iter_mut().rev() {
+                // store — coalescing past those would reorder. An older
+                // unlocked store to a different block does not order
+                // against this store, so the scan passes it.
+                for (i, entry) in self.entries.iter().enumerate().rev() {
                     match entry {
                         Entry::Store(se) if !se.locked => {
                             if se.base == base {
-                                se.mask.set_range(off, width);
-                                se.data[off..off + width].copy_from_slice(data);
-                                se.stores += 1;
-                                return true;
+                                return Ok(i);
                             }
-                            // Keep scanning: an older unlocked store to a
-                            // different block does not order against this
-                            // store.
                         }
-                        _ => return false,
+                        _ => return Err(None),
                     }
                 }
-                false
+                Err(None)
             }
-            CombineRule::Sequential => {
-                // Only the youngest entry detects the pattern; breaking it
-                // closes that entry for good (R10000 behaviour).
-                let Some(Entry::Store(se)) = self.entries.back_mut() else {
-                    return false;
+            // Only the youngest entry detects the pattern; breaking it
+            // closes that entry (R10000). A 620 pair takes exactly one
+            // more store, and only when the pair is naturally aligned.
+            rule => {
+                let Some(Entry::Store(se)) = self.entries.back() else {
+                    return Err(None);
                 };
-                if se.locked || se.closed {
-                    return false;
-                }
-                if se.base == base && addr.raw() == se.expected_next && width == se.beat {
-                    se.mask.set_range(off, width);
-                    se.data[off..off + width].copy_from_slice(data);
-                    se.expected_next += width as u64;
-                    se.stores += 1;
-                    true
-                } else {
-                    se.closed = true;
-                    false
-                }
-            }
-            CombineRule::Pair => {
-                let Some(Entry::Store(se)) = self.entries.back_mut() else {
-                    return false;
-                };
-                if se.locked || se.closed || se.stores != 1 {
-                    return false;
+                let youngest = self.entries.len() - 1;
+                if se.locked || se.closed || (rule == CombineRule::Pair && se.stores != 1) {
+                    return Err(None);
                 }
                 let first_off = se.mask.bits().trailing_zeros() as usize;
-                let pair_aligned = first_off.is_multiple_of(2 * se.beat);
-                if se.base == base
+                let merges = se.base == base
                     && addr.raw() == se.expected_next
                     && width == se.beat
-                    && pair_aligned
-                {
-                    se.mask.set_range(off, width);
-                    se.data[off..off + width].copy_from_slice(data);
-                    se.stores = 2;
-                    se.closed = true; // a pair is complete
-                    true
+                    && (rule == CombineRule::Sequential || first_off.is_multiple_of(2 * se.beat));
+                if merges {
+                    Ok(youngest)
                 } else {
-                    se.closed = true;
-                    false
+                    Err(Some(youngest))
                 }
             }
         }
     }
 
-    /// Pure mirror of [`UncachedBuffer::push_store`]'s acceptance: `true`
-    /// if the store would coalesce or a new entry fits. No stall counting,
-    /// no trace events, no entry mutation — the fast-forward path uses
-    /// this to prove a refused store would stay refused.
+    /// `true` if [`UncachedBuffer::push_store`] would accept the store: it
+    /// merges, or a new entry fits. No stall counting, no trace events,
+    /// no entry mutation — the fast-forward path uses this to prove a
+    /// refused store would stay refused. (A refused push also closes the
+    /// entry its offer breaks; the peek leaves it open. Skipping those
+    /// closes is invisible: while the buffer is full the decision's inputs
+    /// are frozen, and `closed` feeds nothing but the next decision.)
     pub fn would_accept_store(&self, addr: Addr, width: usize) -> bool {
         let base = addr.align_down(self.cfg.block as u64);
-        self.would_coalesce(addr, base, width) || self.entries.len() < self.cfg.capacity
-    }
-
-    /// Pure mirror of [`UncachedBuffer::try_coalesce`]'s success predicate.
-    /// (The mutating version also closes Sequential/Pair entries on a
-    /// mismatch; deferring that across skipped refused pushes is invisible
-    /// because the match conditions are frozen while the buffer is full
-    /// and `closed` feeds nothing but the next coalesce attempt.)
-    fn would_coalesce(&self, addr: Addr, base: Addr, width: usize) -> bool {
-        match self.cfg.rule {
-            CombineRule::Block => {
-                for entry in self.entries.iter().rev() {
-                    match entry {
-                        Entry::Store(se) if !se.locked => {
-                            if se.base == base {
-                                return true;
-                            }
-                        }
-                        _ => return false,
-                    }
-                }
-                false
-            }
-            CombineRule::Sequential => {
-                let Some(Entry::Store(se)) = self.entries.back() else {
-                    return false;
-                };
-                !se.locked
-                    && !se.closed
-                    && se.base == base
-                    && addr.raw() == se.expected_next
-                    && width == se.beat
-            }
-            CombineRule::Pair => {
-                let Some(Entry::Store(se)) = self.entries.back() else {
-                    return false;
-                };
-                if se.locked || se.closed || se.stores != 1 {
-                    return false;
-                }
-                let first_off = se.mask.bits().trailing_zeros() as usize;
-                se.base == base
-                    && addr.raw() == se.expected_next
-                    && width == se.beat
-                    && first_off.is_multiple_of(2 * se.beat)
-            }
-        }
+        self.merge_target(addr, base, width).is_ok() || self.entries.len() < self.cfg.capacity
     }
 
     /// Pure mirror of [`UncachedBuffer::push_load`]'s acceptance (loads

@@ -1012,3 +1012,229 @@ fn autosnap_frames_restore_and_finish_identically() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+// ---------------------------------------------------------------------------
+// Uncached reads on the bus: a swap and a load through `UNCACHED_BASE`.
+// ---------------------------------------------------------------------------
+
+/// Swaps 0x55 into `UNCACHED_BASE + 0x40`, loads it back, then swaps 0x66
+/// into `+ 0x48`; the machine starts with 0x77 and 0x88 there. Every
+/// access is a bus round trip through the uncached buffer.
+fn uncached_swap_machine(fast_forward: bool) -> (SimConfig, Program, Simulator) {
+    use csb_isa::{Addr, Assembler, MemWidth, Reg};
+    let mut a = Assembler::new();
+    a.movi(Reg::O1, csb_core::UNCACHED_BASE as i64);
+    a.movi(Reg::L0, 0x55);
+    a.swap(Reg::L0, Reg::O1, 0x40);
+    a.ld(Reg::L1, Reg::O1, 0x40, MemWidth::B8);
+    a.movi(Reg::L2, 0x66);
+    a.swap(Reg::L2, Reg::O1, 0x48);
+    a.halt();
+    let program = a.assemble().expect("swap program assembles");
+    let cfg = SimConfig::default();
+    let mut sim = Simulator::new(cfg.clone(), program.clone()).expect("config valid");
+    sim.set_fast_forward(fast_forward);
+    let mem = sim.memory_mut();
+    mem.write(Addr::new(csb_core::UNCACHED_BASE + 0x40), 8, 0x77);
+    mem.write(Addr::new(csb_core::UNCACHED_BASE + 0x48), 8, 0x88);
+    (cfg, program, sim)
+}
+
+#[test]
+fn uncached_swaps_round_trip_through_the_bus() {
+    use csb_isa::Reg;
+    let mut summaries = Vec::new();
+    for ff in [false, true] {
+        let (cfg, program, mut whole) = uncached_swap_machine(ff);
+        let expected = whole.run(LIMIT).expect("uninterrupted run completes");
+        let regs = whole.cpu().context();
+        assert_eq!(
+            regs.int_reg(Reg::L0),
+            0x77,
+            "ff={ff}: first swap's old value"
+        );
+        assert_eq!(
+            regs.int_reg(Reg::L1),
+            0x55,
+            "ff={ff}: the load sees the swap"
+        );
+        assert_eq!(
+            regs.int_reg(Reg::L2),
+            0x88,
+            "ff={ff}: second swap's old value"
+        );
+        assert_eq!(expected.bus.transactions, 3, "ff={ff}: three round trips");
+
+        // A frame at every cycle restores and finishes like the uncut run:
+        // swaps on the bus and values delivered but not yet polled ride
+        // the frame.
+        let expected = serde_json::to_string(&expected).unwrap();
+        let (_, _, mut donor) = uncached_swap_machine(ff);
+        let mut frames = 0;
+        while !donor.complete() {
+            let at = donor.cpu().now() + 1;
+            donor.run_to(at).expect("run to snapshot cycle");
+            let bytes = donor.snapshot();
+            let mut resumed = Simulator::restore(cfg.clone(), program.clone(), &bytes)
+                .unwrap_or_else(|e| panic!("ff={ff} cycle {at}: {e}"));
+            let got = resumed.run(LIMIT).expect("resumed run completes");
+            assert_eq!(
+                serde_json::to_string(&got).unwrap(),
+                expected,
+                "ff={ff}: frame at cycle {at} finishes differently"
+            );
+            frames += 1;
+        }
+        assert!(frames > 20, "ff={ff}: only {frames} frames");
+        summaries.push(expected);
+    }
+    assert_eq!(summaries[0], summaries[1], "naive and fast-forward differ");
+}
+
+#[test]
+fn restore_rejects_a_read_tag_listed_twice() {
+    // Tick until the first swap is on the bus: the frame's read lists are
+    // then no delivered load, no delivered swap and one swap on the bus
+    // (tag, width 8, value 0x55). Forge a delivered load under the same
+    // tag in front of it.
+    let (cfg, program, mut sim) = uncached_swap_machine(false);
+    let is_lists = |w: &[u8]| {
+        let word = |i: usize| u64::from_le_bytes(w[8 * i..8 * i + 8].try_into().unwrap());
+        (word(0), word(1), word(2), word(4), word(5)) == (0, 0, 1, 8, 0x55)
+    };
+    let (frame, at) = loop {
+        assert!(!sim.complete(), "the swap never went on the bus");
+        let now = sim.cpu().now();
+        sim.run_to(now + 1).unwrap();
+        let frame = sim.snapshot();
+        let hits: Vec<usize> = (0..frame.len() - 48)
+            .filter(|&i| is_lists(&frame[i..i + 48]))
+            .collect();
+        if let [at] = hits[..] {
+            break (frame, at);
+        }
+    };
+    assert!(Simulator::restore(cfg.clone(), program.clone(), &frame).is_ok());
+    let tag = u64::from_le_bytes(frame[at + 24..at + 32].try_into().unwrap());
+    let body = &frame[..frame.len() - 8];
+    let mut forged = body[..at].to_vec();
+    forged.extend([1, tag, 0, 0x77].iter().flat_map(|w: &u64| w.to_le_bytes()));
+    forged.extend(&body[at + 8..]);
+    let sum = csb_snap::fnv1a(&forged);
+    forged.extend(sum.to_le_bytes());
+    assert!(
+        Simulator::restore(cfg, program, &forged).is_err(),
+        "a tag both delivered and on the bus restored"
+    );
+}
+
+// ---------------------------------------------------------------------------
+// Whole-machine frame bytes, pinned.
+// ---------------------------------------------------------------------------
+
+/// Appends `len fnv1a` of `sim`'s frame at every `every`-th cycle of its
+/// naive-loop run, one line per frame, until the run completes.
+fn pin_frames(out: &mut String, name: &str, sim: &mut Simulator, every: u64) {
+    use std::fmt::Write as _;
+    sim.set_fast_forward(false);
+    loop {
+        let now = sim.cpu().now();
+        if now.is_multiple_of(every) {
+            let frame = sim.snapshot();
+            let sum = csb_snap::fnv1a(&frame);
+            writeln!(out, "{name} {now} {} {sum:016x}", frame.len()).unwrap();
+        }
+        if sim.complete() {
+            return;
+        }
+        if let Err(e) = sim.run_to(now + 1) {
+            writeln!(out, "{name} {now} stopped: {e}").unwrap();
+            return;
+        }
+    }
+}
+
+/// The `len` and FNV-1a of `Simulator::snapshot()` at every cycle of the
+/// uncached swap program and of `4a/256B/CSB`, and at every 101st cycle
+/// of `messaging/csb/8B/r90/backoff-12` (NIC attached, faults on), all on
+/// the naive loop so fast-forward tuning never moves them. A refactor
+/// must leave every byte of every frame where it was. Regenerate with
+/// `UPDATE_GOLDEN=1 cargo test -p csb-core --test snapshot` only for an
+/// intentional change to the frame.
+#[test]
+fn machine_frames_match_golden() {
+    let mut out = String::new();
+    let (_, _, mut sim) = uncached_swap_machine(false);
+    pin_frames(&mut out, "swap", &mut sim, 1);
+
+    let spec = csb_core::experiments::fig4::panel_specs()
+        .iter()
+        .flat_map(|p| p.enumerate())
+        .find(|s| s.label == "4a/256B/CSB")
+        .expect("Figure 4 enumerates 4a/256B/CSB");
+    let PointWork::Bandwidth {
+        transfer,
+        scheme,
+        order,
+    } = spec.work
+    else {
+        unreachable!("4a/256B/CSB is a bandwidth point")
+    };
+    let (cfg, path) = scheme.machine(&spec.cfg);
+    let program = workloads::store_bandwidth_ordered(transfer, &cfg, path, order).unwrap();
+    let mut sim = Simulator::new(cfg, program).unwrap();
+    pin_frames(&mut out, "4a/256B/CSB", &mut sim, 1);
+
+    // The messaging sweep's first seed of its csb/8B/r90/backoff-12 cell.
+    let seed = 0x0e2e_0000 + 102_000;
+    let cfg = SimConfig::default();
+    let spec = workloads::MessagingSpec {
+        count: 16,
+        payload_dwords: 1,
+        sender: 1,
+        slots: 4,
+    };
+    let policy = RetryPolicy::Backoff {
+        attempts: 12,
+        base: 32,
+        max: 1024,
+        seed,
+    };
+    let program = workloads::csb_messages(spec, policy, &cfg).unwrap();
+    let nic = csb_nic::NicConfig {
+        slot_size: cfg.line(),
+        slots: 4,
+        ..csb_nic::NicConfig::default()
+    };
+    let mut sim = Simulator::new(cfg, program).unwrap();
+    sim.attach_nic(nic, csb_isa::Addr::new(csb_core::COMBINING_BASE))
+        .unwrap();
+    sim.set_faults(Some(
+        FaultConfig::new(seed)
+            .flush_disturb_rate(0.9)
+            .bus_error_rate(0.9 * 0.25)
+            .device_nack_rate(0.9 * 0.25),
+    ));
+    sim.enable_metrics();
+    pin_frames(&mut out, "messaging/csb/8B/r90/backoff-12", &mut sim, 101);
+
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden/frames.txt");
+    if std::env::var("UPDATE_GOLDEN").is_ok() {
+        std::fs::write(&path, &out).expect("golden frames write");
+        return;
+    }
+    let expected = std::fs::read_to_string(&path).unwrap_or_else(|_| {
+        panic!(
+            "{} missing — run UPDATE_GOLDEN=1 cargo test -p csb-core --test snapshot",
+            path.display()
+        )
+    });
+    for (i, (got, want)) in out.lines().zip(expected.lines()).enumerate() {
+        assert_eq!(got, want, "frame line {} drifted", i + 1);
+    }
+    assert_eq!(
+        out.lines().count(),
+        expected.lines().count(),
+        "frame count drifted"
+    );
+}
