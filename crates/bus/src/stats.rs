@@ -130,43 +130,27 @@ impl BusStats {
         self.foreign_cycles += cycles;
     }
 
-    /// Serializes every counter.
-    pub fn save_state(&self, w: &mut csb_snap::SnapshotWriter) {
-        w.put_tag("bus_stats");
-        w.put_u64(self.transactions);
-        w.put_u64(self.bytes_on_bus);
-        w.put_u64(self.payload_bytes);
-        w.put_u64(self.busy_cycles);
-        w.put_opt_u64(self.first_addr_cycle);
-        w.put_opt_u64(self.last_data_cycle);
-        for c in &self.size_histogram.counts {
-            w.put_u64(*c);
-        }
-        w.put_u64(self.foreign_transactions);
-        w.put_u64(self.foreign_cycles);
-    }
-
-    /// Restores counters written by [`BusStats::save_state`].
+    /// Walks every counter.
     ///
     /// # Errors
     ///
     /// [`csb_snap::SnapshotError`] on a malformed stream.
-    pub fn restore_state(
-        &mut self,
-        r: &mut csb_snap::SnapshotReader<'_>,
-    ) -> Result<(), csb_snap::SnapshotError> {
-        r.take_tag("bus_stats")?;
-        self.transactions = r.take_u64()?;
-        self.bytes_on_bus = r.take_u64()?;
-        self.payload_bytes = r.take_u64()?;
-        self.busy_cycles = r.take_u64()?;
-        self.first_addr_cycle = r.take_opt_u64()?;
-        self.last_data_cycle = r.take_opt_u64()?;
-        for c in &mut self.size_histogram.counts {
-            *c = r.take_u64()?;
+    pub fn state(&mut self, s: &mut impl csb_snap::Codec) -> Result<(), csb_snap::SnapshotError> {
+        s.tag("bus_stats")?;
+        for v in [
+            &mut self.transactions,
+            &mut self.bytes_on_bus,
+            &mut self.payload_bytes,
+            &mut self.busy_cycles,
+        ] {
+            s.u64(v)?;
         }
-        self.foreign_transactions = r.take_u64()?;
-        self.foreign_cycles = r.take_u64()?;
+        s.opt_u64(&mut self.first_addr_cycle)?;
+        s.opt_u64(&mut self.last_data_cycle)?;
+        let foreign = [&mut self.foreign_transactions, &mut self.foreign_cycles];
+        for v in self.size_histogram.counts.iter_mut().chain(foreign) {
+            s.u64(v)?;
+        }
         Ok(())
     }
 

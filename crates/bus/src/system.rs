@@ -245,35 +245,24 @@ impl SystemBus {
         self.stats = BusStats::default();
     }
 
-    /// Serializes the bus timing state and statistics. The trace sink and
+    /// Walks the bus timing state and statistics. The trace sink and
     /// fault hook are wiring, not state — the restoring side re-installs
-    /// them.
-    pub fn save_state(&self, w: &mut csb_snap::SnapshotWriter) {
-        w.put_tag("bus");
-        w.put_u64(self.next_free);
-        w.put_opt_u64(self.last_addr);
-        w.put_f64(self.foreign_debt);
-        self.stats.save_state(w);
-    }
-
-    /// Restores state written by [`SystemBus::save_state`] into a bus
-    /// with the same configuration. The stream does not say which cycle
-    /// the bus resumes at, so the caller checks the restored state against
-    /// it with [`SystemBus::check_restored`].
+    /// them, into a bus with the same configuration. The stream does not
+    /// say which cycle the bus resumes at, so the caller checks the
+    /// restored state against it with [`SystemBus::check_restored`].
     ///
     /// # Errors
     ///
     /// [`csb_snap::SnapshotError`] on a malformed stream.
-    pub fn restore_state(
-        &mut self,
-        r: &mut csb_snap::SnapshotReader<'_>,
-    ) -> Result<(), csb_snap::SnapshotError> {
-        self.reset();
-        r.take_tag("bus")?;
-        self.next_free = r.take_u64()?;
-        self.last_addr = r.take_opt_u64()?;
-        self.foreign_debt = r.take_f64()?;
-        self.stats.restore_state(r)
+    pub fn state(&mut self, s: &mut impl csb_snap::Codec) -> Result<(), csb_snap::SnapshotError> {
+        if s.reading() {
+            self.reset();
+        }
+        s.tag("bus")?;
+        s.u64(&mut self.next_free)?;
+        s.opt_u64(&mut self.last_addr)?;
+        s.f64(&mut self.foreign_debt)?;
+        self.stats.state(s)
     }
 
     /// Rejects restored timing state that no run reaches by bus cycle

@@ -454,7 +454,8 @@ fn payload_len(record: &[u8], key: u64) -> Option<usize> {
     }
     let len = r.take_u32().ok()? as usize;
     r.take_raw(len).ok()?;
-    (r.remaining() == 0).then_some(len)
+    r.expect_end("cache record").ok()?;
+    Some(len)
 }
 
 /// The key and byte range of the record framed at `pos`: a magic and a

@@ -58,45 +58,29 @@ impl IoDevice {
         });
     }
 
-    /// Serializes the delivery log.
-    pub(crate) fn save_state(&self, w: &mut csb_snap::SnapshotWriter) {
-        w.put_tag("dev");
-        w.put_usize(self.writes.len());
-        for d in &self.writes {
-            w.put_u64(d.addr.raw());
-            w.put_bytes(&d.data);
-            w.put_usize(d.payload);
-            w.put_u64(d.bus_cycle);
-        }
-    }
-
-    /// Restores a log written by [`IoDevice::save_state`].
-    pub(crate) fn restore_state(
+    /// Walks the delivery log.
+    pub(crate) fn state(
         &mut self,
-        r: &mut csb_snap::SnapshotReader<'_>,
+        s: &mut impl csb_snap::Codec,
     ) -> Result<(), csb_snap::SnapshotError> {
-        r.take_tag("dev")?;
-        self.writes.clear();
-        let n = r.take_usize()?;
-        for _ in 0..n {
-            let addr = Addr::new(r.take_u64()?);
-            let bytes = r.take_bytes()?;
-            if bytes.len() > csb_uncached::MAX_BLOCK {
-                return Err(csb_snap::SnapshotError::Corrupt(format!(
-                    "device delivery of {} bytes exceeds {}",
-                    bytes.len(),
-                    csb_uncached::MAX_BLOCK
-                )));
-            }
-            let data = PayloadBuf::from_slice(bytes);
-            let payload = r.take_usize()?;
-            let bus_cycle = r.take_u64()?;
-            self.writes.push(DeliveredWrite {
-                addr,
-                data,
-                payload,
-                bus_cycle,
-            });
+        s.tag("dev")?;
+        let mut n = self.writes.len();
+        s.len(&mut n, usize::MAX, "device deliveries")?;
+        if s.reading() {
+            let empty = DeliveredWrite {
+                addr: Addr::default(),
+                data: PayloadBuf::empty(),
+                payload: 0,
+                bus_cycle: 0,
+            };
+            self.writes.clear();
+            self.writes.resize(n, empty);
+        }
+        for d in &mut self.writes {
+            s.u64_as(&mut d.addr, Addr::raw, Addr::new)?;
+            d.data.state(s)?;
+            s.usize(&mut d.payload)?;
+            s.u64(&mut d.bus_cycle)?;
         }
         Ok(())
     }

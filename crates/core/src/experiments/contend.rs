@@ -31,12 +31,13 @@ use super::runner::{
     run_sweep, KeyMemo, LabeledArtifacts, ObsConfig, PointArtifacts, PointValue, RunReport,
     SweepPoint,
 };
-use super::{format_table, merge_histograms, put_histogram, take_histogram, ExpError};
+use super::{format_table, histogram_state, merge_histograms, ExpError};
 use crate::config::SimConfig;
 use crate::multiproc::{MultiSim, SwitchPolicy};
 use crate::sim::Simulator;
 use crate::workloads;
 use csb_obs::HistogramSummary;
+use csb_snap::{Codec, SnapshotError};
 
 /// Processor counts swept.
 pub const CORES: [usize; 3] = [16, 32, 64];
@@ -203,15 +204,15 @@ impl ContendSweep {
 }
 
 /// Raw outcome of a single seeded run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub(super) struct PointResult {
-    payload_bytes: u64,
-    cycles: u64,
-    switches: u64,
-    flush_failures: u64,
-    cross_pid_resets: u64,
-    flush: Option<HistogramSummary>,
-    sim_cycles: u64,
+    pub(super) payload_bytes: u64,
+    pub(super) cycles: u64,
+    pub(super) switches: u64,
+    pub(super) flush_failures: u64,
+    pub(super) cross_pid_resets: u64,
+    pub(super) flush: Option<HistogramSummary>,
+    pub(super) sim_cycles: u64,
 }
 
 impl PointResult {
@@ -337,34 +338,19 @@ impl SweepPoint for ContendPoint {
         Ok((result, artifacts))
     }
 
-    fn encode(r: &PointResult) -> Vec<u8> {
-        let mut w = csb_snap::SnapshotWriter::new();
-        w.put_tag("cnt");
-        w.put_u64(r.payload_bytes);
-        w.put_u64(r.cycles);
-        w.put_u64(r.switches);
-        w.put_u64(r.flush_failures);
-        w.put_u64(r.cross_pid_resets);
-        w.put_u64(r.sim_cycles);
-        put_histogram(&mut w, r.flush.as_ref());
-        w.finish()
-    }
-
-    fn decode(&self, payload: &[u8]) -> Option<PointResult> {
-        let mut r = csb_snap::SnapshotReader::new(payload);
-        r.take_tag("cnt").ok()?;
-        let result = PointResult {
-            payload_bytes: r.take_u64().ok()?,
-            cycles: r.take_u64().ok()?,
-            switches: r.take_u64().ok()?,
-            flush_failures: r.take_u64().ok()?,
-            cross_pid_resets: r.take_u64().ok()?,
-            sim_cycles: r.take_u64().ok()?,
-            flush: take_histogram(&mut r)?,
-        };
-        let _checksum = r.take_u64().ok()?;
-        r.expect_end("cached contention point payload").ok()?;
-        Some(result)
+    fn payload(&self, r: &mut PointResult, s: &mut impl Codec) -> Result<(), SnapshotError> {
+        s.tag("cnt")?;
+        for v in [
+            &mut r.payload_bytes,
+            &mut r.cycles,
+            &mut r.switches,
+            &mut r.flush_failures,
+            &mut r.cross_pid_resets,
+            &mut r.sim_cycles,
+        ] {
+            s.u64(v)?;
+        }
+        histogram_state(&mut r.flush, s)
     }
 
     fn value(r: &PointResult) -> PointValue {
@@ -439,6 +425,7 @@ pub fn run_jobs_observed(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::runner::{read_payload, write_payload};
 
     fn run_point(scheme: ContendScheme, cores: usize, seed: u64) -> PointResult {
         ContendPoint {
@@ -538,9 +525,8 @@ mod tests {
             cores: 4,
             seed: 0xc0de_0001,
         };
-        let decoded = point
-            .decode(&ContendPoint::encode(&live))
-            .expect("payload decodes");
+        let payload = write_payload(&point, &mut live.clone());
+        let decoded = read_payload(&point, &payload).expect("payload reads back");
         assert_eq!(decoded.payload_bytes, live.payload_bytes);
         assert_eq!(decoded.cycles, live.cycles);
         assert_eq!(

@@ -28,6 +28,7 @@ use crate::config::SimConfig;
 use crate::sim::{SimError, Simulator};
 use crate::workloads::{self, RetryPolicy, MARK_END, MARK_START};
 use csb_faults::FaultConfig;
+use csb_snap::{Codec, SnapshotError};
 
 /// Fault rates swept (fraction of decisions that inject).
 pub const RATES: [f64; 6] = [0.0, 0.1, 0.25, 0.5, 0.75, 0.9];
@@ -162,13 +163,13 @@ impl FaultSweep {
 }
 
 /// Raw outcome of a single seeded run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub(super) struct PointResult {
-    success: bool,
-    livelock: bool,
-    attempts: u64,
-    latency: u64,
-    sim_cycles: u64,
+    pub(super) success: bool,
+    pub(super) livelock: bool,
+    pub(super) attempts: u64,
+    pub(super) latency: u64,
+    pub(super) sim_cycles: u64,
 }
 
 /// The backoff policy carries the point seed so jitter differs per seed.
@@ -310,30 +311,13 @@ impl SweepPoint for FaultPoint {
         Ok((result, PointArtifacts::capture(sim, obs)))
     }
 
-    fn encode(r: &PointResult) -> Vec<u8> {
-        let mut w = csb_snap::SnapshotWriter::new();
-        w.put_tag("fpt");
-        w.put_bool(r.success);
-        w.put_bool(r.livelock);
-        w.put_u64(r.attempts);
-        w.put_u64(r.latency);
-        w.put_u64(r.sim_cycles);
-        w.finish()
-    }
-
-    fn decode(&self, payload: &[u8]) -> Option<PointResult> {
-        let mut r = csb_snap::SnapshotReader::new(payload);
-        r.take_tag("fpt").ok()?;
-        let result = PointResult {
-            success: r.take_bool().ok()?,
-            livelock: r.take_bool().ok()?,
-            attempts: r.take_u64().ok()?,
-            latency: r.take_u64().ok()?,
-            sim_cycles: r.take_u64().ok()?,
-        };
-        let _checksum = r.take_u64().ok()?;
-        r.expect_end("cached fault point payload").ok()?;
-        Some(result)
+    fn payload(&self, r: &mut PointResult, s: &mut impl Codec) -> Result<(), SnapshotError> {
+        s.tag("fpt")?;
+        s.bool(&mut r.success)?;
+        s.bool(&mut r.livelock)?;
+        s.u64(&mut r.attempts)?;
+        s.u64(&mut r.latency)?;
+        s.u64(&mut r.sim_cycles)
     }
 
     fn value(r: &PointResult) -> PointValue {

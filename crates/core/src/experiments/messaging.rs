@@ -41,12 +41,13 @@ use super::runner::{
     run_sweep, KeyMemo, LabeledArtifacts, ObsConfig, PointArtifacts, PointValue, RunReport,
     SweepPoint,
 };
-use super::{format_table, merge_histograms, put_histogram, take_histogram, ExpError};
+use super::{format_table, histogram_state, merge_histograms, ExpError};
 use crate::config::{SimConfig, COMBINING_BASE, UNCACHED_BASE};
 use crate::sim::{SimError, Simulator};
 use crate::workloads::{self, MessagingSpec, RetryPolicy};
 use csb_isa::Addr;
 use csb_obs::HistogramSummary;
+use csb_snap::{Codec, SnapshotError};
 
 /// Fault rates swept (flush-disturb fraction; bus errors and device NACKs
 /// run at a quarter of it). Seeds are shared across this axis so each
@@ -250,16 +251,16 @@ impl MessagingSweep {
 }
 
 /// Raw outcome of a single seeded run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub(super) struct PointResult {
-    delivered: u64,
-    torn: u64,
-    duplicates: u64,
-    dropped: u64,
-    corrupt: u64,
-    livelock: bool,
-    e2e: Option<HistogramSummary>,
-    sim_cycles: u64,
+    pub(super) delivered: u64,
+    pub(super) torn: u64,
+    pub(super) duplicates: u64,
+    pub(super) dropped: u64,
+    pub(super) corrupt: u64,
+    pub(super) livelock: bool,
+    pub(super) e2e: Option<HistogramSummary>,
+    pub(super) sim_cycles: u64,
 }
 
 /// The message stream every point sends.
@@ -472,36 +473,20 @@ impl SweepPoint for MessagingPoint {
         Ok((result, artifacts))
     }
 
-    fn encode(r: &PointResult) -> Vec<u8> {
-        let mut w = csb_snap::SnapshotWriter::new();
-        w.put_tag("msg");
-        w.put_u64(r.delivered);
-        w.put_u64(r.torn);
-        w.put_u64(r.duplicates);
-        w.put_u64(r.dropped);
-        w.put_u64(r.corrupt);
-        w.put_bool(r.livelock);
-        w.put_u64(r.sim_cycles);
-        put_histogram(&mut w, r.e2e.as_ref());
-        w.finish()
-    }
-
-    fn decode(&self, payload: &[u8]) -> Option<PointResult> {
-        let mut r = csb_snap::SnapshotReader::new(payload);
-        r.take_tag("msg").ok()?;
-        let result = PointResult {
-            delivered: r.take_u64().ok()?,
-            torn: r.take_u64().ok()?,
-            duplicates: r.take_u64().ok()?,
-            dropped: r.take_u64().ok()?,
-            corrupt: r.take_u64().ok()?,
-            livelock: r.take_bool().ok()?,
-            sim_cycles: r.take_u64().ok()?,
-            e2e: take_histogram(&mut r)?,
-        };
-        let _checksum = r.take_u64().ok()?;
-        r.expect_end("cached messaging point payload").ok()?;
-        Some(result)
+    fn payload(&self, r: &mut PointResult, s: &mut impl Codec) -> Result<(), SnapshotError> {
+        s.tag("msg")?;
+        for v in [
+            &mut r.delivered,
+            &mut r.torn,
+            &mut r.duplicates,
+            &mut r.dropped,
+            &mut r.corrupt,
+        ] {
+            s.u64(v)?;
+        }
+        s.bool(&mut r.livelock)?;
+        s.u64(&mut r.sim_cycles)?;
+        histogram_state(&mut r.e2e, s)
     }
 
     fn value(r: &PointResult) -> PointValue {
@@ -600,6 +585,7 @@ pub fn run_jobs_observed(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::runner::{read_payload, write_payload};
 
     fn point(
         path: SendPath,
@@ -765,9 +751,9 @@ mod tests {
             0.25,
             0x0e2e_0100,
         );
-        let decoded = point(SendPath::Csb, 7, RetryPolicy::NaiveSpin, 0.25, 0x0e2e_0100)
-            .decode(&MessagingPoint::encode(&live))
-            .expect("payload decodes");
+        let point = point(SendPath::Csb, 7, RetryPolicy::NaiveSpin, 0.25, 0x0e2e_0100);
+        let payload = write_payload(&point, &mut live.clone());
+        let decoded = read_payload(&point, &payload).expect("payload reads back");
         assert_eq!(decoded.delivered, live.delivered);
         assert_eq!(decoded.dropped, live.dropped);
         assert_eq!(decoded.torn, live.torn);

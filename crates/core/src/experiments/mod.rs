@@ -41,7 +41,7 @@ use serde::Serialize;
 
 use csb_isa::Program;
 use csb_obs::{BucketCount, HistogramSummary};
-use csb_snap::{SnapshotReader, SnapshotWriter};
+use csb_snap::{Codec, SnapshotError};
 
 use crate::config::SimConfig;
 use crate::sim::{SimError, Simulator};
@@ -348,59 +348,31 @@ pub(crate) fn assert_loops_agree(
     (ff.5, naive.5)
 }
 
-/// Writes an optional latency histogram into a cache payload as raw
-/// bucket counts, so a cached point merges across seeds exactly like a
-/// live one ([`take_histogram`] re-derives the quantiles).
-pub(crate) fn put_histogram(w: &mut SnapshotWriter, h: Option<&HistogramSummary>) {
-    match h {
-        Some(h) => {
-            w.put_bool(true);
-            w.put_u64(h.count);
-            w.put_u64(h.sum);
-            w.put_u64(h.min);
-            w.put_u64(h.max);
-            w.put_usize(h.buckets.len());
-            for b in &h.buckets {
-                w.put_u64(b.le);
-                w.put_u64(b.n);
-            }
+/// Walks an optional latency histogram in a cache payload as raw bucket
+/// counts, so a cached point merges across seeds exactly like a live one:
+/// a restore merges the raw buckets into an empty summary, which runs the
+/// exact ranked-walk estimator and re-derives the quantiles.
+pub(crate) fn histogram_state(
+    h: &mut Option<HistogramSummary>,
+    s: &mut impl Codec,
+) -> Result<(), SnapshotError> {
+    s.opt(h, HistogramSummary::default, |s, h| {
+        for v in [&mut h.count, &mut h.sum, &mut h.min, &mut h.max] {
+            s.u64(v)?;
         }
-        None => w.put_bool(false),
-    }
-}
-
-/// Reads what [`put_histogram`] wrote; the outer `None` means the payload
-/// is malformed. Merging the raw buckets into an empty summary runs the
-/// exact ranked-walk estimator, so a decoded histogram is
-/// indistinguishable from a live capture.
-pub(crate) fn take_histogram(r: &mut SnapshotReader<'_>) -> Option<Option<HistogramSummary>> {
-    if !r.take_bool().ok()? {
-        return Some(None);
-    }
-    let empty = || HistogramSummary {
-        count: 0,
-        sum: 0,
-        min: 0,
-        max: 0,
-        p50: 0,
-        p95: 0,
-        p99: 0,
-        p999: 0,
-        buckets: Vec::new(),
-    };
-    let mut raw = empty();
-    raw.count = r.take_u64().ok()?;
-    raw.sum = r.take_u64().ok()?;
-    raw.min = r.take_u64().ok()?;
-    raw.max = r.take_u64().ok()?;
-    for _ in 0..r.take_usize().ok()? {
-        let le = r.take_u64().ok()?;
-        let n = r.take_u64().ok()?;
-        raw.buckets.push(BucketCount { le, n });
-    }
-    let mut summary = empty();
-    summary.merge(&raw);
-    Some(Some(summary))
+        let mut n = h.buckets.len();
+        s.len(&mut n, usize::MAX, "histogram buckets")?;
+        h.buckets.resize(n, BucketCount { le: 0, n: 0 });
+        for b in &mut h.buckets {
+            s.u64(&mut b.le)?;
+            s.u64(&mut b.n)?;
+        }
+        if s.reading() {
+            let raw = std::mem::take(h);
+            h.merge(&raw);
+        }
+        Ok(())
+    })
 }
 
 /// Merges per-seed latency histograms into one cell's; `None` when no
@@ -450,7 +422,7 @@ pub fn format_table(headers: &[String], rows: &[Vec<String>]) -> String {
 mod tests {
     use std::fmt::Write as _;
 
-    use super::runner::{KeyMemo, PointSpec, SweepPoint};
+    use super::runner::{KeyMemo, PointSpec, PointValue, SweepPoint};
     use super::*;
     use crate::cache::PointCache;
 
@@ -798,6 +770,88 @@ mod tests {
             expected.lines().count(),
             "kernel count"
         );
+    }
+
+    /// Appends the length and FNV-1a of `output`'s cache payload under
+    /// `point`, after checking that the payload reads back to `output`.
+    fn pin_payload<P: SweepPoint>(out: &mut String, kind: &str, point: &P, mut output: P::Output)
+    where
+        P::Output: fmt::Debug,
+    {
+        let payload = runner::write_payload(point, &mut output);
+        let decoded = runner::read_payload(point, &payload).expect("payload reads back");
+        assert_eq!(format!("{decoded:?}"), format!("{output:?}"), "{kind}");
+        let sum = csb_snap::fnv1a(&payload);
+        let _ = writeln!(out, "{kind} {} {sum:016x}", payload.len());
+    }
+
+    /// Pins the cache payload of one fixed output of every point kind:
+    /// bandwidth and latency specs, and fault, messaging and contention
+    /// points, the last two with a multi-bucket histogram. Regenerate with
+    /// `UPDATE_GOLDEN=1 cargo test -p csb-core payloads_match_golden` only
+    /// for an intentional payload change.
+    #[test]
+    fn payloads_match_golden() {
+        let histogram = |values: &[u64]| {
+            let mut h = csb_obs::Histogram::default();
+            for &v in values {
+                h.observe(v);
+            }
+            h.summary()
+        };
+        let specs = figure_specs();
+        let kind = |bandwidth: bool| {
+            specs
+                .iter()
+                .find(|p| matches!(p.work, runner::PointWork::Bandwidth { .. }) == bandwidth)
+                .expect("the figures measure both kinds")
+        };
+        let mut actual = String::new();
+        let out = &mut actual;
+        let (bandwidth, latency) = (PointValue::Bandwidth(2.75), PointValue::Latency(87));
+        pin_payload(out, "bandwidth", kind(true), (bandwidth, 1_234));
+        pin_payload(out, "latency", kind(false), (latency, 4_321));
+        // The kind guard: a latency spec rejects a bandwidth payload.
+        let payload = runner::write_payload(kind(true), &mut (bandwidth, 1_234));
+        assert!(runner::read_payload(kind(false), &payload).is_none());
+        let fault = faults::PointResult {
+            success: true,
+            livelock: false,
+            attempts: 3,
+            latency: 57,
+            sim_cycles: 990,
+        };
+        pin_payload(out, "fault", &faults::FaultPoint::all()[0], fault);
+        let message = messaging::PointResult {
+            delivered: 29,
+            torn: 1,
+            duplicates: 2,
+            dropped: 3,
+            corrupt: 1,
+            livelock: true,
+            e2e: Some(histogram(&[40, 41, 95, 260, 1_900])),
+            sim_cycles: 123_456,
+        };
+        let sender = &messaging::MessagingPoint::all()[0];
+        pin_payload(out, "messaging", sender, message);
+        let contention = contend::PointResult {
+            payload_bytes: 8_192,
+            cycles: 77_000,
+            switches: 130,
+            flush_failures: 12,
+            cross_pid_resets: 9,
+            flush: Some(histogram(&[7, 7, 33, 500, 12_000, 80_000])),
+            sim_cycles: 77_001,
+        };
+        pin_payload(out, "contend", &contend::ContendPoint::all()[0], contention);
+        let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("../../tests/golden/payloads.txt");
+        if std::env::var("UPDATE_GOLDEN").is_ok() {
+            std::fs::write(&path, &actual).expect("golden file writes");
+            return;
+        }
+        let expected = std::fs::read_to_string(&path).expect("tests/golden/payloads.txt reads");
+        assert_eq!(actual, expected, "a cache payload drifted");
     }
 
     #[test]

@@ -44,6 +44,7 @@ use std::time::{Duration, Instant};
 
 use csb_isa::Addr;
 use csb_obs::MetricsSnapshot;
+use csb_snap::{Codec, SnapshotError, SnapshotReader, SnapshotWriter};
 
 use super::fig5::{self, LockResidency};
 use super::{
@@ -283,6 +284,13 @@ pub enum PointValue {
     Latency(u64),
 }
 
+/// A zero latency, the value a cached point is read into.
+impl Default for PointValue {
+    fn default() -> Self {
+        PointValue::Latency(0)
+    }
+}
+
 impl PointValue {
     /// The bandwidth reading, if this was a bandwidth point.
     pub fn bandwidth(self) -> Option<f64> {
@@ -306,8 +314,8 @@ impl PointValue {
 pub(crate) trait SweepPoint: Sync {
     /// What one execution yields: the value the sweep's tables are built
     /// from, including the simulated cycle count. It is also what the
-    /// point cache stores.
-    type Output: Send;
+    /// point cache stores; a cached one is read into a default value.
+    type Output: Send + Default;
 
     /// Display label; ledger records and the slowest-point line use it.
     fn label(&self) -> String;
@@ -334,12 +342,14 @@ pub(crate) trait SweepPoint: Sync {
         obs: ObsConfig<'_>,
     ) -> Result<(Self::Output, PointArtifacts), ExpError>;
 
-    /// The cache payload for `output`.
-    fn encode(output: &Self::Output) -> Vec<u8>;
-
-    /// Decodes a cache payload; `None` when it is malformed or is not this
-    /// point's kind of result, and the entry is then invalidated.
-    fn decode(&self, payload: &[u8]) -> Option<Self::Output>;
+    /// Walks `output` as the point's cache payload (see
+    /// [`write_payload`] and [`read_payload`]).
+    ///
+    /// # Errors
+    ///
+    /// [`SnapshotError`] when a cached payload is malformed or is not this
+    /// point's kind of result; the entry is then invalidated.
+    fn payload(&self, output: &mut Self::Output, s: &mut impl Codec) -> Result<(), SnapshotError>;
 
     /// The output as the single value a ledger record carries.
     fn value(output: &Self::Output) -> PointValue;
@@ -409,6 +419,27 @@ impl KeyMemo {
     }
 }
 
+/// The cache payload of `output`: `point`'s walk, then an inner
+/// checksum.
+pub(crate) fn write_payload<P: SweepPoint>(point: &P, output: &mut P::Output) -> Vec<u8> {
+    let mut w = SnapshotWriter::new();
+    point.payload(output, &mut w).expect("a writer never fails");
+    w.finish()
+}
+
+/// `point`'s output read back from a cache payload; `None` when the
+/// payload is malformed or is not this point's kind of result.
+pub(crate) fn read_payload<P: SweepPoint>(point: &P, payload: &[u8]) -> Option<P::Output> {
+    let mut r = SnapshotReader::new(payload);
+    let mut output = P::Output::default();
+    point.payload(&mut output, &mut r).ok()?;
+    // The framed cache entry already verified integrity, so the inner
+    // checksum is only consumed.
+    r.take_u64().ok()?;
+    r.expect_end("cached point payload").ok()?;
+    Some(output)
+}
+
 /// Runs one point, serving it from `cache` when a valid entry exists and
 /// storing it after a simulation otherwise. Returns the output, the
 /// point's wall-clock time, and its artifacts.
@@ -430,15 +461,15 @@ fn execute<P: SweepPoint>(
         return Ok((output, t0.elapsed(), artifacts));
     };
     if let Some(payload) = cache.load(key) {
-        if let Some(output) = point.decode(&payload) {
+        if let Some(output) = read_payload(point, &payload) {
             cache.note_hit();
             return Ok((output, t0.elapsed(), PointArtifacts::default()));
         }
         cache.invalidate(key);
     }
-    let (output, artifacts) = point.simulate(slot, obs)?;
+    let (mut output, artifacts) = point.simulate(slot, obs)?;
     cache.note_miss();
-    cache.store(key, &P::encode(&output));
+    cache.store(key, &write_payload(point, &mut output));
     Ok((output, t0.elapsed(), artifacts))
 }
 
@@ -546,39 +577,33 @@ impl SweepPoint for PointSpec {
         Ok(((value, sim_cycles), artifacts))
     }
 
-    fn encode(&(value, sim_cycles): &Self::Output) -> Vec<u8> {
-        let mut w = csb_snap::SnapshotWriter::new();
-        w.put_tag("pt");
-        match value {
-            PointValue::Bandwidth(b) => {
-                w.put_u8(0);
-                w.put_f64(b);
-            }
-            PointValue::Latency(c) => {
-                w.put_u8(1);
-                w.put_u64(c);
-            }
-        }
-        w.put_u64(sim_cycles);
-        w.finish()
-    }
-
-    /// Besides the byte layout, checks that the cached value's kind is
+    /// Besides the byte layout, checks that a cached value's kind is
     /// what the spec measures (a key-collision guard).
-    fn decode(&self, payload: &[u8]) -> Option<Self::Output> {
-        let mut r = csb_snap::SnapshotReader::new(payload);
-        r.take_tag("pt").ok()?;
-        let value = match (r.take_u8().ok()?, &self.work) {
-            (0, PointWork::Bandwidth { .. }) => PointValue::Bandwidth(r.take_f64().ok()?),
-            (1, PointWork::Latency { .. }) => PointValue::Latency(r.take_u64().ok()?),
-            _ => return None,
-        };
-        let sim_cycles = r.take_u64().ok()?;
-        // `SnapshotWriter::finish` appends a checksum; the framed cache
-        // entry already verified integrity, so just consume it.
-        let _checksum = r.take_u64().ok()?;
-        r.expect_end("cached point payload").ok()?;
-        Some((value, sim_cycles))
+    fn payload(
+        &self,
+        (value, sim_cycles): &mut Self::Output,
+        s: &mut impl Codec,
+    ) -> Result<(), SnapshotError> {
+        s.tag("pt")?;
+        if s.reading() {
+            *value = match self.work {
+                PointWork::Bandwidth { .. } => PointValue::Bandwidth(0.0),
+                PointWork::Latency { .. } => PointValue::Latency(0),
+            };
+        }
+        let kind = u8::from(matches!(value, PointValue::Latency(_)));
+        let mut k = kind;
+        s.u8(&mut k)?;
+        if s.reading() && k != kind {
+            return Err(SnapshotError::Corrupt(format!(
+                "cached value of kind {k} for a point of kind {kind}"
+            )));
+        }
+        match value {
+            PointValue::Bandwidth(b) => s.f64(b)?,
+            PointValue::Latency(c) => s.u64(c)?,
+        }
+        s.u64(sim_cycles)
     }
 
     fn value(&(value, _): &Self::Output) -> PointValue {
@@ -1359,12 +1384,8 @@ mod tests {
             Ok((1, PointArtifacts::default()))
         }
 
-        fn encode(output: &u64) -> Vec<u8> {
-            output.to_le_bytes().to_vec()
-        }
-
-        fn decode(&self, payload: &[u8]) -> Option<u64> {
-            Some(u64::from_le_bytes(payload.try_into().ok()?))
+        fn payload(&self, output: &mut u64, s: &mut impl Codec) -> Result<(), SnapshotError> {
+            s.u64(output)
         }
 
         fn value(output: &u64) -> PointValue {

@@ -25,11 +25,15 @@ use std::collections::BinaryHeap;
 
 use csb_cpu::CpuContext;
 use csb_isa::Program;
+use csb_snap::{Codec, SnapshotError, SnapshotReader, SnapshotWriter};
 use serde::Serialize;
 
 use crate::config::SimConfig;
 use crate::sim::{ActorState, SimError, Simulator, WatchdogConfig};
-use crate::snapshot::AutosnapConfig;
+use crate::snapshot::{
+    config_fingerprint, program_fingerprint, AutosnapConfig, SNAPSHOT_FORMAT_VERSION,
+    SNAPSHOT_MAGIC,
+};
 use csb_faults::{FaultConfig, FaultStats};
 
 /// Scheduling policy for the time-sliced core.
@@ -485,11 +489,11 @@ impl MultiSim {
         limit: u64,
         auto: AutosnapConfig<'_>,
     ) -> Result<MultiSummary, SimError> {
-        let cfg_fp = crate::snapshot::config_fingerprint(self.sim.config());
+        let cfg_fp = config_fingerprint(self.sim.config());
         let programs: Vec<u8> = self
             .procs
             .iter()
-            .flat_map(|p| crate::snapshot::program_fingerprint(&p.program).to_le_bytes())
+            .flat_map(|p| program_fingerprint(&p.program).to_le_bytes())
             .collect();
         let prog_fp = csb_snap::fnv1a(&programs);
         loop {
@@ -509,58 +513,32 @@ impl MultiSim {
         }
     }
 
+    /// The fingerprints a frame starts with: the machine configuration
+    /// and the policy, whose mismatch is a configuration mismatch, then
+    /// the process count and every process's program, whose mismatch is
+    /// a program mismatch.
+    fn fingerprints(&self) -> [Vec<u64>; 2] {
+        let policy = csb_snap::fnv1a(format!("{:?}", self.policy).as_bytes());
+        let config = vec![config_fingerprint(self.sim.config()), policy];
+        let programs = self.procs.iter().map(|p| program_fingerprint(&p.program));
+        let count = self.procs.len() as u64;
+        [config, std::iter::once(count).chain(programs).collect()]
+    }
+
     /// Serializes the whole multi-process state — scheduler (per-process
     /// contexts, slices, backoff bookkeeping) plus the underlying machine
     /// — into a versioned frame. Valid at any point, including after a
     /// [`SimError::CycleLimit`] return from [`MultiSim::run`]: a restored
     /// scheduler resumes mid-slice and finishes byte-identically to one
     /// that never stopped. [`MultiSim::restore`] needs the same
-    /// `(cfg, programs, policy)` triple again.
-    pub fn snapshot(&self) -> Vec<u8> {
-        let mut w = csb_snap::SnapshotWriter::framed(
-            crate::snapshot::SNAPSHOT_MAGIC,
-            crate::snapshot::SNAPSHOT_FORMAT_VERSION,
-        );
-        w.put_u64(crate::snapshot::config_fingerprint(self.sim.config()));
-        w.put_u64(csb_snap::fnv1a(format!("{:?}", self.policy).as_bytes()));
-        w.put_usize(self.procs.len());
-        for p in &self.procs {
-            w.put_u64(crate::snapshot::program_fingerprint(&p.program));
+    /// `(cfg, programs, policy)` triple again. The walk needs `&mut`
+    /// fields but changes nothing.
+    pub fn snapshot(&mut self) -> Vec<u8> {
+        let mut w = SnapshotWriter::framed(SNAPSHOT_MAGIC, SNAPSHOT_FORMAT_VERSION);
+        for fp in self.fingerprints().concat() {
+            w.put_u64(fp);
         }
-        w.put_tag("multi");
-        w.put_usize(self.current);
-        for p in &self.procs {
-            match &p.ctx {
-                Some(ctx) => {
-                    w.put_bool(true);
-                    ctx.save_state(&mut w);
-                }
-                None => w.put_bool(false),
-            }
-            w.put_bool(p.done);
-        }
-        for s in &self.slices {
-            w.put_u64(*s);
-        }
-        w.put_u64(self.switches);
-        for c in &self.completions {
-            w.put_opt_u64(*c);
-        }
-        w.put_u64(self.slice_start);
-        w.put_u64(self.failures_at_slice_start);
-        w.put_u64(self.successes_at_slice_start);
-        // Scheduler keys (format v2). The ready heap itself is not
-        // serialized: it is derived state, rebuilt from these fields on
-        // restore. SchedulerMode is deliberately absent — both traversals
-        // compute the same schedule, so a snapshot taken under either
-        // restores under either.
-        for p in &self.procs {
-            w.put_u64(p.arrival);
-            w.put_u64(p.wake);
-            w.put_u64(p.seq);
-        }
-        w.put_u64(self.seq_counter);
-        self.sim.save_state(&mut w);
+        self.state(&mut w).expect("a writer never fails");
         w.finish()
     }
 
@@ -582,84 +560,84 @@ impl MultiSim {
         policy: SwitchPolicy,
         bytes: &[u8],
     ) -> Result<Self, crate::RestoreError> {
-        use crate::RestoreError;
+        use crate::RestoreError::{ConfigMismatch, ProgramMismatch};
         let mut ms = MultiSim::new(cfg, programs, policy)?;
-        let mut r = csb_snap::SnapshotReader::framed(
-            bytes,
-            crate::snapshot::SNAPSHOT_MAGIC,
-            crate::snapshot::SNAPSHOT_FORMAT_VERSION,
-        )?;
-        if r.take_u64()? != crate::snapshot::config_fingerprint(ms.sim.config()) {
-            return Err(RestoreError::ConfigMismatch);
-        }
-        if r.take_u64()? != csb_snap::fnv1a(format!("{:?}", ms.policy).as_bytes()) {
-            return Err(RestoreError::ConfigMismatch);
-        }
-        if r.take_usize()? != ms.procs.len() {
-            return Err(RestoreError::ProgramMismatch);
-        }
-        for p in &ms.procs {
-            if r.take_u64()? != crate::snapshot::program_fingerprint(&p.program) {
-                return Err(RestoreError::ProgramMismatch);
+        let mut r = SnapshotReader::framed(bytes, SNAPSHOT_MAGIC, SNAPSHOT_FORMAT_VERSION)?;
+        let [config, programs] = ms.fingerprints();
+        for (fps, mismatch) in [(config, ConfigMismatch), (programs, ProgramMismatch)] {
+            for fp in fps {
+                if r.take_u64()? != fp {
+                    return Err(mismatch);
+                }
             }
         }
-        r.take_tag("multi")?;
-        let current = r.take_usize()?;
-        if current >= ms.procs.len() {
-            return Err(RestoreError::Snapshot(csb_snap::SnapshotError::Corrupt(
-                format!("running process {current} of {}", ms.procs.len()),
+        ms.state(&mut r)?;
+        r.expect_end("multi-process snapshot")?;
+        Ok(ms)
+    }
+
+    /// Walks the scheduler state, then the machine's. The ready heap is
+    /// derived state, rebuilt on restore; [`SchedulerMode`] is
+    /// deliberately absent — both traversals compute the same schedule,
+    /// so a snapshot taken under either restores under either.
+    fn state(&mut self, s: &mut impl Codec) -> Result<(), SnapshotError> {
+        s.tag("multi")?;
+        let n = self.procs.len();
+        let mut current = self.current;
+        s.usize(&mut current)?;
+        if s.reading() && current >= n {
+            return Err(SnapshotError::Corrupt(format!(
+                "running process {current} of {n}"
             )));
         }
-        for p in &mut ms.procs {
-            if r.take_bool()? {
-                let mut ctx = CpuContext::new(0);
-                ctx.restore_state(&mut r)?;
-                p.ctx = Some(ctx);
-            } else {
-                p.ctx = None;
-            }
-            p.done = r.take_bool()?;
+        for p in &mut self.procs {
+            s.opt(&mut p.ctx, || CpuContext::new(0), |s, ctx| ctx.state(s))?;
+            s.bool(&mut p.done)?;
         }
         // Only a process waiting for the core holds a saved context: the
         // running one's is in the CPU, and a finished one's is gone.
-        for (i, p) in ms.procs.iter().enumerate() {
-            if p.ctx.is_some() != (i != current && !p.done) {
-                return Err(RestoreError::Snapshot(csb_snap::SnapshotError::Corrupt(
-                    format!("process {i} saved context does not match its state"),
-                )));
+        if s.reading() {
+            for (i, p) in self.procs.iter().enumerate() {
+                if p.ctx.is_some() != (i != current && !p.done) {
+                    return Err(SnapshotError::Corrupt(format!(
+                        "process {i} saved context does not match its state"
+                    )));
+                }
             }
         }
-        for s in &mut ms.slices {
-            *s = r.take_u64()?;
+        for v in &mut self.slices {
+            s.u64(v)?;
         }
-        ms.switches = r.take_u64()?;
-        for c in &mut ms.completions {
-            *c = r.take_opt_u64()?;
+        s.u64(&mut self.switches)?;
+        for c in &mut self.completions {
+            s.opt_u64(c)?;
         }
-        ms.slice_start = r.take_u64()?;
-        ms.failures_at_slice_start = r.take_u64()?;
-        ms.successes_at_slice_start = r.take_u64()?;
-        for p in &mut ms.procs {
-            p.arrival = r.take_u64()?;
-            p.wake = r.take_u64()?;
-            p.seq = r.take_u64()?;
+        s.u64(&mut self.slice_start)?;
+        s.u64(&mut self.failures_at_slice_start)?;
+        s.u64(&mut self.successes_at_slice_start)?;
+        // Scheduler keys (format v2).
+        for p in &mut self.procs {
+            s.u64(&mut p.arrival)?;
+            s.u64(&mut p.wake)?;
+            s.u64(&mut p.seq)?;
         }
-        ms.seq_counter = r.take_u64()?;
+        s.u64(&mut self.seq_counter)?;
         // Install the running process's program before restoring the
         // machine: the CPU re-derives its in-flight instructions from the
         // program it holds.
-        if current != 0 {
-            let program = ms.procs[current].program.clone();
-            let _ = ms
+        if s.reading() && current != 0 {
+            let program = self.procs[current].program.clone();
+            let _ = self
                 .sim
                 .cpu_mut()
                 .switch_context(CpuContext::new(current as u32), Some(program));
         }
-        ms.current = current;
-        ms.sim.restore_state(&mut r)?;
-        r.expect_end("multi-process snapshot")?;
-        ms.rebuild_heap();
-        Ok(ms)
+        self.current = current;
+        self.sim.state(s)?;
+        if s.reading() {
+            self.rebuild_heap();
+        }
+        Ok(())
     }
 
     /// The underlying simulator (device and statistics inspection).

@@ -11,6 +11,7 @@ use csb_mem::{AccessKind, FlatMemory, HitLevel, MemoryHierarchy, MemoryStats};
 use csb_obs::{
     EventKind, MetricsRegistry, MetricsSnapshot, TimelineEvent, TraceEvent, TraceSink, Track,
 };
+use csb_snap::{Codec, SnapshotError};
 use csb_uncached::{
     ConditionalStoreBuffer, CsbError, CsbStats, PayloadBuf, PushOutcome, StoreOutcome,
     UncachedBuffer, UncachedStats,
@@ -279,6 +280,21 @@ enum Read {
 }
 
 impl Read {
+    /// One read of each frame list, in list order, fields zeroed.
+    const LISTS: [Read; 3] = [
+        Read::Done {
+            ready: 0,
+            value: 0,
+            swap: false,
+        },
+        Read::Done {
+            ready: 0,
+            value: 0,
+            swap: true,
+        },
+        Read::Swap { width: 0, value: 0 },
+    ];
+
     /// The frame list the read is saved in: delivered loads, delivered
     /// swaps, then swaps on the bus.
     fn list(self) -> usize {
@@ -296,6 +312,38 @@ struct NicAttachment {
     nic: csb_nic::Nic,
     /// Bus address of window offset 0.
     base: u64,
+}
+
+impl NicAttachment {
+    /// A default attachment that a restore rebuilds from the frame.
+    fn detached() -> Self {
+        let nic = csb_nic::Nic::new(csb_nic::NicConfig::default());
+        NicAttachment {
+            nic: nic.expect("the default NIC configuration is valid"),
+            base: 0,
+        }
+    }
+
+    /// Walks the window base and a configuration echo — the NI is
+    /// attached per point, not part of `SimConfig`, so the frame carries
+    /// enough to rebuild the attachment on restore — then the NI.
+    fn state(&mut self, s: &mut impl Codec) -> Result<(), SnapshotError> {
+        s.u64(&mut self.base)?;
+        let mut c = *self.nic.config();
+        s.usize(&mut c.slot_size)?;
+        // Every slot serializes at least one byte, so `len` rejects a
+        // slot count the rest of the frame cannot hold before `Nic::new`
+        // allocates per slot.
+        s.len(&mut c.slots, usize::MAX, "NIC slots")?;
+        s.u64(&mut c.process_cycles)?;
+        s.u64(&mut c.wire.latency)?;
+        s.u64(&mut c.wire.cycles_per_dword)?;
+        if s.reading() {
+            self.nic = csb_nic::Nic::new(c)
+                .map_err(|e| SnapshotError::Corrupt(format!("NIC attachment invalid: {e}")))?;
+        }
+        self.nic.state(s)
+    }
 }
 
 /// What one grant attempt in [`Machine::issue_step`] did.
@@ -571,56 +619,40 @@ impl Machine {
         }
     }
 
-    /// Writes [`Machine::reads`] as the frame's three lists — delivered
+    /// Walks [`Machine::reads`] as the frame's three lists — delivered
     /// loads and delivered swaps as `(tag, ready, value)`, then swaps on
     /// the bus as `(tag, width, value)` — each sorted by tag so the byte
-    /// stream is deterministic.
-    fn save_reads(&self, w: &mut csb_snap::SnapshotWriter) {
+    /// stream is deterministic. A restore empties the map first and
+    /// rejects a tag listed twice: one tag is one read.
+    fn reads_state(&mut self, s: &mut impl Codec) -> Result<(), SnapshotError> {
+        if s.reading() {
+            self.reads.clear();
+        }
         let mut tags: Vec<u64> = self.reads.keys().copied().collect();
         tags.sort_unstable();
-        for list in 0..3 {
-            let listed = || tags.iter().filter(|t| self.reads[t].list() == list);
-            w.put_usize(listed().count());
-            for &tag in listed() {
-                w.put_u64(tag);
-                match self.reads[&tag] {
+        for (list, blank) in Read::LISTS.into_iter().enumerate() {
+            let mut listed: Vec<(u64, Read)> = tags
+                .iter()
+                .map(|&tag| (tag, self.reads[&tag]))
+                .filter(|(_, read)| read.list() == list)
+                .collect();
+            let mut n = listed.len();
+            s.len(&mut n, usize::MAX, "uncached reads")?;
+            listed.resize(n, (0, blank));
+            for (tag, read) in &mut listed {
+                s.u64(tag)?;
+                match read {
                     Read::Done { ready, value, .. } => {
-                        w.put_u64(ready);
-                        w.put_u64(value);
+                        s.u64(ready)?;
+                        s.u64(value)?;
                     }
                     Read::Swap { width, value } => {
-                        w.put_usize(width);
-                        w.put_u64(value);
+                        s.usize(width)?;
+                        s.u64(value)?;
                     }
                 }
-            }
-        }
-    }
-
-    /// Restores the lists written by [`Machine::save_reads`], rejecting a
-    /// tag listed twice: one tag is one read.
-    fn restore_reads(
-        &mut self,
-        r: &mut csb_snap::SnapshotReader<'_>,
-    ) -> Result<(), csb_snap::SnapshotError> {
-        self.reads.clear();
-        for list in 0..3 {
-            for _ in 0..r.take_usize()? {
-                let tag = r.take_u64()?;
-                let read = if list == 2 {
-                    Read::Swap {
-                        width: r.take_usize()?,
-                        value: r.take_u64()?,
-                    }
-                } else {
-                    Read::Done {
-                        ready: r.take_u64()?,
-                        value: r.take_u64()?,
-                        swap: list == 1,
-                    }
-                };
-                if self.reads.insert(tag, read).is_some() {
-                    return Err(csb_snap::SnapshotError::Corrupt(format!(
+                if s.reading() && self.reads.insert(*tag, *read).is_some() {
+                    return Err(SnapshotError::Corrupt(format!(
                         "uncached read tag {tag} listed twice"
                     )));
                 }
@@ -1243,186 +1275,86 @@ impl Simulator {
         self.watchdog
     }
 
-    /// Serializes every stateful component (the same inventory
-    /// [`Simulator::reset_with`] reassigns) into `w`. The public framed
-    /// entry point is [`Simulator::snapshot`].
-    pub(crate) fn save_state(&self, w: &mut csb_snap::SnapshotWriter) {
-        w.put_tag("sim");
-        self.cpu.save_state(w);
-        let m = &self.machine;
-        m.flat.save_state(w);
-        m.hier.save_state(w);
-        m.ubuf.save_state(w);
-        m.csb.save_state(w);
-        m.bus.save_state(w);
-        w.put_u64(m.now);
-        m.device.save_state(w);
-        match &m.nic {
-            Some(att) => {
-                w.put_bool(true);
-                w.put_u64(att.base);
-                // Config echo: the NI is attached per point (not part of
-                // `SimConfig`), so the frame must carry enough to rebuild
-                // the attachment on restore.
-                let c = att.nic.config();
-                w.put_usize(c.slot_size);
-                w.put_usize(c.slots);
-                w.put_u64(c.process_cycles);
-                w.put_u64(c.wire.latency);
-                w.put_u64(c.wire.cycles_per_dword);
-                att.nic.save_state(w);
-            }
-            None => w.put_bool(false),
-        }
-        m.save_reads(w);
-        w.put_opt_u64(m.csb_line_start);
-        w.put_opt_u64(m.csb_retry_since);
-        match m.faults.config() {
-            Some(fc) => {
-                w.put_bool(true);
-                w.put_u64(fc.seed);
-                w.put_f64(fc.bus_error_rate);
-                w.put_f64(fc.device_nack_rate);
-                w.put_f64(fc.flush_disturb_rate);
-                w.put_u32(fc.max_consecutive);
-                match fc.window {
-                    Some(win) => {
-                        w.put_bool(true);
-                        w.put_u64(win.start);
-                        w.put_u64(win.len);
-                    }
-                    None => w.put_bool(false),
-                }
-                let stats = m.faults.stats();
-                for v in stats.checks.iter().chain(stats.injected.iter()) {
-                    w.put_u64(*v);
-                }
-                for v in m.faults.consecutive_runs() {
-                    w.put_u32(v);
-                }
-            }
-            None => w.put_bool(false),
-        }
-        w.put_u64(m.progress);
-        w.put_u64(m.progress_at);
-        w.put_u64(m.futile_flushes);
-        w.put_bool(m.obs.is_enabled());
-        w.put_bool(m.metrics.is_enabled());
-        w.put_bool(self.fast_forward);
-        w.put_u64(self.bus_countdown);
-        w.put_u64(self.ticks);
-        w.put_u64(self.watchdog.stall_cycles);
-        w.put_u64(self.watchdog.futile_flushes);
-        w.put_u64(self.wd_last_progress);
-        w.put_u64(self.wd_seen_retired);
-        w.put_u64(self.wd_seen_progress);
-    }
-
-    /// Restores state written by [`Simulator::save_state`]. The caller
-    /// (see [`Simulator::restore`]) must have warm-reset `self` with the
-    /// same `(cfg, program)` the snapshot was taken under.
-    pub(crate) fn restore_state(
-        &mut self,
-        r: &mut csb_snap::SnapshotReader<'_>,
-    ) -> Result<(), csb_snap::SnapshotError> {
-        r.take_tag("sim")?;
-        self.cpu.restore_state(r)?;
+    /// Walks every stateful component (the same inventory
+    /// [`Simulator::reset_with`] reassigns). The framed entry points are
+    /// [`Simulator::snapshot`] and [`Simulator::restore_from`]; a restore
+    /// needs `self` warm-reset with the same `(cfg, program)` the snapshot
+    /// was taken under.
+    pub(crate) fn state(&mut self, s: &mut impl Codec) -> Result<(), SnapshotError> {
+        s.tag("sim")?;
+        self.cpu.state(s)?;
         let m = &mut self.machine;
-        m.flat.restore_state(r)?;
-        m.hier.restore_state(r)?;
-        m.ubuf.restore_state(r)?;
-        m.csb.restore_state(r)?;
-        m.bus.restore_state(r)?;
-        m.now = r.take_u64()?;
-        m.bus.check_restored(m.now / m.ratio)?;
-        m.device.restore_state(r)?;
-        m.nic = if r.take_bool()? {
-            let base = r.take_u64()?;
-            let cfg = csb_nic::NicConfig {
-                slot_size: r.take_usize()?,
-                slots: r.take_usize()?,
-                process_cycles: r.take_u64()?,
-                wire: csb_nic::WireModel {
-                    latency: r.take_u64()?,
-                    cycles_per_dword: r.take_u64()?,
-                },
-            };
-            // Every slot serializes at least one byte, so a slot count
-            // the rest of the frame cannot hold is corrupt — reject it
-            // before `Nic::new` allocates per slot.
-            if cfg.slots > r.remaining() {
-                return Err(csb_snap::SnapshotError::Corrupt(format!(
-                    "NIC attachment claims {} slots, {} bytes remain",
-                    cfg.slots,
-                    r.remaining()
-                )));
-            }
-            let mut nic = csb_nic::Nic::new(cfg).map_err(|e| {
-                csb_snap::SnapshotError::Corrupt(format!("NIC attachment invalid: {e}"))
-            })?;
-            nic.restore_state(r)?;
-            Some(NicAttachment { nic, base })
-        } else {
-            None
-        };
-        m.restore_reads(r)?;
-        m.csb_line_start = r.take_opt_u64()?;
-        m.csb_retry_since = r.take_opt_u64()?;
-        if r.take_bool()? {
-            let seed = r.take_u64()?;
-            let bus_error_rate = r.take_f64()?;
-            let device_nack_rate = r.take_f64()?;
-            let flush_disturb_rate = r.take_f64()?;
-            let max_consecutive = r.take_u32()?;
-            let window = if r.take_bool()? {
-                Some(csb_faults::FaultWindow {
-                    start: r.take_u64()?,
-                    len: r.take_u64()?,
-                })
-            } else {
-                None
-            };
-            let mut stats = FaultStats::default();
-            for v in stats.checks.iter_mut().chain(stats.injected.iter_mut()) {
-                *v = r.take_u64()?;
-            }
-            let mut consecutive = [0u32; 3];
-            for v in &mut consecutive {
-                *v = r.take_u32()?;
-            }
-            self.set_faults(Some(FaultConfig {
-                seed,
-                bus_error_rate,
-                device_nack_rate,
-                flush_disturb_rate,
-                max_consecutive,
-                window,
-            }));
-            self.machine.faults.restore_counters(stats, consecutive);
-        } else {
-            self.set_faults(None);
+        if s.reading() {
+            // Not in the frame: a warm restore starts without the last
+            // run's misaligned access, as a fresh machine does.
+            m.misaligned = None;
+        }
+        m.flat.state(s)?;
+        m.hier.state(s)?;
+        m.ubuf.state(s)?;
+        m.csb.state(s)?;
+        m.bus.state(s)?;
+        s.u64(&mut m.now)?;
+        if s.reading() {
+            m.bus.check_restored(m.now / m.ratio)?;
+        }
+        m.device.state(s)?;
+        s.opt(&mut m.nic, NicAttachment::detached, |s, att| att.state(s))?;
+        m.reads_state(s)?;
+        s.opt_u64(&mut m.csb_line_start)?;
+        s.opt_u64(&mut m.csb_retry_since)?;
+        let mut faults = m.faults.config();
+        let (mut stats, mut runs) = (m.faults.stats(), m.faults.consecutive_runs());
+        s.opt(
+            &mut faults,
+            || FaultConfig::new(0),
+            |s, fc| {
+                s.u64(&mut fc.seed)?;
+                s.f64(&mut fc.bus_error_rate)?;
+                s.f64(&mut fc.device_nack_rate)?;
+                s.f64(&mut fc.flush_disturb_rate)?;
+                s.u32(&mut fc.max_consecutive)?;
+                let window = || csb_faults::FaultWindow { start: 0, len: 0 };
+                s.opt(&mut fc.window, window, |s, w| {
+                    s.u64(&mut w.start)?;
+                    s.u64(&mut w.len)
+                })?;
+                for v in stats.checks.iter_mut().chain(&mut stats.injected) {
+                    s.u64(v)?;
+                }
+                runs.iter_mut().try_for_each(|v| s.u32(v))
+            },
+        )?;
+        if s.reading() {
+            self.set_faults(faults);
+            self.machine.faults.restore_counters(stats, runs);
         }
         let m = &mut self.machine;
-        m.progress = r.take_u64()?;
-        m.progress_at = r.take_u64()?;
-        m.futile_flushes = r.take_u64()?;
-        let obs_enabled = r.take_bool()?;
-        let metrics_enabled = r.take_bool()?;
-        self.fast_forward = r.take_bool()?;
-        self.bus_countdown = r.take_u64()?;
-        self.ticks = r.take_u64()?;
-        self.watchdog.stall_cycles = r.take_u64()?;
-        self.watchdog.futile_flushes = r.take_u64()?;
-        self.wd_last_progress = r.take_u64()?;
-        self.wd_seen_retired = r.take_u64()?;
-        self.wd_seen_progress = r.take_u64()?;
+        let (mut obs, mut metrics) = (m.obs.is_enabled(), m.metrics.is_enabled());
+        for v in [&mut m.progress, &mut m.progress_at, &mut m.futile_flushes] {
+            s.u64(v)?;
+        }
+        s.bool(&mut obs)?;
+        s.bool(&mut metrics)?;
+        s.bool(&mut self.fast_forward)?;
+        for v in [
+            &mut self.bus_countdown,
+            &mut self.ticks,
+            &mut self.watchdog.stall_cycles,
+            &mut self.watchdog.futile_flushes,
+            &mut self.wd_last_progress,
+            &mut self.wd_seen_retired,
+            &mut self.wd_seen_progress,
+        ] {
+            s.u64(v)?;
+        }
         // Sinks are wiring, not state: a restored machine records the
         // *continuation* of the run, which tests concatenate with the
         // pre-snapshot stream.
-        if obs_enabled {
+        if s.reading() && obs {
             self.enable_tracing();
         }
-        if metrics_enabled {
+        if s.reading() && metrics {
             self.enable_metrics();
         }
         Ok(())
@@ -1831,6 +1763,23 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn a_warm_restore_forgets_the_last_runs_misaligned_access() {
+        let program = assemble(|a| {
+            a.movi(Reg::O1, UNCACHED_BASE as i64 + 4);
+            a.std(Reg::L0, Reg::O1, 0);
+            a.halt();
+        });
+        let mut sim = Simulator::new(SimConfig::default(), program).unwrap();
+        let start = sim.snapshot();
+        let first = sim.run(100_000).unwrap_err().to_string();
+        let stopped_at = sim.cpu().now();
+        sim.restore_from(&start).unwrap();
+        // The restored machine reaches the access again, as a fresh one.
+        let again = sim.run(100_000).unwrap_err().to_string();
+        assert_eq!((again, sim.cpu().now()), (first, stopped_at));
     }
 
     #[test]

@@ -15,9 +15,9 @@
 //! fingerprints reject a mismatched pair up front instead of producing a
 //! silently wrong machine.
 //!
-//! **Version bump rule:** any change to the byte layout written by a
-//! `save_state` method anywhere in the workspace — a new field, a
-//! reordering, a widened integer — must bump [`SNAPSHOT_FORMAT_VERSION`].
+//! **Version bump rule:** any change to the byte layout a `state` walk
+//! visits anywhere in the workspace — a new field, a reordering, a
+//! widened integer — must bump [`SNAPSHOT_FORMAT_VERSION`].
 //! Old snapshots (and cached sweep points, which embed the version in
 //! their keys) are then rejected/invalidated rather than misread.
 //!
@@ -61,7 +61,7 @@ use crate::sim::{SimError, Simulator};
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"CSBSNAP\0";
 
 /// Version of the snapshot byte layout. Bump on **any** layout change in
-/// any component's `save_state` (see the module docs); the sweep cache
+/// any component's `state` walk (see the module docs); the sweep cache
 /// keys on it, so stale cached points self-invalidate.
 pub const SNAPSHOT_FORMAT_VERSION: u32 = 4;
 
@@ -133,15 +133,16 @@ impl From<SnapshotError> for RestoreError {
 impl Simulator {
     /// Serializes the complete machine state into a versioned,
     /// checksummed frame. Valid at **any** CPU cycle — mid-flush,
-    /// mid-bus-transaction, under an active fault schedule.
+    /// mid-bus-transaction, under an active fault schedule. The walk
+    /// needs `&mut` fields but changes nothing.
     ///
     /// The configuration and program are fingerprinted, not stored;
     /// [`Simulator::restore`] needs the same pair again.
-    pub fn snapshot(&self) -> Vec<u8> {
+    pub fn snapshot(&mut self) -> Vec<u8> {
         let mut w = SnapshotWriter::framed(SNAPSHOT_MAGIC, SNAPSHOT_FORMAT_VERSION);
         w.put_u64(config_fingerprint(self.config()));
         w.put_u64(program_fingerprint(self.cpu().program()));
-        self.save_state(&mut w);
+        self.state(&mut w).expect("a writer never fails");
         w.finish()
     }
 
@@ -177,7 +178,7 @@ impl Simulator {
         if r.take_u64()? != program_fingerprint(self.cpu().program()) {
             return Err(RestoreError::ProgramMismatch);
         }
-        self.restore_state(&mut r)?;
+        self.state(&mut r)?;
         r.expect_end("simulator snapshot")?;
         Ok(())
     }

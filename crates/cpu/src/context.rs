@@ -85,40 +85,21 @@ impl CpuContext {
         self.cc = flags;
     }
 
-    /// Serializes the full architectural state.
-    pub fn save_state(&self, w: &mut csb_snap::SnapshotWriter) {
-        w.put_tag("ctx");
-        w.put_usize(self.pc);
-        for v in &self.int {
-            w.put_u64(*v);
-        }
-        for v in &self.fp {
-            w.put_u64(*v);
-        }
-        w.put_u64(self.cc);
-        w.put_u32(self.pid);
-    }
-
-    /// Restores state written by [`CpuContext::save_state`].
+    /// Walks the full architectural state: written by a
+    /// [`csb_snap::SnapshotWriter`], overwritten by a
+    /// [`csb_snap::SnapshotReader`].
     ///
     /// # Errors
     ///
     /// [`csb_snap::SnapshotError`] on a malformed stream.
-    pub fn restore_state(
-        &mut self,
-        r: &mut csb_snap::SnapshotReader<'_>,
-    ) -> Result<(), csb_snap::SnapshotError> {
-        r.take_tag("ctx")?;
-        self.pc = r.take_usize()?;
-        for v in &mut self.int {
-            *v = r.take_u64()?;
+    pub fn state(&mut self, s: &mut impl csb_snap::Codec) -> Result<(), csb_snap::SnapshotError> {
+        s.tag("ctx")?;
+        s.usize(&mut self.pc)?;
+        for v in self.int.iter_mut().chain(&mut self.fp) {
+            s.u64(v)?;
         }
-        for v in &mut self.fp {
-            *v = r.take_u64()?;
-        }
-        self.cc = r.take_u64()?;
-        self.pid = r.take_u32()?;
-        Ok(())
+        s.u64(&mut self.cc)?;
+        s.u32(&mut self.pid)
     }
 }
 

@@ -22,6 +22,7 @@ use std::ops::{Index, IndexMut};
 use csb_isa::{Addr, AddressSpace, Cond, Inst, InstKind, Operand, Program, RegRef};
 use csb_mem::AccessKind;
 use csb_obs::{EventKind, MetricsRegistry, TimelineEvent, TraceSink, Track};
+use csb_snap::{Codec, SnapshotError};
 
 use crate::config::CpuConfig;
 use crate::context::CpuContext;
@@ -579,93 +580,82 @@ struct Fetched {
     t_fetch: u64,
 }
 
-fn save_st(w: &mut csb_snap::SnapshotWriter, st: St) {
-    match st {
-        St::Waiting => w.put_u8(0),
-        St::Agen { done_at } => {
-            w.put_u8(1);
-            w.put_u64(done_at);
-        }
-        St::AddrReady => w.put_u8(2),
-        St::MemAccess { done_at } => {
-            w.put_u8(3);
-            w.put_u64(done_at);
-        }
-        St::UncachedWait => w.put_u8(4),
-        St::Exec { done_at } => {
-            w.put_u8(5);
-            w.put_u64(done_at);
-        }
-        St::Done => w.put_u8(6),
-    }
-}
+impl St {
+    /// Every state, in snapshot kind order, with its cycle zeroed.
+    const KINDS: [St; 7] = [
+        St::Waiting,
+        St::Agen { done_at: 0 },
+        St::AddrReady,
+        St::MemAccess { done_at: 0 },
+        St::UncachedWait,
+        St::Exec { done_at: 0 },
+        St::Done,
+    ];
 
-fn take_st(r: &mut csb_snap::SnapshotReader<'_>) -> Result<St, csb_snap::SnapshotError> {
-    Ok(match r.take_u8()? {
-        0 => St::Waiting,
-        1 => St::Agen {
-            done_at: r.take_u64()?,
-        },
-        2 => St::AddrReady,
-        3 => St::MemAccess {
-            done_at: r.take_u64()?,
-        },
-        4 => St::UncachedWait,
-        5 => St::Exec {
-            done_at: r.take_u64()?,
-        },
-        6 => St::Done,
-        k => {
-            return Err(csb_snap::SnapshotError::Corrupt(format!(
-                "unknown ROB entry state {k}"
-            )))
+    /// Walks the state's kind, then the cycle an in-flight kind ends at.
+    fn state(&mut self, s: &mut impl Codec) -> Result<(), SnapshotError> {
+        let same = |k: &St| std::mem::discriminant(k) == std::mem::discriminant(self);
+        let mut k = St::KINDS.iter().position(same).unwrap_or_default() as u8;
+        s.kind(&mut k, St::KINDS.len() as u8, "ROB entry state")?;
+        if s.reading() {
+            *self = St::KINDS[usize::from(k)];
         }
-    })
-}
-
-fn save_reg_ref(w: &mut csb_snap::SnapshotWriter, reg: RegRef) {
-    match reg {
-        RegRef::Int(r) => {
-            w.put_u8(0);
-            w.put_u8(r.index() as u8);
-        }
-        RegRef::Fp(f) => {
-            w.put_u8(1);
-            w.put_u8(f.index() as u8);
-        }
-        RegRef::Cc => {
-            w.put_u8(2);
-            w.put_u8(0);
+        match self {
+            St::Agen { done_at } | St::MemAccess { done_at } | St::Exec { done_at } => {
+                s.u64(done_at)
+            }
+            _ => Ok(()),
         }
     }
 }
 
-fn take_reg_ref(r: &mut csb_snap::SnapshotReader<'_>) -> Result<RegRef, csb_snap::SnapshotError> {
-    let kind = r.take_u8()?;
-    let idx = r.take_u8()?;
-    let bad = |what: &str| {
-        csb_snap::SnapshotError::Corrupt(format!("register index {idx} out of range for {what}"))
-    };
-    Ok(match kind {
-        0 => {
-            if (idx as usize) >= csb_isa::reg::NUM_INT_REGS {
-                return Err(bad("int"));
-            }
-            RegRef::Int(csb_isa::Reg::new(idx))
+impl OperandSlot {
+    /// Walks the register as a kind and an index (`0` for the condition
+    /// codes), then the source as a kind and its value or producer.
+    fn state(&mut self, s: &mut impl Codec) -> Result<(), SnapshotError> {
+        let (mut k, mut idx) = match self.reg {
+            RegRef::Int(r) => (0, r.index() as u8),
+            RegRef::Fp(f) => (1, f.index() as u8),
+            RegRef::Cc => (2, 0),
+        };
+        s.kind(&mut k, 3, "register kind")?;
+        s.u8(&mut idx)?;
+        if s.reading() {
+            let bad = |what: &str| {
+                SnapshotError::Corrupt(format!("register index {idx} out of range for {what}"))
+            };
+            self.reg = match k {
+                0 if usize::from(idx) >= csb_isa::reg::NUM_INT_REGS => return Err(bad("int")),
+                0 => RegRef::Int(csb_isa::Reg::new(idx)),
+                1 if usize::from(idx) >= csb_isa::reg::NUM_FP_REGS => return Err(bad("fp")),
+                1 => RegRef::Fp(csb_isa::FReg::new(idx)),
+                _ => RegRef::Cc,
+            };
         }
-        1 => {
-            if (idx as usize) >= csb_isa::reg::NUM_FP_REGS {
-                return Err(bad("fp"));
-            }
-            RegRef::Fp(csb_isa::FReg::new(idx))
-        }
-        2 => RegRef::Cc,
-        k => {
-            return Err(csb_snap::SnapshotError::Corrupt(format!(
-                "unknown register kind {k}"
-            )))
-        }
-    })
+        let (mut k, mut v) = match self.src {
+            Src::Ready(v) => (0, v),
+            Src::Wait(seq) => (1, seq),
+        };
+        s.kind(&mut k, 2, "operand source")?;
+        s.u64(&mut v)?;
+        self.src = if k == 0 { Src::Ready(v) } else { Src::Wait(v) };
+        Ok(())
+    }
+}
+
+/// Every address space an entry can hold, in snapshot kind order.
+const SPACES: [Option<AddressSpace>; 4] = [
+    None,
+    Some(AddressSpace::Cached),
+    Some(AddressSpace::Uncached),
+    Some(AddressSpace::UncachedCombining),
+];
+
+/// Re-derives the `Inst` at `pc` of `program` for snapshot restore.
+fn fetch_inst(program: &Program, pc: usize) -> Result<Inst, SnapshotError> {
+    program
+        .fetch(pc)
+        .ok_or_else(|| SnapshotError::Corrupt(format!("pc {pc} is outside the restored program")))
 }
 
 fn mem_width(inst: &Inst) -> usize {
@@ -792,280 +782,182 @@ impl Cpu {
         self.detector.forget();
     }
 
-    /// Serializes the core's complete microarchitectural state: committed
+    /// Walks the core's complete microarchitectural state: committed
     /// context, fetch queue, ROB (with in-flight operand and timing
     /// state), rename table, counters, and stall-run bookkeeping.
-    /// Instructions are not stored — each entry's `pc` re-derives its
-    /// `Inst` from the program the restoring side supplies. The trace
-    /// sink and metrics registry are wiring the restoring side re-installs.
-    pub fn save_state(&self, w: &mut csb_snap::SnapshotWriter) {
-        w.put_tag("cpu");
-        self.ctx.save_state(w);
-        w.put_usize(self.fetch_pc);
-        w.put_bool(self.fetch_stopped);
-        w.put_usize(self.fetch_q.len());
-        for f in &self.fetch_q {
-            w.put_usize(f.pc);
-            w.put_usize(f.predicted_next);
-            w.put_u64(f.t_fetch);
-        }
-        w.put_usize(self.rob.len());
-        for e in self.rob.iter() {
-            w.put_u64(e.seq);
-            w.put_usize(e.pc);
-            save_st(w, e.st);
-            w.put_u8(e.ops.len);
-            for op in e.ops.iter() {
-                save_reg_ref(w, op.reg);
-                match op.src {
-                    Src::Ready(v) => {
-                        w.put_u8(0);
-                        w.put_u64(v);
-                    }
-                    Src::Wait(seq) => {
-                        w.put_u8(1);
-                        w.put_u64(seq);
-                    }
-                }
-            }
-            w.put_u64(e.value);
-            w.put_opt_u64(e.addr.map(Addr::raw));
-            w.put_u8(match e.space {
-                None => 0,
-                Some(AddressSpace::Cached) => 1,
-                Some(AddressSpace::Uncached) => 2,
-                Some(AddressSpace::UncachedCombining) => 3,
-            });
-            w.put_usize(e.predicted_next);
-            w.put_bool(e.mem_started);
-            w.put_u64(e.t_fetch);
-            w.put_u64(e.t_dispatch);
-            w.put_opt_u64(e.t_issue);
-            w.put_opt_u64(e.t_complete);
-        }
-        w.put_u64(self.front_seq);
-        w.put_u64(self.next_seq);
-        for slot in &self.rename.slots {
-            w.put_opt_u64(*slot);
-        }
-        w.put_bool(self.halted);
-        w.put_u64(self.now);
-        w.put_u64(self.stats.cycles);
-        w.put_u64(self.stats.retired);
-        w.put_u64(self.stats.squashed);
-        w.put_u64(self.stats.mispredicts);
-        w.put_u64(self.stats.loads);
-        w.put_u64(self.stats.stores);
-        w.put_u64(self.stats.uncached_ops);
-        w.put_u64(self.stats.combining_stores);
-        w.put_u64(self.stats.flush_successes);
-        w.put_u64(self.stats.flush_failures);
-        w.put_u64(self.stats.uncached_stall_cycles);
-        w.put_u64(self.stats.membar_stall_cycles);
-        let mut mark_ids: Vec<u32> = self.stats.marks.keys().copied().collect();
-        mark_ids.sort_unstable();
-        w.put_usize(mark_ids.len());
-        for id in mark_ids {
-            w.put_u32(id);
-            let cycles = &self.stats.marks[&id];
-            w.put_usize(cycles.len());
-            for c in cycles {
-                w.put_u64(*c);
-            }
-        }
-        w.put_bool(self.trace.is_some());
-        w.put_opt_u64(self.uncached_stall_start);
-        w.put_opt_u64(self.membar_stall_start);
-        w.put_bool(self.worked);
-    }
-
-    /// Restores state written by [`Cpu::save_state`] into a core already
-    /// holding the same configuration and program. Pipeline-trace
-    /// recording resumes empty if it was enabled at save time (records
-    /// retired before the snapshot are not carried over).
+    /// Instructions are not stored — on restore each entry's `pc`
+    /// re-derives its `Inst` from the program the core already holds, and
+    /// pipeline-trace recording resumes empty if it was enabled (records
+    /// retired before the snapshot are not carried over). The trace sink
+    /// and metrics registry are wiring the restoring side re-installs.
     ///
     /// # Errors
     ///
-    /// [`csb_snap::SnapshotError`] on a malformed stream or an entry `pc`
-    /// the current program cannot fetch.
-    pub fn restore_state(
-        &mut self,
-        r: &mut csb_snap::SnapshotReader<'_>,
-    ) -> Result<(), csb_snap::SnapshotError> {
-        r.take_tag("cpu")?;
-        self.ctx.restore_state(r)?;
-        self.fetch_pc = r.take_usize()?;
-        self.fetch_stopped = r.take_bool()?;
-        self.fetch_q.clear();
-        let nq = r.take_usize()?;
-        if nq > self.cfg.fetch_queue.max(1) {
-            return Err(csb_snap::SnapshotError::Corrupt(format!(
-                "{nq} fetched instructions exceed queue depth {}",
-                self.cfg.fetch_queue
-            )));
-        }
-        for _ in 0..nq {
-            let pc = r.take_usize()?;
-            let inst = self.fetch_inst(pc)?;
-            self.fetch_q.push_back(Fetched {
-                pc,
-                inst,
-                predicted_next: r.take_usize()?,
-                t_fetch: r.take_u64()?,
-            });
-        }
-        let nrob = r.take_usize()?;
-        if nrob > self.cfg.rob_size {
-            return Err(csb_snap::SnapshotError::Corrupt(format!(
-                "{nrob} ROB entries exceed capacity {}",
-                self.cfg.rob_size
-            )));
-        }
-        self.rob.clear();
-        self.rob.head = 0;
-        for _ in 0..nrob {
-            let seq = r.take_u64()?;
-            let pc = r.take_usize()?;
-            let inst = self.fetch_inst(pc)?;
-            let st = take_st(r)?;
-            let mut ops = Ops::EMPTY;
-            let nops = r.take_u8()?;
-            if nops > 3 {
-                return Err(csb_snap::SnapshotError::Corrupt(format!(
-                    "{nops} operand slots exceed 3"
-                )));
-            }
-            for _ in 0..nops {
-                let reg = take_reg_ref(r)?;
-                let src = match r.take_u8()? {
-                    0 => Src::Ready(r.take_u64()?),
-                    1 => Src::Wait(r.take_u64()?),
-                    k => {
-                        return Err(csb_snap::SnapshotError::Corrupt(format!(
-                            "unknown operand source {k}"
-                        )))
-                    }
-                };
-                ops.push(OperandSlot { reg, src });
-            }
-            let value = r.take_u64()?;
-            let addr = r.take_opt_u64()?.map(Addr::new);
-            let space = match r.take_u8()? {
-                0 => None,
-                1 => Some(AddressSpace::Cached),
-                2 => Some(AddressSpace::Uncached),
-                3 => Some(AddressSpace::UncachedCombining),
-                k => {
-                    return Err(csb_snap::SnapshotError::Corrupt(format!(
-                        "unknown address space {k}"
-                    )))
-                }
+    /// [`SnapshotError`] on a malformed stream, an entry `pc` the
+    /// current program cannot fetch, or a ROB no dispatch builds.
+    pub fn state(&mut self, s: &mut impl Codec) -> Result<(), SnapshotError> {
+        s.tag("cpu")?;
+        self.ctx.state(s)?;
+        s.usize(&mut self.fetch_pc)?;
+        s.bool(&mut self.fetch_stopped)?;
+        let mut n = self.fetch_q.len();
+        s.len(&mut n, self.cfg.fetch_queue.max(1), "fetched instructions")?;
+        if s.reading() {
+            let empty = Fetched {
+                pc: 0,
+                inst: Inst::Nop,
+                predicted_next: 0,
+                t_fetch: 0,
             };
-            self.rob.push_back(RobEntry {
-                seq,
-                pc,
-                inst,
-                st,
-                ops,
-                value,
-                addr,
-                space,
-                predicted_next: r.take_usize()?,
-                mem_started: r.take_bool()?,
-                t_fetch: r.take_u64()?,
-                t_dispatch: r.take_u64()?,
-                t_issue: r.take_opt_u64()?,
-                t_complete: r.take_opt_u64()?,
-            });
+            self.fetch_q.clear();
+            self.fetch_q.resize(n, empty);
         }
-        self.front_seq = r.take_u64()?;
-        self.next_seq = r.take_u64()?;
-        for (i, e) in self.rob.iter().enumerate() {
-            if e.seq != self.front_seq.wrapping_add(i as u64) {
-                return Err(csb_snap::SnapshotError::Corrupt(format!(
-                    "ROB entry {i} has sequence number {}, not front {} + {i}",
-                    e.seq, self.front_seq
+        for f in &mut self.fetch_q {
+            s.usize(&mut f.pc)?;
+            if s.reading() {
+                f.inst = fetch_inst(&self.program, f.pc)?;
+            }
+            s.usize(&mut f.predicted_next)?;
+            s.u64(&mut f.t_fetch)?;
+        }
+        let mut n = self.rob.len();
+        s.len(&mut n, self.cfg.rob_size, "ROB entries")?;
+        if s.reading() {
+            self.rob.clear();
+            self.rob.head = 0;
+            for _ in 0..n {
+                self.rob.push_back(RobEntry::EMPTY);
+            }
+        }
+        for i in 0..n {
+            let e = &mut self.rob[i];
+            s.u64(&mut e.seq)?;
+            s.usize(&mut e.pc)?;
+            if s.reading() {
+                e.inst = fetch_inst(&self.program, e.pc)?;
+            }
+            e.st.state(s)?;
+            s.u8(&mut e.ops.len)?;
+            if s.reading() && e.ops.len > 3 {
+                return Err(SnapshotError::Corrupt(format!(
+                    "{} operand slots exceed 3",
+                    e.ops.len
                 )));
             }
-            if e.ops
+            for op in &mut e.ops.slots[..usize::from(e.ops.len)] {
+                op.state(s)?;
+            }
+            s.u64(&mut e.value)?;
+            let mut addr = e.addr.map(Addr::raw);
+            s.opt_u64(&mut addr)?;
+            e.addr = addr.map(Addr::new);
+            let space = SPACES.iter().position(|sp| *sp == e.space);
+            let mut k = space.unwrap_or_default() as u8;
+            s.kind(&mut k, SPACES.len() as u8, "address space")?;
+            e.space = SPACES[usize::from(k)];
+            s.usize(&mut e.predicted_next)?;
+            s.bool(&mut e.mem_started)?;
+            s.u64(&mut e.t_fetch)?;
+            s.u64(&mut e.t_dispatch)?;
+            s.opt_u64(&mut e.t_issue)?;
+            s.opt_u64(&mut e.t_complete)?;
+        }
+        s.u64(&mut self.front_seq)?;
+        s.u64(&mut self.next_seq)?;
+        if s.reading() {
+            for (i, e) in self.rob.iter().enumerate() {
+                if e.seq != self.front_seq.wrapping_add(i as u64) {
+                    return Err(SnapshotError::Corrupt(format!(
+                        "ROB entry {i} has sequence number {}, not front {} + {i}",
+                        e.seq, self.front_seq
+                    )));
+                }
+                if e.ops
+                    .iter()
+                    .any(|op| matches!(op.src, Src::Wait(p) if p >= e.seq))
+                {
+                    return Err(SnapshotError::Corrupt(format!(
+                        "ROB entry {i} waits on a producer that is not older"
+                    )));
+                }
+            }
+            self.sched.rebuild(&self.rob, self.front_seq);
+        }
+        for slot in &mut self.rename.slots {
+            s.opt_u64(slot)?;
+        }
+        if s.reading() {
+            // Dispatch numbers the ROB without gaps, and the rename map
+            // names only producers still in it.
+            let in_flight = self.front_seq..self.next_seq;
+            if self.front_seq.checked_add(self.rob.len() as u64) != Some(self.next_seq) {
+                return Err(SnapshotError::Corrupt(format!(
+                    "next sequence number {} after {} ROB entries from {}",
+                    self.next_seq,
+                    self.rob.len(),
+                    self.front_seq
+                )));
+            }
+            if let Some(seq) = self
+                .rename
+                .slots
                 .iter()
-                .any(|op| matches!(op.src, Src::Wait(p) if p >= e.seq))
+                .flatten()
+                .find(|s| !in_flight.contains(s))
             {
-                return Err(csb_snap::SnapshotError::Corrupt(format!(
-                    "ROB entry {i} waits on a producer that is not older"
+                return Err(SnapshotError::Corrupt(format!(
+                    "rename map names producer {seq} outside the ROB's {in_flight:?}"
                 )));
             }
         }
-        self.sched.rebuild(&self.rob, self.front_seq);
-        for slot in 0..RENAME_SLOTS {
-            self.rename.slots[slot] = r.take_opt_u64()?;
+        s.bool(&mut self.halted)?;
+        s.u64(&mut self.now)?;
+        let st = &mut self.stats;
+        for v in [
+            &mut st.cycles,
+            &mut st.retired,
+            &mut st.squashed,
+            &mut st.mispredicts,
+            &mut st.loads,
+            &mut st.stores,
+            &mut st.uncached_ops,
+            &mut st.combining_stores,
+            &mut st.flush_successes,
+            &mut st.flush_failures,
+            &mut st.uncached_stall_cycles,
+            &mut st.membar_stall_cycles,
+        ] {
+            s.u64(v)?;
         }
-        // Dispatch numbers the ROB without gaps, and the rename map names
-        // only producers still in it.
-        let in_flight = self.front_seq..self.next_seq;
-        if self.front_seq.checked_add(self.rob.len() as u64) != Some(self.next_seq) {
-            return Err(csb_snap::SnapshotError::Corrupt(format!(
-                "next sequence number {} after {} ROB entries from {}",
-                self.next_seq,
-                self.rob.len(),
-                self.front_seq
-            )));
+        let mut ids: Vec<u32> = st.marks.keys().copied().collect();
+        ids.sort_unstable();
+        let mut n = ids.len();
+        s.len(&mut n, usize::MAX, "marks")?;
+        if s.reading() {
+            st.marks.clear();
+            ids.resize(n, 0);
         }
-        if let Some(seq) = self
-            .rename
-            .slots
-            .iter()
-            .flatten()
-            .find(|s| !in_flight.contains(s))
-        {
-            return Err(csb_snap::SnapshotError::Corrupt(format!(
-                "rename map names producer {seq} outside the ROB's {in_flight:?}"
-            )));
-        }
-        self.halted = r.take_bool()?;
-        self.now = r.take_u64()?;
-        self.stats.cycles = r.take_u64()?;
-        self.stats.retired = r.take_u64()?;
-        self.stats.squashed = r.take_u64()?;
-        self.stats.mispredicts = r.take_u64()?;
-        self.stats.loads = r.take_u64()?;
-        self.stats.stores = r.take_u64()?;
-        self.stats.uncached_ops = r.take_u64()?;
-        self.stats.combining_stores = r.take_u64()?;
-        self.stats.flush_successes = r.take_u64()?;
-        self.stats.flush_failures = r.take_u64()?;
-        self.stats.uncached_stall_cycles = r.take_u64()?;
-        self.stats.membar_stall_cycles = r.take_u64()?;
-        self.stats.marks.clear();
-        let nmarks = r.take_usize()?;
-        for _ in 0..nmarks {
-            let id = r.take_u32()?;
-            let len = r.take_usize()?;
-            // Bounded by the bytes left, so a corrupt length cannot
-            // demand a huge allocation.
-            let mut cycles = Vec::with_capacity(len.min(r.remaining() / 8));
-            for _ in 0..len {
-                cycles.push(r.take_u64()?);
+        for id in &mut ids {
+            s.u32(id)?;
+            let cycles = st.marks.entry(*id).or_default();
+            let mut n = cycles.len();
+            s.len(&mut n, usize::MAX, "mark cycles")?;
+            if s.reading() {
+                cycles.clear();
+                cycles.resize(n, 0);
             }
-            self.stats.marks.insert(id, cycles);
+            for c in cycles {
+                s.u64(c)?;
+            }
         }
-        self.trace = if r.take_bool()? {
-            Some(Vec::new())
-        } else {
-            None
-        };
-        self.uncached_stall_start = r.take_opt_u64()?;
-        self.membar_stall_start = r.take_opt_u64()?;
-        self.worked = r.take_bool()?;
-        self.detector.forget();
+        s.opt(&mut self.trace, Vec::new, |_, _| Ok(()))?;
+        s.opt_u64(&mut self.uncached_stall_start)?;
+        s.opt_u64(&mut self.membar_stall_start)?;
+        s.bool(&mut self.worked)?;
+        if s.reading() {
+            self.detector.forget();
+        }
         Ok(())
-    }
-
-    /// Re-derives the `Inst` at `pc` for snapshot restore.
-    fn fetch_inst(&self, pc: usize) -> Result<Inst, csb_snap::SnapshotError> {
-        self.program.fetch(pc).ok_or_else(|| {
-            csb_snap::SnapshotError::Corrupt(format!("pc {pc} is outside the restored program"))
-        })
     }
 
     /// Installs a structured trace sink: retires and squashes emit instants

@@ -737,9 +737,9 @@ mod tests {
     use crate::port::SimpleMemPort;
     use crate::{Cpu, CpuConfig};
 
-    fn frame(cpu: &Cpu) -> Vec<u8> {
+    fn frame(cpu: &mut Cpu) -> Vec<u8> {
         let mut w = SnapshotWriter::new();
-        cpu.save_state(&mut w);
+        cpu.state(&mut w).expect("writing never fails");
         w.finish()
     }
 
@@ -785,9 +785,14 @@ mod tests {
                     base: old.base.wrapping_sub(dv),
                     ..*old
                 };
-                let before = frame(&cpu);
+                let before = frame(&mut cpu);
                 cpu.unpack_loop_state(to, words);
-                assert_eq!(frame(&cpu), before, "a period later at cycle {}", cpu.now);
+                assert_eq!(
+                    frame(&mut cpu),
+                    before,
+                    "a period later at cycle {}",
+                    cpu.now
+                );
                 periods += 1;
             }
             cpu.tick(&mut port);

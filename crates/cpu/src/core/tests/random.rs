@@ -397,7 +397,7 @@ fn run_timed(program: Program, width: usize) -> (CpuStats, u64) {
         cpu.tick(&mut port);
         port.now = cpu.now();
         let mut w = SnapshotWriter::new();
-        cpu.save_state(&mut w);
+        cpu.state(&mut w).expect("writing never fails");
         digest.update(&w.finish());
         write!(digest, "{:?}", cpu.next_event(&port)).expect("hashing cannot fail");
     }
@@ -451,7 +451,7 @@ fn random_programs_match_timing_golden() {
 }
 
 /// Fails unless the incrementally maintained scheduling sets equal the
-/// ones [`Cpu::restore_state`] rebuilds from the ROB.
+/// ones a restoring [`Cpu::state`] rebuilds from the ROB.
 fn assert_sched_matches_rebuild(cpu: &Cpu) {
     let mut rebuilt = Sched::new(cpu.rob.slots.len());
     rebuilt.rebuild(&cpu.rob, cpu.front_seq);
@@ -534,11 +534,11 @@ fn drive_with_switches_and_restores(programs: [Program; 2], width: usize, reache
             1 => {
                 reached.restores_in_flight += u64::from(!cpu.rob.is_empty());
                 let mut w = SnapshotWriter::new();
-                cpu.save_state(&mut w);
+                cpu.state(&mut w).expect("writing never fails");
                 let frame = w.finish();
                 let mut fresh = Cpu::new(cfg, current.clone());
                 fresh
-                    .restore_state(&mut SnapshotReader::new(&frame))
+                    .state(&mut SnapshotReader::new(&frame))
                     .expect("a core restores its own frame");
                 cpu = fresh;
                 assert_sched_matches_rebuild(&cpu);
@@ -588,14 +588,14 @@ fn corrupt_frames_never_panic_the_rebuild() {
         cpu.tick(&mut port);
     }
     let mut w = SnapshotWriter::new();
-    cpu.save_state(&mut w);
+    cpu.state(&mut w).expect("writing never fails");
     let frame = w.finish();
     for i in 0..frame.len() {
         for flip in [0x01, 0x80] {
             let mut bad = frame.clone();
             bad[i] ^= flip;
             let mut fresh = Cpu::new(cfg, program.clone());
-            if fresh.restore_state(&mut SnapshotReader::new(&bad)).is_ok() {
+            if fresh.state(&mut SnapshotReader::new(&bad)).is_ok() {
                 assert_sched_matches_rebuild(&fresh);
             }
         }

@@ -274,69 +274,51 @@ impl Cache {
         wb
     }
 
-    /// Serializes the resident lines, LRU clock, and statistics. Only
-    /// lines valid in the current epoch are written (as explicit
-    /// `(set, way)` coordinates), so the byte stream is independent of
-    /// how many stale lines past epochs left behind — two caches with
-    /// identical observable state snapshot identically.
-    pub fn save_state(&self, w: &mut csb_snap::SnapshotWriter) {
-        w.put_tag("cache");
-        w.put_u64(self.tick);
-        w.put_u64(self.stats.hits);
-        w.put_u64(self.stats.misses);
-        w.put_u64(self.stats.writebacks);
-        let valid = self.epochs.iter().filter(|&&e| e == self.epoch).count();
-        w.put_usize(valid);
-        for (i, &epoch) in self.epochs.iter().enumerate() {
-            if epoch == self.epoch {
-                w.put_u32((i / self.cfg.assoc) as u32);
-                w.put_u32((i % self.cfg.assoc) as u32);
-                w.put_u64(self.tags[i]);
-                w.put_bool(self.dirty[i]);
-                w.put_u64(self.lrus[i]);
-            }
-        }
-    }
-
-    /// Restores state written by [`Cache::save_state`] into this cache
-    /// (same geometry). Valid lines are reinstalled at their exact way
-    /// indices; everything else is invalid, exactly as in the snapshotted
-    /// cache (invalid ways tie-break victim selection by position, so
-    /// their stale contents are behaviorally invisible).
+    /// Walks the resident lines, LRU clock, and statistics. Only lines
+    /// valid in the current epoch are visited (as explicit `(set, way)`
+    /// coordinates), so the byte stream is independent of how many stale
+    /// lines past epochs left behind — two caches with identical
+    /// observable state snapshot identically. A restore into a cache of
+    /// the same geometry clears it first, then reinstalls the valid lines
+    /// at their exact way indices; everything else is invalid, exactly as
+    /// in the snapshotted cache (invalid ways tie-break victim selection
+    /// by position, so their stale contents are behaviorally invisible).
     ///
     /// # Errors
     ///
     /// [`csb_snap::SnapshotError`] on a malformed stream or line
     /// coordinates outside this cache's geometry.
-    pub fn restore_state(
-        &mut self,
-        r: &mut csb_snap::SnapshotReader<'_>,
-    ) -> Result<(), csb_snap::SnapshotError> {
-        self.clear();
-        r.take_tag("cache")?;
-        self.tick = r.take_u64()?;
-        self.stats = CacheStats {
-            hits: r.take_u64()?,
-            misses: r.take_u64()?,
-            writebacks: r.take_u64()?,
-        };
-        let valid = r.take_usize()?;
-        for _ in 0..valid {
-            let set = r.take_u32()? as usize;
-            let way = r.take_u32()? as usize;
-            let tag = r.take_u64()?;
-            let dirty = r.take_bool()?;
-            let lru = r.take_u64()?;
-            if set >= self.cfg.sets() || way >= self.cfg.assoc {
+    pub fn state(&mut self, s: &mut impl csb_snap::Codec) -> Result<(), csb_snap::SnapshotError> {
+        if s.reading() {
+            self.clear();
+        }
+        s.tag("cache")?;
+        s.u64(&mut self.tick)?;
+        s.u64(&mut self.stats.hits)?;
+        s.u64(&mut self.stats.misses)?;
+        s.u64(&mut self.stats.writebacks)?;
+        let assoc = self.cfg.assoc;
+        let mut lines: Vec<usize> = (0..self.epochs.len())
+            .filter(|&i| self.epochs[i] == self.epoch)
+            .collect();
+        let mut n = lines.len();
+        s.len(&mut n, self.tags.len(), "cache lines")?;
+        lines.resize(n, 0);
+        for i in &mut lines {
+            let (mut set, mut way) = ((*i / assoc) as u32, (*i % assoc) as u32);
+            s.u32(&mut set)?;
+            s.u32(&mut way)?;
+            let (set, way) = (set as usize, way as usize);
+            if s.reading() && (set >= self.cfg.sets() || way >= assoc) {
                 return Err(csb_snap::SnapshotError::Corrupt(format!(
                     "cache line at set {set} way {way} outside geometry"
                 )));
             }
-            let i = set * self.cfg.assoc + way;
-            self.tags[i] = tag;
-            self.epochs[i] = self.epoch;
-            self.dirty[i] = dirty;
-            self.lrus[i] = lru;
+            *i = set * assoc + way;
+            self.epochs[*i] = self.epoch;
+            s.u64(&mut self.tags[*i])?;
+            s.bool(&mut self.dirty[*i])?;
+            s.u64(&mut self.lrus[*i])?;
         }
         Ok(())
     }

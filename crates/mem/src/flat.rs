@@ -106,13 +106,21 @@ impl FlatMemory {
         self.chunks.len()
     }
 
-    /// Serializes the memory contents: every chunk holding at least one
+    /// Walks the memory contents: every chunk holding at least one
     /// nonzero byte, sorted by base address. All-zero chunks are skipped,
     /// so the byte stream depends only on the memory's observable
     /// contents — not on which chunks a warm-reused instance happens to
-    /// have allocated.
-    pub fn save_state(&self, w: &mut csb_snap::SnapshotWriter) {
-        w.put_tag("flat");
+    /// have allocated. A restore zeroes the memory in place, then
+    /// rewrites the saved chunks.
+    ///
+    /// # Errors
+    ///
+    /// [`csb_snap::SnapshotError`] on a malformed stream.
+    pub fn state(&mut self, s: &mut impl csb_snap::Codec) -> Result<(), csb_snap::SnapshotError> {
+        if s.reading() {
+            self.reset();
+        }
+        s.tag("flat")?;
         let mut bases: Vec<u64> = self
             .chunks
             .iter()
@@ -120,35 +128,17 @@ impl FlatMemory {
             .map(|(&base, _)| base)
             .collect();
         bases.sort_unstable();
-        w.put_usize(bases.len());
-        for base in bases {
-            w.put_u64(base);
-            w.put_raw(&self.chunks[&base]);
-        }
-    }
-
-    /// Restores contents written by [`FlatMemory::save_state`]: zeroes
-    /// the memory in place, then rewrites the saved chunks.
-    ///
-    /// # Errors
-    ///
-    /// [`csb_snap::SnapshotError`] on a malformed stream.
-    pub fn restore_state(
-        &mut self,
-        r: &mut csb_snap::SnapshotReader<'_>,
-    ) -> Result<(), csb_snap::SnapshotError> {
-        self.reset();
-        r.take_tag("flat")?;
-        let n = r.take_usize()?;
-        for _ in 0..n {
-            let base = r.take_u64()?;
-            let bytes = r.take_raw(CHUNK as usize)?;
-            if base % CHUNK != 0 {
+        let mut n = bases.len();
+        s.len(&mut n, usize::MAX, "memory chunks")?;
+        bases.resize(n, 0);
+        for base in &mut bases {
+            s.u64(base)?;
+            if s.reading() && *base % CHUNK != 0 {
                 return Err(csb_snap::SnapshotError::Corrupt(format!(
                     "unaligned memory chunk base {base:#x}"
                 )));
             }
-            self.chunk_mut(base).copy_from_slice(bytes);
+            s.raw(self.chunk_mut(*base))?;
         }
         Ok(())
     }

@@ -171,31 +171,18 @@ impl MemoryHierarchy {
         Ok(())
     }
 
-    /// Serializes both cache levels and the memory-access counter (the
+    /// Walks both cache levels and the memory-access counter (the
     /// geometry itself comes from the [`MemoryConfig`] the restoring side
     /// already holds).
-    pub fn save_state(&self, w: &mut csb_snap::SnapshotWriter) {
-        w.put_tag("hier");
-        self.l1.save_state(w);
-        self.l2.save_state(w);
-        w.put_u64(self.stats_mem);
-    }
-
-    /// Restores state written by [`MemoryHierarchy::save_state`] into a
-    /// hierarchy already configured with the same [`MemoryConfig`].
     ///
     /// # Errors
     ///
     /// [`csb_snap::SnapshotError`] on a malformed stream.
-    pub fn restore_state(
-        &mut self,
-        r: &mut csb_snap::SnapshotReader<'_>,
-    ) -> Result<(), csb_snap::SnapshotError> {
-        r.take_tag("hier")?;
-        self.l1.restore_state(r)?;
-        self.l2.restore_state(r)?;
-        self.stats_mem = r.take_u64()?;
-        Ok(())
+    pub fn state(&mut self, s: &mut impl csb_snap::Codec) -> Result<(), csb_snap::SnapshotError> {
+        s.tag("hier")?;
+        self.l1.state(s)?;
+        self.l2.state(s)?;
+        s.u64(&mut self.stats_mem)
     }
 
     /// Performs a timed access starting at CPU cycle `now`.

@@ -357,119 +357,107 @@ impl Nic {
         self.stats = NicStats::default();
     }
 
-    /// Serializes the NI's mutable state: counters, per-slot in-flight
+    /// Walks the NI's mutable state: counters, per-slot in-flight
     /// assembly (header, partial payload, coverage bitmap), and the
     /// delivered-message log. The configuration is *not* serialized — the
     /// restoring side must construct the NI with the same [`NicConfig`].
-    pub fn save_state(&self, w: &mut csb_snap::SnapshotWriter) {
-        w.put_tag("nic");
-        w.put_u64(self.stats.messages);
-        w.put_u64(self.stats.payload_bytes);
-        w.put_u64(self.stats.torn_frames);
-        w.put_u64(self.stats.stray_writes);
-        w.put_u64(self.stats.invalid_headers);
-        w.put_usize(self.pending.len());
-        for p in &self.pending {
-            match p {
-                None => w.put_bool(false),
-                Some(p) => {
-                    w.put_bool(true);
-                    w.put_u64(encode_header(p.header.len, p.header.seq, p.header.sender));
-                    w.put_bytes(&p.buf);
-                    w.put_usize(p.got.len());
-                    for &g in &p.got {
-                        w.put_bool(g);
-                    }
-                    w.put_u64(p.first_bus_cycle);
-                }
-            }
-        }
-        w.put_usize(self.messages.len());
-        for m in &self.messages {
-            w.put_u64(u64::from(m.sender));
-            w.put_u64(u64::from(m.seq));
-            w.put_bytes(&m.payload);
-            w.put_usize(m.slot);
-            w.put_u64(m.first_bus_cycle);
-            w.put_u64(m.completed_bus_cycle);
-            w.put_u64(m.arrived_at);
-        }
-    }
-
-    /// Restores state written by [`Nic::save_state`] into an NI constructed
-    /// with the same configuration.
     ///
     /// # Errors
     ///
-    /// Returns [`csb_snap::SnapshotError`] if the frame is truncated or its
-    /// slot layout disagrees with this NI's configuration.
-    pub fn restore_state(
-        &mut self,
-        r: &mut csb_snap::SnapshotReader<'_>,
-    ) -> Result<(), csb_snap::SnapshotError> {
-        r.take_tag("nic")?;
-        self.stats.messages = r.take_u64()?;
-        self.stats.payload_bytes = r.take_u64()?;
-        self.stats.torn_frames = r.take_u64()?;
-        self.stats.stray_writes = r.take_u64()?;
-        self.stats.invalid_headers = r.take_u64()?;
-        let slots = r.take_usize()?;
-        if slots != self.cfg.slots {
-            return Err(csb_snap::SnapshotError::Corrupt(format!(
+    /// Returns [`csb_snap::SnapshotError`] if the frame is truncated, its
+    /// slot layout disagrees with this NI's configuration, or it holds a
+    /// message ingest never builds: a pending one longer than its slot
+    /// carries, or a delivered sender or sequence number past 16 bits.
+    pub fn state(&mut self, s: &mut impl csb_snap::Codec) -> Result<(), csb_snap::SnapshotError> {
+        let corrupt = |what: String| csb_snap::SnapshotError::Corrupt(what);
+        s.tag("nic")?;
+        let st = &mut self.stats;
+        for v in [
+            &mut st.messages,
+            &mut st.payload_bytes,
+            &mut st.torn_frames,
+            &mut st.stray_writes,
+            &mut st.invalid_headers,
+        ] {
+            s.u64(v)?;
+        }
+        let mut slots = self.pending.len();
+        s.usize(&mut slots)?;
+        if s.reading() && slots != self.cfg.slots {
+            return Err(corrupt(format!(
                 "NIC frame has {} slots, config has {}",
                 slots, self.cfg.slots
             )));
         }
-        let payload_cap = max_payload(self.cfg.slot_size);
-        for slot in 0..slots {
-            self.pending[slot] = if r.take_bool()? {
-                let header = decode_header(r.take_u64()?).ok_or_else(|| {
-                    csb_snap::SnapshotError::Corrupt("NIC pending header lost its magic".into())
-                })?;
-                let buf = r.take_bytes()?.to_vec();
-                let got_len = r.take_usize()?;
-                if buf.len() != payload_cap || got_len != payload_cap {
-                    return Err(csb_snap::SnapshotError::Corrupt(format!(
-                        "NIC pending buffers sized {}/{} bytes, slot carries {}",
-                        buf.len(),
-                        got_len,
-                        payload_cap
+        let cap = max_payload(self.cfg.slot_size);
+        let empty = || Pending {
+            header: Header {
+                len: 0,
+                seq: 0,
+                sender: 0,
+            },
+            buf: Vec::new(),
+            got: Vec::new(),
+            first_bus_cycle: 0,
+        };
+        for p in &mut self.pending {
+            s.opt(p, empty, |s, p| {
+                let h = p.header;
+                let mut dword = encode_header(h.len, h.seq, h.sender);
+                s.u64(&mut dword)?;
+                if s.reading() {
+                    p.header = decode_header(dword)
+                        .ok_or_else(|| corrupt("NIC pending header lost its magic".into()))?;
+                }
+                if s.reading() && usize::from(p.header.len) > cap {
+                    return Err(corrupt(format!(
+                        "NIC pending message of {} bytes, slot carries {cap}",
+                        p.header.len
                     )));
                 }
-                let mut got = vec![false; got_len];
-                for g in &mut got {
-                    *g = r.take_bool()?;
+                s.bytes(&mut p.buf)?;
+                let mut n = p.got.len();
+                s.len(&mut n, cap, "NIC coverage bits")?;
+                if s.reading() && (p.buf.len() != cap || n != cap) {
+                    return Err(corrupt(format!(
+                        "NIC pending buffers sized {}/{n} bytes, slot carries {cap}",
+                        p.buf.len()
+                    )));
                 }
-                let first_bus_cycle = r.take_u64()?;
-                Some(Pending {
-                    header,
-                    buf,
-                    got,
-                    first_bus_cycle,
-                })
-            } else {
-                None
-            };
+                p.got.resize(n, false);
+                for g in &mut p.got {
+                    s.bool(g)?;
+                }
+                s.u64(&mut p.first_bus_cycle)
+            })?;
         }
-        self.messages.clear();
-        let n = r.take_usize()?;
-        for _ in 0..n {
-            let sender = r.take_u64()? as u16;
-            let seq = r.take_u64()? as u16;
-            let payload = r.take_bytes()?.to_vec();
-            let slot = r.take_usize()?;
-            let first_bus_cycle = r.take_u64()?;
-            let completed_bus_cycle = r.take_u64()?;
-            let arrived_at = r.take_u64()?;
-            self.messages.push(ReceivedMessage {
-                sender,
-                seq,
-                payload,
-                slot,
-                first_bus_cycle,
-                completed_bus_cycle,
-                arrived_at,
-            });
+        let mut n = self.messages.len();
+        s.len(&mut n, usize::MAX, "NIC messages")?;
+        if s.reading() {
+            let empty = ReceivedMessage {
+                sender: 0,
+                seq: 0,
+                payload: Vec::new(),
+                slot: 0,
+                first_bus_cycle: 0,
+                completed_bus_cycle: 0,
+                arrived_at: 0,
+            };
+            self.messages.clear();
+            self.messages.resize(n, empty);
+        }
+        for m in &mut self.messages {
+            for field in [&mut m.sender, &mut m.seq] {
+                let mut v = u64::from(*field);
+                s.u64(&mut v)?;
+                *field = u16::try_from(v)
+                    .map_err(|_| corrupt(format!("NIC message header field {v} past 16 bits")))?;
+            }
+            s.bytes(&mut m.payload)?;
+            s.usize(&mut m.slot)?;
+            s.u64(&mut m.first_bus_cycle)?;
+            s.u64(&mut m.completed_bus_cycle)?;
+            s.u64(&mut m.arrived_at)?;
         }
         Ok(())
     }
@@ -478,6 +466,41 @@ impl Nic {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn restore_rejects_what_ingest_never_builds() {
+        let cfg = NicConfig::default();
+        let mut nic = Nic::new(cfg).unwrap();
+        // Slot 0 mid-assembly, and one message delivered from slot 1.
+        let open = encode_header(16, 0x5678, 0x1234);
+        nic.ingest_bytes(0, &open.to_le_bytes(), 3);
+        nic.ingest_bytes(64, &line_with(8, 0x5679, 0x1234, 7)[..16], 4);
+        assert_eq!(nic.messages().len(), 1);
+        let mut w = csb_snap::SnapshotWriter::new();
+        nic.state(&mut w).expect("writing never fails");
+        let frame = w.finish();
+        // The frame with the first occurrence of `from` replaced by `to`.
+        let patched = |from: u64, to: u64| {
+            let at = frame
+                .windows(8)
+                .position(|b| b == from.to_le_bytes())
+                .expect("value in frame");
+            let mut bytes = frame.clone();
+            bytes[at..at + 8].copy_from_slice(&to.to_le_bytes());
+            bytes
+        };
+        let restore = |bytes: &[u8]| {
+            let mut nic = Nic::new(cfg).unwrap();
+            nic.state(&mut csb_snap::SnapshotReader::new(bytes))
+        };
+        assert!(restore(&frame).is_ok());
+        // Ingest opens no message longer than its slot carries.
+        let long = encode_header(200, 0x5678, 0x1234);
+        assert!(restore(&patched(open, long)).is_err());
+        // Senders and sequence numbers are 16-bit header fields.
+        assert!(restore(&patched(0x1234, 0x1_0000_1234)).is_err());
+        assert!(restore(&patched(0x5679, 0x1_0000_5679)).is_err());
+    }
 
     fn line_with(len: u16, seq: u16, sender: u16, fill: u8) -> Vec<u8> {
         let mut v = vec![0u8; 64];
@@ -682,12 +705,12 @@ mod tests {
         let partial = line_with(24, 2, 3, 0x55);
         nic.ingest_bytes(64, &partial[..16], 9);
         let mut w = csb_snap::SnapshotWriter::new();
-        nic.save_state(&mut w);
+        nic.state(&mut w).expect("writing never fails");
         let bytes = w.finish();
 
         let mut restored = Nic::new(cfg).unwrap();
         let mut r = csb_snap::SnapshotReader::new(&bytes);
-        restored.restore_state(&mut r).unwrap();
+        restored.state(&mut r).unwrap();
         assert_eq!(restored.stats(), nic.stats());
         assert_eq!(restored.messages(), nic.messages());
         // Completing the in-flight frame behaves identically on both sides.
@@ -702,7 +725,7 @@ mod tests {
     fn restore_rejects_mismatched_slot_count() {
         let mut nic = Nic::new(NicConfig::default()).unwrap();
         let mut w = csb_snap::SnapshotWriter::new();
-        nic.save_state(&mut w);
+        nic.state(&mut w).expect("writing never fails");
         let bytes = w.finish();
         let mut other = Nic::new(NicConfig {
             slots: 8,
@@ -710,10 +733,10 @@ mod tests {
         })
         .unwrap();
         let mut r = csb_snap::SnapshotReader::new(&bytes);
-        assert!(other.restore_state(&mut r).is_err());
+        assert!(other.state(&mut r).is_err());
         // The original still restores cleanly.
         let mut r = csb_snap::SnapshotReader::new(&bytes);
-        nic.restore_state(&mut r).unwrap();
+        nic.state(&mut r).unwrap();
         let _checksum = r.take_u64().unwrap();
         r.expect_end("nic frame").unwrap();
     }
@@ -782,18 +805,18 @@ mod tests {
                     nic.ingest_bytes(*offset, data, *bus_cycle);
                 }
                 let mut w = csb_snap::SnapshotWriter::new();
-                nic.save_state(&mut w);
+                nic.state(&mut w).expect("writing never fails");
                 let bytes = w.finish();
                 let mut restored = Nic::new(cfg).unwrap();
                 let mut r = csb_snap::SnapshotReader::new(&bytes);
-                restored.restore_state(&mut r).unwrap();
+                restored.state(&mut r).unwrap();
                 let _checksum = r.take_u64().unwrap();
                 r.expect_end("nic frame").unwrap();
                 prop_assert_eq!(restored.stats(), nic.stats());
                 prop_assert_eq!(restored.messages(), nic.messages());
                 // And the restored frame re-serializes byte-identically.
                 let mut w2 = csb_snap::SnapshotWriter::new();
-                restored.save_state(&mut w2);
+                restored.state(&mut w2).expect("writing never fails");
                 prop_assert_eq!(w2.finish(), bytes);
             }
         }

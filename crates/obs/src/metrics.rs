@@ -152,7 +152,7 @@ pub struct BucketCount {
 }
 
 /// Serializable summary of one [`Histogram`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
 pub struct HistogramSummary {
     /// Observations recorded.
     pub count: u64,

@@ -15,15 +15,22 @@
 //! Every multi-byte integer is little-endian. Compound values are
 //! length-prefixed (`u64` count) or tag-prefixed (`u8` discriminant for
 //! options and enums). Components additionally drop named section tags
-//! ([`SnapshotWriter::put_tag`]) into the stream; a reader that drifts
-//! out of alignment fails on the next tag with the section's name
-//! instead of silently misinterpreting bytes.
+//! ([`Codec::tag`]) into the stream; a reader that drifts out of
+//! alignment fails on the next tag with the section's name instead of
+//! silently misinterpreting bytes.
 //!
-//! Version discipline: any change to what a component writes — field
-//! added, removed, reordered, or re-encoded — must bump the consumer's
-//! format version (see `SNAPSHOT_FORMAT_VERSION` in `csb-core`). Readers
-//! never attempt cross-version migration; a mismatched version is an
-//! error the caller handles by re-simulating.
+//! A component writes its layout once, as one walk over its fields
+//! through a [`Codec`]: the [`SnapshotWriter`] appends each field it
+//! visits, the [`SnapshotReader`] overwrites it from the stream, so the
+//! two directions cannot drift apart. Work only a restore needs —
+//! validation, rebuilding derived state, resets — runs under
+//! [`Codec::reading`].
+//!
+//! Version discipline: any change to what a component's walk visits —
+//! field added, removed, reordered, or re-encoded — must bump the
+//! consumer's format version (see `SNAPSHOT_FORMAT_VERSION` in
+//! `csb-core`). Readers never attempt cross-version migration; a
+//! mismatched version is an error the caller handles by re-simulating.
 
 use std::fmt;
 
@@ -117,9 +124,241 @@ impl fmt::Display for SnapshotError {
 
 impl std::error::Error for SnapshotError {}
 
-/// Appends fixed-width little-endian values to a growing byte buffer.
-/// Pair with [`SnapshotReader`]: every `put_x` call must be mirrored by
-/// a `take_x` call in the same order.
+/// One walk over a value's serialized fields, run in either direction.
+///
+/// Each method visits one field through `&mut`: a [`SnapshotWriter`]
+/// appends its value, a [`SnapshotReader`] overwrites it with the next
+/// value in the stream (and rejects bytes no writer produces). Only
+/// [`Codec::reading`], [`Codec::remaining`] and [`Codec::raw`] differ
+/// between the two; every other method is built on them, so both
+/// directions share one byte layout by construction. A writer never
+/// returns `Err`.
+pub trait Codec {
+    /// `true` when the walk overwrites fields from a stream: restore-only
+    /// work (validation, derived state, resets) runs under it.
+    fn reading(&self) -> bool;
+
+    /// Bytes not yet consumed (unbounded for a writer).
+    fn remaining(&self) -> usize;
+
+    /// Visits `v.len()` bytes with no length prefix (fixed-width payloads
+    /// whose length both sides know).
+    ///
+    /// # Errors
+    ///
+    /// [`SnapshotError::Truncated`] at end of document.
+    fn raw(&mut self, v: &mut [u8]) -> Result<(), SnapshotError>;
+
+    /// A named section tag: written, or checked against `name`, turning
+    /// any misalignment into a named error at the section boundary.
+    ///
+    /// # Errors
+    ///
+    /// [`SnapshotError::Corrupt`] naming the section on mismatch.
+    fn tag(&mut self, name: &str) -> Result<(), SnapshotError> {
+        let want = fnv1a_str(name) as u32;
+        let mut found = want;
+        self.u32(&mut found)?;
+        if found != want {
+            return Err(SnapshotError::Corrupt(format!("section tag {name:?}")));
+        }
+        Ok(())
+    }
+
+    /// One byte.
+    ///
+    /// # Errors
+    ///
+    /// [`SnapshotError::Truncated`] at end of document.
+    fn u8(&mut self, v: &mut u8) -> Result<(), SnapshotError> {
+        self.raw(std::slice::from_mut(v))
+    }
+
+    /// A bool as one byte, `0` or `1`.
+    ///
+    /// # Errors
+    ///
+    /// [`SnapshotError::Corrupt`] on any other byte.
+    fn bool(&mut self, v: &mut bool) -> Result<(), SnapshotError> {
+        let mut b = u8::from(*v);
+        self.u8(&mut b)?;
+        *v = match b {
+            0 => false,
+            1 => true,
+            b => return Err(SnapshotError::Corrupt(format!("bool byte {b}"))),
+        };
+        Ok(())
+    }
+
+    /// A little-endian `u32`.
+    ///
+    /// # Errors
+    ///
+    /// [`SnapshotError::Truncated`] at end of document.
+    fn u32(&mut self, v: &mut u32) -> Result<(), SnapshotError> {
+        let mut b = v.to_le_bytes();
+        self.raw(&mut b)?;
+        *v = u32::from_le_bytes(b);
+        Ok(())
+    }
+
+    /// A little-endian `u64`.
+    ///
+    /// # Errors
+    ///
+    /// [`SnapshotError::Truncated`] at end of document.
+    fn u64(&mut self, v: &mut u64) -> Result<(), SnapshotError> {
+        let mut b = v.to_le_bytes();
+        self.raw(&mut b)?;
+        *v = u64::from_le_bytes(b);
+        Ok(())
+    }
+
+    /// A `usize` as a `u64`.
+    ///
+    /// # Errors
+    ///
+    /// [`SnapshotError::Corrupt`] when the value does not fit this
+    /// platform's `usize`.
+    fn usize(&mut self, v: &mut usize) -> Result<(), SnapshotError> {
+        let mut x = *v as u64;
+        self.u64(&mut x)?;
+        *v = usize::try_from(x).map_err(|_| SnapshotError::Corrupt("usize overflow".into()))?;
+        Ok(())
+    }
+
+    /// An `f64` as its exact bit pattern.
+    ///
+    /// # Errors
+    ///
+    /// [`SnapshotError::Truncated`] at end of document.
+    fn f64(&mut self, v: &mut f64) -> Result<(), SnapshotError> {
+        self.u64_as(v, f64::to_bits, f64::from_bits)
+    }
+
+    /// An `Option<u64>` as a tag byte plus the value when set.
+    ///
+    /// # Errors
+    ///
+    /// [`SnapshotError::Corrupt`] on a tag other than `0`/`1`.
+    fn opt_u64(&mut self, v: &mut Option<u64>) -> Result<(), SnapshotError> {
+        self.opt(v, || 0, |s, x| s.u64(x))
+    }
+
+    /// A count that sizes what follows. On read it rejects a count above
+    /// `max`, or above the bytes left (every counted item takes at least
+    /// one byte), before anything is sized by it.
+    ///
+    /// # Errors
+    ///
+    /// [`SnapshotError::Corrupt`] naming `what` for an impossible count.
+    fn len(&mut self, n: &mut usize, max: usize, what: &str) -> Result<(), SnapshotError> {
+        self.usize(n)?;
+        if self.reading() && *n > max.min(self.remaining()) {
+            return Err(SnapshotError::Corrupt(format!(
+                "{n} {what} exceed the bound {max} or the {} bytes left",
+                self.remaining()
+            )));
+        }
+        Ok(())
+    }
+
+    /// An option as a bool, then `walk` over the value when set. On read
+    /// a set option starts from `empty()`.
+    ///
+    /// # Errors
+    ///
+    /// Whatever the tag or `walk` reports.
+    fn opt<T>(
+        &mut self,
+        v: &mut Option<T>,
+        empty: impl FnOnce() -> T,
+        walk: impl FnOnce(&mut Self, &mut T) -> Result<(), SnapshotError>,
+    ) -> Result<(), SnapshotError> {
+        let mut some = v.is_some();
+        self.bool(&mut some)?;
+        if self.reading() {
+            *v = some.then(empty);
+        }
+        match v {
+            Some(x) => walk(self, x),
+            None => Ok(()),
+        }
+    }
+
+    /// An enum discriminant `k` below `kinds`.
+    ///
+    /// # Errors
+    ///
+    /// [`SnapshotError::Corrupt`] naming `what` for an unknown kind.
+    fn kind(&mut self, k: &mut u8, kinds: u8, what: &str) -> Result<(), SnapshotError> {
+        self.u8(k)?;
+        if *k >= kinds {
+            return Err(SnapshotError::Corrupt(format!("unknown {what} {k}")));
+        }
+        Ok(())
+    }
+
+    /// A value stored as the `u64` that `to` gives and `from` rebuilds.
+    ///
+    /// # Errors
+    ///
+    /// [`SnapshotError::Truncated`] at end of document.
+    fn u64_as<T: Copy>(
+        &mut self,
+        v: &mut T,
+        to: impl FnOnce(T) -> u64,
+        from: impl FnOnce(u64) -> T,
+    ) -> Result<(), SnapshotError> {
+        let mut x = to(*v);
+        self.u64(&mut x)?;
+        if self.reading() {
+            *v = from(x);
+        }
+        Ok(())
+    }
+
+    /// A value stored as the `u128` that `to` gives and `from` rebuilds,
+    /// low `u64` first.
+    ///
+    /// # Errors
+    ///
+    /// [`SnapshotError::Truncated`] at end of document.
+    fn u128_as<T: Copy>(
+        &mut self,
+        v: &mut T,
+        to: impl FnOnce(T) -> u128,
+        from: impl FnOnce(u128) -> T,
+    ) -> Result<(), SnapshotError> {
+        let x = to(*v);
+        let (mut lo, mut hi) = (x as u64, (x >> 64) as u64);
+        self.u64(&mut lo)?;
+        self.u64(&mut hi)?;
+        if self.reading() {
+            *v = from(u128::from(hi) << 64 | u128::from(lo));
+        }
+        Ok(())
+    }
+
+    /// A length-prefixed byte string.
+    ///
+    /// # Errors
+    ///
+    /// [`SnapshotError::Corrupt`] for a length past the bytes left.
+    fn bytes(&mut self, v: &mut Vec<u8>) -> Result<(), SnapshotError> {
+        let mut n = v.len();
+        self.len(&mut n, usize::MAX, "bytes")?;
+        if self.reading() {
+            v.clear();
+            v.resize(n, 0);
+        }
+        self.raw(v)
+    }
+}
+
+/// Appends fixed-width little-endian values to a growing byte buffer: the
+/// writing side of a [`Codec`] walk, plus `put_x` calls for documents
+/// written by hand and read back with [`SnapshotReader`]'s `take_x`.
 #[derive(Debug, Default)]
 pub struct SnapshotWriter {
     buf: Vec<u8>,
@@ -150,19 +389,7 @@ impl SnapshotWriter {
         self.buf
     }
 
-    /// Bytes written so far (before the checksum).
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// `true` if nothing has been written.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// Drops a named section tag into the stream. The matching
-    /// [`SnapshotReader::take_tag`] turns any encode/decode misalignment
-    /// into a named error at the section boundary.
+    /// Drops a named section tag into the stream (see [`Codec::tag`]).
     pub fn put_tag(&mut self, name: &str) {
         self.put_u32(fnv1a_str(name) as u32);
     }
@@ -197,23 +424,6 @@ impl SnapshotWriter {
         self.put_u64(v.to_bits());
     }
 
-    /// Appends an `Option<u64>` as a tag byte plus the value when set.
-    pub fn put_opt_u64(&mut self, v: Option<u64>) {
-        match v {
-            None => self.put_u8(0),
-            Some(x) => {
-                self.put_u8(1);
-                self.put_u64(x);
-            }
-        }
-    }
-
-    /// Appends a length-prefixed byte string.
-    pub fn put_bytes(&mut self, bytes: &[u8]) {
-        self.put_u64(bytes.len() as u64);
-        self.buf.extend_from_slice(bytes);
-    }
-
     /// Appends raw bytes with no length prefix (fixed-width payloads
     /// whose length both sides know).
     pub fn put_raw(&mut self, bytes: &[u8]) {
@@ -221,7 +431,23 @@ impl SnapshotWriter {
     }
 }
 
-/// Reads values back in the order a [`SnapshotWriter`] wrote them.
+impl Codec for SnapshotWriter {
+    fn reading(&self) -> bool {
+        false
+    }
+
+    fn remaining(&self) -> usize {
+        usize::MAX
+    }
+
+    fn raw(&mut self, v: &mut [u8]) -> Result<(), SnapshotError> {
+        self.put_raw(v);
+        Ok(())
+    }
+}
+
+/// Reads values back in the order a [`SnapshotWriter`] wrote them: the
+/// reading side of a [`Codec`] walk, plus `take_x` calls.
 #[derive(Debug)]
 pub struct SnapshotReader<'a> {
     data: &'a [u8],
@@ -270,11 +496,6 @@ impl<'a> SnapshotReader<'a> {
         Ok(r)
     }
 
-    /// Bytes not yet consumed.
-    pub fn remaining(&self) -> usize {
-        self.data.len() - self.pos
-    }
-
     /// Fails with [`SnapshotError::Corrupt`] naming the document if any
     /// payload bytes remain unread — the end-of-decode sanity check.
     ///
@@ -307,11 +528,7 @@ impl<'a> SnapshotReader<'a> {
     ///
     /// [`SnapshotError::Corrupt`] naming the section on mismatch.
     pub fn take_tag(&mut self, name: &str) -> Result<(), SnapshotError> {
-        let found = self.take_u32()?;
-        if found != fnv1a_str(name) as u32 {
-            return Err(SnapshotError::Corrupt(format!("section tag {name:?}")));
-        }
-        Ok(())
+        self.tag(name)
     }
 
     /// Reads one byte.
@@ -329,11 +546,9 @@ impl<'a> SnapshotReader<'a> {
     ///
     /// [`SnapshotError::Truncated`] / [`SnapshotError::Corrupt`].
     pub fn take_bool(&mut self) -> Result<bool, SnapshotError> {
-        match self.take_u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            b => Err(SnapshotError::Corrupt(format!("bool byte {b}"))),
-        }
+        let mut v = false;
+        self.bool(&mut v)?;
+        Ok(v)
     }
 
     /// Reads a little-endian `u32`.
@@ -365,8 +580,9 @@ impl<'a> SnapshotReader<'a> {
     /// [`SnapshotError::Truncated`] / [`SnapshotError::Corrupt`] when the
     /// value does not fit this platform's `usize`.
     pub fn take_usize(&mut self) -> Result<usize, SnapshotError> {
-        usize::try_from(self.take_u64()?)
-            .map_err(|_| SnapshotError::Corrupt("usize overflow".to_string()))
+        let mut v = 0;
+        self.usize(&mut v)?;
+        Ok(v)
     }
 
     /// Reads an `f64` bit pattern.
@@ -378,29 +594,6 @@ impl<'a> SnapshotReader<'a> {
         Ok(f64::from_bits(self.take_u64()?))
     }
 
-    /// Reads an `Option<u64>` written by [`SnapshotWriter::put_opt_u64`].
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotError::Truncated`] / [`SnapshotError::Corrupt`].
-    pub fn take_opt_u64(&mut self) -> Result<Option<u64>, SnapshotError> {
-        match self.take_u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(self.take_u64()?)),
-            b => Err(SnapshotError::Corrupt(format!("option tag {b}"))),
-        }
-    }
-
-    /// Reads a length-prefixed byte string, borrowed from the document.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotError::Truncated`] at end of document.
-    pub fn take_bytes(&mut self) -> Result<&'a [u8], SnapshotError> {
-        let n = self.take_usize()?;
-        self.take(n)
-    }
-
     /// Reads `n` raw bytes (fixed-width payloads).
     ///
     /// # Errors
@@ -408,6 +601,21 @@ impl<'a> SnapshotReader<'a> {
     /// [`SnapshotError::Truncated`] at end of document.
     pub fn take_raw(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
         self.take(n)
+    }
+}
+
+impl Codec for SnapshotReader<'_> {
+    fn reading(&self) -> bool {
+        true
+    }
+
+    fn remaining(&self) -> usize {
+        self.data.len() - self.pos
+    }
+
+    fn raw(&mut self, v: &mut [u8]) -> Result<(), SnapshotError> {
+        v.copy_from_slice(self.take(v.len())?);
+        Ok(())
     }
 }
 
@@ -436,9 +644,9 @@ mod tests {
         w.put_u64(u64::MAX - 1);
         w.put_usize(123_456);
         w.put_f64(3.875);
-        w.put_opt_u64(None);
-        w.put_opt_u64(Some(7));
-        w.put_bytes(b"payload");
+        w.opt_u64(&mut None).unwrap();
+        w.opt_u64(&mut Some(7)).unwrap();
+        w.bytes(&mut b"payload".to_vec()).unwrap();
         w.put_raw(&[1, 2, 3]);
         let doc = w.finish();
 
@@ -451,11 +659,140 @@ mod tests {
         assert_eq!(r.take_u64().unwrap(), u64::MAX - 1);
         assert_eq!(r.take_usize().unwrap(), 123_456);
         assert_eq!(r.take_f64().unwrap(), 3.875);
-        assert_eq!(r.take_opt_u64().unwrap(), None);
-        assert_eq!(r.take_opt_u64().unwrap(), Some(7));
-        assert_eq!(r.take_bytes().unwrap(), b"payload");
+        let (mut none, mut some, mut bytes) = (Some(1), None, Vec::new());
+        r.opt_u64(&mut none).unwrap();
+        r.opt_u64(&mut some).unwrap();
+        r.bytes(&mut bytes).unwrap();
+        assert_eq!((none, some), (None, Some(7)));
+        assert_eq!(bytes, b"payload");
         assert_eq!(r.take_raw(3).unwrap(), &[1, 2, 3]);
         r.expect_end("test doc").unwrap();
+    }
+
+    /// Every field kind a [`Codec`] walk visits, once each.
+    #[derive(Debug, Clone, PartialEq)]
+    struct AllKinds {
+        small: u8,
+        flag: bool,
+        word: u32,
+        wide: u64,
+        size: usize,
+        real: f64,
+        maybe: Option<u64>,
+        fixed: [u8; 3],
+        count: usize,
+        nested: Option<(u64, bool)>,
+        kind: u8,
+        stamp: Stamp,
+        mask: Stamp,
+        blob: Vec<u8>,
+    }
+
+    /// A newtype walked through [`Codec::u64_as`] and [`Codec::u128_as`].
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    struct Stamp(u128);
+
+    impl AllKinds {
+        fn state(&mut self, s: &mut impl Codec) -> Result<(), SnapshotError> {
+            s.tag("all")?;
+            s.u8(&mut self.small)?;
+            s.bool(&mut self.flag)?;
+            s.u32(&mut self.word)?;
+            s.u64(&mut self.wide)?;
+            s.usize(&mut self.size)?;
+            s.f64(&mut self.real)?;
+            s.opt_u64(&mut self.maybe)?;
+            s.raw(&mut self.fixed)?;
+            s.len(&mut self.count, 4, "items")?;
+            s.opt(
+                &mut self.nested,
+                || (0, false),
+                |s, (a, b)| {
+                    s.u64(a)?;
+                    s.bool(b)
+                },
+            )?;
+            s.kind(&mut self.kind, 3, "kind")?;
+            s.u64_as(&mut self.stamp, |t| t.0 as u64, |x| Stamp(x.into()))?;
+            s.u128_as(&mut self.mask, |t| t.0, Stamp)?;
+            s.bytes(&mut self.blob)
+        }
+    }
+
+    #[test]
+    fn one_walk_writes_and_reads_every_codec_method() {
+        let mut written = AllKinds {
+            small: 0xab,
+            flag: true,
+            word: 0xdead_beef,
+            wide: u64::MAX - 1,
+            size: 123_456,
+            real: -3.875,
+            maybe: Some(7),
+            fixed: [1, 2, 3],
+            count: 4,
+            nested: Some((9, true)),
+            kind: 2,
+            stamp: Stamp(0x1234),
+            mask: Stamp(u128::MAX - 5),
+            blob: b"payload".to_vec(),
+        };
+        let expected = written.clone();
+        let mut w = SnapshotWriter::framed(MAGIC, 1);
+        assert!(!w.reading());
+        written.state(&mut w).unwrap();
+        assert_eq!(written, expected, "writing leaves the fields as they were");
+        let doc = w.finish();
+
+        let mut read = AllKinds {
+            small: 0,
+            flag: false,
+            word: 0,
+            wide: 0,
+            size: 0,
+            real: 0.0,
+            maybe: None,
+            fixed: [0; 3],
+            count: 0,
+            nested: None,
+            kind: 0,
+            stamp: Stamp(0),
+            mask: Stamp(0),
+            blob: vec![0xff; 40],
+        };
+        let mut r = SnapshotReader::framed(&doc, MAGIC, 1).unwrap();
+        assert!(r.reading());
+        read.state(&mut r).unwrap();
+        r.expect_end("codec doc").unwrap();
+        assert_eq!(read, expected);
+    }
+
+    #[test]
+    fn len_rejects_counts_past_its_bound_or_the_bytes_left() {
+        let mut w = SnapshotWriter::new();
+        w.put_usize(5);
+        w.put_usize(3);
+        w.put_usize(1 << 40);
+        let doc = w.finish();
+        let mut r = SnapshotReader::new(&doc);
+        let mut n = 0;
+        // Above the caller's bound.
+        assert!(matches!(
+            r.len(&mut n, 4, "items"),
+            Err(SnapshotError::Corrupt(_))
+        ));
+        // Within both: the 16 bytes after it hold three one-byte items.
+        r.len(&mut n, 4, "items").unwrap();
+        assert_eq!(n, 3);
+        // Unbounded by the caller, yet past the 8 bytes left: a corrupt
+        // count never sizes an allocation.
+        assert!(matches!(
+            r.len(&mut n, usize::MAX, "items"),
+            Err(SnapshotError::Corrupt(_))
+        ));
+        // A writer writes any count.
+        let mut n = usize::MAX;
+        SnapshotWriter::new().len(&mut n, 0, "items").unwrap();
     }
 
     #[test]

@@ -294,120 +294,92 @@ impl UncachedBuffer {
         self.entries.is_empty()
     }
 
-    /// Serializes the buffer's architectural state: counters, queued
-    /// entries, and the drain decomposition of a locked head. The
-    /// configuration and trace sink are wiring the restoring side supplies.
-    pub fn save_state(&self, w: &mut csb_snap::SnapshotWriter) {
-        w.put_tag("ubuf");
-        w.put_u64(self.stats.stores);
-        w.put_u64(self.stats.coalesced);
-        w.put_u64(self.stats.entries);
-        w.put_u64(self.stats.loads);
-        w.put_u64(self.stats.full_stalls);
-        w.put_u64(self.stats.transactions);
-        w.put_usize(self.entries.len());
-        for entry in &self.entries {
-            match entry {
-                Entry::Store(se) => {
-                    w.put_u8(0);
-                    w.put_u64(se.base.raw());
-                    w.put_u64(se.mask.bits() as u64);
-                    w.put_u64((se.mask.bits() >> 64) as u64);
-                    w.put_raw(&se.data);
-                    w.put_bool(se.locked);
-                    w.put_bool(se.closed);
-                    w.put_u64(se.expected_next);
-                    w.put_usize(se.beat);
-                    w.put_usize(se.stores);
-                }
-                Entry::Load { addr, width, tag } => {
-                    w.put_u8(1);
-                    w.put_u64(addr.raw());
-                    w.put_usize(*width);
-                    w.put_u64(*tag);
-                }
-            }
-        }
-        w.put_usize(self.drain.len());
-        for c in &self.drain {
-            w.put_usize(c.offset);
-            w.put_usize(c.size);
-        }
-    }
-
-    /// Restores state written by [`UncachedBuffer::save_state`] into a
-    /// buffer already configured with the same [`UncachedConfig`].
+    /// Walks the buffer's architectural state: counters, queued entries,
+    /// and the drain decomposition of a locked head. The configuration and
+    /// trace sink are wiring the restoring side supplies: it restores into
+    /// a buffer already configured with the same [`UncachedConfig`].
     ///
     /// # Errors
     ///
-    /// [`csb_snap::SnapshotError`] on a malformed stream.
-    pub fn restore_state(
-        &mut self,
-        r: &mut csb_snap::SnapshotReader<'_>,
-    ) -> Result<(), csb_snap::SnapshotError> {
-        r.take_tag("ubuf")?;
-        self.entries.clear();
-        self.drain.clear();
-        self.stats.stores = r.take_u64()?;
-        self.stats.coalesced = r.take_u64()?;
-        self.stats.entries = r.take_u64()?;
-        self.stats.loads = r.take_u64()?;
-        self.stats.full_stalls = r.take_u64()?;
-        self.stats.transactions = r.take_u64()?;
-        let n = r.take_usize()?;
-        if n > self.cfg.capacity {
-            return Err(csb_snap::SnapshotError::Corrupt(format!(
-                "{n} uncached entries exceed capacity {}",
-                self.cfg.capacity
-            )));
+    /// [`csb_snap::SnapshotError`] on a malformed stream, or entries and
+    /// drain chunks no sequence of pushes and drains builds.
+    pub fn state(&mut self, s: &mut impl csb_snap::Codec) -> Result<(), csb_snap::SnapshotError> {
+        s.tag("ubuf")?;
+        let st = &mut self.stats;
+        for v in [
+            &mut st.stores,
+            &mut st.coalesced,
+            &mut st.entries,
+            &mut st.loads,
+            &mut st.full_stalls,
+            &mut st.transactions,
+        ] {
+            s.u64(v)?;
         }
-        for _ in 0..n {
-            let entry = match r.take_u8()? {
-                0 => {
-                    let base = Addr::new(r.take_u64()?);
-                    let lo = r.take_u64()? as u128;
-                    let hi = r.take_u64()? as u128;
-                    let mut data = [0u8; MAX_BLOCK];
-                    data.copy_from_slice(r.take_raw(MAX_BLOCK)?);
-                    Entry::Store(StoreEntry {
-                        base,
-                        mask: ByteMask::from_bits(hi << 64 | lo),
-                        data,
-                        locked: r.take_bool()?,
-                        closed: r.take_bool()?,
-                        expected_next: r.take_u64()?,
-                        beat: r.take_usize()?,
-                        stores: r.take_usize()?,
-                    })
-                }
-                1 => Entry::Load {
-                    addr: Addr::new(r.take_u64()?),
-                    width: r.take_usize()?,
-                    tag: r.take_u64()?,
-                },
-                k => {
-                    return Err(csb_snap::SnapshotError::Corrupt(format!(
-                        "unknown uncached entry kind {k}"
-                    )))
-                }
+        let mut n = self.entries.len();
+        s.len(&mut n, self.cfg.capacity, "uncached entries")?;
+        if s.reading() {
+            let load = Entry::Load {
+                addr: Addr::default(),
+                width: 0,
+                tag: 0,
             };
-            self.entries.push_back(entry);
+            self.entries.clear();
+            self.entries.resize(n, load);
         }
-        let chunks = r.take_usize()?;
-        for _ in 0..chunks {
-            let chunk = Chunk {
-                offset: r.take_usize()?,
-                size: r.take_usize()?,
-            };
-            if !legal_chunk(chunk, self.cfg.block) {
+        for entry in &mut self.entries {
+            let mut k = u8::from(matches!(entry, Entry::Load { .. }));
+            s.kind(&mut k, 2, "uncached entry kind")?;
+            if s.reading() && k == 0 {
+                *entry = Entry::Store(StoreEntry {
+                    base: Addr::default(),
+                    mask: ByteMask::empty(),
+                    data: [0u8; MAX_BLOCK],
+                    locked: false,
+                    closed: false,
+                    expected_next: 0,
+                    beat: 0,
+                    stores: 0,
+                });
+            }
+            match entry {
+                Entry::Store(se) => {
+                    s.u64_as(&mut se.base, Addr::raw, Addr::new)?;
+                    s.u128_as(&mut se.mask, |m| m.bits(), ByteMask::from_bits)?;
+                    s.raw(&mut se.data)?;
+                    s.bool(&mut se.locked)?;
+                    s.bool(&mut se.closed)?;
+                    s.u64(&mut se.expected_next)?;
+                    s.usize(&mut se.beat)?;
+                    s.usize(&mut se.stores)?;
+                }
+                Entry::Load { addr, width, tag } => {
+                    s.u64_as(addr, Addr::raw, Addr::new)?;
+                    s.usize(width)?;
+                    s.u64(tag)?;
+                }
+            }
+        }
+        let mut n = self.drain.len();
+        s.len(&mut n, usize::MAX, "drain chunks")?;
+        if s.reading() {
+            self.drain.clear();
+            self.drain.resize(n, Chunk { offset: 0, size: 0 });
+        }
+        for chunk in &mut self.drain {
+            s.usize(&mut chunk.offset)?;
+            s.usize(&mut chunk.size)?;
+            if s.reading() && !legal_chunk(*chunk, self.cfg.block) {
                 return Err(csb_snap::SnapshotError::Corrupt(format!(
                     "drain chunk {}+{} is not a transfer of a {}-byte block",
                     chunk.offset, chunk.size, self.cfg.block
                 )));
             }
-            self.drain.push_back(chunk);
         }
-        self.check_entries()
+        if s.reading() {
+            self.check_entries()?;
+        }
+        Ok(())
     }
 
     /// Rejects restored entries no sequence of pushes and drains builds:
@@ -1119,7 +1091,7 @@ mod tests {
             PushOutcome::NewEntry
         );
         let mut w = csb_snap::SnapshotWriter::new();
-        b.save_state(&mut w);
+        b.state(&mut w).expect("writing never fails");
         let mut bytes = w.finish();
         let saved = 0x2000_0008u64.to_le_bytes();
         let at = bytes
@@ -1136,7 +1108,7 @@ mod tests {
         bytes: &[u8],
     ) -> Result<UncachedBuffer, csb_snap::SnapshotError> {
         let mut b = UncachedBuffer::new(cfg).unwrap();
-        b.restore_state(&mut csb_snap::SnapshotReader::new(bytes))?;
+        b.state(&mut csb_snap::SnapshotReader::new(bytes))?;
         Ok(b)
     }
 

@@ -338,122 +338,89 @@ impl ConditionalStoreBuffer {
         self.stats.busy_stalls += n;
     }
 
-    /// Serializes the CSB's architectural state: the line buffer, queued
+    /// Walks the CSB's architectural state: the line buffer, queued
     /// bursts, counters, and the fault-disturb count. The configuration,
-    /// trace sink, and fault hook are wiring the restoring side supplies.
-    pub fn save_state(&self, w: &mut csb_snap::SnapshotWriter) {
-        w.put_tag("csb");
-        w.put_u64(self.stats.stores);
-        w.put_u64(self.stats.resets);
-        w.put_u64(self.stats.cross_pid_resets);
-        w.put_u64(self.stats.flush_successes);
-        w.put_u64(self.stats.flush_failures);
-        w.put_u64(self.stats.bursts);
-        w.put_u64(self.stats.payload_bytes);
-        w.put_u64(self.stats.busy_stalls);
-        w.put_u64(self.fault_disturbs);
-        w.put_bool(self.current.is_some());
-        if let Some(line) = &self.current {
-            w.put_u64(line.base.raw());
-            w.put_u32(line.pid);
-            w.put_u64(line.mask.bits() as u64);
-            w.put_u64((line.mask.bits() >> 64) as u64);
-            w.put_raw(&line.data);
-            w.put_u64(line.count);
-        }
-        w.put_usize(self.pending.len());
-        for p in &self.pending {
-            w.put_u64(p.txn.addr.raw());
-            w.put_usize(p.txn.size);
-            w.put_u8(match p.txn.kind {
-                csb_bus::TxnKind::Write => 0,
-                csb_bus::TxnKind::Read => 1,
-            });
-            w.put_usize(p.txn.payload);
-            w.put_u64(p.txn.tag);
-            w.put_bytes(&p.data);
-        }
-    }
-
-    /// Restores state written by
-    /// [`ConditionalStoreBuffer::save_state`] into a CSB already
-    /// configured with the same [`CsbConfig`].
+    /// trace sink, and fault hook are wiring the restoring side supplies:
+    /// it restores into a CSB already configured with the same
+    /// [`CsbConfig`].
     ///
     /// # Errors
     ///
-    /// [`csb_snap::SnapshotError`] on a malformed stream.
-    pub fn restore_state(
-        &mut self,
-        r: &mut csb_snap::SnapshotReader<'_>,
-    ) -> Result<(), csb_snap::SnapshotError> {
-        r.take_tag("csb")?;
-        self.current = None;
-        self.pending.clear();
-        self.stats.stores = r.take_u64()?;
-        self.stats.resets = r.take_u64()?;
-        self.stats.cross_pid_resets = r.take_u64()?;
-        self.stats.flush_successes = r.take_u64()?;
-        self.stats.flush_failures = r.take_u64()?;
-        self.stats.bursts = r.take_u64()?;
-        self.stats.payload_bytes = r.take_u64()?;
-        self.stats.busy_stalls = r.take_u64()?;
-        self.fault_disturbs = r.take_u64()?;
-        if r.take_bool()? {
-            let base = Addr::new(r.take_u64()?);
-            let pid = r.take_u32()?;
-            let lo = r.take_u64()? as u128;
-            let hi = r.take_u64()? as u128;
-            let bits = hi << 64 | lo;
-            let line = self.cfg.line;
-            if !base.is_aligned(line as u64) || (line < MAX_BLOCK && bits >> line != 0) {
+    /// [`csb_snap::SnapshotError`] on a malformed stream, a line that does
+    /// not fit the configured line, or a burst no flush emits.
+    pub fn state(&mut self, s: &mut impl csb_snap::Codec) -> Result<(), csb_snap::SnapshotError> {
+        s.tag("csb")?;
+        let st = &mut self.stats;
+        for v in [
+            &mut st.stores,
+            &mut st.resets,
+            &mut st.cross_pid_resets,
+            &mut st.flush_successes,
+            &mut st.flush_failures,
+            &mut st.bursts,
+            &mut st.payload_bytes,
+            &mut st.busy_stalls,
+            &mut self.fault_disturbs,
+        ] {
+            s.u64(v)?;
+        }
+        let line = self.cfg.line;
+        let empty = || LineBuf {
+            base: Addr::default(),
+            pid: 0,
+            mask: ByteMask::empty(),
+            data: [0u8; MAX_BLOCK],
+            count: 0,
+        };
+        s.opt(&mut self.current, empty, |s, l| {
+            s.u64_as(&mut l.base, Addr::raw, Addr::new)?;
+            s.u32(&mut l.pid)?;
+            s.u128_as(&mut l.mask, |m| m.bits(), ByteMask::from_bits)?;
+            let bits = l.mask.bits();
+            let fits = l.base.is_aligned(line as u64) && (line == MAX_BLOCK || bits >> line == 0);
+            if s.reading() && !fits {
                 return Err(csb_snap::SnapshotError::Corrupt(format!(
-                    "CSB line at {base} with mask {bits:#x} does not fit a {line}-byte line"
+                    "CSB line at {} with mask {bits:#x} does not fit a {line}-byte line",
+                    l.base
                 )));
             }
-            let mut data = [0u8; MAX_BLOCK];
-            data.copy_from_slice(r.take_raw(MAX_BLOCK)?);
-            self.current = Some(LineBuf {
-                base,
-                pid,
-                mask: ByteMask::from_bits(bits),
-                data,
-                count: r.take_u64()?,
-            });
+            s.raw(&mut l.data)?;
+            s.u64(&mut l.count)
+        })?;
+        let mut n = self.pending.len();
+        s.len(&mut n, usize::MAX, "CSB bursts")?;
+        if s.reading() {
+            let empty = PreparedTxn {
+                txn: Transaction::write(Addr::default(), 0),
+                data: PayloadBuf::empty(),
+            };
+            self.pending.clear();
+            self.pending.resize(n, empty);
         }
-        let n = r.take_usize()?;
-        for _ in 0..n {
-            let addr = Addr::new(r.take_u64()?);
-            let size = r.take_usize()?;
-            let kind = r.take_u8()?;
-            let payload = r.take_usize()?;
-            let tag = r.take_u64()?;
-            let bytes = r.take_bytes()?;
+        for p in &mut self.pending {
+            let txn = &mut p.txn;
+            s.u64_as(&mut txn.addr, Addr::raw, Addr::new)?;
+            s.usize(&mut txn.size)?;
+            let mut k = u8::from(txn.kind == csb_bus::TxnKind::Read);
+            s.kind(&mut k, 2, "transaction kind")?;
+            txn.kind = [csb_bus::TxnKind::Write, csb_bus::TxnKind::Read][usize::from(k)];
+            s.usize(&mut txn.payload)?;
+            s.u64(&mut txn.tag)?;
+            p.data.state(s)?;
             // What a flush emits: a naturally aligned power-of-two burst
             // within one line, carrying at most its size.
+            let (addr, size, payload) = (txn.addr, txn.size, txn.payload);
             let legal = size.is_power_of_two()
-                && size <= self.cfg.line
+                && size <= line
                 && addr.is_aligned(size as u64)
                 && payload <= size
-                && bytes.len() <= size;
-            if !legal {
+                && p.data.len() <= size;
+            if s.reading() && !legal {
                 return Err(csb_snap::SnapshotError::Corrupt(format!(
                     "CSB burst of {size} bytes at {addr} carrying {payload} ({} staged)",
-                    bytes.len()
+                    p.data.len()
                 )));
             }
-            let txn = match kind {
-                0 => Transaction::write(addr, size),
-                1 => Transaction::read(addr, size),
-                k => {
-                    return Err(csb_snap::SnapshotError::Corrupt(format!(
-                        "unknown transaction kind {k}"
-                    )))
-                }
-            };
-            self.pending.push_back(PreparedTxn {
-                txn: txn.payload(payload).tag(tag),
-                data: PayloadBuf::from_slice(bytes),
-            });
         }
         Ok(())
     }

@@ -119,6 +119,20 @@ impl PayloadBuf {
     pub fn len(&self) -> usize {
         self.len as usize
     }
+
+    /// Walks the staged bytes as a length-prefixed byte string of at most
+    /// [`MAX_BLOCK`] bytes.
+    ///
+    /// # Errors
+    ///
+    /// [`csb_snap::SnapshotError`] on a malformed stream or a payload
+    /// longer than [`MAX_BLOCK`].
+    pub fn state(&mut self, s: &mut impl csb_snap::Codec) -> Result<(), csb_snap::SnapshotError> {
+        let mut n = self.len();
+        s.len(&mut n, MAX_BLOCK, "payload bytes")?;
+        self.len = n as u8;
+        s.raw(&mut self.bytes[..n])
+    }
 }
 
 impl std::ops::Deref for PayloadBuf {

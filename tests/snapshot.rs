@@ -242,7 +242,8 @@ fn flipped(frame: &[u8], i: usize, bit: u8) -> Vec<u8> {
 fn byte_flipped_frames_with_valid_checksums_restore_or_fail_cleanly() {
     // Mid-run frames with every section live: CSB traffic, an attached
     // NIC and a fault schedule in the first; uncached-buffer entries
-    // mid-drain in the second. Each byte is flipped in its low and its
+    // mid-drain in the second; a message half assembled in a NIC slot in
+    // the third. Each byte is flipped in its low and its
     // high bit. Restore must answer `Ok` or `Err` — never panic, and never
     // abort on an allocation sized by a corrupt count — and a restored
     // machine must run: a field no run produces is rejected on restore,
@@ -270,7 +271,28 @@ fn byte_flipped_frames_with_valid_checksums_restore_or_fail_cleanly() {
     sim.run_to(90).unwrap();
     let uncached = (cfg, program, sim.snapshot());
 
-    for (cfg, program, frame) in [csb, uncached] {
+    // Lock-path messages into the NIC's uncached window, with slot 0
+    // mid-assembly at the cut: flips reach a pending message's header.
+    let cfg = SimConfig::default();
+    let spec = workloads::MessagingSpec {
+        count: 16,
+        payload_dwords: 7,
+        sender: 1,
+        slots: 4,
+    };
+    let program = workloads::lock_messages(spec, RetryPolicy::NaiveSpin, &cfg).unwrap();
+    let mut sim = Simulator::new(cfg.clone(), program.clone()).unwrap();
+    let nic = csb_nic::NicConfig {
+        slot_size: cfg.line(),
+        slots: 4,
+        ..csb_nic::NicConfig::default()
+    };
+    sim.attach_nic(nic, csb_isa::Addr::new(csb_core::UNCACHED_BASE))
+        .unwrap();
+    sim.run_to(116).unwrap();
+    let messages = (cfg, program, sim.snapshot());
+
+    for (cfg, program, frame) in [csb, uncached, messages] {
         let mut target = Simulator::new(cfg, program).unwrap();
         let mut restored = 0;
         for i in 0..frame.len() - 8 {
@@ -1154,11 +1176,39 @@ fn pin_frames(out: &mut String, name: &str, sim: &mut Simulator, every: u64) {
     }
 }
 
+/// Appends `len fnv1a` of `ms`'s frame at every cycle of its naive-loop
+/// run, one line per frame, until the run completes.
+fn pin_multi_frames(out: &mut String, name: &str, ms: &mut MultiSim) {
+    use std::fmt::Write as _;
+    ms.set_fast_forward(false);
+    let mut finished = false;
+    loop {
+        let now = ms.simulator().cpu().now();
+        let frame = ms.snapshot();
+        let sum = csb_snap::fnv1a(&frame);
+        writeln!(out, "{name} {now} {} {sum:016x}", frame.len()).unwrap();
+        if finished {
+            return;
+        }
+        finished = match ms.run(now + 1) {
+            Ok(_) => true,
+            Err(SimError::CycleLimit { .. }) => false,
+            Err(e) => {
+                writeln!(out, "{name} {now} stopped: {e}").unwrap();
+                return;
+            }
+        };
+    }
+}
+
 /// The `len` and FNV-1a of `Simulator::snapshot()` at every cycle of the
-/// uncached swap program and of `4a/256B/CSB`, and at every 101st cycle
-/// of `messaging/csb/8B/r90/backoff-12` (NIC attached, faults on), all on
-/// the naive loop so fast-forward tuning never moves them. A refactor
-/// must leave every byte of every frame where it was. Regenerate with
+/// uncached swap program and of `4a/256B/CSB`, at every 101st cycle of
+/// `messaging/csb/8B/r90/backoff-12` (NIC attached, faults on), and of
+/// `MultiSim::snapshot()` at every cycle of two CSB workers under
+/// exponential-backoff slicing (saved contexts, doubling slices,
+/// completions and scheduler keys all move), all on the naive loop so
+/// fast-forward tuning never moves them. A refactor must leave every byte
+/// of every frame where it was. Regenerate with
 /// `UPDATE_GOLDEN=1 cargo test -p csb-core --test snapshot` only for an
 /// intentional change to the frame.
 #[test]
@@ -1217,6 +1267,15 @@ fn machine_frames_match_golden() {
     ));
     sim.enable_metrics();
     pin_frames(&mut out, "messaging/csb/8B/r90/backoff-12", &mut sim, 101);
+
+    let cfg = SimConfig::default();
+    let programs = vec![
+        workloads::csb_worker(2, 8, 0, &cfg).unwrap(),
+        workloads::csb_worker(2, 8, 1, &cfg).unwrap(),
+    ];
+    let policy = SwitchPolicy::Backoff { base: 6, max: 4096 };
+    let mut ms = MultiSim::new(cfg, programs, policy).unwrap();
+    pin_multi_frames(&mut out, "multi/backoff-6", &mut ms);
 
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden/frames.txt");
     if std::env::var("UPDATE_GOLDEN").is_ok() {
