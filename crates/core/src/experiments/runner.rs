@@ -37,6 +37,7 @@
 //! the autosnap setting travel in the [`ObsConfig`] each sweep is given,
 //! so two sweeps on two threads never see each other's settings.
 
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -477,12 +478,26 @@ fn execute<P: SweepPoint>(
 /// and its [`RunReport`].
 pub(crate) type Swept<O> = (Vec<O>, Vec<LabeledArtifacts>, RunReport);
 
+/// For each point, the index of the first point with its cache key.
+fn first_of_each_key<P: SweepPoint>(points: &[P]) -> Vec<usize> {
+    let mut keys = KeyMemo::default();
+    let mut firsts = HashMap::with_capacity(points.len());
+    (0..points.len())
+        .map(|i| *firsts.entry(points[i].cache_key(&mut keys)).or_insert(i))
+        .collect()
+}
+
 /// Runs every point on `jobs` workers (`0` = all cores). Returns the
 /// outputs in point order, one [`LabeledArtifacts`] per point, and the
 /// sweep's [`RunReport`]. Each worker threads one simulator slot and one
 /// [`KeyMemo`] through its whole queue, so every point after a worker's
 /// first runs on a warm-reset simulator, and keys a configuration it
 /// keyed last without rendering it again.
+///
+/// Without a cache and without captures, a sweep simulates each distinct
+/// cache key once: a later point with the key of an earlier one is read
+/// from the earlier one's cache payload, as a cache hit would read it,
+/// with a wall time of zero and no artifacts.
 ///
 /// # Errors
 ///
@@ -497,14 +512,29 @@ pub(crate) fn run_sweep<P: SweepPoint>(
     let cache = obs.cache.filter(|_| !obs.any());
     let cache_before = cache.map(PointCache::stats);
     let t0 = Instant::now();
-    let results = parallel_map_with(points, jobs, Default::default, |worker, point| {
-        execute(worker, point, obs, cache)
-    });
+    let firsts = if obs.cache.is_none() && !obs.any() {
+        first_of_each_key(points)
+    } else {
+        (0..points.len()).collect()
+    };
+    let simulated: Vec<usize> = (0..points.len()).filter(|&i| firsts[i] == i).collect();
+    let mut results = parallel_map_with(&simulated, jobs, Default::default, |worker, &i| {
+        execute(worker, &points[i], obs, cache)
+    })
+    .into_iter();
     let mut report = RunReport::default();
-    let mut outputs = Vec::with_capacity(points.len());
+    let mut outputs: Vec<P::Output> = Vec::with_capacity(points.len());
     let mut labeled = Vec::with_capacity(points.len());
-    for (point, result) in points.iter().zip(results) {
-        let (output, wall, artifacts) = result?;
+    for (i, point) in points.iter().enumerate() {
+        let first = firsts[i];
+        let (output, wall, artifacts) = if first == i {
+            results.next().expect("one result per simulated point")?
+        } else {
+            let payload = write_payload(&points[first], &mut outputs[first]);
+            let output = read_payload(point, &payload)
+                .expect("a point reads the payload of a point with its key");
+            (output, Duration::ZERO, PointArtifacts::default())
+        };
         let sim_cycles = P::sim_cycles(&output);
         let label = point.label();
         report.busy += wall;
@@ -530,7 +560,7 @@ pub(crate) fn run_sweep<P: SweepPoint>(
         outputs.push(output);
     }
     let wall = t0.elapsed();
-    let workers = jobs.min(points.len()).max(1);
+    let workers = jobs.min(simulated.len()).max(1);
     report.jobs = workers;
     report.points = points.len();
     report.wall = wall;
@@ -1166,6 +1196,46 @@ mod tests {
         assert_eq!(r1.sim_cycles, r4.sim_cycles, "same points were simulated");
         assert_eq!(r1.jobs, 1);
         assert_eq!(r4.jobs, 4);
+    }
+
+    #[test]
+    fn repeated_keys_are_simulated_once_with_the_same_results() {
+        let spec = BandwidthPanelSpec::new("t", "repeats", SimConfig::default());
+        let distinct: Vec<PointSpec> = spec.enumerate().into_iter().take(4).collect();
+        // Each repeat carries a label of its own, as Figure 3(d)'s points
+        // repeat 3(b)'s.
+        let order = [0, 1, 0, 2, 1, 3, 0];
+        let repeated: Vec<PointSpec> = order
+            .iter()
+            .enumerate()
+            .map(|(n, &i)| PointSpec {
+                label: format!("r{n}"),
+                ..distinct[i].clone()
+            })
+            .collect();
+        let captured = ObsConfig {
+            metrics: true,
+            ..ObsConfig::default()
+        };
+        for jobs in [1, 4] {
+            let (once, _, _) = run_sweep(&distinct, jobs, ObsConfig::default()).unwrap();
+            let (outputs, labeled, report) =
+                run_sweep(&repeated, jobs, ObsConfig::default()).unwrap();
+            let expected: Vec<_> = order.iter().map(|&i| once[i]).collect();
+            assert_eq!(outputs, expected, "jobs={jobs}");
+            // A capture simulates every point.
+            let (simulated, _, _) = run_sweep(&repeated, jobs, captured).unwrap();
+            assert_eq!(outputs, simulated, "jobs={jobs}");
+            let labels: Vec<&str> = labeled.iter().map(|la| la.label.as_str()).collect();
+            assert_eq!(labels, ["r0", "r1", "r2", "r3", "r4", "r5", "r6"]);
+            let repeats = labeled.iter().filter(|la| la.wall == Duration::ZERO);
+            assert_eq!(repeats.count(), 3, "jobs={jobs}");
+            assert_eq!(report.points, repeated.len());
+            assert_eq!(
+                report.sim_cycles,
+                expected.iter().map(|&(_, cycles)| cycles).sum::<u64>()
+            );
+        }
     }
 
     #[test]

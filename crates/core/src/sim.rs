@@ -1211,10 +1211,13 @@ impl Simulator {
     /// it with [`Simulator::chrome_trace`]. Costs memory per event;
     /// intended for single diagnostic runs, not sweeps.
     pub fn enable_tracing(&mut self) {
-        if self.machine.obs.is_enabled() {
-            return;
+        if !self.machine.obs.is_enabled() {
+            self.install_trace_sink(TraceSink::enabled());
         }
-        let sink = TraceSink::enabled();
+    }
+
+    /// Installs `sink` on every component that records structured events.
+    fn install_trace_sink(&mut self, sink: TraceSink) {
         self.cpu.set_trace_sink(sink.clone());
         self.machine.ubuf.set_trace_sink(sink.clone());
         self.machine.csb.set_trace_sink(sink.clone());
@@ -1227,10 +1230,13 @@ impl Simulator {
     /// into a [`MetricsRegistry`], snapshotted by
     /// [`Simulator::metrics_snapshot`] / [`Simulator::metrics_report`].
     pub fn enable_metrics(&mut self) {
-        if self.machine.metrics.is_enabled() {
-            return;
+        if !self.machine.metrics.is_enabled() {
+            self.install_metrics(MetricsRegistry::enabled());
         }
-        let metrics = MetricsRegistry::enabled();
+    }
+
+    /// Installs `metrics` on every component that records metrics.
+    fn install_metrics(&mut self, metrics: MetricsRegistry) {
         self.cpu.set_metrics(metrics.clone());
         self.machine.metrics = metrics;
     }
@@ -1350,12 +1356,19 @@ impl Simulator {
         }
         // Sinks are wiring, not state: a restored machine records the
         // *continuation* of the run, which tests concatenate with the
-        // pre-snapshot stream.
-        if s.reading() && obs {
-            self.enable_tracing();
-        }
-        if s.reading() && metrics {
-            self.enable_metrics();
+        // pre-snapshot stream, into new sinks, so a warm restore keeps
+        // nothing a previous run recorded.
+        if s.reading() {
+            self.install_trace_sink(if obs {
+                TraceSink::enabled()
+            } else {
+                TraceSink::disabled()
+            });
+            self.install_metrics(if metrics {
+                MetricsRegistry::enabled()
+            } else {
+                MetricsRegistry::disabled()
+            });
         }
         Ok(())
     }
@@ -1487,13 +1500,7 @@ impl Simulator {
     /// No uncached read or swap can complete inside the span: one in
     /// flight would sit in the ROB, which holds only the loop.
     fn try_loop_skip(&mut self, cap: u64) -> bool {
-        let m = &self.machine;
-        // No delivered value waits to be polled. A swap still on the bus
-        // does not count; no run reaches a loop with one in flight.
-        let quiet = !m
-            .reads
-            .values()
-            .any(|read| matches!(read, Read::Done { .. }));
+        let reads = &self.machine.reads;
         let now = self.cpu.now();
         // A period longer than the hard-stall threshold could hide a gap
         // between retirements the watchdog would have fired in.
@@ -1501,7 +1508,17 @@ impl Simulator {
             0 => u64::MAX,
             n => n,
         };
-        let max_cycles = if quiet { cap - now } else { 0 };
+        // Asked only when the head sits in a loop: no delivered value
+        // waits to be polled. A swap still on the bus does not count; no
+        // run reaches a loop with one in flight.
+        let max_cycles = || {
+            let quiet = !reads.values().any(|read| matches!(read, Read::Done { .. }));
+            if quiet {
+                cap - now
+            } else {
+                0
+            }
+        };
         let skipped = self.cpu.skip_loop_periods(max_cycles, max_period);
         if skipped == 0 {
             return false;
@@ -1780,6 +1797,25 @@ mod tests {
         // The restored machine reaches the access again, as a fresh one.
         let again = sim.run(100_000).unwrap_err().to_string();
         assert_eq!((again, sim.cpu().now()), (first, stopped_at));
+    }
+
+    #[test]
+    fn a_warm_restore_forgets_the_last_runs_trace_and_metrics() {
+        let cfg = SimConfig::default();
+        let program = workloads::csb_sequence(4, &cfg).unwrap();
+        let mut warm = Simulator::new(cfg.clone(), program.clone()).unwrap();
+        let start = warm.snapshot();
+        warm.enable_tracing();
+        warm.enable_metrics();
+        warm.run(100_000).unwrap();
+        assert!(!warm.trace_events().is_empty());
+        warm.restore_from(&start).unwrap();
+        let mut cold = Simulator::restore(cfg, program, &start).unwrap();
+        for sim in [&mut warm, &mut cold] {
+            sim.run(100_000).unwrap();
+        }
+        assert_eq!(warm.trace_events(), cold.trace_events());
+        assert_eq!(warm.metrics_snapshot(), cold.metrics_snapshot());
     }
 
     #[test]

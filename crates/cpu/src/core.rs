@@ -130,7 +130,8 @@ struct OperandSlot {
 
 /// Inline operand list: an instruction reads at most three registers, so
 /// the slots live directly in the ROB entry instead of a per-dispatch
-/// `Vec` allocation.
+/// `Vec` allocation. Slots past `len` are never read; dispatch leaves
+/// what an earlier entry wrote there.
 #[derive(Debug, Clone, Copy)]
 struct Ops {
     slots: [OperandSlot; 3],
@@ -226,6 +227,22 @@ impl RobEntry {
             Src::Wait(_) => panic!("operand {i} of {} not ready", self.inst),
         }
     }
+
+    /// The pipeline-trace record of this entry leaving the pipeline:
+    /// retired at `retired`, or squashed.
+    fn trace(&self, retired: Option<u64>) -> InstTrace {
+        InstTrace {
+            seq: self.seq,
+            pc: self.pc,
+            text: self.inst.to_string(),
+            fetched: self.t_fetch,
+            dispatched: self.t_dispatch,
+            issued: self.t_issue,
+            completed: self.t_complete,
+            retired,
+            squashed: retired.is_none(),
+        }
+    }
 }
 
 /// The reorder buffer as a fixed-capacity ring indexed by position from
@@ -274,22 +291,25 @@ impl Rob {
         (self.len > 0).then(|| &self.slots[self.head])
     }
 
+    /// Appends an entry at the tail and returns its slot, which still
+    /// holds the entry that last used it: the caller writes every field.
     #[inline]
-    fn push_back(&mut self, e: RobEntry) {
+    fn push_back(&mut self) -> &mut RobEntry {
         debug_assert!(self.len < self.slots.len(), "ROB ring overflow");
         let p = self.wrap(self.len);
-        self.slots[p] = e;
         self.len += 1;
+        &mut self.slots[p]
     }
 
-    /// Pops the head entry by value (a plain `Copy`, not a heap clone).
+    /// Pops the head entry and returns its slot, where it stays until a
+    /// later push reuses the slot.
     #[inline]
-    fn pop_front(&mut self) -> RobEntry {
+    fn pop_front(&mut self) -> usize {
         debug_assert!(self.len > 0, "pop on empty ROB");
-        let e = self.slots[self.head];
+        let slot = self.head;
         self.head = self.wrap(1);
         self.len -= 1;
-        e
+        slot
     }
 
     /// Drops every entry at position `n` and beyond (squash).
@@ -320,22 +340,29 @@ impl Rob {
         }
     }
 
-    /// The index of the oldest member of `set` at index `idx` or younger.
+    /// The index of the oldest slot at index `idx` or younger in the set
+    /// whose `w`-th word is `word(w)` (laid out like a [`SlotSet`]): the
+    /// ring is walked from index `idx` a word's worth of slots at a time,
+    /// wrapping at the ring's end.
     #[inline]
-    fn next_in(&self, set: &SlotSet, idx: usize) -> Option<usize> {
-        if idx >= self.len {
-            return None;
+    fn next_in(&self, word: impl Fn(usize) -> u64, mut idx: usize) -> Option<usize> {
+        let cap = self.slots.len();
+        let mut p = self.wrap(idx);
+        while idx < self.len {
+            // The slots from `p` to the end of its word, of the ring and
+            // of the ROB.
+            let span = (64 - p % 64).min(cap - p).min(self.len - idx);
+            let bits = (word(p / 64) >> (p % 64)) & (!0 >> (64 - span));
+            if bits != 0 {
+                return Some(idx + bits.trailing_zeros() as usize);
+            }
+            idx += span;
+            p += span;
+            if p == cap {
+                p = 0;
+            }
         }
-        let p = self.wrap(idx);
-        let slot = if p >= self.head {
-            set.first_in(p, self.slots.len())
-                .or_else(|| set.first_in(0, self.head))
-        } else {
-            set.first_in(p, self.head)
-        }?;
-        let i = self.index_of(slot);
-        debug_assert!(i < self.len, "scheduling set names an empty ROB slot");
-        Some(i)
+        None
     }
 }
 
@@ -366,23 +393,10 @@ impl SlotSet {
         self.words.fill(0);
     }
 
-    /// The lowest member in `from..to`.
+    /// Word `w` of the set, for [`Rob::next_in`].
     #[inline]
-    fn first_in(&self, from: usize, to: usize) -> Option<usize> {
-        if from >= to {
-            return None;
-        }
-        let mut w = from / 64;
-        let mut bits = self.words[w] & (!0 << (from % 64));
-        while bits == 0 {
-            w += 1;
-            if w * 64 >= to {
-                return None;
-            }
-            bits = self.words[w];
-        }
-        let slot = w * 64 + bits.trailing_zeros() as usize;
-        (slot < to).then_some(slot)
+    fn word(&self, w: usize) -> u64 {
+        self.words[w]
     }
 
     /// Every member, lowest first.
@@ -416,10 +430,43 @@ struct Sched {
     /// [`Cpu::ops_ready`] always has). A `Waiting` entry outside this set
     /// waits only on producers that have not completed.
     ready: SlotSet,
+    /// One set per [`Unit`] class: the entries that need one of its units
+    /// to move, ready or not. A `Waiting` entry is in its instruction's
+    /// class and an `AddrReady` cached load in [`Unit::Agen`]'s. An
+    /// `AddrReady` cached store is in none: issue completes it without a
+    /// unit, so it moves while any class still has one free.
+    units: [SlotSet; Unit::COUNT],
     /// One row per producer slot, each laid out like a [`SlotSet`]: the
     /// `Waiting` slots with an operand still waiting on that producer,
     /// moved into `ready` when it turns `Done`.
     consumers: Box<[u64]>,
+}
+
+/// A class of functional units, each with its own per-cycle issue budget.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Unit {
+    /// Integer ALU operations and branches.
+    Int,
+    /// Floating-point operations.
+    Fp,
+    /// Address generation for loads, stores and swaps, and the start of a
+    /// cached load's access.
+    Agen,
+}
+
+impl Unit {
+    const COUNT: usize = 3;
+
+    /// The class a `Waiting` instruction of `kind` issues to; `None` for
+    /// the kinds dispatch completes at once.
+    fn of(kind: InstKind) -> Option<Unit> {
+        match kind {
+            InstKind::IntAlu | InstKind::Branch => Some(Unit::Int),
+            InstKind::FpAlu => Some(Unit::Fp),
+            InstKind::Load | InstKind::Store | InstKind::Swap => Some(Unit::Agen),
+            InstKind::Nop | InstKind::Mark | InstKind::Halt | InstKind::Membar => None,
+        }
+    }
 }
 
 impl Sched {
@@ -427,9 +474,25 @@ impl Sched {
         let ready = SlotSet::new(cap);
         Sched {
             inflight: SlotSet::new(cap),
+            units: std::array::from_fn(|_| SlotSet::new(cap)),
             consumers: vec![0; cap * ready.words.len()].into_boxed_slice(),
             ready,
         }
+    }
+
+    /// `slot`'s entry needs a unit of `unit` to move.
+    #[inline]
+    fn needs(&mut self, unit: Unit, slot: usize) {
+        self.units[unit as usize].insert(slot);
+    }
+
+    /// Word `w` of the issue candidates, less the members of every class
+    /// whose mask in `spent` is `!0` (a class with no unit left this
+    /// cycle; 0 for the others).
+    #[inline]
+    fn candidates(&self, spent: &[u64; Unit::COUNT], w: usize) -> u64 {
+        let blocked = (0..Unit::COUNT).fold(0, |b, c| b | self.units[c].word(w) & spent[c]);
+        self.ready.word(w) & !blocked
     }
 
     /// `consumer` has an operand waiting on `producer`.
@@ -443,6 +506,7 @@ impl Sched {
     fn rebuild(&mut self, rob: &Rob, front_seq: u64) {
         self.inflight.clear();
         self.ready.clear();
+        self.units.iter_mut().for_each(SlotSet::clear);
         self.consumers.fill(0);
         for idx in 0..rob.len() {
             let slot = rob.wrap(idx);
@@ -451,8 +515,11 @@ impl Sched {
                 St::Agen { .. } | St::Exec { .. } | St::MemAccess { .. } | St::UncachedWait => {
                     self.inflight.insert(slot);
                 }
-                St::AddrReady if is_cached_load_or_store(e) => self.ready.insert(slot),
+                St::AddrReady if is_cached_load_or_store(e) => self.addr_ready(e, slot),
                 St::Waiting => {
+                    if let Some(unit) = Unit::of(e.inst.kind()) {
+                        self.needs(unit, slot);
+                    }
                     let (mut waits, mut resolvable) = (false, false);
                     for op in e.ops.iter() {
                         if let Src::Wait(seq) = op.src {
@@ -485,10 +552,21 @@ impl Sched {
         }
     }
 
-    /// `slot`'s entry started an operation.
+    /// `slot`'s entry, a cached load or store `e`, learned its address:
+    /// it becomes an issue candidate, and a load needs an agen unit.
     #[inline]
-    fn start(&mut self, slot: usize) {
+    fn addr_ready(&mut self, e: &RobEntry, slot: usize) {
+        self.ready.insert(slot);
+        if e.inst.kind() == InstKind::Load {
+            self.needs(Unit::Agen, slot);
+        }
+    }
+
+    /// `slot`'s entry started an operation on a unit of `unit`.
+    #[inline]
+    fn start(&mut self, unit: Unit, slot: usize) {
         self.ready.remove(slot);
+        self.units[unit as usize].remove(slot);
         self.inflight.insert(slot);
     }
 }
@@ -572,10 +650,11 @@ impl RenameTable {
     }
 }
 
+/// A fetch-queue entry. Dispatch reads the instruction from the program
+/// by `pc`.
 #[derive(Debug, Clone, Copy)]
 struct Fetched {
     pc: usize,
-    inst: Inst,
     predicted_next: usize,
     t_fetch: u64,
 }
@@ -785,8 +864,9 @@ impl Cpu {
     /// Walks the core's complete microarchitectural state: committed
     /// context, fetch queue, ROB (with in-flight operand and timing
     /// state), rename table, counters, and stall-run bookkeeping.
-    /// Instructions are not stored — on restore each entry's `pc`
-    /// re-derives its `Inst` from the program the core already holds, and
+    /// Instructions are not stored — on restore each ROB entry's `pc`
+    /// re-derives its `Inst` from the program the core already holds (a
+    /// fetch-queue entry keeps only its `pc`, which must lie in it), and
     /// pipeline-trace recording resumes empty if it was enabled (records
     /// retired before the snapshot are not carried over). The trace sink
     /// and metrics registry are wiring the restoring side re-installs.
@@ -805,7 +885,6 @@ impl Cpu {
         if s.reading() {
             let empty = Fetched {
                 pc: 0,
-                inst: Inst::Nop,
                 predicted_next: 0,
                 t_fetch: 0,
             };
@@ -815,7 +894,7 @@ impl Cpu {
         for f in &mut self.fetch_q {
             s.usize(&mut f.pc)?;
             if s.reading() {
-                f.inst = fetch_inst(&self.program, f.pc)?;
+                fetch_inst(&self.program, f.pc)?;
             }
             s.usize(&mut f.predicted_next)?;
             s.u64(&mut f.t_fetch)?;
@@ -826,7 +905,7 @@ impl Cpu {
             self.rob.clear();
             self.rob.head = 0;
             for _ in 0..n {
-                self.rob.push_back(RobEntry::EMPTY);
+                *self.rob.push_back() = RobEntry::EMPTY;
             }
         }
         for i in 0..n {
@@ -986,25 +1065,6 @@ impl Cpu {
     /// The recorded pipeline trace (empty unless enabled).
     pub fn trace(&self) -> &[InstTrace] {
         self.trace.as_deref().unwrap_or(&[])
-    }
-
-    /// Appends one trace record. Callers guard on `self.trace.is_some()`
-    /// so the disabled hot path pays a single branch and never formats.
-    #[inline]
-    fn record_trace(&mut self, e: &RobEntry, retired: Option<u64>) {
-        if let Some(t) = &mut self.trace {
-            t.push(InstTrace {
-                seq: e.seq,
-                pc: e.pc,
-                text: e.inst.to_string(),
-                fetched: e.t_fetch,
-                dispatched: e.t_dispatch,
-                issued: e.t_issue,
-                completed: e.t_complete,
-                retired,
-                squashed: retired.is_none(),
-            });
-        }
     }
 
     /// The committed architectural context.
@@ -1423,9 +1483,9 @@ impl Cpu {
     fn writeback<P: MemPort>(&mut self, port: &mut P) {
         let now = self.now;
         let mut redirect: Option<(usize, usize)> = None; // (rob idx, next pc)
-        let mut cursor = self.rob.next_in(&self.sched.inflight, 0);
+        let mut cursor = self.rob.next_in(|w| self.sched.inflight.word(w), 0);
         while let Some(idx) = cursor {
-            cursor = self.rob.next_in(&self.sched.inflight, idx + 1);
+            cursor = self.rob.next_in(|w| self.sched.inflight.word(w), idx + 1);
             let slot = self.rob.wrap(idx);
             let e = &mut self.rob[idx];
             match e.st {
@@ -1434,7 +1494,7 @@ impl Cpu {
                     self.worked = true;
                     self.sched.inflight.remove(slot);
                     if is_cached_load_or_store(e) {
-                        self.sched.ready.insert(slot);
+                        self.sched.addr_ready(e, slot);
                     }
                 }
                 St::Exec { done_at } if done_at <= now => {
@@ -1489,20 +1549,7 @@ impl Cpu {
             );
         }
         if let Some(t) = self.trace.as_mut() {
-            for i in idx + 1..self.rob.len {
-                let e = &self.rob[i];
-                t.push(InstTrace {
-                    seq: e.seq,
-                    pc: e.pc,
-                    text: e.inst.to_string(),
-                    fetched: e.t_fetch,
-                    dispatched: e.t_dispatch,
-                    issued: e.t_issue,
-                    completed: e.t_complete,
-                    retired: None,
-                    squashed: true,
-                });
-            }
+            t.extend((idx + 1..self.rob.len()).map(|i| self.rob[i].trace(None)));
         }
         self.rob.truncate(idx + 1);
         // Recycle the squashed sequence numbers so the ROB invariant
@@ -1671,14 +1718,17 @@ impl Cpu {
         }
     }
 
-    /// Commits the head entry (which must be `Done`).
+    /// Commits the head entry (which must be `Done`), reading it in its
+    /// ring slot.
     fn commit_head<P: MemPort>(&mut self, port: &mut P) {
-        let e = self.rob.pop_front();
+        let e = &self.rob.slots[self.rob.pop_front()];
         self.front_seq = e.seq + 1;
         self.worked = true;
         debug_assert_eq!(e.st, St::Done);
         let now = self.now;
-        self.record_trace(&e, Some(now));
+        if let Some(t) = &mut self.trace {
+            t.push(e.trace(Some(now)));
+        }
         self.obs.emit_with(Track::Cpu, || EventKind::Retire {
             pc: e.pc,
             inst: e.inst.to_string(),
@@ -1746,99 +1796,97 @@ impl Cpu {
     // ------------------------------------------------------------------
     // Issue: out-of-order dispatch-queue scan, oldest first.
     // ------------------------------------------------------------------
+    /// Visits the issue candidates oldest first, passing over those whose
+    /// unit class has no unit left this cycle, until every class is spent.
     fn issue<P: MemPort>(&mut self, port: &mut P) {
         let now = self.now;
-        let mut int_avail = self.cfg.int_units;
-        let mut fp_avail = self.cfg.fp_units;
-        let mut agen_avail = self.cfg.agen_units;
-
-        let mut cursor = self.rob.next_in(&self.sched.ready, 0);
-        while let Some(idx) = cursor {
-            if int_avail == 0 && fp_avail == 0 && agen_avail == 0 {
+        let cfg = &self.cfg;
+        let mut avail = [cfg.int_units, cfg.fp_units, cfg.agen_units];
+        let latency = [cfg.int_latency, cfg.fp_latency, cfg.agen_latency];
+        // `!0` for a class with no unit left (see `Sched::candidates`).
+        let mut spent = avail.map(|n| if n == 0 { !0 } else { 0 });
+        let mut open = avail.iter().filter(|&&n| n > 0).count();
+        let mut from = 0;
+        while open > 0 {
+            let Some(idx) = self.rob.next_in(|w| self.sched.candidates(&spent, w), from) else {
                 break;
-            }
-            cursor = self.rob.next_in(&self.sched.ready, idx + 1);
+            };
+            from = idx + 1;
             let slot = self.rob.wrap(idx);
-            match self.rob[idx].st {
-                St::Waiting => {
-                    let kind = self.rob[idx].inst.kind();
-                    let (avail, latency) = match kind {
-                        InstKind::IntAlu | InstKind::Branch => {
-                            (&mut int_avail, self.cfg.int_latency)
-                        }
-                        InstKind::FpAlu => (&mut fp_avail, self.cfg.fp_latency),
-                        InstKind::Load | InstKind::Store | InstKind::Swap => {
-                            (&mut agen_avail, self.cfg.agen_latency)
-                        }
-                        // Nop/Mark/Halt/Membar were Done at dispatch.
-                        _ => continue,
-                    };
-                    if *avail == 0 {
-                        continue;
-                    }
-                    if !self.ops_ready(idx) {
+            let used = match self.rob[idx].st {
+                St::Waiting => match Unit::of(self.rob[idx].inst.kind()) {
+                    // Nop/Mark/Halt/Membar were Done at dispatch.
+                    None => None,
+                    Some(_) if !self.ops_ready(idx) => {
                         // The completed producers' operands are rewritten;
                         // the others' completion brings it back.
                         self.sched.ready.remove(slot);
-                        continue;
+                        None
                     }
-                    *avail -= 1;
-                    self.sched.start(slot);
-                    self.worked = true;
-                    let e = &self.rob[idx];
-                    if e.inst.is_mem() {
-                        let base_idx = match e.inst {
-                            Inst::Load { .. } => 0,
-                            _ => 1, // Store/StoreF/Swap: [data, base]
-                        };
-                        let offset = match e.inst {
-                            Inst::Load { offset, .. }
-                            | Inst::Store { offset, .. }
-                            | Inst::StoreF { offset, .. }
-                            | Inst::Swap { offset, .. } => offset,
-                            _ => unreachable!(),
-                        };
-                        let addr = Addr::new(e.op_val(base_idx)).offset(offset);
-                        let space = port.space_of(addr);
-                        let e = &mut self.rob[idx];
-                        e.addr = Some(addr);
-                        e.space = Some(space);
-                        e.t_issue = Some(now);
-                        e.st = St::Agen {
-                            done_at: now + latency,
-                        };
-                    } else {
-                        let value = self.compute(e);
-                        let e = &mut self.rob[idx];
-                        e.value = value;
-                        e.t_issue = Some(now);
-                        e.st = St::Exec {
-                            done_at: now + latency,
-                        };
-                    }
-                }
-                St::AddrReady => {
-                    if self.rob[idx].inst.kind() == InstKind::Store {
-                        // Completes now; memory written at commit.
-                        let e = &mut self.rob[idx];
-                        e.st = St::Done;
-                        e.t_complete = Some(now);
-                        self.worked = true;
-                        self.sched.ready.remove(slot);
-                    } else if agen_avail > 0 && self.load_may_proceed(idx) {
-                        agen_avail -= 1;
+                    Some(unit) => {
+                        let done_at = now + latency[unit as usize];
                         let e = &self.rob[idx];
-                        let (addr, width) = (e.addr.unwrap(), mem_width(&e.inst));
-                        let done_at = port.cached_access(addr, AccessKind::Read, now);
-                        let value = port.read(addr, width);
-                        let e = &mut self.rob[idx];
-                        e.value = value;
-                        e.st = St::MemAccess { done_at };
-                        self.worked = true;
-                        self.sched.start(slot);
+                        if e.inst.is_mem() {
+                            let base_idx = match e.inst {
+                                Inst::Load { .. } => 0,
+                                _ => 1, // Store/StoreF/Swap: [data, base]
+                            };
+                            let offset = match e.inst {
+                                Inst::Load { offset, .. }
+                                | Inst::Store { offset, .. }
+                                | Inst::StoreF { offset, .. }
+                                | Inst::Swap { offset, .. } => offset,
+                                _ => unreachable!(),
+                            };
+                            let addr = Addr::new(e.op_val(base_idx)).offset(offset);
+                            let space = port.space_of(addr);
+                            let e = &mut self.rob[idx];
+                            e.addr = Some(addr);
+                            e.space = Some(space);
+                            e.t_issue = Some(now);
+                            e.st = St::Agen { done_at };
+                        } else {
+                            let value = self.compute(e);
+                            let e = &mut self.rob[idx];
+                            e.value = value;
+                            e.t_issue = Some(now);
+                            e.st = St::Exec { done_at };
+                        }
+                        Some(unit)
                     }
+                },
+                St::AddrReady if self.rob[idx].inst.kind() == InstKind::Store => {
+                    // Completes now; memory written at commit.
+                    let e = &mut self.rob[idx];
+                    e.st = St::Done;
+                    e.t_complete = Some(now);
+                    self.worked = true;
+                    self.sched.ready.remove(slot);
+                    None
                 }
+                St::AddrReady if self.load_may_proceed(idx) => {
+                    let e = &self.rob[idx];
+                    let (addr, width) = (e.addr.unwrap(), mem_width(&e.inst));
+                    let done_at = port.cached_access(addr, AccessKind::Read, now);
+                    let value = port.read(addr, width);
+                    let e = &mut self.rob[idx];
+                    e.value = value;
+                    e.st = St::MemAccess { done_at };
+                    Some(Unit::Agen)
+                }
+                St::AddrReady => None,
                 st => unreachable!("issue candidate set names a {st:?} entry"),
+            };
+            if let Some(unit) = used {
+                self.sched.start(unit, slot);
+                self.worked = true;
+                let c = unit as usize;
+                debug_assert!(avail[c] > 0, "issued to a spent {unit:?} class");
+                avail[c] -= 1;
+                if avail[c] == 0 {
+                    spent[c] = !0;
+                    open -= 1;
+                }
             }
         }
     }
@@ -1910,6 +1958,8 @@ impl Cpu {
     // ------------------------------------------------------------------
     // Dispatch: fetch queue -> ROB, with register renaming.
     // ------------------------------------------------------------------
+    /// Moves up to `fetch_width` fetched instructions into the ROB,
+    /// writing each entry, operands included, straight into its ring slot.
     fn dispatch<P: MemPort>(&mut self, _port: &mut P) {
         for _ in 0..self.cfg.fetch_width {
             if self.rob.len() >= self.cfg.rob_size {
@@ -1918,15 +1968,16 @@ impl Cpu {
             let Some(f) = self.fetch_q.pop_front() else {
                 break;
             };
+            // Fetch queues only pcs inside the program.
+            let inst = self.program[f.pc];
             let seq = self.next_seq;
             self.next_seq += 1;
 
             let slot = self.rob.wrap(self.rob.len());
             let mut waits = false;
-            let mut ops = Ops::EMPTY;
             let mut regs = [RegRef::Cc; 3];
-            let nregs = f.inst.uses_into(&mut regs);
-            for &reg in &regs[..nregs] {
+            let nregs = inst.uses_into(&mut regs);
+            for (i, &reg) in regs[..nregs].iter().enumerate() {
                 let src = match self.rename.get(reg) {
                     Some(pseq) => {
                         let idx = (pseq - self.front_seq) as usize;
@@ -1941,35 +1992,37 @@ impl Cpu {
                     }
                     None => Src::Ready(self.arch_value(reg)),
                 };
-                ops.push(OperandSlot { reg, src });
+                self.rob.slots[slot].ops.slots[i] = OperandSlot { reg, src };
             }
-            if let Some(d) = f.inst.def() {
+            if let Some(d) = inst.def() {
                 self.rename.insert(d, seq);
             }
 
-            let st = match f.inst.kind() {
-                InstKind::Nop | InstKind::Mark | InstKind::Halt | InstKind::Membar => St::Done,
-                _ => St::Waiting,
+            let st = match Unit::of(inst.kind()) {
+                Some(unit) => {
+                    self.sched.needs(unit, slot);
+                    if !waits {
+                        self.sched.ready.insert(slot);
+                    }
+                    St::Waiting
+                }
+                None => St::Done,
             };
-            if st == St::Waiting && !waits {
-                self.sched.ready.insert(slot);
-            }
-            self.rob.push_back(RobEntry {
-                seq,
-                pc: f.pc,
-                inst: f.inst,
-                st,
-                ops,
-                value: 0,
-                addr: None,
-                space: None,
-                predicted_next: f.predicted_next,
-                mem_started: false,
-                t_fetch: f.t_fetch,
-                t_dispatch: self.now,
-                t_issue: None,
-                t_complete: None,
-            });
+            let e = self.rob.push_back();
+            e.seq = seq;
+            e.pc = f.pc;
+            e.inst = inst;
+            e.st = st;
+            e.ops.len = nregs as u8;
+            e.value = 0;
+            e.addr = None;
+            e.space = None;
+            e.predicted_next = f.predicted_next;
+            e.mem_started = false;
+            e.t_fetch = f.t_fetch;
+            e.t_dispatch = self.now;
+            e.t_issue = None;
+            e.t_complete = None;
             self.worked = true;
         }
     }
@@ -2002,7 +2055,6 @@ impl Cpu {
             };
             self.fetch_q.push_back(Fetched {
                 pc: self.fetch_pc,
-                inst,
                 predicted_next,
                 t_fetch: self.now,
             });

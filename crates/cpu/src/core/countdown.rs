@@ -259,7 +259,7 @@ impl Cpu {
     /// and, when the ROB head sits in a countdown loop (`sub r, r, #c;
     /// cmp r, #0; bnz` back to the `sub`) whose steady state has repeated
     /// with a period of at most `max_period` cycles, jumps as many whole
-    /// periods as fit in `max_cycles` while every counter value in flight
+    /// periods as fit in `max_cycles()` while every counter value in flight
     /// stays at 1 or more. The jump is exactly what that many
     /// [`Cpu::tick`]s would have done: the clock, sequence numbers,
     /// counter values, retirement count and the metrics timeline's
@@ -270,11 +270,13 @@ impl Cpu {
     /// tick: a cycle ticked without one, or any other change to the
     /// pipeline in between, starts the detection over. The loop touches
     /// no memory, so the caller advances everything outside the core over
-    /// the skipped cycles on its own; pass `max_cycles = 0` to observe
-    /// without skipping while that is not possible. Nothing is observed or
-    /// skipped while the structured trace or the pipeline trace records,
-    /// since the skipped ticks would owe them per-instruction events, or
-    /// while a stall run is open.
+    /// the skipped cycles on its own; have `max_cycles` return 0 to
+    /// observe without skipping while that is not possible. It is called
+    /// only once the ROB head can be part of such a loop, so the caller's
+    /// check stays off every other cycle. Nothing is observed or skipped
+    /// while the structured trace or the pipeline trace records, since
+    /// the skipped ticks would owe them per-instruction events, or while a
+    /// stall run is open.
     ///
     /// At the loop's first observation with every fetched instruction in
     /// its body, the warm-up up to its steady state may be a span the core
@@ -283,7 +285,7 @@ impl Cpu {
     /// covers the span too. The recorded spans belong to the run: a warm
     /// reset or a restore forgets them, a context switch keeps them.
     #[inline]
-    pub fn skip_loop_periods(&mut self, max_cycles: u64, max_period: u64) -> u64 {
+    pub fn skip_loop_periods(&mut self, max_cycles: impl FnOnce() -> u64, max_period: u64) -> u64 {
         // Most cycles end here: the head is no instruction of such a loop.
         if !self.rob.front().is_some_and(|head| loop_shaped(&head.inst)) {
             self.detector.reset();
@@ -292,7 +294,7 @@ impl Cpu {
         if self.detector.dormant {
             return 0;
         }
-        self.observe_loop(max_cycles, max_period)
+        self.observe_loop(max_cycles(), max_period)
     }
 
     /// [`Cpu::skip_loop_periods`] once the head looks like part of a loop.
@@ -673,7 +675,6 @@ impl Cpu {
         for &w in &words[HEADER..HEADER + nq] {
             self.fetch_q.push_back(Fetched {
                 pc: pc(w & 3),
-                inst: body[(w & 3) as usize],
                 predicted_next: pc(w >> 2 & 3),
                 t_fetch: time(w, 4),
             });
@@ -704,7 +705,7 @@ impl Cpu {
             let mut ops = Ops::EMPTY;
             let reg = lp.operand(off);
             ops.push(OperandSlot { reg, src });
-            self.rob.push_back(RobEntry {
+            *self.rob.push_back() = RobEntry {
                 seq,
                 pc: pc(off),
                 inst: body[off as usize],
@@ -719,7 +720,7 @@ impl Cpu {
                 t_dispatch: time(w, 34),
                 t_issue: stamp(w, 44),
                 t_complete: stamp(w, 54),
-            });
+            };
         }
         debug_assert_eq!(self.rob.len(), nrob);
         self.front_seq = front;
@@ -767,7 +768,7 @@ mod tests {
         let (mut states, mut periods) = (0, 0);
         while !cpu.halted() && cpu.now() < cycles {
             // Observe only: the detector records, and never skips.
-            assert_eq!(cpu.skip_loop_periods(0, LOOP_HISTORY as u64), 0);
+            assert_eq!(cpu.skip_loop_periods(|| 0, LOOP_HISTORY as u64), 0);
             let lp = cpu.countdown_loop().filter(|&lp| cpu.in_loop_body(lp));
             history.push(lp.map(|lp| check_state(&mut cpu, lp)));
             states += u64::from(lp.is_some());

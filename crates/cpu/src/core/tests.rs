@@ -661,3 +661,25 @@ fn loads_to_different_addresses_proceed_past_stores() {
     cpu.run(&mut port, 10_000).unwrap();
     assert_eq!(cpu.context().int_reg(Reg::L1), 7);
 }
+
+#[test]
+fn a_cached_store_completes_while_older_ops_spend_every_agen_unit() {
+    // Both loads wait on %o1 and take the two agen units in cycle 4, the
+    // cycle the younger store's address generation ends. Issue completes
+    // a cached store without a unit, so it still completes in cycle 4.
+    let mut a = Assembler::new();
+    a.movi(Reg::O0, 0x6000);
+    a.movi(Reg::L0, 7);
+    a.movi(Reg::O1, 0x6100);
+    a.ld(Reg::L1, Reg::O1, 0, MemWidth::B8);
+    a.ld(Reg::L2, Reg::O1, 8, MemWidth::B8);
+    a.st(Reg::L0, Reg::O0, 0, MemWidth::B8);
+    a.halt();
+    let mut cpu = Cpu::new(CpuConfig::default(), a.assemble().unwrap());
+    assert_eq!(cpu.cfg.agen_units, 2);
+    cpu.enable_trace();
+    cpu.run(&mut SimpleMemPort::new(), 10_000).unwrap();
+    let t = cpu.trace();
+    assert_eq!((t[3].issued, t[4].issued), (Some(4), Some(4)));
+    assert_eq!((t[5].issued, t[5].completed), (Some(3), Some(4)));
+}

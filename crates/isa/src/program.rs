@@ -108,6 +108,21 @@ impl Program {
     }
 }
 
+/// The instruction at `pc`, borrowed in place; [`Program::fetch`] is the
+/// checked form.
+///
+/// # Panics
+///
+/// Panics if `pc` is past the end.
+impl std::ops::Index<usize> for Program {
+    type Output = Inst;
+
+    #[inline]
+    fn index(&self, pc: usize) -> &Inst {
+        &self.insts[pc]
+    }
+}
+
 /// Builder that assembles microbenchmark kernels instruction by instruction.
 ///
 /// All emit methods append one instruction and return `&mut self` for
