@@ -97,6 +97,15 @@ pub struct BusConfig {
     background: Option<BackgroundTraffic>,
 }
 
+/// The paper's baseline: an 8-byte multiplexed bus with 64-byte bursts.
+impl Default for BusConfig {
+    fn default() -> Self {
+        BusConfig::multiplexed(8)
+            .build()
+            .expect("the default bus is valid")
+    }
+}
+
 impl BusConfig {
     /// Starts building a multiplexed bus of the given data width in bytes.
     pub fn multiplexed(width: usize) -> BusConfigBuilder {

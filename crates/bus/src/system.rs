@@ -49,7 +49,7 @@ pub struct Issued {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SystemBus {
     cfg: BusConfig,
     /// Earliest cycle the next transaction may start (occupancy+turnaround).
@@ -237,27 +237,16 @@ impl SystemBus {
         }))
     }
 
-    /// Resets occupancy and statistics (configuration retained).
-    pub fn reset(&mut self) {
-        self.next_free = 0;
-        self.last_addr = None;
-        self.foreign_debt = 0.0;
-        self.stats = BusStats::default();
-    }
-
     /// Walks the bus timing state and statistics. The trace sink and
     /// fault hook are wiring, not state — the restoring side re-installs
-    /// them, into a bus with the same configuration. The stream does not
-    /// say which cycle the bus resumes at, so the caller checks the
-    /// restored state against it with [`SystemBus::check_restored`].
+    /// them, into an idle bus with the same configuration. The stream
+    /// does not say which cycle the bus resumes at, so the caller checks
+    /// the restored state against it with [`SystemBus::check_restored`].
     ///
     /// # Errors
     ///
     /// [`csb_snap::SnapshotError`] on a malformed stream.
     pub fn state(&mut self, s: &mut impl csb_snap::Codec) -> Result<(), csb_snap::SnapshotError> {
-        if s.reading() {
-            self.reset();
-        }
         s.tag("bus")?;
         s.u64(&mut self.next_free)?;
         s.opt_u64(&mut self.last_addr)?;
@@ -510,7 +499,7 @@ mod tests {
     }
 
     #[test]
-    fn idle_and_reset() {
+    fn busy_until_its_transaction_ends() {
         let mut bus = mux8();
         assert!(bus.can_accept(0));
         bus.try_issue(0, Transaction::write(Addr::new(0), 64))
@@ -518,9 +507,6 @@ mod tests {
             .unwrap();
         assert!(!bus.can_accept(5));
         assert!(bus.can_accept(9));
-        bus.reset();
-        assert_eq!(bus.stats().transactions, 0);
-        assert!(bus.can_accept(0));
     }
 
     #[test]

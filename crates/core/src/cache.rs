@@ -796,20 +796,21 @@ mod tests {
 
     #[test]
     fn key_layouts_are_pinned_and_fork_at_any_part() {
-        // Values an earlier build derived: every store a user filled
-        // holds records under these byte streams.
+        // Values an earlier build derived at snapshot format 5 (every key
+        // hashes the version first): every store a user filled holds
+        // records under these byte streams.
         let cfg = crate::SimConfig::default();
         let seed = 7u64.to_le_bytes();
         assert_eq!(
             PointCache::key(&[b"cfg", b"work", &seed]),
-            0x4816_ec1d_c960_3296
+            0x3a06_b2a6_d5b7_d869
         );
-        assert_eq!(PointCache::key(&[]), 0xcd3a_c65e_44f7_21b1);
+        assert_eq!(PointCache::key(&[]), 0x2d40_1a55_eec1_6520);
         assert_eq!(
             PointCache::key_debug(&[&cfg, &"work"], 7),
-            0x1e63_8b6c_a8cc_9008
+            0xf8a7_79ce_f2d4_583f
         );
-        assert_eq!(PointCache::key_debug(&[], 0), 0x7f59_a258_b1d7_81d1);
+        assert_eq!(PointCache::key_debug(&[], 0), 0x8a16_1eb8_5709_4920);
 
         let mut parts = PartsKey::new();
         parts.part(b"cfg");

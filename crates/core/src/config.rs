@@ -65,10 +65,7 @@ impl Default for SimConfig {
         SimConfig {
             cpu: CpuConfig::default(),
             mem: MemoryConfig::with_line(64),
-            bus: BusConfig::multiplexed(8)
-                .max_burst(64)
-                .build()
-                .expect("default bus config is valid"),
+            bus: BusConfig::default(),
             ratio: 6,
             uncached: UncachedConfig::non_combining(),
             csb: CsbConfig::new(64),

@@ -37,15 +37,16 @@ impl IoDevice {
     /// Creates an empty device with room for a typical run's deliveries
     /// pre-reserved, so steady-state recording does not reallocate.
     pub fn new() -> Self {
-        IoDevice {
-            writes: Vec::with_capacity(256),
-        }
+        let mut device = IoDevice::default();
+        device.clear();
+        device
     }
 
-    /// Discards all recorded deliveries, keeping the reserved storage (the
-    /// simulator's warm-reset path).
+    /// Discards all recorded deliveries, keeping the reserved storage or
+    /// reserving it first (the simulator's warm-reset path).
     pub(crate) fn clear(&mut self) {
         self.writes.clear();
+        self.writes.reserve(256);
     }
 
     /// Records a delivered write.
@@ -64,25 +65,24 @@ impl IoDevice {
         s: &mut impl csb_snap::Codec,
     ) -> Result<(), csb_snap::SnapshotError> {
         s.tag("dev")?;
-        let mut n = self.writes.len();
-        s.len(&mut n, usize::MAX, "device deliveries")?;
-        if s.reading() {
-            let empty = DeliveredWrite {
-                addr: Addr::default(),
-                data: PayloadBuf::empty(),
-                payload: 0,
-                bus_cycle: 0,
-            };
-            self.writes.clear();
-            self.writes.resize(n, empty);
-        }
-        for d in &mut self.writes {
-            s.u64_as(&mut d.addr, Addr::raw, Addr::new)?;
-            d.data.state(s)?;
-            s.usize(&mut d.payload)?;
-            s.u64(&mut d.bus_cycle)?;
-        }
-        Ok(())
+        let blank = DeliveredWrite {
+            addr: Addr::default(),
+            data: PayloadBuf::empty(),
+            payload: 0,
+            bus_cycle: 0,
+        };
+        s.list(
+            &mut self.writes,
+            usize::MAX,
+            "device deliveries",
+            blank,
+            |s, d| {
+                s.u64_as(&mut d.addr, Addr::raw, Addr::new)?;
+                d.data.state(s)?;
+                s.usize(&mut d.payload)?;
+                s.u64(&mut d.bus_cycle)
+            },
+        )
     }
 
     /// All deliveries, in bus order.

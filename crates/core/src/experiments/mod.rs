@@ -360,13 +360,17 @@ pub(crate) fn histogram_state(
         for v in [&mut h.count, &mut h.sum, &mut h.min, &mut h.max] {
             s.u64(v)?;
         }
-        let mut n = h.buckets.len();
-        s.len(&mut n, usize::MAX, "histogram buckets")?;
-        h.buckets.resize(n, BucketCount { le: 0, n: 0 });
-        for b in &mut h.buckets {
-            s.u64(&mut b.le)?;
-            s.u64(&mut b.n)?;
-        }
+        let blank = BucketCount { le: 0, n: 0 };
+        s.list(
+            &mut h.buckets,
+            usize::MAX,
+            "histogram buckets",
+            blank,
+            |s, b| {
+                s.u64(&mut b.le)?;
+                s.u64(&mut b.n)
+            },
+        )?;
         if s.reading() {
             let raw = std::mem::take(h);
             h.merge(&raw);

@@ -420,12 +420,12 @@ impl KeyMemo {
     }
 }
 
-/// The cache payload of `output`: `point`'s walk, then an inner
-/// checksum.
+/// The cache payload of `output`: `point`'s walk, unframed (the pack
+/// record's checksum covers it).
 pub(crate) fn write_payload<P: SweepPoint>(point: &P, output: &mut P::Output) -> Vec<u8> {
     let mut w = SnapshotWriter::new();
     point.payload(output, &mut w).expect("a writer never fails");
-    w.finish()
+    w.into_bytes()
 }
 
 /// `point`'s output read back from a cache payload; `None` when the
@@ -434,9 +434,6 @@ pub(crate) fn read_payload<P: SweepPoint>(point: &P, payload: &[u8]) -> Option<P
     let mut r = SnapshotReader::new(payload);
     let mut output = P::Output::default();
     point.payload(&mut output, &mut r).ok()?;
-    // The framed cache entry already verified integrity, so the inner
-    // checksum is only consumed.
-    r.take_u64().ok()?;
     r.expect_end("cached point payload").ok()?;
     Some(output)
 }

@@ -65,7 +65,7 @@ pub mod trace;
 pub mod workloads;
 
 pub use config::{SimConfig, SimConfigError, COMBINING_BASE, LOCK_ADDR, UNCACHED_BASE};
-pub use csb_faults::{FaultConfig, FaultInjector, FaultKind, FaultStats, FaultWindow};
+pub use csb_faults::{FaultConfig, FaultInjector, FaultKind, FaultStats};
 pub use device::{DeliveredWrite, IoDevice};
 pub use sim::{
     ActorState, LivelockReport, LivelockTrigger, MetricsReport, RunSummary, SimError, Simulator,

@@ -217,7 +217,7 @@ impl From<SimConfigError> for SimError {
 }
 
 /// Everything outside the core; implements [`MemPort`] for the CPU.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub(crate) struct Machine {
     map: AddressMap,
     pub(crate) flat: FlatMemory,
@@ -622,12 +622,9 @@ impl Machine {
     /// Walks [`Machine::reads`] as the frame's three lists — delivered
     /// loads and delivered swaps as `(tag, ready, value)`, then swaps on
     /// the bus as `(tag, width, value)` — each sorted by tag so the byte
-    /// stream is deterministic. A restore empties the map first and
+    /// stream is deterministic. A restore reads into an empty map and
     /// rejects a tag listed twice: one tag is one read.
     fn reads_state(&mut self, s: &mut impl Codec) -> Result<(), SnapshotError> {
-        if s.reading() {
-            self.reads.clear();
-        }
         let mut tags: Vec<u64> = self.reads.keys().copied().collect();
         tags.sort_unstable();
         for (list, blank) in Read::LISTS.into_iter().enumerate() {
@@ -636,27 +633,31 @@ impl Machine {
                 .map(|&tag| (tag, self.reads[&tag]))
                 .filter(|(_, read)| read.list() == list)
                 .collect();
-            let mut n = listed.len();
-            s.len(&mut n, usize::MAX, "uncached reads")?;
-            listed.resize(n, (0, blank));
-            for (tag, read) in &mut listed {
-                s.u64(tag)?;
-                match read {
-                    Read::Done { ready, value, .. } => {
-                        s.u64(ready)?;
-                        s.u64(value)?;
+            s.list(
+                &mut listed,
+                usize::MAX,
+                "uncached reads",
+                (0, blank),
+                |s, (tag, read)| {
+                    s.u64(tag)?;
+                    match read {
+                        Read::Done { ready, value, .. } => {
+                            s.u64(ready)?;
+                            s.u64(value)?;
+                        }
+                        Read::Swap { width, value } => {
+                            s.usize(width)?;
+                            s.u64(value)?;
+                        }
                     }
-                    Read::Swap { width, value } => {
-                        s.usize(width)?;
-                        s.u64(value)?;
+                    if s.reading() && self.reads.insert(*tag, *read).is_some() {
+                        return Err(SnapshotError::Corrupt(format!(
+                            "uncached read tag {tag} listed twice"
+                        )));
                     }
-                }
-                if s.reading() && self.reads.insert(*tag, *read).is_some() {
-                    return Err(SnapshotError::Corrupt(format!(
-                        "uncached read tag {tag} listed twice"
-                    )));
-                }
-            }
+                    Ok(())
+                },
+            )?;
         }
         Ok(())
     }
@@ -1003,7 +1004,10 @@ pub struct RunSummary {
 ///
 /// Time advances in CPU cycles; the bus ticks once every
 /// [`SimConfig::ratio`] CPU cycles. See the crate-level example.
-#[derive(Debug)]
+/// `Simulator::default()` is a blank with no program and no machine
+/// storage: [`Simulator::new`] is a blank plus [`Simulator::reset_with`],
+/// and nothing runs on a blank until it is reset.
+#[derive(Debug, Default)]
 pub struct Simulator {
     cfg: SimConfig,
     cpu: Cpu,
@@ -1034,57 +1038,22 @@ impl Simulator {
     /// Returns [`SimError`] if the configuration is inconsistent or a
     /// component rejects its parameters.
     pub fn new(cfg: SimConfig, program: Program) -> Result<Self, SimError> {
-        cfg.validate()?;
-        let machine = Machine {
-            map: cfg.map.clone(),
-            flat: FlatMemory::new(),
-            hier: MemoryHierarchy::new(cfg.mem).map_err(|e| SimError::Component(e.to_string()))?,
-            ubuf: UncachedBuffer::new(cfg.uncached)
-                .map_err(|e| SimError::Component(e.to_string()))?,
-            csb: ConditionalStoreBuffer::new(cfg.csb)
-                .map_err(|e| SimError::Component(e.to_string()))?,
-            bus: SystemBus::new(cfg.bus),
-            ratio: cfg.ratio,
-            now: 0,
-            device: IoDevice::new(),
-            reads: HashMap::with_capacity(16),
-            obs: TraceSink::disabled(),
-            metrics: MetricsRegistry::disabled(),
-            csb_line_start: None,
-            csb_retry_since: None,
-            faults: FaultInjector::disabled(),
-            progress: 0,
-            progress_at: 0,
-            futile_flushes: 0,
-            misaligned: None,
-            nic: None,
-        };
-        let cpu = Cpu::new(cfg.cpu, program);
-        Ok(Simulator {
-            cfg,
-            cpu,
-            machine,
-            fast_forward: true,
-            bus_countdown: 0,
-            ticks: 0,
-            watchdog: WatchdogConfig::default(),
-            wd_last_progress: 0,
-            wd_seen_retired: 0,
-            wd_seen_progress: 0,
-        })
+        let mut sim = Simulator::default();
+        sim.reset_with(cfg, program)?;
+        Ok(sim)
     }
 
-    /// Warm-resets this simulator to the state [`Simulator::new`] would
-    /// produce for `(cfg, program)`, reusing the arena-backed storage a
-    /// cold construction would reallocate: the CPU's ROB ring and fetch
-    /// queue, both cache levels' set arrays (when the geometry is
-    /// unchanged), the uncached buffer's entry/drain queues, the CSB's
-    /// pending-burst queue, the functional memory's touched chunks
-    /// (zeroed in place), and the device log's reserved capacity. Every
-    /// observable result of a subsequent run — summary, stats, metrics,
-    /// device contents — is byte-identical to a cold-constructed
-    /// simulator's; the experiment engine uses this so each worker thread
-    /// drives its whole point queue through one simulator.
+    /// Resets this simulator to a machine about to run `program` as
+    /// process 0 under `cfg` — every initial value is written here, and
+    /// [`Simulator::new`] resets a blank — reusing the storage a previous
+    /// reset sized: the CPU's ROB ring and fetch queue, both cache levels'
+    /// set arrays (when the geometry is unchanged), the uncached buffer's
+    /// entry/drain queues, the CSB's pending-burst queue, the functional
+    /// memory's touched chunks (zeroed in place), and the device log's
+    /// reserved capacity. Every observable result of a subsequent run —
+    /// summary, stats, metrics, device contents — is byte-identical to a
+    /// new simulator's; the experiment engine uses this so each worker
+    /// thread drives its whole point queue through one simulator.
     ///
     /// # Errors
     ///
@@ -1111,6 +1080,7 @@ impl Simulator {
         m.now = 0;
         m.device.clear();
         m.reads.clear();
+        m.reads.reserve(16);
         m.obs = TraceSink::disabled();
         m.metrics = MetricsRegistry::disabled();
         m.csb_line_start = None;
@@ -1212,17 +1182,13 @@ impl Simulator {
     /// intended for single diagnostic runs, not sweeps.
     pub fn enable_tracing(&mut self) {
         if !self.machine.obs.is_enabled() {
-            self.install_trace_sink(TraceSink::enabled());
+            let sink = TraceSink::enabled();
+            self.cpu.set_trace_sink(sink.clone());
+            self.machine.ubuf.set_trace_sink(sink.clone());
+            self.machine.csb.set_trace_sink(sink.clone());
+            self.machine.bus.set_trace_sink(sink.scaled(self.cfg.ratio));
+            self.machine.obs = sink;
         }
-    }
-
-    /// Installs `sink` on every component that records structured events.
-    fn install_trace_sink(&mut self, sink: TraceSink) {
-        self.cpu.set_trace_sink(sink.clone());
-        self.machine.ubuf.set_trace_sink(sink.clone());
-        self.machine.csb.set_trace_sink(sink.clone());
-        self.machine.bus.set_trace_sink(sink.scaled(self.cfg.ratio));
-        self.machine.obs = sink;
     }
 
     /// Starts recording counters and latency histograms (flush retry
@@ -1231,14 +1197,10 @@ impl Simulator {
     /// [`Simulator::metrics_snapshot`] / [`Simulator::metrics_report`].
     pub fn enable_metrics(&mut self) {
         if !self.machine.metrics.is_enabled() {
-            self.install_metrics(MetricsRegistry::enabled());
+            let metrics = MetricsRegistry::enabled();
+            self.cpu.set_metrics(metrics.clone());
+            self.machine.metrics = metrics;
         }
-    }
-
-    /// Installs `metrics` on every component that records metrics.
-    fn install_metrics(&mut self, metrics: MetricsRegistry) {
-        self.cpu.set_metrics(metrics.clone());
-        self.machine.metrics = metrics;
     }
 
     /// Installs a deterministic fault schedule (or clears it with
@@ -1282,25 +1244,26 @@ impl Simulator {
     }
 
     /// Walks every stateful component (the same inventory
-    /// [`Simulator::reset_with`] reassigns). The framed entry points are
-    /// [`Simulator::snapshot`] and [`Simulator::restore_from`]; a restore
-    /// needs `self` warm-reset with the same `(cfg, program)` the snapshot
-    /// was taken under.
+    /// [`Simulator::reset_with`] reassigns), leaving out what is derived —
+    /// the machine's clock, the bus countdown and the core's cycle count
+    /// all follow from the core's clock — and what is host-side: the
+    /// fast-forward setting and the real-tick count. The framed entry
+    /// points are [`Simulator::snapshot`] and [`Simulator::restore_from`];
+    /// a restore reads into a simulator fresh from
+    /// [`Simulator::reset_with`] under the same `(cfg, program)` the
+    /// snapshot was taken under.
     pub(crate) fn state(&mut self, s: &mut impl Codec) -> Result<(), SnapshotError> {
         s.tag("sim")?;
         self.cpu.state(s)?;
-        let m = &mut self.machine;
         if s.reading() {
-            // Not in the frame: a warm restore starts without the last
-            // run's misaligned access, as a fresh machine does.
-            m.misaligned = None;
+            self.resume_at(self.cpu.now());
         }
+        let m = &mut self.machine;
         m.flat.state(s)?;
         m.hier.state(s)?;
         m.ubuf.state(s)?;
         m.csb.state(s)?;
         m.bus.state(s)?;
-        s.u64(&mut m.now)?;
         if s.reading() {
             m.bus.check_restored(m.now / m.ratio)?;
         }
@@ -1320,11 +1283,6 @@ impl Simulator {
                 s.f64(&mut fc.device_nack_rate)?;
                 s.f64(&mut fc.flush_disturb_rate)?;
                 s.u32(&mut fc.max_consecutive)?;
-                let window = || csb_faults::FaultWindow { start: 0, len: 0 };
-                s.opt(&mut fc.window, window, |s, w| {
-                    s.u64(&mut w.start)?;
-                    s.u64(&mut w.len)
-                })?;
                 for v in stats.checks.iter_mut().chain(&mut stats.injected) {
                     s.u64(v)?;
                 }
@@ -1342,10 +1300,7 @@ impl Simulator {
         }
         s.bool(&mut obs)?;
         s.bool(&mut metrics)?;
-        s.bool(&mut self.fast_forward)?;
         for v in [
-            &mut self.bus_countdown,
-            &mut self.ticks,
             &mut self.watchdog.stall_cycles,
             &mut self.watchdog.futile_flushes,
             &mut self.wd_last_progress,
@@ -1356,19 +1311,12 @@ impl Simulator {
         }
         // Sinks are wiring, not state: a restored machine records the
         // *continuation* of the run, which tests concatenate with the
-        // pre-snapshot stream, into new sinks, so a warm restore keeps
-        // nothing a previous run recorded.
-        if s.reading() {
-            self.install_trace_sink(if obs {
-                TraceSink::enabled()
-            } else {
-                TraceSink::disabled()
-            });
-            self.install_metrics(if metrics {
-                MetricsRegistry::enabled()
-            } else {
-                MetricsRegistry::disabled()
-            });
+        // pre-snapshot stream, into the new sinks the flags ask for.
+        if s.reading() && obs {
+            self.enable_tracing();
+        }
+        if s.reading() && metrics {
+            self.enable_metrics();
         }
         Ok(())
     }
@@ -1412,9 +1360,12 @@ impl Simulator {
         self.fast_forward
     }
 
-    /// Real ticks executed so far. Cycles that fast-forward skipped, idle
-    /// gaps and delay-loop periods alike, are not counted; without
-    /// fast-forward this equals [`Cpu::now`].
+    /// Real ticks executed since construction, the last
+    /// [`Simulator::reset_with`] or the last restore: a host-side count,
+    /// not in snapshot frames, so it restarts at 0 on a restore. Cycles
+    /// that fast-forward skipped, idle gaps and delay-loop periods alike,
+    /// are not counted; without fast-forward and without a restore this
+    /// equals [`Cpu::now`].
     pub fn ticks(&self) -> u64 {
         self.ticks
     }

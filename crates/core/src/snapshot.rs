@@ -8,6 +8,14 @@
 //! [`RunSummary`](crate::RunSummary), same statistics, same device bytes,
 //! same fault schedule, under both the naive and fast-forward loops.
 //!
+//! A frame holds what the continuation's results depend on (the tracing
+//! and metrics flags and the watchdog thresholds included) and nothing a
+//! result does not depend on: not the fast-forward setting or the
+//! real-tick count, which are host-side, and no value derived from
+//! another. So a frame of the same point at the same cycle is the same
+//! bytes on both loops, and a restore is a [`Simulator::reset_with`]
+//! followed by the walk, whichever simulator it lands in.
+//!
 //! The frame is `magic | version | cfg fingerprint | program fingerprint |
 //! payload | FNV-1a checksum` (see `csb-snap`). The configuration and
 //! program are *not* stored — a snapshot is a delta against the `(cfg,
@@ -63,7 +71,7 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"CSBSNAP\0";
 /// Version of the snapshot byte layout. Bump on **any** layout change in
 /// any component's `state` walk (see the module docs); the sweep cache
 /// keys on it, so stale cached points self-invalidate.
-pub const SNAPSHOT_FORMAT_VERSION: u32 = 4;
+pub const SNAPSHOT_FORMAT_VERSION: u32 = 5;
 
 /// FNV-1a fingerprint of a machine configuration, as embedded in
 /// snapshot frames and sweep-cache keys.
@@ -162,14 +170,17 @@ impl Simulator {
     }
 
     /// Restores `self` in place from `bytes`, reusing this simulator's
-    /// allocations (the warm path for worker threads). The snapshot must
-    /// have been taken under this simulator's current configuration and
-    /// program.
+    /// allocations (the warm path for worker threads): a
+    /// [`Simulator::reset_with`] under this simulator's current
+    /// configuration and program, which the snapshot must have been taken
+    /// under, then the frame's walk. The fast-forward setting is this
+    /// simulator's, not the frame's.
     ///
     /// # Errors
     ///
-    /// As for [`Simulator::restore`]. On error `self` may be partially
-    /// restored — warm-reset it before running anything.
+    /// As for [`Simulator::restore`]. A frame that fails its header or
+    /// fingerprints leaves `self` unchanged; on a later error `self` may
+    /// be partially restored — warm-reset it before running anything.
     pub fn restore_from(&mut self, bytes: &[u8]) -> Result<(), RestoreError> {
         let mut r = SnapshotReader::framed(bytes, SNAPSHOT_MAGIC, SNAPSHOT_FORMAT_VERSION)?;
         if r.take_u64()? != config_fingerprint(self.config()) {
@@ -178,6 +189,9 @@ impl Simulator {
         if r.take_u64()? != program_fingerprint(self.cpu().program()) {
             return Err(RestoreError::ProgramMismatch);
         }
+        let fast_forward = self.fast_forward_enabled();
+        self.reset_with(self.config().clone(), self.cpu().program().clone())?;
+        self.set_fast_forward(fast_forward);
         self.state(&mut r)?;
         r.expect_end("simulator snapshot")?;
         Ok(())

@@ -12,7 +12,7 @@ use crate::Pid;
 /// this structure; everything else in the pipeline is squashed, which is
 /// precisely what makes a competing process's first combining store able to
 /// disturb an interrupted CSB sequence.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
 pub struct CpuContext {
     pc: usize,
     int: [u64; 32],

@@ -250,7 +250,7 @@ impl RobEntry {
 /// slot is allocated once at construction; push/pop/truncate only move
 /// indices, so the steady-state pipeline neither touches the heap nor
 /// clones an entry.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct Rob {
     slots: Box<[RobEntry]>,
     head: usize,
@@ -367,7 +367,7 @@ impl Rob {
 }
 
 /// A set of ROB ring slots, one bit per slot.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 struct SlotSet {
     words: Box<[u64]>,
 }
@@ -419,7 +419,7 @@ impl SlotSet {
 /// ring. Never serialized: [`Sched::rebuild`] recomputes it from the ROB
 /// wherever the ROB is replaced wholesale (reset, restore, context switch,
 /// squash), and the pipeline stages update it incrementally in between.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 struct Sched {
     /// Slots with an operation in flight: `Agen`, `Exec`, `MemAccess` or
     /// `UncachedWait`.
@@ -617,13 +617,15 @@ fn rename_slot(r: RegRef) -> usize {
     }
 }
 
-impl RenameTable {
-    fn new() -> Self {
+impl Default for RenameTable {
+    fn default() -> Self {
         RenameTable {
             slots: [None; RENAME_SLOTS],
         }
     }
+}
 
+impl RenameTable {
     #[inline]
     fn get(&self, r: RegRef) -> Option<u64> {
         self.slots[rename_slot(r)]
@@ -750,8 +752,9 @@ fn mem_width(inst: &Inst) -> usize {
 /// See the crate-level docs for the machine model and an end-to-end
 /// example. Drive it either cycle by cycle with [`Cpu::tick`] (the
 /// simulator facade does this, interleaving bus ticks) or to completion
-/// with [`Cpu::run`].
-#[derive(Debug)]
+/// with [`Cpu::run`]. `Cpu::default()` is a blank with no program and no
+/// ROB storage: only [`Cpu::reset_with`] makes it a core.
+#[derive(Debug, Default)]
 pub struct Cpu {
     cfg: CpuConfig,
     program: Program,
@@ -778,11 +781,6 @@ pub struct Cpu {
     uncached_stall_start: Option<u64>,
     /// First cycle of the membar-stall run currently in progress.
     membar_stall_start: Option<u64>,
-    /// `true` if the most recent tick moved any instruction through the
-    /// pipeline: fetched, dispatched, issued, completed, redirected, or
-    /// retired something, or started a memory action. Carried in
-    /// snapshot frames.
-    worked: bool,
     /// Observations of the countdown loop at the ROB head and the warm-up
     /// spans of the run's loops, for periodic fast-forward (see
     /// [`Cpu::skip_loop_periods`]). Never serialized.
@@ -797,41 +795,18 @@ impl Cpu {
 
     /// Creates a core with an explicit initial context (PID, registers, pc).
     pub fn with_context(cfg: CpuConfig, program: Program, ctx: CpuContext) -> Self {
-        let fetch_pc = ctx.pc();
-        let fetch_q = VecDeque::with_capacity(cfg.fetch_queue.max(1));
-        let rob = Rob::with_capacity(cfg.rob_size);
-        let sched = Sched::new(rob.slots.len());
-        Cpu {
-            cfg,
-            program,
-            ctx,
-            fetch_pc,
-            fetch_stopped: false,
-            fetch_q,
-            rob,
-            sched,
-            front_seq: 0,
-            next_seq: 0,
-            rename: RenameTable::new(),
-            halted: false,
-            now: 0,
-            stats: CpuStats::default(),
-            trace: None,
-            obs: TraceSink::disabled(),
-            metrics: MetricsRegistry::disabled(),
-            uncached_stall_start: None,
-            membar_stall_start: None,
-            worked: false,
-            detector: LoopDetector::default(),
-        }
+        let mut cpu = Cpu::default();
+        cpu.reset_with(cfg, program, ctx);
+        cpu
     }
 
-    /// Warm-resets the core in place to the state [`Cpu::with_context`]
-    /// would construct, reusing the ROB ring and fetch-queue storage when
-    /// the new configuration permits. Behaviorally indistinguishable from
-    /// a fresh core; observability sinks revert to disabled.
+    /// Resets the core in place to its state before the first cycle of
+    /// `program` under `cfg` from `ctx`, reusing the ROB ring and
+    /// fetch-queue storage when they already fit `cfg` (a blank's never
+    /// do). Behaviorally indistinguishable from a fresh core;
+    /// observability sinks revert to disabled.
     pub fn reset_with(&mut self, cfg: CpuConfig, program: Program, ctx: CpuContext) {
-        if cfg.rob_size != self.cfg.rob_size {
+        if self.rob.slots.len() != cfg.rob_size.max(1) {
             self.rob = Rob::with_capacity(cfg.rob_size);
             self.sched = Sched::new(self.rob.slots.len());
         } else {
@@ -857,7 +832,6 @@ impl Cpu {
         self.metrics = MetricsRegistry::disabled();
         self.uncached_stall_start = None;
         self.membar_stall_start = None;
-        self.worked = false;
         self.detector.forget();
     }
 
@@ -868,8 +842,11 @@ impl Cpu {
     /// re-derives its `Inst` from the program the core already holds (a
     /// fetch-queue entry keeps only its `pc`, which must lie in it), and
     /// pipeline-trace recording resumes empty if it was enabled (records
-    /// retired before the snapshot are not carried over). The trace sink
-    /// and metrics registry are wiring the restoring side re-installs.
+    /// retired before the snapshot are not carried over). The cycle count
+    /// is the clock, so it is derived, not stored. The trace sink and
+    /// metrics registry are wiring the restoring side re-installs. A
+    /// restore reads into a core fresh from [`Cpu::reset_with`] under the
+    /// snapshot's configuration and program.
     ///
     /// # Errors
     ///
@@ -880,30 +857,29 @@ impl Cpu {
         self.ctx.state(s)?;
         s.usize(&mut self.fetch_pc)?;
         s.bool(&mut self.fetch_stopped)?;
-        let mut n = self.fetch_q.len();
-        s.len(&mut n, self.cfg.fetch_queue.max(1), "fetched instructions")?;
-        if s.reading() {
-            let empty = Fetched {
-                pc: 0,
-                predicted_next: 0,
-                t_fetch: 0,
-            };
-            self.fetch_q.clear();
-            self.fetch_q.resize(n, empty);
-        }
-        for f in &mut self.fetch_q {
-            s.usize(&mut f.pc)?;
-            if s.reading() {
-                fetch_inst(&self.program, f.pc)?;
-            }
-            s.usize(&mut f.predicted_next)?;
-            s.u64(&mut f.t_fetch)?;
-        }
+        let blank = Fetched {
+            pc: 0,
+            predicted_next: 0,
+            t_fetch: 0,
+        };
+        let max = self.cfg.fetch_queue.max(1);
+        s.list(
+            &mut self.fetch_q,
+            max,
+            "fetched instructions",
+            blank,
+            |s, f| {
+                s.usize(&mut f.pc)?;
+                if s.reading() {
+                    fetch_inst(&self.program, f.pc)?;
+                }
+                s.usize(&mut f.predicted_next)?;
+                s.u64(&mut f.t_fetch)
+            },
+        )?;
         let mut n = self.rob.len();
         s.len(&mut n, self.cfg.rob_size, "ROB entries")?;
         if s.reading() {
-            self.rob.clear();
-            self.rob.head = 0;
             for _ in 0..n {
                 *self.rob.push_back() = RobEntry::EMPTY;
             }
@@ -992,8 +968,8 @@ impl Cpu {
         s.bool(&mut self.halted)?;
         s.u64(&mut self.now)?;
         let st = &mut self.stats;
+        st.cycles = self.now;
         for v in [
-            &mut st.cycles,
             &mut st.retired,
             &mut st.squashed,
             &mut st.mispredicts,
@@ -1010,33 +986,17 @@ impl Cpu {
         }
         let mut ids: Vec<u32> = st.marks.keys().copied().collect();
         ids.sort_unstable();
-        let mut n = ids.len();
-        s.len(&mut n, usize::MAX, "marks")?;
-        if s.reading() {
-            st.marks.clear();
-            ids.resize(n, 0);
-        }
-        for id in &mut ids {
+        s.list(&mut ids, usize::MAX, "marks", 0, |s, id| {
             s.u32(id)?;
+            if s.reading() && st.marks.contains_key(id) {
+                return Err(SnapshotError::Corrupt(format!("mark {id} listed twice")));
+            }
             let cycles = st.marks.entry(*id).or_default();
-            let mut n = cycles.len();
-            s.len(&mut n, usize::MAX, "mark cycles")?;
-            if s.reading() {
-                cycles.clear();
-                cycles.resize(n, 0);
-            }
-            for c in cycles {
-                s.u64(c)?;
-            }
-        }
+            s.list(cycles, usize::MAX, "mark cycles", 0, |s, c| s.u64(c))
+        })?;
         s.opt(&mut self.trace, Vec::new, |_, _| Ok(()))?;
         s.opt_u64(&mut self.uncached_stall_start)?;
-        s.opt_u64(&mut self.membar_stall_start)?;
-        s.bool(&mut self.worked)?;
-        if s.reading() {
-            self.detector.forget();
-        }
-        Ok(())
+        s.opt_u64(&mut self.membar_stall_start)
     }
 
     /// Installs a structured trace sink: retires and squashes emit instants
@@ -1167,7 +1127,6 @@ impl Cpu {
         if watching {
             self.obs.set_now(self.now);
         }
-        self.worked = false;
         if !self.halted {
             self.writeback(port);
             self.retire(port);
@@ -1491,7 +1450,6 @@ impl Cpu {
             match e.st {
                 St::Agen { done_at } if done_at <= now => {
                     e.st = St::AddrReady;
-                    self.worked = true;
                     self.sched.inflight.remove(slot);
                     if is_cached_load_or_store(e) {
                         self.sched.addr_ready(e, slot);
@@ -1500,7 +1458,6 @@ impl Cpu {
                 St::Exec { done_at } if done_at <= now => {
                     e.st = St::Done;
                     e.t_complete = Some(now);
-                    self.worked = true;
                     self.sched.complete(slot);
                     if e.inst.kind() == InstKind::Branch && e.value as usize != e.predicted_next {
                         redirect = Some((idx, e.value as usize));
@@ -1510,7 +1467,6 @@ impl Cpu {
                 St::MemAccess { done_at } if done_at <= now => {
                     e.st = St::Done;
                     e.t_complete = Some(now);
-                    self.worked = true;
                     self.sched.complete(slot);
                 }
                 St::UncachedWait => {
@@ -1519,7 +1475,6 @@ impl Cpu {
                         e.value = v;
                         e.st = St::Done;
                         e.t_complete = Some(now);
-                        self.worked = true;
                         self.sched.complete(slot);
                     }
                 }
@@ -1626,7 +1581,6 @@ impl Cpu {
                 e.value = old;
                 e.mem_started = true;
                 e.st = St::MemAccess { done_at };
-                self.worked = true;
                 self.sched.inflight.insert(self.rob.head);
                 false
             }
@@ -1655,7 +1609,6 @@ impl Cpu {
                 e.value = result;
                 e.mem_started = true;
                 e.st = St::Exec { done_at };
-                self.worked = true;
                 self.sched.inflight.insert(self.rob.head);
                 false
             }
@@ -1708,7 +1661,6 @@ impl Cpu {
                 let e = &mut self.rob[0];
                 e.mem_started = true;
                 e.st = St::UncachedWait;
-                self.worked = true;
                 self.sched.inflight.insert(self.rob.head);
                 false
             }
@@ -1723,7 +1675,6 @@ impl Cpu {
     fn commit_head<P: MemPort>(&mut self, port: &mut P) {
         let e = &self.rob.slots[self.rob.pop_front()];
         self.front_seq = e.seq + 1;
-        self.worked = true;
         debug_assert_eq!(e.st, St::Done);
         let now = self.now;
         if let Some(t) = &mut self.trace {
@@ -1860,7 +1811,6 @@ impl Cpu {
                     let e = &mut self.rob[idx];
                     e.st = St::Done;
                     e.t_complete = Some(now);
-                    self.worked = true;
                     self.sched.ready.remove(slot);
                     None
                 }
@@ -1879,7 +1829,6 @@ impl Cpu {
             };
             if let Some(unit) = used {
                 self.sched.start(unit, slot);
-                self.worked = true;
                 let c = unit as usize;
                 debug_assert!(avail[c] > 0, "issued to a spent {unit:?} class");
                 avail[c] -= 1;
@@ -2023,7 +1972,6 @@ impl Cpu {
             e.t_dispatch = self.now;
             e.t_issue = None;
             e.t_complete = None;
-            self.worked = true;
         }
     }
 
@@ -2058,7 +2006,6 @@ impl Cpu {
                 predicted_next,
                 t_fetch: self.now,
             });
-            self.worked = true;
             if matches!(inst, Inst::Halt) {
                 self.fetch_stopped = true;
                 break;

@@ -526,7 +526,7 @@ impl Cpu {
     /// Appends the pipeline state to `out` relative to the loop `lp`: pcs
     /// relative to its start, sequence numbers to the ROB front, counter
     /// values to `base`, completion times to the clock and, with `times`,
-    /// stage timestamps too (without, they and `worked` are left out).
+    /// stage timestamps too (without, they are left out).
     /// Returns the lowest and highest counter offset in the state, or
     /// `None` when a field does not fit its packing (`out` is then partly
     /// written). Fields no loop instruction can change (other registers,
@@ -557,9 +557,7 @@ impl Cpu {
             self.fetch_pc.wrapping_sub(start) as u64,
             self.ctx.pc().wrapping_sub(start) as u64,
             self.ctx.cc(),
-            u64::from(self.fetch_stopped)
-                | u64::from(self.halted) << 1
-                | u64::from(times && self.worked) << 2,
+            u64::from(self.fetch_stopped) | u64::from(self.halted) << 1,
             rel_seq(self.rename.get(RegRef::Int(lp.reg))),
             rel_seq(self.rename.get(RegRef::Cc)),
             arch as u64,
@@ -654,7 +652,6 @@ impl Cpu {
         self.ctx.set_cc(h[4]);
         self.fetch_stopped = h[5] & 1 != 0;
         self.halted = h[5] & 2 != 0;
-        self.worked = h[5] & 4 != 0;
         let seq = |w: u64| (w != 0).then(|| front.wrapping_add(w - 1));
         self.rename.slots[rename_slot(RegRef::Int(lp.reg))] = seq(h[6]);
         self.rename.slots[rename_slot(RegRef::Cc)] = seq(h[7]);

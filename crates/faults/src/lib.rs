@@ -5,8 +5,8 @@
 //! competing access disturbed. To quantify how that optimism degrades,
 //! this crate provides a [`FaultConfig`]: a reproducible schedule of
 //! injected faults derived entirely from a `u64` seed plus per-kind rate
-//! and window parameters — no wall clock, no global RNG, no
-//! injection-site state beyond a per-kind ordinal counter.
+//! parameters — no wall clock, no global RNG, no injection-site state
+//! beyond a per-kind ordinal counter.
 //!
 //! # Determinism
 //!
@@ -94,10 +94,9 @@ impl fmt::Display for FaultKind {
 /// Declarative description of a fault schedule.
 ///
 /// Rates are probabilities in `[0, 1]` applied independently to each
-/// ordinal of the kind's event stream. The optional window restricts
-/// injection to an ordinal range, and `max_consecutive` bounds how many
-/// faults in a row a single kind may produce (modelling bounded hardware
-/// retry: the K+1-th consecutive attempt is forced to succeed).
+/// ordinal of the kind's event stream, and `max_consecutive` bounds how
+/// many faults in a row a single kind may produce (modelling bounded
+/// hardware retry: the K+1-th consecutive attempt is forced to succeed).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultConfig {
     /// Seed for the whole schedule. The same seed and parameters always
@@ -113,19 +112,6 @@ pub struct FaultConfig {
     /// unbounded. With a bound K, any run of injected faults is forced
     /// to end after K, so bounded hardware retry always terminates.
     pub max_consecutive: u32,
-    /// Restrict injection to ordinals in `[start, start + len)` of each
-    /// kind's stream; `None` leaves every ordinal eligible.
-    pub window: Option<FaultWindow>,
-}
-
-/// An ordinal window `[start, start + len)` limiting when a schedule is
-/// active within each kind's event stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FaultWindow {
-    /// First eligible ordinal.
-    pub start: u64,
-    /// Number of eligible ordinals.
-    pub len: u64,
 }
 
 impl FaultConfig {
@@ -137,7 +123,6 @@ impl FaultConfig {
             device_nack_rate: 0.0,
             flush_disturb_rate: 0.0,
             max_consecutive: 0,
-            window: None,
         }
     }
 
@@ -166,13 +151,6 @@ impl FaultConfig {
     #[must_use]
     pub fn max_consecutive(mut self, bound: u32) -> Self {
         self.max_consecutive = bound;
-        self
-    }
-
-    /// Restricts injection to an ordinal window of each kind's stream.
-    #[must_use]
-    pub fn window(mut self, start: u64, len: u64) -> Self {
-        self.window = Some(FaultWindow { start, len });
         self
     }
 
@@ -244,12 +222,6 @@ impl Shared {
         let i = kind.index();
         let ordinal = self.stats.checks[i];
         self.stats.checks[i] += 1;
-        if let Some(w) = self.cfg.window {
-            if ordinal < w.start || ordinal - w.start >= w.len {
-                self.consecutive[i] = 0;
-                return false;
-            }
-        }
         if self.cfg.max_consecutive > 0 && self.consecutive[i] >= self.cfg.max_consecutive {
             self.consecutive[i] = 0;
             return false;
@@ -457,15 +429,6 @@ mod tests {
         for o in &low {
             assert!(high.contains(o), "ordinal {o} faulted at 0.2 but not 0.6");
         }
-    }
-
-    #[test]
-    fn window_restricts_injection() {
-        let f = FaultInjector::enabled(FaultConfig::new(11).flush_disturb_rate(1.0).window(10, 5));
-        let fired: Vec<u64> = (0..32u64)
-            .filter(|_| f.inject(FaultKind::FlushDisturb))
-            .collect();
-        assert_eq!(fired, vec![10, 11, 12, 13, 14]);
     }
 
     #[test]

@@ -54,7 +54,7 @@ impl std::error::Error for ProgramError {}
 ///
 /// Branch targets are resolved to instruction indices at assembly time; the
 /// CPU asks for them with [`Program::branch_target`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
 pub struct Program {
     insts: Vec<Inst>,
     /// The instruction index of each label, indexed by label id

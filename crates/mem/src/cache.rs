@@ -5,8 +5,9 @@ use std::fmt;
 use csb_isa::Addr;
 use serde::Serialize;
 
-/// Configuration of one cache level.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+/// Configuration of one cache level. The default is the zero geometry,
+/// which [`CacheConfig::validate`] rejects: it marks a blank [`Cache`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct CacheConfig {
     /// Total capacity in bytes.
     pub size: usize,
@@ -136,6 +137,8 @@ impl CacheStats {
 
 /// One level of set-associative, write-allocate, write-back cache
 /// (tags and timing only; data lives in [`crate::FlatMemory`]).
+/// `Cache::default()` is a blank with no sets, which only a
+/// [`crate::MemoryHierarchy::reset_with`] replaces by a cache.
 ///
 /// # Examples
 ///
@@ -151,7 +154,7 @@ impl CacheStats {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Cache {
     cfg: CacheConfig,
     /// Line state, set-major: way `w` of set `s` is index `s * assoc + w`.
@@ -278,20 +281,18 @@ impl Cache {
     /// valid in the current epoch are visited (as explicit `(set, way)`
     /// coordinates), so the byte stream is independent of how many stale
     /// lines past epochs left behind — two caches with identical
-    /// observable state snapshot identically. A restore into a cache of
-    /// the same geometry clears it first, then reinstalls the valid lines
-    /// at their exact way indices; everything else is invalid, exactly as
-    /// in the snapshotted cache (invalid ways tie-break victim selection
-    /// by position, so their stale contents are behaviorally invisible).
+    /// observable state snapshot identically. A restore reads into an
+    /// empty cache of the same geometry (fresh, or after
+    /// [`Cache::clear`]) and reinstalls the valid lines at their exact way
+    /// indices; everything else is invalid, exactly as in the snapshotted
+    /// cache (invalid ways tie-break victim selection by position, so
+    /// their stale contents are behaviorally invisible).
     ///
     /// # Errors
     ///
     /// [`csb_snap::SnapshotError`] on a malformed stream or line
     /// coordinates outside this cache's geometry.
     pub fn state(&mut self, s: &mut impl csb_snap::Codec) -> Result<(), csb_snap::SnapshotError> {
-        if s.reading() {
-            self.clear();
-        }
         s.tag("cache")?;
         s.u64(&mut self.tick)?;
         s.u64(&mut self.stats.hits)?;
@@ -301,10 +302,8 @@ impl Cache {
         let mut lines: Vec<usize> = (0..self.epochs.len())
             .filter(|&i| self.epochs[i] == self.epoch)
             .collect();
-        let mut n = lines.len();
-        s.len(&mut n, self.tags.len(), "cache lines")?;
-        lines.resize(n, 0);
-        for i in &mut lines {
+        let max = self.tags.len();
+        s.list(&mut lines, max, "cache lines", 0, |s, i| {
             let (mut set, mut way) = ((*i / assoc) as u32, (*i % assoc) as u32);
             s.u32(&mut set)?;
             s.u32(&mut way)?;
@@ -318,9 +317,8 @@ impl Cache {
             self.epochs[*i] = self.epoch;
             s.u64(&mut self.tags[*i])?;
             s.bool(&mut self.dirty[*i])?;
-            s.u64(&mut self.lrus[*i])?;
-        }
-        Ok(())
+            s.u64(&mut self.lrus[*i])
+        })
     }
 
     /// Returns `true` if the line containing `addr` is present (no LRU or

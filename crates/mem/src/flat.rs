@@ -110,16 +110,13 @@ impl FlatMemory {
     /// nonzero byte, sorted by base address. All-zero chunks are skipped,
     /// so the byte stream depends only on the memory's observable
     /// contents — not on which chunks a warm-reused instance happens to
-    /// have allocated. A restore zeroes the memory in place, then
-    /// rewrites the saved chunks.
+    /// have allocated. A restore reads into all-zero memory (fresh, or
+    /// after [`FlatMemory::reset`]) and rewrites the saved chunks.
     ///
     /// # Errors
     ///
     /// [`csb_snap::SnapshotError`] on a malformed stream.
     pub fn state(&mut self, s: &mut impl csb_snap::Codec) -> Result<(), csb_snap::SnapshotError> {
-        if s.reading() {
-            self.reset();
-        }
         s.tag("flat")?;
         let mut bases: Vec<u64> = self
             .chunks
@@ -128,19 +125,15 @@ impl FlatMemory {
             .map(|(&base, _)| base)
             .collect();
         bases.sort_unstable();
-        let mut n = bases.len();
-        s.len(&mut n, usize::MAX, "memory chunks")?;
-        bases.resize(n, 0);
-        for base in &mut bases {
+        s.list(&mut bases, usize::MAX, "memory chunks", 0, |s, base| {
             s.u64(base)?;
             if s.reading() && *base % CHUNK != 0 {
                 return Err(csb_snap::SnapshotError::Corrupt(format!(
                     "unaligned memory chunk base {base:#x}"
                 )));
             }
-            s.raw(self.chunk_mut(*base))?;
-        }
-        Ok(())
+            s.raw(self.chunk_mut(*base))
+        })
     }
 
     /// Zeroes every allocated chunk in place, keeping the storage. The

@@ -90,6 +90,8 @@ pub struct MemoryStats {
 }
 
 /// The two-level cache hierarchy (timing only).
+/// `MemoryHierarchy::default()` is a blank with no cache storage: only
+/// [`MemoryHierarchy::reset_with`] makes it a hierarchy.
 ///
 /// # Examples
 ///
@@ -113,7 +115,7 @@ pub struct MemoryStats {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct MemoryHierarchy {
     cfg: MemoryConfig,
     l1: Cache,
@@ -128,12 +130,9 @@ impl MemoryHierarchy {
     ///
     /// Returns [`CacheConfigError`] if either cache geometry is invalid.
     pub fn new(cfg: MemoryConfig) -> Result<Self, CacheConfigError> {
-        Ok(MemoryHierarchy {
-            cfg,
-            l1: Cache::new(cfg.l1)?,
-            l2: Cache::new(cfg.l2)?,
-            stats_mem: 0,
-        })
+        let mut hier = MemoryHierarchy::default();
+        hier.reset_with(cfg)?;
+        Ok(hier)
     }
 
     /// The hierarchy configuration.
@@ -141,10 +140,12 @@ impl MemoryHierarchy {
         &self.cfg
     }
 
-    /// Resets to the state [`MemoryHierarchy::new`]`(cfg)` would produce,
-    /// reusing each level's set array when its geometry is unchanged — the
-    /// common case across a sweep, where reallocating the caches would
-    /// dominate the cost of re-preparing a short point.
+    /// Resets to an empty hierarchy under `cfg`, reusing each level's set
+    /// array when its geometry is unchanged — the common case across a
+    /// sweep, where reallocating the caches would dominate the cost of
+    /// re-preparing a short point. A level's own geometry decides: a
+    /// blank's (`MemoryHierarchy::default()`) is the zero one, which no
+    /// valid configuration has, so a blank's levels are always built.
     ///
     /// # Errors
     ///
@@ -152,10 +153,10 @@ impl MemoryHierarchy {
     /// unchanged.
     pub fn reset_with(&mut self, cfg: MemoryConfig) -> Result<(), CacheConfigError> {
         // Validate (and build) any changed geometry before mutating.
-        let new_l1 = (cfg.l1 != self.cfg.l1)
+        let new_l1 = (cfg.l1 != *self.l1.config())
             .then(|| Cache::new(cfg.l1))
             .transpose()?;
-        let new_l2 = (cfg.l2 != self.cfg.l2)
+        let new_l2 = (cfg.l2 != *self.l2.config())
             .then(|| Cache::new(cfg.l2))
             .transpose()?;
         match new_l1 {

@@ -416,50 +416,48 @@ impl Nic {
                     )));
                 }
                 s.bytes(&mut p.buf)?;
-                let mut n = p.got.len();
-                s.len(&mut n, cap, "NIC coverage bits")?;
-                if s.reading() && (p.buf.len() != cap || n != cap) {
+                s.list(&mut p.got, cap, "NIC coverage bits", false, |s, g| {
+                    s.bool(g)
+                })?;
+                if s.reading() && (p.buf.len() != cap || p.got.len() != cap) {
                     return Err(corrupt(format!(
-                        "NIC pending buffers sized {}/{n} bytes, slot carries {cap}",
-                        p.buf.len()
+                        "NIC pending buffers sized {}/{} bytes, slot carries {cap}",
+                        p.buf.len(),
+                        p.got.len()
                     )));
-                }
-                p.got.resize(n, false);
-                for g in &mut p.got {
-                    s.bool(g)?;
                 }
                 s.u64(&mut p.first_bus_cycle)
             })?;
         }
-        let mut n = self.messages.len();
-        s.len(&mut n, usize::MAX, "NIC messages")?;
-        if s.reading() {
-            let empty = ReceivedMessage {
-                sender: 0,
-                seq: 0,
-                payload: Vec::new(),
-                slot: 0,
-                first_bus_cycle: 0,
-                completed_bus_cycle: 0,
-                arrived_at: 0,
-            };
-            self.messages.clear();
-            self.messages.resize(n, empty);
-        }
-        for m in &mut self.messages {
-            for field in [&mut m.sender, &mut m.seq] {
-                let mut v = u64::from(*field);
-                s.u64(&mut v)?;
-                *field = u16::try_from(v)
-                    .map_err(|_| corrupt(format!("NIC message header field {v} past 16 bits")))?;
-            }
-            s.bytes(&mut m.payload)?;
-            s.usize(&mut m.slot)?;
-            s.u64(&mut m.first_bus_cycle)?;
-            s.u64(&mut m.completed_bus_cycle)?;
-            s.u64(&mut m.arrived_at)?;
-        }
-        Ok(())
+        let blank = ReceivedMessage {
+            sender: 0,
+            seq: 0,
+            payload: Vec::new(),
+            slot: 0,
+            first_bus_cycle: 0,
+            completed_bus_cycle: 0,
+            arrived_at: 0,
+        };
+        s.list(
+            &mut self.messages,
+            usize::MAX,
+            "NIC messages",
+            blank,
+            |s, m| {
+                for field in [&mut m.sender, &mut m.seq] {
+                    let mut v = u64::from(*field);
+                    s.u64(&mut v)?;
+                    *field = u16::try_from(v).map_err(|_| {
+                        corrupt(format!("NIC message header field {v} past 16 bits"))
+                    })?;
+                }
+                s.bytes(&mut m.payload)?;
+                s.usize(&mut m.slot)?;
+                s.u64(&mut m.first_bus_cycle)?;
+                s.u64(&mut m.completed_bus_cycle)?;
+                s.u64(&mut m.arrived_at)
+            },
+        )
     }
 }
 

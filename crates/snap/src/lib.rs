@@ -22,8 +22,9 @@
 //! A component writes its layout once, as one walk over its fields
 //! through a [`Codec`]: the [`SnapshotWriter`] appends each field it
 //! visits, the [`SnapshotReader`] overwrites it from the stream, so the
-//! two directions cannot drift apart. Work only a restore needs —
-//! validation, rebuilding derived state, resets — runs under
+//! two directions cannot drift apart. A reading walk starts from a
+//! component fresh from its reset, so it only overwrites; work only a
+//! restore needs — validation and rebuilding derived state — runs under
 //! [`Codec::reading`].
 //!
 //! Version discipline: any change to what a component's walk visits —
@@ -135,7 +136,7 @@ impl std::error::Error for SnapshotError {}
 /// returns `Err`.
 pub trait Codec {
     /// `true` when the walk overwrites fields from a stream: restore-only
-    /// work (validation, derived state, resets) runs under it.
+    /// work (validation, derived state) runs under it.
     fn reading(&self) -> bool;
 
     /// Bytes not yet consumed (unbounded for a writer).
@@ -340,18 +341,43 @@ pub trait Codec {
         Ok(())
     }
 
+    /// A counted list: its count as [`Codec::len`] with `max` and
+    /// `what`, then `walk` over each element in order. On read the list
+    /// starts empty (a restore reads into a component fresh from its
+    /// reset) and is first filled with the count's `blank`s.
+    ///
+    /// # Errors
+    ///
+    /// Whatever the count or `walk` reports.
+    fn list<L, T: Clone>(
+        &mut self,
+        v: &mut L,
+        max: usize,
+        what: &str,
+        blank: T,
+        mut walk: impl FnMut(&mut Self, &mut T) -> Result<(), SnapshotError>,
+    ) -> Result<(), SnapshotError>
+    where
+        L: Extend<T>,
+        for<'a> &'a mut L: IntoIterator<Item = &'a mut T>,
+    {
+        let had = (&mut *v).into_iter().count();
+        let mut n = had;
+        self.len(&mut n, max, what)?;
+        if self.reading() {
+            debug_assert_eq!(had, 0, "{what} read into a list that is not empty");
+            v.extend(std::iter::repeat_n(blank, n));
+        }
+        v.into_iter().try_for_each(|x| walk(self, x))
+    }
+
     /// A length-prefixed byte string.
     ///
     /// # Errors
     ///
     /// [`SnapshotError::Corrupt`] for a length past the bytes left.
     fn bytes(&mut self, v: &mut Vec<u8>) -> Result<(), SnapshotError> {
-        let mut n = v.len();
-        self.len(&mut n, usize::MAX, "bytes")?;
-        if self.reading() {
-            v.clear();
-            v.resize(n, 0);
-        }
+        self.list(v, usize::MAX, "bytes", 0, |_, _| Ok(()))?;
         self.raw(v)
     }
 }
@@ -386,6 +412,12 @@ impl SnapshotWriter {
     pub fn finish(mut self) -> Vec<u8> {
         let sum = fnv1a(&self.buf);
         self.put_u64(sum);
+        self.buf
+    }
+
+    /// The bytes written so far, with no checksum: for a payload whose
+    /// caller frames and checks it.
+    pub fn into_bytes(self) -> Vec<u8> {
         self.buf
     }
 
@@ -686,6 +718,7 @@ mod tests {
         stamp: Stamp,
         mask: Stamp,
         blob: Vec<u8>,
+        queue: std::collections::VecDeque<(u64, bool)>,
     }
 
     /// A newtype walked through [`Codec::u64_as`] and [`Codec::u128_as`].
@@ -715,7 +748,11 @@ mod tests {
             s.kind(&mut self.kind, 3, "kind")?;
             s.u64_as(&mut self.stamp, |t| t.0 as u64, |x| Stamp(x.into()))?;
             s.u128_as(&mut self.mask, |t| t.0, Stamp)?;
-            s.bytes(&mut self.blob)
+            s.bytes(&mut self.blob)?;
+            s.list(&mut self.queue, 3, "queue", (0, false), |s, (a, b)| {
+                s.u64(a)?;
+                s.bool(b)
+            })
         }
     }
 
@@ -736,6 +773,7 @@ mod tests {
             stamp: Stamp(0x1234),
             mask: Stamp(u128::MAX - 5),
             blob: b"payload".to_vec(),
+            queue: [(5, true), (6, false)].into(),
         };
         let expected = written.clone();
         let mut w = SnapshotWriter::framed(MAGIC, 1);
@@ -758,7 +796,8 @@ mod tests {
             kind: 0,
             stamp: Stamp(0),
             mask: Stamp(0),
-            blob: vec![0xff; 40],
+            blob: Vec::new(),
+            queue: Default::default(),
         };
         let mut r = SnapshotReader::framed(&doc, MAGIC, 1).unwrap();
         assert!(r.reading());

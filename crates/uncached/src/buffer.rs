@@ -44,8 +44,9 @@ impl fmt::Display for CombineRule {
     }
 }
 
-/// Uncached buffer configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+/// Uncached buffer configuration. The default (a zero block and capacity)
+/// fails validation: it marks a blank [`UncachedBuffer`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct UncachedConfig {
     /// Combining block size in bytes: the width of one buffer entry and the
     /// largest transaction the buffer can emit. 8 = non-combining (every
@@ -185,6 +186,9 @@ enum Entry {
 /// blocks degrade into multiple single-beat transfers, which is exactly the
 /// guarantee hardware combining cannot make and the CSB can.
 ///
+/// `UncachedBuffer::default()` is a blank with no configuration: only
+/// [`UncachedBuffer::reset_with`] makes it a buffer.
+///
 /// # Examples
 ///
 /// ```
@@ -205,7 +209,7 @@ enum Entry {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct UncachedBuffer {
     cfg: UncachedConfig,
     entries: VecDeque<Entry>,
@@ -227,24 +231,14 @@ impl UncachedBuffer {
     /// Returns [`UncachedConfigError`] if the block size is not a power of
     /// two in `8..=128` or the capacity is zero.
     pub fn new(cfg: UncachedConfig) -> Result<Self, UncachedConfigError> {
-        if cfg.block < 8 || cfg.block > MAX_BLOCK || !cfg.block.is_power_of_two() {
-            return Err(UncachedConfigError::BadBlock(cfg.block));
-        }
-        if cfg.capacity == 0 {
-            return Err(UncachedConfigError::ZeroCapacity);
-        }
-        Ok(UncachedBuffer {
-            cfg,
-            entries: VecDeque::with_capacity(cfg.capacity),
-            drain: VecDeque::with_capacity(MAX_BLOCK),
-            stats: UncachedStats::default(),
-            sink: TraceSink::disabled(),
-        })
+        let mut buf = UncachedBuffer::default();
+        buf.reset_with(cfg)?;
+        Ok(buf)
     }
 
-    /// Resets to the state [`UncachedBuffer::new`]`(cfg)` would produce,
-    /// keeping the entry and drain storage (the entry queue's reservation
-    /// grows if `cfg.capacity` increased). The simulator's warm-reset path.
+    /// Resets to an empty buffer under `cfg`, keeping the entry and drain
+    /// storage (each queue's reservation grows to what `cfg` needs). The
+    /// simulator's warm-reset path.
     ///
     /// # Errors
     ///
@@ -259,6 +253,7 @@ impl UncachedBuffer {
         self.entries.clear();
         self.entries.reserve(cfg.capacity);
         self.drain.clear();
+        self.drain.reserve(MAX_BLOCK);
         self.cfg = cfg;
         self.stats = UncachedStats::default();
         self.sink = TraceSink::disabled();
@@ -297,7 +292,7 @@ impl UncachedBuffer {
     /// Walks the buffer's architectural state: counters, queued entries,
     /// and the drain decomposition of a locked head. The configuration and
     /// trace sink are wiring the restoring side supplies: it restores into
-    /// a buffer already configured with the same [`UncachedConfig`].
+    /// an empty buffer configured with the same [`UncachedConfig`].
     ///
     /// # Errors
     ///
@@ -316,66 +311,69 @@ impl UncachedBuffer {
         ] {
             s.u64(v)?;
         }
-        let mut n = self.entries.len();
-        s.len(&mut n, self.cfg.capacity, "uncached entries")?;
-        if s.reading() {
-            let load = Entry::Load {
-                addr: Addr::default(),
-                width: 0,
-                tag: 0,
-            };
-            self.entries.clear();
-            self.entries.resize(n, load);
-        }
-        for entry in &mut self.entries {
-            let mut k = u8::from(matches!(entry, Entry::Load { .. }));
-            s.kind(&mut k, 2, "uncached entry kind")?;
-            if s.reading() && k == 0 {
-                *entry = Entry::Store(StoreEntry {
-                    base: Addr::default(),
-                    mask: ByteMask::empty(),
-                    data: [0u8; MAX_BLOCK],
-                    locked: false,
-                    closed: false,
-                    expected_next: 0,
-                    beat: 0,
-                    stores: 0,
-                });
-            }
-            match entry {
-                Entry::Store(se) => {
-                    s.u64_as(&mut se.base, Addr::raw, Addr::new)?;
-                    s.u128_as(&mut se.mask, |m| m.bits(), ByteMask::from_bits)?;
-                    s.raw(&mut se.data)?;
-                    s.bool(&mut se.locked)?;
-                    s.bool(&mut se.closed)?;
-                    s.u64(&mut se.expected_next)?;
-                    s.usize(&mut se.beat)?;
-                    s.usize(&mut se.stores)?;
+        let load = Entry::Load {
+            addr: Addr::default(),
+            width: 0,
+            tag: 0,
+        };
+        let max = self.cfg.capacity;
+        s.list(
+            &mut self.entries,
+            max,
+            "uncached entries",
+            load,
+            |s, entry| {
+                let mut k = u8::from(matches!(entry, Entry::Load { .. }));
+                s.kind(&mut k, 2, "uncached entry kind")?;
+                if s.reading() && k == 0 {
+                    *entry = Entry::Store(StoreEntry {
+                        base: Addr::default(),
+                        mask: ByteMask::empty(),
+                        data: [0u8; MAX_BLOCK],
+                        locked: false,
+                        closed: false,
+                        expected_next: 0,
+                        beat: 0,
+                        stores: 0,
+                    });
                 }
-                Entry::Load { addr, width, tag } => {
-                    s.u64_as(addr, Addr::raw, Addr::new)?;
-                    s.usize(width)?;
-                    s.u64(tag)?;
+                match entry {
+                    Entry::Store(se) => {
+                        s.u64_as(&mut se.base, Addr::raw, Addr::new)?;
+                        s.u128_as(&mut se.mask, |m| m.bits(), ByteMask::from_bits)?;
+                        s.raw(&mut se.data)?;
+                        s.bool(&mut se.locked)?;
+                        s.bool(&mut se.closed)?;
+                        s.u64(&mut se.expected_next)?;
+                        s.usize(&mut se.beat)?;
+                        s.usize(&mut se.stores)
+                    }
+                    Entry::Load { addr, width, tag } => {
+                        s.u64_as(addr, Addr::raw, Addr::new)?;
+                        s.usize(width)?;
+                        s.u64(tag)
+                    }
                 }
-            }
-        }
-        let mut n = self.drain.len();
-        s.len(&mut n, usize::MAX, "drain chunks")?;
-        if s.reading() {
-            self.drain.clear();
-            self.drain.resize(n, Chunk { offset: 0, size: 0 });
-        }
-        for chunk in &mut self.drain {
-            s.usize(&mut chunk.offset)?;
-            s.usize(&mut chunk.size)?;
-            if s.reading() && !legal_chunk(*chunk, self.cfg.block) {
-                return Err(csb_snap::SnapshotError::Corrupt(format!(
-                    "drain chunk {}+{} is not a transfer of a {}-byte block",
-                    chunk.offset, chunk.size, self.cfg.block
-                )));
-            }
-        }
+            },
+        )?;
+        let (blank, block) = (Chunk { offset: 0, size: 0 }, self.cfg.block);
+        s.list(
+            &mut self.drain,
+            usize::MAX,
+            "drain chunks",
+            blank,
+            |s, chunk| {
+                s.usize(&mut chunk.offset)?;
+                s.usize(&mut chunk.size)?;
+                if s.reading() && !legal_chunk(*chunk, block) {
+                    return Err(csb_snap::SnapshotError::Corrupt(format!(
+                        "drain chunk {}+{} is not a transfer of a {block}-byte block",
+                        chunk.offset, chunk.size
+                    )));
+                }
+                Ok(())
+            },
+        )?;
         if s.reading() {
             self.check_entries()?;
         }

@@ -18,8 +18,9 @@ use crate::{PayloadBuf, PreparedTxn};
 /// address-space register (MIPS ASID, PA-RISC space ID, Alpha PID — §3.1).
 pub type Pid = u32;
 
-/// CSB configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+/// CSB configuration. The default (a zero line) fails validation: it
+/// marks a blank [`ConditionalStoreBuffer`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct CsbConfig {
     /// Line size in bytes — the data register is exactly one cache line.
     pub line: usize,
@@ -209,7 +210,9 @@ struct LineBuf {
 ///   emits nothing, and signals failure so software can retry.
 ///
 /// See the crate-level example for typical use.
-#[derive(Debug, Clone)]
+/// `ConditionalStoreBuffer::default()` is a blank with no configuration:
+/// only [`ConditionalStoreBuffer::reset_with`] makes it a CSB.
+#[derive(Debug, Clone, Default)]
 pub struct ConditionalStoreBuffer {
     cfg: CsbConfig,
     current: Option<LineBuf>,
@@ -234,25 +237,14 @@ impl ConditionalStoreBuffer {
     /// Returns [`CsbConfigError`] if the line size is not a power of two in
     /// `8..=128`.
     pub fn new(cfg: CsbConfig) -> Result<Self, CsbConfigError> {
-        if cfg.line < 8 || cfg.line > MAX_BLOCK || !cfg.line.is_power_of_two() {
-            return Err(CsbConfigError { line: cfg.line });
-        }
-        Ok(ConditionalStoreBuffer {
-            cfg,
-            current: None,
-            // Worst case: a variable-burst flush decomposes into one chunk
-            // per written byte, doubled when double-buffered.
-            pending: VecDeque::with_capacity(if cfg.variable_burst { 2 * cfg.line } else { 2 }),
-            stats: CsbStats::default(),
-            sink: TraceSink::disabled(),
-            faults: FaultInjector::disabled(),
-            fault_disturbs: 0,
-        })
+        let mut csb = ConditionalStoreBuffer::default();
+        csb.reset_with(cfg)?;
+        Ok(csb)
     }
 
-    /// Resets to the state [`ConditionalStoreBuffer::new`]`(cfg)` would
-    /// produce, keeping the pending-burst storage (its reservation grows
-    /// if the new shape needs more). The simulator's warm-reset path.
+    /// Resets to an empty CSB under `cfg`, keeping the pending-burst
+    /// storage (its reservation grows if the new shape needs more). The
+    /// simulator's warm-reset path.
     ///
     /// # Errors
     ///
@@ -264,6 +256,8 @@ impl ConditionalStoreBuffer {
         }
         self.current = None;
         self.pending.clear();
+        // Worst case: a variable-burst flush decomposes into one chunk per
+        // written byte, doubled when double-buffered.
         self.pending
             .reserve(if cfg.variable_burst { 2 * cfg.line } else { 2 });
         self.cfg = cfg;
@@ -341,7 +335,7 @@ impl ConditionalStoreBuffer {
     /// Walks the CSB's architectural state: the line buffer, queued
     /// bursts, counters, and the fault-disturb count. The configuration,
     /// trace sink, and fault hook are wiring the restoring side supplies:
-    /// it restores into a CSB already configured with the same
+    /// it restores into an empty CSB configured with the same
     /// [`CsbConfig`].
     ///
     /// # Errors
@@ -387,42 +381,42 @@ impl ConditionalStoreBuffer {
             s.raw(&mut l.data)?;
             s.u64(&mut l.count)
         })?;
-        let mut n = self.pending.len();
-        s.len(&mut n, usize::MAX, "CSB bursts")?;
-        if s.reading() {
-            let empty = PreparedTxn {
-                txn: Transaction::write(Addr::default(), 0),
-                data: PayloadBuf::empty(),
-            };
-            self.pending.clear();
-            self.pending.resize(n, empty);
-        }
-        for p in &mut self.pending {
-            let txn = &mut p.txn;
-            s.u64_as(&mut txn.addr, Addr::raw, Addr::new)?;
-            s.usize(&mut txn.size)?;
-            let mut k = u8::from(txn.kind == csb_bus::TxnKind::Read);
-            s.kind(&mut k, 2, "transaction kind")?;
-            txn.kind = [csb_bus::TxnKind::Write, csb_bus::TxnKind::Read][usize::from(k)];
-            s.usize(&mut txn.payload)?;
-            s.u64(&mut txn.tag)?;
-            p.data.state(s)?;
-            // What a flush emits: a naturally aligned power-of-two burst
-            // within one line, carrying at most its size.
-            let (addr, size, payload) = (txn.addr, txn.size, txn.payload);
-            let legal = size.is_power_of_two()
-                && size <= line
-                && addr.is_aligned(size as u64)
-                && payload <= size
-                && p.data.len() <= size;
-            if s.reading() && !legal {
-                return Err(csb_snap::SnapshotError::Corrupt(format!(
-                    "CSB burst of {size} bytes at {addr} carrying {payload} ({} staged)",
-                    p.data.len()
-                )));
-            }
-        }
-        Ok(())
+        let blank = PreparedTxn {
+            txn: Transaction::write(Addr::default(), 0),
+            data: PayloadBuf::empty(),
+        };
+        s.list(
+            &mut self.pending,
+            usize::MAX,
+            "CSB bursts",
+            blank,
+            |s, p| {
+                let txn = &mut p.txn;
+                s.u64_as(&mut txn.addr, Addr::raw, Addr::new)?;
+                s.usize(&mut txn.size)?;
+                let mut k = u8::from(txn.kind == csb_bus::TxnKind::Read);
+                s.kind(&mut k, 2, "transaction kind")?;
+                txn.kind = [csb_bus::TxnKind::Write, csb_bus::TxnKind::Read][usize::from(k)];
+                s.usize(&mut txn.payload)?;
+                s.u64(&mut txn.tag)?;
+                p.data.state(s)?;
+                // What a flush emits: a naturally aligned power-of-two burst
+                // within one line, carrying at most its size.
+                let (addr, size, payload) = (txn.addr, txn.size, txn.payload);
+                let legal = size.is_power_of_two()
+                    && size <= line
+                    && addr.is_aligned(size as u64)
+                    && payload <= size
+                    && p.data.len() <= size;
+                if s.reading() && !legal {
+                    return Err(csb_snap::SnapshotError::Corrupt(format!(
+                        "CSB burst of {size} bytes at {addr} carrying {payload} ({} staged)",
+                        p.data.len()
+                    )));
+                }
+                Ok(())
+            },
+        )
     }
 
     /// Performs a combining store of `data.len()` bytes at `addr` on behalf

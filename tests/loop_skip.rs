@@ -255,17 +255,6 @@ fn watchdog_fires_identically_after_a_skipped_delay_loop() {
     );
 }
 
-/// `true` when two frames of the same length differ only inside one
-/// eight-byte word (the real-tick count) and the trailing checksum.
-fn differ_in_tick_count_only(a: &[u8], b: &[u8]) -> bool {
-    if a.len() != b.len() {
-        return false;
-    }
-    let body = a.len() - 8;
-    let diffs: Vec<usize> = (0..body).filter(|&i| a[i] != b[i]).collect();
-    diffs.last().is_none_or(|&hi| hi - diffs[0] < 8)
-}
-
 #[test]
 fn snapshot_inside_a_skipped_span_restores_and_finishes_identically() {
     let cfg = SimConfig::default();
@@ -282,16 +271,14 @@ fn snapshot_inside_a_skipped_span_restores_and_finishes_identically() {
     let mut whole = Simulator::new(cfg.clone(), program.clone()).unwrap();
     whole.enable_metrics();
     let expected = whole.run(1_000_000).unwrap();
-    // An uncut run skips this cycle; `run_to` stops on it. The naive run
-    // switches fast-forward on before its snapshot, so the two frames may
-    // differ only in the real-tick count.
+    // An uncut run skips this cycle; `run_to` stops on it. The frame is
+    // the same bytes whether the run jumped or ticked there.
     let cut = 2_345;
     let mut frames = Vec::new();
     for fast_forward in [true, false] {
         let mut sim = build(&cfg, &program, fast_forward, &|sim| sim.enable_metrics());
         sim.run_to(cut).unwrap();
         assert_eq!(sim.cpu().now(), cut);
-        sim.set_fast_forward(true);
         frames.push((sim.snapshot(), sim.ticks()));
     }
     assert!(
@@ -300,8 +287,8 @@ fn snapshot_inside_a_skipped_span_restores_and_finishes_identically() {
     );
     let frames = [frames.remove(0).0, frames.remove(0).0];
     assert!(
-        differ_in_tick_count_only(&frames[0], &frames[1]),
-        "a frame inside a skipped span differs from a ticked one beyond its tick count"
+        frames[0] == frames[1],
+        "a frame inside a skipped span differs from a ticked one"
     );
     for frame in &frames {
         let mut resumed = Simulator::restore(cfg.clone(), program.clone(), frame).unwrap();
@@ -493,8 +480,8 @@ fn a_cut_inside_a_replayable_warm_up_ticks_it_through_and_restores_exactly() {
     // The third of four identical loops replays its warm-up from its
     // entry. A run cut (as by an autosnap boundary) before the span and
     // one period end there cannot replay: it ticks the warm-up through to
-    // the cut, where its frame matches the naive loop's but for the tick
-    // count. A cut past that replays and skips up to it. Either frame
+    // the cut, where its frame matches the naive loop's. A cut past that
+    // replays and skips up to it. Either frame
     // restores with an empty memo, so the loops after it record again,
     // and finishes as the uncut run does.
     let cfg = SimConfig::default();
@@ -524,12 +511,11 @@ fn a_cut_inside_a_replayable_warm_up_ticks_it_through_and_restores_exactly() {
                     "a cut inside the span ticks the warm-up through"
                 );
             }
-            sim.set_fast_forward(true);
             frames.push(sim.snapshot());
         }
         assert!(
-            differ_in_tick_count_only(&frames[0], &frames[1]),
-            "the frame at cycle {cut} differs beyond its tick count"
+            frames[0] == frames[1],
+            "the frame at cycle {cut} differs between the loops"
         );
         for frame in &frames {
             let mut resumed = Simulator::restore(cfg.clone(), program.clone(), frame).unwrap();

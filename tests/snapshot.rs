@@ -945,10 +945,10 @@ fn parse_frame_name(name: &str) -> (String, u64, u64) {
 #[test]
 fn autosnap_writes_the_same_frames_on_both_loops() {
     // Every frame lands on a multiple of the cadence, whether the run
-    // jumps or ticks there.
+    // jumps or ticks there, and holds the same bytes either way.
     let specs = small_specs();
     let every = 23;
-    let mut names = Vec::new();
+    let mut loops = Vec::new();
     for fast_forward in [true, false] {
         let dir = scratch_dir(&format!("autosnap-ff-{fast_forward}"));
         std::fs::create_dir_all(&dir).expect("autosnap dir");
@@ -958,16 +958,23 @@ fn autosnap_writes_the_same_frames_on_both_loops() {
             ..ObsConfig::default()
         };
         run_values_observed(&specs, 1, obs).expect("autosnap sweep");
-        let mut frames = frame_names(&dir);
-        frames.sort();
-        assert!(frames
+        let mut names = frame_names(&dir);
+        names.sort();
+        assert!(names
             .iter()
             .all(|name| parse_frame_name(name).2.is_multiple_of(every)));
-        names.push(frames);
+        let frames: Vec<(String, Vec<u8>)> = names
+            .into_iter()
+            .map(|name| {
+                let bytes = std::fs::read(dir.join(&name)).expect("frame readable");
+                (name, bytes)
+            })
+            .collect();
+        loops.push(frames);
         let _ = std::fs::remove_dir_all(&dir);
     }
-    assert!(!names[0].is_empty());
-    assert_eq!(names[0], names[1], "frame names differ between the loops");
+    assert!(!loops[0].is_empty());
+    assert!(loops[0] == loops[1], "frames differ between the loops");
 }
 
 #[test]
@@ -1155,10 +1162,10 @@ fn restore_rejects_a_read_tag_listed_twice() {
 // ---------------------------------------------------------------------------
 
 /// Appends `len fnv1a` of `sim`'s frame at every `every`-th cycle of its
-/// naive-loop run, one line per frame, until the run completes.
+/// run, one line per frame, until the run completes. The run advances
+/// from frame to frame, so on the fast-forward loop it jumps between them.
 fn pin_frames(out: &mut String, name: &str, sim: &mut Simulator, every: u64) {
     use std::fmt::Write as _;
-    sim.set_fast_forward(false);
     loop {
         let now = sim.cpu().now();
         if now.is_multiple_of(every) {
@@ -1169,18 +1176,17 @@ fn pin_frames(out: &mut String, name: &str, sim: &mut Simulator, every: u64) {
         if sim.complete() {
             return;
         }
-        if let Err(e) = sim.run_to(now + 1) {
+        if let Err(e) = sim.run_to((now / every + 1) * every) {
             writeln!(out, "{name} {now} stopped: {e}").unwrap();
             return;
         }
     }
 }
 
-/// Appends `len fnv1a` of `ms`'s frame at every cycle of its naive-loop
-/// run, one line per frame, until the run completes.
+/// Appends `len fnv1a` of `ms`'s frame at every cycle of its run, one
+/// line per frame, until the run completes.
 fn pin_multi_frames(out: &mut String, name: &str, ms: &mut MultiSim) {
     use std::fmt::Write as _;
-    ms.set_fast_forward(false);
     let mut finished = false;
     loop {
         let now = ms.simulator().cpu().now();
@@ -1206,15 +1212,11 @@ fn pin_multi_frames(out: &mut String, name: &str, ms: &mut MultiSim) {
 /// `messaging/csb/8B/r90/backoff-12` (NIC attached, faults on), and of
 /// `MultiSim::snapshot()` at every cycle of two CSB workers under
 /// exponential-backoff slicing (saved contexts, doubling slices,
-/// completions and scheduler keys all move), all on the naive loop so
-/// fast-forward tuning never moves them. A refactor must leave every byte
-/// of every frame where it was. Regenerate with
-/// `UPDATE_GOLDEN=1 cargo test -p csb-core --test snapshot` only for an
-/// intentional change to the frame.
-#[test]
-fn machine_frames_match_golden() {
+/// completions and scheduler keys all move), each machine run on the loop
+/// `fast_forward` picks.
+fn machine_frames(fast_forward: bool) -> String {
     let mut out = String::new();
-    let (_, _, mut sim) = uncached_swap_machine(false);
+    let (_, _, mut sim) = uncached_swap_machine(fast_forward);
     pin_frames(&mut out, "swap", &mut sim, 1);
 
     let spec = csb_core::experiments::fig4::panel_specs()
@@ -1233,6 +1235,7 @@ fn machine_frames_match_golden() {
     let (cfg, path) = scheme.machine(&spec.cfg);
     let program = workloads::store_bandwidth_ordered(transfer, &cfg, path, order).unwrap();
     let mut sim = Simulator::new(cfg, program).unwrap();
+    sim.set_fast_forward(fast_forward);
     pin_frames(&mut out, "4a/256B/CSB", &mut sim, 1);
 
     // The messaging sweep's first seed of its csb/8B/r90/backoff-12 cell.
@@ -1266,6 +1269,7 @@ fn machine_frames_match_golden() {
             .device_nack_rate(0.9 * 0.25),
     ));
     sim.enable_metrics();
+    sim.set_fast_forward(fast_forward);
     pin_frames(&mut out, "messaging/csb/8B/r90/backoff-12", &mut sim, 101);
 
     let cfg = SimConfig::default();
@@ -1275,7 +1279,24 @@ fn machine_frames_match_golden() {
     ];
     let policy = SwitchPolicy::Backoff { base: 6, max: 4096 };
     let mut ms = MultiSim::new(cfg, programs, policy).unwrap();
+    ms.set_fast_forward(fast_forward);
     pin_multi_frames(&mut out, "multi/backoff-6", &mut ms);
+    out
+}
+
+/// [`machine_frames`] on both loops: a frame is the same bytes whichever
+/// loop reached its cycle, and a refactor must leave every byte of every
+/// frame where it was. Regenerate with
+/// `UPDATE_GOLDEN=1 cargo test -p csb-core --test snapshot` only for an
+/// intentional change to the frame.
+#[test]
+fn machine_frames_match_golden() {
+    let out = machine_frames(false);
+    let jumped = machine_frames(true);
+    for (i, (naive, ff)) in out.lines().zip(jumped.lines()).enumerate() {
+        assert_eq!(ff, naive, "frame line {} differs between the loops", i + 1);
+    }
+    assert_eq!(jumped.lines().count(), out.lines().count());
 
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden/frames.txt");
     if std::env::var("UPDATE_GOLDEN").is_ok() {
@@ -1296,4 +1317,218 @@ fn machine_frames_match_golden() {
         expected.lines().count(),
         "frame count drifted"
     );
+}
+
+// ---------------------------------------------------------------------------
+// Warm restores: a frame continues the same whichever simulator it lands in.
+// ---------------------------------------------------------------------------
+
+/// A machine under the default configuration whose frames a restore
+/// must continue alike, warm or cold.
+struct Probe {
+    name: &'static str,
+    /// The program the frames are taken under.
+    program: Program,
+    /// The machine at its first frame.
+    start: Box<dyn Fn() -> Simulator>,
+    /// CPU cycles between frames.
+    every: u64,
+}
+
+/// Counts a word of cached memory up from zero six times, then writes the
+/// count to the device: a restore that kept the last run's memory counts
+/// on from where that run stopped.
+fn counter_program() -> Program {
+    use csb_isa::{Assembler, MemWidth, Reg};
+    let mut a = Assembler::new();
+    let top = a.new_label();
+    a.movi(Reg::O1, csb_core::LOCK_ADDR as i64 + 0x100);
+    a.movi(Reg::O2, csb_core::UNCACHED_BASE as i64);
+    a.movi(Reg::L1, 6);
+    a.bind(top).unwrap();
+    a.ld(Reg::L0, Reg::O1, 0, MemWidth::B8);
+    a.addi(Reg::L0, 1);
+    a.std(Reg::L0, Reg::O1, 0);
+    a.addi(Reg::L1, -1);
+    a.cmpi(Reg::L1, 0);
+    a.bnz(top);
+    a.std(Reg::L0, Reg::O2, 0);
+    a.halt();
+    a.assemble().expect("counter program assembles")
+}
+
+/// Single- and two-process machines, a NIC mid-message under faults, and
+/// tracing and metrics on and off.
+fn probes() -> Vec<Probe> {
+    let cfg = SimConfig::default();
+    let csb = workloads::store_bandwidth(256, &cfg, workloads::StorePath::Csb).unwrap();
+    let traced = |sim: &mut Simulator| {
+        sim.enable_tracing();
+        sim.enable_metrics();
+    };
+    let spec = workloads::MessagingSpec {
+        count: 4,
+        payload_dwords: 3,
+        sender: 2,
+        slots: 2,
+    };
+    let policy = RetryPolicy::Backoff {
+        attempts: 12,
+        base: 32,
+        max: 1024,
+        seed: 9,
+    };
+    let messages = workloads::csb_messages(spec, policy, &cfg).unwrap();
+    let workers = [0, 1].map(|pid| workloads::csb_worker(2, 8, pid, &cfg).unwrap());
+    let machine = {
+        let cfg = cfg.clone();
+        move |program: &Program| Simulator::new(cfg.clone(), program.clone()).unwrap()
+    };
+    vec![
+        Probe {
+            name: "csb",
+            start: Box::new({
+                let (machine, csb) = (machine.clone(), csb.clone());
+                move || machine(&csb)
+            }),
+            program: csb.clone(),
+            every: 40,
+        },
+        Probe {
+            name: "csb traced",
+            start: Box::new({
+                let (machine, csb) = (machine.clone(), csb.clone());
+                move || {
+                    let mut sim = machine(&csb);
+                    traced(&mut sim);
+                    sim
+                }
+            }),
+            program: csb,
+            every: 40,
+        },
+        Probe {
+            name: "counter",
+            start: Box::new({
+                let machine = machine.clone();
+                move || machine(&counter_program())
+            }),
+            program: counter_program(),
+            every: 25,
+        },
+        Probe {
+            name: "nic under faults",
+            start: Box::new({
+                let (machine, messages, line) = (machine.clone(), messages.clone(), cfg.line());
+                move || {
+                    let mut sim = machine(&messages);
+                    let nic = csb_nic::NicConfig {
+                        slot_size: line,
+                        slots: 2,
+                        ..csb_nic::NicConfig::default()
+                    };
+                    sim.attach_nic(nic, csb_isa::Addr::new(csb_core::COMBINING_BASE))
+                        .unwrap();
+                    sim.set_faults(Some(
+                        FaultConfig::new(0x51)
+                            .flush_disturb_rate(0.3)
+                            .bus_error_rate(0.1)
+                            .device_nack_rate(0.1),
+                    ));
+                    sim.enable_metrics();
+                    sim
+                }
+            }),
+            program: messages,
+            every: 150,
+        },
+        Probe {
+            // Process 0 runs to its halt; process 1 then takes the core,
+            // with process 0's line still in the CSB or on the bus.
+            name: "two processes",
+            start: Box::new({
+                let workers = workers.clone();
+                move || {
+                    let mut sim = machine(&workers[0]);
+                    traced(&mut sim);
+                    while !sim.cpu().halted() {
+                        sim.advance_checked(LIMIT).unwrap();
+                    }
+                    let next = csb_cpu::CpuContext::new(1);
+                    sim.cpu_mut().switch_context(next, Some(workers[1].clone()));
+                    sim
+                }
+            }),
+            program: workers[1].clone(),
+            every: 20,
+        },
+    ]
+}
+
+/// `probe`'s frames: one at its start, then one at every multiple of its
+/// cadence until the run completes.
+fn probe_frames(probe: &Probe) -> Vec<Vec<u8>> {
+    let mut sim = (probe.start)();
+    let mut frames = Vec::new();
+    loop {
+        frames.push(sim.snapshot());
+        if sim.complete() {
+            return frames;
+        }
+        let now = sim.cpu().now();
+        sim.run_to((now / probe.every + 1) * probe.every).unwrap();
+    }
+}
+
+/// Everything a continuation outputs: its summary (or why it stopped),
+/// metrics, trace events, device log, NIC and fault counters.
+fn continuation(sim: &mut Simulator) -> String {
+    let run = sim
+        .run(LIMIT)
+        .map(|summary| serde_json::to_string(&summary).unwrap());
+    format!(
+        "{run:?}\n{:?}\n{:?}\n{:?}\n{:?}\n{:?}",
+        sim.metrics_snapshot(),
+        sim.trace_events(),
+        sim.device().writes(),
+        sim.nic().map(csb_nic::Nic::stats),
+        sim.fault_stats(),
+    )
+}
+
+#[test]
+fn warm_restores_continue_as_cold_restores() {
+    let cfg = SimConfig::default();
+    for probe in probes() {
+        let frames = probe_frames(&probe);
+        assert!(frames.len() > 2, "{}: {} frames", probe.name, frames.len());
+        for (i, frame) in frames.iter().enumerate() {
+            // A simulator that just ran the same pair to completion with
+            // every optional part on.
+            let mut warm = Simulator::new(cfg.clone(), probe.program.clone()).unwrap();
+            warm.enable_tracing();
+            warm.enable_metrics();
+            warm.set_faults(Some(
+                FaultConfig::new(3)
+                    .flush_disturb_rate(0.2)
+                    .bus_error_rate(0.2)
+                    .device_nack_rate(0.2),
+            ));
+            let nic = csb_nic::NicConfig {
+                slot_size: cfg.line(),
+                ..csb_nic::NicConfig::default()
+            };
+            warm.attach_nic(nic, csb_isa::Addr::new(csb_core::COMBINING_BASE))
+                .unwrap();
+            let _ = warm.run(LIMIT);
+            warm.restore_from(frame).unwrap();
+            let mut cold = Simulator::restore(cfg.clone(), probe.program.clone(), frame).unwrap();
+            assert_eq!(
+                continuation(&mut warm),
+                continuation(&mut cold),
+                "{} frame {i}",
+                probe.name
+            );
+        }
+    }
 }
