@@ -23,11 +23,13 @@ use std::str::FromStr;
 
 use csb_bench::cli::{Args, Cli};
 use csb_bus::BusConfig;
+use csb_core::cache::PointCache;
 use csb_core::experiments::runner::{
     run_values_observed, LabeledArtifacts, ObsConfig, PointArtifacts, PointSpec, PointValue,
     PointWork,
 };
 use csb_core::experiments::{format_table, Scheme};
+use csb_core::snapshot::program_fingerprint;
 use csb_core::workloads::StoreOrder;
 use csb_core::{trace, workloads, SimConfig, Simulator};
 
@@ -130,6 +132,12 @@ fn main() {
     let args = settings(&parsed).unwrap_or_else(|e| CLI.fail(e));
     let bo = parsed.obs().unwrap_or_else(|e| CLI.fail(e));
     let cfg = args.cfg;
+    let scheme = args.scheme;
+    let work = |transfer| PointWork::Bandwidth {
+        transfer,
+        scheme,
+        order: StoreOrder::Ascending,
+    };
 
     // A comma list of transfer sizes runs as a sweep on the parallel
     // experiment runner instead of the single-point timeline path.
@@ -137,18 +145,13 @@ fn main() {
         if args.asm.is_some() {
             CLI.fail("--asm is a single-point mode; drop the --bytes list");
         }
-        let scheme = args.scheme;
         let specs: Vec<PointSpec> = args
             .bytes
             .iter()
             .map(|&transfer| PointSpec {
                 label: format!("explore/{transfer}B/{scheme}"),
                 cfg: cfg.clone(),
-                work: PointWork::Bandwidth {
-                    transfer,
-                    scheme,
-                    order: StoreOrder::Ascending,
-                },
+                work: work(transfer),
             })
             .collect();
         let (_, labeled, report) =
@@ -200,17 +203,17 @@ fn main() {
     }
     let bytes = args.bytes[0];
 
-    let (cfg, path) = args.scheme.machine(&cfg);
+    let (machine, path) = scheme.machine(&cfg);
     let program = match &args.asm {
         Some(file) => {
             let source = std::fs::read_to_string(file)
                 .unwrap_or_else(|e| csb_bench::die(format!("cannot read {file}: {e}")));
             csb_isa::parse_asm(&source).unwrap_or_else(|e| csb_bench::die(format!("{file}: {e}")))
         }
-        None => workloads::store_bandwidth(bytes, &cfg, path)
+        None => workloads::store_bandwidth(bytes, &machine, path)
             .unwrap_or_else(|e| csb_bench::die(format!("--bytes {bytes}: {e}"))),
     };
-    let mut sim = Simulator::new(cfg.clone(), program).expect("valid machine");
+    let mut sim = Simulator::new(machine.clone(), program).expect("valid machine");
     let obs = ObsConfig {
         trace: true,
         ..bo.obs()
@@ -226,12 +229,12 @@ fn main() {
     writeln!(
         out,
         "machine : {} bus, {}B wide, {}B line, ratio {}, turnaround {}, delay {}",
-        cfg.bus.kind(),
-        cfg.bus.width(),
-        cfg.line(),
-        cfg.ratio,
-        cfg.bus.turnaround(),
-        cfg.bus.min_addr_delay()
+        machine.bus.kind(),
+        machine.bus.width(),
+        machine.line(),
+        machine.ratio,
+        machine.bus.turnaround(),
+        machine.bus.min_addr_delay()
     )
     .unwrap();
     match &args.asm {
@@ -247,13 +250,23 @@ fn main() {
         s.cycles
     )
     .unwrap();
-    let t = trace::timeline(&sim.trace_events(), 0, args.timeline, cfg.ratio);
+    let t = trace::timeline(&sim.trace_events(), 0, args.timeline, machine.ratio);
     writeln!(out, "\n{}", t.render()).unwrap();
     out.flush().expect("stdout flushes");
     if bo.ledger.is_some() {
-        let label = match &args.asm {
-            Some(f) => format!("explore/asm/{f}"),
-            None => format!("explore/{bytes}B/{}", args.scheme_flag),
+        // The key the point has in a sweep. An assembled program has no
+        // workload to name, so its fingerprint on the machine it runs on
+        // stands in for one.
+        let (label, key) = match &args.asm {
+            Some(f) => {
+                let program = program_fingerprint(sim.cpu().program());
+                let key = PointCache::key_debug(&[&machine, &program], 0);
+                (format!("explore/asm/{f}"), key)
+            }
+            None => {
+                let key = PointCache::key_debug(&[&cfg, &work(bytes)], 0);
+                (format!("explore/{bytes}B/{}", args.scheme_flag), key)
+            }
         };
         let la = LabeledArtifacts {
             label,
@@ -261,7 +274,7 @@ fn main() {
             sim_cycles: s.cycles,
             wall,
             seed: 0,
-            config_hash: Some(csb_snap::fnv1a_str(&format!("{cfg:?} {:?}", args.asm))),
+            key,
             artifacts: PointArtifacts {
                 trace_json: None,
                 metrics: Some(sim.metrics_report()),

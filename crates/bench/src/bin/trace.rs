@@ -16,23 +16,8 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use csb_bench::cli::{Cli, RUN_FLAGS};
-use csb_core::experiments::runner::{run_values_observed, ObsConfig, PointSpec, PointValue};
-use csb_core::experiments::{fig3, fig4, fig5};
-
-/// Every point the figure harnesses enumerate, in figure order.
-fn all_points() -> Vec<PointSpec> {
-    let mut specs = Vec::new();
-    for panel in fig3::panel_specs() {
-        specs.extend(panel.enumerate());
-    }
-    for panel in fig4::panel_specs() {
-        specs.extend(panel.enumerate());
-    }
-    for panel in fig5::panel_specs() {
-        specs.extend(panel.enumerate());
-    }
-    specs
-}
+use csb_core::experiments::figure_points;
+use csb_core::experiments::runner::{run_values_observed, ObsConfig, PointValue};
 
 const CLI: Cli = Cli {
     synopsis: "trace <point>",
@@ -43,7 +28,7 @@ fn main() -> ExitCode {
     let args = CLI.from_env();
     let bo = args.obs().unwrap_or_else(|e| CLI.fail(e));
     if args.has("--list") {
-        for spec in all_points() {
+        for spec in figure_points() {
             println!("{}", spec.label);
         }
         return ExitCode::SUCCESS;
@@ -52,7 +37,7 @@ fn main() -> ExitCode {
         CLI.fail("missing the <point> to replay (--list prints every label)");
     };
 
-    let specs = all_points();
+    let specs = figure_points();
     let Some(spec) = specs.iter().find(|s| &s.label == label) else {
         eprintln!("no figure point named {label:?}; run with --list to see every label");
         return ExitCode::FAILURE;

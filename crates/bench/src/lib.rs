@@ -31,13 +31,17 @@
 //! Observability: `--trace-out <file>` captures a Chrome trace-event JSON
 //! document per simulation point and `--metrics-out <file>` a metrics
 //! report (counters + latency histograms). Both expand the given path per
-//! point — `trace.json` becomes `trace-3e_256B_CSB.json` — so a sweep
-//! leaves one artifact per point.
+//! point by the point's `label#seed`, the seed written only when nonzero
+//! — `trace.json` becomes `trace-3e_256B_CSB.json` for a figure point and
+//! `trace-faults_r90_backoff_12_1592595539.json` for a seeded one — so a
+//! sweep leaves one artifact per point.
 //!
 //! Ledger: `--ledger <file>` appends one [`LedgerRecord`] JSON line per
-//! executed point (config hash, seed, scheme, cycles, wall time, value,
-//! flush-latency quantiles) to the given JSONL file — the cross-run perf
-//! trajectory the `ledger` binary diffs for regressions. `--ledger`
+//! executed point (its cache key as `config_hash`, seed, scheme, cycles,
+//! wall time, value, flush-latency quantiles) to the given JSONL file —
+//! the cross-run perf trajectory the `ledger` binary diffs for
+//! regressions. The key joins a record to the point's cache entry and
+//! autosnap frames. `--ledger`
 //! implies metrics capture (the records need the flush histograms), but
 //! writes no per-point metrics files unless `--metrics-out` is also
 //! given.
@@ -128,15 +132,9 @@ impl BenchObs {
 }
 
 /// Builds the ledger record for one executed point: identity from the
-/// label/seed/config hash, gauges from the point's value, cycle count,
-/// wall time, and (when metrics were captured) the flush-retry latency
-/// histogram.
-///
-/// # Panics
-///
-/// Panics if the point carries no config hash: the engine computes it for
-/// every sweep that captures artifacts, and `--ledger` forces metrics
-/// capture on.
+/// label and seed, the point's cache key as its `config_hash`, gauges
+/// from the point's value, cycle count, wall time, and (when metrics were
+/// captured) the flush-retry latency histogram.
 pub fn ledger_record(bench: &str, la: &LabeledArtifacts) -> LedgerRecord {
     let metrics = la.artifacts.metrics.as_ref();
     let flush = metrics.and_then(|m| m.metrics.histograms.get("csb_flush_retry_latency"));
@@ -144,9 +142,7 @@ pub fn ledger_record(bench: &str, la: &LabeledArtifacts) -> LedgerRecord {
         bench: bench.to_string(),
         label: la.label.clone(),
         scheme: la.label.rsplit('/').next().unwrap_or("").to_string(),
-        config_hash: la
-            .config_hash
-            .expect("ledger runs capture artifacts, so every point carries its config hash"),
+        config_hash: la.key,
         seed: la.seed,
         cycles: la.sim_cycles,
         wall_us: u64::try_from(la.wall.as_micros()).unwrap_or(u64::MAX),
@@ -207,20 +203,26 @@ pub fn sanitize_label(label: &str) -> String {
     out.trim_matches('_').to_string()
 }
 
-/// Expands an artifact base path for one labeled point:
-/// `trace.json` + `"3e/256B/CSB"` → `trace-3e_256B_CSB.json`.
-pub fn artifact_path(base: &Path, label: &str) -> PathBuf {
+/// Expands an artifact base path for one point by the identity the
+/// ledger keys records on, `label#seed`, the seed written only when
+/// nonzero: `trace.json` + `"3e/256B/CSB"` → `trace-3e_256B_CSB.json`,
+/// and with seed 7 → `trace-3e_256B_CSB_7.json`.
+pub fn artifact_path(base: &Path, label: &str, seed: u64) -> PathBuf {
     let stem = base
         .file_stem()
         .and_then(|s| s.to_str())
         .unwrap_or("artifact");
     let ext = base.extension().and_then(|s| s.to_str()).unwrap_or("json");
-    base.with_file_name(format!("{stem}-{}.{ext}", sanitize_label(label)))
+    let id = match seed {
+        0 => sanitize_label(label),
+        seed => sanitize_label(&format!("{label}#{seed}")),
+    };
+    base.with_file_name(format!("{stem}-{id}.{ext}"))
 }
 
 /// Writes every captured artifact to disk: Chrome traces under the
 /// `--trace-out` base path, metrics reports under the `--metrics-out`
-/// base, one file per point keyed by its sanitized label.
+/// base, one file per point named by [`artifact_path`].
 ///
 /// # Panics
 ///
@@ -233,13 +235,13 @@ pub fn write_artifacts(
 ) {
     for la in artifacts {
         if let (Some(base), Some(trace)) = (trace_out, la.artifacts.trace_json.as_deref()) {
-            let path = artifact_path(base, &la.label);
+            let path = artifact_path(base, &la.label, la.seed);
             fs::write(&path, trace)
                 .unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
             eprintln!("wrote {}", path.display());
         }
         if let (Some(base), Some(metrics)) = (metrics_out, la.artifacts.metrics.as_ref()) {
-            let path = artifact_path(base, &la.label);
+            let path = artifact_path(base, &la.label, la.seed);
             dump_json(&path, metrics);
         }
     }
@@ -304,11 +306,12 @@ mod tests {
             sim_cycles: cycles,
             wall: std::time::Duration::from_micros(250),
             seed: 0,
-            config_hash: Some(csb_snap::fnv1a_str("cfg")),
+            key: 0x5eed,
             artifacts: PointArtifacts::default(),
         };
         let rec = super::ledger_record("fig4", &la("4a/256B/CSB", 900));
         assert_eq!(rec.scheme, "CSB");
+        assert_eq!(rec.config_hash, 0x5eed, "the record carries the cache key");
         assert_eq!(rec.key(), "fig4::4a/256B/CSB#0");
         assert_eq!(rec.wall_us, 250);
         assert_eq!(rec.value, 3.5);
@@ -329,13 +332,28 @@ mod tests {
     fn artifact_path_keys_on_label() {
         let base = PathBuf::from("/tmp/out/trace.json");
         assert_eq!(
-            super::artifact_path(&base, "3e/256B/CSB"),
+            super::artifact_path(&base, "3e/256B/CSB", 0),
             PathBuf::from("/tmp/out/trace-3e_256B_CSB.json")
         );
         let bare = PathBuf::from("metrics");
         assert_eq!(
-            super::artifact_path(&bare, "5a/2dw/CSB"),
+            super::artifact_path(&bare, "5a/2dw/CSB", 0),
             PathBuf::from("metrics-5a_2dw_CSB.json")
+        );
+    }
+
+    #[test]
+    fn two_seeds_of_one_label_get_two_paths() {
+        // A seeded sweep repeats each label once per seed.
+        let base = PathBuf::from("metrics.json");
+        let label = "faults/r90/backoff-12";
+        assert_eq!(
+            super::artifact_path(&base, label, 0x5eed_1453),
+            PathBuf::from("metrics-faults_r90_backoff_12_1592595539.json")
+        );
+        assert_ne!(
+            super::artifact_path(&base, label, 1),
+            super::artifact_path(&base, label, 2)
         );
     }
 }

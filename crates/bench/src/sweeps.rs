@@ -12,7 +12,9 @@ use std::io::{BufWriter, Write};
 use std::process::ExitCode;
 
 use csb_core::dma::{BreakEvenRow, DmaModel, PioMethod, MESSAGE_SIZES};
-use csb_core::experiments::runner::{LabeledArtifacts, ObsConfig, RunReport};
+use csb_core::experiments::runner::{
+    run_panels_observed, LabeledArtifacts, ObsConfig, PanelSpec, RunReport,
+};
 use csb_core::experiments::{
     ablations, contend, faults, fig3, fig4, fig5, format_table, messaging, ExpError,
 };
@@ -91,9 +93,18 @@ const fn bin(name: &'static str, sections: &'static [Section]) -> SweepBin {
     }
 }
 
-pub const FIG3: SweepBin = bin("fig3", &[section("fig3", fig3_panels)]);
-pub const FIG4: SweepBin = bin("fig4", &[section("fig4", fig4_panels)]);
-pub const FIG5: SweepBin = bin("fig5", &[section("fig5", fig5_panels)]);
+pub const FIG3: SweepBin = bin(
+    "fig3",
+    &[section("fig3", |run| panels(run, fig3::panel_specs()))],
+);
+pub const FIG4: SweepBin = bin(
+    "fig4",
+    &[section("fig4", |run| panels(run, fig4::panel_specs()))],
+);
+pub const FIG5: SweepBin = bin(
+    "fig5",
+    &[section("fig5", |run| panels(run, fig5::panel_specs()))],
+);
 pub const FAULTS: SweepBin = bin("faults", &[section("faults", fault_sweep)]);
 pub const CONTEND: SweepBin = bin("contend", &[section("contend", contend_sweep)]);
 pub const MESSAGING: SweepBin = bin("messaging", &[section("messaging", messaging_sweep)]);
@@ -237,20 +248,9 @@ impl Run<'_> {
     }
 }
 
-fn fig3_panels(run: Run<'_>) -> Result<Output, ExpError> {
-    run.output(fig3::run_jobs_observed(run.jobs, run.obs), |panels| {
-        panels.iter().map(|p| p.to_table() + "\n").collect()
-    })
-}
-
-fn fig4_panels(run: Run<'_>) -> Result<Output, ExpError> {
-    run.output(fig4::run_jobs_observed(run.jobs, run.obs), |panels| {
-        panels.iter().map(|p| p.to_table() + "\n").collect()
-    })
-}
-
-fn fig5_panels(run: Run<'_>) -> Result<Output, ExpError> {
-    run.output(fig5::run_jobs_observed(run.jobs, run.obs), |panels| {
+/// A figure's panels, one table each.
+fn panels(run: Run<'_>, specs: Vec<PanelSpec>) -> Result<Output, ExpError> {
+    run.output(run_panels_observed(&specs, run.jobs, run.obs), |panels| {
         panels.iter().map(|p| p.to_table() + "\n").collect()
     })
 }

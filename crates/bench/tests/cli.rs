@@ -237,3 +237,66 @@ fn trace_without_a_point_prints_its_one_usage_line() {
         assert!(usage[0].contains(flag), "usage names {flag}: {err}");
     }
 }
+
+/// A point's ledger record, cache entry and autosnap frames share one
+/// key. A plain run fills the cache; a ledger run captures metrics, so it
+/// bypasses the cache and simulates every point, writing frames. Each
+/// record's `config_hash` must then address an entry of the plain run
+/// and name the frames of every point that ran past the first boundary,
+/// and every frame must belong to a record.
+#[test]
+fn ledger_records_join_their_cache_entries_and_frames() {
+    use std::collections::HashSet;
+
+    use csb_core::cache::PointCache;
+
+    for (bin, every) in [
+        (env!("CARGO_BIN_EXE_fig5"), 23u64),
+        (env!("CARGO_BIN_EXE_faults"), 997),
+    ] {
+        let dir = scratch(&format!("join-{every}"));
+        let every_arg = every.to_string();
+        let plain = run_in(&dir, bin, &["--jobs", "2", "--cache-dir", "cache"]);
+        assert!(plain.status.success(), "{}", stderr(&plain));
+        let args = [
+            "--jobs",
+            "2",
+            "--cache-dir",
+            "cache",
+            "--snapshot-every",
+            &every_arg,
+            "--ledger",
+            "ledger.jsonl",
+        ];
+        let ledgered = run_in(&dir, bin, &args);
+        assert!(ledgered.status.success(), "{}", stderr(&ledgered));
+
+        let ledger = std::fs::read_to_string(dir.join("ledger.jsonl")).unwrap();
+        let records = csb_obs::parse_ledger(&ledger).unwrap();
+        let cache = PointCache::open(dir.join("cache")).unwrap();
+        // `snap-<cfg fp><program fp>-<point key>-<cycle>.bin`
+        let frame_keys: HashSet<u64> = std::fs::read_dir(dir.join("cache/autosnap"))
+            .unwrap()
+            .map(|entry| {
+                let name = entry.unwrap().file_name().into_string().unwrap();
+                let key = name.split('-').nth(2).expect("frame names carry the key");
+                u64::from_str_radix(key, 16).expect("the key is hex")
+            })
+            .collect();
+        let mut framed = HashSet::new();
+        for r in &records {
+            let point = format!("{}#{}", r.label, r.seed);
+            assert!(
+                cache.load(r.config_hash).is_some(),
+                "{point}: no cache entry"
+            );
+            if r.cycles > every {
+                assert!(frame_keys.contains(&r.config_hash), "{point}: no frames");
+                framed.insert(r.config_hash);
+            }
+        }
+        assert!(!framed.is_empty(), "{bin} writes frames at {every}");
+        assert_eq!(frame_keys, framed, "every frame names a record's key");
+        let _ = std::fs::remove_dir_all(dir);
+    }
+}

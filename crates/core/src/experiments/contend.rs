@@ -280,15 +280,6 @@ impl SweepPoint for ContendPoint {
         self.seed
     }
 
-    fn config_hash(&self) -> u64 {
-        csb_snap::fnv1a_str(&format!(
-            "{:?} contend {} c{}",
-            self.scheme.config(),
-            self.scheme.label(),
-            self.cores
-        ))
-    }
-
     /// Machine configuration, workload shape, scheduling, arrival span,
     /// and seed.
     fn cache_key(&self, keys: &mut KeyMemo) -> u64 {

@@ -23,6 +23,7 @@ use super::runner::{
     run_sweep, KeyMemo, LabeledArtifacts, ObsConfig, PointArtifacts, PointValue, RunReport,
     SweepPoint,
 };
+use super::throughput::Timed;
 use super::{format_table, ExpError, DWORD_BYTES};
 use crate::config::SimConfig;
 use crate::sim::{SimError, Simulator};
@@ -204,17 +205,6 @@ pub(crate) fn inject_faults(sim: &mut Simulator, rate: f64, seed: u64) {
     }
 }
 
-/// Readies `slot` for one point of the sweep: `policy` at disturb rate
-/// `rate` under the fault schedule of `seed`, not yet run.
-pub(crate) fn install_point(
-    slot: &mut Option<Simulator>,
-    policy: RetryPolicy,
-    rate: f64,
-    seed: u64,
-) -> Result<&mut Simulator, ExpError> {
-    FaultPoint { policy, rate, seed }.install(slot)
-}
-
 /// One seeded (rate, policy) point of the sweep.
 pub(super) struct FaultPoint {
     /// The ladder policy (unseeded; [`policy_for_seed`] seeds it).
@@ -238,12 +228,11 @@ impl FaultPoint {
         }
         points
     }
+}
 
+impl Timed for FaultPoint {
     /// Readies `slot` to run this point: its program and fault schedule.
-    pub(super) fn install<'s>(
-        &self,
-        slot: &'s mut Option<Simulator>,
-    ) -> Result<&'s mut Simulator, ExpError> {
+    fn install<'s>(&self, slot: &'s mut Option<Simulator>) -> Result<&'s mut Simulator, ExpError> {
         let cfg = SimConfig::default();
         let policy = policy_for_seed(self.policy, self.seed);
         let program = workloads::csb_sequence_with_policy(DWORDS, policy, &cfg)?;
@@ -266,15 +255,6 @@ impl SweepPoint for FaultPoint {
 
     fn seed(&self) -> u64 {
         self.seed
-    }
-
-    fn config_hash(&self) -> u64 {
-        csb_snap::fnv1a_str(&format!(
-            "{:?} {:?} rate {}",
-            SimConfig::default(),
-            self.policy,
-            self.rate
-        ))
     }
 
     /// Machine configuration, workload parameters (dwords + per-seed

@@ -15,9 +15,9 @@
 use csb_bus::BusConfig;
 
 use super::runner::{
-    run_bandwidth_panels_observed, BandwidthPanelSpec, LabeledArtifacts, ObsConfig, RunReport,
+    run_panels_observed, LabeledArtifacts, Measure, ObsConfig, PanelSpec, RunReport,
 };
-use super::{BandwidthPanel, ExpError};
+use super::{ExpError, Panel};
 use crate::config::SimConfig;
 
 /// Frequency ratios swept by panels (a)–(c).
@@ -122,14 +122,8 @@ fn mux_bus(line: usize, turnaround: u64, delay: u64) -> BusConfig {
 
 impl PanelDef {
     /// Expands the table row into the engine's panel spec.
-    pub fn spec(&self) -> BandwidthPanelSpec {
-        let suffix = if self.turnaround > 0 {
-            format!("{}-cycle turnaround", self.turnaround)
-        } else if self.delay > 0 {
-            format!("min addr delay {}", self.delay)
-        } else {
-            "no turnaround".to_string()
-        };
+    pub fn spec(&self) -> PanelSpec {
+        let suffix = super::flow_control(self.turnaround, self.delay);
         let title = format!(
             "8B multiplexed bus, {}B line, CPU:bus ratio {}, {suffix}",
             self.line, self.ratio
@@ -138,12 +132,12 @@ impl PanelDef {
             .line_size(self.line)
             .bus(mux_bus(self.line, self.turnaround, self.delay))
             .frequency_ratio(self.ratio);
-        BandwidthPanelSpec::new(self.id, title, cfg)
+        PanelSpec::new(self.id, title, cfg, Measure::Bandwidth)
     }
 }
 
 /// The figure's panel specs, in panel order.
-pub fn panel_specs() -> Vec<BandwidthPanelSpec> {
+pub fn panel_specs() -> Vec<PanelSpec> {
     PANELS.iter().map(PanelDef::spec).collect()
 }
 
@@ -157,8 +151,8 @@ pub fn panel_specs() -> Vec<BandwidthPanelSpec> {
 pub fn run_jobs_observed(
     jobs: usize,
     obs: ObsConfig<'_>,
-) -> Result<(Vec<BandwidthPanel>, Vec<LabeledArtifacts>, RunReport), ExpError> {
-    run_bandwidth_panels_observed(&panel_specs(), jobs, obs)
+) -> Result<(Vec<Panel>, Vec<LabeledArtifacts>, RunReport), ExpError> {
+    run_panels_observed(&panel_specs(), jobs, obs)
 }
 
 #[cfg(test)]

@@ -14,9 +14,9 @@
 use csb_bus::BusConfig;
 
 use super::runner::{
-    run_bandwidth_panels_observed, BandwidthPanelSpec, LabeledArtifacts, ObsConfig, RunReport,
+    run_panels_observed, LabeledArtifacts, Measure, ObsConfig, PanelSpec, RunReport,
 };
-use super::{BandwidthPanel, ExpError};
+use super::{ExpError, Panel};
 use crate::config::SimConfig;
 
 /// Bus widths swept by panels (a)–(b), in bytes.
@@ -84,14 +84,8 @@ fn split_bus(width: usize, turnaround: u64, delay: u64) -> BusConfig {
 
 impl PanelDef {
     /// Expands the table row into the engine's panel spec.
-    pub fn spec(&self) -> BandwidthPanelSpec {
-        let suffix = if self.turnaround > 0 {
-            format!("{}-cycle turnaround", self.turnaround)
-        } else if self.delay > 0 {
-            format!("min addr delay {}", self.delay)
-        } else {
-            "no turnaround".to_string()
-        };
+    pub fn spec(&self) -> PanelSpec {
+        let suffix = super::flow_control(self.turnaround, self.delay);
         let title = format!(
             "{}B split bus, 64B line, CPU:bus ratio 6, {suffix}",
             self.width
@@ -99,12 +93,12 @@ impl PanelDef {
         let cfg = SimConfig::default()
             .bus(split_bus(self.width, self.turnaround, self.delay))
             .frequency_ratio(6);
-        BandwidthPanelSpec::new(self.id, title, cfg)
+        PanelSpec::new(self.id, title, cfg, Measure::Bandwidth)
     }
 }
 
 /// The figure's panel specs, in panel order.
-pub fn panel_specs() -> Vec<BandwidthPanelSpec> {
+pub fn panel_specs() -> Vec<PanelSpec> {
     PANELS.iter().map(PanelDef::spec).collect()
 }
 
@@ -118,8 +112,8 @@ pub fn panel_specs() -> Vec<BandwidthPanelSpec> {
 pub fn run_jobs_observed(
     jobs: usize,
     obs: ObsConfig<'_>,
-) -> Result<(Vec<BandwidthPanel>, Vec<LabeledArtifacts>, RunReport), ExpError> {
-    run_bandwidth_panels_observed(&panel_specs(), jobs, obs)
+) -> Result<(Vec<Panel>, Vec<LabeledArtifacts>, RunReport), ExpError> {
+    run_panels_observed(&panel_specs(), jobs, obs)
 }
 
 #[cfg(test)]

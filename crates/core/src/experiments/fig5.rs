@@ -12,10 +12,9 @@
 //! taken by another processor.
 
 use super::runner::{
-    run_latency_panels_observed, LabeledArtifacts, LatencyPanelSpec, ObsConfig, PointWork,
-    RunReport,
+    run_panels_observed, LabeledArtifacts, Measure, ObsConfig, PanelSpec, PointWork, RunReport,
 };
-use super::{ExpError, LatencyPanel, Scheme};
+use super::{ExpError, Panel, Scheme};
 use crate::config::SimConfig;
 
 /// Doubleword counts swept (2–8, i.e. 16–64 bytes).
@@ -53,7 +52,7 @@ pub fn latency_point(
 }
 
 /// The declarative panel spec for one residency on the given machine.
-pub fn panel_spec(cfg: &SimConfig, residency: LockResidency) -> LatencyPanelSpec {
+pub fn panel_spec(cfg: &SimConfig, residency: LockResidency) -> PanelSpec {
     let (id, title) = match residency {
         LockResidency::Hit => (
             "5a",
@@ -64,11 +63,11 @@ pub fn panel_spec(cfg: &SimConfig, residency: LockResidency) -> LatencyPanelSpec
             "lock misses to memory (100 cycles); 8B multiplexed bus, ratio 6, 64B line",
         ),
     };
-    LatencyPanelSpec::new(id, title, cfg.clone(), residency)
+    PanelSpec::new(id, title, cfg.clone(), Measure::Latency(residency))
 }
 
 /// Both panels' specs on the paper's default machine.
-pub fn panel_specs() -> Vec<LatencyPanelSpec> {
+pub fn panel_specs() -> Vec<PanelSpec> {
     let cfg = SimConfig::default();
     vec![
         panel_spec(&cfg, LockResidency::Hit),
@@ -86,8 +85,8 @@ pub fn panel_specs() -> Vec<LatencyPanelSpec> {
 pub fn run_jobs_observed(
     jobs: usize,
     obs: ObsConfig<'_>,
-) -> Result<(Vec<LatencyPanel>, Vec<LabeledArtifacts>, RunReport), ExpError> {
-    run_latency_panels_observed(&panel_specs(), jobs, obs)
+) -> Result<(Vec<Panel>, Vec<LabeledArtifacts>, RunReport), ExpError> {
+    run_panels_observed(&panel_specs(), jobs, obs)
 }
 
 #[cfg(test)]

@@ -41,6 +41,7 @@ use super::runner::{
     run_sweep, KeyMemo, LabeledArtifacts, ObsConfig, PointArtifacts, PointValue, RunReport,
     SweepPoint,
 };
+use super::throughput::Timed;
 use super::{format_table, histogram_state, merge_histograms, ExpError};
 use crate::config::{SimConfig, COMBINING_BASE, UNCACHED_BASE};
 use crate::sim::{SimError, Simulator};
@@ -273,28 +274,6 @@ fn spec(size: usize) -> MessagingSpec {
     }
 }
 
-/// Readies `slot` for one point of the sweep: `policy` on `path` with
-/// `size`-doubleword messages at disturb rate `rate` under the fault
-/// schedule of `seed`, not yet run. The sweep also records metrics on
-/// every point; the caller enables them.
-pub(crate) fn install_point(
-    slot: &mut Option<Simulator>,
-    path: SendPath,
-    size: usize,
-    policy: RetryPolicy,
-    rate: f64,
-    seed: u64,
-) -> Result<&mut Simulator, ExpError> {
-    MessagingPoint {
-        path,
-        size,
-        policy,
-        rate,
-        seed,
-    }
-    .install(slot)
-}
-
 /// One seeded (path, size, rate, policy) point of the sweep.
 pub(super) struct MessagingPoint {
     pub(super) path: SendPath,
@@ -339,13 +318,13 @@ impl MessagingPoint {
         }
         points
     }
+}
 
-    /// Readies `slot` to run this point: its program, the attached NI
-    /// and the fault schedule.
-    pub(super) fn install<'s>(
-        &self,
-        slot: &'s mut Option<Simulator>,
-    ) -> Result<&'s mut Simulator, ExpError> {
+impl Timed for MessagingPoint {
+    /// Readies `slot` to run this point: its program, the attached NI,
+    /// the fault schedule, and metrics, which record on every point
+    /// because the end-to-end quantiles are the result.
+    fn install<'s>(&self, slot: &'s mut Option<Simulator>) -> Result<&'s mut Simulator, ExpError> {
         let cfg = self.path.config();
         let seeded = policy_for_seed(self.policy, self.seed);
         let program = match self.path {
@@ -362,6 +341,7 @@ impl MessagingPoint {
         let sim = super::install_sim(slot, cfg, program)?;
         sim.attach_nic(nic_cfg, Addr::new(self.path.window_base()))?;
         inject_faults(sim, self.rate, self.seed);
+        sim.enable_metrics();
         Ok(sim)
     }
 }
@@ -381,17 +361,6 @@ impl SweepPoint for MessagingPoint {
 
     fn seed(&self) -> u64 {
         self.seed
-    }
-
-    fn config_hash(&self) -> u64 {
-        csb_snap::fnv1a_str(&format!(
-            "{:?} messaging {} {}B {:?} rate {}",
-            self.path.config(),
-            self.path.label(),
-            self.size * 8,
-            self.policy,
-            self.rate
-        ))
     }
 
     /// Machine configuration, send path, message shape, per-seed policy,
@@ -414,13 +383,7 @@ impl SweepPoint for MessagingPoint {
     ) -> Result<(PointResult, PointArtifacts), ExpError> {
         let size = self.size;
         let sim = self.install(slot)?;
-        // The end-to-end quantiles *are* the result, so metrics always
-        // record.
-        let recording = ObsConfig {
-            metrics: true,
-            ..obs
-        };
-        let livelock = match recording.simulate(sim, POINT_LIMIT) {
+        let livelock = match obs.simulate(sim, POINT_LIMIT) {
             Ok(_) => false,
             Err(SimError::Livelock(_)) => true,
             Err(e) => return Err(e.into()),

@@ -37,6 +37,7 @@ pub mod throughput;
 
 use std::fmt;
 
+use serde::value::Value;
 use serde::Serialize;
 
 use csb_isa::Program;
@@ -46,6 +47,7 @@ use csb_snap::{Codec, SnapshotError};
 use crate::config::SimConfig;
 use crate::sim::{SimError, Simulator};
 use crate::workloads::{self, StorePath, WorkloadError};
+use runner::{PanelSpec, PointSpec, PointValue};
 
 /// Transfer sizes (bytes) swept by the bandwidth figures.
 pub const TRANSFERS: [usize; 7] = [16, 32, 64, 128, 256, 512, 1024];
@@ -166,31 +168,47 @@ impl fmt::Display for Scheme {
     }
 }
 
-/// One bandwidth panel: a machine configuration swept over transfer sizes
-/// and schemes.
+/// One panel of Figures 3–5: a machine configuration swept over sizes and
+/// schemes.
 #[derive(Debug, Clone, Serialize)]
-pub struct BandwidthPanel {
+pub struct Panel {
     /// Panel id, e.g. `"3a"`.
     pub id: String,
     /// Human-readable parameter description.
     pub title: String,
     /// Scheme labels, in column order.
     pub schemes: Vec<String>,
-    /// One row per transfer size.
-    pub rows: Vec<BandwidthRow>,
+    /// One row per size.
+    pub rows: Vec<PanelRow>,
 }
 
-/// One transfer size's measurements across all schemes.
-#[derive(Debug, Clone, Serialize)]
-pub struct BandwidthRow {
-    /// Transfer size in bytes.
+/// One size's measurements across all schemes.
+#[derive(Debug, Clone)]
+pub struct PanelRow {
+    /// Transfer size in bytes (doublewords × 8 for Figure 5).
     pub transfer: usize,
-    /// Bytes per bus cycle, one per scheme.
-    pub values: Vec<f64>,
+    /// Bytes per bus cycle or CPU cycles per sequence, one per scheme.
+    pub values: Vec<PointValue>,
 }
 
-impl BandwidthPanel {
-    /// Renders the panel as a fixed-width text table (bytes/bus-cycle).
+/// `transfer` plus the readings under `values` for bandwidth rows and
+/// under `cycles` for latency rows.
+impl Serialize for PanelRow {
+    fn to_value(&self) -> Value {
+        let key = match self.values.first() {
+            Some(PointValue::Latency(_)) => "cycles",
+            _ => "values",
+        };
+        Value::Object(vec![
+            ("transfer".to_string(), self.transfer.to_value()),
+            (key.to_string(), self.values.to_value()),
+        ])
+    }
+}
+
+impl Panel {
+    /// Renders the panel as a fixed-width text table: bytes per bus cycle
+    /// to two decimals, or CPU cycles.
     pub fn to_table(&self) -> String {
         let mut headers = vec!["bytes".to_string()];
         headers.extend(self.schemes.iter().cloned());
@@ -199,7 +217,10 @@ impl BandwidthPanel {
             .iter()
             .map(|r| {
                 let mut row = vec![r.transfer.to_string()];
-                row.extend(r.values.iter().map(|v| format!("{v:.2}")));
+                row.extend(r.values.iter().map(|v| match v {
+                    PointValue::Bandwidth(b) => format!("{b:.2}"),
+                    PointValue::Latency(c) => c.to_string(),
+                }));
                 row
             })
             .collect();
@@ -212,48 +233,28 @@ impl BandwidthPanel {
     }
 }
 
-/// One latency panel (Figure 5): CPU cycles per sequence.
-#[derive(Debug, Clone, Serialize)]
-pub struct LatencyPanel {
-    /// Panel id, e.g. `"5a"`.
-    pub id: String,
-    /// Human-readable parameter description.
-    pub title: String,
-    /// Scheme labels, in column order.
-    pub schemes: Vec<String>,
-    /// One row per transfer size.
-    pub rows: Vec<LatencyRow>,
+/// Every point of Figures 3–5, in figure, panel and enumeration order.
+pub fn figure_points() -> Vec<PointSpec> {
+    [
+        fig3::panel_specs(),
+        fig4::panel_specs(),
+        fig5::panel_specs(),
+    ]
+    .iter()
+    .flatten()
+    .flat_map(PanelSpec::enumerate)
+    .collect()
 }
 
-/// One transfer size's latency across all schemes.
-#[derive(Debug, Clone, Serialize)]
-pub struct LatencyRow {
-    /// Transfer size in bytes (doublewords × 8).
-    pub transfer: usize,
-    /// CPU cycles per sequence, one per scheme.
-    pub cycles: Vec<u64>,
-}
-
-impl LatencyPanel {
-    /// Renders the panel as a fixed-width text table (CPU cycles).
-    pub fn to_table(&self) -> String {
-        let mut headers = vec!["bytes".to_string()];
-        headers.extend(self.schemes.iter().cloned());
-        let rows: Vec<Vec<String>> = self
-            .rows
-            .iter()
-            .map(|r| {
-                let mut row = vec![r.transfer.to_string()];
-                row.extend(r.cycles.iter().map(|c| c.to_string()));
-                row
-            })
-            .collect();
-        format!(
-            "Figure {} — {}\n{}",
-            self.id,
-            self.title,
-            format_table(&headers, &rows)
-        )
+/// The flow-control part of a Figure 3 or 4 panel title: its turnaround,
+/// else its minimum address-to-address delay.
+fn flow_control(turnaround: u64, delay: u64) -> String {
+    if turnaround > 0 {
+        format!("{turnaround}-cycle turnaround")
+    } else if delay > 0 {
+        format!("min addr delay {delay}")
+    } else {
+        "no turnaround".to_string()
     }
 }
 
@@ -426,7 +427,7 @@ pub fn format_table(headers: &[String], rows: &[Vec<String>]) -> String {
 mod tests {
     use std::fmt::Write as _;
 
-    use super::runner::{KeyMemo, PointSpec, PointValue, SweepPoint};
+    use super::runner::{KeyMemo, SweepPoint};
     use super::*;
     use crate::cache::PointCache;
 
@@ -477,24 +478,10 @@ mod tests {
         }
     }
 
-    /// Every point of the three figures, in sweep order.
-    fn figure_specs() -> Vec<PointSpec> {
-        [fig3::panel_specs(), fig4::panel_specs()]
-            .iter()
-            .flatten()
-            .flat_map(runner::BandwidthPanelSpec::enumerate)
-            .chain(
-                fig5::panel_specs()
-                    .iter()
-                    .flat_map(runner::LatencyPanelSpec::enumerate),
-            )
-            .collect()
-    }
-
     #[test]
     fn engine_keys_equal_the_one_shot_derivation() {
         let specs = |p: &PointSpec| PointCache::key_debug(&[&p.cfg, &p.work], 0);
-        assert_engine_keys("figures", &figure_specs(), specs);
+        assert_engine_keys("figures", &figure_points(), specs);
         assert_engine_keys("ablations", &ablations::all_specs(), specs);
 
         assert_engine_keys("faults", &faults::FaultPoint::all(), |p| {
@@ -563,7 +550,7 @@ mod tests {
                 .map(|p| (p.label.clone(), installed(p.work.install(slot, &p.cfg))))
                 .collect::<Vec<_>>()
         };
-        pin_distinct(out, "figures", specs(figure_specs(), &mut slot));
+        pin_distinct(out, "figures", specs(figure_points(), &mut slot));
         pin_distinct(out, "ablations", specs(ablations::all_specs(), &mut slot));
         let faults: Vec<_> = faults::FaultPoint::all()
             .iter()
@@ -595,7 +582,7 @@ mod tests {
             .collect();
         pin_distinct(out, "contend", contend);
         let mut bench = specs(throughput::default_points(), &mut slot);
-        let backoff = throughput::BackoffPoint;
+        let backoff = throughput::backoff_point();
         bench.push((backoff.label(), installed(backoff.install(&mut slot))));
         let sched = throughput::sched_programs().expect("scheduler programs build");
         bench.extend(
@@ -803,7 +790,7 @@ mod tests {
             }
             h.summary()
         };
-        let specs = figure_specs();
+        let specs = figure_points();
         let kind = |bandwidth: bool| {
             specs
                 .iter()

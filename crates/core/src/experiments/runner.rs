@@ -47,11 +47,11 @@ use csb_isa::Addr;
 use csb_obs::MetricsSnapshot;
 use csb_snap::{Codec, SnapshotError, SnapshotReader, SnapshotWriter};
 
+use serde::value::Value;
+use serde::Serialize;
+
 use super::fig5::{self, LockResidency};
-use super::{
-    BandwidthPanel, BandwidthRow, ExpError, LatencyPanel, LatencyRow, Scheme, DWORD_BYTES,
-    POINT_LIMIT, TRANSFERS,
-};
+use super::{ExpError, Panel, PanelRow, Scheme, DWORD_BYTES, POINT_LIMIT, TRANSFERS};
 use crate::cache::{CacheStats, DebugKey, PartsKey, PointCache};
 use crate::config::{SimConfig, LOCK_ADDR};
 use crate::sim::{MetricsReport, RunSummary, SimError, Simulator};
@@ -148,10 +148,10 @@ impl PointArtifacts {
     }
 }
 
-/// One point's artifacts tagged with the spec label that produced them —
-/// what the bench binaries key artifact filenames on. Also carries the
-/// point's measured value, simulated cycle count, and wall time so ledger
-/// records can be assembled from this struct alone.
+/// One point's artifacts tagged with the label and seed that name the
+/// point — what the bench binaries key artifact filenames on. Also
+/// carries the point's key, measured value, simulated cycle count, and
+/// wall time so ledger records can be assembled from this struct alone.
 #[derive(Debug, Clone)]
 pub struct LabeledArtifacts {
     /// The spec's display label, e.g. `"3e/256B/CSB"`.
@@ -164,10 +164,11 @@ pub struct LabeledArtifacts {
     pub wall: Duration,
     /// Fault-schedule seed (0 for deterministic points).
     pub seed: u64,
-    /// FNV-1a hash of the point's machine-configuration rendering, for
-    /// ledger records. Computed only when the sweep captured artifacts,
-    /// which every ledger run does.
-    pub config_hash: Option<u64>,
+    /// The point's cache key ([`PointCache::key_debug`] or
+    /// [`PointCache::key`] over its parts): it addresses the point's cache
+    /// entry, names its autosnap frames, and is its ledger record's
+    /// `config_hash`.
+    pub key: u64,
     /// The captured artifacts.
     pub artifacts: PointArtifacts,
 }
@@ -292,6 +293,16 @@ impl Default for PointValue {
     }
 }
 
+/// The reading alone: a float for bandwidth, an integer for latency.
+impl Serialize for PointValue {
+    fn to_value(&self) -> Value {
+        match *self {
+            PointValue::Bandwidth(b) => b.to_value(),
+            PointValue::Latency(c) => c.to_value(),
+        }
+    }
+}
+
 impl PointValue {
     /// The bandwidth reading, if this was a bandwidth point.
     pub fn bandwidth(self) -> Option<f64> {
@@ -326,13 +337,9 @@ pub(crate) trait SweepPoint: Sync {
         0
     }
 
-    /// FNV-1a hash of the point's configuration rendering, for ledger
-    /// records. The engine asks for it only when the sweep captures
-    /// artifacts.
-    fn config_hash(&self) -> u64;
-
-    /// Content address in a [`PointCache`], derived through the worker's
-    /// key memo.
+    /// The point's one key, derived through the sweep's key memo: its
+    /// content address in a [`PointCache`], the name of its autosnap
+    /// frames, and its ledger record's `config_hash`.
     fn cache_key(&self, keys: &mut KeyMemo) -> u64;
 
     /// Simulates the point through the worker's reusable simulator slot,
@@ -359,7 +366,7 @@ pub(crate) trait SweepPoint: Sync {
     fn sim_cycles(output: &Self::Output) -> u64;
 }
 
-/// The key states of the last machine configuration a worker keyed. A
+/// The key states of the last machine configuration a sweep keyed. A
 /// sweep lists its points in runs on one configuration (a panel, a send
 /// path), so a run renders and hashes its configuration once and each
 /// point forks the state after it: a hit then hashes only its workload
@@ -439,22 +446,22 @@ pub(crate) fn read_payload<P: SweepPoint>(point: &P, payload: &[u8]) -> Option<P
 }
 
 /// Runs one point, serving it from `cache` when a valid entry exists and
-/// storing it after a simulation otherwise. Returns the output, the
-/// point's wall-clock time, and its artifacts.
+/// storing it after a simulation otherwise; `key` addresses the entry and
+/// names the autosnap frames. Returns the output, the point's wall-clock
+/// time, and its artifacts.
 fn execute<P: SweepPoint>(
-    (slot, keys): &mut (Option<Simulator>, KeyMemo),
+    slot: &mut Option<Simulator>,
     point: &P,
+    key: u64,
     obs: ObsConfig<'_>,
     cache: Option<&PointCache>,
 ) -> Result<(P::Output, Duration, PointArtifacts), ExpError> {
     let t0 = Instant::now();
-    // One key names the autosnap frames and addresses the cache.
-    let key = (cache.is_some() || obs.autosnap.is_some()).then(|| point.cache_key(keys));
     let obs = ObsConfig {
-        autosnap: obs.autosnap.zip(key).map(|(auto, key)| auto.for_point(key)),
+        autosnap: obs.autosnap.map(|auto| auto.for_point(key)),
         ..obs
     };
-    let (Some(cache), Some(key)) = (cache, key) else {
+    let Some(cache) = cache else {
         let (output, artifacts) = point.simulate(slot, obs)?;
         return Ok((output, t0.elapsed(), artifacts));
     };
@@ -475,26 +482,20 @@ fn execute<P: SweepPoint>(
 /// and its [`RunReport`].
 pub(crate) type Swept<O> = (Vec<O>, Vec<LabeledArtifacts>, RunReport);
 
-/// For each point, the index of the first point with its cache key.
-fn first_of_each_key<P: SweepPoint>(points: &[P]) -> Vec<usize> {
-    let mut keys = KeyMemo::default();
-    let mut firsts = HashMap::with_capacity(points.len());
-    (0..points.len())
-        .map(|i| *firsts.entry(points[i].cache_key(&mut keys)).or_insert(i))
-        .collect()
-}
-
 /// Runs every point on `jobs` workers (`0` = all cores). Returns the
 /// outputs in point order, one [`LabeledArtifacts`] per point, and the
-/// sweep's [`RunReport`]. Each worker threads one simulator slot and one
-/// [`KeyMemo`] through its whole queue, so every point after a worker's
-/// first runs on a warm-reset simulator, and keys a configuration it
-/// keyed last without rendering it again.
+/// sweep's [`RunReport`].
+///
+/// A serial pass first derives each point's key once, through one
+/// [`KeyMemo`]; that key is the point's only identity, for the cache, the
+/// autosnap frames and the ledger. Each worker then threads one simulator
+/// slot through its whole queue, so every point after a worker's first
+/// runs on a warm-reset simulator.
 ///
 /// Without a cache and without captures, a sweep simulates each distinct
-/// cache key once: a later point with the key of an earlier one is read
-/// from the earlier one's cache payload, as a cache hit would read it,
-/// with a wall time of zero and no artifacts.
+/// key once: a later point with the key of an earlier one is read from
+/// the earlier one's cache payload, as a cache hit would read it, with a
+/// wall time of zero and no artifacts.
 ///
 /// # Errors
 ///
@@ -509,21 +510,35 @@ pub(crate) fn run_sweep<P: SweepPoint>(
     let cache = obs.cache.filter(|_| !obs.any());
     let cache_before = cache.map(PointCache::stats);
     let t0 = Instant::now();
-    let firsts = if obs.cache.is_none() && !obs.any() {
-        first_of_each_key(points)
-    } else {
-        (0..points.len()).collect()
+    // The memo is dropped, and the map below sized once, before any
+    // simulator is built: kept live and grown, they raised cold-pass peak
+    // RSS by about 4% (EXPERIMENTS.md).
+    let keys: Vec<u64> = {
+        let mut memo = KeyMemo::default();
+        points.iter().map(|p| p.cache_key(&mut memo)).collect()
     };
-    let simulated: Vec<usize> = (0..points.len()).filter(|&i| firsts[i] == i).collect();
-    let mut results = parallel_map_with(&simulated, jobs, Default::default, |worker, &i| {
-        execute(worker, &points[i], obs, cache)
-    })
+    // For each repeated key, the index of the first point with it.
+    let mut firsts = HashMap::new();
+    if obs.cache.is_none() && !obs.any() {
+        firsts.reserve(points.len());
+        for (i, &key) in keys.iter().enumerate() {
+            firsts.entry(key).or_insert(i);
+        }
+    }
+    let first_of = |i: usize| firsts.get(&keys[i]).copied().unwrap_or(i);
+    let simulated: Vec<usize> = (0..points.len()).filter(|&i| first_of(i) == i).collect();
+    let mut results = parallel_map_with(
+        &simulated,
+        jobs,
+        || None,
+        |slot, &i| execute(slot, &points[i], keys[i], obs, cache),
+    )
     .into_iter();
     let mut report = RunReport::default();
     let mut outputs: Vec<P::Output> = Vec::with_capacity(points.len());
     let mut labeled = Vec::with_capacity(points.len());
     for (i, point) in points.iter().enumerate() {
-        let first = firsts[i];
+        let first = first_of(i);
         let (output, wall, artifacts) = if first == i {
             results.next().expect("one result per simulated point")?
         } else {
@@ -551,7 +566,7 @@ pub(crate) fn run_sweep<P: SweepPoint>(
             sim_cycles,
             wall,
             seed: point.seed(),
-            config_hash: obs.any().then(|| point.config_hash()),
+            key: keys[i],
             artifacts,
         });
         outputs.push(output);
@@ -581,10 +596,6 @@ impl SweepPoint for PointSpec {
 
     fn label(&self) -> String {
         self.label.clone()
-    }
-
-    fn config_hash(&self) -> u64 {
-        csb_snap::fnv1a_str(&format!("{:?} {:?}", self.cfg, self.work))
     }
 
     /// Snapshot format version (inside [`PointCache::key_debug`]) +
@@ -873,143 +884,88 @@ pub fn run_values_observed(
     Ok((values, artifacts, report))
 }
 
-/// Declarative description of one bandwidth panel: the engine expands it
-/// to [`TRANSFERS`] × the machine's scheme ladder.
+/// What a panel of Figures 3–5 measures at each of its sizes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Measure {
+    /// Bytes per bus cycle of a store stream of each of [`TRANSFERS`]
+    /// bytes (Figures 3 and 4).
+    Bandwidth,
+    /// CPU cycles of a lock sequence of each of [`fig5::DWORDS`]
+    /// doublewords, the lock line resident or not (Figure 5).
+    Latency(LockResidency),
+}
+
+impl Measure {
+    /// The sizes a panel sweeps: transfer bytes or doublewords.
+    fn sizes(self) -> &'static [usize] {
+        match self {
+            Measure::Bandwidth => &TRANSFERS,
+            Measure::Latency(_) => &fig5::DWORDS,
+        }
+    }
+}
+
+/// Declarative description of one panel of Figures 3–5: the engine
+/// expands it to its measure's sizes × the machine's scheme ladder.
 #[derive(Debug, Clone)]
-pub struct BandwidthPanelSpec {
+pub struct PanelSpec {
     /// Panel id, e.g. `"3a"`.
     pub id: String,
     /// Human-readable parameter description.
     pub title: String,
     /// The panel's machine.
     pub cfg: SimConfig,
+    /// What the panel measures.
+    pub measure: Measure,
 }
 
-impl BandwidthPanelSpec {
-    /// Builds a spec.
-    pub fn new(id: impl Into<String>, title: impl Into<String>, cfg: SimConfig) -> Self {
-        BandwidthPanelSpec {
-            id: id.into(),
-            title: title.into(),
-            cfg,
-        }
-    }
-
-    /// The points this panel expands to, in row-major (transfer, scheme)
-    /// order — the serial harness's iteration order.
-    pub fn enumerate(&self) -> Vec<PointSpec> {
-        let schemes = Scheme::ladder(self.cfg.line());
-        let mut points = Vec::with_capacity(TRANSFERS.len() * schemes.len());
-        for &transfer in &TRANSFERS {
-            for &scheme in &schemes {
-                points.push(PointSpec {
-                    label: format!("{}/{}B/{}", self.id, transfer, scheme),
-                    cfg: self.cfg.clone(),
-                    work: PointWork::Bandwidth {
-                        transfer,
-                        scheme,
-                        order: StoreOrder::Ascending,
-                    },
-                });
-            }
-        }
-        points
-    }
-}
-
-/// Runs a set of bandwidth panels through the engine on `jobs` workers
-/// (`0` = all cores): the assembled panels, one [`LabeledArtifacts`] per
-/// enumerated point in enumeration order, and the sweep's [`RunReport`].
-///
-/// # Errors
-///
-/// The first (in enumeration order) point failure.
-pub fn run_bandwidth_panels_observed(
-    panels: &[BandwidthPanelSpec],
-    jobs: usize,
-    obs: ObsConfig<'_>,
-) -> Result<(Vec<BandwidthPanel>, Vec<LabeledArtifacts>, RunReport), ExpError> {
-    let specs: Vec<PointSpec> = panels
-        .iter()
-        .flat_map(BandwidthPanelSpec::enumerate)
-        .collect();
-    let (values, artifacts, report) = run_values_observed(&specs, jobs, obs)?;
-    let mut iter = values.into_iter();
-    let assembled = panels
-        .iter()
-        .map(|panel| {
-            let schemes = Scheme::ladder(panel.cfg.line());
-            let rows = TRANSFERS
-                .iter()
-                .map(|&transfer| BandwidthRow {
-                    transfer,
-                    values: schemes
-                        .iter()
-                        .map(|_| {
-                            iter.next()
-                                .expect("one value per enumerated point")
-                                .bandwidth()
-                                .expect("bandwidth panels enumerate bandwidth points")
-                        })
-                        .collect(),
-                })
-                .collect();
-            BandwidthPanel {
-                id: panel.id.clone(),
-                title: panel.title.clone(),
-                schemes: schemes.iter().map(Scheme::to_string).collect(),
-                rows,
-            }
-        })
-        .collect();
-    Ok((assembled, artifacts, report))
-}
-
-/// Declarative description of one latency panel (Figure 5): expands to
-/// [`fig5::DWORDS`] × the machine's scheme ladder.
-#[derive(Debug, Clone)]
-pub struct LatencyPanelSpec {
-    /// Panel id, e.g. `"5a"`.
-    pub id: String,
-    /// Human-readable parameter description.
-    pub title: String,
-    /// The panel's machine.
-    pub cfg: SimConfig,
-    /// Whether the lock variable hits in the L1.
-    pub residency: LockResidency,
-}
-
-impl LatencyPanelSpec {
+impl PanelSpec {
     /// Builds a spec.
     pub fn new(
         id: impl Into<String>,
         title: impl Into<String>,
         cfg: SimConfig,
-        residency: LockResidency,
+        measure: Measure,
     ) -> Self {
-        LatencyPanelSpec {
+        PanelSpec {
             id: id.into(),
             title: title.into(),
             cfg,
-            residency,
+            measure,
         }
     }
 
-    /// The points this panel expands to, in row-major (dwords, scheme)
-    /// order.
+    /// The points this panel expands to, in row-major (size, scheme)
+    /// order — the serial harness's iteration order — labeled
+    /// `3e/256B/CSB` or `5a/4dw/CSB`.
     pub fn enumerate(&self) -> Vec<PointSpec> {
         let schemes = Scheme::ladder(self.cfg.line());
-        let mut points = Vec::with_capacity(fig5::DWORDS.len() * schemes.len());
-        for &dwords in &fig5::DWORDS {
+        let sizes = self.measure.sizes();
+        let mut points = Vec::with_capacity(sizes.len() * schemes.len());
+        for &size in sizes {
             for &scheme in &schemes {
+                let (unit, work) = match self.measure {
+                    Measure::Bandwidth => (
+                        "B",
+                        PointWork::Bandwidth {
+                            transfer: size,
+                            scheme,
+                            order: StoreOrder::Ascending,
+                        },
+                    ),
+                    Measure::Latency(residency) => (
+                        "dw",
+                        PointWork::Latency {
+                            dwords: size,
+                            scheme,
+                            residency,
+                        },
+                    ),
+                };
                 points.push(PointSpec {
-                    label: format!("{}/{}dw/{}", self.id, dwords, scheme),
+                    label: format!("{}/{size}{unit}/{scheme}", self.id),
                     cfg: self.cfg.clone(),
-                    work: PointWork::Latency {
-                        dwords,
-                        scheme,
-                        residency: self.residency,
-                    },
+                    work,
                 });
             }
         }
@@ -1017,44 +973,38 @@ impl LatencyPanelSpec {
     }
 }
 
-/// Runs a set of latency panels through the engine on `jobs` workers
-/// (`0` = all cores): the assembled panels, one [`LabeledArtifacts`] per
-/// enumerated point in enumeration order, and the sweep's [`RunReport`].
+/// Runs a set of panels through the engine on `jobs` workers (`0` = all
+/// cores): the assembled panels, one [`LabeledArtifacts`] per enumerated
+/// point in enumeration order, and the sweep's [`RunReport`].
 ///
 /// # Errors
 ///
 /// The first (in enumeration order) point failure.
-pub fn run_latency_panels_observed(
-    panels: &[LatencyPanelSpec],
+pub fn run_panels_observed(
+    panels: &[PanelSpec],
     jobs: usize,
     obs: ObsConfig<'_>,
-) -> Result<(Vec<LatencyPanel>, Vec<LabeledArtifacts>, RunReport), ExpError> {
-    let specs: Vec<PointSpec> = panels
-        .iter()
-        .flat_map(LatencyPanelSpec::enumerate)
-        .collect();
+) -> Result<(Vec<Panel>, Vec<LabeledArtifacts>, RunReport), ExpError> {
+    let specs: Vec<PointSpec> = panels.iter().flat_map(PanelSpec::enumerate).collect();
     let (values, artifacts, report) = run_values_observed(&specs, jobs, obs)?;
-    let mut iter = values.into_iter();
+    let mut values = values.into_iter();
     let assembled = panels
         .iter()
         .map(|panel| {
             let schemes = Scheme::ladder(panel.cfg.line());
-            let rows = fig5::DWORDS
+            let rows = panel
+                .measure
+                .sizes()
                 .iter()
-                .map(|&dwords| LatencyRow {
-                    transfer: dwords * DWORD_BYTES,
-                    cycles: schemes
-                        .iter()
-                        .map(|_| {
-                            iter.next()
-                                .expect("one value per enumerated point")
-                                .latency()
-                                .expect("latency panels enumerate latency points")
-                        })
-                        .collect(),
+                .map(|&size| PanelRow {
+                    transfer: match panel.measure {
+                        Measure::Bandwidth => size,
+                        Measure::Latency(_) => size * DWORD_BYTES,
+                    },
+                    values: values.by_ref().take(schemes.len()).collect(),
                 })
                 .collect();
-            LatencyPanel {
+            Panel {
                 id: panel.id.clone(),
                 title: panel.title.clone(),
                 schemes: schemes.iter().map(Scheme::to_string).collect(),
@@ -1178,12 +1128,10 @@ mod tests {
                 .build()
                 .expect("static test bus config is valid"),
         );
-        let spec = BandwidthPanelSpec::new("t", "serial/parallel equivalence", cfg);
+        let spec = PanelSpec::new("t", "serial/parallel equivalence", cfg, Measure::Bandwidth);
         let obs = ObsConfig::default();
-        let (serial, _, r1) =
-            run_bandwidth_panels_observed(std::slice::from_ref(&spec), 1, obs).unwrap();
-        let (parallel, _, r4) =
-            run_bandwidth_panels_observed(std::slice::from_ref(&spec), 4, obs).unwrap();
+        let (serial, _, r1) = run_panels_observed(std::slice::from_ref(&spec), 1, obs).unwrap();
+        let (parallel, _, r4) = run_panels_observed(std::slice::from_ref(&spec), 4, obs).unwrap();
         assert_eq!(
             serde_json::to_string(&serial).unwrap(),
             serde_json::to_string(&parallel).unwrap()
@@ -1197,7 +1145,7 @@ mod tests {
 
     #[test]
     fn repeated_keys_are_simulated_once_with_the_same_results() {
-        let spec = BandwidthPanelSpec::new("t", "repeats", SimConfig::default());
+        let spec = PanelSpec::new("t", "repeats", SimConfig::default(), Measure::Bandwidth);
         let distinct: Vec<PointSpec> = spec.enumerate().into_iter().take(4).collect();
         // Each repeat carries a label of its own, as Figure 3(d)'s points
         // repeat 3(b)'s.
@@ -1239,10 +1187,8 @@ mod tests {
     fn latency_panel_parallel_matches_serial() {
         let spec = fig5::panel_spec(&SimConfig::default(), LockResidency::Hit);
         let obs = ObsConfig::default();
-        let (serial, _, _) =
-            run_latency_panels_observed(std::slice::from_ref(&spec), 1, obs).unwrap();
-        let (parallel, _, _) =
-            run_latency_panels_observed(std::slice::from_ref(&spec), 3, obs).unwrap();
+        let (serial, _, _) = run_panels_observed(std::slice::from_ref(&spec), 1, obs).unwrap();
+        let (parallel, _, _) = run_panels_observed(std::slice::from_ref(&spec), 3, obs).unwrap();
         assert_eq!(
             serde_json::to_string(&serial).unwrap(),
             serde_json::to_string(&parallel).unwrap()
@@ -1423,24 +1369,20 @@ mod tests {
         }
     }
 
-    /// A point that simulates nothing and counts how often the engine
-    /// asks for its config hash.
-    struct CountingPoint<'a>(&'a AtomicUsize);
+    /// A point that simulates nothing, keyed by its index, and counts how
+    /// often the engine derives its key.
+    struct CountingPoint<'a>(u64, &'a AtomicUsize);
 
     impl SweepPoint for CountingPoint<'_> {
         type Output = u64;
 
         fn label(&self) -> String {
-            "counting".into()
-        }
-
-        fn config_hash(&self) -> u64 {
-            self.0.fetch_add(1, Ordering::Relaxed);
-            7
+            format!("counting/{}", self.0)
         }
 
         fn cache_key(&self, _keys: &mut KeyMemo) -> u64 {
-            7
+            self.1.fetch_add(1, Ordering::Relaxed);
+            self.0
         }
 
         fn simulate(
@@ -1465,19 +1407,38 @@ mod tests {
     }
 
     #[test]
-    fn config_hashes_are_computed_only_when_artifacts_are_captured() {
+    fn each_key_is_derived_once_per_point() {
+        let dir = std::env::temp_dir().join(format!("csb-runner-keys-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cache = PointCache::open(&dir).expect("temp cache opens");
         let calls = AtomicUsize::new(0);
-        let points: Vec<CountingPoint> = (0..5).map(|_| CountingPoint(&calls)).collect();
-        let (_, labeled, _) = run_sweep(&points, 2, ObsConfig::default()).unwrap();
-        assert_eq!(calls.load(Ordering::Relaxed), 0, "no ledger, no hashing");
-        assert!(labeled.iter().all(|la| la.config_hash.is_none()));
-
-        let observed = ObsConfig {
-            metrics: true,
-            ..ObsConfig::default()
-        };
-        let (_, labeled, _) = run_sweep(&points, 2, observed).unwrap();
-        assert_eq!(calls.load(Ordering::Relaxed), points.len());
-        assert!(labeled.iter().all(|la| la.config_hash == Some(7)));
+        // Two points share key 3, as Figure 3(d)'s points repeat 3(b)'s.
+        let points: Vec<CountingPoint> = [0, 3, 1, 3, 2]
+            .into_iter()
+            .map(|key| CountingPoint(key, &calls))
+            .collect();
+        for captured in [false, true] {
+            for cached in [false, true] {
+                for snapped in [false, true] {
+                    for jobs in [1, 2] {
+                        let obs = ObsConfig {
+                            metrics: captured,
+                            cache: cached.then_some(&cache),
+                            autosnap: snapped.then(|| AutosnapConfig::new(10, &dir)),
+                            ..ObsConfig::default()
+                        };
+                        calls.store(0, Ordering::Relaxed);
+                        let (_, labeled, _) = run_sweep(&points, jobs, obs).unwrap();
+                        let what = format!(
+                            "captured {captured} cached {cached} snapped {snapped} jobs {jobs}"
+                        );
+                        assert_eq!(calls.load(Ordering::Relaxed), points.len(), "{what}");
+                        let keys: Vec<u64> = labeled.iter().map(|la| la.key).collect();
+                        assert_eq!(keys, [0, 3, 1, 3, 2], "{what}");
+                    }
+                }
+            }
+        }
+        let _ = std::fs::remove_dir_all(dir);
     }
 }

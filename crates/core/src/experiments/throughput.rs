@@ -21,9 +21,10 @@ use std::time::Instant;
 
 use serde::Serialize;
 
-use super::messaging::{self, SendPath};
-use super::runner::{PointSpec, PointWork};
-use super::{contend, faults, fig4, fig5, ExpError, Scheme, POINT_LIMIT};
+use super::faults::FaultPoint;
+use super::messaging::{MessagingPoint, SendPath};
+use super::runner::{PointSpec, PointWork, SweepPoint};
+use super::{contend, faults, ExpError, Scheme, POINT_LIMIT};
 use crate::config::SimConfig;
 use crate::multiproc::{MultiSim, SchedulerMode, SwitchPolicy};
 use crate::sim::{RunSummary, Simulator};
@@ -108,11 +109,7 @@ impl ThroughputReport {
 /// bench must fail loudly rather than silently measure nothing.
 pub fn default_points() -> Vec<PointSpec> {
     let want = ["4a/256B/CSB", "5b/8dw/64B"];
-    let mut all: Vec<PointSpec> = fig4::panel_specs()
-        .iter()
-        .flat_map(|p| p.enumerate())
-        .chain(fig5::panel_specs().iter().flat_map(|p| p.enumerate()))
-        .collect();
+    let mut all = super::figure_points();
     let mut points: Vec<PointSpec> = want
         .iter()
         .map(|label| {
@@ -200,19 +197,14 @@ pub const BACKOFF_POINT_LABEL: &str = "faults/r90/backoff-12";
 /// that cell of the fault sweep.
 const BACKOFF_POINT_SEED: u64 = 0x5eed_1453;
 
-/// A point the bench times: its label and how to ready a simulator for
-/// one execution of it — cold construction into an empty slot, a warm
-/// reset of a filled one, as the sweeps do.
-pub(super) trait Timed {
-    fn label(&self) -> String;
+/// A sweep point the bench times: how to ready a simulator for one
+/// execution of it — cold construction into an empty slot, a warm reset
+/// of a filled one, as the sweeps do. Its label is its sweep's.
+pub(super) trait Timed: SweepPoint {
     fn install<'s>(&self, slot: &'s mut Option<Simulator>) -> Result<&'s mut Simulator, ExpError>;
 }
 
 impl Timed for PointSpec {
-    fn label(&self) -> String {
-        self.label.clone()
-    }
-
     fn install<'s>(&self, slot: &'s mut Option<Simulator>) -> Result<&'s mut Simulator, ExpError> {
         self.work.install(slot, &self.cfg)
     }
@@ -227,15 +219,11 @@ fn backoff() -> RetryPolicy {
 }
 
 /// The point [`BACKOFF_POINT_LABEL`] names.
-pub(super) struct BackoffPoint;
-
-impl Timed for BackoffPoint {
-    fn label(&self) -> String {
-        BACKOFF_POINT_LABEL.to_string()
-    }
-
-    fn install<'s>(&self, slot: &'s mut Option<Simulator>) -> Result<&'s mut Simulator, ExpError> {
-        faults::install_point(slot, backoff(), 0.9, BACKOFF_POINT_SEED)
+pub(super) fn backoff_point() -> FaultPoint {
+    FaultPoint {
+        policy: backoff(),
+        rate: 0.9,
+        seed: BACKOFF_POINT_SEED,
     }
 }
 
@@ -253,18 +241,13 @@ pub const MESSAGING_POINT_LABEL: &str = "messaging/csb/8B/r90/backoff-12";
 const MESSAGING_POINT_SEED: u64 = 0x0e2e_0000 + 102_000;
 
 /// The point [`MESSAGING_POINT_LABEL`] names.
-pub(super) struct MessagingPoint;
-
-impl Timed for MessagingPoint {
-    fn label(&self) -> String {
-        MESSAGING_POINT_LABEL.to_string()
-    }
-
-    fn install<'s>(&self, slot: &'s mut Option<Simulator>) -> Result<&'s mut Simulator, ExpError> {
-        let sim =
-            messaging::install_point(slot, SendPath::Csb, 1, backoff(), 0.9, MESSAGING_POINT_SEED)?;
-        sim.enable_metrics();
-        Ok(sim)
+fn messaging_point() -> MessagingPoint {
+    MessagingPoint {
+        path: SendPath::Csb,
+        size: 1,
+        policy: backoff(),
+        rate: 0.9,
+        seed: MESSAGING_POINT_SEED,
     }
 }
 
@@ -345,15 +328,6 @@ fn ff_counts(point: &impl Timed) -> Result<(u64, u64), ExpError> {
 ///
 /// Panics if the two legs' runs disagree on any summary field — that
 /// would be a cycle-exactness bug, not a throughput result.
-pub fn measure_point(
-    spec: &PointSpec,
-    samples: usize,
-    reps: usize,
-) -> Result<ThroughputPoint, ExpError> {
-    measure_timed(spec, samples, reps)
-}
-
-/// [`measure_point`] for any [`Timed`] point.
 fn measure_timed(
     point: &impl Timed,
     samples: usize,
@@ -526,10 +500,10 @@ pub fn sched_point(samples: usize, reps: usize) -> Result<ThroughputPoint, ExpEr
 pub fn measure(samples: usize, reps: usize) -> Result<ThroughputReport, ExpError> {
     let mut points = default_points()
         .iter()
-        .map(|spec| measure_point(spec, samples, reps))
+        .map(|spec| measure_timed(spec, samples, reps))
         .collect::<Result<Vec<_>, _>>()?;
-    points.push(measure_timed(&BackoffPoint, samples, reps)?);
-    points.push(measure_timed(&MessagingPoint, samples, reps)?);
+    points.push(measure_timed(&backoff_point(), samples, reps)?);
+    points.push(measure_timed(&messaging_point(), samples, reps)?);
     points.push(sched_point(samples, reps)?);
     Ok(ThroughputReport {
         samples,
@@ -561,7 +535,7 @@ mod tests {
     fn measure_point_agrees_across_legs() {
         let points = default_points();
         let spec = &points[1];
-        let p = measure_point(spec, 1, 4).expect("point simulates");
+        let p = measure_timed(spec, 1, 4).expect("point simulates");
         assert_eq!(p.label, "5b/8dw/64B");
         assert!(p.sim_cycles > 0);
         // Fast-forward covers the point: it jumps, so it takes fewer
@@ -612,7 +586,7 @@ mod tests {
 
     #[test]
     fn backoff_point_spends_its_cycles_in_skipped_delay_loops() {
-        let p = measure_timed(&BackoffPoint, 1, 1).expect("backoff point simulates");
+        let p = measure_timed(&backoff_point(), 1, 1).expect("backoff point simulates");
         assert_eq!(p.label, BACKOFF_POINT_LABEL);
         let jumps = p.ff_jumps.expect("single-core points count jumps");
         assert!(
@@ -625,7 +599,7 @@ mod tests {
 
     #[test]
     fn messaging_point_replays_its_delay_loop_warm_ups() {
-        let p = measure_timed(&MessagingPoint, 1, 1).expect("messaging point simulates");
+        let p = measure_timed(&messaging_point(), 1, 1).expect("messaging point simulates");
         assert_eq!(p.label, MESSAGING_POINT_LABEL);
         let jumps = p.ff_jumps.expect("single-core points count jumps");
         assert!(

@@ -4,9 +4,9 @@
 //!
 //! Every bench binary can append its per-point results (`--ledger
 //! <path>`) as one [`LedgerRecord`] JSON object per line. Records carry
-//! the config hash, seed, scheme, simulated cycles, wall time, the key
-//! throughput/latency stats, and the p50/p95/p99 conditional-flush retry
-//! latency — enough to track the repository's perf trajectory across
+//! the point's cache key, seed, scheme, simulated cycles, wall time, the
+//! key throughput/latency stats, and the p50/p95/p99 conditional-flush
+//! retry latency — enough to track the repository's perf trajectory across
 //! commits instead of a single `BENCH_*.json` snapshot. [`diff_ledgers`]
 //! compares two ledgers point-by-point and flags cycle-count or
 //! flush-latency regressions beyond a relative threshold; CI fails the
@@ -28,7 +28,11 @@ pub struct LedgerRecord {
     pub label: String,
     /// Scheme leg of the label (`CSB`, `none`, `64B`, …), for filtering.
     pub scheme: String,
-    /// FNV-1a hash of the point's full configuration rendering.
+    /// The point's cache key: it addresses the point's entry in a cache
+    /// dir and names its autosnap frames. Ledgers written before the key
+    /// took this field held an FNV-1a hash of the configuration
+    /// rendering; the field keeps its name so they still parse, and
+    /// [`diff_ledgers`] never reads it.
     pub config_hash: u64,
     /// Fault-schedule seed (0 for deterministic points).
     pub seed: u64,

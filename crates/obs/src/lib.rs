@@ -68,6 +68,4 @@ pub use ledger::{
 };
 pub use metrics::{BucketCount, Histogram, HistogramSummary, MetricsRegistry, MetricsSnapshot};
 pub use sink::TraceSink;
-pub use timeline::{
-    Timeline, TimelineEvent, TimelineSnapshot, WindowStats, TIMELINE_BASE_WINDOW, TIMELINE_WINDOWS,
-};
+pub use timeline::{Timeline, TimelineEvent, WindowStats, TIMELINE_BASE_WINDOW, TIMELINE_WINDOWS};

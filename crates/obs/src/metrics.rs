@@ -6,7 +6,7 @@ use std::rc::Rc;
 
 use serde::Serialize;
 
-use crate::timeline::{Timeline, TimelineEvent, TimelineSnapshot};
+use crate::timeline::{Timeline, TimelineEvent};
 
 /// Number of histogram buckets: one for zero plus one per power of two.
 const BUCKETS: usize = 65;
@@ -383,7 +383,7 @@ impl MetricsRegistry {
                         .iter()
                         .map(|(&k, h)| (k.to_string(), h.summary()))
                         .collect(),
-                    timeline: inner.timeline.snapshot(),
+                    timeline: inner.timeline.clone(),
                 }
             }
         }
@@ -399,7 +399,7 @@ pub struct MetricsSnapshot {
     /// Histogram summaries by name.
     pub histograms: BTreeMap<String, HistogramSummary>,
     /// Windowed over-time activity profile.
-    pub timeline: TimelineSnapshot,
+    pub timeline: Timeline,
 }
 
 impl MetricsSnapshot {

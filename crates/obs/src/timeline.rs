@@ -79,11 +79,17 @@ pub enum TimelineEvent {
     Retired,
 }
 
-/// The adaptive-resolution window ring described in the module docs.
-#[derive(Debug, Clone)]
+/// The adaptive-resolution window ring described in the module docs, and
+/// the `timeline` section of the metrics JSON artifact: a snapshot is a
+/// clone.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct Timeline {
-    window_cycles: u64,
-    windows: Vec<WindowStats>,
+    /// Window width in CPU cycles.
+    pub window_cycles: u64,
+    /// Per-window activity, window 0 covering cycles
+    /// `[0, window_cycles)`. Trailing all-zero windows are kept (they are
+    /// real quiet windows); an unfed timeline has none.
+    pub windows: Vec<WindowStats>,
 }
 
 impl Default for Timeline {
@@ -96,21 +102,10 @@ impl Default for Timeline {
 }
 
 impl Timeline {
-    /// Current window width in CPU cycles.
-    pub fn window_cycles(&self) -> u64 {
-        self.window_cycles
-    }
-
     /// Accumulates `event` into the window covering `cycle`, coarsening
     /// first if `cycle` lies beyond the fixed capacity.
     pub fn record(&mut self, cycle: u64, event: TimelineEvent) {
-        while cycle / self.window_cycles >= TIMELINE_WINDOWS as u64 {
-            self.coarsen();
-        }
-        let idx = (cycle / self.window_cycles) as usize;
-        if self.windows.len() <= idx {
-            self.windows.resize(idx + 1, WindowStats::default());
-        }
+        let idx = self.make_room(cycle);
         let w = &mut self.windows[idx];
         match event {
             TimelineEvent::BusTxn {
@@ -132,21 +127,14 @@ impl Timeline {
     /// `first`, `first + period`, … — the windows `times × count` single
     /// [`TimelineEvent::Retired`] records would fill, added per window
     /// rather than per record. The window layout depends only on the
-    /// latest cycle recorded, so coarsening for the last cycle up front
+    /// latest cycle recorded, so making room for the last cycle up front
     /// leaves the same timeline as recording in cycle order.
     pub fn record_retired_every(&mut self, first: u64, period: u64, times: u64, count: u64) {
         if times == 0 || count == 0 {
             return;
         }
         let period = period.max(1);
-        let last = first + (times - 1) * period;
-        while last / self.window_cycles >= TIMELINE_WINDOWS as u64 {
-            self.coarsen();
-        }
-        let last_idx = (last / self.window_cycles) as usize;
-        if self.windows.len() <= last_idx {
-            self.windows.resize(last_idx + 1, WindowStats::default());
-        }
+        self.make_room(first + (times - 1) * period);
         let mut done = 0;
         while done < times {
             let idx = (first + done * period) / self.window_cycles;
@@ -161,23 +149,29 @@ impl Timeline {
     /// Accumulates `counts[i]` retirements at cycle `first + i` for every
     /// `i` — the windows those single [`TimelineEvent::Retired`] records
     /// would fill, added in one pass. Like
-    /// [`Timeline::record_retired_every`], it coarsens for the last
+    /// [`Timeline::record_retired_every`], it makes room for the last
     /// cycle up front.
     pub fn record_retired_at(&mut self, first: u64, counts: &[u8]) {
         let Some(last) = counts.iter().rposition(|&n| n > 0) else {
             return;
         };
-        let last = first + last as u64;
-        while last / self.window_cycles >= TIMELINE_WINDOWS as u64 {
-            self.coarsen();
-        }
-        let last_idx = (last / self.window_cycles) as usize;
-        if self.windows.len() <= last_idx {
-            self.windows.resize(last_idx + 1, WindowStats::default());
-        }
+        self.make_room(first + last as u64);
         for (cycle, &n) in (first..).zip(counts) {
             self.windows[(cycle / self.window_cycles) as usize].retired += u64::from(n);
         }
+    }
+
+    /// Coarsens until `cycle` lies within the fixed capacity, then grows
+    /// the window list to cover it. Returns the index of its window.
+    fn make_room(&mut self, cycle: u64) -> usize {
+        while cycle / self.window_cycles >= TIMELINE_WINDOWS as u64 {
+            self.coarsen();
+        }
+        let idx = (cycle / self.window_cycles) as usize;
+        if self.windows.len() <= idx {
+            self.windows.resize(idx + 1, WindowStats::default());
+        }
+        idx
     }
 
     /// Doubles the window width, folding adjacent window pairs together.
@@ -195,38 +189,6 @@ impl Timeline {
         self.window_cycles *= 2;
     }
 
-    /// A serializable copy of the timeline. Trailing all-zero windows are
-    /// kept (they are real quiet windows); an unfed timeline snapshots to
-    /// an empty window list.
-    pub fn snapshot(&self) -> TimelineSnapshot {
-        TimelineSnapshot {
-            window_cycles: self.window_cycles,
-            windows: self.windows.clone(),
-        }
-    }
-}
-
-/// Serializable form of a [`Timeline`] — the `timeline` section of the
-/// metrics JSON artifact.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
-pub struct TimelineSnapshot {
-    /// Window width in CPU cycles.
-    pub window_cycles: u64,
-    /// Per-window activity, window 0 covering cycles
-    /// `[0, window_cycles)`.
-    pub windows: Vec<WindowStats>,
-}
-
-impl Default for TimelineSnapshot {
-    fn default() -> Self {
-        TimelineSnapshot {
-            window_cycles: TIMELINE_BASE_WINDOW,
-            windows: Vec::new(),
-        }
-    }
-}
-
-impl TimelineSnapshot {
     /// `true` if no activity was ever recorded.
     pub fn is_empty(&self) -> bool {
         self.windows.iter().all(WindowStats::is_zero)
@@ -245,13 +207,13 @@ impl TimelineSnapshot {
     /// Folds another timeline into this one: the finer side is coarsened
     /// to the wider window width, then windows add elementwise. Used when
     /// sweep points merge into one run-level profile.
-    pub fn merge(&mut self, other: &TimelineSnapshot) {
+    pub fn merge(&mut self, other: &Timeline) {
         let mut other = other.clone();
         while self.window_cycles < other.window_cycles {
-            self.coarsen_snapshot();
+            self.coarsen();
         }
         while other.window_cycles < self.window_cycles {
-            other.coarsen_snapshot();
+            other.coarsen();
         }
         if self.windows.len() < other.windows.len() {
             self.windows
@@ -260,19 +222,6 @@ impl TimelineSnapshot {
         for (a, b) in self.windows.iter_mut().zip(other.windows.iter()) {
             a.add(b);
         }
-    }
-
-    fn coarsen_snapshot(&mut self) {
-        let pairs = self.windows.len().div_ceil(2);
-        for i in 0..pairs {
-            let mut merged = self.windows[2 * i];
-            if let Some(odd) = self.windows.get(2 * i + 1) {
-                merged.add(odd);
-            }
-            self.windows[i] = merged;
-        }
-        self.windows.truncate(pairs);
-        self.window_cycles *= 2;
     }
 }
 
@@ -286,7 +235,7 @@ mod tests {
         t.record(0, TimelineEvent::Retired);
         t.record(TIMELINE_BASE_WINDOW - 1, TimelineEvent::Retired);
         t.record(TIMELINE_BASE_WINDOW, TimelineEvent::FlushSuccess);
-        let s = t.snapshot();
+        let s = t;
         assert_eq!(s.window_cycles, TIMELINE_BASE_WINDOW);
         assert_eq!(s.windows.len(), 2);
         assert_eq!(s.windows[0].retired, 2);
@@ -312,7 +261,7 @@ mod tests {
             TIMELINE_BASE_WINDOW * TIMELINE_WINDOWS as u64 * 1000,
             TimelineEvent::Fault,
         );
-        let s = t.snapshot();
+        let s = t;
         assert!(s.windows.len() <= TIMELINE_WINDOWS);
         assert!(s.window_cycles > TIMELINE_BASE_WINDOW);
         let totals = s.totals();
@@ -350,8 +299,7 @@ mod tests {
             }
             bulk.record_retired_every(first, period, times, count);
             assert_eq!(
-                bulk.snapshot(),
-                single.snapshot(),
+                bulk, single,
                 "first {first} period {period} times {times} count {count}"
             );
         }
@@ -381,12 +329,7 @@ mod tests {
                 }
             }
             bulk.record_retired_at(first, counts);
-            assert_eq!(
-                bulk.snapshot(),
-                single.snapshot(),
-                "first {first}, {} cycles",
-                counts.len()
-            );
+            assert_eq!(bulk, single, "first {first}, {} cycles", counts.len());
         }
     }
 
@@ -400,24 +343,23 @@ mod tests {
             TIMELINE_BASE_WINDOW * TIMELINE_WINDOWS as u64 * 2,
             TimelineEvent::Fault,
         );
-        let mut merged = fine.snapshot();
-        let coarse_snap = coarse.snapshot();
-        merged.merge(&coarse_snap);
-        assert_eq!(merged.window_cycles, coarse_snap.window_cycles);
+        let mut merged = fine.clone();
+        merged.merge(&coarse);
+        assert_eq!(merged.window_cycles, coarse.window_cycles);
         let totals = merged.totals();
         assert_eq!(totals.retired, 1);
         assert_eq!(totals.flush_failures, 1);
         assert_eq!(totals.faults, 1);
         // Symmetric direction: coarse absorbs fine.
-        let mut merged2 = coarse.snapshot();
-        merged2.merge(&fine.snapshot());
+        let mut merged2 = coarse;
+        merged2.merge(&fine);
         assert_eq!(merged2, merged);
     }
 
     #[test]
     fn unfed_timeline_is_empty() {
         let t = Timeline::default();
-        assert!(t.snapshot().is_empty());
-        assert_eq!(t.snapshot().totals(), WindowStats::default());
+        assert!(t.is_empty());
+        assert_eq!(t.totals(), WindowStats::default());
     }
 }

@@ -8,8 +8,8 @@
 use std::fs;
 use std::path::PathBuf;
 
-use csb_core::experiments::runner::{run_bandwidth_panels_observed, BandwidthPanelSpec, ObsConfig};
-use csb_core::experiments::{fig5, BandwidthPanel};
+use csb_core::experiments::runner::{run_panels_observed, Measure, ObsConfig, PanelSpec};
+use csb_core::experiments::{fig5, Panel};
 use csb_core::SimConfig;
 
 fn golden_path(name: &str) -> PathBuf {
@@ -41,10 +41,10 @@ fn check_or_update<T: serde::Serialize>(name: &str, value: &T) {
 }
 
 /// One bandwidth panel, run serially through the engine.
-fn bandwidth_panel(id: &str, title: &str, cfg: SimConfig) -> BandwidthPanel {
-    let spec = BandwidthPanelSpec::new(id, title, cfg);
+fn bandwidth_panel(id: &str, title: &str, cfg: SimConfig) -> Panel {
+    let spec = PanelSpec::new(id, title, cfg, Measure::Bandwidth);
     let (mut panels, _, _) =
-        run_bandwidth_panels_observed(&[spec], 1, ObsConfig::default()).expect("panel simulates");
+        run_panels_observed(&[spec], 1, ObsConfig::default()).expect("panel simulates");
     panels.remove(0)
 }
 

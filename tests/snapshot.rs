@@ -1219,9 +1219,8 @@ fn machine_frames(fast_forward: bool) -> String {
     let (_, _, mut sim) = uncached_swap_machine(fast_forward);
     pin_frames(&mut out, "swap", &mut sim, 1);
 
-    let spec = csb_core::experiments::fig4::panel_specs()
-        .iter()
-        .flat_map(|p| p.enumerate())
+    let spec = csb_core::experiments::figure_points()
+        .into_iter()
         .find(|s| s.label == "4a/256B/CSB")
         .expect("Figure 4 enumerates 4a/256B/CSB");
     let PointWork::Bandwidth {
