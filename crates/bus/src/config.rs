@@ -158,12 +158,6 @@ impl BusConfig {
             BusKind::Split => data,
         }
     }
-
-    /// Peak data bandwidth in bytes per bus cycle for max-burst transfers,
-    /// ignoring turnaround and flow control.
-    pub fn peak_bandwidth(&self) -> f64 {
-        self.max_burst as f64 / self.transaction_cycles(self.max_burst) as f64
-    }
 }
 
 /// Builder for [`BusConfig`] (see [`BusConfig::multiplexed`]).
@@ -275,7 +269,6 @@ mod tests {
         assert_eq!(cfg.transaction_cycles(16), 3);
         assert_eq!(cfg.transaction_cycles(64), 9);
         assert_eq!(cfg.transaction_cycles(1), 2);
-        assert!((cfg.peak_bandwidth() - 64.0 / 9.0).abs() < 1e-12);
     }
 
     #[test]

@@ -174,16 +174,6 @@ impl BusStats {
             self.payload_bytes as f64 / w as f64
         }
     }
-
-    /// Fraction of transferred bytes that were padding (0.0 when nothing
-    /// was transferred).
-    pub fn padding_fraction(&self) -> f64 {
-        if self.bytes_on_bus == 0 {
-            0.0
-        } else {
-            1.0 - self.payload_bytes as f64 / self.bytes_on_bus as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -195,7 +185,6 @@ mod tests {
         let s = BusStats::default();
         assert_eq!(s.window_cycles(), 0);
         assert_eq!(s.effective_bandwidth(), 0.0);
-        assert_eq!(s.padding_fraction(), 0.0);
     }
 
     #[test]
@@ -218,7 +207,6 @@ mod tests {
         s.record(0, 8, 64, 16);
         assert_eq!(s.bytes_on_bus, 64);
         assert_eq!(s.payload_bytes, 16);
-        assert!((s.padding_fraction() - 0.75).abs() < 1e-12);
         assert!((s.effective_bandwidth() - 16.0 / 9.0).abs() < 1e-12);
     }
 }

@@ -42,7 +42,7 @@
 //! Correctness guards:
 //!
 //! * A record that fails its checksum, or carries another
-//!   [`SNAPSHOT_FORMAT_VERSION`], is
+//!   [`CACHE_FORMAT_VERSION`], is
 //!   counted as an *invalidation* when its key is loaded, and the point
 //!   transparently re-simulates. Every hit re-checks its record, so
 //!   corruption after `open` is caught too.
@@ -76,7 +76,11 @@ use std::sync::{Mutex, MutexGuard};
 
 use csb_snap::{Fnv1a, SnapshotReader, SnapshotWriter};
 
-use crate::snapshot::SNAPSHOT_FORMAT_VERSION;
+/// Version of what a point cache stores: the record framing and every
+/// `SweepPoint::payload` walk. Every key hashes it first, so a bump
+/// misses every record and a frame-only change
+/// (`SNAPSHOT_FORMAT_VERSION`) keeps every key.
+pub const CACHE_FORMAT_VERSION: u32 = 5;
 
 /// Leading magic of every pack record.
 pub const CACHE_MAGIC: [u8; 8] = *b"CSBCACH\0";
@@ -300,7 +304,7 @@ impl PointCache {
         let Ok(len) = u32::try_from(payload.len()) else {
             return;
         };
-        let mut w = SnapshotWriter::framed(CACHE_MAGIC, SNAPSHOT_FORMAT_VERSION);
+        let mut w = SnapshotWriter::framed(CACHE_MAGIC, CACHE_FORMAT_VERSION);
         w.put_u64(key);
         w.put_u32(len);
         w.put_raw(payload);
@@ -421,10 +425,10 @@ impl DebugKey {
     }
 }
 
-/// The hash state every key starts from: the snapshot format version.
+/// The hash state every key starts from: the cache format version.
 fn versioned() -> Fnv1a {
     let mut h = Fnv1a::new();
-    h.update(&SNAPSHOT_FORMAT_VERSION.to_le_bytes());
+    h.update(&CACHE_FORMAT_VERSION.to_le_bytes());
     h
 }
 
@@ -448,7 +452,7 @@ fn replace(tmp: &Path, path: &Path, bytes: &[u8]) -> io::Result<File> {
 /// The payload length of `record` if it is one whole record stored under
 /// `key` that passes its checksum and carries this build's format version.
 fn payload_len(record: &[u8], key: u64) -> Option<usize> {
-    let mut r = SnapshotReader::framed(record, CACHE_MAGIC, SNAPSHOT_FORMAT_VERSION).ok()?;
+    let mut r = SnapshotReader::framed(record, CACHE_MAGIC, CACHE_FORMAT_VERSION).ok()?;
     if r.take_u64().ok()? != key {
         return None;
     }
@@ -740,7 +744,7 @@ mod tests {
                     let key = small_key(k);
                     stored.insert(key, Vec::new());
                     bytes.extend_from_slice(&CACHE_MAGIC);
-                    let version = if version % 2 == 0 { SNAPSHOT_FORMAT_VERSION } else { version };
+                    let version = if version % 2 == 0 { CACHE_FORMAT_VERSION } else { version };
                     bytes.extend_from_slice(&version.to_le_bytes());
                     bytes.extend_from_slice(&key.to_le_bytes());
                     bytes.extend_from_slice(&len.to_le_bytes());
@@ -796,7 +800,7 @@ mod tests {
 
     #[test]
     fn key_layouts_are_pinned_and_fork_at_any_part() {
-        // Values an earlier build derived at snapshot format 5 (every key
+        // Values an earlier build derived at cache format 5 (every key
         // hashes the version first): every store a user filled holds
         // records under these byte streams.
         let cfg = crate::SimConfig::default();

@@ -592,18 +592,6 @@ impl MultiSim {
         }
         for p in &mut self.procs {
             s.opt(&mut p.ctx, || CpuContext::new(0), |s, ctx| ctx.state(s))?;
-            s.bool(&mut p.done)?;
-        }
-        // Only a process waiting for the core holds a saved context: the
-        // running one's is in the CPU, and a finished one's is gone.
-        if s.reading() {
-            for (i, p) in self.procs.iter().enumerate() {
-                if p.ctx.is_some() != (i != current && !p.done) {
-                    return Err(SnapshotError::Corrupt(format!(
-                        "process {i} saved context does not match its state"
-                    )));
-                }
-            }
         }
         for v in &mut self.slices {
             s.u64(v)?;
@@ -611,6 +599,19 @@ impl MultiSim {
         s.u64(&mut self.switches)?;
         for c in &mut self.completions {
             s.opt_u64(c)?;
+        }
+        // A process is done once it has a completion cycle. Only a process
+        // waiting for the core holds a saved context: the running one's is
+        // in the CPU, and a finished one's is gone.
+        if s.reading() {
+            for (i, (p, c)) in self.procs.iter_mut().zip(&self.completions).enumerate() {
+                p.done = c.is_some();
+                if p.ctx.is_some() != (i != current && !p.done) {
+                    return Err(SnapshotError::Corrupt(format!(
+                        "process {i} saved context does not match its state"
+                    )));
+                }
+            }
         }
         s.u64(&mut self.slice_start)?;
         s.u64(&mut self.failures_at_slice_start)?;

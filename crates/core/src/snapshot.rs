@@ -25,9 +25,11 @@
 //!
 //! **Version bump rule:** any change to the byte layout a `state` walk
 //! visits anywhere in the workspace — a new field, a reordering, a
-//! widened integer — must bump [`SNAPSHOT_FORMAT_VERSION`].
-//! Old snapshots (and cached sweep points, which embed the version in
-//! their keys) are then rejected/invalidated rather than misread.
+//! widened integer — must bump [`SNAPSHOT_FORMAT_VERSION`], and old
+//! snapshots are then rejected rather than misread. Cached sweep points
+//! hold no frame: their keys and records carry
+//! [`CACHE_FORMAT_VERSION`](crate::cache::CACHE_FORMAT_VERSION), which a
+//! change to a `SweepPoint::payload` walk or to the record framing bumps.
 //!
 //! # Examples
 //!
@@ -69,9 +71,8 @@ use crate::sim::{SimError, Simulator};
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"CSBSNAP\0";
 
 /// Version of the snapshot byte layout. Bump on **any** layout change in
-/// any component's `state` walk (see the module docs); the sweep cache
-/// keys on it, so stale cached points self-invalidate.
-pub const SNAPSHOT_FORMAT_VERSION: u32 = 5;
+/// any component's `state` walk (see the module docs).
+pub const SNAPSHOT_FORMAT_VERSION: u32 = 6;
 
 /// FNV-1a fingerprint of a machine configuration, as embedded in
 /// snapshot frames and sweep-cache keys.

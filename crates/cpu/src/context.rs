@@ -85,9 +85,9 @@ impl CpuContext {
         self.cc = flags;
     }
 
-    /// Walks the full architectural state: written by a
-    /// [`csb_snap::SnapshotWriter`], overwritten by a
-    /// [`csb_snap::SnapshotReader`].
+    /// Walks the full architectural state but `%g0`, which reads zero
+    /// whatever its slot holds: written by a [`csb_snap::SnapshotWriter`],
+    /// overwritten by a [`csb_snap::SnapshotReader`].
     ///
     /// # Errors
     ///
@@ -95,7 +95,7 @@ impl CpuContext {
     pub fn state(&mut self, s: &mut impl csb_snap::Codec) -> Result<(), csb_snap::SnapshotError> {
         s.tag("ctx")?;
         s.usize(&mut self.pc)?;
-        for v in self.int.iter_mut().chain(&mut self.fp) {
+        for v in self.int[1..].iter_mut().chain(&mut self.fp) {
             s.u64(v)?;
         }
         s.u64(&mut self.cc)?;

@@ -28,7 +28,7 @@ use crate::config::CpuConfig;
 use crate::context::CpuContext;
 use crate::port::MemPort;
 use crate::stats::CpuStats;
-use crate::trace::InstTrace;
+use crate::trace::{InstTrace, Recorder, Stage};
 
 mod countdown;
 
@@ -191,13 +191,9 @@ struct RobEntry {
     addr: Option<Addr>,
     space: Option<AddressSpace>,
     predicted_next: usize,
-    /// Head-triggered memory action already started (never replay).
-    mem_started: bool,
-    /// Stage timestamps for the optional pipeline trace.
+    /// Fetch cycle: the loop detector's fill clock (see
+    /// [`Cpu::skip_loop_periods`]), and the diagram's `F`.
     t_fetch: u64,
-    t_dispatch: u64,
-    t_issue: Option<u64>,
-    t_complete: Option<u64>,
 }
 
 impl RobEntry {
@@ -213,34 +209,31 @@ impl RobEntry {
         addr: None,
         space: None,
         predicted_next: 0,
-        mem_started: false,
         t_fetch: 0,
-        t_dispatch: 0,
-        t_issue: None,
-        t_complete: None,
     };
+
+    /// `true` once the entry's head-triggered memory action has started,
+    /// so that it must never replay: a swap (cached, conditional flush or
+    /// uncached) or an uncached load past `AddrReady`. The head starts
+    /// each from `AddrReady`, and nothing else leaves it for these states.
+    fn mem_started(&self) -> bool {
+        let past_head_action = matches!(
+            self.st,
+            St::MemAccess { .. } | St::Exec { .. } | St::UncachedWait | St::Done
+        );
+        past_head_action
+            && match self.inst.kind() {
+                InstKind::Swap => true,
+                InstKind::Load => self.space.is_some_and(AddressSpace::is_uncached),
+                _ => false,
+            }
+    }
 
     #[inline]
     fn op_val(&self, i: usize) -> u64 {
         match self.ops.slots[i].src {
             Src::Ready(v) => v,
             Src::Wait(_) => panic!("operand {i} of {} not ready", self.inst),
-        }
-    }
-
-    /// The pipeline-trace record of this entry leaving the pipeline:
-    /// retired at `retired`, or squashed.
-    fn trace(&self, retired: Option<u64>) -> InstTrace {
-        InstTrace {
-            seq: self.seq,
-            pc: self.pc,
-            text: self.inst.to_string(),
-            fetched: self.t_fetch,
-            dispatched: self.t_dispatch,
-            issued: self.t_issue,
-            completed: self.t_complete,
-            retired,
-            squashed: retired.is_none(),
         }
     }
 }
@@ -650,6 +643,18 @@ impl RenameTable {
     fn clear(&mut self) {
         self.slots = [None; RENAME_SLOTS];
     }
+
+    /// The map `rob` implies: each register names its youngest in-flight
+    /// writer. Dispatch and commit keep the map so; a squash, a restore
+    /// and a loop unpack rebuild it here.
+    fn rebuild(&mut self, rob: &Rob) {
+        self.clear();
+        for e in rob.iter() {
+            if let Some(d) = e.inst.def() {
+                self.insert(d, e.seq);
+            }
+        }
+    }
 }
 
 /// A fetch-queue entry. Dispatch reads the instruction from the program
@@ -690,36 +695,19 @@ impl St {
     }
 }
 
-impl OperandSlot {
-    /// Walks the register as a kind and an index (`0` for the condition
-    /// codes), then the source as a kind and its value or producer.
+impl Src {
+    /// Walks the source's kind, then a ready operand's value. A waiting
+    /// operand's producer is not stored: [`Cpu::producer`] derives it.
     fn state(&mut self, s: &mut impl Codec) -> Result<(), SnapshotError> {
-        let (mut k, mut idx) = match self.reg {
-            RegRef::Int(r) => (0, r.index() as u8),
-            RegRef::Fp(f) => (1, f.index() as u8),
-            RegRef::Cc => (2, 0),
-        };
-        s.kind(&mut k, 3, "register kind")?;
-        s.u8(&mut idx)?;
-        if s.reading() {
-            let bad = |what: &str| {
-                SnapshotError::Corrupt(format!("register index {idx} out of range for {what}"))
-            };
-            self.reg = match k {
-                0 if usize::from(idx) >= csb_isa::reg::NUM_INT_REGS => return Err(bad("int")),
-                0 => RegRef::Int(csb_isa::Reg::new(idx)),
-                1 if usize::from(idx) >= csb_isa::reg::NUM_FP_REGS => return Err(bad("fp")),
-                1 => RegRef::Fp(csb_isa::FReg::new(idx)),
-                _ => RegRef::Cc,
-            };
-        }
-        let (mut k, mut v) = match self.src {
+        let (mut k, mut v) = match *self {
             Src::Ready(v) => (0, v),
             Src::Wait(seq) => (1, seq),
         };
         s.kind(&mut k, 2, "operand source")?;
-        s.u64(&mut v)?;
-        self.src = if k == 0 { Src::Ready(v) } else { Src::Wait(v) };
+        if k == 0 {
+            s.u64(&mut v)?;
+        }
+        *self = if k == 0 { Src::Ready(v) } else { Src::Wait(v) };
         Ok(())
     }
 }
@@ -737,6 +725,23 @@ fn fetch_inst(program: &Program, pc: usize) -> Result<Inst, SnapshotError> {
     program
         .fetch(pc)
         .ok_or_else(|| SnapshotError::Corrupt(format!("pc {pc} is outside the restored program")))
+}
+
+/// The pc fetch predicts after `inst` at `pc` of `program`: a branch's
+/// target if it is unconditional or backward (static backward-taken,
+/// forward-not-taken), else the next pc.
+fn predict(program: &Program, pc: usize, inst: &Inst) -> usize {
+    match *inst {
+        Inst::Branch { cond, .. } => {
+            let target = program.branch_target(inst);
+            if cond == Cond::Always || target <= pc {
+                target
+            } else {
+                pc + 1
+            }
+        }
+        _ => pc + 1,
+    }
 }
 
 fn mem_width(inst: &Inst) -> usize {
@@ -765,13 +770,15 @@ pub struct Cpu {
     rob: Rob,
     /// Derived from `rob` (see [`Sched`]).
     sched: Sched,
+    /// Sequence number of the ROB head; entry `i` has `front_seq + i`.
     front_seq: u64,
-    next_seq: u64,
     rename: RenameTable,
     halted: bool,
     now: u64,
     stats: CpuStats,
-    trace: Option<Vec<InstTrace>>,
+    /// The pipeline diagram's observer, while it records (see
+    /// [`Cpu::enable_trace`]).
+    pipe: Option<Recorder>,
     /// Structured trace sink (disabled by default; see
     /// [`Cpu::set_trace_sink`]).
     obs: TraceSink,
@@ -822,12 +829,11 @@ impl Cpu {
         self.fetch_pc = self.ctx.pc();
         self.fetch_stopped = false;
         self.front_seq = 0;
-        self.next_seq = 0;
         self.rename.clear();
         self.halted = false;
         self.now = 0;
         self.stats = CpuStats::default();
-        self.trace = None;
+        self.pipe = None;
         self.obs = TraceSink::disabled();
         self.metrics = MetricsRegistry::disabled();
         self.uncached_stall_start = None;
@@ -835,23 +841,27 @@ impl Cpu {
         self.detector.forget();
     }
 
-    /// Walks the core's complete microarchitectural state: committed
-    /// context, fetch queue, ROB (with in-flight operand and timing
-    /// state), rename table, counters, and stall-run bookkeeping.
-    /// Instructions are not stored — on restore each ROB entry's `pc`
-    /// re-derives its `Inst` from the program the core already holds (a
-    /// fetch-queue entry keeps only its `pc`, which must lie in it), and
-    /// pipeline-trace recording resumes empty if it was enabled (records
-    /// retired before the snapshot are not carried over). The cycle count
-    /// is the clock, so it is derived, not stored. The trace sink and
-    /// metrics registry are wiring the restoring side re-installs. A
-    /// restore reads into a core fresh from [`Cpu::reset_with`] under the
-    /// snapshot's configuration and program.
+    /// Walks the state of the core that nothing else determines: the
+    /// committed context, the fetch pc and each fetched pc, the ROB from
+    /// its head's sequence number, the counters and the stall-run
+    /// bookkeeping. A restore reads into a core fresh from
+    /// [`Cpu::reset_with`] under the snapshot's configuration and program,
+    /// and derives the rest as dispatch would have left it: each entry's
+    /// instruction, prediction and operand registers from its `pc`, its
+    /// sequence number from its position, each waiting operand's producer
+    /// (the youngest older in-flight writer of its register, or a retired
+    /// instruction), the rename map from the ROB, and a result only for
+    /// the states that hold one; whether an entry's head action started
+    /// follows from its state. The cycle count is the clock.
+    /// Host-side state is not stored: the loop detector's fetch cycles
+    /// restart at the restore cycle, the pipeline diagram is off, and the
+    /// trace sink and metrics registry are wiring the restoring side
+    /// re-installs.
     ///
     /// # Errors
     ///
-    /// [`SnapshotError`] on a malformed stream, an entry `pc` the
-    /// current program cannot fetch, or a ROB no dispatch builds.
+    /// [`SnapshotError`] on a malformed stream, a `pc` the current program
+    /// cannot fetch, or a ROB no dispatch builds.
     pub fn state(&mut self, s: &mut impl Codec) -> Result<(), SnapshotError> {
         s.tag("cpu")?;
         self.ctx.state(s)?;
@@ -862,7 +872,7 @@ impl Cpu {
             predicted_next: 0,
             t_fetch: 0,
         };
-        let max = self.cfg.fetch_queue.max(1);
+        let (max, program) = (self.cfg.fetch_queue.max(1), &self.program);
         s.list(
             &mut self.fetch_q,
             max,
@@ -871,38 +881,45 @@ impl Cpu {
             |s, f| {
                 s.usize(&mut f.pc)?;
                 if s.reading() {
-                    fetch_inst(&self.program, f.pc)?;
+                    f.predicted_next = predict(program, f.pc, &fetch_inst(program, f.pc)?);
                 }
-                s.usize(&mut f.predicted_next)?;
-                s.u64(&mut f.t_fetch)
+                Ok(())
             },
         )?;
+        s.u64(&mut self.front_seq)?;
         let mut n = self.rob.len();
         s.len(&mut n, self.cfg.rob_size, "ROB entries")?;
         if s.reading() {
+            if self.front_seq.checked_add(n as u64).is_none() {
+                return Err(SnapshotError::Corrupt(format!(
+                    "{n} ROB entries from sequence number {}",
+                    self.front_seq
+                )));
+            }
             for _ in 0..n {
                 *self.rob.push_back() = RobEntry::EMPTY;
             }
         }
         for i in 0..n {
             let e = &mut self.rob[i];
-            s.u64(&mut e.seq)?;
             s.usize(&mut e.pc)?;
             if s.reading() {
                 e.inst = fetch_inst(&self.program, e.pc)?;
+                e.seq = self.front_seq + i as u64;
+                e.predicted_next = predict(&self.program, e.pc, &e.inst);
+                let mut regs = [RegRef::Cc; 3];
+                e.ops.len = e.inst.uses_into(&mut regs) as u8;
+                for (op, reg) in e.ops.slots.iter_mut().zip(regs) {
+                    op.reg = reg;
+                }
             }
             e.st.state(s)?;
-            s.u8(&mut e.ops.len)?;
-            if s.reading() && e.ops.len > 3 {
-                return Err(SnapshotError::Corrupt(format!(
-                    "{} operand slots exceed 3",
-                    e.ops.len
-                )));
-            }
             for op in &mut e.ops.slots[..usize::from(e.ops.len)] {
-                op.state(s)?;
+                op.src.state(s)?;
             }
-            s.u64(&mut e.value)?;
+            if matches!(e.st, St::Exec { .. } | St::MemAccess { .. } | St::Done) {
+                s.u64(&mut e.value)?;
+            }
             let mut addr = e.addr.map(Addr::raw);
             s.opt_u64(&mut addr)?;
             e.addr = addr.map(Addr::new);
@@ -910,60 +927,24 @@ impl Cpu {
             let mut k = space.unwrap_or_default() as u8;
             s.kind(&mut k, SPACES.len() as u8, "address space")?;
             e.space = SPACES[usize::from(k)];
-            s.usize(&mut e.predicted_next)?;
-            s.bool(&mut e.mem_started)?;
-            s.u64(&mut e.t_fetch)?;
-            s.u64(&mut e.t_dispatch)?;
-            s.opt_u64(&mut e.t_issue)?;
-            s.opt_u64(&mut e.t_complete)?;
         }
-        s.u64(&mut self.front_seq)?;
-        s.u64(&mut self.next_seq)?;
         if s.reading() {
-            for (i, e) in self.rob.iter().enumerate() {
-                if e.seq != self.front_seq.wrapping_add(i as u64) {
-                    return Err(SnapshotError::Corrupt(format!(
-                        "ROB entry {i} has sequence number {}, not front {} + {i}",
-                        e.seq, self.front_seq
-                    )));
-                }
-                if e.ops
-                    .iter()
-                    .any(|op| matches!(op.src, Src::Wait(p) if p >= e.seq))
-                {
-                    return Err(SnapshotError::Corrupt(format!(
-                        "ROB entry {i} waits on a producer that is not older"
-                    )));
+            for i in 0..n {
+                for j in 0..usize::from(self.rob[i].ops.len) {
+                    let op = self.rob[i].ops.slots[j];
+                    if let Src::Wait(_) = op.src {
+                        let p = self.producer(i, op.reg).ok_or_else(|| {
+                            SnapshotError::Corrupt(format!(
+                                "ROB entry {i} waits on {:?}, which nothing wrote",
+                                op.reg
+                            ))
+                        })?;
+                        self.rob[i].ops.slots[j].src = Src::Wait(p);
+                    }
                 }
             }
+            self.rename.rebuild(&self.rob);
             self.sched.rebuild(&self.rob, self.front_seq);
-        }
-        for slot in &mut self.rename.slots {
-            s.opt_u64(slot)?;
-        }
-        if s.reading() {
-            // Dispatch numbers the ROB without gaps, and the rename map
-            // names only producers still in it.
-            let in_flight = self.front_seq..self.next_seq;
-            if self.front_seq.checked_add(self.rob.len() as u64) != Some(self.next_seq) {
-                return Err(SnapshotError::Corrupt(format!(
-                    "next sequence number {} after {} ROB entries from {}",
-                    self.next_seq,
-                    self.rob.len(),
-                    self.front_seq
-                )));
-            }
-            if let Some(seq) = self
-                .rename
-                .slots
-                .iter()
-                .flatten()
-                .find(|s| !in_flight.contains(s))
-            {
-                return Err(SnapshotError::Corrupt(format!(
-                    "rename map names producer {seq} outside the ROB's {in_flight:?}"
-                )));
-            }
         }
         s.bool(&mut self.halted)?;
         s.u64(&mut self.now)?;
@@ -994,9 +975,31 @@ impl Cpu {
             let cycles = st.marks.entry(*id).or_default();
             s.list(cycles, usize::MAX, "mark cycles", 0, |s, c| s.u64(c))
         })?;
-        s.opt(&mut self.trace, Vec::new, |_, _| Ok(()))?;
         s.opt_u64(&mut self.uncached_stall_start)?;
-        s.opt_u64(&mut self.membar_stall_start)
+        s.opt_u64(&mut self.membar_stall_start)?;
+        if s.reading() {
+            let now = self.now;
+            self.fetch_q.iter_mut().for_each(|f| f.t_fetch = now);
+            for i in 0..self.rob.len() {
+                self.rob[i].t_fetch = now;
+            }
+        }
+        Ok(())
+    }
+
+    /// The producer a waiting operand of `rob[idx]` reading `reg` names:
+    /// the youngest older in-flight writer of `reg`, which dispatch named
+    /// and which has not retired, or else the last retired instruction
+    /// (any retired producer's value is architectural). `None` when
+    /// nothing has retired either.
+    fn producer(&self, idx: usize, reg: RegRef) -> Option<u64> {
+        match (0..idx)
+            .rev()
+            .find(|&j| self.rob[j].inst.def() == Some(reg))
+        {
+            Some(j) => Some(self.front_seq + j as u64),
+            None => self.front_seq.checked_sub(1),
+        }
     }
 
     /// Installs a structured trace sink: retires and squashes emit instants
@@ -1012,19 +1015,29 @@ impl Cpu {
         self.metrics = metrics;
     }
 
-    /// Starts recording one [`InstTrace`] per instruction that leaves the
-    /// pipeline (retired or squashed), for [`Cpu::trace`] /
-    /// [`crate::trace::render`]. Costs memory per instruction; intended
-    /// for short diagnostic runs.
+    /// Starts recording one [`InstTrace`] per instruction dispatched from
+    /// now on that leaves the pipeline (retired or squashed), for
+    /// [`Cpu::trace`] / [`crate::trace::render`]. Costs memory per
+    /// instruction; intended for short diagnostic runs. The recording is
+    /// wiring, not machine state: a reset or restore turns it off.
     pub fn enable_trace(&mut self) {
-        if self.trace.is_none() {
-            self.trace = Some(Vec::new());
+        if self.pipe.is_none() {
+            self.pipe = Some(Recorder::new(self.rob.slots.len()));
         }
     }
 
     /// The recorded pipeline trace (empty unless enabled).
     pub fn trace(&self) -> &[InstTrace] {
-        self.trace.as_deref().unwrap_or(&[])
+        self.pipe.as_ref().map_or(&[], Recorder::traces)
+    }
+
+    /// Reports `stage` of the entry in ring slot `slot` to the pipeline
+    /// diagram's observer, if it records.
+    #[inline]
+    fn stage(pipe: &mut Option<Recorder>, slot: usize, stage: Stage, now: u64) {
+        if let Some(p) = pipe {
+            p.stage(slot, stage, now);
+        }
     }
 
     /// The committed architectural context.
@@ -1062,7 +1075,7 @@ impl Cpu {
     /// otherwise the resumed process would re-execute an I/O operation that
     /// already reached the device, violating exactly-once semantics.
     pub fn switch_safe(&self) -> bool {
-        self.rob.front().is_none_or(|e| !e.mem_started)
+        self.rob.front().is_none_or(|e| !e.mem_started())
     }
 
     /// Performs a context switch: squashes all in-flight work (a precise
@@ -1085,8 +1098,8 @@ impl Cpu {
                 },
             );
         }
+        self.front_seq += self.rob.len() as u64;
         self.rob.clear();
-        self.front_seq = self.next_seq;
         self.sched.rebuild(&self.rob, self.front_seq);
         self.detector.reset();
         self.rename.clear();
@@ -1457,7 +1470,7 @@ impl Cpu {
                 }
                 St::Exec { done_at } if done_at <= now => {
                     e.st = St::Done;
-                    e.t_complete = Some(now);
+                    Self::stage(&mut self.pipe, slot, Stage::Complete, now);
                     self.sched.complete(slot);
                     if e.inst.kind() == InstKind::Branch && e.value as usize != e.predicted_next {
                         redirect = Some((idx, e.value as usize));
@@ -1466,7 +1479,7 @@ impl Cpu {
                 }
                 St::MemAccess { done_at } if done_at <= now => {
                     e.st = St::Done;
-                    e.t_complete = Some(now);
+                    Self::stage(&mut self.pipe, slot, Stage::Complete, now);
                     self.sched.complete(slot);
                 }
                 St::UncachedWait => {
@@ -1474,7 +1487,7 @@ impl Cpu {
                         let e = &mut self.rob[idx];
                         e.value = v;
                         e.st = St::Done;
-                        e.t_complete = Some(now);
+                        Self::stage(&mut self.pipe, slot, Stage::Complete, now);
                         self.sched.complete(slot);
                     }
                 }
@@ -1503,23 +1516,20 @@ impl Cpu {
                 },
             );
         }
-        if let Some(t) = self.trace.as_mut() {
-            t.extend((idx + 1..self.rob.len()).map(|i| self.rob[i].trace(None)));
-        }
-        self.rob.truncate(idx + 1);
-        // Recycle the squashed sequence numbers so the ROB invariant
-        // `rob[i].seq == front_seq + i` keeps holding for new dispatches.
-        // Squashed entries never issued uncached transactions (only the ROB
-        // head does), so their tags cannot be in flight.
-        self.next_seq = self.front_seq + self.rob.len() as u64;
-        self.sched.rebuild(&self.rob, self.front_seq);
-        self.detector.reset();
-        self.rename.clear();
-        for e in self.rob.iter() {
-            if let Some(d) = e.inst.def() {
-                self.rename.insert(d, e.seq);
+        if let Some(p) = &mut self.pipe {
+            for i in idx + 1..self.rob.len() {
+                let e = &self.rob[i];
+                p.leave(self.rob.wrap(i), e.seq, e.pc, &e.inst, e.t_fetch, None);
             }
         }
+        // New dispatches reuse the squashed sequence numbers, so that
+        // `rob[i].seq == front_seq + i` keeps holding. Squashed entries
+        // never issued uncached transactions (only the ROB head does), so
+        // their tags cannot be in flight.
+        self.rob.truncate(idx + 1);
+        self.sched.rebuild(&self.rob, self.front_seq);
+        self.detector.reset();
+        self.rename.rebuild(&self.rob);
     }
 
     // ------------------------------------------------------------------
@@ -1571,24 +1581,17 @@ impl Cpu {
             // The only cached op handled here is the atomic swap, which must
             // execute non-speculatively at the head.
             (Inst::Swap { .. }, AddressSpace::Cached) => {
-                if e.mem_started {
-                    return false; // access in flight; wait for writeback
-                }
                 let new = e.op_val(0);
                 let done_at = port.cached_access(addr, AccessKind::Atomic, now);
                 let old = port.swap_value(addr, new);
                 let e = &mut self.rob[0];
                 e.value = old;
-                e.mem_started = true;
                 e.st = St::MemAccess { done_at };
                 self.sched.inflight.insert(self.rob.head);
                 false
             }
             (Inst::Swap { .. }, AddressSpace::UncachedCombining) => {
                 // The conditional flush (§3.2).
-                if e.mem_started {
-                    return false;
-                }
                 if *uncached_budget == 0 {
                     return false;
                 }
@@ -1607,7 +1610,6 @@ impl Cpu {
                 let done_at = now + self.cfg.flush_latency;
                 let e = &mut self.rob[0];
                 e.value = result;
-                e.mem_started = true;
                 e.st = St::Exec { done_at };
                 self.sched.inflight.insert(self.rob.head);
                 false
@@ -1632,10 +1634,10 @@ impl Cpu {
                 }
                 *uncached_budget -= 1;
                 self.stats.combining_stores += u64::from(combining);
-                let e = &mut self.rob[0];
-                e.st = St::Done;
-                e.t_issue = Some(now);
-                e.t_complete = Some(now);
+                self.rob[0].st = St::Done;
+                let head = self.rob.head;
+                Self::stage(&mut self.pipe, head, Stage::Issue, now);
+                Self::stage(&mut self.pipe, head, Stage::Complete, now);
                 self.commit_head(port);
                 *budget -= 1;
                 true
@@ -1646,9 +1648,6 @@ impl Cpu {
                 // loads bypass combined stores (§3.2), so both spaces route
                 // here; a swap to plain uncached space writes its new value
                 // on the same trip.
-                if e.mem_started {
-                    return false;
-                }
                 if *uncached_budget == 0 {
                     return false;
                 }
@@ -1658,9 +1657,7 @@ impl Cpu {
                     return false;
                 }
                 *uncached_budget -= 1;
-                let e = &mut self.rob[0];
-                e.mem_started = true;
-                e.st = St::UncachedWait;
+                self.rob[0].st = St::UncachedWait;
                 self.sched.inflight.insert(self.rob.head);
                 false
             }
@@ -1673,12 +1670,13 @@ impl Cpu {
     /// Commits the head entry (which must be `Done`), reading it in its
     /// ring slot.
     fn commit_head<P: MemPort>(&mut self, port: &mut P) {
-        let e = &self.rob.slots[self.rob.pop_front()];
+        let slot = self.rob.pop_front();
+        let e = &self.rob.slots[slot];
         self.front_seq = e.seq + 1;
         debug_assert_eq!(e.st, St::Done);
         let now = self.now;
-        if let Some(t) = &mut self.trace {
-            t.push(e.trace(Some(now)));
+        if let Some(p) = &mut self.pipe {
+            p.leave(slot, e.seq, e.pc, &e.inst, e.t_fetch, Some(now));
         }
         self.obs.emit_with(Track::Cpu, || EventKind::Retire {
             pc: e.pc,
@@ -1794,23 +1792,21 @@ impl Cpu {
                             let e = &mut self.rob[idx];
                             e.addr = Some(addr);
                             e.space = Some(space);
-                            e.t_issue = Some(now);
                             e.st = St::Agen { done_at };
                         } else {
                             let value = self.compute(e);
                             let e = &mut self.rob[idx];
                             e.value = value;
-                            e.t_issue = Some(now);
                             e.st = St::Exec { done_at };
                         }
+                        Self::stage(&mut self.pipe, slot, Stage::Issue, now);
                         Some(unit)
                     }
                 },
                 St::AddrReady if self.rob[idx].inst.kind() == InstKind::Store => {
                     // Completes now; memory written at commit.
-                    let e = &mut self.rob[idx];
-                    e.st = St::Done;
-                    e.t_complete = Some(now);
+                    self.rob[idx].st = St::Done;
+                    Self::stage(&mut self.pipe, slot, Stage::Complete, now);
                     self.sched.ready.remove(slot);
                     None
                 }
@@ -1919,8 +1915,7 @@ impl Cpu {
             };
             // Fetch queues only pcs inside the program.
             let inst = self.program[f.pc];
-            let seq = self.next_seq;
-            self.next_seq += 1;
+            let seq = self.front_seq + self.rob.len() as u64;
 
             let slot = self.rob.wrap(self.rob.len());
             let mut waits = false;
@@ -1957,6 +1952,7 @@ impl Cpu {
                 }
                 None => St::Done,
             };
+            Self::stage(&mut self.pipe, slot, Stage::Dispatch, self.now);
             let e = self.rob.push_back();
             e.seq = seq;
             e.pc = f.pc;
@@ -1967,11 +1963,7 @@ impl Cpu {
             e.addr = None;
             e.space = None;
             e.predicted_next = f.predicted_next;
-            e.mem_started = false;
             e.t_fetch = f.t_fetch;
-            e.t_dispatch = self.now;
-            e.t_issue = None;
-            e.t_complete = None;
         }
     }
 
@@ -1990,17 +1982,7 @@ impl Cpu {
                 self.fetch_stopped = true;
                 break;
             };
-            let predicted_next = match inst {
-                Inst::Branch { cond, .. } => {
-                    let target = self.program.branch_target(&inst);
-                    if cond == Cond::Always || target <= self.fetch_pc {
-                        target
-                    } else {
-                        self.fetch_pc + 1
-                    }
-                }
-                _ => self.fetch_pc + 1,
-            };
+            let predicted_next = predict(&self.program, self.fetch_pc, &inst);
             self.fetch_q.push_back(Fetched {
                 pc: self.fetch_pc,
                 predicted_next,
@@ -2012,13 +1994,6 @@ impl Cpu {
             }
             self.fetch_pc = predicted_next;
         }
-    }
-
-    /// `true` if the machine has no in-flight instructions (ROB and fetch
-    /// queue empty) — a safe point for a context switch that must not
-    /// replay committed work.
-    pub fn pipeline_empty(&self) -> bool {
-        self.rob.is_empty() && self.fetch_q.is_empty()
     }
 
     /// The resolved address of the ROB head's memory op, if any — the

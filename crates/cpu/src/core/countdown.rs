@@ -8,11 +8,21 @@
 //! later by the instructions retired, and every copy of the counter lower
 //! by the same drop D.
 //!
+//! The fetch cycle each fetch-queue and ROB entry keeps is the detector's
+//! fill clock, and host-side: the instructions fetched while the loop
+//! started up keep their own fetch ages until they retire, which is how
+//! an observation tells the start-up from the steady state. No frame
+//! holds it; a restore sets it to the restore cycle, where the detector
+//! and the memo start over anyway. The core keeps no other stage stamp:
+//! no stage reads them, dropping them from the packed state moved no skip,
+//! and the pipeline diagram's observer records them while it is on, when
+//! nothing is skipped.
+//!
 //! The loop's pipeline state has one form, the packed words of
 //! [`Cpu::pack_loop_state`]: pcs relative to the loop start, sequence
 //! numbers relative to the ROB front, counter values relative to a base
-//! counter, and times relative to the clock. Two cycles of the loop with
-//! equal words differ only by that origin, and
+//! counter, and completion and fetch times relative to the clock. Two
+//! cycles of the loop with equal words differ only by that origin, and
 //! [`Cpu::unpack_loop_state`] installs the words at any origin.
 //! [`Cpu::skip_loop_periods`] finds a period by comparing the newest
 //! observation's words, and the statistics a loop tick leaves alone, with
@@ -33,7 +43,7 @@
 
 use csb_isa::{AluOp, Cond, Inst, Operand, Reg, RegRef};
 
-use super::{rename_slot, Cpu, Fetched, OperandSlot, Ops, RobEntry, Src, St};
+use super::{Cpu, Fetched, OperandSlot, Ops, RobEntry, Src, St};
 use crate::config::CpuConfig;
 use crate::stats::CpuStats;
 
@@ -41,11 +51,11 @@ mod memo;
 
 /// The longest loop period, in cycles, the detector looks for.
 const LOOP_HISTORY: usize = 12;
-/// Width of a packed stage time, which bounds a stage's age.
+/// Width of a packed fetch time, which bounds an entry's age.
 const TIME_BITS: u32 = 10;
 const TIME_MASK: u64 = (1 << TIME_BITS) - 1;
 /// Words of a packed state before its entries (see [`Cpu::pack_loop_state`]).
-const HEADER: usize = 11;
+const HEADER: usize = 9;
 
 /// A recognised countdown loop: `sub r, r, #c` (c ≥ 1, r ≠ `%g0`) at
 /// `start`, `cmp r, #0` after it and `bnz start` after that.
@@ -300,7 +310,7 @@ impl Cpu {
     /// [`Cpu::skip_loop_periods`] once the head looks like part of a loop.
     fn observe_loop(&mut self, max_cycles: u64, max_period: u64) -> u64 {
         if self.obs.is_enabled()
-            || self.trace.is_some()
+            || self.pipe.is_some()
             || self.uncached_stall_start.is_some()
             || self.membar_stall_start.is_some()
         {
@@ -526,18 +536,18 @@ impl Cpu {
     /// Appends the pipeline state to `out` relative to the loop `lp`: pcs
     /// relative to its start, sequence numbers to the ROB front, counter
     /// values to `base`, completion times to the clock and, with `times`,
-    /// stage timestamps too (without, they are left out).
+    /// fetch times too (without, they are left out).
     /// Returns the lowest and highest counter offset in the state, or
     /// `None` when a field does not fit its packing (`out` is then partly
     /// written). Fields no loop instruction can change (other registers,
-    /// marks, addresses, memory flags) and [`CpuStats`] are left out.
+    /// marks, addresses, memory flags), the rename map, which the ROB
+    /// determines, and [`CpuStats`] are left out.
     ///
-    /// Eleven header words (register, step, fetch pc, committed pc,
-    /// condition codes, flags, the counter's and the condition codes'
-    /// rename slots, the counter, fetch-queue and ROB lengths) come first,
-    /// then one word per fetched instruction (pc, predicted next pc, fetch
-    /// time) and two per ROB entry: pc, predicted next pc, state,
-    /// operand kind, completion time and four stage times in one; the
+    /// Nine header words (register, step, fetch pc, committed pc,
+    /// condition codes, flags, the counter, fetch-queue and ROB lengths)
+    /// come first, then one word per fetched instruction (pc, predicted
+    /// next pc, fetch time) and two per ROB entry: pc, predicted next pc,
+    /// state, operand kind, completion time and fetch time in one; the
     /// operand and the result as 32-bit fields in the other.
     fn pack_loop_state(
         &self,
@@ -550,7 +560,6 @@ impl Cpu {
         let counter = |v: u64| v.wrapping_sub(base) as i64;
         let arch = counter(self.ctx.int_reg(lp.reg));
         let (mut low, mut high) = (arch, arch);
-        let rel_seq = |s: Option<u64>| s.map_or(0, |s| s.wrapping_sub(front).wrapping_add(1));
         out.extend_from_slice(&[
             lp.reg.index() as u64,
             lp.step,
@@ -558,32 +567,19 @@ impl Cpu {
             self.ctx.pc().wrapping_sub(start) as u64,
             self.ctx.cc(),
             u64::from(self.fetch_stopped) | u64::from(self.halted) << 1,
-            rel_seq(self.rename.get(RegRef::Int(lp.reg))),
-            rel_seq(self.rename.get(RegRef::Cc)),
             arch as u64,
             self.fetch_q.len() as u64,
             self.rob.len() as u64,
         ]);
-        debug_assert!(
-            (0..self.rename.slots.len()).all(|i| self.rename.slots[i].is_none()
-                || i == rename_slot(RegRef::Int(lp.reg))
-                || i == rename_slot(RegRef::Cc)),
-            "a loop-only ROB leaves other rename slots empty"
-        );
         let body = |pc: usize| Some(pc.wrapping_sub(start) as u64).filter(|&o| o < 3);
         let next = |pc: usize| Some(pc.wrapping_sub(start) as u64).filter(|&o| o < 4);
-        // A stage time packs as its age, an optional one as its age plus
-        // one (0 for none); both leave the top value unused.
+        // A fetch time packs as its age, leaving the top value unused.
         let time = |t: u64| {
             if times {
                 Some(now - t).filter(|&dt| dt < TIME_MASK)
             } else {
                 Some(0)
             }
-        };
-        let stamp = |t: Option<u64>| match t {
-            Some(t) if times => time(t).map(|dt| dt + 1),
-            _ => Some(0),
         };
         for f in &self.fetch_q {
             out.push(body(f.pc)? | next(f.predicted_next)? << 2 | time(f.t_fetch)? << 4);
@@ -595,8 +591,7 @@ impl Cpu {
                 && e.ops.len == 1
                 && e.ops.slots[0].reg == lp.operand(off)
                 && e.addr.is_none()
-                && e.space.is_none()
-                && !e.mem_started;
+                && e.space.is_none();
             if !loop_entry {
                 return None;
             }
@@ -625,10 +620,7 @@ impl Cpu {
                     | kind << 4
                     | wait << 7
                     | done << 8
-                    | time(e.t_fetch)? << 24
-                    | time(e.t_dispatch)? << 34
-                    | stamp(e.t_issue)? << 44
-                    | stamp(e.t_complete)? << 54,
+                    | time(e.t_fetch)? << 24,
             );
             out.push(i32_field(src)? | i32_field(value)? << 32);
         }
@@ -638,8 +630,9 @@ impl Cpu {
     /// Installs a state [`Cpu::pack_loop_state`] wrote with `times` at the
     /// origin `at`: the clock and the ROB front move there, every packed
     /// field is rebuilt from `words` with counter values relative to
-    /// `at.base`, and the scheduling state is rebuilt from the ROB. The
-    /// ROB keeps its ring positions, since clearing it keeps its head.
+    /// `at.base`, and the rename map and the scheduling state are rebuilt
+    /// from the ROB. The ROB keeps its ring positions, since clearing it
+    /// keeps its head.
     fn unpack_loop_state(&mut self, at: Origin, words: &[u64]) {
         let (lp, now, front, base) = (at.lp, at.now, at.front, at.base);
         let start = lp.start;
@@ -652,11 +645,8 @@ impl Cpu {
         self.ctx.set_cc(h[4]);
         self.fetch_stopped = h[5] & 1 != 0;
         self.halted = h[5] & 2 != 0;
-        let seq = |w: u64| (w != 0).then(|| front.wrapping_add(w - 1));
-        self.rename.slots[rename_slot(RegRef::Int(lp.reg))] = seq(h[6]);
-        self.rename.slots[rename_slot(RegRef::Cc)] = seq(h[7]);
-        self.ctx.set_int_reg(lp.reg, base.wrapping_add(h[8]));
-        let (nq, nrob) = (h[9] as usize, h[10] as usize);
+        self.ctx.set_int_reg(lp.reg, base.wrapping_add(h[6]));
+        let (nq, nrob) = (h[7] as usize, h[8] as usize);
         let inst = |o: u64| {
             self.program
                 .fetch(start + o as usize)
@@ -664,10 +654,6 @@ impl Cpu {
         };
         let body = [inst(0), inst(1), inst(2)];
         let time = |w: u64, shift: u32| now - (w >> shift & TIME_MASK);
-        let stamp = |w: u64, shift: u32| {
-            let dt = w >> shift & TIME_MASK;
-            (dt != 0).then(|| now - (dt - 1))
-        };
         self.fetch_q.clear();
         for &w in &words[HEADER..HEADER + nq] {
             self.fetch_q.push_back(Fetched {
@@ -712,16 +698,12 @@ impl Cpu {
                 addr: None,
                 space: None,
                 predicted_next: pc(w >> 2 & 3),
-                mem_started: false,
                 t_fetch: time(w, 24),
-                t_dispatch: time(w, 34),
-                t_issue: stamp(w, 44),
-                t_complete: stamp(w, 54),
             };
         }
         debug_assert_eq!(self.rob.len(), nrob);
         self.front_seq = front;
-        self.next_seq = front + nrob as u64;
+        self.rename.rebuild(&self.rob);
         self.sched.rebuild(&self.rob, front);
     }
 }

@@ -14,11 +14,11 @@
 //! to the loop start, sequence numbers relative to the ROB front, counter
 //! values relative to the architectural counter, completion times relative
 //! to the clock, the condition codes, and the loop's register and step.
-//! It leaves out the stage timestamps and [`crate::CpuStats`], which no
-//! stage reads. The end state holds the timestamps too; a span is kept
-//! only if every entry in flight at the key retired inside it, so every
-//! timestamp at its end lies inside the span and is exact relative to the
-//! clock. The configuration is not part of each key: the memo belongs to
+//! It leaves out the fetch times, the detector's fill clock, and
+//! [`crate::CpuStats`], which no stage reads. The end state holds the
+//! fetch times too; a span is kept only if every entry in flight at the
+//! key retired inside it, so every fetch time at its end lies inside the
+//! span and is exact relative to the clock. The configuration is not part of each key: the memo belongs to
 //! one run, and a run's core changes its configuration only in a warm
 //! reset, which empties the memo.
 
@@ -32,7 +32,7 @@ const MEMO_SPANS: usize = 16;
 const MEMO_WORDS: usize = 3 * 1024;
 /// Most per-cycle retirement counts one memo keeps.
 const MEMO_CYCLES: usize = 4 * 1024;
-/// Longest span recorded, in cycles: every stage time at its end fits.
+/// Longest span recorded, in cycles: every fetch time at its end fits.
 const MAX_SPAN: u64 = TIME_MASK - 1;
 
 /// One memoized warm-up span.

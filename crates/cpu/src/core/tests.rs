@@ -601,12 +601,51 @@ fn ipc_is_bounded_by_width() {
 }
 
 #[test]
+fn the_pipeline_trace_stays_out_of_frames_and_off_after_a_restore() {
+    let mut a = Assembler::new();
+    for i in 0..24 {
+        a.movi(Reg::new(8 + (i % 16) as u8), i64::from(i));
+    }
+    a.halt();
+    let (cfg, program) = (CpuConfig::default(), a.assemble().unwrap());
+    let mut traced = Cpu::new(cfg, program.clone());
+    let mut plain = Cpu::new(cfg, program.clone());
+    traced.enable_trace();
+    let (mut p1, mut p2) = (SimpleMemPort::new(), SimpleMemPort::new());
+    for _ in 0..6 {
+        traced.tick(&mut p1);
+        plain.tick(&mut p2);
+    }
+    assert!(!traced.trace().is_empty(), "some instructions retired");
+    let frame = |cpu: &mut Cpu| {
+        let mut w = csb_snap::SnapshotWriter::new();
+        cpu.state(&mut w).expect("writing never fails");
+        w.finish()
+    };
+    let bytes = frame(&mut traced);
+    assert_eq!(bytes, frame(&mut plain));
+    let mut restored = Cpu::new(cfg, program);
+    restored
+        .state(&mut csb_snap::SnapshotReader::new(&bytes))
+        .unwrap();
+    restored.run(&mut p1, 10_000).unwrap();
+    assert!(restored.trace().is_empty());
+}
+
+#[test]
+fn a_rob_entry_holds_only_the_fetch_stamp() {
+    // The other stage cycles live in the pipeline diagram's observer.
+    let size = std::mem::size_of::<RobEntry>();
+    assert!(size <= 184, "a ROB entry takes {size} bytes");
+}
+
+#[test]
 fn pipeline_empty_reports() {
     let mut a = Assembler::new();
     a.halt();
     let program = a.assemble().unwrap();
     let mut cpu = Cpu::new(CpuConfig::default(), program);
-    assert!(cpu.pipeline_empty());
+    assert!(cpu.rob.is_empty() && cpu.fetch_q.is_empty());
     let mut port = SimpleMemPort::new();
     cpu.run(&mut port, 100).unwrap();
     assert!(cpu.halted());

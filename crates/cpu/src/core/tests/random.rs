@@ -1,7 +1,8 @@
 //! Random programs against a port with real flow control: a cycle-timing
 //! golden of every program's statistics, snapshot frames and horizons,
 //! and checks that the derived scheduling state always equals a rebuild
-//! from the ROB.
+//! from the ROB and that every field a frame leaves out holds what a
+//! restore derives for it.
 //!
 //! Regenerate the golden after an intentional timing change with
 //! `UPDATE_GOLDEN=1 cargo test -p csb-cpu random_programs_match_timing_golden`.
@@ -9,12 +10,14 @@
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 
-use csb_isa::{Addr, AddressSpace, AluOp, Assembler, FReg, FpuOp, MemWidth, Program, Reg};
+use csb_isa::{
+    Addr, AddressSpace, AluOp, Assembler, Cond, FReg, FpuOp, Inst, MemWidth, Program, Reg, RegRef,
+};
 use csb_mem::AccessKind;
 use csb_snap::{Fnv1a, SnapshotReader, SnapshotWriter};
 use proptest::TestRng;
 
-use super::{io_map, InstKind, Sched, St, COMBINING_BASE, UNCACHED_BASE};
+use super::{io_map, InstKind, Sched, Src, St, COMBINING_BASE, UNCACHED_BASE};
 use crate::port::SimpleMemPort;
 use crate::{Cpu, CpuConfig, CpuStats, MemPort, Pid};
 
@@ -451,7 +454,11 @@ fn random_programs_match_timing_golden() {
 }
 
 /// Fails unless the incrementally maintained scheduling sets equal the
-/// ones a restoring [`Cpu::state`] rebuilds from the ROB.
+/// ones a restoring [`Cpu::state`] rebuilds from the ROB, and every field
+/// a frame leaves out holds what a restore derives for it: sequence
+/// numbers from the ROB front, predictions and operand registers from the
+/// pc, no result before an entry's state can hold one, each waiting
+/// operand's producer, and the rename map.
 fn assert_sched_matches_rebuild(cpu: &Cpu) {
     let mut rebuilt = Sched::new(cpu.rob.slots.len());
     rebuilt.rebuild(&cpu.rob, cpu.front_seq);
@@ -461,6 +468,94 @@ fn assert_sched_matches_rebuild(cpu: &Cpu) {
         "scheduling sets drifted from the ROB at cycle {}",
         cpu.now()
     );
+    assert_derivations_hold(cpu);
+}
+
+/// The pc static prediction fetches after `inst` at `pc`: backward and
+/// unconditional branches taken, everything else falls through.
+fn static_prediction(program: &Program, pc: usize, inst: &Inst) -> usize {
+    match *inst {
+        Inst::Branch { cond, .. } => {
+            let target = program.branch_target(inst);
+            if cond == Cond::Always || target <= pc {
+                target
+            } else {
+                pc + 1
+            }
+        }
+        _ => pc + 1,
+    }
+}
+
+/// The invariants behind each field a frame leaves out, checked against
+/// what the core holds: the fields a restore derives are the fields the
+/// pipeline built.
+fn assert_derivations_hold(cpu: &Cpu) {
+    let at = cpu.now();
+    let program = &cpu.program;
+    for f in &cpu.fetch_q {
+        let inst = program.fetch(f.pc).expect("fetched pcs lie in the program");
+        assert_eq!(
+            f.predicted_next,
+            static_prediction(program, f.pc, &inst),
+            "fetched pc {} predicts off the static rule at cycle {at}",
+            f.pc
+        );
+    }
+    // The youngest in-flight writer of each register, oldest entry first.
+    let mut writers: Vec<(RegRef, u64)> = Vec::new();
+    let youngest = |writers: &[(RegRef, u64)], reg: RegRef| {
+        writers.iter().rev().find(|w| w.0 == reg).map(|w| w.1)
+    };
+    for (i, e) in cpu.rob.iter().enumerate() {
+        assert_eq!(
+            e.seq,
+            cpu.front_seq + i as u64,
+            "ROB entry {i} numbered off its position at cycle {at}"
+        );
+        assert_eq!(Some(e.inst), program.fetch(e.pc), "entry {i} at cycle {at}");
+        assert_eq!(
+            e.predicted_next,
+            static_prediction(program, e.pc, &e.inst),
+            "ROB entry {i} predicts off the static rule at cycle {at}"
+        );
+        if !matches!(e.st, St::Exec { .. } | St::MemAccess { .. } | St::Done) {
+            assert_eq!(e.value, 0, "entry {i} holds a result in {:?}", e.st);
+        }
+        let mut regs = [RegRef::Cc; 3];
+        let n = e.inst.uses_into(&mut regs);
+        assert_eq!(usize::from(e.ops.len), n, "entry {i} at cycle {at}");
+        for (op, &reg) in e.ops.iter().zip(&regs) {
+            assert_eq!(op.reg, reg, "entry {i} operand register at cycle {at}");
+            if let Src::Wait(p) = op.src {
+                match youngest(&writers, reg) {
+                    Some(w) => assert_eq!(
+                        p, w,
+                        "entry {i} waits on {p}, not {reg:?}'s writer {w}, at cycle {at}"
+                    ),
+                    None => assert!(
+                        p < cpu.front_seq,
+                        "entry {i} waits on {p}, which is no writer of {reg:?}, at cycle {at}"
+                    ),
+                }
+            }
+        }
+        if let Some(d) = e.inst.def() {
+            writers.push((d, e.seq));
+        }
+    }
+    for (slot, &named) in cpu.rename.slots.iter().enumerate() {
+        let reg = match slot {
+            s if s < 32 => RegRef::Int(Reg::new(s as u8)),
+            s if s < 64 => RegRef::Fp(FReg::new((s - 32) as u8)),
+            _ => RegRef::Cc,
+        };
+        assert_eq!(
+            named,
+            youngest(&writers, reg),
+            "rename slot of {reg:?} at cycle {at}"
+        );
+    }
 }
 
 /// How often each situation the scheduling sets must survive occurred.
@@ -574,30 +669,42 @@ fn scheduling_sets_match_a_rebuild_after_every_tick() {
     );
 }
 
-/// Restoring a core frame with any one byte flipped returns an error or a
-/// core whose scheduling state is consistent; the rebuild never indexes
-/// outside the ROB.
+/// Restoring core frames with any one byte flipped returns an error or a
+/// core a dispatch could have built: its scheduling state matches a
+/// rebuild that never indexes outside the ROB, its rename map names each
+/// register's youngest in-flight writer, and each waiting operand waits
+/// on its register's writer (see [`assert_sched_matches_rebuild`]). The
+/// frames are taken every few cycles of several programs, so they hold
+/// waiting operands, in-flight writers of one register and squashes.
 #[test]
 fn corrupt_frames_never_panic_the_rebuild() {
-    let program = program(3);
     let cfg = CpuConfig::default();
-    let mut cpu = Cpu::new(cfg, program.clone());
-    let mut port = TimedPort::new();
-    while cpu.rob.len() < 12 {
-        port.now = cpu.now();
-        cpu.tick(&mut port);
-    }
-    let mut w = SnapshotWriter::new();
-    cpu.state(&mut w).expect("writing never fails");
-    let frame = w.finish();
-    for i in 0..frame.len() {
-        for flip in [0x01, 0x80] {
-            let mut bad = frame.clone();
-            bad[i] ^= flip;
-            let mut fresh = Cpu::new(cfg, program.clone());
-            if fresh.state(&mut SnapshotReader::new(&bad)).is_ok() {
-                assert_sched_matches_rebuild(&fresh);
+    let mut restored = 0;
+    for seed in 0..4 {
+        let program = program(seed);
+        let mut cpu = Cpu::new(cfg, program.clone());
+        let mut port = TimedPort::new();
+        while !cpu.halted() {
+            port.now = cpu.now();
+            cpu.tick(&mut port);
+            if !cpu.now().is_multiple_of(23) || cpu.rob.is_empty() {
+                continue;
+            }
+            let mut w = SnapshotWriter::new();
+            cpu.state(&mut w).expect("writing never fails");
+            let frame = w.finish();
+            for i in 0..frame.len() {
+                for flip in [0x01, 0x10, 0x80] {
+                    let mut bad = frame.clone();
+                    bad[i] ^= flip;
+                    let mut fresh = Cpu::new(cfg, program.clone());
+                    if fresh.state(&mut SnapshotReader::new(&bad)).is_ok() {
+                        assert_sched_matches_rebuild(&fresh);
+                        restored += 1;
+                    }
+                }
             }
         }
     }
+    assert!(restored > 1000, "only {restored} flipped frames restored");
 }

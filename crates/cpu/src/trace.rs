@@ -14,7 +14,12 @@
 //!
 //! Legend: `F` fetched, `D` dispatched, `I` issued, `C` completed,
 //! `R` retired, `x` squashed (at its last known cycle), `-` in flight.
+//!
+//! The core keeps only the fetch cycle of an instruction in flight; an
+//! observer that exists only while the trace is on records the other
+//! stage cycles.
 
+use csb_isa::Inst;
 use serde::Serialize;
 
 /// Lifetime record of one instruction's trip through the pipeline.
@@ -45,10 +50,91 @@ pub struct InstTrace {
     pub squashed: bool,
 }
 
-impl InstTrace {
-    /// Cycles from fetch to retirement (`None` for squashed instructions).
-    pub fn lifetime(&self) -> Option<u64> {
-        self.retired.map(|r| r - self.fetched)
+/// The dispatch, issue and completion cycles of the entry in one ROB
+/// ring slot; `dispatched` is `None` for an entry dispatched before
+/// recording started, which is never recorded.
+#[derive(Debug, Clone, Copy, Default)]
+struct Stamps {
+    dispatched: Option<u64>,
+    issued: Option<u64>,
+    completed: Option<u64>,
+}
+
+/// A pipeline stage the core reports to a [`Recorder`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Stage {
+    Dispatch,
+    Issue,
+    Complete,
+}
+
+/// The pipeline-diagram observer behind [`crate::Cpu::enable_trace`]: the
+/// stage cycles of each in-flight entry by ROB ring slot, and one
+/// [`InstTrace`] per instruction that left the pipeline. Like the trace
+/// sink it is wiring, not machine state: it exists only while the trace
+/// is on, no frame holds it, and a reset or restore turns it off.
+#[derive(Debug)]
+pub(crate) struct Recorder {
+    stamps: Box<[Stamps]>,
+    left: Vec<InstTrace>,
+}
+
+impl Recorder {
+    /// A recorder for a ROB ring of `slots` slots.
+    pub(crate) fn new(slots: usize) -> Self {
+        Recorder {
+            stamps: vec![Stamps::default(); slots].into_boxed_slice(),
+            left: Vec::new(),
+        }
+    }
+
+    /// The entry in ring slot `slot` reached `stage` at `now`; a dispatch
+    /// forgets the slot's previous entry.
+    pub(crate) fn stage(&mut self, slot: usize, stage: Stage, now: u64) {
+        let st = &mut self.stamps[slot];
+        match stage {
+            Stage::Dispatch => {
+                *st = Stamps {
+                    dispatched: Some(now),
+                    ..Stamps::default()
+                }
+            }
+            Stage::Issue => st.issued = Some(now),
+            Stage::Complete => st.completed = Some(now),
+        }
+    }
+
+    /// The entry `seq` in ring slot `slot`, `inst` at `pc` fetched at
+    /// `fetched`, left the pipeline: retired at `retired`, or squashed.
+    pub(crate) fn leave(
+        &mut self,
+        slot: usize,
+        seq: u64,
+        pc: usize,
+        inst: &Inst,
+        fetched: u64,
+        retired: Option<u64>,
+    ) {
+        let st = self.stamps[slot];
+        let Some(dispatched) = st.dispatched else {
+            return;
+        };
+        self.left.push(InstTrace {
+            seq,
+            pc,
+            text: inst.to_string(),
+            fetched,
+            dispatched,
+            issued: st.issued,
+            completed: st.completed,
+            retired,
+            squashed: retired.is_none(),
+        });
+    }
+
+    /// Every instruction recorded leaving the pipeline, in leaving order.
+    pub(crate) fn traces(&self) -> &[InstTrace] {
+        &self.left
     }
 }
 
@@ -161,7 +247,7 @@ mod tests {
         assert!(add.dispatched <= add.issued.unwrap());
         assert!(add.issued.unwrap() < add.completed.unwrap());
         assert!(add.completed.unwrap() <= add.retired.unwrap());
-        assert!(add.lifetime().unwrap() > 0);
+        assert!(add.retired.unwrap() > add.fetched);
         assert!(!add.squashed);
     }
 

@@ -220,11 +220,6 @@ impl MemoryHierarchy {
         self.l2.invalidate(addr);
     }
 
-    /// Returns `true` if `addr` is present in the L1.
-    pub fn in_l1(&self, addr: Addr) -> bool {
-        self.l1.probe(addr)
-    }
-
     /// Aggregate statistics.
     pub fn stats(&self) -> MemoryStats {
         MemoryStats {
@@ -253,7 +248,7 @@ mod tests {
         // L1: 32KiB/2way/64B -> 256 sets -> set stride 16 KiB.
         m.access(Addr::new(0x8000 + 16 * 1024), AccessKind::Read, 0);
         m.access(Addr::new(0x8000 + 32 * 1024), AccessKind::Read, 0);
-        assert!(!m.in_l1(a));
+        assert!(!m.l1.probe(a));
         let (t, lvl) = m.access(a, AccessKind::Read, 200);
         assert_eq!((t, lvl), (210, HitLevel::L2));
         let (t, lvl) = m.access(a, AccessKind::Read, 300);
@@ -278,7 +273,7 @@ mod tests {
         let mut m = hier();
         let a = Addr::new(0x9000);
         m.access(a, AccessKind::Write, 0);
-        assert!(m.in_l1(a));
+        assert!(m.l1.probe(a));
         let (t, lvl) = m.access(a, AccessKind::Write, 50);
         assert_eq!((t, lvl), (51, HitLevel::L1));
     }

@@ -341,7 +341,7 @@ impl UncachedBuffer {
                     Entry::Store(se) => {
                         s.u64_as(&mut se.base, Addr::raw, Addr::new)?;
                         s.u128_as(&mut se.mask, |m| m.bits(), ByteMask::from_bits)?;
-                        s.raw(&mut se.data)?;
+                        se.mask.walk_bytes(&mut se.data, s)?;
                         s.bool(&mut se.locked)?;
                         s.bool(&mut se.closed)?;
                         s.u64(&mut se.expected_next)?;

@@ -378,7 +378,7 @@ impl ConditionalStoreBuffer {
                     l.base
                 )));
             }
-            s.raw(&mut l.data)?;
+            l.mask.walk_bytes(&mut l.data, s)?;
             s.u64(&mut l.count)
         })?;
         let blank = PreparedTxn {

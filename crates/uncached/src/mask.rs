@@ -121,6 +121,26 @@ impl ByteMask {
         self.0
     }
 
+    /// Walks the bytes of `data` under the mask. A store fills only bytes
+    /// under its buffer's mask and every buffer starts zeroed, so the
+    /// others are zero, and a restore into a zeroed buffer leaves them so.
+    ///
+    /// # Errors
+    ///
+    /// [`csb_snap::SnapshotError`] on a malformed stream.
+    pub(crate) fn walk_bytes(
+        self,
+        data: &mut [u8; MAX_BLOCK],
+        s: &mut impl csb_snap::Codec,
+    ) -> Result<(), csb_snap::SnapshotError> {
+        for (i, b) in data.iter_mut().enumerate() {
+            if self.0 >> i & 1 != 0 {
+                s.u8(b)?;
+            }
+        }
+        Ok(())
+    }
+
     /// Rebuilds a mask from [`ByteMask::bits`] (snapshot restore).
     pub const fn from_bits(bits: u128) -> Self {
         ByteMask(bits)

@@ -747,7 +747,7 @@ fn stale_format_record_is_rejected_and_resimulated() {
         // written it, with a checksum that matches.
         let mut bytes = std::fs::read(pack_path(store)).unwrap();
         let record = pack_records(&bytes)[0].clone();
-        let stale = csb_core::SNAPSHOT_FORMAT_VERSION + 1;
+        let stale = csb_core::cache::CACHE_FORMAT_VERSION + 1;
         bytes[record.start + 8..record.start + 12].copy_from_slice(&stale.to_le_bytes());
         let sum_at = record.end - 8;
         let sum = csb_snap::fnv1a(&bytes[record.start..sum_at]);
