@@ -29,7 +29,6 @@ use csb_core::experiments::runner::{
     PointWork,
 };
 use csb_core::experiments::{format_table, Scheme};
-use csb_core::snapshot::program_fingerprint;
 use csb_core::workloads::StoreOrder;
 use csb_core::{trace, workloads, SimConfig, Simulator};
 
@@ -255,16 +254,15 @@ fn main() {
     out.flush().expect("stdout flushes");
     if bo.ledger.is_some() {
         // The key the point has in a sweep. An assembled program has no
-        // workload to name, so its fingerprint on the machine it runs on
-        // stands in for one.
+        // workload to name, so the program itself, on the machine it runs
+        // on, stands in for one.
         let (label, key) = match &args.asm {
             Some(f) => {
-                let program = program_fingerprint(sim.cpu().program());
-                let key = PointCache::key_debug(&[&machine, &program], 0);
+                let key = PointCache::key_of(&(&machine, sim.cpu().program()));
                 (format!("explore/asm/{f}"), key)
             }
             None => {
-                let key = PointCache::key_debug(&[&cfg, &work(bytes)], 0);
+                let key = PointCache::key_of(&(&cfg, &work(bytes)));
                 (format!("explore/{bytes}B/{}", args.scheme_flag), key)
             }
         };

@@ -38,6 +38,7 @@ fn main() -> ExitCode {
             )),
         },
     };
+    let json = args.output("--json").unwrap_or_else(|e| CLI.fail(e));
 
     let read_ledger = |path: &str| {
         let text = std::fs::read_to_string(path)
@@ -49,7 +50,7 @@ fn main() -> ExitCode {
 
     let diff = csb_obs::diff_ledgers(&baseline, &current, threshold);
     eprint!("{}", diff.render());
-    if let Some(path) = args.path("--json") {
+    if let Some(path) = json {
         csb_bench::dump_json(&path, &diff);
     }
     if diff.is_regression() {

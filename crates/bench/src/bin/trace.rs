@@ -84,7 +84,7 @@ fn main() -> ExitCode {
         .as_deref()
         .expect("tracing was enabled");
     std::fs::write(&trace_out, trace)
-        .unwrap_or_else(|e| panic!("cannot write {}: {e}", trace_out.display()));
+        .unwrap_or_else(|e| csb_bench::die(format!("cannot write {}: {e}", trace_out.display())));
     eprintln!(
         "wrote {} ({} events) — open in https://ui.perfetto.dev",
         trace_out.display(),

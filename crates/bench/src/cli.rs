@@ -8,7 +8,7 @@
 //! counts.
 
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use csb_core::cache::PointCache;
 
@@ -148,6 +148,24 @@ impl Args {
         self.value(flag).map(PathBuf::from)
     }
 
+    /// [`Args::path`] of a file the binary will write, checked before
+    /// anything runs.
+    ///
+    /// # Errors
+    ///
+    /// When the file's directory does not exist: the run would otherwise
+    /// simulate every point and only then fail to write.
+    pub fn output(&self, flag: &str) -> Result<Option<PathBuf>, String> {
+        let path = self.path(flag);
+        match path.as_deref().and_then(Path::parent) {
+            Some(dir) if !dir.as_os_str().is_empty() && !dir.is_dir() => Err(format!(
+                "{flag}: directory {} does not exist",
+                dir.display()
+            )),
+            _ => Ok(path),
+        }
+    }
+
     /// A positive count such as the throughput bench's `--reps`, or
     /// `default` when `flag` is absent.
     ///
@@ -194,9 +212,13 @@ impl Args {
     ///
     /// # Errors
     ///
-    /// An unusable directory or cycle count, or `--snapshot-every`
+    /// An unusable directory or cycle count, an output path whose
+    /// directory does not exist ([`Args::output`]), or `--snapshot-every`
     /// without `--cache-dir`.
     pub fn obs(&self) -> Result<BenchObs, String> {
+        let trace_out = self.output("--trace-out")?;
+        let metrics_out = self.output("--metrics-out")?;
+        let ledger = self.output("--ledger")?;
         let (cache, autosnap) = match self.path("--cache-dir") {
             None if self.has("--snapshot-every") => {
                 return Err(
@@ -220,9 +242,9 @@ impl Args {
             }
         };
         Ok(BenchObs {
-            trace_out: self.path("--trace-out"),
-            metrics_out: self.path("--metrics-out"),
-            ledger: self.path("--ledger"),
+            trace_out,
+            metrics_out,
+            ledger,
             cache,
             autosnap,
             fast_forward: !self.has("--no-fast-forward"),

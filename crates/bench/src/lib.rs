@@ -162,12 +162,8 @@ pub fn ledger_record(bench: &str, la: &LabeledArtifacts) -> LedgerRecord {
 /// Appends one [`LedgerRecord`] JSONL line per point to `path`, creating
 /// the file on first use. Appending (instead of rewriting) is what turns
 /// the ledger into a cross-run trajectory; [`csb_obs::diff_ledgers`]
-/// resolves duplicate keys newest-wins.
-///
-/// # Panics
-///
-/// Panics on I/O failure — a requested ledger that cannot be written
-/// should abort loudly.
+/// resolves duplicate keys newest-wins. An I/O failure ends the process
+/// through [`die`].
 pub fn append_ledger(path: &Path, bench: &str, artifacts: &[LabeledArtifacts]) {
     let mut lines = String::new();
     for la in artifacts {
@@ -178,9 +174,9 @@ pub fn append_ledger(path: &Path, bench: &str, artifacts: &[LabeledArtifacts]) {
         .create(true)
         .append(true)
         .open(path)
-        .unwrap_or_else(|e| panic!("cannot open {}: {e}", path.display()));
+        .unwrap_or_else(|e| die(format!("cannot open {}: {e}", path.display())));
     file.write_all(lines.as_bytes())
-        .unwrap_or_else(|e| panic!("cannot append to {}: {e}", path.display()));
+        .unwrap_or_else(|e| die(format!("cannot append to {}: {e}", path.display())));
     eprintln!(
         "appended {} ledger record(s) to {}",
         artifacts.len(),
@@ -222,12 +218,8 @@ pub fn artifact_path(base: &Path, label: &str, seed: u64) -> PathBuf {
 
 /// Writes every captured artifact to disk: Chrome traces under the
 /// `--trace-out` base path, metrics reports under the `--metrics-out`
-/// base, one file per point named by [`artifact_path`].
-///
-/// # Panics
-///
-/// Panics on I/O failure — a requested artifact that cannot be written
-/// should abort loudly.
+/// base, one file per point named by [`artifact_path`]. An I/O failure
+/// ends the process through [`die`].
 pub fn write_artifacts(
     artifacts: &[LabeledArtifacts],
     trace_out: Option<&PathBuf>,
@@ -235,10 +227,7 @@ pub fn write_artifacts(
 ) {
     for la in artifacts {
         if let (Some(base), Some(trace)) = (trace_out, la.artifacts.trace_json.as_deref()) {
-            let path = artifact_path(base, &la.label, la.seed);
-            fs::write(&path, trace)
-                .unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
-            eprintln!("wrote {}", path.display());
+            write_file(&artifact_path(base, &la.label, la.seed), trace);
         }
         if let (Some(base), Some(metrics)) = (metrics_out, la.artifacts.metrics.as_ref()) {
             let path = artifact_path(base, &la.label, la.seed);
@@ -258,8 +247,8 @@ pub fn host_parallelism() -> usize {
 ///
 /// # Panics
 ///
-/// Panics on serialization or I/O failure — these binaries are harnesses,
-/// not library code, and a failed dump should abort loudly.
+/// Panics if `value` does not serialize. An I/O failure ends the process
+/// through [`die`].
 pub fn dump_json<T: serde::Serialize>(path: &Path, value: &T) {
     write_file(
         path,
@@ -267,13 +256,10 @@ pub fn dump_json<T: serde::Serialize>(path: &Path, value: &T) {
     );
 }
 
-/// Writes `text` to `path` and notes it on stderr.
-///
-/// # Panics
-///
-/// Panics on I/O failure, as [`dump_json`] does.
+/// Writes `text` to `path` and notes it on stderr; an I/O failure ends the
+/// process through [`die`].
 fn write_file(path: &Path, text: &str) {
-    fs::write(path, text).unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
+    fs::write(path, text).unwrap_or_else(|e| die(format!("cannot write {}: {e}", path.display())));
     eprintln!("wrote {}", path.display());
 }
 

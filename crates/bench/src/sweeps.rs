@@ -162,7 +162,7 @@ impl SweepBin {
         let args = self.cli.from_env();
         let jobs = args.jobs().unwrap_or_else(|e| self.cli.fail(e));
         let bo = args.obs().unwrap_or_else(|e| self.cli.fail(e));
-        let json_path = args.path("--json");
+        let json_path = args.output("--json").unwrap_or_else(|e| self.cli.fail(e));
         let run = Run {
             jobs,
             obs: bo.obs(),

@@ -174,6 +174,26 @@ fn a_value_flag_does_not_take_the_next_flag_as_its_value() {
     let _ = std::fs::remove_dir_all(dir);
 }
 
+/// An output file in a directory that does not exist is a bad invocation:
+/// the binary prints one `error:` line and exits 2 before simulating
+/// anything, instead of panicking once the sweep is done.
+#[test]
+fn outputs_into_a_missing_directory_fail_before_any_sweep() {
+    let dir = scratch("missing-output-dir");
+    let missing = dir.join("missing").join("out.json");
+    for flag in ["--metrics-out", "--trace-out", "--json", "--ledger"] {
+        let args = ["--jobs", "1", flag, missing.to_str().unwrap()];
+        let out = run_in(&dir, env!("CARGO_BIN_EXE_fig5"), &args);
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(2), "{flag}: {err}");
+        let errors = err.lines().filter(|l| l.starts_with("error: ")).count();
+        assert_eq!(errors, 1, "{flag}: {err}");
+        assert!(!err.contains("panicked"), "{flag}: {err}");
+        assert_eq!(stdout(&out), "", "{flag}: no sweep ran");
+    }
+    let _ = std::fs::remove_dir_all(dir);
+}
+
 #[test]
 fn explore_takes_inline_values_and_caps_jobs() {
     let dir = scratch("explore-inline");

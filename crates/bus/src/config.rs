@@ -1,6 +1,7 @@
 //! Bus configuration and validation.
 
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 use serde::Serialize;
 
@@ -42,11 +43,19 @@ pub struct BackgroundTraffic {
 }
 
 /// Bit-for-bit: IEEE equality would call a utilization of `0.0` equal to
-/// `-0.0`, which renders differently, and configurations that compare
-/// equal must render identically (cache keys hash the rendering).
+/// `-0.0`, whose bits differ, and configurations that compare equal must
+/// hash alike (cache keys and frame fingerprints hash the bits).
 impl PartialEq for BackgroundTraffic {
     fn eq(&self, other: &Self) -> bool {
         self.utilization.to_bits() == other.utilization.to_bits() && self.burst == other.burst
+    }
+}
+
+/// The utilization by its bits, as [`PartialEq`] compares it.
+impl Hash for BackgroundTraffic {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.utilization.to_bits().hash(state);
+        self.burst.hash(state);
     }
 }
 
@@ -87,7 +96,7 @@ impl std::error::Error for BusConfigError {}
 ///
 /// Construct with [`BusConfig::multiplexed`] or [`BusConfig::split`], which
 /// return a [`BusConfigBuilder`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Hash, Serialize)]
 pub struct BusConfig {
     kind: BusKind,
     width: usize,

@@ -1,25 +1,25 @@
 //! Content-addressed sweep-point cache: every sweep becomes incremental.
 //!
-//! Each completed simulation point is keyed by an FNV-1a hash over the
-//! snapshot format version, the point's machine configuration, its
-//! workload, and its fault seed, and its result is appended as one
-//! checksummed record to a single append-only pack ([`PACK_FILE`]) in a
-//! `--cache-dir` store. A later sweep consults the store before
-//! simulating: unchanged points are served from the pack (a *hit*),
-//! changed or new points simulate as before (a *miss*) and append a record
-//! that supersedes any older one. Because the key hashes the full
+//! Each completed simulation point is keyed by [`PointCache::key_of`]: an
+//! FNV-1a hash over the cache format version and the point's identity by
+//! value (its machine configuration, its workload, and its fault or
+//! arrival seed), and its result is appended as one checksummed record to
+//! a single append-only pack ([`PACK_FILE`]) in a `--cache-dir` store. A
+//! later sweep consults the store before simulating: unchanged points are
+//! served from the pack (a *hit*), changed or new points simulate as
+//! before (a *miss*) and append a record that supersedes any older one. Because the key hashes the full
 //! configuration, editing one point's parameters invalidates exactly that
 //! point — everything else stays warm, across processes and machines.
 //!
 //! One pack instead of one file per point is the burst-buffer shape: many
 //! small writes absorbed into one sequential log.
 //!
-//! Key derivation has two layouts, [`PointCache::key`]'s and
-//! [`PointCache::key_debug`]'s, and each is also built part by part
-//! (`PartsKey`, `DebugKey`). The sweep engine hashes a machine
-//! configuration once and forks the hash state for every point on it, so
-//! a hit renders and hashes only its workload and seed; the values are
-//! the ones the two functions give for all parts at once.
+//! A key has one layout: `key_of` walks the identity's fields through
+//! `std::hash::Hash` into [`csb_snap::hash_of`]'s hasher, with no text
+//! rendering and no allocation, so keying a point costs a few hundred
+//! nanoseconds and nothing is memoized. [`PointCache::key`] and
+//! [`PointCache::key_debug`] keep the byte-part and `Debug`-text layouts
+//! the perfbench tracer still calls; the sweep engine calls neither.
 //!
 //! * [`PointCache::open`] indexes the pack with one sequential read. When
 //!   a key appears twice, the newest record wins.
@@ -68,19 +68,20 @@
 use std::collections::HashMap;
 use std::fmt::{self, Write as _};
 use std::fs::{self, File, OpenOptions};
+use std::hash::Hash;
 use std::io::{self, Read, Seek, Write as _};
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
-use csb_snap::{Fnv1a, SnapshotReader, SnapshotWriter};
+use csb_snap::{hash_of, Fnv1a, SnapshotReader, SnapshotWriter};
 
-/// Version of what a point cache stores: the record framing and every
-/// `SweepPoint::payload` walk. Every key hashes it first, so a bump
-/// misses every record and a frame-only change
-/// (`SNAPSHOT_FORMAT_VERSION`) keeps every key.
-pub const CACHE_FORMAT_VERSION: u32 = 5;
+/// Version of what a point cache stores and how it is addressed: the
+/// record framing, every `SweepPoint::payload` walk and the key layout.
+/// Every key hashes it first, so a bump misses every record and a
+/// frame-only change (`SNAPSHOT_FORMAT_VERSION`) keeps every key.
+pub const CACHE_FORMAT_VERSION: u32 = 6;
 
 /// Leading magic of every pack record.
 pub const CACHE_MAGIC: [u8; 8] = *b"CSBCACH\0";
@@ -210,28 +211,51 @@ impl PointCache {
         &self.dir
     }
 
-    /// Content-addresses one point: an FNV-1a fold of the snapshot format
-    /// version and each part in order. Callers pass the point's
-    /// configuration/workload renderings and seed; the version term makes
-    /// every entry self-invalidate across format bumps.
-    pub fn key(parts: &[&[u8]]) -> u64 {
-        let mut key = PartsKey::new();
-        for p in parts {
-            key.part(p);
-        }
-        key.finish()
+    /// Content-addresses one point by value: [`csb_snap::hash_of`] over
+    /// the cache format version and `identity`, the point's configuration,
+    /// workload and seed. The version term makes every entry
+    /// self-invalidate across format bumps. Every sweep point and
+    /// `explore` key through here.
+    pub fn key_of(identity: &(impl Hash + ?Sized)) -> u64 {
+        hash_of(&(CACHE_FORMAT_VERSION, identity))
     }
 
-    /// [`PointCache::key`] for `Debug`-renderable parts plus a seed: each
-    /// rendering is streamed straight into the hash, with no allocation.
-    /// Each part's byte length is folded after its content, the streaming
-    /// analogue of `key`'s length prefixes, so part boundaries can't alias.
-    pub fn key_debug(parts: &[&dyn fmt::Debug], seed: u64) -> u64 {
-        let mut key = DebugKey::new();
+    /// The perfbench tracer's legacy byte-part layout, which the sweep
+    /// engine no longer calls: an FNV-1a fold of the cache format version
+    /// and each part, its length first so part boundaries can't alias.
+    pub fn key(parts: &[&[u8]]) -> u64 {
+        let mut h = Fnv1a::new();
+        h.update(&CACHE_FORMAT_VERSION.to_le_bytes());
         for p in parts {
-            key.part(*p);
+            h.update(&(p.len() as u64).to_le_bytes());
+            h.update(p);
         }
-        key.finish(seed)
+        h.finish()
+    }
+
+    /// The perfbench tracer's legacy text layout, which the sweep engine
+    /// no longer calls: the cache format version, each part's `Debug`
+    /// rendering streamed into the hash with its byte length after it,
+    /// then the seed.
+    pub fn key_debug(parts: &[&dyn fmt::Debug], seed: u64) -> u64 {
+        struct Counted<'a>(&'a mut Fnv1a, u64);
+        impl fmt::Write for Counted<'_> {
+            fn write_str(&mut self, s: &str) -> fmt::Result {
+                self.0.update(s.as_bytes());
+                self.1 += s.len() as u64;
+                Ok(())
+            }
+        }
+        let mut h = Fnv1a::new();
+        h.update(&CACHE_FORMAT_VERSION.to_le_bytes());
+        for p in parts {
+            let mut w = Counted(&mut h, 0);
+            let _ = write!(w, "{p:?}");
+            let len = w.1;
+            h.update(&len.to_le_bytes());
+        }
+        h.update(&seed.to_le_bytes());
+        h.finish()
     }
 
     fn index(&self) -> MutexGuard<'_, HashMap<u64, Slot>> {
@@ -356,80 +380,6 @@ impl PointCache {
             bytes_written: self.bytes_written.load(Ordering::Relaxed),
         }
     }
-}
-
-/// [`PointCache::key`]'s layout fed one part at a time: the snapshot
-/// format version, then each part with its length before it. A clone
-/// taken after some leading parts forks that prefix, so keys that share
-/// their leading parts hash them once.
-#[derive(Debug, Clone)]
-pub(crate) struct PartsKey(Fnv1a);
-
-impl PartsKey {
-    /// A key with no parts yet.
-    pub(crate) fn new() -> Self {
-        PartsKey(versioned())
-    }
-
-    /// Folds one part, length first so part boundaries can't alias.
-    pub(crate) fn part(&mut self, bytes: &[u8]) {
-        self.0.update(&(bytes.len() as u64).to_le_bytes());
-        self.0.update(bytes);
-    }
-
-    /// The key of the parts folded so far.
-    pub(crate) fn finish(&self) -> u64 {
-        self.0.finish()
-    }
-}
-
-/// [`PointCache::key_debug`]'s layout fed one part at a time: the
-/// snapshot format version, then each part's `Debug` rendering with its
-/// byte length after it, then the seed. Clones fork a prefix as
-/// [`PartsKey`]'s do.
-#[derive(Debug, Clone)]
-pub(crate) struct DebugKey(Fnv1a);
-
-impl DebugKey {
-    /// A key with no parts yet.
-    pub(crate) fn new() -> Self {
-        DebugKey(versioned())
-    }
-
-    /// Streams `part`'s rendering into the hash, then its byte length.
-    pub(crate) fn part(&mut self, part: &dyn fmt::Debug) {
-        struct Counted<'a> {
-            h: &'a mut Fnv1a,
-            len: u64,
-        }
-        impl fmt::Write for Counted<'_> {
-            fn write_str(&mut self, s: &str) -> fmt::Result {
-                self.h.update(s.as_bytes());
-                self.len += s.len() as u64;
-                Ok(())
-            }
-        }
-        let mut w = Counted {
-            h: &mut self.0,
-            len: 0,
-        };
-        let _ = write!(w, "{part:?}");
-        let len = w.len;
-        self.0.update(&len.to_le_bytes());
-    }
-
-    /// The key of the parts folded so far, closed by `seed`.
-    pub(crate) fn finish(mut self, seed: u64) -> u64 {
-        self.0.update(&seed.to_le_bytes());
-        self.0.finish()
-    }
-}
-
-/// The hash state every key starts from: the cache format version.
-fn versioned() -> Fnv1a {
-    let mut h = Fnv1a::new();
-    h.update(&CACHE_FORMAT_VERSION.to_le_bytes());
-    h
 }
 
 /// Opens `path` for positioned reads and appends.
@@ -800,36 +750,55 @@ mod tests {
 
     #[test]
     fn key_layouts_are_pinned_and_fork_at_any_part() {
-        // Values an earlier build derived at cache format 5 (every key
-        // hashes the version first): every store a user filled holds
-        // records under these byte streams.
+        use crate::experiments::{runner::PointWork, Scheme};
+        use crate::workloads::StoreOrder;
+
+        // Values this build derives at cache format 6 (every key hashes
+        // the version first): every store a user filled holds records
+        // under these keys, so a change to any of them must bump
+        // `CACHE_FORMAT_VERSION`.
         let cfg = crate::SimConfig::default();
+        let work = PointWork::Bandwidth {
+            transfer: 256,
+            scheme: Scheme::Csb,
+            order: StoreOrder::Ascending,
+        };
+        assert_eq!(PointCache::key_of(&()), 0x0d30_1e6e_f162_9ad3);
+        assert_eq!(
+            PointCache::key_of(&()),
+            csb_snap::fnv1a(&CACHE_FORMAT_VERSION.to_le_bytes())
+        );
+        assert_eq!(PointCache::key_of(&(&cfg, &work)), 0x4a69_4d22_ae35_ed5a);
+        assert_eq!(
+            PointCache::key_of(&(&cfg, &work, 7u64)),
+            0x2448_5ab7_4763_7afd
+        );
+        // Any part forks the key.
+        let other = PointWork::Bandwidth {
+            transfer: 128,
+            scheme: Scheme::Csb,
+            order: StoreOrder::Ascending,
+        };
+        let key = PointCache::key_of(&(&cfg, &work, 7u64));
+        assert_ne!(key, PointCache::key_of(&(&cfg, &other, 7u64)));
+        assert_ne!(
+            key,
+            PointCache::key_of(&(&cfg.clone().line_size(32), &work, 7u64))
+        );
+        assert_ne!(key, PointCache::key_of(&(&cfg, &work, 8u64)));
+
+        // The tracer's legacy layouts.
         let seed = 7u64.to_le_bytes();
         assert_eq!(
             PointCache::key(&[b"cfg", b"work", &seed]),
-            0x3a06_b2a6_d5b7_d869
+            0x77d9_4afa_16fe_f240
         );
-        assert_eq!(PointCache::key(&[]), 0x2d40_1a55_eec1_6520);
+        assert_eq!(PointCache::key(&[]), 0x0d30_1e6e_f162_9ad3);
         assert_eq!(
             PointCache::key_debug(&[&cfg, &"work"], 7),
-            0xf8a7_79ce_f2d4_583f
+            0x5730_6083_ac42_55aa
         );
-        assert_eq!(PointCache::key_debug(&[], 0), 0x8a16_1eb8_5709_4920);
-
-        let mut parts = PartsKey::new();
-        parts.part(b"cfg");
-        let mut fork = parts.clone();
-        fork.part(b"work");
-        fork.part(&seed);
-        assert_eq!(fork.finish(), PointCache::key(&[b"cfg", b"work", &seed]));
-        assert_eq!(parts.finish(), PointCache::key(&[b"cfg"]));
-
-        let mut debug = DebugKey::new();
-        debug.part(&cfg);
-        let mut fork = debug.clone();
-        fork.part(&"work");
-        assert_eq!(fork.finish(7), PointCache::key_debug(&[&cfg, &"work"], 7));
-        assert_eq!(debug.finish(0), PointCache::key_debug(&[&cfg], 0));
+        assert_eq!(PointCache::key_debug(&[], 0), 0x69e0_a999_6773_f333);
     }
 
     #[test]

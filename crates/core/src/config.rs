@@ -41,7 +41,7 @@ pub const IO_WINDOW: u64 = 0x1_0000;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Hash, Serialize)]
 pub struct SimConfig {
     /// Core microarchitecture.
     pub cpu: CpuConfig,

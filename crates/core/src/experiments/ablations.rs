@@ -520,7 +520,7 @@ pub(super) fn all_specs() -> Vec<PointSpec> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::{bandwidth_point, bandwidth_point_ordered};
+    use crate::experiments::tests::{bandwidth_point, bandwidth_point_ordered};
 
     #[test]
     fn r10000_matches_full_line_on_ascending_streams() {

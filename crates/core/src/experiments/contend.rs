@@ -28,10 +28,10 @@
 use serde::Serialize;
 
 use super::runner::{
-    run_sweep, KeyMemo, LabeledArtifacts, ObsConfig, PointArtifacts, PointValue, RunReport,
-    SweepPoint,
+    run_sweep, LabeledArtifacts, ObsConfig, PointArtifacts, PointValue, RunReport, SweepPoint,
 };
 use super::{format_table, histogram_state, merge_histograms, ExpError};
+use crate::cache::PointCache;
 use crate::config::SimConfig;
 use crate::multiproc::{MultiSim, SwitchPolicy};
 use crate::sim::Simulator;
@@ -67,7 +67,7 @@ const POINT_LIMIT: u64 = 50_000_000;
 const FLUSH_HISTOGRAM: &str = "csb_flush_retry_latency";
 
 /// One contention scheme (column group).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum ContendScheme {
     /// Global spin lock around uncached stores (conventional baseline).
     Lock,
@@ -282,13 +282,18 @@ impl SweepPoint for ContendPoint {
 
     /// Machine configuration, workload shape, scheduling, arrival span,
     /// and seed.
-    fn cache_key(&self, keys: &mut KeyMemo) -> u64 {
-        let work = format!(
-            "contend {} c{} {ITERATIONS}it {DWORDS}dw slice{SLICE} span{ARRIVAL_SPAN}",
-            self.scheme.label(),
-            self.cores
-        );
-        keys.seeded(&self.scheme.config(), &work, self.seed)
+    fn cache_key(&self) -> u64 {
+        PointCache::key_of(&(
+            self.scheme.config(),
+            "contend",
+            self.scheme,
+            self.cores,
+            ITERATIONS,
+            DWORDS,
+            SLICE,
+            ARRIVAL_SPAN,
+            self.seed,
+        ))
     }
 
     /// Builds its own [`MultiSim`]; the worker's single-process slot goes
@@ -472,7 +477,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("csb-autosnap-contend-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).expect("autosnap dir");
-        let key = point.cache_key(&mut KeyMemo::default());
+        let key = point.cache_key();
         let obs = ObsConfig {
             autosnap: Some(crate::snapshot::AutosnapConfig::new(997, &dir).for_point(key)),
             ..ObsConfig::default()

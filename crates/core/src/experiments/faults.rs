@@ -20,11 +20,11 @@
 use serde::Serialize;
 
 use super::runner::{
-    run_sweep, KeyMemo, LabeledArtifacts, ObsConfig, PointArtifacts, PointValue, RunReport,
-    SweepPoint,
+    run_sweep, LabeledArtifacts, ObsConfig, PointArtifacts, PointValue, RunReport, SweepPoint,
 };
 use super::throughput::Timed;
 use super::{format_table, ExpError, DWORD_BYTES};
+use crate::cache::PointCache;
 use crate::config::SimConfig;
 use crate::sim::{SimError, Simulator};
 use crate::workloads::{self, RetryPolicy, MARK_END, MARK_START};
@@ -258,14 +258,16 @@ impl SweepPoint for FaultPoint {
     }
 
     /// Machine configuration, workload parameters (dwords + per-seed
-    /// policy), fault rate, and seed.
-    fn cache_key(&self, keys: &mut KeyMemo) -> u64 {
-        let work = format!(
-            "faults {DWORDS}dw {:?} rate {:016x}",
+    /// policy), fault rate by its bits, and seed.
+    fn cache_key(&self) -> u64 {
+        PointCache::key_of(&(
+            SimConfig::default(),
+            "faults",
+            DWORDS,
             policy_for_seed(self.policy, self.seed),
-            self.rate.to_bits()
-        );
-        keys.seeded(&SimConfig::default(), &work, self.seed)
+            self.rate.to_bits(),
+            self.seed,
+        ))
     }
 
     fn simulate(

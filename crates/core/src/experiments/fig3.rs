@@ -158,7 +158,7 @@ pub fn run_jobs_observed(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::{bandwidth_point, Scheme};
+    use crate::experiments::{tests::bandwidth_point, Scheme};
 
     #[test]
     fn panel_g_turnaround_shapes() {

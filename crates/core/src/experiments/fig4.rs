@@ -119,7 +119,7 @@ pub fn run_jobs_observed(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::{bandwidth_point, Scheme};
+    use crate::experiments::{tests::bandwidth_point, Scheme};
 
     #[test]
     fn dword_wastes_half_of_a_128bit_bus() {

@@ -12,43 +12,21 @@
 //! taken by another processor.
 
 use super::runner::{
-    run_panels_observed, LabeledArtifacts, Measure, ObsConfig, PanelSpec, PointWork, RunReport,
+    run_panels_observed, LabeledArtifacts, Measure, ObsConfig, PanelSpec, RunReport,
 };
-use super::{ExpError, Panel, Scheme};
+use super::{ExpError, Panel};
 use crate::config::SimConfig;
 
 /// Doubleword counts swept (2–8, i.e. 16–64 bytes).
 pub const DWORDS: [usize; 7] = [2, 3, 4, 5, 6, 7, 8];
 
 /// Whether the lock variable hits in the L1 when acquired.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LockResidency {
     /// Lock line pre-loaded into the L1 (panel (a)).
     Hit,
     /// Lock line evicted from both caches (panel (b)).
     Miss,
-}
-
-/// Measures one point: cycles for a lock-based sequence of `dwords` stores
-/// under the given combining block, or via the CSB.
-///
-/// # Errors
-///
-/// Returns [`ExpError`] if the simulation does not complete or the timing
-/// marks are missing.
-pub fn latency_point(
-    cfg: &SimConfig,
-    dwords: usize,
-    scheme: Scheme,
-    residency: LockResidency,
-) -> Result<u64, ExpError> {
-    let work = PointWork::Latency {
-        dwords,
-        scheme,
-        residency,
-    };
-    let (value, _, _) = work.measure(&mut None, cfg, ObsConfig::default())?;
-    Ok(value.latency().expect("a latency point measures latency"))
 }
 
 /// The declarative panel spec for one residency on the given machine.
@@ -92,6 +70,7 @@ pub fn run_jobs_observed(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::{tests::latency_point, Scheme};
 
     #[test]
     fn csb_beats_locking_everywhere() {

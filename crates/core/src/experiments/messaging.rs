@@ -38,11 +38,11 @@ use serde::Serialize;
 
 use super::faults::{inject_faults, policy_for_seed, policy_label};
 use super::runner::{
-    run_sweep, KeyMemo, LabeledArtifacts, ObsConfig, PointArtifacts, PointValue, RunReport,
-    SweepPoint,
+    run_sweep, LabeledArtifacts, ObsConfig, PointArtifacts, PointValue, RunReport, SweepPoint,
 };
 use super::throughput::Timed;
 use super::{format_table, histogram_state, merge_histograms, ExpError};
+use crate::cache::PointCache;
 use crate::config::{SimConfig, COMBINING_BASE, UNCACHED_BASE};
 use crate::sim::{SimError, Simulator};
 use crate::workloads::{self, MessagingSpec, RetryPolicy};
@@ -78,7 +78,7 @@ const POINT_LIMIT: u64 = 2_000_000;
 const E2E_HISTOGRAM: &str = "nic_e2e_latency";
 
 /// One send path (row group): how header and payload stores reach the NI.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum SendPath {
     /// Global spin lock around single uncached beats (conventional
     /// baseline: the NI assembles each frame from a dribble of writes).
@@ -364,16 +364,19 @@ impl SweepPoint for MessagingPoint {
     }
 
     /// Machine configuration, send path, message shape, per-seed policy,
-    /// fault rate, and seed.
-    fn cache_key(&self, keys: &mut KeyMemo) -> u64 {
-        let work = format!(
-            "messaging {} {MESSAGES}x{}dw s{SLOTS} {:?} rate {:016x}",
-            self.path.label(),
+    /// fault rate by its bits, and seed.
+    fn cache_key(&self) -> u64 {
+        PointCache::key_of(&(
+            self.path.config(),
+            "messaging",
+            self.path,
+            MESSAGES,
             self.size,
+            SLOTS,
             policy_for_seed(self.policy, self.seed),
-            self.rate.to_bits()
-        );
-        keys.seeded(&self.path.config(), &work, self.seed)
+            self.rate.to_bits(),
+            self.seed,
+        ))
     }
 
     fn simulate(
@@ -627,7 +630,7 @@ mod tests {
             })
             .collect();
         let written = |p: &MessagingPoint| {
-            let key = format!("-{:016x}-", p.cache_key(&mut KeyMemo::default()));
+            let key = format!("-{:016x}-", p.cache_key());
             names.iter().filter(|n| n.contains(&key)).count()
         };
         let (a, b) = (written(&points[0]), written(&points[1]));

@@ -46,7 +46,7 @@ use csb_snap::{Codec, SnapshotError};
 
 use crate::config::SimConfig;
 use crate::sim::{SimError, Simulator};
-use crate::workloads::{self, StorePath, WorkloadError};
+use crate::workloads::{StorePath, WorkloadError};
 use runner::{PanelSpec, PointSpec, PointValue};
 
 /// Transfer sizes (bytes) swept by the bandwidth figures.
@@ -95,7 +95,7 @@ impl From<SimError> for ExpError {
 
 /// A store-handling scheme compared in the figures: hardware combining with
 /// a given block size (8 = non-combining), or the CSB.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum Scheme {
     /// Uncached buffer with the given combining block in bytes.
     Uncached {
@@ -110,7 +110,7 @@ pub enum Scheme {
     /// The conditional store buffer.
     Csb,
     /// The CSB driven by the out-of-line-retry kernel layout
-    /// ([`workloads::StorePath::CsbOutlined`]): identical hardware, retry
+    /// ([`StorePath::CsbOutlined`]): identical hardware, retry
     /// branches compiled off the hot path. Used by the throughput bench's
     /// long CSB-active point; not part of the figure ladders.
     CsbOutlined,
@@ -258,41 +258,6 @@ fn flow_control(turnaround: u64, delay: u64) -> String {
     }
 }
 
-/// Measures effective bandwidth (payload bytes per bus cycle) for one
-/// machine configuration, transfer size, and scheme.
-///
-/// # Errors
-///
-/// Returns [`ExpError`] if the workload is invalid or the simulation does
-/// not complete.
-pub fn bandwidth_point(cfg: &SimConfig, transfer: usize, scheme: Scheme) -> Result<f64, ExpError> {
-    bandwidth_point_ordered(cfg, transfer, scheme, workloads::StoreOrder::Ascending)
-}
-
-/// [`bandwidth_point`] with an explicit per-line store issue order — the
-/// knob that separates pattern-based hardware combining (R10000, PowerPC
-/// 620) from block combining and the order-insensitive CSB.
-///
-/// # Errors
-///
-/// As for [`bandwidth_point`].
-pub fn bandwidth_point_ordered(
-    cfg: &SimConfig,
-    transfer: usize,
-    scheme: Scheme,
-    order: workloads::StoreOrder,
-) -> Result<f64, ExpError> {
-    let work = runner::PointWork::Bandwidth {
-        transfer,
-        scheme,
-        order,
-    };
-    let (value, _, _) = work.measure(&mut None, cfg, runner::ObsConfig::default())?;
-    Ok(value
-        .bandwidth()
-        .expect("a bandwidth point measures bandwidth"))
-}
-
 /// Readies `slot` to simulate `(cfg, program)`: warm-resets the simulator
 /// already in the slot, or cold-constructs one into an empty slot. Both
 /// paths yield identical simulation results; the warm path skips the
@@ -425,11 +390,61 @@ pub fn format_table(headers: &[String], rows: &[Vec<String>]) -> String {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashMap;
     use std::fmt::Write as _;
 
-    use super::runner::{KeyMemo, SweepPoint};
+    use super::fig5::LockResidency;
+    use super::runner::{ObsConfig, PointWork, SweepPoint};
     use super::*;
     use crate::cache::PointCache;
+    use crate::workloads::{self, StoreOrder};
+
+    /// Effective bandwidth (payload bytes per bus cycle) of one transfer
+    /// size and scheme on `cfg`, its stores in ascending order.
+    pub(crate) fn bandwidth_point(
+        cfg: &SimConfig,
+        transfer: usize,
+        scheme: Scheme,
+    ) -> Result<f64, ExpError> {
+        bandwidth_point_ordered(cfg, transfer, scheme, StoreOrder::Ascending)
+    }
+
+    /// [`bandwidth_point`] with an explicit per-line store issue order —
+    /// the knob that separates pattern-based hardware combining (R10000,
+    /// PowerPC 620) from block combining and the order-insensitive CSB.
+    pub(crate) fn bandwidth_point_ordered(
+        cfg: &SimConfig,
+        transfer: usize,
+        scheme: Scheme,
+        order: StoreOrder,
+    ) -> Result<f64, ExpError> {
+        let work = PointWork::Bandwidth {
+            transfer,
+            scheme,
+            order,
+        };
+        let (value, _, _) = work.measure(&mut None, cfg, ObsConfig::default())?;
+        Ok(value
+            .bandwidth()
+            .expect("a bandwidth point measures bandwidth"))
+    }
+
+    /// CPU cycles of a lock-based sequence of `dwords` stores under the
+    /// given combining block, or of the CSB sequence.
+    pub(crate) fn latency_point(
+        cfg: &SimConfig,
+        dwords: usize,
+        scheme: Scheme,
+        residency: LockResidency,
+    ) -> Result<u64, ExpError> {
+        let work = PointWork::Latency {
+            dwords,
+            scheme,
+            residency,
+        };
+        let (value, _, _) = work.measure(&mut None, cfg, ObsConfig::default())?;
+        Ok(value.latency().expect("a latency point measures latency"))
+    }
 
     #[test]
     fn scheme_ladder_and_labels() {
@@ -452,70 +467,109 @@ mod tests {
         assert!(lines[0].contains("bbb"));
     }
 
-    /// A seeded point's key as its sweep derived it before the key memo:
-    /// the configuration's rendering, the workload rendering and the seed,
-    /// through [`PointCache::key`] at once.
-    fn one_shot_seeded(cfg: &SimConfig, work: &str, seed: u64) -> u64 {
-        let cfg = format!("{cfg:?}");
-        PointCache::key(&[cfg.as_bytes(), work.as_bytes(), &seed.to_le_bytes()])
-    }
-
-    /// Keys `points` the way `run_sweep` does — every worker forks its
-    /// own memo's configuration state — at one and at four workers, and
-    /// with one memo over the points in reverse, so runs break at other
-    /// places; each key must be `one_shot`'s.
-    fn assert_engine_keys<P: SweepPoint>(sweep: &str, points: &[P], one_shot: impl Fn(&P) -> u64) {
-        let expected: Vec<u64> = points.iter().map(one_shot).collect();
-        for jobs in [1, 4] {
-            let keys = runner::parallel_map_with(points, jobs, KeyMemo::default, |memo, p| {
-                p.cache_key(memo)
-            });
-            assert_eq!(keys, expected, "{sweep} at {jobs} worker(s)");
+    /// Checks that `points`' keys group them exactly as their
+    /// descriptions do — two points share a key if and only if `describe`
+    /// renders them alike — and returns the number of distinct keys and
+    /// of points.
+    fn partition<P: SweepPoint>(points: &[P], describe: impl Fn(&P) -> String) -> (usize, usize) {
+        let mut by_key: HashMap<u64, String> = HashMap::new();
+        let mut by_description: HashMap<String, u64> = HashMap::new();
+        for p in points {
+            let (key, description) = (p.cache_key(), describe(p));
+            let first = by_key.entry(key).or_insert_with(|| description.clone());
+            assert_eq!(*first, description, "two descriptions share key {key:016x}");
+            let first = by_description.entry(description).or_insert(key);
+            assert_eq!(*first, key, "{}: one description, two keys", p.label());
         }
-        let mut memo = KeyMemo::default();
-        for (p, want) in points.iter().zip(&expected).rev() {
-            assert_eq!(p.cache_key(&mut memo), *want, "{sweep} reversed");
-        }
+        (by_key.len(), points.len())
     }
 
     #[test]
-    fn engine_keys_equal_the_one_shot_derivation() {
-        let specs = |p: &PointSpec| PointCache::key_debug(&[&p.cfg, &p.work], 0);
-        assert_engine_keys("figures", &figure_points(), specs);
-        assert_engine_keys("ablations", &ablations::all_specs(), specs);
-
-        assert_engine_keys("faults", &faults::FaultPoint::all(), |p| {
-            let work = format!(
-                "faults {}dw {:?} rate {:016x}",
-                faults::DWORDS,
-                faults::policy_for_seed(p.policy, p.seed),
-                p.rate.to_bits()
+    fn keys_partition_points_as_their_descriptions_do() {
+        let spec = |p: &PointSpec| format!("{:?}", (&p.cfg, p.work, 0));
+        assert_eq!(partition(&figure_points(), spec), (511, 539));
+        assert_eq!(partition(&ablations::all_specs(), spec), (70, 84));
+        let policy = faults::policy_for_seed;
+        let fault = |p: &faults::FaultPoint| {
+            let work = (faults::DWORDS, policy(p.policy, p.seed), p.rate);
+            format!("{:?}", (SimConfig::default(), work, p.seed))
+        };
+        assert_eq!(partition(&faults::FaultPoint::all(), fault), (288, 288));
+        let message = |p: &messaging::MessagingPoint| {
+            let shape = (messaging::MESSAGES, p.size, messaging::SLOTS);
+            let work = (p.path, shape, policy(p.policy, p.seed), p.rate);
+            format!("{:?}", (p.path.config(), work, p.seed))
+        };
+        let points = messaging::MessagingPoint::all();
+        assert_eq!(partition(&points, message), (288, 288));
+        let contention = |p: &contend::ContendPoint| {
+            let shape = (contend::ITERATIONS, contend::DWORDS);
+            let work = (
+                p.scheme,
+                p.cores,
+                shape,
+                contend::SLICE,
+                contend::ARRIVAL_SPAN,
             );
-            one_shot_seeded(&SimConfig::default(), &work, p.seed)
+            format!("{:?}", (p.scheme.config(), work, p.seed))
+        };
+        assert_eq!(
+            partition(&contend::ContendPoint::all(), contention),
+            (18, 18)
+        );
+    }
+
+    /// Each sweep's keys, as `run_sweep` takes them from its points, equal
+    /// [`PointCache::key_of`] over the identity written out at once: the
+    /// configuration, the work with every module constant that shapes it,
+    /// and the seed. A figure point's is the derivation `explore` uses, so
+    /// its ledger record carries the key the point has in a sweep.
+    #[test]
+    fn engine_keys_equal_the_one_shot_derivation() {
+        fn assert_keys<P: SweepPoint>(sweep: &str, points: &[P], one_shot: impl Fn(&P) -> u64) {
+            for p in points {
+                assert_eq!(p.cache_key(), one_shot(p), "{sweep}: {}", p.label());
+            }
+        }
+        let specs = |p: &PointSpec| PointCache::key_of(&(&p.cfg, &p.work));
+        assert_keys("figures", &figure_points(), specs);
+        assert_keys("ablations", &ablations::all_specs(), specs);
+        let policy = faults::policy_for_seed;
+        assert_keys("faults", &faults::FaultPoint::all(), |p| {
+            PointCache::key_of(&(
+                SimConfig::default(),
+                "faults",
+                faults::DWORDS,
+                policy(p.policy, p.seed),
+                p.rate.to_bits(),
+                p.seed,
+            ))
         });
-        assert_engine_keys("messaging", &messaging::MessagingPoint::all(), |p| {
-            let work = format!(
-                "messaging {} {}x{}dw s{} {:?} rate {:016x}",
-                p.path.label(),
+        assert_keys("messaging", &messaging::MessagingPoint::all(), |p| {
+            PointCache::key_of(&(
+                p.path.config(),
+                "messaging",
+                p.path,
                 messaging::MESSAGES,
                 p.size,
                 messaging::SLOTS,
-                faults::policy_for_seed(p.policy, p.seed),
-                p.rate.to_bits()
-            );
-            one_shot_seeded(&p.path.config(), &work, p.seed)
+                policy(p.policy, p.seed),
+                p.rate.to_bits(),
+                p.seed,
+            ))
         });
-        assert_engine_keys("contend", &contend::ContendPoint::all(), |p| {
-            let work = format!(
-                "contend {} c{} {}it {}dw slice{} span{}",
-                p.scheme.label(),
+        assert_keys("contend", &contend::ContendPoint::all(), |p| {
+            PointCache::key_of(&(
+                p.scheme.config(),
+                "contend",
+                p.scheme,
                 p.cores,
                 contend::ITERATIONS,
                 contend::DWORDS,
                 contend::SLICE,
-                contend::ARRIVAL_SPAN
-            );
-            one_shot_seeded(&p.scheme.config(), &work, p.seed)
+                contend::ARRIVAL_SPAN,
+                p.seed,
+            ))
         });
     }
 
@@ -528,7 +582,7 @@ mod tests {
     ) {
         let mut seen = std::collections::HashSet::new();
         for (name, program) in programs {
-            let fp = crate::snapshot::program_fingerprint(&program);
+            let fp = csb_snap::hash_of(&program);
             if seen.insert(fp) {
                 let _ = writeln!(out, "{set} {name}: {} {fp:016x}", program.len());
             }
@@ -721,14 +775,14 @@ mod tests {
             }
         }
         for (name, program) in grid {
-            let fp = crate::snapshot::program_fingerprint(&program);
+            let fp = csb_snap::hash_of(&program);
             let _ = writeln!(out, "grid {name}: {} {fp:016x}", program.len());
         }
     }
 
     /// Pins every kernel: the programs the sweeps build and a grid over
-    /// every public generator keep their length and fingerprint, label
-    /// ids included. Regenerate with `UPDATE_GOLDEN=1 cargo test -p
+    /// every public generator keep their length and fingerprint (each
+    /// branch by its resolved target). Regenerate with `UPDATE_GOLDEN=1 cargo test -p
     /// csb-core kernels_match_golden` only for an intentional kernel
     /// change.
     #[test]
@@ -847,9 +901,10 @@ mod tests {
 
     #[test]
     fn configurations_that_render_apart_key_apart() {
-        // A utilization of -0.0 equals 0.0 under IEEE comparison but
-        // renders differently, so a memo that trusted it would hand one
-        // configuration the other's key.
+        // A utilization of -0.0 equals 0.0 under IEEE comparison, but its
+        // bits and its rendering differ, so it is another configuration
+        // and another key. Equal configurations key alike however they
+        // were built.
         let bus = |utilization: f64| {
             csb_bus::BusConfig::multiplexed(8)
                 .max_burst(64)
@@ -862,10 +917,11 @@ mod tests {
             SimConfig::default().bus(bus(-0.0)),
         );
         assert_ne!(format!("{zero:?}"), format!("{negative:?}"));
-        let mut memo = KeyMemo::default();
-        for cfg in [&zero, &negative, &zero] {
-            assert_eq!(memo.seeded(cfg, "work", 1), one_shot_seeded(cfg, "work", 1));
-        }
+        assert_ne!(zero, negative);
+        let work = figure_points()[0].work;
+        let key = |cfg: &SimConfig| PointCache::key_of(&(cfg, &work));
+        assert_eq!(key(&zero), key(&SimConfig::default().bus(bus(0.0))));
+        assert_ne!(key(&zero), key(&negative));
     }
 
     #[test]

@@ -38,7 +38,6 @@
 //! so two sweeps on two threads never see each other's settings.
 
 use std::collections::HashMap;
-use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -52,7 +51,7 @@ use serde::Serialize;
 
 use super::fig5::{self, LockResidency};
 use super::{ExpError, Panel, PanelRow, Scheme, DWORD_BYTES, POINT_LIMIT, TRANSFERS};
-use crate::cache::{CacheStats, DebugKey, PartsKey, PointCache};
+use crate::cache::{CacheStats, PointCache};
 use crate::config::{SimConfig, LOCK_ADDR};
 use crate::sim::{MetricsReport, RunSummary, SimError, Simulator};
 use crate::snapshot::AutosnapConfig;
@@ -164,8 +163,8 @@ pub struct LabeledArtifacts {
     pub wall: Duration,
     /// Fault-schedule seed (0 for deterministic points).
     pub seed: u64,
-    /// The point's cache key ([`PointCache::key_debug`] or
-    /// [`PointCache::key`] over its parts): it addresses the point's cache
+    /// The point's cache key ([`PointCache::key_of`] over its
+    /// configuration, workload and seed): it addresses the point's cache
     /// entry, names its autosnap frames, and is its ledger record's
     /// `config_hash`.
     pub key: u64,
@@ -175,7 +174,7 @@ pub struct LabeledArtifacts {
 
 /// The workload half of a simulation point: what to measure on the
 /// machine a [`PointSpec`] describes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PointWork {
     /// Uncached store bandwidth (Figures 3/4 and the bandwidth ablations):
     /// payload bytes per bus cycle.
@@ -337,10 +336,10 @@ pub(crate) trait SweepPoint: Sync {
         0
     }
 
-    /// The point's one key, derived through the sweep's key memo: its
-    /// content address in a [`PointCache`], the name of its autosnap
-    /// frames, and its ledger record's `config_hash`.
-    fn cache_key(&self, keys: &mut KeyMemo) -> u64;
+    /// The point's one key, [`PointCache::key_of`] over everything its
+    /// result depends on: its content address in a [`PointCache`], the
+    /// name of its autosnap frames, and its ledger record's `config_hash`.
+    fn cache_key(&self) -> u64;
 
     /// Simulates the point through the worker's reusable simulator slot,
     /// under `obs`'s fast-forward, capture and autosnap settings.
@@ -364,67 +363,6 @@ pub(crate) trait SweepPoint: Sync {
 
     /// CPU cycles the point's simulation ran for.
     fn sim_cycles(output: &Self::Output) -> u64;
-}
-
-/// The key states of the last machine configuration a sweep keyed. A
-/// sweep lists its points in runs on one configuration (a panel, a send
-/// path), so a run renders and hashes its configuration once and each
-/// point forks the state after it: a hit then hashes only its workload
-/// and seed. Every key equals the one [`PointCache::key_debug`] or
-/// [`PointCache::key`] derives from all its parts at once.
-#[derive(Default)]
-pub(crate) struct KeyMemo {
-    /// The configuration the states below were derived from.
-    cfg: Option<SimConfig>,
-    /// [`PointCache::key_debug`]'s state after `cfg`.
-    debug: Option<DebugKey>,
-    /// [`PointCache::key`]'s state after `cfg`'s rendering.
-    parts: Option<PartsKey>,
-}
-
-impl KeyMemo {
-    /// Forgets the states unless they were derived from `cfg`. Equal
-    /// configurations render identically, so a kept state is exact.
-    fn on(&mut self, cfg: &SimConfig) {
-        if self.cfg.as_ref() != Some(cfg) {
-            self.cfg = Some(cfg.clone());
-            self.debug = None;
-            self.parts = None;
-        }
-    }
-
-    /// `PointCache::key_debug(&[cfg, work], 0)`: the key of a figure or
-    /// ablation point.
-    pub(crate) fn debug(&mut self, cfg: &SimConfig, work: &dyn fmt::Debug) -> u64 {
-        self.on(cfg);
-        let mut key = self
-            .debug
-            .get_or_insert_with(|| {
-                let mut key = DebugKey::new();
-                key.part(cfg);
-                key
-            })
-            .clone();
-        key.part(work);
-        key.finish(0)
-    }
-
-    /// `PointCache::key(&[cfg rendering, work, seed])`: the key of a
-    /// seeded point (the fault, messaging and contention sweeps).
-    pub(crate) fn seeded(&mut self, cfg: &SimConfig, work: &str, seed: u64) -> u64 {
-        self.on(cfg);
-        let mut key = self
-            .parts
-            .get_or_insert_with(|| {
-                let mut key = PartsKey::new();
-                key.part(format!("{cfg:?}").as_bytes());
-                key
-            })
-            .clone();
-        key.part(work.as_bytes());
-        key.part(&seed.to_le_bytes());
-        key.finish()
-    }
 }
 
 /// The cache payload of `output`: `point`'s walk, unframed (the pack
@@ -486,11 +424,11 @@ pub(crate) type Swept<O> = (Vec<O>, Vec<LabeledArtifacts>, RunReport);
 /// outputs in point order, one [`LabeledArtifacts`] per point, and the
 /// sweep's [`RunReport`].
 ///
-/// A serial pass first derives each point's key once, through one
-/// [`KeyMemo`]; that key is the point's only identity, for the cache, the
-/// autosnap frames and the ledger. Each worker then threads one simulator
-/// slot through its whole queue, so every point after a worker's first
-/// runs on a warm-reset simulator.
+/// A serial pass first derives each point's key once; that key is the
+/// point's only identity, for the cache, the autosnap frames and the
+/// ledger. Each worker then threads one simulator slot through its whole
+/// queue, so every point after a worker's first runs on a warm-reset
+/// simulator.
 ///
 /// Without a cache and without captures, a sweep simulates each distinct
 /// key once: a later point with the key of an earlier one is read from
@@ -510,13 +448,9 @@ pub(crate) fn run_sweep<P: SweepPoint>(
     let cache = obs.cache.filter(|_| !obs.any());
     let cache_before = cache.map(PointCache::stats);
     let t0 = Instant::now();
-    // The memo is dropped, and the map below sized once, before any
-    // simulator is built: kept live and grown, they raised cold-pass peak
-    // RSS by about 4% (EXPERIMENTS.md).
-    let keys: Vec<u64> = {
-        let mut memo = KeyMemo::default();
-        points.iter().map(|p| p.cache_key(&mut memo)).collect()
-    };
+    // The map below is sized once, before any simulator is built: grown
+    // instead, it raised cold-pass peak RSS by about 4% (EXPERIMENTS.md).
+    let keys: Vec<u64> = points.iter().map(SweepPoint::cache_key).collect();
     // For each repeated key, the index of the first point with it.
     let mut firsts = HashMap::new();
     if obs.cache.is_none() && !obs.any() {
@@ -598,12 +532,11 @@ impl SweepPoint for PointSpec {
         self.label.clone()
     }
 
-    /// Snapshot format version (inside [`PointCache::key_debug`]) +
-    /// machine configuration + workload. The display label is deliberately
-    /// excluded — the same point reached from different sweeps shares one
-    /// entry.
-    fn cache_key(&self, keys: &mut KeyMemo) -> u64 {
-        keys.debug(&self.cfg, &self.work)
+    /// Machine configuration + workload. The display label is
+    /// deliberately excluded — the same point reached from different
+    /// sweeps shares one entry.
+    fn cache_key(&self) -> u64 {
+        PointCache::key_of(&(&self.cfg, &self.work))
     }
 
     fn simulate(
@@ -1380,7 +1313,7 @@ mod tests {
             format!("counting/{}", self.0)
         }
 
-        fn cache_key(&self, _keys: &mut KeyMemo) -> u64 {
+        fn cache_key(&self) -> u64 {
             self.1.fetch_add(1, Ordering::Relaxed);
             self.0
         }

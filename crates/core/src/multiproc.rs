@@ -25,19 +25,16 @@ use std::collections::BinaryHeap;
 
 use csb_cpu::CpuContext;
 use csb_isa::Program;
-use csb_snap::{Codec, SnapshotError, SnapshotReader, SnapshotWriter};
+use csb_snap::{hash_of, Codec, SnapshotError, SnapshotReader, SnapshotWriter};
 use serde::Serialize;
 
 use crate::config::SimConfig;
 use crate::sim::{ActorState, SimError, Simulator, WatchdogConfig};
-use crate::snapshot::{
-    config_fingerprint, program_fingerprint, AutosnapConfig, SNAPSHOT_FORMAT_VERSION,
-    SNAPSHOT_MAGIC,
-};
+use crate::snapshot::{AutosnapConfig, SNAPSHOT_FORMAT_VERSION, SNAPSHOT_MAGIC};
 use csb_faults::{FaultConfig, FaultStats};
 
 /// Scheduling policy for the time-sliced core.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum SwitchPolicy {
     /// Round-robin with a fixed slice length in CPU cycles.
     Fixed(u64),
@@ -480,8 +477,8 @@ impl MultiSim {
 
     /// [`MultiSim::run`] with periodic snapshot dumps: at every multiple of
     /// `auto.every` CPU cycles a [`MultiSim::snapshot`] frame goes to
-    /// `auto.dir`, named like a single machine's frame, with one
-    /// fingerprint over all the process programs. [`MultiSim::run`]
+    /// `auto.dir`, named like a single machine's frame by the hashes of
+    /// the two fingerprint lists its header holds. [`MultiSim::run`]
     /// returns at each boundary and picks up where it stopped, so results
     /// are byte-identical to a plain run.
     pub(crate) fn run_autosnap(
@@ -489,13 +486,7 @@ impl MultiSim {
         limit: u64,
         auto: AutosnapConfig<'_>,
     ) -> Result<MultiSummary, SimError> {
-        let cfg_fp = config_fingerprint(self.sim.config());
-        let programs: Vec<u8> = self
-            .procs
-            .iter()
-            .flat_map(|p| program_fingerprint(&p.program).to_le_bytes())
-            .collect();
-        let prog_fp = csb_snap::fnv1a(&programs);
+        let [cfg_fp, prog_fp] = self.fingerprints().map(|fps| hash_of(&fps));
         loop {
             let next = auto.next_boundary(self.sim.cpu().now(), limit);
             match self.run(next) {
@@ -518,9 +509,8 @@ impl MultiSim {
     /// the process count and every process's program, whose mismatch is
     /// a program mismatch.
     fn fingerprints(&self) -> [Vec<u64>; 2] {
-        let policy = csb_snap::fnv1a(format!("{:?}", self.policy).as_bytes());
-        let config = vec![config_fingerprint(self.sim.config()), policy];
-        let programs = self.procs.iter().map(|p| program_fingerprint(&p.program));
+        let config = vec![hash_of(self.sim.config()), hash_of(&self.policy)];
+        let programs = self.procs.iter().map(|p| hash_of(&p.program));
         let count = self.procs.len() as u64;
         [config, std::iter::once(count).chain(programs).collect()]
     }

@@ -21,7 +21,9 @@
 //! program are *not* stored — a snapshot is a delta against the `(cfg,
 //! program)` pair the caller supplies to [`Simulator::restore`], and the
 //! fingerprints reject a mismatched pair up front instead of producing a
-//! silently wrong machine.
+//! silently wrong machine. A fingerprint is [`csb_snap::hash_of`] over the
+//! value: every field of the configuration, and every instruction of the
+//! program with each branch's resolved target pc in place of its label id.
 //!
 //! **Version bump rule:** any change to the byte layout a `state` walk
 //! visits anywhere in the workspace — a new field, a reordering, a
@@ -58,11 +60,11 @@
 //! # }
 //! ```
 
-use std::fmt::{self, Write as _};
+use std::fmt;
 use std::path::Path;
 
-use csb_isa::{Inst, Program};
-use csb_snap::{fnv1a, SnapshotError, SnapshotReader, SnapshotWriter};
+use csb_isa::Program;
+use csb_snap::{hash_of, SnapshotError, SnapshotReader, SnapshotWriter};
 
 use crate::config::SimConfig;
 use crate::sim::{SimError, Simulator};
@@ -70,31 +72,10 @@ use crate::sim::{SimError, Simulator};
 /// Leading magic of every simulator snapshot frame.
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"CSBSNAP\0";
 
-/// Version of the snapshot byte layout. Bump on **any** layout change in
-/// any component's `state` walk (see the module docs).
-pub const SNAPSHOT_FORMAT_VERSION: u32 = 6;
-
-/// FNV-1a fingerprint of a machine configuration, as embedded in
-/// snapshot frames and sweep-cache keys.
-pub fn config_fingerprint(cfg: &SimConfig) -> u64 {
-    fnv1a(format!("{cfg:?}").as_bytes())
-}
-
-/// FNV-1a fingerprint of a program, as embedded in snapshot frames: each
-/// instruction plus, for a branch, its resolved target. `Program`'s
-/// `Debug` is not used: it renders the branch-target map in hash order,
-/// which differs between two builds of the same program, so a frame
-/// would not restore against a regenerated program.
-pub fn program_fingerprint(program: &Program) -> u64 {
-    let mut text = String::new();
-    for inst in program.iter() {
-        let _ = write!(text, "{inst:?};");
-        if let Inst::Branch { .. } = inst {
-            let _ = write!(text, "->{};", program.branch_target(inst));
-        }
-    }
-    fnv1a(text.as_bytes())
-}
+/// Version of the snapshot byte layout and of the fingerprints a frame
+/// starts with. Bump on **any** layout change in any component's `state`
+/// walk (see the module docs).
+pub const SNAPSHOT_FORMAT_VERSION: u32 = 7;
 
 /// Why [`Simulator::restore`] refused a snapshot.
 #[derive(Debug)]
@@ -149,8 +130,8 @@ impl Simulator {
     /// [`Simulator::restore`] needs the same pair again.
     pub fn snapshot(&mut self) -> Vec<u8> {
         let mut w = SnapshotWriter::framed(SNAPSHOT_MAGIC, SNAPSHOT_FORMAT_VERSION);
-        w.put_u64(config_fingerprint(self.config()));
-        w.put_u64(program_fingerprint(self.cpu().program()));
+        w.put_u64(hash_of(self.config()));
+        w.put_u64(hash_of(self.cpu().program()));
         self.state(&mut w).expect("a writer never fails");
         w.finish()
     }
@@ -184,10 +165,10 @@ impl Simulator {
     /// be partially restored — warm-reset it before running anything.
     pub fn restore_from(&mut self, bytes: &[u8]) -> Result<(), RestoreError> {
         let mut r = SnapshotReader::framed(bytes, SNAPSHOT_MAGIC, SNAPSHOT_FORMAT_VERSION)?;
-        if r.take_u64()? != config_fingerprint(self.config()) {
+        if r.take_u64()? != hash_of(self.config()) {
             return Err(RestoreError::ConfigMismatch);
         }
-        if r.take_u64()? != program_fingerprint(self.cpu().program()) {
+        if r.take_u64()? != hash_of(self.cpu().program()) {
             return Err(RestoreError::ProgramMismatch);
         }
         let fast_forward = self.fast_forward_enabled();
@@ -226,8 +207,8 @@ impl Simulator {
         limit: u64,
         auto: AutosnapConfig<'_>,
     ) -> Result<crate::RunSummary, SimError> {
-        let cfg_fp = config_fingerprint(self.config());
-        let prog_fp = program_fingerprint(self.cpu().program());
+        let cfg_fp = hash_of(self.config());
+        let prog_fp = hash_of(self.cpu().program());
         while !self.complete() {
             if self.cpu().now() >= limit {
                 return Err(SimError::CycleLimit { limit });

@@ -22,11 +22,9 @@
 //! `csb_attempt` (arm the count, stores, conditional flush, compare), and
 //! `retry`, which repeats an attempt under a [`RetryPolicy`] — the paper's
 //! `retry: …; bnz retry` loop, or one unrolled copy per attempt with its
-//! `bz` and backoff delay. A program's label ids are part of its identity
-//! (they feed [`crate::snapshot::program_fingerprint`], and so snapshot
-//! headers and autosnap frame names), so every generator allocates its
-//! labels in a fixed order: a caller's success label before the labels
-//! `retry` allocates.
+//! `bz` and backoff delay. A program's identity (snapshot headers,
+//! autosnap frame names) hashes each branch by its resolved target pc,
+//! not its label id, so an emitter may allocate its labels in any order.
 
 use std::fmt;
 
@@ -67,7 +65,7 @@ pub enum StorePath {
 /// keeps every store inside its line but breaks consecutiveness, separating
 /// pattern-based combining from block-based combining and the CSB (whose
 /// stores may arrive in any order, §3.2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StoreOrder {
     /// Ascending consecutive addresses (the paper's unrolled loop).
     Ascending,
@@ -315,9 +313,7 @@ pub fn csb_sequence_with_fallback(
     a.movi(Reg::L1, 0x6262_6262_6262_6262u64 as i64);
     a.movi(Reg::L6, max_retries as i64);
     a.mark(MARK_START);
-    // `fallback` marks the lock path. It is allocated before the lock
-    // loop's own label, whose id is part of the program's fingerprint.
-    let (retry, done, fallback) = (a.new_label(), a.new_label(), a.new_label());
+    let (retry, done) = (a.new_label(), a.new_label());
     a.bind(retry)?;
     line_attempt(dwords)(&mut a);
     a.bz(done);
@@ -325,7 +321,6 @@ pub fn csb_sequence_with_fallback(
     a.alui(AluOp::Sub, Reg::L6, Reg::L6, 1);
     a.cmpi(Reg::L6, 0);
     a.bnz(retry);
-    a.bind(fallback)?;
     retry_loop(&mut a, lock_attempt)?;
     locked_access(&mut a, |a| store_dwords(a, Reg::O2, 0, dwords));
     a.bind(done)?;
@@ -334,7 +329,7 @@ pub fn csb_sequence_with_fallback(
 
 /// Software retry policy for the conditional-flush loop — the space of
 /// §3.2 livelock remedies the fault sweeps compare.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RetryPolicy {
     /// Retry forever, back-to-back (the paper's baseline listing). Under a
     /// hostile fault schedule this is the policy the livelock watchdog
@@ -1005,6 +1000,43 @@ mod tests {
         ));
         assert!(csb_messages(msg_spec(), RetryPolicy::Bounded { attempts: 0 }, &cfg).is_err());
         assert!(lock_messages(msg_spec(), RetryPolicy::Bounded { attempts: 0 }, &cfg).is_err());
+    }
+
+    /// A program's identity hashes each branch by its resolved target, so
+    /// the same code is the same program whatever order its labels were
+    /// allocated in and whatever labels it bound that nothing targets.
+    #[test]
+    fn program_identity_ignores_label_ids() {
+        let build = |swapped: bool, spare: bool, exit_at_top: bool| {
+            let mut a = Assembler::new();
+            let spare = spare.then(|| a.new_label());
+            let (top, out) = if swapped {
+                let out = a.new_label();
+                (a.new_label(), out)
+            } else {
+                (a.new_label(), a.new_label())
+            };
+            a.movi(Reg::L0, 4);
+            a.bind(top).unwrap();
+            if let Some(spare) = spare {
+                a.bind(spare).unwrap();
+            }
+            a.alui(AluOp::Sub, Reg::L0, Reg::L0, 1);
+            a.cmpi(Reg::L0, 0);
+            a.bz(if exit_at_top { top } else { out });
+            a.ba(top);
+            a.bind(out).unwrap();
+            a.halt();
+            a.assemble().unwrap()
+        };
+        let plain = build(false, false, false);
+        for (swapped, spare) in [(true, false), (false, true)] {
+            let relabeled = build(swapped, spare, false);
+            assert_ne!(relabeled, plain, "the label ids differ");
+            assert_eq!(csb_snap::hash_of(&relabeled), csb_snap::hash_of(&plain));
+        }
+        let retargeted = build(false, false, true);
+        assert_ne!(csb_snap::hash_of(&retargeted), csb_snap::hash_of(&plain));
     }
 
     #[test]

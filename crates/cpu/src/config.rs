@@ -23,7 +23,7 @@ use serde::Serialize;
 /// let eight = CpuConfig::superscalar(8);
 /// assert_eq!(eight.retire_width, 8);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct CpuConfig {
     /// Instructions fetched (and dispatched) per cycle.
     pub fetch_width: usize,

@@ -168,7 +168,7 @@ impl fmt::Display for MapError {
 
 impl std::error::Error for MapError {}
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 struct Region {
     start: u64,
     end: u64, // exclusive
@@ -200,7 +200,7 @@ struct Region {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash, Serialize)]
 pub struct AddressMap {
     regions: Vec<Region>,
 }

@@ -205,7 +205,7 @@ pub enum InstKind {
 /// assert_eq!(add.kind(), InstKind::IntAlu);
 /// assert!(add.to_string().contains("%o1"));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum Inst {
     /// Integer ALU operation `dst = a op b`.
     Alu {

@@ -2,6 +2,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 use serde::Serialize;
 
@@ -105,6 +106,26 @@ impl Program {
             let _ = writeln!(out, "{i:4}: {inst}");
         }
         out
+    }
+}
+
+/// A program's identity: its instructions in order, each branch by its
+/// condition and resolved target pc instead of its label id. Two
+/// assemblies of the same code hash alike whatever order they allocated
+/// their labels in, and whatever labels they bound that no branch names.
+impl Hash for Program {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.insts.len().hash(state);
+        for inst in &self.insts {
+            match *inst {
+                Inst::Branch { cond, .. } => {
+                    std::mem::discriminant(inst).hash(state);
+                    cond.hash(state);
+                    self.branch_target(inst).hash(state);
+                }
+                _ => inst.hash(state),
+            }
+        }
     }
 }
 

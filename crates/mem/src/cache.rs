@@ -7,7 +7,7 @@ use serde::Serialize;
 
 /// Configuration of one cache level. The default is the zero geometry,
 /// which [`CacheConfig::validate`] rejects: it marks a blank [`Cache`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize)]
 pub struct CacheConfig {
     /// Total capacity in bytes.
     pub size: usize,

@@ -51,7 +51,7 @@ impl fmt::Display for HitLevel {
 /// misses both caches completes `mem_latency = 100` CPU cycles after it
 /// starts — "the cache miss latency is 100 cycles, which corresponds to
 /// 166 ns on a 600 MHz processor" (§4.3.2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct MemoryConfig {
     /// L1 geometry and hit latency.
     pub l1: CacheConfig,

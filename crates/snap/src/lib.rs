@@ -40,11 +40,20 @@ const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// FNV-1a prime (64-bit).
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// 64-bit FNV-1a over a byte slice — the checksum and key hash used
-/// throughout the snapshot and cache layers.
+/// 64-bit FNV-1a over a byte slice — the checksum used throughout the
+/// snapshot and cache layers.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = Fnv1a::new();
     h.update(bytes);
+    h.finish()
+}
+
+/// [`Fnv1a`] over `value`'s [`Hash`](std::hash::Hash) walk: the one
+/// identity of a machine configuration, a program or a sweep point. It is
+/// the same on every host (see the [`Hasher`](std::hash::Hasher) impl).
+pub fn hash_of(value: &(impl std::hash::Hash + ?Sized)) -> u64 {
+    let mut h = Fnv1a::new();
+    value.hash(&mut h);
     h.finish()
 }
 
@@ -55,8 +64,8 @@ pub fn fnv1a_str(s: &str) -> u64 {
 
 /// Incremental [`fnv1a`]: feed byte runs with [`Fnv1a::update`], read the
 /// digest with [`Fnv1a::finish`]. Hashing N runs produces the same digest
-/// as hashing their concatenation, so streaming callers (e.g. hashing a
-/// `Debug` rendering as it is written) avoid materializing the input.
+/// as hashing their concatenation, so streaming callers avoid
+/// materializing the input.
 #[derive(Debug, Clone)]
 pub struct Fnv1a(u64);
 
@@ -85,6 +94,44 @@ impl std::fmt::Write for Fnv1a {
     fn write_str(&mut self, s: &str) -> std::fmt::Result {
         self.update(s.as_bytes());
         Ok(())
+    }
+}
+
+/// Integers fold as fixed-width little-endian bytes, and `usize` and
+/// `isize` widen to 64 bits, so a value hashes the same on every host.
+/// (Signed integers other than `isize` reach the unsigned writers through
+/// the trait's defaults.)
+impl std::hash::Hasher for Fnv1a {
+    fn write(&mut self, bytes: &[u8]) {
+        self.update(bytes);
+    }
+
+    fn write_u16(&mut self, v: u16) {
+        self.update(&v.to_le_bytes());
+    }
+
+    fn write_u32(&mut self, v: u32) {
+        self.update(&v.to_le_bytes());
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        self.update(&v.to_le_bytes());
+    }
+
+    fn write_u128(&mut self, v: u128) {
+        self.update(&v.to_le_bytes());
+    }
+
+    fn write_usize(&mut self, v: usize) {
+        self.write_u64(v as u64);
+    }
+
+    fn write_isize(&mut self, v: isize) {
+        self.write_u64(v as i64 as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        Fnv1a::finish(self)
     }
 }
 
@@ -663,6 +710,21 @@ mod tests {
         assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv1a_str("foobar"), 0x85944171f73967e8);
+    }
+
+    #[test]
+    fn hash_of_folds_integers_as_fixed_width_little_endian() {
+        let one = fnv1a(&1u64.to_le_bytes());
+        assert_eq!(hash_of(&1u64), one);
+        assert_eq!(hash_of(&1usize), one, "usize widens to 64 bits");
+        assert_eq!(hash_of(&-1isize), fnv1a(&u64::MAX.to_le_bytes()));
+        assert_eq!(hash_of(&-1i32), fnv1a(&u32::MAX.to_le_bytes()));
+        assert_eq!(hash_of(&0x0102u16), fnv1a(&[2, 1]));
+        // A slice folds its length first, a `str` its bytes then 0xff.
+        let mut slice = 2u64.to_le_bytes().to_vec();
+        slice.extend_from_slice(&[7, 9]);
+        assert_eq!(hash_of(&[7u8, 9][..]), fnv1a(&slice));
+        assert_eq!(hash_of("ab"), fnv1a(b"ab\xff"));
     }
 
     #[test]

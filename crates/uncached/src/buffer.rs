@@ -46,7 +46,7 @@ impl fmt::Display for CombineRule {
 
 /// Uncached buffer configuration. The default (a zero block and capacity)
 /// fails validation: it marks a blank [`UncachedBuffer`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize)]
 pub struct UncachedConfig {
     /// Combining block size in bytes: the width of one buffer entry and the
     /// largest transaction the buffer can emit. 8 = non-combining (every

@@ -20,7 +20,7 @@ pub type Pid = u32;
 
 /// CSB configuration. The default (a zero line) fails validation: it
 /// marks a blank [`ConditionalStoreBuffer`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize)]
 pub struct CsbConfig {
     /// Line size in bytes — the data register is exactly one cache line.
     pub line: usize,

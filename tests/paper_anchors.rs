@@ -3,8 +3,52 @@
 //! within tolerances; shapes (slopes, orderings, crossovers) exactly.
 
 use csb_bus::BusConfig;
-use csb_core::experiments::{bandwidth_point, fig5, Scheme};
+use csb_core::experiments::fig5::LockResidency;
+use csb_core::experiments::runner::{
+    run_values_observed, ObsConfig, PointSpec, PointValue, PointWork,
+};
+use csb_core::experiments::{ExpError, Scheme};
+use csb_core::workloads::StoreOrder;
 use csb_core::SimConfig;
+
+/// The value the sweep engine measures for `work` on `cfg`.
+fn measure(cfg: &SimConfig, work: PointWork) -> Result<PointValue, ExpError> {
+    let spec = PointSpec {
+        label: "anchor".to_string(),
+        cfg: cfg.clone(),
+        work,
+    };
+    let (values, _, _) = run_values_observed(&[spec], 1, ObsConfig::default())?;
+    Ok(values[0])
+}
+
+/// Payload bytes per bus cycle of `transfer` bytes stored in ascending
+/// order under `scheme`.
+fn bandwidth_point(cfg: &SimConfig, transfer: usize, scheme: Scheme) -> Result<f64, ExpError> {
+    let order = StoreOrder::Ascending;
+    let work = PointWork::Bandwidth {
+        transfer,
+        scheme,
+        order,
+    };
+    Ok(measure(cfg, work)?.bandwidth().expect("bandwidth point"))
+}
+
+/// CPU cycles of one lock-based sequence of `dwords` stores under the
+/// given combining block, or of the CSB sequence.
+fn latency_point(
+    cfg: &SimConfig,
+    dwords: usize,
+    scheme: Scheme,
+    residency: LockResidency,
+) -> Result<u64, ExpError> {
+    let work = PointWork::Latency {
+        dwords,
+        scheme,
+        residency,
+    };
+    Ok(measure(cfg, work)?.latency().expect("latency point"))
+}
 
 /// "The effective bus bandwidth is 4 bytes per bus cycle, which is half of
 /// the peak bandwidth" — non-combining doubleword stores, 8-byte
@@ -112,20 +156,8 @@ fn anchor_crossover_moves_with_line_size() {
 #[test]
 fn anchor_lock_overhead_hit_vs_miss() {
     let cfg = SimConfig::default();
-    let hit = fig5::latency_point(
-        &cfg,
-        2,
-        Scheme::Uncached { block: 8 },
-        fig5::LockResidency::Hit,
-    )
-    .unwrap();
-    let miss = fig5::latency_point(
-        &cfg,
-        2,
-        Scheme::Uncached { block: 8 },
-        fig5::LockResidency::Miss,
-    )
-    .unwrap();
+    let hit = latency_point(&cfg, 2, Scheme::Uncached { block: 8 }, LockResidency::Hit).unwrap();
+    let miss = latency_point(&cfg, 2, Scheme::Uncached { block: 8 }, LockResidency::Miss).unwrap();
     assert!(
         (85..=130).contains(&(miss - hit)),
         "miss adds ~100 cycles: hit {hit}, miss {miss}"
@@ -144,18 +176,10 @@ fn anchor_lock_overhead_hit_vs_miss() {
 fn anchor_latency_slopes() {
     let cfg = SimConfig::default();
     let lock: Vec<u64> = (2..=8)
-        .map(|d| {
-            fig5::latency_point(
-                &cfg,
-                d,
-                Scheme::Uncached { block: 8 },
-                fig5::LockResidency::Hit,
-            )
-            .unwrap()
-        })
+        .map(|d| latency_point(&cfg, d, Scheme::Uncached { block: 8 }, LockResidency::Hit).unwrap())
         .collect();
     let csb: Vec<u64> = (2..=8)
-        .map(|d| fig5::latency_point(&cfg, d, Scheme::Csb, fig5::LockResidency::Hit).unwrap())
+        .map(|d| latency_point(&cfg, d, Scheme::Csb, LockResidency::Hit).unwrap())
         .collect();
     let lock_slope = (lock[6] - lock[0]) as f64 / 6.0;
     let csb_slope = (csb[6] - csb[0]) as f64 / 6.0;
@@ -196,20 +220,8 @@ fn anchor_lock_overhead_width_insensitive() {
 #[test]
 fn anchor_seven_vs_eight_dwords() {
     let cfg = SimConfig::default();
-    let c7 = fig5::latency_point(
-        &cfg,
-        7,
-        Scheme::Uncached { block: 64 },
-        fig5::LockResidency::Hit,
-    )
-    .unwrap();
-    let c8 = fig5::latency_point(
-        &cfg,
-        8,
-        Scheme::Uncached { block: 64 },
-        fig5::LockResidency::Hit,
-    )
-    .unwrap();
+    let c7 = latency_point(&cfg, 7, Scheme::Uncached { block: 64 }, LockResidency::Hit).unwrap();
+    let c8 = latency_point(&cfg, 8, Scheme::Uncached { block: 64 }, LockResidency::Hit).unwrap();
     assert!(c8 <= c7, "8 dwords ({c8}) must not exceed 7 dwords ({c7})");
 }
 

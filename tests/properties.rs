@@ -198,10 +198,18 @@ proptest! {
         let cfg = SimConfig::default();
         let small = 16usize << (step - 1);
         let large = 16usize << step;
-        let bw_small = csb_core::experiments::bandwidth_point(
-            &cfg, small, csb_core::experiments::Scheme::Csb).unwrap();
-        let bw_large = csb_core::experiments::bandwidth_point(
-            &cfg, large, csb_core::experiments::Scheme::Csb).unwrap();
+        let bandwidth = |transfer| {
+            use csb_core::experiments::runner::{run_values_observed, ObsConfig, PointSpec, PointWork};
+            let work = PointWork::Bandwidth {
+                transfer,
+                scheme: csb_core::experiments::Scheme::Csb,
+                order: workloads::StoreOrder::Ascending,
+            };
+            let spec = PointSpec { label: String::new(), cfg: cfg.clone(), work };
+            let (values, _, _) = run_values_observed(&[spec], 1, ObsConfig::default()).unwrap();
+            values[0].bandwidth().unwrap()
+        };
+        let (bw_small, bw_large) = (bandwidth(small), bandwidth(large));
         prop_assert!(bw_large + 1e-9 >= bw_small,
             "CSB bandwidth fell from {bw_small} ({small}B) to {bw_large} ({large}B)");
     }

@@ -18,7 +18,7 @@ use csb_core::experiments::runner::{
 };
 use csb_core::experiments::{ExpError, Scheme};
 use csb_core::multiproc::{MultiSim, SchedulerMode, SwitchPolicy};
-use csb_core::snapshot::{config_fingerprint, program_fingerprint, AutosnapConfig};
+use csb_core::snapshot::AutosnapConfig;
 use csb_core::workloads::{self, RetryPolicy, StoreOrder};
 use csb_core::{cache, FaultConfig, RestoreError, SimConfig, SimError, Simulator, WatchdogConfig};
 use csb_isa::Program;
@@ -209,6 +209,19 @@ fn restore_rejects_mismatch_and_corruption() {
     assert!(matches!(
         Simulator::restore(other_cfg, program.clone(), &bytes),
         Err(RestoreError::ConfigMismatch)
+    ));
+
+    // A frame of another format version is refused for its version, not
+    // for its fingerprints, even with a checksum that matches.
+    let older = csb_core::SNAPSHOT_FORMAT_VERSION - 1;
+    let mut stale = bytes.clone();
+    stale[8..12].copy_from_slice(&older.to_le_bytes());
+    let sum_at = stale.len() - 8;
+    let sum = csb_snap::fnv1a(&stale[..sum_at]);
+    stale[sum_at..].copy_from_slice(&sum.to_le_bytes());
+    assert!(matches!(
+        Simulator::restore(cfg.clone(), program.clone(), &stale),
+        Err(RestoreError::Snapshot(csb_snap::SnapshotError::Version { found, .. })) if found == older
     ));
 
     // Flipped byte fails the checksum.
@@ -1024,8 +1037,8 @@ fn autosnap_frames_restore_and_finish_identically() {
         .find(|(cfg, program)| {
             let prefix = format!(
                 "snap-{:016x}{:016x}-",
-                config_fingerprint(cfg),
-                program_fingerprint(program)
+                csb_snap::hash_of(cfg),
+                csb_snap::hash_of(program)
             );
             newest.starts_with(&prefix)
         })
