@@ -276,6 +276,7 @@ fn main() {
             artifacts: PointArtifacts {
                 trace_json: None,
                 metrics: Some(sim.metrics_report()),
+                ..PointArtifacts::default()
             },
         };
         bo.emit("explore", &[la]);

@@ -194,6 +194,11 @@ impl Args {
     /// When the value is not a positive integer.
     pub fn jobs(&self) -> Result<usize, String> {
         let jobs = self.count("--jobs", 0)?;
+        // A request of one worker never exceeds the host, so only larger
+        // ones ask it (the query reads the cgroup CPU quota every time).
+        if jobs <= 1 {
+            return Ok(jobs);
+        }
         let avail = crate::host_parallelism();
         if jobs > avail {
             eprintln!(
@@ -347,6 +352,8 @@ mod tests {
         assert_eq!(parse(&SWEEP, &[]).unwrap().jobs(), Ok(0), "0 = all cores");
         let args = parse(&SWEEP, &["--jobs", "100000"]).unwrap();
         assert_eq!(args.jobs(), Ok(crate::host_parallelism()), "capped");
+        let args = parse(&SWEEP, &["--jobs", "1"]).unwrap();
+        assert_eq!(args.jobs(), Ok(1), "one worker, without asking the host");
         let args = parse(&SWEEP, &[]).unwrap();
         assert_eq!(args.count("--jobs", 7), Ok(7));
     }

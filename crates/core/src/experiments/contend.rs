@@ -28,7 +28,8 @@
 use serde::Serialize;
 
 use super::runner::{
-    run_sweep, LabeledArtifacts, ObsConfig, PointArtifacts, PointValue, RunReport, SweepPoint,
+    run_sweep, AdvanceCounts, LabeledArtifacts, ObsConfig, PointArtifacts, PointValue, RunReport,
+    SweepPoint,
 };
 use super::{format_table, histogram_state, merge_histograms, ExpError};
 use crate::cache::PointCache;
@@ -330,6 +331,7 @@ impl SweepPoint for ContendPoint {
         let artifacts = PointArtifacts {
             trace_json: obs.trace.then(|| ms.simulator().chrome_trace()),
             metrics: obs.metrics.then_some(report),
+            advance: AdvanceCounts::of(ms.simulator()),
         };
         Ok((result, artifacts))
     }

@@ -38,7 +38,8 @@ use serde::Serialize;
 
 use super::faults::{inject_faults, policy_for_seed, policy_label};
 use super::runner::{
-    run_sweep, LabeledArtifacts, ObsConfig, PointArtifacts, PointValue, RunReport, SweepPoint,
+    run_sweep, AdvanceCounts, LabeledArtifacts, ObsConfig, PointArtifacts, PointValue, RunReport,
+    SweepPoint,
 };
 use super::throughput::Timed;
 use super::{format_table, histogram_state, merge_histograms, ExpError};
@@ -435,6 +436,7 @@ impl SweepPoint for MessagingPoint {
         let artifacts = PointArtifacts {
             trace_json: obs.trace.then(|| sim.chrome_trace()),
             metrics: obs.metrics.then_some(report),
+            advance: AdvanceCounts::of(sim),
         };
         Ok((result, artifacts))
     }

@@ -130,6 +130,41 @@ pub struct PointArtifacts {
     /// Per-point metrics report (present when [`ObsConfig::metrics`] was
     /// set).
     pub metrics: Option<MetricsReport>,
+    /// How the simulation advanced: real ticks, jumps and stream steps
+    /// (all 0 for a point served from the cache).
+    pub advance: AdvanceCounts,
+}
+
+/// Host-side counts of how simulations advanced (see
+/// [`Simulator::ticks`], [`Simulator::jumps`] and
+/// [`Simulator::stream_steps`]). Never part of a result, a payload or a
+/// frame.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct AdvanceCounts {
+    /// Real ticks.
+    pub ticks: u64,
+    /// Fast-forward jumps.
+    pub jumps: u64,
+    /// Store-stream steps.
+    pub stream_steps: u64,
+}
+
+impl AdvanceCounts {
+    /// The counts `sim` has taken since its last reset or restore.
+    pub fn of(sim: &Simulator) -> Self {
+        AdvanceCounts {
+            ticks: sim.ticks(),
+            jumps: sim.jumps(),
+            stream_steps: sim.stream_steps(),
+        }
+    }
+
+    /// Adds `other`'s counts to these.
+    pub fn add(&mut self, other: AdvanceCounts) {
+        self.ticks += other.ticks;
+        self.jumps += other.jumps;
+        self.stream_steps += other.stream_steps;
+    }
 }
 
 impl PointArtifacts {
@@ -143,6 +178,7 @@ impl PointArtifacts {
         PointArtifacts {
             trace_json: obs.trace.then(|| sim.chrome_trace()),
             metrics: obs.metrics.then(|| sim.metrics_report()),
+            advance: AdvanceCounts::of(sim),
         }
     }
 }
@@ -485,6 +521,7 @@ pub(crate) fn run_sweep<P: SweepPoint>(
         let label = point.label();
         report.busy += wall;
         report.sim_cycles += sim_cycles;
+        report.advance.add(artifacts.advance);
         if report.slowest.as_ref().is_none_or(|(_, d)| wall > *d) {
             report.slowest = Some((label.clone(), wall));
         }
@@ -682,6 +719,9 @@ pub struct RunReport {
     /// Point-cache effectiveness over this sweep (present only when the
     /// sweep consulted an [`ObsConfig::cache`]).
     pub cache: Option<CacheStats>,
+    /// How the simulated points advanced, summed over every point the
+    /// sweep simulated (cache hits and repeated keys add nothing).
+    pub advance: AdvanceCounts,
 }
 
 impl RunReport {
@@ -720,6 +760,7 @@ impl RunReport {
         self.wall += other.wall;
         self.busy += other.busy;
         self.sim_cycles += other.sim_cycles;
+        self.advance.add(other.advance);
         self.slowest = match (&self.slowest, &other.slowest) {
             (Some(x), Some(y)) => Some(if x.1 >= y.1 { x.clone() } else { y.clone() }),
             (Some(x), None) => Some(x.clone()),
@@ -778,6 +819,11 @@ impl RunReport {
                 d.as_secs_f64() * 1e3
             ));
         }
+        let a = self.advance;
+        out.push_str(&format!(
+            "\nrunner: {} real tick(s), {} jump(s), {} stream step(s)",
+            a.ticks, a.jumps, a.stream_steps
+        ));
         if let Some(c) = &self.cache {
             out.push_str(&format!(
                 "\nrunner: cache {} hit(s), {} miss(es), {} invalidation(s), {:.1} KiB read, {:.1} KiB written",
@@ -1074,6 +1120,38 @@ mod tests {
         assert_eq!(r1.sim_cycles, r4.sim_cycles, "same points were simulated");
         assert_eq!(r1.jobs, 1);
         assert_eq!(r4.jobs, 4);
+    }
+
+    #[test]
+    fn advance_counts_do_not_depend_on_workers_and_match_the_naive_loop() {
+        let spec = PanelSpec::new(
+            "t",
+            "advance counts",
+            SimConfig::default(),
+            Measure::Bandwidth,
+        );
+        let specs = std::slice::from_ref(&spec);
+        let obs = ObsConfig::default();
+        let (_, _, r1) = run_panels_observed(specs, 1, obs).unwrap();
+        let (_, _, r4) = run_panels_observed(specs, 4, obs).unwrap();
+        assert_eq!(r1.advance, r4.advance, "the counts are the points' own");
+        let a = r1.advance;
+        assert!(a.ticks < r1.sim_cycles && a.jumps > 0 && a.stream_steps > 0);
+        assert!(r1.render().contains(&format!(
+            "runner: {} real tick(s), {} jump(s), {} stream step(s)",
+            a.ticks, a.jumps, a.stream_steps
+        )));
+        let naive = ObsConfig {
+            fast_forward: false,
+            ..obs
+        };
+        let (_, _, rn) = run_panels_observed(specs, 2, naive).unwrap();
+        let expected = AdvanceCounts {
+            ticks: rn.sim_cycles,
+            jumps: 0,
+            stream_steps: 0,
+        };
+        assert_eq!(rn.advance, expected, "the naive loop ticks every cycle");
     }
 
     #[test]

@@ -4,7 +4,7 @@ use std::collections::HashMap;
 use std::fmt;
 
 use csb_bus::{BusStats, SystemBus, TxnKind};
-use csb_cpu::{Cpu, CpuHorizon, CpuStats, MemPort, Pid, StallCause};
+use csb_cpu::{Cpu, CpuHorizon, CpuStats, MemPort, Pid, StallCause, StreamAnchor, StreamPeriod};
 use csb_faults::{FaultConfig, FaultInjector, FaultKind, FaultStats};
 use csb_isa::{Addr, AddressMap, AddressSpace, Program};
 use csb_mem::{AccessKind, FlatMemory, HitLevel, MemoryHierarchy, MemoryStats};
@@ -266,6 +266,118 @@ pub(crate) struct Machine {
     /// Optional NI attached as the receive side of the I/O window
     /// (`None` by default: detached simulations pay nothing).
     nic: Option<NicAttachment>,
+    /// The machine's side of the store-stream window being watched.
+    stream: StreamLog,
+}
+
+/// Most calls one stream window records; a window with more is not
+/// skipped.
+const STREAM_CALLS: usize = 256;
+
+/// The machine's side of a store stream's window (see
+/// [`Simulator::try_stream`]): every call the core made through
+/// [`MemPort`] since the window's anchor, with its cycle; whether any call
+/// fell outside what a skip replays; and the machine's state at the
+/// anchor relative to the window ([`Machine::stream_print`]). Derived and
+/// host-side: never in a frame, reset with the machine; its buffers are
+/// reserved once and kept across resets.
+#[derive(Debug, Default)]
+struct StreamLog {
+    /// `true` while a window is recorded.
+    on: bool,
+    /// `true` once the window made a call a skip does not replay: a cached
+    /// access, an uncached read, a misaligned access, a loop skip or a
+    /// settled tail, or more than [`STREAM_CALLS`] calls.
+    tainted: bool,
+    calls: Vec<Call>,
+    /// Whether a recorded call went to the uncached buffer, and whether
+    /// one went to the CSB: a skip's address shift must be a multiple of
+    /// the block, and of the line, of each buffer the calls touch.
+    uncached: bool,
+    combining: bool,
+    /// The machine's print at the anchor, if it has one.
+    print: Vec<u64>,
+    printed: bool,
+    /// The print at the next anchor.
+    next: Vec<u64>,
+}
+
+/// A call the core made through [`MemPort`] in a stream window, at CPU
+/// cycle `cycle`.
+#[derive(Debug, Clone, Copy)]
+struct Call {
+    cycle: u64,
+    op: Op,
+}
+
+/// What a [`Call`] did.
+#[derive(Debug, Clone, Copy)]
+enum Op {
+    /// An uncached store (`combining: false`) or a combining one, and
+    /// whether its buffer took it.
+    Store {
+        combining: bool,
+        pid: Pid,
+        addr: Addr,
+        width: usize,
+        value: u64,
+        accepted: bool,
+    },
+    /// A conditional flush and the value it returned.
+    Flush {
+        pid: Pid,
+        addr: Addr,
+        expected: u64,
+        result: u64,
+    },
+    /// `n` refused cycles a jump booked on the refusing buffer.
+    Stalls { refuser: Refuser, n: u64 },
+}
+
+impl StreamLog {
+    /// Forgets the window: nothing records until the next anchor.
+    fn reset(&mut self) {
+        self.restart();
+        self.on = false;
+        self.printed = false;
+    }
+
+    /// Starts recording afresh at an anchor.
+    fn restart(&mut self) {
+        self.on = true;
+        self.tainted = false;
+        self.calls.clear();
+        self.uncached = false;
+        self.combining = false;
+    }
+
+    /// Records `op` at `cycle` while a window records.
+    #[inline]
+    fn record(&mut self, cycle: u64, op: Op) {
+        if self.on {
+            let combining = match op {
+                Op::Store { combining, .. } => combining,
+                Op::Flush { .. } => true,
+                Op::Stalls { refuser, .. } => refuser == Refuser::Csb,
+            };
+            self.combining |= combining;
+            self.uncached |= !combining;
+            if self.calls.len() == STREAM_CALLS {
+                self.tainted = true;
+                self.on = false;
+            } else {
+                self.calls.push(Call { cycle, op });
+            }
+        }
+    }
+
+    /// Marks the window recording as one no skip replays.
+    #[inline]
+    fn taint(&mut self) {
+        if self.on {
+            self.tainted = true;
+        }
+    }
 }
 
 /// One uncached read of [`Machine::reads`]: issued through the uncached
@@ -420,7 +532,24 @@ impl Machine {
             return false;
         }
         self.misaligned.get_or_insert((self.now, addr, width));
+        self.stream.taint();
         true
+    }
+
+    /// Writes to `out` what decides the machine's future at CPU cycle
+    /// `now` in a store stream, with addresses relative to `origin`: the
+    /// cycle's phase on the bus clock, how far ahead the bus can next
+    /// grant, and the CSB's and the uncached buffer's prints. Two machines
+    /// with equal prints, no fault schedule, NI, background traffic or
+    /// uncached read, and origins a multiple of the CSB line and the
+    /// combining block apart, behave alike from their cycles on, every
+    /// time and address shifted. `false` when the machine has no print.
+    fn stream_print(&self, now: u64, origin: u64, out: &mut Vec<u64>) -> bool {
+        out.clear();
+        let bus = now.div_ceil(self.ratio);
+        out.extend_from_slice(&[now % self.ratio, self.bus.earliest_start(bus) - bus]);
+        self.csb.stream_print(origin, out);
+        self.ubuf.stream_print(origin, out)
     }
 
     fn bus_now(&self) -> u64 {
@@ -608,6 +737,15 @@ impl Machine {
 
     fn io_drained(&self) -> bool {
         self.ubuf.is_empty() && self.csb.is_drained()
+    }
+
+    /// Books `n` refused offers of the stalled head op on `refuser`, the
+    /// count each refused cycle a jump skipped would have added.
+    fn book_stalls(&mut self, refuser: Refuser, n: u64) {
+        match refuser {
+            Refuser::Uncached => self.ubuf.add_full_stalls(n),
+            Refuser::Csb => self.csb.add_busy_stalls(n),
+        }
     }
 
     /// The value of read `tag`, once delivered and ready at `now`: the
@@ -811,6 +949,7 @@ impl MemPort for Machine {
     }
 
     fn cached_access(&mut self, addr: Addr, kind: AccessKind, now: u64) -> u64 {
+        self.stream.taint();
         let (done_at, level) = self.hier.access(addr, kind, now);
         match level {
             HitLevel::L1 => {}
@@ -833,14 +972,17 @@ impl MemPort for Machine {
     }
 
     fn read(&mut self, addr: Addr, width: usize) -> u64 {
+        self.stream.taint();
         self.flat.read(addr, width)
     }
 
     fn write(&mut self, addr: Addr, width: usize, value: u64) {
+        self.stream.taint();
         self.flat.write(addr, width, value);
     }
 
     fn swap_value(&mut self, addr: Addr, new: u64) -> u64 {
+        self.stream.taint();
         self.flat.swap(addr, new)
     }
 
@@ -849,10 +991,23 @@ impl MemPort for Machine {
             return true;
         }
         let bytes = value.to_le_bytes();
-        self.ubuf.push_store(addr, &bytes[..width]) != PushOutcome::Full
+        let accepted = self.ubuf.push_store(addr, &bytes[..width]) != PushOutcome::Full;
+        self.stream.record(
+            self.now,
+            Op::Store {
+                combining: false,
+                pid: 0,
+                addr,
+                width,
+                value,
+                accepted,
+            },
+        );
+        accepted
     }
 
     fn uncached_read(&mut self, addr: Addr, width: usize, swap: Option<u64>, tag: u64) -> bool {
+        self.stream.taint();
         if self.drop_misaligned(addr, width) {
             return true;
         }
@@ -867,6 +1022,7 @@ impl MemPort for Machine {
 
     fn uncached_poll(&mut self, tag: u64) -> Option<u64> {
         let value = self.delivered(tag)?;
+        self.stream.taint();
         self.reads.remove(&tag);
         Some(value)
     }
@@ -880,7 +1036,7 @@ impl MemPort for Machine {
             return true;
         }
         let bytes = value.to_le_bytes();
-        match self.csb.store(pid, addr, &bytes[..width]) {
+        let accepted = match self.csb.store(pid, addr, &bytes[..width]) {
             Ok(outcome) => {
                 if matches!(outcome, StoreOutcome::Reset) {
                     self.csb_line_start = Some(self.now);
@@ -891,7 +1047,19 @@ impl MemPort for Machine {
             Err(e @ CsbError::BadStore { .. }) => {
                 unreachable!("aligned instruction-width stores are legal: {e}")
             }
-        }
+        };
+        self.stream.record(
+            self.now,
+            Op::Store {
+                combining: true,
+                pid,
+                addr,
+                width,
+                value,
+                accepted,
+            },
+        );
+        accepted
     }
 
     fn csb_can_flush(&self) -> bool {
@@ -942,7 +1110,17 @@ impl MemPort for Machine {
                 }
             }
         }
-        outcome.register_value(expected)
+        let result = outcome.register_value(expected);
+        self.stream.record(
+            self.now,
+            Op::Flush {
+                pid,
+                addr,
+                expected,
+                result,
+            },
+        );
+        result
     }
 
     fn uncached_store_would_accept(&self, addr: Addr, width: usize) -> bool {
@@ -1020,6 +1198,16 @@ pub struct Simulator {
     bus_countdown: u64,
     /// Real (non-skipped) ticks executed, for fast-forward diagnostics.
     ticks: u64,
+    /// Fast-forward jumps taken: idle-gap walks and loop skips.
+    jumps: u64,
+    /// Store-stream steps taken: settled tails and skipped stream periods.
+    stream_steps: u64,
+    /// Whether store streams may be taken (see
+    /// [`Simulator::refresh_streams`]).
+    streams: bool,
+    /// The clock after the last tick that retired an instruction, skipped
+    /// ones included: the watchdog's retirement stamp.
+    retired_at: u64,
     /// Progress-watchdog thresholds (see [`Simulator::set_watchdog`]).
     watchdog: WatchdogConfig,
     /// CPU cycle at which progress was last observed.
@@ -1091,12 +1279,17 @@ impl Simulator {
         m.futile_flushes = 0;
         m.misaligned = None;
         m.nic = None;
+        m.stream.reset();
         self.cpu
             .reset_with(cfg.cpu, program, csb_cpu::CpuContext::new(0));
         self.cfg = cfg;
         self.fast_forward = true;
         self.bus_countdown = 0;
         self.ticks = 0;
+        self.jumps = 0;
+        self.stream_steps = 0;
+        self.retired_at = 0;
+        self.refresh_streams();
         self.watchdog = WatchdogConfig::default();
         self.wd_last_progress = 0;
         self.wd_seen_retired = 0;
@@ -1148,6 +1341,7 @@ impl Simulator {
             nic,
             base: window_base.raw(),
         });
+        self.refresh_streams();
         Ok(())
     }
 
@@ -1189,6 +1383,7 @@ impl Simulator {
             self.machine.bus.set_trace_sink(sink.scaled(self.cfg.ratio));
             self.machine.obs = sink;
         }
+        self.refresh_streams();
     }
 
     /// Starts recording counters and latency histograms (flush retry
@@ -1201,6 +1396,7 @@ impl Simulator {
             self.cpu.set_metrics(metrics.clone());
             self.machine.metrics = metrics;
         }
+        self.refresh_streams();
     }
 
     /// Installs a deterministic fault schedule (or clears it with
@@ -1222,6 +1418,7 @@ impl Simulator {
         self.machine.bus.set_fault_hook(injector.clone());
         self.machine.csb.set_fault_hook(injector.clone());
         self.machine.faults = injector;
+        self.refresh_streams();
     }
 
     /// Counters of the active fault schedule (all zeros when none is
@@ -1318,6 +1515,7 @@ impl Simulator {
         if s.reading() && metrics {
             self.enable_metrics();
         }
+        self.refresh_streams();
         Ok(())
     }
 
@@ -1329,8 +1527,12 @@ impl Simulator {
             self.bus_countdown = self.machine.ratio;
         }
         self.bus_countdown -= 1;
+        let retired = self.cpu.stats().retired;
         self.cpu.tick(&mut self.machine);
         self.machine.now = self.cpu.now();
+        if self.cpu.stats().retired != retired {
+            self.retired_at = self.machine.now;
+        }
         self.ticks += 1;
     }
 
@@ -1344,7 +1546,9 @@ impl Simulator {
     /// metrics) is identical to ticking cycle by cycle. It also skips
     /// whole periods of a countdown delay loop the core is busy in
     /// ([`Cpu::skip_loop_periods`]), shifting the pipeline by the loop's
-    /// period while the machine walks the same cycles on its own.
+    /// period while the machine walks the same cycles on its own, and
+    /// takes store streams without a real tick per store
+    /// ([`Cpu::store_tail`], [`Cpu::stream_anchor`]).
     /// Structured tracing composes with fast-forward: the walk
     /// synthesizes the per-cycle refusal events a naive loop would have
     /// emitted inside each jump, so the exported trace is byte-identical
@@ -1368,6 +1572,21 @@ impl Simulator {
     /// equals [`Cpu::now`].
     pub fn ticks(&self) -> u64 {
         self.ticks
+    }
+
+    /// Fast-forward jumps taken since the same points [`Simulator::ticks`]
+    /// restarts at: idle-gap walks and countdown-loop skips. Host-side,
+    /// like the tick count; 0 without fast-forward.
+    pub fn jumps(&self) -> u64 {
+        self.jumps
+    }
+
+    /// Store-stream steps taken since the same points
+    /// [`Simulator::ticks`] restarts at: settled tails retired and steady
+    /// stream periods skipped in one call each. Host-side, like the tick
+    /// count; 0 without fast-forward.
+    pub fn stream_steps(&self) -> u64 {
+        self.stream_steps
     }
 
     /// Attempts one fast-forward jump, never past `cap`. Returns `false`
@@ -1395,7 +1614,7 @@ impl Simulator {
         // their first stalled cycle instead of ticking through for real
         // (the old quiet-tick gate burned one real tick per stall entry).
         let CpuHorizon::Idle { wake, stall } = self.cpu.next_event(&self.machine) else {
-            return self.try_loop_skip(cap);
+            return self.try_stream(cap) || self.try_loop_skip(cap);
         };
         let mut target = cap;
         if let Some(w) = wake {
@@ -1432,13 +1651,19 @@ impl Simulator {
         // The refusing buffer's stall counter over the skipped cycles (the
         // CPU-side counters are handled by `Cpu::fast_forward`).
         let skipped = resume - now;
-        match refuser {
-            Some(Refuser::Uncached) => self.machine.ubuf.add_full_stalls(skipped),
-            Some(Refuser::Csb) => self.machine.csb.add_busy_stalls(skipped),
-            None => {}
+        if let Some(refuser) = refuser {
+            self.machine.book_stalls(refuser, skipped);
+            self.machine.stream.record(
+                now,
+                Op::Stalls {
+                    refuser,
+                    n: skipped,
+                },
+            );
         }
         self.cpu.fast_forward(resume, stall);
         self.resume_at(resume);
+        self.jumps += 1;
         true
     }
 
@@ -1481,6 +1706,284 @@ impl Simulator {
             "a completion stopped the machine inside a skipped loop span"
         );
         self.resume_at(target);
+        // The skipped span's last tick retired (see `Cpu::skip_loop_periods`).
+        self.retired_at = target;
+        self.machine.stream.taint();
+        self.jumps += 1;
+        true
+    }
+
+    /// Sets [`Simulator::streams`]: whether nothing installed outside the
+    /// core's pipeline keeps a store stream from being taken without its
+    /// ticks, that is, no trace or metrics record and no fault schedule, NI
+    /// or background traffic is installed. Every call that installs one
+    /// refreshes it.
+    fn refresh_streams(&mut self) {
+        let m = &self.machine;
+        self.streams = !m.obs.is_enabled()
+            && !m.metrics.is_enabled()
+            && !m.faults.is_enabled()
+            && m.nic.is_none()
+            && self.cfg.bus.background().is_none();
+    }
+
+    /// `true` when no misaligned access stopped the run and no uncached
+    /// read is out: the machine holds no state a stream's print leaves
+    /// out.
+    fn machine_quiet(&self) -> bool {
+        self.machine.misaligned.is_none() && self.machine.reads.is_empty()
+    }
+
+    /// Store-stream fast-forward for an `Active` core, never past `cap`:
+    /// retires a settled tail in one call ([`Simulator::retire_tail`]), or
+    /// watches the steady stream at the ROB head ([`Cpu::stream_anchor`])
+    /// and skips whole periods of it. At each window's anchor the machine
+    /// prints its state relative to the window ([`Machine::stream_print`])
+    /// and records every call the core makes until the next anchor. When
+    /// the core's state repeats the previous anchor's, the machine's print
+    /// does too, the window made only the calls a skip replays, its period
+    /// is a whole number of bus cycles and shorter than the watchdog's
+    /// hard-stall threshold, and every address it computed stays in its
+    /// address space shifted, whole periods are skipped: the window's
+    /// calls are made again on the machine at their shifted cycles and
+    /// addresses, the machine walked between them
+    /// ([`Simulator::replay_stream`]), and the core installs its state that
+    /// many periods later ([`Cpu::take_stream_periods`]). Each skip is one
+    /// stream step. The watchdog's retirement stamp moves with the periods.
+    fn try_stream(&mut self, cap: u64) -> bool {
+        if !self.streams {
+            return false;
+        }
+        if self.cpu.store_tail() {
+            return self.retire_tail(cap);
+        }
+        let now = self.cpu.now();
+        let (block, line) = (self.cfg.uncached.block, self.cfg.csb.line);
+        let per = match self.cpu.stream_anchor(|space| match space {
+            AddressSpace::Uncached => Some(block as u64),
+            AddressSpace::UncachedCombining => Some(line as u64),
+            AddressSpace::Cached => None,
+        }) {
+            StreamAnchor::None => return false,
+            StreamAnchor::Fresh { addr } => {
+                self.anchor_stream(now, addr);
+                return false;
+            }
+            StreamAnchor::Repeat(per) => per,
+        };
+        let log = &mut self.machine.stream;
+        let mut next = std::mem::take(&mut log.next);
+        let printed = self.machine.stream_print(now, per.addr, &mut next);
+        let log = &mut self.machine.stream;
+        log.next = next;
+        let repeats = log.on && !log.tainted && log.printed && printed && log.next == log.print;
+        let k = if repeats {
+            self.stream_periods(&per, cap)
+        } else {
+            0
+        };
+        if k == 0 {
+            // This window's anchor is the one the next compares with.
+            let log = &mut self.machine.stream;
+            std::mem::swap(&mut log.print, &mut log.next);
+            log.printed = printed;
+            log.restart();
+            return false;
+        }
+        self.replay_stream(per.cycles, per.da, k);
+        self.cpu.take_stream_periods(k);
+        let to = now + k * per.cycles;
+        self.resume_at(to);
+        self.retired_at += k * per.cycles;
+        self.anchor_stream(to, per.addr.wrapping_add(k.wrapping_mul(per.da)));
+        self.stream_steps += 1;
+        true
+    }
+
+    /// Starts recording the window whose anchor is at `now`, with the
+    /// machine's print relative to the window's address `origin`.
+    fn anchor_stream(&mut self, now: u64, origin: u64) {
+        let log = &mut self.machine.stream;
+        let mut print = std::mem::take(&mut log.print);
+        if print.capacity() == 0 {
+            log.calls.reserve_exact(STREAM_CALLS);
+            print.reserve(512);
+            log.next.reserve(512);
+        }
+        let printed = self.machine.stream_print(now, origin, &mut print);
+        let log = &mut self.machine.stream;
+        log.print = print;
+        log.printed = printed;
+        log.restart();
+    }
+
+    /// The whole periods `per` that may be skipped from now on: as many
+    /// as the text allows and `cap` leaves room for; none unless the
+    /// period is a whole number of bus cycles, shorter than the hard-stall
+    /// threshold (so no gap between retirements in the skipped span could
+    /// have fired the watchdog), and shifts addresses by a multiple of the
+    /// block or line of each buffer the recorded calls touched; and only
+    /// while every address the window computed, shifted, stays in the
+    /// address space it is in.
+    fn stream_periods(&self, per: &StreamPeriod, cap: u64) -> u64 {
+        let (cycles, stall) = (per.cycles, self.watchdog.stall_cycles);
+        let da = per.da as i64;
+        let log = &self.machine.stream;
+        let equivariant = |on: bool, quantum: usize| !on || da.rem_euclid(quantum as i64) == 0;
+        if !self.machine_quiet()
+            || !cycles.is_multiple_of(self.machine.ratio)
+            || (stall > 0 && cycles >= stall)
+            || !equivariant(log.uncached, self.cfg.uncached.block)
+            || !equivariant(log.combining, self.cfg.csb.line)
+        {
+            return 0;
+        }
+        let k = per.periods.min((cap - self.cpu.now()) / cycles);
+        match per.addrs {
+            Some((lo, hi)) => k.min(self.periods_in_space(lo, hi + 8, per.da)),
+            None => k,
+        }
+    }
+
+    /// The most periods `k` for which the bytes `lo..end`, shifted by `k`
+    /// times `da`, still lie in the mapped region holding `lo..end`.
+    fn periods_in_space(&self, lo: u64, end: u64, da: u64) -> u64 {
+        let Some((start, len, _)) = self
+            .machine
+            .map
+            .iter()
+            .find(|&(start, len, _)| start.raw() <= lo && end <= start.raw() + len)
+        else {
+            return 0;
+        };
+        let (start, stop) = (start.raw(), start.raw() + len);
+        match da as i64 {
+            0 => u64::MAX,
+            d if d > 0 => (stop - end) / d as u64,
+            d => (lo - start) / d.unsigned_abs(),
+        }
+    }
+
+    /// Makes the recorded window's calls again `k` more times, each at its
+    /// cycle and address shifted by whole periods of `cycles` cycles and
+    /// `da` bytes, walking the
+    /// machine's bus between them and up to the end of the last window, as
+    /// the naive loop's bus ticks would have: a call at cycle `c` comes
+    /// after the bus grants of `c`. Each call goes through the function
+    /// the core's tick calls, so device writes, statistics, progress
+    /// stamps and the CSB's bookkeeping are the machine's own.
+    fn replay_stream(&mut self, cycles: u64, da: u64, k: u64) {
+        let m = &mut self.machine;
+        let calls = std::mem::take(&mut m.stream.calls);
+        m.stream.on = false;
+        for i in 1..=k {
+            let (dt, da) = (i * cycles, i.wrapping_mul(da));
+            let shift = |addr: Addr| Addr::new(addr.raw().wrapping_add(da));
+            for call in &calls {
+                let cycle = call.cycle + dt;
+                m.fast_forward(cycle + 1, DrainWake::None, None);
+                m.now = cycle;
+                match call.op {
+                    Op::Store {
+                        combining,
+                        pid,
+                        addr,
+                        width,
+                        value,
+                        accepted,
+                    } => {
+                        let taken = if combining {
+                            m.csb_store(pid, shift(addr), width, value)
+                        } else {
+                            m.uncached_store(shift(addr), width, value)
+                        };
+                        debug_assert_eq!(taken, accepted, "a replayed store at cycle {cycle}");
+                    }
+                    Op::Flush {
+                        pid,
+                        addr,
+                        expected,
+                        result,
+                    } => {
+                        let got = m.csb_flush(pid, shift(addr), expected);
+                        debug_assert_eq!(got, result, "a replayed flush at cycle {cycle}");
+                    }
+                    Op::Stalls { refuser, n } => m.book_stalls(refuser, n),
+                }
+                m.now = cycle + 1;
+            }
+        }
+        let end = self.cpu.now() + k * cycles;
+        let resume = m.fast_forward(end, DrainWake::None, None);
+        assert_eq!(resume, end, "a completion stopped a replayed stream");
+        m.stream.calls = calls;
+    }
+
+    /// Drains the tail of a store stream at the ROB head
+    /// ([`Cpu::store_tail`]) in one call, never past `cap`: each cycle
+    /// walks the bus grants of that cycle, then runs the core's cycle
+    /// ([`Cpu::tail_cycle`]): once the tail is settled, its retire stage
+    /// alone, which offers the head store to its buffer through the
+    /// function the tick calls, and before that a whole tick, counted as
+    /// a real one. A store refused in a settled tail waits for the accept
+    /// that frees its buffer, and the later refused cycles are booked as
+    /// [`Simulator::try_fast_forward`]'s jump books them. The call ends at
+    /// the first head that is not such a store, at a misaligned access,
+    /// or at `cap`; it is one stream step.
+    fn retire_tail(&mut self, cap: u64) -> bool {
+        if !self.machine_quiet() {
+            return false;
+        }
+        let mut now = self.cpu.now();
+        let ratio = self.machine.ratio;
+        while now < cap && self.cpu.store_tail() {
+            // The bus grants of this cycle come before the core's offer.
+            if now.is_multiple_of(ratio) {
+                self.machine.fast_forward(now + 1, DrainWake::None, None);
+            }
+            let stats = self.cpu.stats();
+            let (stalls, retired) = (stats.uncached_stall_cycles, stats.retired);
+            if self.cpu.tail_cycle(&mut self.machine) {
+                self.ticks += 1;
+            }
+            now += 1;
+            self.machine.now = now;
+            let stats = self.cpu.stats();
+            if stats.retired != retired {
+                self.retired_at = now;
+            }
+            if self.machine.misaligned.is_some() {
+                break;
+            }
+            if stats.uncached_stall_cycles == stalls || !self.cpu.tail_settled() {
+                continue;
+            }
+            // Refused in a settled tail: the head store waits for the
+            // accept that frees its buffer, as the idle jump waits.
+            let combining = self
+                .cpu
+                .head_addr()
+                .is_some_and(|a| self.machine.map.space_of(a) == AddressSpace::UncachedCombining);
+            let (wake, refuser, cause) = if combining {
+                (DrainWake::CsbAccept, Refuser::Csb, StallCause::CsbStoreBusy)
+            } else {
+                (
+                    DrainWake::UncachedAccept,
+                    Refuser::Uncached,
+                    StallCause::UncachedStoreFull,
+                )
+            };
+            let resume = self.machine.fast_forward(cap, wake, None);
+            if resume > now {
+                self.machine.book_stalls(refuser, resume - now);
+                self.cpu.fast_forward(resume, Some(cause));
+                now = resume;
+                self.machine.now = now;
+            }
+        }
+        self.machine.stream.taint();
+        self.resume_at(now);
+        self.stream_steps += 1;
         true
     }
 
@@ -1537,7 +2040,7 @@ impl Simulator {
             // mid-jump, so it carries its own accept-cycle stamp.
             let mut at = 0;
             if retired != self.wd_seen_retired {
-                at = self.cpu.now();
+                at = self.retired_at;
             }
             if progress != self.wd_seen_progress {
                 at = at.max(self.machine.progress_at);

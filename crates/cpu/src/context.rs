@@ -74,6 +74,17 @@ impl CpuContext {
         self.fp[r.index()] = v;
     }
 
+    /// Both register files, integer then floating point, as their slots
+    /// hold them.
+    pub(crate) fn regs(&self) -> [&[u64; 32]; 2] {
+        [&self.int, &self.fp]
+    }
+
+    /// [`CpuContext::regs`], to overwrite.
+    pub(crate) fn regs_mut(&mut self) -> [&mut [u64; 32]; 2] {
+        [&mut self.int, &mut self.fp]
+    }
+
     /// The committed condition-code flags (bit 0 = equal, bit 1 = signed
     /// less-than, as produced by `cmp`).
     pub fn cc(&self) -> u64 {

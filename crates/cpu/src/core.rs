@@ -30,9 +30,10 @@ use crate::port::MemPort;
 use crate::stats::CpuStats;
 use crate::trace::{InstTrace, Recorder, Stage};
 
-mod countdown;
+mod periodic;
 
-use countdown::LoopDetector;
+pub use periodic::stream::{StreamAnchor, StreamPeriod, TextRun};
+use periodic::LoopDetector;
 
 /// Condition-code flag: operands compared equal.
 const FLAG_EQ: u64 = 1;
@@ -338,7 +339,7 @@ impl Rob {
     /// ring is walked from index `idx` a word's worth of slots at a time,
     /// wrapping at the ring's end.
     #[inline]
-    fn next_in(&self, word: impl Fn(usize) -> u64, mut idx: usize) -> Option<usize> {
+    fn next_in(&self, mut word: impl FnMut(usize) -> u64, mut idx: usize) -> Option<usize> {
         let cap = self.slots.len();
         let mut p = self.wrap(idx);
         while idx < self.len {
@@ -384,6 +385,11 @@ impl SlotSet {
 
     fn clear(&mut self) {
         self.words.fill(0);
+    }
+
+    #[inline]
+    fn is_empty(&self) -> bool {
+        self.words.iter().all(|&w| w == 0)
     }
 
     /// Word `w` of the set, for [`Rob::next_in`].
@@ -1101,7 +1107,7 @@ impl Cpu {
         self.front_seq += self.rob.len() as u64;
         self.rob.clear();
         self.sched.rebuild(&self.rob, self.front_seq);
-        self.detector.reset();
+        self.detector.switch();
         self.rename.clear();
         self.fetch_q.clear();
         let old = std::mem::replace(&mut self.ctx, new);
@@ -1498,6 +1504,8 @@ impl Cpu {
             self.stats.mispredicts += 1;
             self.squash_after(idx);
             self.fetch_q.clear();
+            // Fetch read up to the fetch pc at most (a halt stops it there).
+            self.detector.stream.span.jumped(self.fetch_pc, next);
             self.fetch_pc = next;
             self.fetch_stopped = false;
         }
@@ -1756,8 +1764,18 @@ impl Cpu {
         let mut spent = avail.map(|n| if n == 0 { !0 } else { 0 });
         let mut open = avail.iter().filter(|&&n| n > 0).count();
         let mut from = 0;
+        // The candidate word last derived, by word index: derived once per
+        // pass and again only when a class runs out of units. Every bit a
+        // visit clears lies at or below the cursor, so the word stays exact.
+        let mut word = (usize::MAX, 0);
         while open > 0 {
-            let Some(idx) = self.rob.next_in(|w| self.sched.candidates(&spent, w), from) else {
+            let candidates = |w| {
+                if word.0 != w {
+                    word = (w, self.sched.candidates(&spent, w));
+                }
+                word.1
+            };
+            let Some(idx) = self.rob.next_in(candidates, from) else {
                 break;
             };
             from = idx + 1;
@@ -1789,6 +1807,7 @@ impl Cpu {
                             };
                             let addr = Addr::new(e.op_val(base_idx)).offset(offset);
                             let space = port.space_of(addr);
+                            self.detector.stream.span.computed(addr.raw());
                             let e = &mut self.rob[idx];
                             e.addr = Some(addr);
                             e.space = Some(space);
@@ -1831,6 +1850,7 @@ impl Cpu {
                 if avail[c] == 0 {
                     spent[c] = !0;
                     open -= 1;
+                    word.0 = usize::MAX;
                 }
             }
         }
@@ -1983,6 +2003,13 @@ impl Cpu {
                 break;
             };
             let predicted_next = predict(&self.program, self.fetch_pc, &inst);
+            if predicted_next != self.fetch_pc + 1 {
+                // A run of fetched pcs ends here and another starts.
+                self.detector
+                    .stream
+                    .span
+                    .jumped(self.fetch_pc, predicted_next);
+            }
             self.fetch_q.push_back(Fetched {
                 pc: self.fetch_pc,
                 predicted_next,

@@ -61,7 +61,7 @@ pub mod trace;
 
 pub use config::CpuConfig;
 pub use context::CpuContext;
-pub use core::{Cpu, CpuHorizon, RunError, StallCause};
+pub use core::{Cpu, CpuHorizon, RunError, StallCause, StreamAnchor, StreamPeriod, TextRun};
 pub use port::{MemPort, SimpleMemPort};
 pub use reference::Interpreter;
 pub use stats::CpuStats;

@@ -468,6 +468,40 @@ impl UncachedBuffer {
         }
     }
 
+    /// Appends what decides the buffer's future to `out`, with every
+    /// address relative to `origin`: each entry and the drain chunks left
+    /// of the head. Two buffers with equal prints whose origins differ by a
+    /// multiple of the block behave alike, every address shifted by that
+    /// difference, which is what a store stream's skip compares. Returns
+    /// `false`, and prints nothing useful, when an uncached load waits in
+    /// the buffer: its tag is a sequence number, which no shift keeps.
+    pub fn stream_print(&self, origin: u64, out: &mut Vec<u64>) -> bool {
+        for entry in &self.entries {
+            let Entry::Store(se) = entry else {
+                return false;
+            };
+            let bits = se.mask.bits();
+            out.extend_from_slice(&[
+                se.base.raw().wrapping_sub(origin),
+                bits as u64,
+                (bits >> 64) as u64,
+                u64::from(se.locked) | u64::from(se.closed) << 1,
+                se.expected_next.wrapping_sub(origin),
+                se.beat as u64,
+                se.stores as u64,
+            ]);
+            out.extend(crate::words_of(&se.data[..self.cfg.block]));
+        }
+        out.push(self.entries.len() as u64);
+        out.extend(
+            self.drain
+                .iter()
+                .map(|c| (c.offset as u64) << 32 | c.size as u64),
+        );
+        out.push(self.drain.len() as u64);
+        true
+    }
+
     /// Offers an uncached store of `data.len()` bytes at `addr`.
     ///
     /// # Panics

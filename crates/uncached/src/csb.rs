@@ -576,6 +576,38 @@ impl ConditionalStoreBuffer {
         self.current = None;
     }
 
+    /// Appends what decides the CSB's future to `out`, with every address
+    /// relative to `origin`: the line being combined and each committed
+    /// burst. Two CSBs with equal prints whose origins differ by a
+    /// multiple of the line behave alike, every address shifted by that
+    /// difference, which is what a store stream's skip compares.
+    pub fn stream_print(&self, origin: u64, out: &mut Vec<u64>) {
+        if let Some(line) = &self.current {
+            let bits = line.mask.bits();
+            out.extend_from_slice(&[
+                line.base.raw().wrapping_sub(origin),
+                u64::from(line.pid),
+                bits as u64,
+                (bits >> 64) as u64,
+                line.count,
+            ]);
+            out.extend(crate::words_of(&line.data[..self.cfg.line]));
+        }
+        out.push(u64::from(self.current.is_some()));
+        for pt in &self.pending {
+            let t = &pt.txn;
+            out.extend_from_slice(&[
+                t.addr.raw().wrapping_sub(origin),
+                t.size as u64,
+                t.payload as u64,
+                u64::from(matches!(t.kind, csb_bus::TxnKind::Read)),
+                t.tag,
+            ]);
+            out.extend(crate::words_of(&pt.data));
+        }
+        out.push(self.pending.len() as u64);
+    }
+
     /// Returns the next committed burst to present to the bus, if any.
     pub fn peek_transaction(&self) -> Option<&PreparedTxn> {
         self.pending.front()

@@ -69,6 +69,16 @@ pub use csb::{
 };
 pub use mask::{decompose, decompose_into, ByteMask, Chunk, MAX_BLOCK};
 
+/// `bytes` as little-endian words, the last one zero-padded: how the
+/// buffers' stream prints hold data.
+fn words_of(bytes: &[u8]) -> impl Iterator<Item = u64> + '_ {
+    bytes.chunks(8).map(|c| {
+        let mut w = [0u8; 8];
+        w[..c.len()].copy_from_slice(c);
+        u64::from_le_bytes(w)
+    })
+}
+
 /// Fixed-capacity inline payload staging: up to [`MAX_BLOCK`] bytes held
 /// directly in the value, no heap allocation. This is the data half of
 /// every transaction the uncached buffer and the CSB prepare — sized by

@@ -9,7 +9,9 @@
 //! and then asserts that a long mid-run window of ticks performs zero
 //! allocations. Another drives the fault sweep's backoff points through
 //! the fast-forward loop `Simulator::run` uses, so the idle walk, the
-//! delay-loop skip and its warm-up memo are audited too. Counting is
+//! delay-loop skip and its warm-up memo are audited too, and a third the
+//! long uncached and CSB store streams, whose settled tails and skipped
+//! stream periods must not allocate either. Counting is
 //! thread-local so that the libtest harness thread (which may print or
 //! poll concurrently) and sibling tests cannot pollute a measurement
 //! window.
@@ -17,6 +19,8 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use csb_core::experiments::runner::PointWork;
+use csb_core::experiments::throughput;
 use csb_core::workloads::{self, RetryPolicy};
 use csb_core::{FaultConfig, SimConfig, Simulator};
 use csb_isa::Program;
@@ -71,14 +75,15 @@ const LIMIT: u64 = 50_000_000;
 /// then) and must perform zero allocations over the next 40% (safely
 /// clear of both MARK retirements and run completion). `step` advances
 /// the machine: one real tick, or one step of the fast-forward loop,
-/// which may jump many cycles.
+/// which may jump many cycles but not past the cycle it is passed, the
+/// end of the audited window. Returns the re-run simulator.
 fn audit(
     label: &str,
     cfg: &SimConfig,
     program: &Program,
     prep: impl Fn(&mut Simulator),
-    step: fn(&mut Simulator),
-) {
+    step: fn(&mut Simulator, u64),
+) -> Simulator {
     let mut sim = Simulator::new(cfg.clone(), program.clone()).expect("point builds");
     prep(&mut sim);
     let total = sim.run(LIMIT).expect("point completes").cycles;
@@ -93,12 +98,12 @@ fn audit(
         .expect("warm reset");
     prep(&mut sim);
     while sim.cpu().now() < warmup {
-        step(&mut sim);
+        step(&mut sim, warmup);
     }
     ALLOCS.with(|a| a.set(0));
     COUNTING.with(|c| c.set(true));
     while sim.cpu().now() < warmup + window {
-        step(&mut sim);
+        step(&mut sim, warmup + window);
     }
     COUNTING.with(|c| c.set(false));
     assert!(
@@ -107,6 +112,7 @@ fn audit(
     );
     let n = ALLOCS.with(Cell::get);
     assert_eq!(n, 0, "{label}: {n} heap allocation(s) in steady state");
+    sim
 }
 
 #[test]
@@ -117,7 +123,7 @@ fn steady_state_ticks_do_not_allocate() {
     let cfg = SimConfig::default();
     let program =
         workloads::store_bandwidth(1024, &cfg, workloads::StorePath::Csb).expect("fig3 workload");
-    audit("fig3 1KB/CSB", &cfg, &program, |_| {}, Simulator::tick);
+    audit("fig3 1KB/CSB", &cfg, &program, |_| {}, |sim, _| sim.tick());
 
     // Figure 5 shape: the lock/store/unlock sequence under 8-byte
     // (uncombined) staging, lock line missing to memory. Exercises the
@@ -131,7 +137,7 @@ fn steady_state_ticks_do_not_allocate() {
         |sim| {
             sim.evict_line(csb_isa::Addr::new(csb_core::LOCK_ADDR));
         },
-        Simulator::tick,
+        |sim, _| sim.tick(),
     );
 }
 
@@ -167,9 +173,48 @@ fn fast_forwarded_delay_loops_do_not_allocate() {
                 }
             };
             let label = format!("r90 backoff seed {seed:#x}, metrics {metrics}");
-            audit(&label, &cfg, &program, prep, |sim| {
+            audit(&label, &cfg, &program, prep, |sim, _| {
                 sim.advance_checked(LIMIT).expect("no livelock");
             });
         }
+    }
+}
+
+#[test]
+fn store_streams_do_not_allocate() {
+    // The perf-smoke gate's long uncached stream (3long/1024B/none) and
+    // long CSB stream (4along/16KB/CSB), stepped the way `run` steps
+    // them. The steady-stream skip's packed states, machine prints and
+    // recorded calls, and the settled tail, keep their buffers across the
+    // warm reset, so the re-run must not allocate where the cold run did
+    // not; both stream steps engage.
+    for spec in [throughput::long_point(), throughput::csb_active_point()] {
+        let PointWork::Bandwidth {
+            transfer,
+            scheme,
+            order,
+        } = spec.work
+        else {
+            unreachable!("the long points are bandwidth points");
+        };
+        let (cfg, path) = scheme.machine(&spec.cfg);
+        let program = workloads::store_bandwidth_ordered(transfer, &cfg, path, order)
+            .expect("long stream builds");
+        let mut sim = audit(
+            &spec.label,
+            &cfg,
+            &program,
+            |_| {},
+            |sim, end| {
+                sim.advance_checked(end).expect("no livelock");
+            },
+        );
+        sim.run(LIMIT).expect("long stream completes");
+        assert!(
+            sim.stream_steps() > 1,
+            "{}: {} stream step(s)",
+            spec.label,
+            sim.stream_steps()
+        );
     }
 }
